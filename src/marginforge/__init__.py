@@ -7,7 +7,4 @@ Includes a synthetic planted-duplicate benchmark, retrieval metrics, and a
 CLI (``marginforge train/eval/gen-data/inspect-margins/sweep``).
 """
 
-from .kernels import BACKEND
-
-__all__ = ["BACKEND"]
 __version__ = "0.1.0"

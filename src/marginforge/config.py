@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .data import SynthConfig, fnv1a64
 from .errors import ConfigError, ConfigTypeError, MissingKeyError, ParseError, UnknownKeyError
-from .trainer import MINING_CRITERIA, TrainConfig
+from .objective import MINING_CRITERIA
+from .trainer import TrainConfig
 
 
 @dataclass

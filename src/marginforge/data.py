@@ -212,12 +212,18 @@ def _write_labels(dataset: Dataset, path) -> None:
             fh.write(f"{item_id} {int(concept)}\n")
 
 
-def _load_labels(path) -> dict[str, int]:
+def _read_counted(path, tag: str) -> tuple[int, list[str]]:
+    """N and the lines of a file whose first line is exactly ``<tag> <N>``, N >= 0."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("LBL1 "):
-        raise ParseError(f"{path}: expected 'LBL1 <N>' header", 1)
-    n = int(lines[0].split()[1])
+    parts = lines[0].split() if lines else []
+    if len(parts) != 2 or parts[0] != tag or not parts[1].isdecimal():
+        raise ParseError(f"{path}: expected '{tag} <N>' header, N a non-negative integer", 1)
+    return int(parts[1]), lines
+
+
+def _load_labels(path) -> dict[str, int]:
+    n, lines = _read_counted(path, "LBL1")
     labels: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
@@ -242,11 +248,7 @@ def _write_split(ids, path) -> None:
 
 
 def _load_split(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("SPLIT1 "):
-        raise ParseError(f"{path}: expected 'SPLIT1 <N>' header", 1)
-    n = int(lines[0].split()[1])
+    n, lines = _read_counted(path, "SPLIT1")
     ids = [line.strip() for line in lines[1:] if line.strip() and not line.startswith("#")]
     if len(ids) != n:
         raise ParseError(f"{path}: header declares {n} ids, found {len(ids)}")

@@ -19,7 +19,7 @@ from .errors import (
     UnknownIdError,
     ZeroNormError,
 )
-from .mathcore import ZERO_NORM_EPS, mean_pool
+from .mathcore import ZERO_NORM_EPS, check_row_norms, mean_pool
 
 EXPERT_KINDS = ("dse_text", "dse_video", "sse_text", "sse_video")
 
@@ -75,10 +75,7 @@ def pairwise_distances(X: np.ndarray, expert_kind: str) -> DistanceMatrix:
     X = _stack_reprs(X)
     if X.shape[0] < 2:
         raise EmptyInputError("need at least two items for pairwise distances")
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(norms < ZERO_NORM_EPS):
-        bad = int(np.argmin(norms))
-        raise ZeroNormError(f"row {bad} has near-zero norm {norms[bad]:.3e}")
+    check_row_norms(X, expert_kind)
     D = 1.0 - kernels.pairwise_cosine(X, X)
     D = 0.5 * (D + D.T)
     np.fill_diagonal(D, 0.0)
@@ -125,12 +122,13 @@ def _data_lines(path):
             yield lineno, text
 
 
-def _parse_floats(tokens, lineno):
+def parse_floats(tokens, lineno) -> np.ndarray:
+    """Finite float64 row from text tokens; shared by the EMB1, FRM1 and CKPT1 loaders."""
     try:
-        vals = [float(t) for t in tokens]
+        vals = np.array([float(t) for t in tokens])
     except ValueError as exc:
         raise ParseError(f"bad numeric literal: {exc}", lineno) from None
-    if not all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ParseError("non-finite value", lineno)
     return vals
 
@@ -169,7 +167,7 @@ def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbed
             raise DuplicateIdError(f"line {lineno}: duplicate id {item_id!r}")
         seen.add(item_id)
         ids.append(item_id)
-        rows[count] = _parse_floats(tokens[1:], lineno)
+        rows[count] = parse_floats(tokens[1:], lineno)
         count += 1
     if count != n:
         raise ParseError(f"{path}: header declares {n} rows, found {count}")
@@ -236,7 +234,7 @@ def load_frame_file(path) -> tuple[list[str], np.ndarray]:
         row = order[item_id]
         if filled[row, fidx]:
             raise DuplicateIdError(f"line {lineno}: duplicate frame {fidx} for id {item_id!r}")
-        frames[row, fidx] = _parse_floats(tokens[2:], lineno)
+        frames[row, fidx] = parse_floats(tokens[2:], lineno)
         filled[row, fidx] = True
 
     if len(ids) != n:

@@ -1,51 +1,59 @@
-"""Hot numeric kernels, each with a numba-compiled and a pure-numpy path.
-
-Three operations dominate a training step and are worth compiling:
+"""Hot numeric kernels of a training step, one float64 numpy path each.
 
 * ``pairwise_cosine``     - B x B cosine similarity between two row stacks
 * ``triplet_terms``       - per-level hinge totals, negative mining and dL/dS
 * ``cosine_backward``     - chain dL/dS back to the two representation stacks
 
-Backend selection is driven by the ``MARGINFORGE_NUMBA`` environment
-variable, read once at import time:
-
-* unset or ``auto`` - use numba when it imports, else fall back to numpy
-* ``1`` / ``on``    - require numba (ImportError if missing)
-* ``0`` / ``off``   - force the pure-numpy path
-
-``BACKEND`` records the choice. Both paths are float64 throughout, compiled
-without fastmath, and agree to ~1e-15; within one backend results are
-bit-reproducible run to run. The numpy fallbacks double as the reference
-implementations for the benchmark in ``benchmarks/kernel_bench.py``.
+Results are bit-reproducible run to run. Their reference is the scalar-loop
+oracles in ``tests/oracles.py``, which share no code with these kernels.
 
 Kernels assume validated inputs (finite values, nonzero row norms); callers
 own the error contracts.
 """
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "BACKEND",
-    "NUMBA_AVAILABLE",
     "pairwise_cosine",
     "triplet_terms",
     "cosine_backward",
 ]
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _pairwise_cosine_np(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def pairwise_cosine(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Cosine similarity between every row of X and every row of Y."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
     Xn = X / np.linalg.norm(X, axis=1)[:, None]
     Yn = Y / np.linalg.norm(Y, axis=1)[:, None]
     return Xn @ Yn.T
 
 
-def _triplet_terms_np(S, M, w, mean_mining, hard_only):
+def triplet_terms(
+    S: np.ndarray,
+    M: np.ndarray,
+    w: np.ndarray,
+    mean_mining: bool,
+    hard_only: bool,
+):
+    """Mined triplet hinge totals for both retrieval directions.
+
+    S is the B x B similarity matrix (rows = videos, cols = texts); M stacks
+    K margin levels as a (K, B, B) array and w holds their weights. Level
+    hinges for anchor i use negatives S[j, i] (direction video) and S[i, j]
+    (direction text) against the positive S[i, i].
+
+    Returns ``(comp, dS, mined_v, mined_t)`` where ``comp[k]`` is the
+    per-level total (mean over anchors, both directions summed, evaluated at
+    the mined negative or averaged over all negatives when ``mean_mining``),
+    ``dS`` is the gradient of ``sum_k w[k] * comp[k]`` w.r.t. S, and the
+    mined arrays give the selected negative index per anchor (argmax of the
+    weighted combined term, or of the level-0 term when ``hard_only``; ties
+    resolve to the smallest index).
+    """
+    S = np.ascontiguousarray(S, dtype=np.float64)
+    M = np.ascontiguousarray(M, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
     K = M.shape[0]
     B = S.shape[0]
     pos = np.diag(S).copy()
@@ -65,7 +73,7 @@ def _triplet_terms_np(S, M, w, mean_mining, hard_only):
         if hard_only:
             crit = hinge[0]
         else:
-            # accumulate level by level so both backends sum in the same order
+            # accumulate level by level, in the summation order of the oracle
             crit = w[0] * hinge[0]
             for k in range(1, K):
                 crit = crit + w[k] * hinge[k]
@@ -96,7 +104,12 @@ def _triplet_terms_np(S, M, w, mean_mining, hard_only):
     return comp, dS, mined[0], mined[1]
 
 
-def _cosine_backward_np(dS, X, Y, S):
+def cosine_backward(dS: np.ndarray, X: np.ndarray, Y: np.ndarray, S: np.ndarray):
+    """Backpropagate a gradient w.r.t. the cosine matrix onto both row stacks."""
+    dS = np.ascontiguousarray(dS, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
+    S = np.ascontiguousarray(S, dtype=np.float64)
     xn = np.linalg.norm(X, axis=1)
     yn = np.linalg.norm(Y, axis=1)
     Xn = X / xn[:, None]
@@ -105,217 +118,3 @@ def _cosine_backward_np(dS, X, Y, S):
     dX = (dS @ Yn - dSS.sum(axis=1)[:, None] * Xn) / xn[:, None]
     dY = (dS.T @ Xn - dSS.sum(axis=0)[:, None] * Yn) / yn[:, None]
     return dX, dY
-
-
-# ---------------------------------------------------------------------------
-# backend selection and numba twins
-# ---------------------------------------------------------------------------
-
-_flag = os.environ.get("MARGINFORGE_NUMBA", "auto").strip().lower()
-if _flag in ("0", "off", "false", "numpy"):
-    _want_numba = False
-    _require_numba = False
-elif _flag in ("1", "on", "true", "numba"):
-    _want_numba = True
-    _require_numba = True
-else:
-    _want_numba = True
-    _require_numba = False
-
-NUMBA_AVAILABLE = False
-if _want_numba:
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        if _require_numba:
-            raise
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _pairwise_cosine_nb(X, Y):  # pragma: no cover - exercised via dispatch
-        BX, dim = X.shape
-        BY = Y.shape[0]
-        xn = np.empty(BX)
-        yn = np.empty(BY)
-        for i in range(BX):
-            s = 0.0
-            for k in range(dim):
-                s += X[i, k] * X[i, k]
-            xn[i] = np.sqrt(s)
-        for j in range(BY):
-            s = 0.0
-            for k in range(dim):
-                s += Y[j, k] * Y[j, k]
-            yn[j] = np.sqrt(s)
-        out = np.empty((BX, BY))
-        for i in range(BX):
-            for j in range(BY):
-                s = 0.0
-                for k in range(dim):
-                    s += X[i, k] * Y[j, k]
-                out[i, j] = s / (xn[i] * yn[j])
-        return out
-
-    @njit(cache=True)
-    def _triplet_terms_nb(S, M, w, mean_mining, hard_only):  # pragma: no cover
-        K = M.shape[0]
-        B = S.shape[0]
-        comp = np.zeros(K)
-        dS = np.zeros((B, B))
-        mined_v = np.empty(B, dtype=np.int64)
-        mined_t = np.empty(B, dtype=np.int64)
-
-        for d in range(2):
-            for i in range(B):
-                pos = S[i, i]
-                best_j = -1
-                best = -np.inf
-                for j in range(B):
-                    if j == i:
-                        continue
-                    neg = S[j, i] if d == 0 else S[i, j]
-                    if hard_only:
-                        crit = max(neg - pos + M[0, i, j], 0.0)
-                    else:
-                        crit = w[0] * max(neg - pos + M[0, i, j], 0.0)
-                        for k in range(1, K):
-                            crit = crit + w[k] * max(neg - pos + M[k, i, j], 0.0)
-                    if crit > best:
-                        best = crit
-                        best_j = j
-                if d == 0:
-                    mined_v[i] = best_j
-                else:
-                    mined_t[i] = best_j
-
-                if mean_mining:
-                    scale = 1.0 / (B * (B - 1))
-                    for j in range(B):
-                        if j == i:
-                            continue
-                        neg = S[j, i] if d == 0 else S[i, j]
-                        for k in range(K):
-                            arg = neg - pos + M[k, i, j]
-                            if arg > 0.0:
-                                comp[k] += arg / (B - 1)
-                                if d == 0:
-                                    dS[j, i] += w[k] * scale
-                                else:
-                                    dS[i, j] += w[k] * scale
-                                dS[i, i] -= w[k] * scale
-                else:
-                    j = best_j
-                    neg = S[j, i] if d == 0 else S[i, j]
-                    for k in range(K):
-                        arg = neg - pos + M[k, i, j]
-                        if arg > 0.0:
-                            comp[k] += arg
-                            if d == 0:
-                                dS[j, i] += w[k] / B
-                            else:
-                                dS[i, j] += w[k] / B
-                            dS[i, i] -= w[k] / B
-
-        for k in range(K):
-            comp[k] /= B
-        return comp, dS, mined_v, mined_t
-
-    @njit(cache=True)
-    def _cosine_backward_nb(dS, X, Y, S):  # pragma: no cover
-        B, dim = X.shape
-        inv_xn = np.empty(B)
-        inv_yn = np.empty(B)
-        for i in range(B):
-            s = 0.0
-            for k in range(dim):
-                s += X[i, k] * X[i, k]
-            inv_xn[i] = 1.0 / np.sqrt(s)
-        for j in range(B):
-            s = 0.0
-            for k in range(dim):
-                s += Y[j, k] * Y[j, k]
-            inv_yn[j] = 1.0 / np.sqrt(s)
-        # one pass per output keeps the accumulated rows contiguous
-        dX = np.zeros((B, dim))
-        dY = np.zeros((B, dim))
-        for i in range(B):
-            dot = 0.0
-            for j in range(B):
-                g = dS[i, j] * inv_yn[j]
-                dot += dS[i, j] * S[i, j]
-                for k in range(dim):
-                    dX[i, k] += g * Y[j, k]
-            for k in range(dim):
-                dX[i, k] = (dX[i, k] - dot * X[i, k] * inv_xn[i]) * inv_xn[i]
-        for j in range(B):
-            dot = 0.0
-            for i in range(B):
-                g = dS[i, j] * inv_xn[i]
-                dot += dS[i, j] * S[i, j]
-                for k in range(dim):
-                    dY[j, k] += g * X[i, k]
-            for k in range(dim):
-                dY[j, k] = (dY[j, k] - dot * Y[j, k] * inv_yn[j]) * inv_yn[j]
-        return dX, dY
-
-    BACKEND = "numba"
-else:
-    BACKEND = "numpy"
-
-
-# ---------------------------------------------------------------------------
-# public dispatch
-# ---------------------------------------------------------------------------
-
-def pairwise_cosine(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Cosine similarity between every row of X and every row of Y."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    if BACKEND == "numba":
-        return _pairwise_cosine_nb(X, Y)
-    return _pairwise_cosine_np(X, Y)
-
-
-def triplet_terms(
-    S: np.ndarray,
-    M: np.ndarray,
-    w: np.ndarray,
-    mean_mining: bool,
-    hard_only: bool,
-):
-    """Mined triplet hinge totals for both retrieval directions.
-
-    S is the B x B similarity matrix (rows = videos, cols = texts); M stacks
-    K margin levels as a (K, B, B) array and w holds their weights. Level
-    hinges for anchor i use negatives S[j, i] (direction video) and S[i, j]
-    (direction text) against the positive S[i, i].
-
-    Returns ``(comp, dS, mined_v, mined_t)`` where ``comp[k]`` is the
-    per-level total (mean over anchors, both directions summed, evaluated at
-    the mined negative or averaged over all negatives when ``mean_mining``),
-    ``dS`` is the gradient of ``sum_k w[k] * comp[k]`` w.r.t. S, and the
-    mined arrays give the selected negative index per anchor (argmax of the
-    weighted combined term, or of the level-0 term when ``hard_only``; ties
-    resolve to the smallest index).
-    """
-    S = np.ascontiguousarray(S, dtype=np.float64)
-    M = np.ascontiguousarray(M, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if BACKEND == "numba":
-        return _triplet_terms_nb(S, M, w, mean_mining, hard_only)
-    return _triplet_terms_np(S, M, w, mean_mining, hard_only)
-
-
-def cosine_backward(dS: np.ndarray, X: np.ndarray, Y: np.ndarray, S: np.ndarray):
-    """Backpropagate a gradient w.r.t. the cosine matrix onto both row stacks."""
-    dS = np.ascontiguousarray(dS, dtype=np.float64)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    S = np.ascontiguousarray(S, dtype=np.float64)
-    if BACKEND == "numba":
-        return _cosine_backward_nb(dS, X, Y, S)
-    return _cosine_backward_np(dS, X, Y, S)

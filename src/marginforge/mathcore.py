@@ -1,13 +1,12 @@
 """Scalar and small-vector numeric primitives.
 
-Cosine geometry with analytic gradients, mean pooling, the standard normal
-CDF, and a central-difference gradient checker. Everything here is float64,
-pure, and thread-safe; batched equivalents of the hot paths live in
+Cosine similarity, mean pooling, the standard normal CDF, and a
+central-difference gradient checker. Everything here is float64, pure, and
+thread-safe; batched equivalents of the hot paths live in
 :mod:`marginforge.kernels`.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,45 +38,26 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class GradPair:
-    """A scalar value together with its gradients w.r.t. both input vectors."""
-
-    value: float
-    grad_a: np.ndarray
-    grad_b: np.ndarray
-
-
-def _checked_norms(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+def cosine_similarity(a, b) -> float:
+    """<a,b> / (|a| |b|); in [-1, 1] up to rounding."""
+    a = as_vector(a)
+    b = as_vector(b)
     if a.shape != b.shape:
         raise DimMismatchError(f"vector dims differ: {a.shape[0]} vs {b.shape[0]}")
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
         raise ZeroNormError(f"norms too small for cosine: {na:.3e}, {nb:.3e}")
-    return na, nb
-
-
-def cosine_similarity(a, b) -> float:
-    """<a,b> / (|a| |b|); in [-1, 1] up to rounding."""
-    a = as_vector(a)
-    b = as_vector(b)
-    na, nb = _checked_norms(a, b)
     return float(np.dot(a, b) / (na * nb))
 
 
-def cosine_similarity_with_grad(a, b) -> GradPair:
-    """Cosine similarity plus analytic gradients.
-
-    grad_a = b/(|a||b|) - s * a/|a|^2, and symmetrically for grad_b.
-    """
-    a = as_vector(a)
-    b = as_vector(b)
-    na, nb = _checked_norms(a, b)
-    s = float(np.dot(a, b) / (na * nb))
-    grad_a = b / (na * nb) - s * a / (na * na)
-    grad_b = a / (na * nb) - s * b / (nb * nb)
-    return GradPair(s, grad_a, grad_b)
+def check_row_norms(X: np.ndarray, what: str) -> None:
+    """Raise ZeroNormError for the first row of X whose norm is non-finite or near zero."""
+    norms = np.linalg.norm(X, axis=1)
+    ok = np.isfinite(norms) & (norms >= ZERO_NORM_EPS)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise ZeroNormError(f"{what} row {bad} has non-finite or near-zero norm {norms[bad]:.3e}")
 
 
 def mean_pool(frames) -> np.ndarray:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimMismatchError, ParseError, ShapeMismatchError
+from .experts import parse_floats
 from .seeding import named_rng
 
 
@@ -111,16 +112,6 @@ def forward_batch(model: TwoTowerModel, pooled_video, text_feats) -> ForwardStat
     return ForwardState(pooled_video, text_feats, hv, ht, rv, rt)
 
 
-def encode_video(model: TwoTowerModel, pooled_features) -> np.ndarray:
-    """Joint-space representation of one pooled video feature vector."""
-    return forward_batch(model, pooled_features[None, :], np.zeros((1, model.dims.text_in))).video_reprs[0]
-
-
-def encode_text(model: TwoTowerModel, text_features) -> np.ndarray:
-    """Joint-space representation of one raw text feature vector."""
-    return forward_batch(model, np.zeros((1, model.dims.video_in)), text_features[None, :]).text_reprs[0]
-
-
 def _tower_backward(tower: Tower, x: np.ndarray, hidden, d_out: np.ndarray) -> dict:
     if tower.w2 is None:
         return {"w1": x.T @ d_out, "b1": d_out.sum(axis=0)}
@@ -155,10 +146,6 @@ def backward(model: TwoTowerModel, state: ForwardState, grad_video_reprs, grad_t
         for pname, arr in _tower_backward(tower, x, hidden, d_out).items():
             grads[f"{name}.{pname}"] = arr
     return grads
-
-
-def zero_grads(model: TwoTowerModel) -> dict:
-    return {name: np.zeros_like(arr) for name, arr in model.param_items()}
 
 
 def flatten_params(model: TwoTowerModel) -> np.ndarray:
@@ -227,10 +214,7 @@ def load_checkpoint(path) -> TwoTowerModel:
                 raise ParseError(
                     f"{name}: expected {rows.shape[1]} values, got {len(vals)}", cursor + 1
                 )
-            try:
-                rows[r] = [float(v) for v in vals]
-            except ValueError as exc:
-                raise ParseError(f"{name}: {exc}", cursor + 1) from None
+            rows[r] = parse_floats(vals, cursor + 1)
             cursor += 1
     if any(line.strip() for line in lines[cursor:]):
         raise ParseError(f"{path}: trailing content after parameters", cursor + 1)

@@ -24,15 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import (
-    EmptyInputError,
-    IndexOutOfRangeError,
-    LambdaOutOfRangeError,
-    ShapeMismatchError,
-    ZeroNormError,
-)
+from .errors import EmptyInputError, LambdaOutOfRangeError, ShapeMismatchError
 from .margin import matrix_values
-from .mathcore import ZERO_NORM_EPS
+from .mathcore import check_row_norms
 from .model import ForwardState, TwoTowerModel, backward
 
 MININGS = ("hardest", "mean")
@@ -65,16 +59,9 @@ def similarity_matrix(video_reprs, text_reprs) -> np.ndarray:
     T = np.atleast_2d(np.asarray(text_reprs, dtype=np.float64))
     if V.shape[0] != T.shape[0]:
         raise ShapeMismatchError(f"batch sizes differ: {V.shape[0]} vs {T.shape[0]}")
-    for name, X in (("video", V), ("text", T)):
-        norms = np.linalg.norm(X, axis=1)
-        if np.any(norms < ZERO_NORM_EPS):
-            raise ZeroNormError(f"{name} row {int(np.argmin(norms))} has near-zero norm")
+    check_row_norms(V, "video")
+    check_row_norms(T, "text")
     return kernels.pairwise_cosine(V, T)
-
-
-def hinge(s_neg: float, s_pos: float, margin: float) -> float:
-    """max(0, s_neg - s_pos + margin); negative margins relax the constraint."""
-    return max(0.0, s_neg - s_pos + margin)
 
 
 def _check_square(S) -> np.ndarray:
@@ -136,23 +123,6 @@ def hard_triplet_loss(S, alpha: float, mining: str = "hardest") -> LossBreakdown
     """Fixed-margin triplet ranking loss over both retrieval directions."""
     breakdown, _ = _run(S, None, None, None, None, alpha, 0.0, mining, "combined")
     return breakdown
-
-
-def soft_triplet_loss(S, m_video, m_text, i: int, j: int, direction: str) -> float:
-    """Adaptive-margin loss of one negative pair: one hinge per expert domain."""
-    S = _check_square(S)
-    B = S.shape[0]
-    if not (0 <= i < B and 0 <= j < B):
-        raise IndexOutOfRangeError(f"indices ({i}, {j}) outside batch of {B}")
-    if i == j:
-        raise IndexOutOfRangeError(f"({i}, {j}) is a positive pair, not a negative")
-    if direction not in ("v", "t"):
-        raise ValueError(f"direction must be 'v' or 't', got {direction!r}")
-    s_neg = S[j, i] if direction == "v" else S[i, j]
-    s_pos = S[i, i]
-    mv = matrix_values(m_video)
-    mt = matrix_values(m_text)
-    return hinge(s_neg, s_pos, mv[i, j]) + hinge(s_neg, s_pos, mt[i, j])
 
 
 def full_loss(

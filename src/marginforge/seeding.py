@@ -14,7 +14,6 @@ STREAMS = {
     "data_text_noise": 104,
     "data_sse_noise": 105,
     "data_split": 106,
-    "bench": 900,
 }
 
 

@@ -25,14 +25,12 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .objective import LossBreakdown, full_loss_grad, similarity_matrix
+from .objective import MINING_CRITERIA, LossBreakdown, full_loss_grad, similarity_matrix
 from .seeding import named_rng
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-MINING_CRITERIA = ("combined", "hard_only")
 
 
 @dataclass

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from marginforge.data import (
+    MANIFEST_NAME,
     Dataset,
     SynthConfig,
     fnv1a64,
@@ -141,6 +142,26 @@ class TestRoundTrip:
         (tmp_path / "labels.txt").unlink()
         with pytest.raises(ParseError):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("filename, tag", [("labels.txt", "LBL1"), ("split_train.txt", "SPLIT1")])
+    @pytest.mark.parametrize("header", ["{tag} x", "{tag} two", "{tag} 1.5", "{tag} {n} extra"])
+    def test_malformed_count_header_rejected(self, tmp_path, filename, tag, header):
+        ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=17))
+        write_dataset(ds, tmp_path)
+        target = tmp_path / filename
+        old_digest = fnv1a64(target.read_bytes())
+        lines = target.read_text(encoding="utf-8").splitlines()
+        lines[0] = header.format(tag=tag, n=len(lines) - 1)
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # re-sign the manifest so the header, not the checksum, is what fails
+        manifest = tmp_path / MANIFEST_NAME
+        manifest.write_text(
+            manifest.read_text(encoding="utf-8").replace(old_digest, fnv1a64(target.read_bytes())),
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as excinfo:
+            load_dataset(tmp_path)
+        assert excinfo.value.line == 1
 
 
 class TestDatasetInvariants:

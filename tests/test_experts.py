@@ -47,8 +47,9 @@ class TestDseDistances:
         assert dv.expert_kind == "dse_video"
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(ZeroNormError):
-            dse_video_distances([[1.0, 0.0], [0.0, 0.0]])
+        for bad_row in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(ZeroNormError):
+                dse_video_distances([[1.0, 0.0], bad_row])
 
 
 class TestSseVideoDistances:

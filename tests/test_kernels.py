@@ -28,16 +28,6 @@ class TestPairwiseCosine:
             for j in range(5):
                 assert S[i, j] == pytest.approx(cosine_similarity(X[i], Y[j]), abs=1e-12)
 
-    def test_backends_agree(self):
-        if not kernels.NUMBA_AVAILABLE:
-            pytest.skip("numba not installed")
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((8, 5))
-        Y = rng.standard_normal((8, 5))
-        a = kernels._pairwise_cosine_np(X, Y)
-        b = kernels._pairwise_cosine_nb(X, Y)
-        np.testing.assert_allclose(a, b, atol=1e-13)
-
 
 class TestTripletTerms:
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
@@ -84,20 +74,6 @@ class TestTripletTerms:
             fd = finite_diff_grad(f, S.ravel(), h=1e-6).reshape(S.shape)
             np.testing.assert_allclose(dS, fd, atol=1e-7)
 
-    def test_backends_agree(self):
-        if not kernels.NUMBA_AVAILABLE:
-            pytest.skip("numba not installed")
-        rng = np.random.default_rng(15)
-        for mean_mining in (False, True):
-            for hard_only in (False, True):
-                S, M, w = random_instance(rng, b=6, levels=5)
-                out_np = kernels._triplet_terms_np(S, M, w, mean_mining, hard_only)
-                out_nb = kernels._triplet_terms_nb(S, M, w, mean_mining, hard_only)
-                np.testing.assert_allclose(out_np[0], out_nb[0], atol=1e-13)
-                np.testing.assert_allclose(out_np[1], out_nb[1], atol=1e-13)
-                np.testing.assert_array_equal(out_np[2], out_nb[2])
-                np.testing.assert_array_equal(out_np[3], out_nb[3])
-
     def test_tie_breaks_to_smallest_index(self):
         # two identical negatives: index 1 must win over index 2
         S = np.array([[0.9, 0.5, 0.5], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
@@ -129,16 +105,3 @@ class TestCosineBackward:
             fd_y = finite_diff_grad(f_y, Y.ravel(), h=1e-6).reshape(Y.shape)
             np.testing.assert_allclose(dX, fd_x, atol=1e-6)
             np.testing.assert_allclose(dY, fd_y, atol=1e-6)
-
-    def test_backends_agree(self):
-        if not kernels.NUMBA_AVAILABLE:
-            pytest.skip("numba not installed")
-        rng = np.random.default_rng(17)
-        X = rng.standard_normal((6, 4))
-        Y = rng.standard_normal((6, 4))
-        dS = rng.standard_normal((6, 6))
-        S = kernels._pairwise_cosine_np(X, Y)
-        a = kernels._cosine_backward_np(dS, X, Y, S)
-        b = kernels._cosine_backward_nb(dS, X, Y, S)
-        np.testing.assert_allclose(a[0], b[0], atol=1e-12)
-        np.testing.assert_allclose(a[1], b[1], atol=1e-12)

@@ -6,7 +6,6 @@ import pytest
 from marginforge.errors import DimMismatchError, EmptyInputError, ZeroNormError
 from marginforge.mathcore import (
     cosine_similarity,
-    cosine_similarity_with_grad,
     finite_diff_grad,
     mean_pool,
     normal_cdf,
@@ -49,40 +48,6 @@ class TestCosineSimilarity:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-class TestCosineGrad:
-    def test_identical_inputs_grad_orthogonal(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = rng.standard_normal(5)
-            gp = cosine_similarity_with_grad(a, a.copy())
-            assert gp.value == pytest.approx(1.0, abs=1e-12)
-            assert abs(np.dot(gp.grad_a, a)) < 1e-10
-
-    def test_orthogonal_pair_grad(self):
-        gp = cosine_similarity_with_grad([1.0, 0.0], [0.0, 1.0])
-        np.testing.assert_allclose(gp.grad_a, [0.0, 1.0], atol=1e-15)
-
-    def test_grad_orthogonality_property(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a = rng.standard_normal(7)
-            b = rng.standard_normal(7)
-            gp = cosine_similarity_with_grad(a, b)
-            assert abs(np.dot(gp.grad_a, a)) < 1e-10
-            assert abs(np.dot(gp.grad_b, b)) < 1e-10
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            a = rng.standard_normal(5)
-            b = rng.standard_normal(5)
-            gp = cosine_similarity_with_grad(a, b)
-            fd_a = finite_diff_grad(lambda x: cosine_similarity(x, b), a)
-            fd_b = finite_diff_grad(lambda x: cosine_similarity(a, x), b)
-            assert np.linalg.norm(gp.grad_a - fd_a) / np.linalg.norm(fd_a) < 1e-6
-            assert np.linalg.norm(gp.grad_b - fd_b) / np.linalg.norm(fd_b) < 1e-6
 
 
 class TestMeanPool:

@@ -8,8 +8,6 @@ from marginforge.model import (
     Tower,
     TwoTowerModel,
     backward,
-    encode_text,
-    encode_video,
     flatten_grads,
     flatten_params,
     forward_batch,
@@ -55,25 +53,29 @@ class TestEncode:
         model = init_params(dims, 0)
         model.video.w1[...] = np.eye(3)
         model.video.b1[...] = 0.0
-        x = np.array([1.5, -2.0, 0.25])
-        np.testing.assert_array_equal(encode_video(model, x), x)
+        x = np.array([[1.5, -2.0, 0.25]])
+        np.testing.assert_array_equal(forward_batch(model, x, np.zeros((1, 3))).video_reprs, x)
 
     def test_linearity_with_zero_bias(self):
         model = init_params(ModelDims(4, 4, 0, 3), 5)
-        x = np.array([0.3, -1.0, 2.0, 0.7])
+        x = np.array([[0.3, -1.0, 2.0, 0.7]])
+        t = np.zeros((1, 4))
         np.testing.assert_allclose(
-            encode_video(model, 2.0 * x), 2.0 * encode_video(model, x), atol=1e-12
+            forward_batch(model, 2.0 * x, t).video_reprs,
+            2.0 * forward_batch(model, x, t).video_reprs,
+            atol=1e-12,
         )
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(60)
         model = init_params(ModelDims(4, 4, 6, 3), 9)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((2, 4))
+        t = rng.standard_normal((2, 4))
+        state = forward_batch(model, x, t)
         expected = np.tanh(x @ model.video.w1 + model.video.b1) @ model.video.w2 + model.video.b2
-        np.testing.assert_allclose(encode_video(model, x), expected, atol=1e-12)
-        t = rng.standard_normal(4)
+        np.testing.assert_allclose(state.video_reprs, expected, atol=1e-12)
         expected_t = np.tanh(t @ model.text.w1 + model.text.b1) @ model.text.w2 + model.text.b2
-        np.testing.assert_allclose(encode_text(model, t), expected_t, atol=1e-12)
+        np.testing.assert_allclose(state.text_reprs, expected_t, atol=1e-12)
 
     def test_dim_mismatch(self):
         model = init_params(ModelDims(4, 3, 0, 2), 0)
@@ -165,6 +167,17 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, value):
+        model = init_params(ModelDims(4, 3, 0, 6), 17)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        lines = path.read_text().splitlines()
+        lines[3] = " ".join([value] + lines[3].split()[1:])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 4"):
             load_checkpoint(path)
 
 

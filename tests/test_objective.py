@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from marginforge.errors import (
-    IndexOutOfRangeError,
     LambdaOutOfRangeError,
     ShapeMismatchError,
     ZeroNormError,
@@ -14,9 +13,7 @@ from marginforge.objective import (
     full_loss,
     full_loss_grad,
     hard_triplet_loss,
-    hinge,
     similarity_matrix,
-    soft_triplet_loss,
 )
 from oracles import brute_force_full_loss, brute_force_similarity, loss_at_frozen_selection
 
@@ -61,19 +58,12 @@ class TestSimilarityMatrix:
             similarity_matrix(np.eye(3), np.eye(2))
 
     def test_zero_norm(self):
-        with pytest.raises(ZeroNormError):
-            similarity_matrix(np.zeros((2, 2)), np.eye(2))
-
-
-class TestHinge:
-    def test_satisfied_constraint(self):
-        assert hinge(0.3, 0.8, 0.05) == 0.0
-
-    def test_violated_constraint(self):
-        assert hinge(0.4, 0.3, 0.05) == pytest.approx(0.15, abs=1e-15)
-
-    def test_negative_margin_relaxes(self):
-        assert hinge(0.4, 0.3, -0.2) == 0.0
+        for bad_row in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]):
+            bad = np.array([[1.0, 0.0], bad_row])
+            with pytest.raises(ZeroNormError):
+                similarity_matrix(bad, np.eye(2))
+            with pytest.raises(ZeroNormError):
+                similarity_matrix(np.eye(2), bad)
 
 
 class TestHardTripletLoss:
@@ -86,10 +76,10 @@ class TestHardTripletLoss:
         got = hard_triplet_loss(S, alpha=0.05)
         # all four hinges by hand
         expected = (
-            hinge(S[1, 0], S[0, 0], 0.05)
-            + hinge(S[0, 1], S[0, 0], 0.05)
-            + hinge(S[0, 1], S[1, 1], 0.05)
-            + hinge(S[1, 0], S[1, 1], 0.05)
+            max(0.0, S[1, 0] - S[0, 0] + 0.05)
+            + max(0.0, S[0, 1] - S[0, 0] + 0.05)
+            + max(0.0, S[0, 1] - S[1, 1] + 0.05)
+            + max(0.0, S[1, 0] - S[1, 1] + 0.05)
         ) / 2.0
         assert got.total == pytest.approx(expected, abs=1e-12)
 
@@ -115,43 +105,6 @@ class TestHardTripletLoss:
                 assert got.total == pytest.approx(total, abs=1e-12)
                 assert got.hard_term == pytest.approx(total, abs=1e-12)
                 assert got.dse_term == 0.0 and got.sse_term == 0.0
-
-
-class TestSoftTripletLoss:
-    def test_equal_margins_double_hard_hinge(self):
-        rng = np.random.default_rng(44)
-        S = random_similarity(rng, 3)
-        m = const_margins(3, 0.05)
-        for direction in ("v", "t"):
-            s_neg = S[1, 0] if direction == "v" else S[0, 1]
-            expected = 2.0 * hinge(s_neg, S[0, 0], 0.05)
-            assert soft_triplet_loss(S, m, m, 0, 1, direction) == pytest.approx(
-                expected, abs=1e-12
-            )
-
-    def test_two_hinge_hand_value(self):
-        # s_neg - s_pos = -0.05; margins 0.02 and 0.08 give 0 + 0.03
-        S = np.array([[0.8, 0.75], [0.0, 0.7]])
-        mv = MarginMatrix(np.full((2, 2), 0.02), 0.02, 0.0)
-        mt = MarginMatrix(np.full((2, 2), 0.08), 0.08, 0.0)
-        assert soft_triplet_loss(S, mv, mt, 0, 1, "t") == pytest.approx(0.03, abs=1e-12)
-
-    def test_both_margins_inactive(self):
-        S = np.array([[0.9, 0.5], [0.0, 0.9]])
-        m = const_margins(2, -0.5)
-        assert soft_triplet_loss(S, m, m, 0, 1, "t") == 0.0
-
-    def test_positive_pair_rejected(self):
-        S = np.eye(2)
-        m = const_margins(2, 0.05)
-        with pytest.raises(IndexOutOfRangeError):
-            soft_triplet_loss(S, m, m, 1, 1, "v")
-
-    def test_out_of_range_rejected(self):
-        S = np.eye(2)
-        m = const_margins(2, 0.05)
-        with pytest.raises(IndexOutOfRangeError):
-            soft_triplet_loss(S, m, m, 0, 2, "v")
 
 
 class TestFullLoss:
