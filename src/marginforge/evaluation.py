@@ -66,8 +66,14 @@ def evaluate_bidirectional(S, ks=DEFAULT_KS) -> tuple[RetrievalReport, Retrieval
         raise EmptyInputError("empty similarity matrix")
     ks = tuple(sorted(ks))
 
-    t2v_ranks = np.array([rank_of_positive(S[:, i], i) for i in range(n)])
-    v2t_ranks = np.array([rank_of_positive(S[i, :], i) for i in range(n)])
+    # rank_of_positive for every query at once: strictly better scores plus
+    # ties at a smaller index, i.e. above the diagonal for a column query
+    # (text -> video) and below it for a row query (video -> text)
+    pos = np.diag(S)
+    t2v_ranks = 1 + (S > pos[None, :]).sum(axis=0)
+    t2v_ranks += np.triu(S == pos[None, :], k=1).sum(axis=0)
+    v2t_ranks = 1 + (S > pos[:, None]).sum(axis=1)
+    v2t_ranks += np.tril(S == pos[:, None], k=-1).sum(axis=1)
 
     reports = []
     for direction, ranks in (("text_to_video", t2v_ranks), ("video_to_text", v2t_ranks)):

@@ -71,13 +71,17 @@ def _stack_reprs(reprs) -> np.ndarray:
 
 
 def pairwise_distances(X: np.ndarray, expert_kind: str) -> DistanceMatrix:
-    """1 - cosine over all row pairs, exact zero diagonal, exactly symmetric."""
+    """1 - cosine over all row pairs, exact zero diagonal, exactly symmetric.
+
+    Symmetry comes from ``kernels.pairwise_cosine(X, X)``, whose self product
+    is exactly symmetric; the distances are formed in place in that matrix.
+    """
     X = _stack_reprs(X)
     if X.shape[0] < 2:
         raise EmptyInputError("need at least two items for pairwise distances")
     check_row_norms(X, expert_kind)
-    D = 1.0 - kernels.pairwise_cosine(X, X)
-    D = 0.5 * (D + D.T)
+    D = kernels.pairwise_cosine(X, X)
+    np.subtract(1.0, D, out=D)
     np.fill_diagonal(D, 0.0)
     return DistanceMatrix(D, expert_kind)
 

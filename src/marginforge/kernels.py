@@ -21,27 +21,36 @@ __all__ = [
 
 
 def pairwise_cosine(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Cosine similarity between every row of X and every row of Y."""
+    """Cosine similarity between every row of X and every row of Y.
+
+    ``pairwise_cosine(X, X)`` normalises once and forms ``Xn @ Xn.T``, which
+    numpy evaluates as a symmetric rank-k update, so the result is exactly
+    symmetric.
+    """
+    same = Y is X
     X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
     Xn = X / np.linalg.norm(X, axis=1)[:, None]
+    if same:
+        return Xn @ Xn.T
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
     Yn = Y / np.linalg.norm(Y, axis=1)[:, None]
     return Xn @ Yn.T
 
 
 def triplet_terms(
     S: np.ndarray,
-    M: np.ndarray,
+    M,
     w: np.ndarray,
     mean_mining: bool,
     hard_only: bool,
 ):
     """Mined triplet hinge totals for both retrieval directions.
 
-    S is the B x B similarity matrix (rows = videos, cols = texts); M stacks
-    K margin levels as a (K, B, B) array and w holds their weights. Level
-    hinges for anchor i use negatives S[j, i] (direction video) and S[i, j]
-    (direction text) against the positive S[i, i].
+    S is the B x B similarity matrix (rows = videos, cols = texts); M is a
+    sequence of K margin levels, each a scalar or a B x B array (a stacked
+    (K, B, B) array works too), and w holds their weights. Level hinges for
+    anchor i use negatives S[j, i] (direction video) and S[i, j] (direction
+    text) against the positive S[i, i].
 
     Returns ``(comp, dS, mined_v, mined_t)`` where ``comp[k]`` is the
     per-level total (mean over anchors, both directions summed, evaluated at
@@ -50,50 +59,70 @@ def triplet_terms(
     mined arrays give the selected negative index per anchor (argmax of the
     weighted combined term, or of the level-0 term when ``hard_only``; ties
     resolve to the smallest index).
+
+    Memory is O(B^2) whatever K is: the criterion is built level by level in
+    a few preallocated B x B buffers, and under hardest mining the level
+    totals and dS come from the B mined entries per direction only.
     """
     S = np.ascontiguousarray(S, dtype=np.float64)
-    M = np.ascontiguousarray(M, dtype=np.float64)
+    levels = [np.asarray(m, dtype=np.float64) for m in M]
     w = np.ascontiguousarray(w, dtype=np.float64)
-    K = M.shape[0]
+    K = len(levels)
     B = S.shape[0]
     pos = np.diag(S).copy()
-    off = ~np.eye(B, dtype=bool)
     rows = np.arange(B)
 
     comp = np.zeros(K)
     dS = np.zeros((B, B))
     mined = np.empty((2, B), dtype=np.int64)
+    base = np.empty((B, B))
+    crit = np.empty((B, B))
+    hinge = np.empty((B, B))
+    if mean_mining:
+        wmat = np.empty((B, B))
+        active = np.empty((B, B))
+    crit_levels = 1 if hard_only else K
 
-    for d, N in ((0, np.ascontiguousarray(S.T)), (1, S)):
-        # args[k,i,j] = s_neg - s_pos + margin_k(i,j)
-        args = N[None, :, :] - pos[None, :, None] + M
-        hinge = np.maximum(args, 0.0)
-        hinge[:, rows, rows] = 0.0
-
-        if hard_only:
-            crit = hinge[0]
-        else:
-            # accumulate level by level, in the summation order of the oracle
-            crit = w[0] * hinge[0]
-            for k in range(1, K):
-                crit = crit + w[k] * hinge[k]
-        jstar = np.argmax(np.where(off, crit, -np.inf), axis=1)
+    for d, N in ((0, S.T), (1, S)):
+        np.subtract(N, pos[:, None], out=base)  # s_neg - s_pos
+        if mean_mining:
+            wmat.fill(0.0)
+        # accumulate level by level, in the summation order of the oracle
+        for k in range(K if mean_mining else crit_levels):
+            np.add(base, levels[k], out=hinge)
+            np.maximum(hinge, 0.0, out=hinge)
+            np.fill_diagonal(hinge, 0.0)
+            if mean_mining:
+                comp[k] += hinge.sum() / (B - 1)
+                np.greater(hinge, 0.0, out=active)
+                active *= w[k]
+                wmat += active
+            if k == 0:
+                if not hard_only:
+                    hinge *= w[0]
+                crit, hinge = hinge, crit  # level 0 starts the criterion; no copy
+            elif k < crit_levels:
+                hinge *= w[k]
+                crit += hinge
+        np.fill_diagonal(crit, -np.inf)
+        jstar = np.argmax(crit, axis=1)
         mined[d] = jstar
 
-        active = (args > 0.0).astype(np.float64)
-        active[:, rows, rows] = 0.0
         if mean_mining:
             scale = 1.0 / (B * (B - 1))
-            comp += hinge.reshape(K, -1).sum(axis=1) / (B - 1)
-            wmat = np.tensordot(w, active, axes=1)
-            if d == 0:
-                dS += wmat.T * scale
-            else:
-                dS += wmat * scale
-            dS[rows, rows] -= wmat.sum(axis=1) * scale
+            row_w = wmat.sum(axis=1)
+            wmat *= scale
+            dS += wmat.T if d == 0 else wmat
+            dS[rows, rows] -= row_w * scale
         else:
-            comp += hinge[:, rows, jstar].sum(axis=1)
-            wsum = np.tensordot(w, active[:, rows, jstar], axes=1)
+            picked = base[rows, jstar]
+            # (K, B) in column-major order, the layout of a fancy-indexed
+            # (K, B, B) stack, so the level sums below keep its rounding
+            args = np.stack(
+                [picked + (m if m.ndim == 0 else m[rows, jstar]) for m in levels], axis=1
+            ).T
+            comp += np.maximum(args, 0.0).sum(axis=1)
+            wsum = np.tensordot(w, (args > 0.0).astype(np.float64), axes=1)
             if d == 0:
                 np.add.at(dS, (jstar, rows), wsum / B)
             else:

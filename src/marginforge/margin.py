@@ -54,13 +54,23 @@ def matrix_values(d) -> np.ndarray:
 
 
 def batch_stats(d) -> tuple[float, float]:
-    """Mean and population variance of the off-diagonal entries."""
+    """Mean and population variance of the off-diagonal entries.
+
+    Works for any square matrix, symmetric or not, with any diagonal. The
+    mean is the full sum less the trace; the variance sums the squared
+    deviations of one B x B temporary whose diagonal is zeroed, so no mask or
+    gathered copy of the off-diagonal entries is made.
+    """
     vals = matrix_values(d)
     b = vals.shape[0]
     if b < 2:
         raise EmptyInputError("batch statistics need at least two items")
-    off = vals[~np.eye(b, dtype=bool)]
-    return float(off.mean()), float(off.var())
+    n = b * (b - 1)
+    mean = (vals.sum() - np.trace(vals)) / n
+    dev = vals - mean
+    np.fill_diagonal(dev, 0.0)
+    dev = dev.ravel()
+    return float(mean), float(dev @ dev) / n
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +110,9 @@ def rescale_margins(d, cfg: RescaleConfig) -> MarginMatrix:
     target = beta_to_variance(cfg.beta)
     if var > cfg.var_floor:
         scale = math.sqrt(target / var)
-        out = (vals - mean) * scale + cfg.mu
+        out = vals - mean
+        out *= scale
+        out += cfg.mu
         np.fill_diagonal(out, cfg.mu)
     else:
         out = np.full_like(vals, cfg.mu)

@@ -5,6 +5,8 @@ not L2-normalized (cosine handles normalization downstream). Forward keeps
 the activations needed for an exact analytic backward pass.
 """
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -177,9 +179,27 @@ def flatten_grads(model: TwoTowerModel, grads: dict) -> np.ndarray:
 # written with 18 significant digits, so a load reproduces them exactly.
 
 
+@contextmanager
+def replace_on_success(path):
+    """Yield a temp path beside ``path``; move it over ``path`` once the block succeeds.
+
+    If the block raises, the temp file is removed and ``path`` keeps its old
+    content, so a reader never sees a half-written file.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
 def save_checkpoint(model: TwoTowerModel, path) -> None:
+    """Write CKPT1 text; an interrupted write leaves any old file at ``path`` intact."""
     d = model.dims
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write("CKPT1\n")
         fh.write(f"dims {d.video_in} {d.text_in} {d.hidden} {d.joint}\n")
         for _, arr in model.param_items():

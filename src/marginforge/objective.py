@@ -72,8 +72,8 @@ def _check_square(S) -> np.ndarray:
 
 
 def _margin_levels(B, m_dse_video, m_dse_text, m_sse_video, m_sse_text, alpha, lam):
-    """Stack margin matrices into (K,B,B) levels with weights and slot index ranges."""
-    levels = [np.full((B, B), alpha)]
+    """Margin levels (the scalar alpha, then B x B matrices) with weights and slot index ranges."""
+    levels = [alpha]
     weights = [1.0]
     slots = {}
     for slot, lam_weight, pair in (
@@ -90,7 +90,7 @@ def _margin_levels(B, m_dse_video, m_dse_text, m_sse_video, m_sse_text, alpha, l
             levels.append(vals)
             weights.append(lam_weight * renorm)
         slots[slot] = range(start, len(levels))
-    return np.stack(levels), np.array(weights), slots
+    return levels, np.array(weights), slots
 
 
 def _run(S, m_dse_video, m_dse_text, m_sse_video, m_sse_text, alpha, lam, mining, mining_criterion):

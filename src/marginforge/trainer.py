@@ -23,6 +23,7 @@ from .model import (
     forward_batch,
     init_params,
     load_checkpoint,
+    replace_on_success,
     save_checkpoint,
 )
 from .objective import MINING_CRITERIA, LossBreakdown, full_loss_grad, similarity_matrix
@@ -227,9 +228,12 @@ def evaluate_split(model: TwoTowerModel, dataset: Dataset, ids, ks=DEFAULT_KS):
 
 
 def save_trainer_checkpoint(ckpt: Checkpoint, prefix) -> None:
-    """Model goes to ``<prefix>.ckpt``; optimizer and metadata to JSON."""
+    """Model goes to ``<prefix>.ckpt``; optimizer and metadata to JSON.
+
+    Both files are written to temp files first and replace the old pair only
+    once both are complete, so a failed write leaves the previous pair intact.
+    """
     prefix = Path(prefix)
-    save_checkpoint(ckpt.model, prefix.with_suffix(".ckpt"))
     payload = {
         "epoch": ckpt.epoch,
         "seed": ckpt.seed,
@@ -240,7 +244,12 @@ def save_trainer_checkpoint(ckpt: Checkpoint, prefix) -> None:
             "v": {k: v.tolist() for k, v in ckpt.opt_state.v.items()},
         },
     }
-    prefix.with_suffix(".state.json").write_text(json.dumps(payload), encoding="utf-8")
+    with (
+        replace_on_success(prefix.with_suffix(".ckpt")) as ckpt_tmp,
+        replace_on_success(prefix.with_suffix(".state.json")) as state_tmp,
+    ):
+        save_checkpoint(ckpt.model, ckpt_tmp)
+        state_tmp.write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_trainer_checkpoint(prefix) -> Checkpoint:

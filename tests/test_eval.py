@@ -84,6 +84,15 @@ class TestEvaluateBidirectional:
                 assert t2v.ranks[i] == rank_by_stable_sort(list(S[:, i]), i)
                 assert v2t.ranks[i] == rank_by_stable_sort(list(S[i, :]), i)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 102])
+    def test_matches_scalar_rank_on_ties(self, n):
+        # one decimal leaves few distinct scores, so most queries meet ties
+        rng = np.random.default_rng(75 + n)
+        S = np.round(rng.uniform(-1, 1, size=(n, n)), 1)
+        t2v, v2t, _ = evaluate_bidirectional(S)
+        assert t2v.ranks.tolist() == [rank_of_positive(S[:, i], i) for i in range(n)]
+        assert v2t.ranks.tolist() == [rank_of_positive(S[i, :], i) for i in range(n)]
+
     def test_transpose_swaps_directions(self):
         rng = np.random.default_rng(72)
         S = rng.standard_normal((5, 5))

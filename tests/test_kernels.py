@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,53 @@ class TestTripletTerms:
             assert float(np.dot(w, comp)) == pytest.approx(total, abs=1e-12)
             np.testing.assert_array_equal(mined_v, bf_v)
             np.testing.assert_array_equal(mined_t, bf_t)
+
+    @pytest.mark.parametrize("mining", ["hardest", "mean"])
+    @pytest.mark.parametrize("hard_only", [False, True])
+    @pytest.mark.parametrize("b", [9, 17, 33])
+    def test_level_list_past_summation_blocks(self, mining, hard_only, b):
+        # a scalar level 0 plus B x B levels, at sizes where numpy's sums
+        # switch to unrolled and blocked pairwise summation
+        rng = np.random.default_rng(100 + b)
+        for _ in range(3):
+            S, M, w = random_instance(rng, b=b, levels=5)
+            levels = [0.05] + list(M[1:])
+            comp, dS, mined_v, mined_t = kernels.triplet_terms(
+                S, levels, w, mining == "mean", hard_only
+            )
+            total, per_level, bf_v, bf_t = brute_force_full_loss(
+                S, list(M), w, mining, hard_only
+            )
+            np.testing.assert_allclose(comp, per_level, rtol=1e-12, atol=1e-12)
+            assert float(np.dot(w, comp)) == pytest.approx(total, abs=1e-12)
+            np.testing.assert_array_equal(mined_v, bf_v)
+            np.testing.assert_array_equal(mined_t, bf_t)
+            if b == 9:
+                if mining == "mean":
+                    def f(flat):
+                        return mean_loss_all_negatives(flat.reshape(S.shape), list(M), w)
+                else:
+                    def f(flat):
+                        return loss_at_frozen_selection(
+                            flat.reshape(S.shape), list(M), w, mined_v, mined_t
+                        )
+
+                fd = finite_diff_grad(f, S.ravel(), h=1e-6).reshape(S.shape)
+                np.testing.assert_allclose(dS, fd, atol=1e-7)
+
+    @pytest.mark.parametrize("mean_mining", [False, True])
+    def test_peak_memory_is_a_few_batch_matrices(self, mean_mining):
+        b, levels = 256, 5
+        rng = np.random.default_rng(17)
+        S, M, w = random_instance(rng, b=b, levels=levels)
+        margins = [0.05] + list(M[1:])
+        tracemalloc.start()
+        try:
+            kernels.triplet_terms(S, margins, w, mean_mining, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * b * b * 8
 
     def test_grad_matches_finite_differences_hardest(self):
         rng = np.random.default_rng(13)

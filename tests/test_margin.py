@@ -46,6 +46,17 @@ class TestBatchStats:
         assert mean == pytest.approx(0.42, abs=1e-15)
         assert var == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("b", [2, 3, 64])
+    def test_any_square_matrix(self, b):
+        # not symmetric, O(1) diagonal that must not leak into the statistics
+        rng = np.random.default_rng(30 + b)
+        vals = rng.standard_normal((b, b)) + 0.5
+        np.fill_diagonal(vals, rng.uniform(1.0, 3.0, size=b))
+        off = vals[~np.eye(b, dtype=bool)]
+        mean, var = batch_stats(vals)
+        assert mean == pytest.approx(off.mean(), rel=1e-12, abs=1e-12)
+        assert var == pytest.approx(off.var(), rel=1e-12, abs=1e-12)
+
 
 class TestBetaToVariance:
     def test_zero_is_zero(self):
@@ -80,6 +91,17 @@ class TestRescaleMargins:
         d = symmetric_from_offdiag({(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5}, 3)
         m = rescale_margins(d, RescaleConfig(mu=0.05, beta=0.04))
         np.testing.assert_allclose(m.values, 0.05, atol=0)
+
+    @pytest.mark.parametrize("b", [2, 3, 64, 257])
+    @pytest.mark.parametrize("diag", [0.0, 2.5])
+    def test_constant_offdiagonal_falls_back_at_any_size(self, b, diag):
+        # a constant that is not a binary fraction, so the sums round
+        vals = np.full((b, b), 1.0 / 3.0)
+        np.fill_diagonal(vals, diag)
+        cfg = RescaleConfig(mu=0.05, beta=0.04)
+        assert batch_stats(vals)[1] <= cfg.var_floor
+        m = rescale_margins(vals, cfg)
+        assert np.all(m.values == cfg.mu)
 
     def test_hand_example(self):
         # off-diagonal distances {0.1, 0.2, 0.3}: z-scores +-1.224745 and 0,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +271,48 @@ class TestRunTraining:
         assert (tmp_path / "a/checkpoint_final.ckpt").read_bytes() == (
             tmp_path / "b/checkpoint_final.ckpt"
         ).read_bytes()
+
+    def test_failed_state_write_keeps_previous_pair(self, tmp_path, monkeypatch):
+        ds = small_dataset()
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=11)
+        ref_cfg = TrainConfig(epochs=2, batch_size=8, seed=11)
+        run_training(ds, ref_cfg, 0, 8, tmp_path / "ref", config_hash="h")
+
+        real_write_text = Path.write_text
+        state_writes = []
+
+        def failing_write_text(self, data, *args, **kwargs):
+            if self.name.startswith("checkpoint_latest.state.json"):
+                state_writes.append(self)
+                if len(state_writes) == 3:  # the epoch-3 checkpoint dies half written
+                    real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+                    raise OSError("disk full")
+            return real_write_text(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_write_text)
+        with pytest.raises(OSError, match="disk full"):
+            run_training(ds, cfg, 0, 8, tmp_path / "run", config_hash="h")
+        monkeypatch.undo()
+
+        run, ref = tmp_path / "run", tmp_path / "ref"
+        for suffix in (".ckpt", ".state.json"):
+            name = "checkpoint_latest" + suffix
+            assert (run / name).read_bytes() == (ref / name).read_bytes()
+        loaded = load_trainer_checkpoint(run / "checkpoint_latest")
+        expected = load_trainer_checkpoint(ref / "checkpoint_latest")
+        assert loaded.epoch == expected.epoch == 2
+        np.testing.assert_array_equal(
+            flatten_params(loaded.model), flatten_params(expected.model)
+        )
+        assert loaded.opt_state.t == expected.opt_state.t
+        for name in expected.opt_state.m:
+            np.testing.assert_array_equal(loaded.opt_state.m[name], expected.opt_state.m[name])
+            np.testing.assert_array_equal(loaded.opt_state.v[name], expected.opt_state.v[name])
+        assert sorted(p.name for p in run.iterdir()) == [
+            "checkpoint_latest.ckpt",
+            "checkpoint_latest.state.json",
+            "report.jsonl",
+        ]
 
 
 class TestDseMarginsFromLiveEncoders:
