@@ -10,7 +10,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import SynthConfig, fnv1a64
+from .data import SynthConfig, digest
 from .errors import ConfigError, ConfigTypeError, MissingKeyError, ParseError, UnknownKeyError
 from .objective import MINING_CRITERIA
 from .trainer import TrainConfig
@@ -202,7 +202,7 @@ def resolved_text(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    return fnv1a64(resolved_text(cfg).encode("utf-8"))
+    return digest(resolved_text(cfg).encode("utf-8"))
 
 
 def write_resolved(cfg: RunConfig, out_dir) -> None:

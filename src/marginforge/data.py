@@ -7,8 +7,17 @@ semantically equivalent negatives whose ground truth is known exactly. The
 static expert tables are derived views: mean-pooled frames for video, and the
 text features under independent extra noise for text (a deliberately
 imperfect external encoder).
+
+On disk a dataset is a directory of seven text files (FRM1 frames, three
+EMB1 tables, LBL1 labels, two SPLIT1 id lists) plus ``manifest.txt``. The
+manifest starts with a ``MANIFEST2`` line, followed by one
+``<role> <filename> <sha256>`` line for each role, each role exactly once
+under its canonical filename. ``load_dataset`` checks every digest before it
+parses any file. Directories written with the older ``MANIFEST1`` header
+(FNV-1a digests) are rejected; regenerate them with ``gen-data``.
 """
 
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +28,7 @@ from .experts import (
     StaticEmbeddingTable,
     load_frame_file,
     load_static_embeddings,
+    parse_count,
     save_frame_file,
     save_static_embeddings,
 )
@@ -30,6 +40,7 @@ VAL_FRACTION = 0.2
 _SSE_TEXT_NOISE_FACTOR = 0.5
 
 MANIFEST_NAME = "manifest.txt"
+MANIFEST_HEADER = "MANIFEST2"
 
 _FILES = {
     "frames": "frames.frm1",
@@ -196,13 +207,9 @@ def ground_truth_equivalents(dataset: Dataset) -> dict[str, set[str]]:
 # serialization
 # ---------------------------------------------------------------------------
 
-def fnv1a64(data: bytes) -> str:
-    """FNV-1a 64-bit hash as lowercase hex."""
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return f"{h:016x}"
+def digest(data: bytes) -> str:
+    """SHA-256 of ``data`` as 64 lowercase hex characters: manifest digests and config hashes."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_labels(dataset: Dataset, path) -> None:
@@ -217,9 +224,9 @@ def _read_counted(path, tag: str) -> tuple[int, list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     parts = lines[0].split() if lines else []
-    if len(parts) != 2 or parts[0] != tag or not parts[1].isdecimal():
+    if len(parts) != 2 or parts[0] != tag:
         raise ParseError(f"{path}: expected '{tag} <N>' header, N a non-negative integer", 1)
-    return int(parts[1]), lines
+    return parse_count(parts[1], 1), lines
 
 
 def _load_labels(path) -> dict[str, int]:
@@ -256,7 +263,7 @@ def _load_split(path) -> list[str]:
 
 
 def write_dataset(dataset: Dataset, out_dir) -> None:
-    """Write all data files plus a checksummed manifest."""
+    """Write all data files, then a MANIFEST2 manifest with each file's SHA-256."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_frame_file(dataset.ids, dataset.frames, out / _FILES["frames"])
@@ -270,45 +277,75 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
     _write_split(dataset.val_ids, out / _FILES["split_val"])
 
     with open(out / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        fh.write("MANIFEST1\n")
+        fh.write(MANIFEST_HEADER + "\n")
         for role, filename in _FILES.items():
-            digest = fnv1a64((out / filename).read_bytes())
-            fh.write(f"{role} {filename} {digest}\n")
+            fh.write(f"{role} {filename} {digest((out / filename).read_bytes())}\n")
 
 
-def load_dataset(data_dir) -> Dataset:
-    """Load a dataset directory, verifying the manifest checksums."""
-    root = Path(data_dir)
-    manifest = root / MANIFEST_NAME
+def _read_manifest(manifest: Path) -> dict[str, tuple[str, int]]:
+    """Role -> (digest, line number) from a MANIFEST2 file, every line checked.
+
+    Each role of ``_FILES`` must appear exactly once, under its canonical
+    filename, so a manifest can neither add files nor point outside the
+    dataset directory. Nothing is hashed here.
+    """
     if not manifest.exists():
         raise ParseError(f"{manifest}: manifest not found")
     lines = manifest.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != "MANIFEST1":
-        raise ParseError(f"{manifest}: expected MANIFEST1 header", 1)
-    files: dict[str, str] = {}
+    header = lines[0].strip() if lines else ""
+    if header == "MANIFEST1":
+        raise ParseError(
+            f"{manifest}: MANIFEST1 (FNV-1a) datasets are no longer read; "
+            "regenerate the directory with gen-data",
+            1,
+        )
+    if header != MANIFEST_HEADER:
+        raise ParseError(f"{manifest}: expected {MANIFEST_HEADER} header", 1)
+    entries: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise ParseError("expected '<role> <filename> <checksum>'", lineno)
-        role, filename, digest = parts
+            raise ParseError("expected '<role> <filename> <sha256>'", lineno)
+        role, filename, expected = parts
+        if role not in _FILES:
+            raise ParseError(f"unknown role {role!r}", lineno)
+        if role in entries:
+            raise ParseError(f"role {role!r} repeats line {entries[role][1]}", lineno)
+        if filename != _FILES[role]:
+            raise ParseError(f"role {role!r} must name {_FILES[role]}, got {filename!r}", lineno)
+        if len(expected) != 64 or not set(expected) <= set("0123456789abcdef"):
+            raise ParseError(f"bad digest {expected!r}: expected 64 lowercase hex digits", lineno)
+        entries[role] = (expected, lineno)
+    missing = [role for role in _FILES if role not in entries]
+    if missing:
+        raise ParseError(f"{manifest}: missing roles {missing}")
+    return entries
+
+
+def load_dataset(data_dir) -> Dataset:
+    """Load a dataset directory after checking its MANIFEST2 manifest.
+
+    Every manifest line is validated first; then each file's SHA-256 must
+    match before any file is parsed.
+    """
+    root = Path(data_dir)
+    manifest = root / MANIFEST_NAME
+    for role, (expected, lineno) in _read_manifest(manifest).items():
+        filename = _FILES[role]
         target = root / filename
         if not target.exists():
             raise ParseError(f"{manifest}: listed file {filename} is missing", lineno)
-        actual = fnv1a64(target.read_bytes())
-        if actual != digest:
-            raise ChecksumError(f"{filename}: checksum {actual} != manifest {digest}")
-        files[role] = filename
-    missing = set(_FILES) - set(files)
-    if missing:
-        raise ParseError(f"{manifest}: missing roles {sorted(missing)}")
+        actual = digest(target.read_bytes())
+        if actual != expected:
+            raise ChecksumError(f"{filename}: checksum {actual} != manifest {expected}")
 
-    ids, frames = load_frame_file(root / files["frames"])
-    text_table = load_static_embeddings(root / files["text"], "text")
-    sse_video = load_static_embeddings(root / files["sse_video"], "sse_video")
-    sse_text = load_static_embeddings(root / files["sse_text"], "sse_text")
-    labels = _load_labels(root / files["labels"])
+    ids, frames = load_frame_file(root / _FILES["frames"])
+    text_table = load_static_embeddings(root / _FILES["text"], "text")
+    sse_video = load_static_embeddings(root / _FILES["sse_video"], "sse_video")
+    sse_text = load_static_embeddings(root / _FILES["sse_text"], "sse_text")
+    labels = _load_labels(root / _FILES["labels"])
 
     for name, table_ids in (
         ("text", text_table.ids),
@@ -329,6 +366,6 @@ def load_dataset(data_dir) -> Dataset:
         text=text_table.embeddings,
         sse_video=sse_video,
         sse_text=sse_text,
-        train_ids=_load_split(root / files["split_train"]),
-        val_ids=_load_split(root / files["split_val"]),
+        train_ids=_load_split(root / _FILES["split_train"]),
+        val_ids=_load_split(root / _FILES["split_val"]),
     )

@@ -55,6 +55,10 @@ class ChecksumError(MarginForgeError):
     """Stored checksum does not match the file contents."""
 
 
+class NonFiniteError(MarginForgeError):
+    """A training step produced a NaN or infinite loss or gradient."""
+
+
 class ConfigError(MarginForgeError):
     """A configuration value or combination is invalid."""
 

@@ -126,6 +126,25 @@ def _data_lines(path):
             yield lineno, text
 
 
+def parse_count(token: str, lineno) -> int:
+    """Non-negative decimal count from a header token; shared by every line format.
+
+    Only ASCII digits are accepted, so ``+2``, ``-0``, ``1_0`` and ``1.5``
+    are rejected although ``int()`` takes the first three.
+    """
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"bad count {token!r}: expected a non-negative decimal integer", lineno)
+    return int(token)
+
+
+def row_format(dim: int, prefix: str = "") -> str:
+    """%-format string for one text row: ``prefix`` then ``dim`` floats at 18 significant digits.
+
+    ``"%.17e" % x`` gives the same text as ``f"{x:.17e}"``, and re-parsing it is exact.
+    """
+    return prefix + " ".join(["%.17e"] * dim) + "\n"
+
+
 def parse_floats(tokens, lineno) -> np.ndarray:
     """Finite float64 row from text tokens; shared by the EMB1, FRM1 and CKPT1 loaders."""
     try:
@@ -147,11 +166,8 @@ def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbed
     parts = header.split()
     if len(parts) != 3 or parts[0] != "EMB1":
         raise ParseError(f"expected 'EMB1 <N> <D>' header, got {header!r}", lineno)
-    try:
-        n, dim = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(f"non-integer counts in header {header!r}", lineno) from None
-    if n < 0 or dim < 1:
+    n, dim = (parse_count(p, lineno) for p in parts[1:])
+    if dim < 1:
         raise ParseError(f"invalid counts in header {header!r}", lineno)
 
     ids: list[str] = []
@@ -186,10 +202,11 @@ def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbed
 
 def save_static_embeddings(table: StaticEmbeddingTable, path) -> None:
     """Write an EMB1 file; values carry 18 significant digits so re-parsing is exact."""
+    fmt = row_format(table.dim, "%s ")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"EMB1 {len(table.ids)} {table.dim}\n")
         for item_id, row in zip(table.ids, table.embeddings):
-            fh.write(item_id + " " + " ".join(f"{x:.17e}" for x in row) + "\n")
+            fh.write(fmt % (item_id, *row.tolist()))
 
 
 def load_frame_file(path) -> tuple[list[str], np.ndarray]:
@@ -206,11 +223,8 @@ def load_frame_file(path) -> tuple[list[str], np.ndarray]:
     parts = header.split()
     if len(parts) != 4 or parts[0] != "FRM1":
         raise ParseError(f"expected 'FRM1 <N> <T> <D>' header, got {header!r}", lineno)
-    try:
-        n, t, dim = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError:
-        raise ParseError(f"non-integer counts in header {header!r}", lineno) from None
-    if n < 0 or t < 1 or dim < 1:
+    n, t, dim = (parse_count(p, lineno) for p in parts[1:])
+    if t < 1 or dim < 1:
         raise ParseError(f"invalid counts in header {header!r}", lineno)
 
     ids: list[str] = []
@@ -252,10 +266,9 @@ def load_frame_file(path) -> tuple[list[str], np.ndarray]:
 def save_frame_file(ids, frames: np.ndarray, path) -> None:
     """Write an FRM1 file (item-major, ascending frame index)."""
     n, t, dim = frames.shape
+    fmt = row_format(dim, "%s %d ")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"FRM1 {n} {t} {dim}\n")
         for item_id, item in zip(ids, frames):
-            for fidx in range(t):
-                fh.write(
-                    f"{item_id} {fidx} " + " ".join(f"{x:.17e}" for x in item[fidx]) + "\n"
-                )
+            for fidx, row in enumerate(item.tolist()):
+                fh.write(fmt % (item_id, fidx, *row))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimMismatchError, ParseError, ShapeMismatchError
-from .experts import parse_floats
+from .experts import parse_count, parse_floats, row_format
 from .seeding import named_rng
 
 
@@ -204,8 +204,9 @@ def save_checkpoint(model: TwoTowerModel, path) -> None:
         fh.write(f"dims {d.video_in} {d.text_in} {d.hidden} {d.joint}\n")
         for _, arr in model.param_items():
             rows = arr if arr.ndim == 2 else arr[None, :]
+            fmt = row_format(rows.shape[1])
             for row in rows:
-                fh.write(" ".join(f"{x:.17e}" for x in row) + "\n")
+                fh.write(fmt % tuple(row.tolist()))
 
 
 def load_checkpoint(path) -> TwoTowerModel:
@@ -217,8 +218,9 @@ def load_checkpoint(path) -> TwoTowerModel:
     parts = lines[1].split() if len(lines) > 1 else []
     if len(parts) != 5 or parts[0] != "dims":
         raise ParseError(f"{path}: expected 'dims <v> <t> <h> <j>'", 2)
+    counts = [parse_count(p, 2) for p in parts[1:]]
     try:
-        dims = ModelDims(*(int(p) for p in parts[1:]))
+        dims = ModelDims(*counts)
     except ValueError as exc:
         raise ParseError(f"{path}: bad dims line: {exc}", 2) from None
 

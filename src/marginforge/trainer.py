@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, MarginForgeError, ShapeMismatchError
+from .errors import ConfigError, MarginForgeError, NonFiniteError, ShapeMismatchError
 from .evaluation import DEFAULT_KS, evaluate_bidirectional
 from .experts import dse_text_distances, dse_video_distances, pairwise_distances
 from .margin import RescaleConfig, rescale_margins
@@ -159,6 +159,15 @@ def _batch_margins(cfg: TrainConfig, rescale: RescaleConfig, state, sse_video_ve
     return out
 
 
+def _check_finite_step(breakdown: LossBreakdown, grads: dict) -> None:
+    """Refuse a step whose loss or gradient is not finite, before Adam sees it."""
+    if not np.isfinite(breakdown.total):
+        raise NonFiniteError(f"loss is {breakdown.total}")
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NonFiniteError(f"gradient {name} has a non-finite entry")
+
+
 def train_epoch(
     model: TwoTowerModel,
     dataset: Dataset,
@@ -206,6 +215,7 @@ def train_epoch(
                 mining,
                 cfg.mining_criterion,
             )
+            _check_finite_step(breakdown, grads)
             adam_step(model.param_items(), grads, opt_state, cfg.learning_rate)
         except MarginForgeError as exc:
             raise type(exc)(f"epoch {epoch} batch {n_batches}: {exc}") from exc

@@ -11,7 +11,7 @@ from marginforge.config import (
     parse_config,
     resolved_text,
 )
-from marginforge.data import SynthConfig, fnv1a64, generate, write_dataset
+from marginforge.data import MANIFEST_NAME, SynthConfig, digest, generate, write_dataset
 from marginforge.errors import ConfigTypeError, ParseError, UnknownKeyError
 
 
@@ -100,8 +100,8 @@ class TestGenDataCommand:
         cfg = write_cfg(tmp_path, SMOKE_CFG)
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d1")]) == 0
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d2")]) == 0
-        h1 = fnv1a64((tmp_path / "d1/frames.frm1").read_bytes())
-        h2 = fnv1a64((tmp_path / "d2/frames.frm1").read_bytes())
+        h1 = digest((tmp_path / "d1/frames.frm1").read_bytes())
+        h2 = digest((tmp_path / "d2/frames.frm1").read_bytes())
         assert h1 == h2
         assert (tmp_path / "d1/resolved_config.cfg").exists()
 
@@ -163,9 +163,9 @@ class TestTrainCommand:
 
     def test_dataset_dir_not_mutated(self, smoke_env):
         cfg_path, data_dir, tmp_path = smoke_env
-        before = {p.name: fnv1a64(p.read_bytes()) for p in sorted(data_dir.iterdir())}
+        before = {p.name: digest(p.read_bytes()) for p in sorted(data_dir.iterdir())}
         main(["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(tmp_path / "r")])
-        after = {p.name: fnv1a64(p.read_bytes()) for p in sorted(data_dir.iterdir())}
+        after = {p.name: digest(p.read_bytes()) for p in sorted(data_dir.iterdir())}
         assert before == after
 
 
@@ -187,6 +187,27 @@ class TestEvalCommand:
         assert lines[1].startswith("text_to_video,")
         assert lines[2].startswith("video_to_text,")
         assert lines[3].startswith("rsum,")
+
+
+    def test_manifest1_dataset_is_error(self, smoke_env, capsys):
+        cfg_path, data_dir, tmp_path = smoke_env
+        run = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(run)])
+        manifest = data_dir / MANIFEST_NAME
+        manifest.write_text(
+            manifest.read_text(encoding="utf-8").replace("MANIFEST2", "MANIFEST1", 1),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        code = main(
+            [
+                "eval", "--config", str(cfg_path), "--data", str(data_dir),
+                "--ckpt", str(run / "checkpoint_final.ckpt"), "--out", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error" in err and "gen-data" in err
 
 
 class TestInspectMarginsCommand:

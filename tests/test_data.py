@@ -5,7 +5,7 @@ from marginforge.data import (
     MANIFEST_NAME,
     Dataset,
     SynthConfig,
-    fnv1a64,
+    digest,
     generate,
     ground_truth_equivalents,
     load_dataset,
@@ -16,15 +16,14 @@ from marginforge.experts import sse_video_distances
 
 
 def dir_digest(path):
-    return {p.name: fnv1a64(p.read_bytes()) for p in sorted(path.iterdir())}
+    return {p.name: digest(p.read_bytes()) for p in sorted(path.iterdir())}
 
 
-class TestFnv1a64:
+class TestDigest:
     def test_known_vectors(self):
-        # standard FNV-1a 64 test vectors
-        assert fnv1a64(b"") == "cbf29ce484222325"
-        assert fnv1a64(b"a") == "af63dc4c8601ec8c"
-        assert fnv1a64(b"foobar") == "85944171f73967e8"
+        # FIPS 180-2 SHA-256 test vectors
+        assert digest(b"") == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert digest(b"abc") == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
 
 class TestGenerate:
@@ -144,24 +143,95 @@ class TestRoundTrip:
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("filename, tag", [("labels.txt", "LBL1"), ("split_train.txt", "SPLIT1")])
-    @pytest.mark.parametrize("header", ["{tag} x", "{tag} two", "{tag} 1.5", "{tag} {n} extra"])
+    @pytest.mark.parametrize(
+        "header",
+        ["{tag} x", "{tag} two", "{tag} 1.5", "{tag} {n} extra", "{tag} +{n}", "{tag} 1_0", "{tag} -0"],
+    )
     def test_malformed_count_header_rejected(self, tmp_path, filename, tag, header):
         ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=17))
         write_dataset(ds, tmp_path)
         target = tmp_path / filename
-        old_digest = fnv1a64(target.read_bytes())
+        old_digest = digest(target.read_bytes())
         lines = target.read_text(encoding="utf-8").splitlines()
         lines[0] = header.format(tag=tag, n=len(lines) - 1)
         target.write_text("\n".join(lines) + "\n", encoding="utf-8")
         # re-sign the manifest so the header, not the checksum, is what fails
         manifest = tmp_path / MANIFEST_NAME
         manifest.write_text(
-            manifest.read_text(encoding="utf-8").replace(old_digest, fnv1a64(target.read_bytes())),
+            manifest.read_text(encoding="utf-8").replace(old_digest, digest(target.read_bytes())),
             encoding="utf-8",
         )
         with pytest.raises(ParseError) as excinfo:
             load_dataset(tmp_path)
         assert excinfo.value.line == 1
+
+
+class TestManifest:
+    """``load_dataset`` checks every manifest line before it hashes any file."""
+
+    def write(self, tmp_path, edit):
+        write_dataset(generate(SynthConfig(n_items=8, n_concepts=8, seed=18)), tmp_path)
+        manifest = tmp_path / MANIFEST_NAME
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        edit(lines)
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return lines
+
+    def rejected_at(self, tmp_path, lineno):
+        with pytest.raises(ParseError) as excinfo:
+            load_dataset(tmp_path)
+        assert excinfo.value.line == lineno
+        return str(excinfo.value)
+
+    def test_manifest2_header_and_sha256_digests(self, tmp_path):
+        lines = self.write(tmp_path, lambda lines: None)
+        assert lines[0] == "MANIFEST2" and len(lines) == 8
+        for line in lines[1:]:
+            role, filename, hexdigest = line.split()
+            assert hexdigest == digest((tmp_path / filename).read_bytes())
+
+    def test_manifest1_rejected_with_regenerate_hint(self, tmp_path):
+        self.write(tmp_path, lambda lines: lines.__setitem__(0, "MANIFEST1"))
+        assert "gen-data" in self.rejected_at(tmp_path, 1)
+
+    def test_unknown_role_rejected(self, tmp_path):
+        self.write(tmp_path, lambda lines: lines.insert(3, "extra extra.txt " + "0" * 64))
+        self.rejected_at(tmp_path, 4)
+
+    def test_repeated_role_rejected(self, tmp_path):
+        # the repeat names the right file with a valid digest: only the repeat is wrong
+        self.write(tmp_path, lambda lines: lines.append(lines[5]))
+        self.rejected_at(tmp_path, 9)
+
+    def test_path_outside_the_directory_rejected(self, tmp_path):
+        data = tmp_path / "data"
+        outside = tmp_path / "outside_labels.txt"
+
+        def point_outside(lines):
+            role, filename, hexdigest = lines[5].split()
+            outside.write_bytes((data / filename).read_bytes())
+            lines[5] = f"{role} ../outside_labels.txt {hexdigest}"
+
+        self.write(data, point_outside)
+        self.rejected_at(data, 6)
+
+    def test_malformed_digest_rejected(self, tmp_path):
+        self.write(tmp_path, lambda lines: lines.__setitem__(2, lines[2][:-1]))
+        self.rejected_at(tmp_path, 3)
+
+    def test_missing_role_rejected(self, tmp_path):
+        self.write(tmp_path, lambda lines: lines.pop())
+        with pytest.raises(ParseError, match="split_val"):
+            load_dataset(tmp_path)
+
+    def test_lines_checked_before_any_hashing(self, tmp_path):
+        # a corrupt file listed before a bad line: the bad line is reported, not the checksum
+        def corrupt_then_repeat(lines):
+            (tmp_path / "frames.frm1").write_bytes(b"FRM1 0 1 1\n")
+            lines.append(lines[1])
+
+        self.write(tmp_path, corrupt_then_repeat)
+        self.rejected_at(tmp_path, 9)
 
 
 class TestDatasetInvariants:

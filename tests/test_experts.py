@@ -22,6 +22,16 @@ from marginforge.experts import (
 
 ONE_MINUS_INV_SQRT2 = 1.0 - 1.0 / np.sqrt(2.0)  # 0.29289321881345254
 
+# signed zero, the smallest subnormal, the largest double, a repeating binary
+# fraction and a short exact value
+EDGE_ROW = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -1.5]
+BAD_COUNTS = ["+2", "1_0", "-0", "1.5"]
+
+
+def per_value_text(row) -> str:
+    """The writers' former formatting, one f-string per value."""
+    return " ".join(f"{x:.17e}" for x in row)
+
 
 class TestDseDistances:
     def test_identical_reprs_all_zero(self):
@@ -160,6 +170,23 @@ class TestEmb1Format:
         with pytest.raises(ZeroNormError):
             load_static_embeddings(p)
 
+    @pytest.mark.parametrize("header", ["EMB1 {} 2", "EMB1 2 {}"])
+    @pytest.mark.parametrize("token", BAD_COUNTS)
+    def test_bad_count_rejected(self, tmp_path, header, token):
+        p = self.write(tmp_path, header.format(token) + "\na 1.0 0.0\nb 0.0 1.0\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_static_embeddings(p)
+        assert excinfo.value.line == 1
+
+    def test_rows_match_per_value_text(self, tmp_path):
+        table = StaticEmbeddingTable(["a", "b"], np.array([EDGE_ROW, EDGE_ROW[::-1]]), "src")
+        p = tmp_path / "edge.emb1"
+        save_static_embeddings(table, p)
+        assert p.read_text(encoding="utf-8").splitlines()[1:] == [
+            "a " + per_value_text(EDGE_ROW),
+            "b " + per_value_text(EDGE_ROW[::-1]),
+        ]
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(33)
         table = StaticEmbeddingTable(
@@ -182,6 +209,25 @@ class TestFrm1Format:
         got_ids, got = load_frame_file(p)
         assert got_ids == ids
         np.testing.assert_array_equal(got, frames)
+
+    @pytest.mark.parametrize("header", ["FRM1 {} 2 2", "FRM1 2 {} 2", "FRM1 2 2 {}"])
+    @pytest.mark.parametrize("token", BAD_COUNTS)
+    def test_bad_count_rejected(self, tmp_path, header, token):
+        p = tmp_path / "f.frm1"
+        rows = "".join(f"{i} {f} 1.0 2.0\n" for i in "ab" for f in range(2))
+        p.write_text(header.format(token) + "\n" + rows, encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load_frame_file(p)
+        assert excinfo.value.line == 1
+
+    def test_rows_match_per_value_text(self, tmp_path):
+        frames = np.array([[EDGE_ROW, EDGE_ROW[::-1]]])
+        p = tmp_path / "edge.frm1"
+        save_frame_file(["a"], frames, p)
+        assert p.read_text(encoding="utf-8").splitlines()[1:] == [
+            "a 0 " + per_value_text(EDGE_ROW),
+            "a 1 " + per_value_text(EDGE_ROW[::-1]),
+        ]
 
     def test_frame_index_out_of_range(self, tmp_path):
         p = tmp_path / "f.frm1"

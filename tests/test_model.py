@@ -169,6 +169,30 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("position", [1, 2, 3, 4])
+    @pytest.mark.parametrize("token", ["+2", "1_0", "-0", "1.5"])
+    def test_bad_dims_count_rejected(self, tmp_path, position, token):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(ModelDims(2, 2, 2, 2), 17), path)
+        lines = path.read_text().splitlines()
+        parts = lines[1].split()
+        parts[position] = token
+        lines[1] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.line == 2
+
+    def test_rows_match_per_value_text(self, tmp_path):
+        edge = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -1.5]
+        model = init_params(ModelDims(2, 1, 0, len(edge)), 17)
+        model.video.w1[...] = [edge, edge[::-1]]
+        model.video.b1[...] = edge
+        path = tmp_path / "edge.ckpt"
+        save_checkpoint(model, path)
+        expected = [" ".join(f"{x:.17e}" for x in row) for row in (edge, edge[::-1], edge)]
+        assert path.read_text(encoding="utf-8").splitlines()[2:5] == expected
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_rejected(self, tmp_path, value):
         model = init_params(ModelDims(4, 3, 0, 6), 17)

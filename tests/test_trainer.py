@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from marginforge.data import SynthConfig, generate
-from marginforge.errors import ConfigError, ShapeMismatchError
+from marginforge import trainer
+from marginforge.errors import ConfigError, NonFiniteError, ShapeMismatchError
 from marginforge.experts import dse_text_distances, dse_video_distances
 from marginforge.margin import RescaleConfig, rescale_margins
 from marginforge.model import ModelDims, flatten_params, forward_batch, init_params
@@ -216,6 +218,42 @@ class TestTrainEpoch:
         hard = train_epoch(model, ds, cfg_hard, 1, opt)
         # same params (lr 0): hardest-mined loss dominates the mean-mined one
         assert hard.total >= warm.total - 1e-12
+
+    @pytest.mark.parametrize("bad", ["gradient", "loss"])
+    def test_non_finite_step_fails_before_adam(self, monkeypatch, bad):
+        ds = small_dataset()
+        cfg = TrainConfig(batch_size=8, seed=8)
+        model = small_model(ds, seed=cfg.seed)
+        opt = new_adam_state(model)
+        train_epoch(model, ds, cfg, 1, opt)  # non-zero Adam state to compare against
+        real = trainer.full_loss_grad
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            breakdown, grads = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 2:  # batch 1 of the epoch
+                snapshot.update(
+                    params=flatten_params(model).copy(),
+                    m={k: v.copy() for k, v in opt.m.items()},
+                    v={k: v.copy() for k, v in opt.v.items()},
+                    t=opt.t,
+                )
+                if bad == "gradient":
+                    grads["text.w1"][0, 0] = np.nan
+                else:
+                    breakdown = dataclasses.replace(breakdown, total=np.inf)
+            return breakdown, grads
+
+        snapshot = {}
+        monkeypatch.setattr(trainer, "full_loss_grad", poisoned)
+        with pytest.raises(NonFiniteError, match="epoch 2 batch 1:"):
+            train_epoch(model, ds, cfg, 2, opt)
+        np.testing.assert_array_equal(flatten_params(model), snapshot["params"])
+        assert opt.t == snapshot["t"]
+        for name, _ in model.param_items():
+            np.testing.assert_array_equal(opt.m[name], snapshot["m"][name])
+            np.testing.assert_array_equal(opt.v[name], snapshot["v"][name])
 
     def test_batch_size_larger_than_train_rejected(self):
         ds = small_dataset()
