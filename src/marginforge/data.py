@@ -9,12 +9,13 @@ text features under independent extra noise for text (a deliberately
 imperfect external encoder).
 
 On disk a dataset is a directory of seven text files (FRM1 frames, three
-EMB1 tables, LBL1 labels, two SPLIT1 id lists) plus ``manifest.txt``. The
-manifest starts with a ``MANIFEST2`` line, followed by one
-``<role> <filename> <sha256>`` line for each role, each role exactly once
-under its canonical filename. ``load_dataset`` checks every digest before it
-parses any file. Directories written with the older ``MANIFEST1`` header
-(FNV-1a digests) are rejected; regenerate them with ``gen-data``.
+EMB1 tables, LBL1 labels, two SPLIT1 id lists) plus ``manifest.txt``, all
+read under the line rules of ``experts.read_records``. The manifest's header
+is ``MANIFEST2``; each record is ``<role> <filename> <sha256>``, each role
+exactly once under its canonical filename. ``load_dataset`` checks every
+digest before it parses any file. Directories written with the older
+``MANIFEST1`` header (FNV-1a digests) are rejected; regenerate them with
+``gen-data``.
 """
 
 import hashlib
@@ -23,12 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ChecksumError, ConfigError, ParseError
+from .errors import ChecksumError, ConfigError, DuplicateIdError, ParseError
 from .experts import (
     StaticEmbeddingTable,
     load_frame_file,
     load_static_embeddings,
     parse_count,
+    read_records,
     save_frame_file,
     save_static_embeddings,
 )
@@ -219,29 +221,16 @@ def _write_labels(dataset: Dataset, path) -> None:
             fh.write(f"{item_id} {int(concept)}\n")
 
 
-def _read_counted(path, tag: str) -> tuple[int, list[str]]:
-    """N and the lines of a file whose first line is exactly ``<tag> <N>``, N >= 0."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    parts = lines[0].split() if lines else []
-    if len(parts) != 2 or parts[0] != tag:
-        raise ParseError(f"{path}: expected '{tag} <N>' header, N a non-negative integer", 1)
-    return parse_count(parts[1], 1), lines
-
-
 def _load_labels(path) -> dict[str, int]:
-    n, lines = _read_counted(path, "LBL1")
+    (n,), records = read_records(path, "LBL1", 1)
     labels: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
+    for lineno, tokens in records:
+        if len(tokens) != 2:
             raise ParseError("expected '<id> <concept>'", lineno)
-        try:
-            labels[parts[0]] = int(parts[1])
-        except ValueError:
-            raise ParseError(f"bad concept label {parts[1]!r}", lineno) from None
+        item_id, concept = tokens
+        if item_id in labels:
+            raise DuplicateIdError(f"line {lineno}: duplicate id {item_id!r}")
+        labels[item_id] = parse_count(concept, lineno)
     if len(labels) != n:
         raise ParseError(f"{path}: header declares {n} labels, found {len(labels)}")
     return labels
@@ -255,8 +244,12 @@ def _write_split(ids, path) -> None:
 
 
 def _load_split(path) -> list[str]:
-    n, lines = _read_counted(path, "SPLIT1")
-    ids = [line.strip() for line in lines[1:] if line.strip() and not line.startswith("#")]
+    (n,), records = read_records(path, "SPLIT1", 1)
+    ids = []
+    for lineno, tokens in records:
+        if len(tokens) != 1:
+            raise ParseError(f"expected one id, got {len(tokens)} tokens", lineno)
+        ids.append(tokens[0])
     if len(ids) != n:
         raise ParseError(f"{path}: header declares {n} ids, found {len(ids)}")
     return ids
@@ -291,21 +284,16 @@ def _read_manifest(manifest: Path) -> dict[str, tuple[str, int]]:
     """
     if not manifest.exists():
         raise ParseError(f"{manifest}: manifest not found")
-    lines = manifest.read_text(encoding="utf-8").splitlines()
-    header = lines[0].strip() if lines else ""
-    if header == "MANIFEST1":
+    try:
+        _, records = read_records(manifest, MANIFEST_HEADER, 0)
+    except ParseError as exc:
         raise ParseError(
-            f"{manifest}: MANIFEST1 (FNV-1a) datasets are no longer read; "
-            "regenerate the directory with gen-data",
-            1,
-        )
-    if header != MANIFEST_HEADER:
-        raise ParseError(f"{manifest}: expected {MANIFEST_HEADER} header", 1)
+            f"{manifest}: expected a {MANIFEST_HEADER} header; MANIFEST1 (FNV-1a) datasets "
+            "are no longer read, regenerate the directory with gen-data",
+            exc.line,
+        ) from None
     entries: dict[str, tuple[str, int]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in records:
         if len(parts) != 3:
             raise ParseError("expected '<role> <filename> <sha256>'", lineno)
         role, filename, expected = parts

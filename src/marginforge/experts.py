@@ -113,21 +113,46 @@ def sse_text_distances(table: StaticEmbeddingTable, batch_ids) -> DistanceMatrix
 
 
 # ---------------------------------------------------------------------------
-# EMB1 / FRM1 text formats
+# EMB1 / FRM1 text formats (line rules: ``read_records``)
 # ---------------------------------------------------------------------------
 
-def _data_lines(path):
-    """Yield (line_number, stripped_text) skipping blanks and # comments."""
+def read_records(path, tag: str, n_counts: int):
+    """Header counts and a record stream for every line format of the package.
+
+    The one rule shared by FRM1, EMB1, LBL1, SPLIT1, MANIFEST2 and CKPT1:
+
+    - blank lines, and lines whose first token starts with ``#``, are skipped
+      everywhere, before the header as well as between records;
+    - the first remaining line is the header: ``tag`` followed by exactly
+      ``n_counts`` counts, each read by ``parse_count``; any other header is a
+      ``ParseError`` at its line;
+    - every later line is a record.
+
+    Returns ``(counts, records)``: the header's counts as a list of ints, and
+    an iterator of ``(line_number, tokens)``, one per record, read lazily from
+    the open file.
+    """
+    records = _token_lines(path)
+    lineno, tokens = next(records, (None, None))
+    if tokens is None:
+        raise ParseError(f"{path}: no {tag} header")
+    if tokens[0] != tag or len(tokens) != n_counts + 1:
+        expected = " ".join([tag] + ["<N>"] * n_counts)
+        raise ParseError(f"{path}: expected '{expected}' header, got {' '.join(tokens)!r}", lineno)
+    return [parse_count(token, lineno) for token in tokens[1:]], records
+
+
+def _token_lines(path):
+    """(line_number, tokens) of each line that is neither blank nor a comment."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            yield lineno, text
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if tokens and not tokens[0].startswith("#"):
+                yield lineno, tokens
 
 
 def parse_count(token: str, lineno) -> int:
-    """Non-negative decimal count from a header token; shared by every line format.
+    """Non-negative decimal integer: every header count, FRM1 frame index and LBL1 concept.
 
     Only ASCII digits are accepted, so ``+2``, ``-0``, ``1_0`` and ``1.5``
     are rejected although ``int()`` takes the first three.
@@ -157,27 +182,17 @@ def parse_floats(tokens, lineno) -> np.ndarray:
 
 
 def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbeddingTable:
-    """Parse an EMB1 file: header ``EMB1 <N> <D>`` then N ``<id> <x1..xD>`` lines."""
-    lines = _data_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file, expected EMB1 header") from None
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "EMB1":
-        raise ParseError(f"expected 'EMB1 <N> <D>' header, got {header!r}", lineno)
-    n, dim = (parse_count(p, lineno) for p in parts[1:])
+    """Parse an EMB1 file: header ``EMB1 <N> <D>`` then N ``<id> <x1..xD>`` records."""
+    (n, dim), records = read_records(path, "EMB1", 2)
     if dim < 1:
-        raise ParseError(f"invalid counts in header {header!r}", lineno)
+        raise ParseError(f"{path}: EMB1 header needs D >= 1")
 
     ids: list[str] = []
     seen: set[str] = set()
     rows = np.empty((n, dim), dtype=np.float64)
-    count = 0
-    for lineno, text in lines:
-        if count >= n:
+    for lineno, tokens in records:
+        if len(ids) >= n:
             raise ParseError(f"more than {n} data rows", lineno)
-        tokens = text.split()
         if len(tokens) != dim + 1:
             raise DimMismatchError(
                 f"line {lineno}: expected id + {dim} values, got {len(tokens) - 1}"
@@ -186,11 +201,10 @@ def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbed
         if item_id in seen:
             raise DuplicateIdError(f"line {lineno}: duplicate id {item_id!r}")
         seen.add(item_id)
+        rows[len(ids)] = parse_floats(tokens[1:], lineno)
         ids.append(item_id)
-        rows[count] = parse_floats(tokens[1:], lineno)
-        count += 1
-    if count != n:
-        raise ParseError(f"{path}: header declares {n} rows, found {count}")
+    if len(ids) != n:
+        raise ParseError(f"{path}: header declares {n} rows, found {len(ids)}")
 
     norms = np.linalg.norm(rows, axis=1) if n else np.array([])
     if n and np.any(norms < ZERO_NORM_EPS):
@@ -212,37 +226,25 @@ def save_static_embeddings(table: StaticEmbeddingTable, path) -> None:
 def load_frame_file(path) -> tuple[list[str], np.ndarray]:
     """Parse an FRM1 file into (ids, frames) with frames shaped (N, T, D).
 
-    Header is ``FRM1 <N> <T> <D>``; each of the N*T data lines is
+    Header is ``FRM1 <N> <T> <D>``; each of the N*T records is
     ``<id> <frame_index> <x1..xD>`` with frame_index in [0, T).
     """
-    lines = _data_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file, expected FRM1 header") from None
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "FRM1":
-        raise ParseError(f"expected 'FRM1 <N> <T> <D>' header, got {header!r}", lineno)
-    n, t, dim = (parse_count(p, lineno) for p in parts[1:])
+    (n, t, dim), records = read_records(path, "FRM1", 3)
     if t < 1 or dim < 1:
-        raise ParseError(f"invalid counts in header {header!r}", lineno)
+        raise ParseError(f"{path}: FRM1 header needs T >= 1 and D >= 1")
 
     ids: list[str] = []
     order: dict[str, int] = {}
     frames = np.empty((n, t, dim), dtype=np.float64)
     filled = np.zeros((n, t), dtype=bool)
-    for lineno, text in lines:
-        tokens = text.split()
+    for lineno, tokens in records:
         if len(tokens) != dim + 2:
             raise DimMismatchError(
                 f"line {lineno}: expected id + frame_index + {dim} values, got {len(tokens) - 2}"
             )
         item_id = tokens[0]
-        try:
-            fidx = int(tokens[1])
-        except ValueError:
-            raise ParseError(f"bad frame index {tokens[1]!r}", lineno) from None
-        if not 0 <= fidx < t:
+        fidx = parse_count(tokens[1], lineno)
+        if fidx >= t:
             raise ParseError(f"frame index {fidx} outside [0, {t})", lineno)
         if item_id not in order:
             if len(ids) >= n:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimMismatchError, ParseError, ShapeMismatchError
-from .experts import parse_count, parse_floats, row_format
+from .experts import parse_count, parse_floats, read_records, row_format
 from .seeding import named_rng
 
 
@@ -172,11 +172,11 @@ def flatten_grads(model: TwoTowerModel, grads: dict) -> np.ndarray:
 # CKPT1 checkpoint format
 # ---------------------------------------------------------------------------
 #
-# Line 1:  CKPT1
-# Line 2:  dims <video_in> <text_in> <hidden> <joint>
-# Then one line per parameter row, in param_items() order: every weight
-# matrix contributes one line per input row, every bias one line. Values are
-# written with 18 significant digits, so a load reproduces them exactly.
+# Header ``CKPT1`` (no counts), then the record ``dims <video_in> <text_in>
+# <hidden> <joint>``, then one record per parameter row, in param_items()
+# order: every weight matrix contributes one record per input row, every bias
+# one record. Blank and comment lines follow ``experts.read_records``. Values
+# are written with 18 significant digits, so a load reproduces them exactly.
 
 
 @contextmanager
@@ -210,34 +210,30 @@ def save_checkpoint(model: TwoTowerModel, path) -> None:
 
 
 def load_checkpoint(path) -> TwoTowerModel:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "CKPT1":
-        raise ParseError(f"{path}: expected CKPT1 header", 1)
-    parts = lines[1].split() if len(lines) > 1 else []
+    _, records = read_records(path, "CKPT1", 0)
+    lineno, parts = next(records, (None, None))
+    if parts is None:
+        raise ParseError(f"{path}: no dims line after the CKPT1 header")
     if len(parts) != 5 or parts[0] != "dims":
-        raise ParseError(f"{path}: expected 'dims <v> <t> <h> <j>'", 2)
-    counts = [parse_count(p, 2) for p in parts[1:]]
+        raise ParseError(f"{path}: expected 'dims <v> <t> <h> <j>'", lineno)
+    counts = [parse_count(p, lineno) for p in parts[1:]]
     try:
         dims = ModelDims(*counts)
     except ValueError as exc:
-        raise ParseError(f"{path}: bad dims line: {exc}", 2) from None
+        raise ParseError(f"{path}: bad dims line: {exc}", lineno) from None
 
     model = init_params(dims, seed=0)
-    cursor = 2
     for name, arr in model.param_items():
         rows = arr if arr.ndim == 2 else arr[None, :]
         for r in range(rows.shape[0]):
-            if cursor >= len(lines):
+            lineno, vals = next(records, (None, None))
+            if vals is None:
                 raise ParseError(f"{path}: truncated while reading {name}")
-            vals = lines[cursor].split()
             if len(vals) != rows.shape[1]:
                 raise ParseError(
-                    f"{name}: expected {rows.shape[1]} values, got {len(vals)}", cursor + 1
+                    f"{name}: expected {rows.shape[1]} values, got {len(vals)}", lineno
                 )
-            rows[r] = parse_floats(vals, cursor + 1)
-            cursor += 1
-    if any(line.strip() for line in lines[cursor:]):
-        raise ParseError(f"{path}: trailing content after parameters", cursor + 1)
+            rows[r] = parse_floats(vals, lineno)
+    for lineno, _ in records:
+        raise ParseError(f"{path}: trailing content after parameters", lineno)
     return model

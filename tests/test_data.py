@@ -5,13 +5,15 @@ from marginforge.data import (
     MANIFEST_NAME,
     Dataset,
     SynthConfig,
+    _load_labels,
+    _load_split,
     digest,
     generate,
     ground_truth_equivalents,
     load_dataset,
     write_dataset,
 )
-from marginforge.errors import ChecksumError, ConfigError, ParseError
+from marginforge.errors import ChecksumError, ConfigError, DuplicateIdError, ParseError
 from marginforge.experts import sse_video_distances
 
 
@@ -164,6 +166,31 @@ class TestRoundTrip:
         with pytest.raises(ParseError) as excinfo:
             load_dataset(tmp_path)
         assert excinfo.value.line == 1
+
+
+class TestLabelAndSplitFiles:
+    def write(self, tmp_path, text):
+        p = tmp_path / "f.txt"
+        p.write_text(text, encoding="utf-8")
+        return p
+
+    def test_repeated_label_id_rejected(self, tmp_path):
+        p = self.write(tmp_path, "LBL1 2\na 1\na 2\nb 3\n")
+        with pytest.raises(DuplicateIdError, match="line 3: duplicate id 'a'"):
+            _load_labels(p)
+
+    @pytest.mark.parametrize("token", ["+2", "1_0", "-0", "1.5"])
+    def test_bad_concept_label_rejected(self, tmp_path, token):
+        p = self.write(tmp_path, f"LBL1 2\na 1\nb {token}\n")
+        with pytest.raises(ParseError) as excinfo:
+            _load_labels(p)
+        assert excinfo.value.line == 3
+
+    def test_split_line_takes_one_id(self, tmp_path):
+        p = self.write(tmp_path, "SPLIT1 2\na\nb c\n")
+        with pytest.raises(ParseError) as excinfo:
+            _load_split(p)
+        assert excinfo.value.line == 3
 
 
 class TestManifest:

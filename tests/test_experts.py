@@ -220,6 +220,15 @@ class TestFrm1Format:
             load_frame_file(p)
         assert excinfo.value.line == 1
 
+    @pytest.mark.parametrize("token", BAD_COUNTS)
+    def test_bad_frame_index_rejected(self, tmp_path, token):
+        p = tmp_path / "f.frm1"
+        # T = 11, so int() would read +2 and 1_0 as frames in range
+        p.write_text(f"FRM1 1 11 2\na 0 1.0 2.0\na {token} 3.0 4.0\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load_frame_file(p)
+        assert excinfo.value.line == 3
+
     def test_rows_match_per_value_text(self, tmp_path):
         frames = np.array([[EDGE_ROW, EDGE_ROW[::-1]]])
         p = tmp_path / "edge.frm1"

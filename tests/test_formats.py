@@ -1,0 +1,86 @@
+"""The line rule shared by all six text formats (``experts.read_records``).
+
+Blank lines and ``#`` comments may stand anywhere, the header is the first
+other line, and a wrong header is reported at its own line.
+"""
+
+import pytest
+
+from marginforge.data import (
+    MANIFEST_NAME,
+    SynthConfig,
+    _load_labels,
+    _load_split,
+    _read_manifest,
+    generate,
+    write_dataset,
+)
+from marginforge.errors import ParseError
+from marginforge.experts import load_frame_file, load_static_embeddings
+from marginforge.model import ModelDims, init_params, load_checkpoint, save_checkpoint
+
+
+def frm1(path):
+    ids, frames = load_frame_file(path)
+    return ids, frames.tolist()
+
+
+def emb1(path):
+    table = load_static_embeddings(path)
+    return table.ids, table.embeddings.tolist()
+
+
+def manifest2(path):
+    return {role: hexdigest for role, (hexdigest, _) in _read_manifest(path).items()}
+
+
+def ckpt1(path):
+    model = load_checkpoint(path)
+    return model.dims, [(name, arr.tolist()) for name, arr in model.param_items()]
+
+
+# tag, file written by write_dataset or save_checkpoint, loader as plain data
+FORMATS = [
+    ("FRM1", "frames.frm1", frm1),
+    ("EMB1", "text.emb1", emb1),
+    ("LBL1", "labels.txt", _load_labels),
+    ("SPLIT1", "split_val.txt", _load_split),
+    ("MANIFEST2", MANIFEST_NAME, manifest2),
+    ("CKPT1", "model.ckpt", ckpt1),
+]
+
+
+@pytest.fixture
+def written(tmp_path):
+    cfg = SynthConfig(n_items=8, n_concepts=6, duplicate_rate=0.5, seed=19)
+    write_dataset(generate(cfg), tmp_path)
+    save_checkpoint(init_params(ModelDims(3, 2, 2, 2), 19), tmp_path / "model.ckpt")
+    return tmp_path
+
+
+@pytest.mark.parametrize("tag, filename, load", FORMATS, ids=[f[0] for f in FORMATS])
+class TestSharedLineRule:
+    def test_comments_and_blank_lines_anywhere(self, written, tag, filename, load):
+        path = written / filename
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0].split()[0] == tag
+        clean = load(path)
+        # before the header, and between the first two records
+        noted = ["# note", "", lines[0], lines[1], "  # note", "", *lines[2:]]
+        path.write_text("\n".join(noted) + "\n", encoding="utf-8")
+        assert load(path) == clean
+
+    def test_only_comments_names_the_tag(self, written, tag, filename, load):
+        path = written / filename
+        path.write_text("# one\n\n# two\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=tag):
+            load(path)
+
+    def test_wrong_tag_after_comments_reports_its_line(self, written, tag, filename, load):
+        path = written / filename
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[0] = "NOPE" + lines[0][len(tag):]
+        path.write_text("# one\n# two\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load(path)
+        assert excinfo.value.line == 3
