@@ -2,18 +2,14 @@
 
 Commands: ``gen-data``, ``train``, ``eval``, ``inspect-margins``, ``sweep``.
 Every run writes its fully resolved config beside its outputs; nothing ever
-mutates an input dataset directory. ``MARGINFORGE_THREADS`` caps sweep worker
-parallelism (default 1).
+mutates an input dataset directory.
 """
 
 import argparse
 import csv
 import dataclasses
 import itertools
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +18,9 @@ from . import config as cfgmod
 from .data import generate, load_dataset, write_dataset
 from .errors import ConfigError, IndexOutOfRangeError, MarginForgeError
 from .evaluation import write_metrics_csv
-from .experts import EXPERT_KINDS, dse_text_distances, dse_video_distances, pairwise_distances
+from .experts import EXPERT_KINDS, pairwise_distances
 from .margin import RescaleConfig, rescale_margins
+from .mathcore import unit_rows
 from .model import forward_batch, load_checkpoint
 from .seeding import named_rng
 from .trainer import evaluate_split, run_training
@@ -41,17 +38,6 @@ def _resolve_out_dir(cfg: cfgmod.RunConfig, flag: str | None) -> Path:
     out = Path(cfgmod.require(flag or cfg.out_dir, "paths.out_dir"))
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("MARGINFORGE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"MARGINFORGE_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"MARGINFORGE_THREADS must be >= 1, got {n}")
-    return n
 
 
 def cmd_gen_data(args) -> int:
@@ -127,12 +113,13 @@ def cmd_inspect_margins(args) -> int:
     batch_ids = [dataset.ids[r] for r in rows]
     state = forward_batch(model, dataset.pooled_video()[rows], dataset.text[rows])
 
-    distances = {
-        "dse_text": dse_text_distances(state.text_reprs),
-        "dse_video": dse_video_distances(state.video_reprs),
-        "sse_text": pairwise_distances(dataset.sse_text.lookup(batch_ids), "sse_text"),
-        "sse_video": pairwise_distances(dataset.sse_video.lookup(batch_ids), "sse_video"),
+    units = {
+        "dse_text": state.text_units,
+        "dse_video": state.video_units,
+        "sse_text": unit_rows(dataset.sse_text.lookup(batch_ids), "sse_text")[0],
+        "sse_video": unit_rows(dataset.sse_video.lookup(batch_ids), "sse_video")[0],
     }
+    distances = {kind: pairwise_distances(units[kind], kind) for kind in EXPERT_KINDS}
     kinds = EXPERT_KINDS if args.expert == "all" else (args.expert,)
     rescale = RescaleConfig(mu=cfg.train.alpha, beta=cfg.train.beta)
     concepts = dataset.concepts[rows]
@@ -237,12 +224,7 @@ def cmd_sweep(args) -> int:
             run_dir = out / f"cell{cell_idx:03d}" / f"seed{seed}"
             tasks.append((cell_idx, assignment, seed, run_dir))
 
-    workers = _worker_count()
-    if workers == 1:
-        results = [_sweep_run(base, a, s, d) for _, a, s, d in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _sweep_run(base, t[1], t[2], t[3]), tasks))
+    results = [_sweep_run(base, a, s, d) for _, a, s, d in tasks]
 
     metrics = ("rsum", "t2v_R1", "v2t_R1")
     header = keys + ["n_seeds"]

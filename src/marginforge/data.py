@@ -245,14 +245,16 @@ def _write_split(ids, path) -> None:
 
 def _load_split(path) -> list[str]:
     (n,), records = read_records(path, "SPLIT1", 1)
-    ids = []
+    ids: dict[str, None] = {}  # insertion-ordered set
     for lineno, tokens in records:
         if len(tokens) != 1:
             raise ParseError(f"expected one id, got {len(tokens)} tokens", lineno)
-        ids.append(tokens[0])
+        if tokens[0] in ids:
+            raise DuplicateIdError(f"line {lineno}: duplicate id {tokens[0]!r}")
+        ids[tokens[0]] = None
     if len(ids) != n:
         raise ParseError(f"{path}: header declares {n} ids, found {len(ids)}")
-    return ids
+    return list(ids)
 
 
 def write_dataset(dataset: Dataset, out_dir) -> None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, IndexOutOfRangeError, NonSquareError
+from .errors import EmptyInputError, NonSquareError
 
 DEFAULT_KS = (1, 5, 10)
 
@@ -20,18 +20,6 @@ class RetrievalReport:
     r_at: dict[int, float]  # K -> percentage in [0, 100]
     mdr: float
     ranks: np.ndarray  # 1-indexed rank of each query's positive
-
-
-def rank_of_positive(scores, positive_index: int) -> int:
-    """1 + (#strictly better) + (#ties with smaller index)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
-    if not 0 <= positive_index < n:
-        raise IndexOutOfRangeError(f"positive index {positive_index} outside [0, {n})")
-    s = scores[positive_index]
-    better = int(np.sum(scores > s))
-    tied_before = int(np.sum((scores == s) & (np.arange(n) < positive_index)))
-    return 1 + better + tied_before
 
 
 def recall_at_k(ranks, k: int) -> float:
@@ -66,7 +54,7 @@ def evaluate_bidirectional(S, ks=DEFAULT_KS) -> tuple[RetrievalReport, Retrieval
         raise EmptyInputError("empty similarity matrix")
     ks = tuple(sorted(ks))
 
-    # rank_of_positive for every query at once: strictly better scores plus
+    # every query's rank at once: 1 + strictly better scores plus
     # ties at a smaller index, i.e. above the diagonal for a column query
     # (text -> video) and below it for a row query (video -> text)
     pos = np.diag(S)

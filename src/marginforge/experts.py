@@ -19,7 +19,7 @@ from .errors import (
     UnknownIdError,
     ZeroNormError,
 )
-from .mathcore import ZERO_NORM_EPS, check_row_norms, mean_pool
+from .mathcore import ZERO_NORM_EPS, mean_pool, unit_rows
 
 EXPERT_KINDS = ("dse_text", "dse_video", "sse_text", "sse_video")
 
@@ -63,37 +63,19 @@ class StaticEmbeddingTable:
         return self.embeddings[[self.row(i) for i in batch_ids]]
 
 
-def _stack_reprs(reprs) -> np.ndarray:
-    X = np.asarray(reprs, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimMismatchError(f"expected a stack of vectors, got shape {X.shape}")
-    return X
+def pairwise_distances(U: np.ndarray, expert_kind: str) -> DistanceMatrix:
+    """1 - cosine over all pairs of unit rows, exact zero diagonal, exactly symmetric.
 
-
-def pairwise_distances(X: np.ndarray, expert_kind: str) -> DistanceMatrix:
-    """1 - cosine over all row pairs, exact zero diagonal, exactly symmetric.
-
-    Symmetry comes from ``kernels.pairwise_cosine(X, X)``, whose self product
-    is exactly symmetric; the distances are formed in place in that matrix.
+    ``U`` holds unit rows from ``mathcore.unit_rows``. Symmetry comes from
+    ``kernels.pairwise_cosine(U, U)``, whose self product is exactly
+    symmetric; the distances are formed in place in that matrix.
     """
-    X = _stack_reprs(X)
-    if X.shape[0] < 2:
+    if U.shape[0] < 2:
         raise EmptyInputError("need at least two items for pairwise distances")
-    check_row_norms(X, expert_kind)
-    D = kernels.pairwise_cosine(X, X)
+    D = kernels.pairwise_cosine(U, U)
     np.subtract(1.0, D, out=D)
     np.fill_diagonal(D, 0.0)
     return DistanceMatrix(D, expert_kind)
-
-
-def dse_text_distances(text_reprs) -> DistanceMatrix:
-    """Distances between the live text encoder's batch outputs."""
-    return pairwise_distances(_stack_reprs(text_reprs), "dse_text")
-
-
-def dse_video_distances(video_reprs) -> DistanceMatrix:
-    """Distances between the live video encoder's batch outputs."""
-    return pairwise_distances(_stack_reprs(video_reprs), "dse_video")
 
 
 def sse_video_distances(frames_per_item) -> DistanceMatrix:
@@ -104,12 +86,12 @@ def sse_video_distances(frames_per_item) -> DistanceMatrix:
     dims = {p.shape[0] for p in pooled}
     if len(dims) != 1:
         raise DimMismatchError(f"frame feature dims differ across items: {sorted(dims)}")
-    return pairwise_distances(np.stack(pooled), "sse_video")
+    return pairwise_distances(unit_rows(np.stack(pooled), "sse_video")[0], "sse_video")
 
 
 def sse_text_distances(table: StaticEmbeddingTable, batch_ids) -> DistanceMatrix:
     """Distances between frozen text embeddings for the given batch ids."""
-    return pairwise_distances(table.lookup(batch_ids), "sse_text")
+    return pairwise_distances(unit_rows(table.lookup(batch_ids), "sse_text")[0], "sse_text")
 
 
 # ---------------------------------------------------------------------------

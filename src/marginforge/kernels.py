@@ -7,8 +7,10 @@
 Results are bit-reproducible run to run. Their reference is the scalar-loop
 oracles in ``tests/oracles.py``, which share no code with these kernels.
 
-Kernels assume validated inputs (finite values, nonzero row norms); callers
-own the error contracts.
+Input contract: the kernels never take a norm. ``pairwise_cosine`` and
+``cosine_backward`` take float64 unit rows and their original row norms as
+returned by ``mathcore.unit_rows``, which owns the normalisation and its
+error contract (2-D stacks, finite non-zero norms).
 """
 
 import numpy as np
@@ -20,21 +22,13 @@ __all__ = [
 ]
 
 
-def pairwise_cosine(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Cosine similarity between every row of X and every row of Y.
+def pairwise_cosine(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Cosine similarity between every unit row of U and every unit row of V.
 
-    ``pairwise_cosine(X, X)`` normalises once and forms ``Xn @ Xn.T``, which
-    numpy evaluates as a symmetric rank-k update, so the result is exactly
-    symmetric.
+    ``pairwise_cosine(U, U)`` forms ``U @ U.T``, which numpy evaluates as a
+    symmetric rank-k update, so the result is exactly symmetric.
     """
-    same = Y is X
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Xn = X / np.linalg.norm(X, axis=1)[:, None]
-    if same:
-        return Xn @ Xn.T
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    Yn = Y / np.linalg.norm(Y, axis=1)[:, None]
-    return Xn @ Yn.T
+    return U @ V.T
 
 
 def triplet_terms(
@@ -133,17 +127,14 @@ def triplet_terms(
     return comp, dS, mined[0], mined[1]
 
 
-def cosine_backward(dS: np.ndarray, X: np.ndarray, Y: np.ndarray, S: np.ndarray):
-    """Backpropagate a gradient w.r.t. the cosine matrix onto both row stacks."""
-    dS = np.ascontiguousarray(dS, dtype=np.float64)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    S = np.ascontiguousarray(S, dtype=np.float64)
-    xn = np.linalg.norm(X, axis=1)
-    yn = np.linalg.norm(Y, axis=1)
-    Xn = X / xn[:, None]
-    Yn = Y / yn[:, None]
+def cosine_backward(dS, U, V, u_norms, v_norms, S):
+    """Backpropagate a gradient w.r.t. ``S = U @ V.T`` onto the raw row stacks.
+
+    ``U`` and ``V`` are the unit rows of the raw stacks and ``u_norms``,
+    ``v_norms`` their row norms; the results are the gradients w.r.t. the
+    raw (unnormalised) rows.
+    """
     dSS = dS * S
-    dX = (dS @ Yn - dSS.sum(axis=1)[:, None] * Xn) / xn[:, None]
-    dY = (dS.T @ Xn - dSS.sum(axis=0)[:, None] * Yn) / yn[:, None]
+    dX = (dS @ V - dSS.sum(axis=1)[:, None] * U) / u_norms[:, None]
+    dY = (dS.T @ U - dSS.sum(axis=0)[:, None] * V) / v_norms[:, None]
     return dX, dY

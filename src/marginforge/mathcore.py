@@ -1,13 +1,11 @@
 """Scalar and small-vector numeric primitives.
 
-Cosine similarity, mean pooling, the standard normal CDF, and a
-central-difference gradient checker. Everything here is float64, pure, and
-thread-safe; batched equivalents of the hot paths live in
-:mod:`marginforge.kernels`.
+Cosine similarity, row normalisation, mean pooling and the standard normal
+CDF. Everything here is float64, pure, and thread-safe; batched equivalents
+of the hot paths live in :mod:`marginforge.kernels`.
 """
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -51,13 +49,24 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def check_row_norms(X: np.ndarray, what: str) -> None:
-    """Raise ZeroNormError for the first row of X whose norm is non-finite or near zero."""
+def unit_rows(X, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows of a stack of vectors, and the row norms they were divided by.
+
+    The one place where a row stack is normalised: ``X`` must be a 2-D
+    float64 stack (else ``DimMismatchError``), and the first row whose norm
+    is non-finite or near zero raises ``ZeroNormError`` naming ``what``.
+    Everything downstream (similarities, expert distances, the cosine
+    backward pass) takes the returned unit rows and norms as they are.
+    """
+    X = np.asarray(X, dtype=np.float64, order="C")
+    if X.ndim != 2:
+        raise DimMismatchError(f"expected a stack of vectors, got shape {X.shape}")
     norms = np.linalg.norm(X, axis=1)
     ok = np.isfinite(norms) & (norms >= ZERO_NORM_EPS)
     if not ok.all():
         bad = int(np.argmin(ok))
         raise ZeroNormError(f"{what} row {bad} has non-finite or near-zero norm {norms[bad]:.3e}")
+    return X / norms[:, None], norms
 
 
 def mean_pool(frames) -> np.ndarray:
@@ -71,18 +80,3 @@ def mean_pool(frames) -> np.ndarray:
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via erfc (absolute error well below 1e-10)."""
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector."""
-    x = as_vector(x)
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    g = np.empty_like(x)
-    for i in range(x.shape[0]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g

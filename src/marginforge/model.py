@@ -1,8 +1,10 @@
 """Toy two-tower encoders mapping video and text features into a joint space.
 
-Each tower is either a single affine map or affine-tanh-affine; outputs are
-not L2-normalized (cosine handles normalization downstream). Forward keeps
-the activations needed for an exact analytic backward pass.
+Each tower is either a single affine map or affine-tanh-affine. Forward
+keeps the activations needed for an exact analytic backward pass, and ends
+by normalising each tower's outputs once, through ``mathcore.unit_rows``; the
+step's similarities, dynamic-expert distances and cosine backward all read
+those unit rows and norms.
 """
 
 import os
@@ -14,6 +16,7 @@ import numpy as np
 
 from .errors import DimMismatchError, ParseError, ShapeMismatchError
 from .experts import parse_count, parse_floats, read_records, row_format
+from .mathcore import unit_rows
 from .seeding import named_rng
 
 
@@ -65,6 +68,10 @@ class ForwardState:
     text_hidden: np.ndarray | None
     video_reprs: np.ndarray  # (B, joint)
     text_reprs: np.ndarray
+    video_units: np.ndarray  # video_reprs / video_norms[:, None]
+    text_units: np.ndarray
+    video_norms: np.ndarray  # (B,)
+    text_norms: np.ndarray
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -111,7 +118,9 @@ def forward_batch(model: TwoTowerModel, pooled_video, text_feats) -> ForwardStat
         )
     rv, hv = _tower_forward(model.video, pooled_video)
     rt, ht = _tower_forward(model.text, text_feats)
-    return ForwardState(pooled_video, text_feats, hv, ht, rv, rt)
+    uv, nv = unit_rows(rv, "video")
+    ut, nt = unit_rows(rt, "text")
+    return ForwardState(pooled_video, text_feats, hv, ht, rv, rt, uv, ut, nv, nt)
 
 
 def _tower_backward(tower: Tower, x: np.ndarray, hidden, d_out: np.ndarray) -> dict:
@@ -148,24 +157,6 @@ def backward(model: TwoTowerModel, state: ForwardState, grad_video_reprs, grad_t
         for pname, arr in _tower_backward(tower, x, hidden, d_out).items():
             grads[f"{name}.{pname}"] = arr
     return grads
-
-
-def flatten_params(model: TwoTowerModel) -> np.ndarray:
-    return np.concatenate([arr.ravel() for _, arr in model.param_items()])
-
-
-def set_flat_params(model: TwoTowerModel, flat: np.ndarray) -> None:
-    offset = 0
-    for _, arr in model.param_items():
-        n = arr.size
-        arr[...] = flat[offset : offset + n].reshape(arr.shape)
-        offset += n
-    if offset != flat.size:
-        raise ShapeMismatchError(f"flat vector has {flat.size} entries, model needs {offset}")
-
-
-def flatten_grads(model: TwoTowerModel, grads: dict) -> np.ndarray:
-    return np.concatenate([grads[name].ravel() for name, _ in model.param_items()])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .errors import EmptyInputError, LambdaOutOfRangeError, ShapeMismatchError
 from .margin import matrix_values
-from .mathcore import check_row_norms
+from .mathcore import unit_rows
 from .model import ForwardState, TwoTowerModel, backward
 
 MININGS = ("hardest", "mean")
@@ -54,14 +54,16 @@ class LossBreakdown:
 
 
 def similarity_matrix(video_reprs, text_reprs) -> np.ndarray:
-    """Pairwise cosine between aligned batches of video and text vectors."""
+    """Pairwise cosine between aligned batches of raw video and text vectors.
+
+    The entry point for raw representations; a training step instead reads
+    the unit rows that ``forward_batch`` already formed.
+    """
     V = np.atleast_2d(np.asarray(video_reprs, dtype=np.float64))
     T = np.atleast_2d(np.asarray(text_reprs, dtype=np.float64))
     if V.shape[0] != T.shape[0]:
         raise ShapeMismatchError(f"batch sizes differ: {V.shape[0]} vs {T.shape[0]}")
-    check_row_norms(V, "video")
-    check_row_norms(T, "text")
-    return kernels.pairwise_cosine(V, T)
+    return kernels.pairwise_cosine(unit_rows(V, "video")[0], unit_rows(T, "text")[0])
 
 
 def _check_square(S) -> np.ndarray:
@@ -164,10 +166,11 @@ def full_loss_grad(
     Margins are constants and mined indices fixed selections (subgradient at
     ties), so the gradient flows only through the similarity matrix.
     """
-    S = similarity_matrix(state.video_reprs, state.text_reprs)
+    uv, ut = state.video_units, state.text_units
+    S = kernels.pairwise_cosine(uv, ut)
     breakdown, dS = _run(
         S, m_dse_video, m_dse_text, m_sse_video, m_sse_text, alpha, lam, mining, mining_criterion
     )
-    d_video, d_text = kernels.cosine_backward(dS, state.video_reprs, state.text_reprs, S)
+    d_video, d_text = kernels.cosine_backward(dS, uv, ut, state.video_norms, state.text_norms, S)
     grads = backward(model, state, d_video, d_text)
     return breakdown, grads

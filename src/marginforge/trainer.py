@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .data import Dataset
 from .errors import ConfigError, MarginForgeError, NonFiniteError, ShapeMismatchError
 from .evaluation import DEFAULT_KS, evaluate_bidirectional
-from .experts import dse_text_distances, dse_video_distances, pairwise_distances
+from .experts import EXPERT_KINDS, pairwise_distances
 from .margin import RescaleConfig, rescale_margins
 from .model import (
     ModelDims,
@@ -26,7 +27,8 @@ from .model import (
     replace_on_success,
     save_checkpoint,
 )
-from .objective import MINING_CRITERIA, LossBreakdown, full_loss_grad, similarity_matrix
+from .mathcore import unit_rows
+from .objective import MINING_CRITERIA, LossBreakdown, full_loss_grad
 from .seeding import named_rng
 
 ADAM_BETA1 = 0.9
@@ -137,26 +139,20 @@ def adam_step(param_items, grads: dict, state: AdamState, lr: float) -> AdamStat
     return state
 
 
-def _batch_margins(cfg: TrainConfig, rescale: RescaleConfig, state, sse_video_vecs, sse_text_vecs):
-    """Margin matrices for the enabled experts of one batch (None = disabled)."""
-    out = {}
-    out["dse_video"] = (
-        rescale_margins(dse_video_distances(state.video_reprs), rescale) if cfg.dse_video else None
-    )
-    out["dse_text"] = (
-        rescale_margins(dse_text_distances(state.text_reprs), rescale) if cfg.dse_text else None
-    )
-    out["sse_video"] = (
-        rescale_margins(pairwise_distances(sse_video_vecs, "sse_video"), rescale)
-        if cfg.sse_video
+def _batch_margins(cfg: TrainConfig, rescale: RescaleConfig, state, sse_units: dict, batch):
+    """Margin matrices for the enabled experts of one batch (None = disabled).
+
+    The DSE experts read the batch's unit rows from ``state``; the SSE
+    experts read rows ``batch`` of the epoch's normalised train-split tables.
+    """
+    units = {"dse_video": state.video_units, "dse_text": state.text_units}
+    units.update((kind, table[batch]) for kind, table in sse_units.items())
+    return {
+        kind: rescale_margins(pairwise_distances(units[kind], kind), rescale)
+        if getattr(cfg, kind)
         else None
-    )
-    out["sse_text"] = (
-        rescale_margins(pairwise_distances(sse_text_vecs, "sse_text"), rescale)
-        if cfg.sse_text
-        else None
-    )
-    return out
+        for kind in EXPERT_KINDS
+    }
 
 
 def _check_finite_step(breakdown: LossBreakdown, grads: dict) -> None:
@@ -184,8 +180,14 @@ def train_epoch(
     rows = dataset.rows(dataset.train_ids)
     pooled = dataset.pooled_video()[rows]
     text = dataset.text[rows]
-    sse_video_all = dataset.sse_video.lookup(dataset.train_ids)
-    sse_text_all = dataset.sse_text.lookup(dataset.train_ids)
+    try:
+        sse_units = {
+            kind: unit_rows(getattr(dataset, kind).lookup(dataset.train_ids), kind)[0]
+            for kind in ("sse_video", "sse_text")
+            if getattr(cfg, kind)
+        }
+    except MarginForgeError as exc:
+        raise type(exc)(f"epoch {epoch}: {exc}") from exc
 
     order = named_rng(cfg.seed, "shuffle", epoch).permutation(len(rows))
     mining = "mean" if epoch <= cfg.warmup_epochs else "hardest"
@@ -200,9 +202,7 @@ def train_epoch(
             continue  # a trailing singleton has no negatives
         try:
             state = forward_batch(model, pooled[batch], text[batch])
-            margins = _batch_margins(
-                cfg, rescale, state, sse_video_all[batch], sse_text_all[batch]
-            )
+            margins = _batch_margins(cfg, rescale, state, sse_units, batch)
             breakdown, grads = full_loss_grad(
                 model,
                 state,
@@ -233,8 +233,7 @@ def evaluate_split(model: TwoTowerModel, dataset: Dataset, ids, ks=DEFAULT_KS):
     """Encode a split and run bidirectional retrieval over it."""
     rows = dataset.rows(ids)
     state = forward_batch(model, dataset.pooled_video()[rows], dataset.text[rows])
-    S = similarity_matrix(state.video_reprs, state.text_reprs)
-    return evaluate_bidirectional(S, ks)
+    return evaluate_bidirectional(kernels.pairwise_cosine(state.video_units, state.text_units), ks)
 
 
 def save_trainer_checkpoint(ckpt: Checkpoint, prefix) -> None:

@@ -1,0 +1,52 @@
+"""Test-only helpers: a finite-difference gradient checker, flat views of a
+model's parameters and gradients, and the scalar rank reference."""
+
+import numpy as np
+
+from marginforge.errors import IndexOutOfRangeError, ShapeMismatchError
+from marginforge.mathcore import as_vector
+
+
+def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a vector."""
+    x = as_vector(x)
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    g = np.empty_like(x)
+    for i in range(x.shape[0]):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        g[i] = (f(xp) - f(xm)) / (2.0 * h)
+    return g
+
+
+def flatten_params(model) -> np.ndarray:
+    return np.concatenate([arr.ravel() for _, arr in model.param_items()])
+
+
+def set_flat_params(model, flat: np.ndarray) -> None:
+    offset = 0
+    for _, arr in model.param_items():
+        n = arr.size
+        arr[...] = flat[offset : offset + n].reshape(arr.shape)
+        offset += n
+    if offset != flat.size:
+        raise ShapeMismatchError(f"flat vector has {flat.size} entries, model needs {offset}")
+
+
+def flatten_grads(model, grads: dict) -> np.ndarray:
+    return np.concatenate([grads[name].ravel() for name, _ in model.param_items()])
+
+
+def rank_of_positive(scores, positive_index: int) -> int:
+    """1 + (#strictly better) + (#ties with smaller index)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.shape[0]
+    if not 0 <= positive_index < n:
+        raise IndexOutOfRangeError(f"positive index {positive_index} outside [0, {n})")
+    s = scores[positive_index]
+    better = int(np.sum(scores > s))
+    tied_before = int(np.sum((scores == s) & (np.arange(n) < positive_index)))
+    return 1 + better + tied_before

@@ -317,13 +317,3 @@ class TestSweepCommand:
             ]
         )
         assert code == 1
-
-    def test_threads_env(self, smoke_env, monkeypatch):
-        cfg_path, _, tmp_path = smoke_env
-        monkeypatch.setenv("MARGINFORGE_THREADS", "2")
-        out = tmp_path / "sweep_mt"
-        code = main(["sweep", "--config", str(cfg_path), "--seeds", "3,4", "--out", str(out)])
-        assert code == 0
-        with open(out / "sweep_summary.csv", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows[0]["n_seeds"] == "2"

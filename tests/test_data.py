@@ -192,6 +192,22 @@ class TestLabelAndSplitFiles:
             _load_split(p)
         assert excinfo.value.line == 3
 
+    def test_repeated_split_id_rejected_at_its_line(self, tmp_path):
+        write_dataset(generate(SynthConfig(n_items=8, n_concepts=8, seed=17)), tmp_path)
+        target = tmp_path / "split_val.txt"
+        old_digest = digest(target.read_bytes())
+        lines = target.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "SPLIT1 2"
+        lines[2] = lines[1]  # repeat the first id, keep the declared count
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        manifest = tmp_path / MANIFEST_NAME
+        manifest.write_text(
+            manifest.read_text(encoding="utf-8").replace(old_digest, digest(target.read_bytes())),
+            encoding="utf-8",
+        )
+        with pytest.raises(DuplicateIdError, match=f"line 3: duplicate id '{lines[1]}'"):
+            load_dataset(tmp_path)
+
 
 class TestManifest:
     """``load_dataset`` checks every manifest line before it hashes any file."""

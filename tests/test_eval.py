@@ -6,9 +6,9 @@ from marginforge.evaluation import (
     evaluate_bidirectional,
     median_rank,
     metrics_csv_text,
-    rank_of_positive,
     recall_at_k,
 )
+from helpers import rank_of_positive
 from oracles import rank_by_stable_sort
 
 

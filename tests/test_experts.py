@@ -10,15 +10,15 @@ from marginforge.errors import (
 )
 from marginforge.experts import (
     StaticEmbeddingTable,
-    dse_text_distances,
-    dse_video_distances,
     load_frame_file,
     load_static_embeddings,
+    pairwise_distances,
     save_frame_file,
     save_static_embeddings,
     sse_text_distances,
     sse_video_distances,
 )
+from marginforge.mathcore import unit_rows
 
 ONE_MINUS_INV_SQRT2 = 1.0 - 1.0 / np.sqrt(2.0)  # 0.29289321881345254
 
@@ -36,30 +36,30 @@ def per_value_text(row) -> str:
 class TestDseDistances:
     def test_identical_reprs_all_zero(self):
         reprs = np.tile([1.0, 2.0, 3.0], (4, 1))
-        d = dse_text_distances(reprs)
+        d = pairwise_distances(unit_rows(reprs, "dse_text")[0], "dse_text")
         np.testing.assert_allclose(d.values, 0.0, atol=1e-12)
         assert d.expert_kind == "dse_text"
 
     def test_orthogonal_pair(self):
-        d = dse_text_distances([[1.0, 0.0], [0.0, 1.0]])
+        d = pairwise_distances(unit_rows([[1.0, 0.0], [0.0, 1.0]], "dse_text")[0], "dse_text")
         assert d.values[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value(self):
-        d = dse_text_distances([[1.0, 0.0], [1.0, 1.0]])
+        d = pairwise_distances(unit_rows([[1.0, 0.0], [1.0, 1.0]], "dse_text")[0], "dse_text")
         assert d.values[0, 1] == pytest.approx(ONE_MINUS_INV_SQRT2, abs=1e-12)
         assert d.values[0, 1] == pytest.approx(0.2928932, abs=1e-7)
 
     def test_video_mirror(self):
         reprs = [[1.0, 0.0], [1.0, 1.0]]
-        dv = dse_video_distances(reprs)
-        dt = dse_text_distances(reprs)
+        dv = pairwise_distances(unit_rows(reprs, "dse_video")[0], "dse_video")
+        dt = pairwise_distances(unit_rows(reprs, "dse_text")[0], "dse_text")
         np.testing.assert_array_equal(dv.values, dt.values)
         assert dv.expert_kind == "dse_video"
 
     def test_zero_norm_rejected(self):
         for bad_row in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]):
             with pytest.raises(ZeroNormError):
-                dse_video_distances([[1.0, 0.0], bad_row])
+                pairwise_distances(unit_rows([[1.0, 0.0], bad_row], "dse_video")[0], "dse_video")
 
 
 class TestSseVideoDistances:
@@ -84,7 +84,7 @@ class TestSseVideoDistances:
         rng = np.random.default_rng(30)
         vecs = rng.standard_normal((5, 4))
         d_pool = sse_video_distances([v[None, :] for v in vecs])
-        d_pair = dse_video_distances(vecs)
+        d_pair = pairwise_distances(unit_rows(vecs, "dse_video")[0], "dse_video")
         np.testing.assert_allclose(d_pool.values, d_pair.values, atol=1e-12)
 
 
@@ -119,7 +119,7 @@ class TestDistanceProperties:
         rng = np.random.default_rng(31)
         for _ in range(20):
             x = rng.standard_normal((int(rng.integers(2, 9)), 5))
-            d = dse_video_distances(x).values
+            d = pairwise_distances(unit_rows(x, "dse_video")[0], "dse_video").values
             np.testing.assert_array_equal(d, d.T)
             np.testing.assert_array_equal(np.diag(d), 0.0)
             assert d.min() >= -1e-12 and d.max() <= 2.0 + 1e-12
@@ -128,8 +128,8 @@ class TestDistanceProperties:
         rng = np.random.default_rng(32)
         x = rng.standard_normal((6, 4))
         scales = rng.uniform(0.1, 10.0, size=(6, 1))
-        d1 = dse_text_distances(x).values
-        d2 = dse_text_distances(x * scales).values
+        d1 = pairwise_distances(unit_rows(x, "dse_text")[0], "dse_text").values
+        d2 = pairwise_distances(unit_rows(x * scales, "dse_text")[0], "dse_text").values
         np.testing.assert_allclose(d1, d2, atol=1e-12)
 
 

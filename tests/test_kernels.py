@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from marginforge import kernels
-from marginforge.mathcore import cosine_similarity, finite_diff_grad
+from marginforge.mathcore import cosine_similarity, unit_rows
+from helpers import finite_diff_grad
 from oracles import brute_force_full_loss, loss_at_frozen_selection, mean_loss_all_negatives
 
 
 def random_instance(rng, b=5, dim=4, levels=3):
     V = rng.standard_normal((b, dim))
     T = rng.standard_normal((b, dim))
-    S = kernels.pairwise_cosine(V, T)
+    S = kernels.pairwise_cosine(unit_rows(V, "video")[0], unit_rows(T, "text")[0])
     M = np.concatenate(
         [np.full((1, b, b), 0.05), rng.uniform(-0.1, 0.2, size=(levels - 1, b, b))]
     )
@@ -24,7 +25,7 @@ class TestPairwiseCosine:
         rng = np.random.default_rng(10)
         X = rng.standard_normal((4, 6))
         Y = rng.standard_normal((5, 6))
-        S = kernels.pairwise_cosine(X, Y)
+        S = kernels.pairwise_cosine(unit_rows(X, "X")[0], unit_rows(Y, "Y")[0])
         assert S.shape == (4, 5)
         for i in range(4):
             for j in range(5):
@@ -139,16 +140,18 @@ class TestCosineBackward:
             X = rng.standard_normal((4, 3))
             Y = rng.standard_normal((4, 3))
             dS = rng.standard_normal((4, 4))
-            S = kernels.pairwise_cosine(X, Y)
-            dX, dY = kernels.cosine_backward(dS, X, Y, S)
+            U, xn = unit_rows(X, "X")
+            V, yn = unit_rows(Y, "Y")
+            S = kernels.pairwise_cosine(U, V)
+            dX, dY = kernels.cosine_backward(dS, U, V, xn, yn, S)
 
             def f_x(flat):
                 Xf = flat.reshape(X.shape)
-                return float(np.sum(dS * kernels.pairwise_cosine(Xf, Y)))
+                return float(np.sum(dS * kernels.pairwise_cosine(unit_rows(Xf, "X")[0], V)))
 
             def f_y(flat):
                 Yf = flat.reshape(Y.shape)
-                return float(np.sum(dS * kernels.pairwise_cosine(X, Yf)))
+                return float(np.sum(dS * kernels.pairwise_cosine(U, unit_rows(Yf, "Y")[0])))
 
             fd_x = finite_diff_grad(f_x, X.ravel(), h=1e-6).reshape(X.shape)
             fd_y = finite_diff_grad(f_y, Y.ravel(), h=1e-6).reshape(Y.shape)

@@ -6,10 +6,11 @@ import pytest
 from marginforge.errors import DimMismatchError, EmptyInputError, ZeroNormError
 from marginforge.mathcore import (
     cosine_similarity,
-    finite_diff_grad,
     mean_pool,
     normal_cdf,
+    unit_rows,
 )
+from helpers import finite_diff_grad
 
 
 class TestCosineSimilarity:
@@ -104,6 +105,34 @@ class TestNormalCdf:
         grid = np.linspace(-8.0, 8.0, 10_000)
         vals = np.array([normal_cdf(x) for x in grid])
         assert np.all(np.diff(vals) >= 0.0)
+
+
+class TestUnitRows:
+    def test_norms_and_unit_rows(self):
+        X = np.array([[3.0, 4.0], [-1.0, 0.0], [1e-3, 1e-3]])
+        U, norms = unit_rows(X, "video")
+        np.testing.assert_array_equal(norms, np.linalg.norm(X, axis=1))
+        assert norms[0] == 5.0 and norms[1] == 1.0
+        # the kernels' former expression, bit for bit
+        np.testing.assert_array_equal(U, X / np.linalg.norm(X, axis=1)[:, None])
+        np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-15)
+        assert U.dtype == np.float64 and U.flags.c_contiguous
+
+    def test_nested_list_coerced(self):
+        U, norms = unit_rows([[0.0, 2.0], [1, 0]], "text")
+        np.testing.assert_array_equal(U, [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(norms, [2.0, 1.0])
+
+    @pytest.mark.parametrize("bad_row", [[0.0, 0.0], [1e-13, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_first_bad_row_named(self, bad_row):
+        X = np.array([[1.0, 0.0], bad_row, bad_row])
+        with pytest.raises(ZeroNormError, match="^sse_text row 1 has non-finite or near-zero norm"):
+            unit_rows(X, "sse_text")
+
+    @pytest.mark.parametrize("shape", [(3,), (), (2, 2, 2)])
+    def test_not_a_stack(self, shape):
+        with pytest.raises(DimMismatchError):
+            unit_rows(np.ones(shape), "video")
 
 
 class TestFiniteDiff:

@@ -7,14 +7,14 @@ from marginforge.errors import (
     ZeroNormError,
 )
 from marginforge.margin import MarginMatrix
-from marginforge.mathcore import finite_diff_grad
-from marginforge.model import ModelDims, flatten_grads, forward_batch, init_params, set_flat_params, flatten_params
+from marginforge.model import ModelDims, forward_batch, init_params
 from marginforge.objective import (
     full_loss,
     full_loss_grad,
     hard_triplet_loss,
     similarity_matrix,
 )
+from helpers import finite_diff_grad, flatten_grads, flatten_params, set_flat_params
 from oracles import brute_force_full_loss, brute_force_similarity, loss_at_frozen_selection
 
 

@@ -7,10 +7,10 @@ import pytest
 
 from marginforge.data import SynthConfig, generate
 from marginforge import trainer
-from marginforge.errors import ConfigError, NonFiniteError, ShapeMismatchError
-from marginforge.experts import dse_text_distances, dse_video_distances
+from marginforge.errors import ConfigError, NonFiniteError, ShapeMismatchError, ZeroNormError
+from marginforge.experts import pairwise_distances
 from marginforge.margin import RescaleConfig, rescale_margins
-from marginforge.model import ModelDims, flatten_params, forward_batch, init_params
+from marginforge.model import ModelDims, forward_batch, init_params
 from marginforge.seeding import named_rng
 from marginforge.trainer import (
     AdamState,
@@ -22,6 +22,7 @@ from marginforge.trainer import (
     run_training,
     train_epoch,
 )
+from helpers import flatten_params
 
 
 class TestLambdaSchedule:
@@ -255,6 +256,28 @@ class TestTrainEpoch:
             np.testing.assert_array_equal(opt.m[name], snapshot["m"][name])
             np.testing.assert_array_equal(opt.v[name], snapshot["v"][name])
 
+    def test_norms_taken_once_per_tower_per_step(self, monkeypatch):
+        # two per step (forward_batch's two towers) and two per epoch (the
+        # train-split SSE tables); nothing else in the step takes a norm
+        ds = small_dataset()
+        cfg = TrainConfig(batch_size=8, seed=9)
+        model = small_model(ds, seed=cfg.seed)
+        n_train = len(ds.train_ids)
+        n_batches = sum(
+            1 for start in range(0, n_train, cfg.batch_size) if n_train - start >= 2
+        )
+        real = np.linalg.norm
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        train_epoch(model, ds, cfg, 2, new_adam_state(model))
+        assert n_batches >= 2
+        assert len(calls) == 2 * n_batches + 2
+
     def test_batch_size_larger_than_train_rejected(self):
         ds = small_dataset()
         cfg = TrainConfig(batch_size=10_000)
@@ -273,6 +296,15 @@ class TestRunTraining:
         assert (tmp_path / "report.jsonl").read_text() == ""
         fresh = small_model(ds, seed=cfg.seed)
         np.testing.assert_array_equal(flatten_params(ckpt.model), flatten_params(fresh))
+
+    @pytest.mark.parametrize("table", ["sse_video", "sse_text"])
+    def test_zero_norm_sse_row_names_epoch_and_table(self, tmp_path, table):
+        ds = small_dataset()
+        emb = getattr(ds, table)
+        emb.embeddings[emb.row(ds.train_ids[3])] = 0.0
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=7)
+        with pytest.raises(ZeroNormError, match=f"^epoch 1: {table} row 3 has"):
+            run_training(ds, cfg, 0, 8, tmp_path)
 
     def test_report_record_count_equals_epochs(self, tmp_path):
         ds = small_dataset()
@@ -361,7 +393,7 @@ class TestDseMarginsFromLiveEncoders:
         rows = ds.rows(ds.train_ids)[:8]
         state = forward_batch(model, ds.pooled_video()[rows], ds.text[rows])
         cfg = RescaleConfig(mu=0.05, beta=0.04)
-        mv = rescale_margins(dse_video_distances(state.video_reprs), cfg)
-        mt = rescale_margins(dse_text_distances(state.text_reprs), cfg)
+        mv = rescale_margins(pairwise_distances(state.video_units, "dse_video"), cfg)
+        mt = rescale_margins(pairwise_distances(state.text_units, "dse_text"), cfg)
         assert mv.values.shape == (8, 8) and mt.values.shape == (8, 8)
         assert not np.allclose(mv.values, mt.values)
