@@ -268,14 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p)
     p.add_argument("--data", help="dataset directory")
-    p.add_argument("--ckpt", required=True, help="CKPT1 model checkpoint path")
+    p.add_argument("--ckpt", required=True, help="CKPT2 model checkpoint path")
     p.add_argument("--split", choices=("val", "train"), default="val")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("inspect-margins", help="dump per-pair distances and margins for one batch")
     common(p)
     p.add_argument("--data", help="dataset directory")
-    p.add_argument("--ckpt", required=True, help="CKPT1 model checkpoint path")
+    p.add_argument("--ckpt", required=True, help="CKPT2 model checkpoint path")
     p.add_argument("--batch", type=int, default=0, help="batch index in epoch-1 order")
     p.add_argument("--expert", choices=("all",) + EXPERT_KINDS, default="all")
     p.set_defaults(func=cmd_inspect_margins)

@@ -19,7 +19,7 @@ from .errors import (
     UnknownIdError,
     ZeroNormError,
 )
-from .mathcore import ZERO_NORM_EPS, mean_pool, unit_rows
+from .mathcore import ZERO_NORM_EPS
 
 EXPERT_KINDS = ("dse_text", "dse_video", "sse_text", "sse_video")
 
@@ -78,22 +78,6 @@ def pairwise_distances(U: np.ndarray, expert_kind: str) -> DistanceMatrix:
     return DistanceMatrix(D, expert_kind)
 
 
-def sse_video_distances(frames_per_item) -> DistanceMatrix:
-    """Mean-pool each item's frame matrix, then pairwise distances."""
-    pooled = [mean_pool(frames) for frames in frames_per_item]
-    if len(pooled) < 2:
-        raise EmptyInputError("need at least two items for pairwise distances")
-    dims = {p.shape[0] for p in pooled}
-    if len(dims) != 1:
-        raise DimMismatchError(f"frame feature dims differ across items: {sorted(dims)}")
-    return pairwise_distances(unit_rows(np.stack(pooled), "sse_video")[0], "sse_video")
-
-
-def sse_text_distances(table: StaticEmbeddingTable, batch_ids) -> DistanceMatrix:
-    """Distances between frozen text embeddings for the given batch ids."""
-    return pairwise_distances(unit_rows(table.lookup(batch_ids), "sse_text")[0], "sse_text")
-
-
 # ---------------------------------------------------------------------------
 # EMB1 / FRM1 text formats (line rules: ``read_records``)
 # ---------------------------------------------------------------------------
@@ -101,7 +85,7 @@ def sse_text_distances(table: StaticEmbeddingTable, batch_ids) -> DistanceMatrix
 def read_records(path, tag: str, n_counts: int):
     """Header counts and a record stream for every line format of the package.
 
-    The one rule shared by FRM1, EMB1, LBL1, SPLIT1, MANIFEST2 and CKPT1:
+    The one rule shared by FRM1, EMB1, LBL1, SPLIT1, MANIFEST2 and CKPT2:
 
     - blank lines, and lines whose first token starts with ``#``, are skipped
       everywhere, before the header as well as between records;
@@ -153,7 +137,7 @@ def row_format(dim: int, prefix: str = "") -> str:
 
 
 def parse_floats(tokens, lineno) -> np.ndarray:
-    """Finite float64 row from text tokens; shared by the EMB1, FRM1 and CKPT1 loaders."""
+    """Finite float64 row from text tokens; shared by the EMB1, FRM1 and CKPT2 loaders."""
     try:
         vals = np.array([float(t) for t in tokens])
     except ValueError as exc:

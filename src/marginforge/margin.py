@@ -17,6 +17,8 @@ from .errors import EmptyInputError, NonSquareError
 from .mathcore import normal_cdf
 
 CONFIDENCE = 0.90
+# off-diagonal variances at or below this count as a constant batch
+VAR_FLOOR = 1e-12
 _BISECT_TOL = 1e-10
 _BISECT_MAX_ITERS = 200
 
@@ -27,13 +29,10 @@ class RescaleConfig:
 
     mu: float
     beta: float
-    var_floor: float = 1e-12
 
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        if self.var_floor <= 0:
-            raise ValueError(f"var_floor must be positive, got {self.var_floor}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def rescale_margins(d, cfg: RescaleConfig) -> MarginMatrix:
     vals = matrix_values(d)
     mean, var = batch_stats(vals)
     target = beta_to_variance(cfg.beta)
-    if var > cfg.var_floor:
+    if var > VAR_FLOOR:
         scale = math.sqrt(target / var)
         out = vals - mean
         out *= scale

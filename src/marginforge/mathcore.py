@@ -1,15 +1,15 @@
 """Scalar and small-vector numeric primitives.
 
-Cosine similarity, row normalisation, mean pooling and the standard normal
-CDF. Everything here is float64, pure, and thread-safe; batched equivalents
-of the hot paths live in :mod:`marginforge.kernels`.
+Cosine similarity, row normalisation and the standard normal CDF.
+Everything here is float64, pure, and thread-safe; batched equivalents of the
+hot paths live in :mod:`marginforge.kernels`.
 """
 
 import math
 
 import numpy as np
 
-from .errors import DimMismatchError, EmptyInputError, ZeroNormError
+from .errors import DimMismatchError, ZeroNormError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -24,16 +24,6 @@ def as_vector(values) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector contains NaN or Inf")
     return v
-
-
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a finite 2-D float64 array."""
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains NaN or Inf")
-    return m
 
 
 def cosine_similarity(a, b) -> float:
@@ -67,14 +57,6 @@ def unit_rows(X, what: str) -> tuple[np.ndarray, np.ndarray]:
         bad = int(np.argmin(ok))
         raise ZeroNormError(f"{what} row {bad} has non-finite or near-zero norm {norms[bad]:.3e}")
     return X / norms[:, None], norms
-
-
-def mean_pool(frames) -> np.ndarray:
-    """Per-column mean of a (rows x dim) matrix of frame features."""
-    m = as_matrix(frames)
-    if m.shape[0] < 1:
-        raise EmptyInputError("mean_pool needs at least one row")
-    return m.mean(axis=0)
 
 
 def normal_cdf(x: float) -> float:

@@ -9,7 +9,7 @@ those unit rows and norms.
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -160,51 +160,106 @@ def backward(model: TwoTowerModel, state: ForwardState, grad_video_reprs, grad_t
 
 
 # ---------------------------------------------------------------------------
-# CKPT1 checkpoint format
+# CKPT2 checkpoint format
 # ---------------------------------------------------------------------------
 #
-# Header ``CKPT1`` (no counts), then the record ``dims <video_in> <text_in>
-# <hidden> <joint>``, then one record per parameter row, in param_items()
-# order: every weight matrix contributes one record per input row, every bias
-# one record. Blank and comment lines follow ``experts.read_records``. Values
-# are written with 18 significant digits, so a load reproduces them exactly.
+#   CKPT2
+#   dims <video_in> <text_in> <hidden> <joint>
+#   <one record per parameter row, param_items() order>   # every checkpoint
+#   adam <epoch> <seed> <t> [<config_hash>]               # trainer checkpoints only
+#   <m rows, same order>
+#   <v rows, same order>
+#
+# A weight matrix gives one record per input row, a bias one record. A
+# model-only file ends after the parameter rows; an empty ``config_hash`` is
+# no token. Line rules: ``experts.read_records``. Every float goes out through
+# ``experts.row_format`` and back through ``parse_floats``, bit-exact. A
+# CKPT1 header is rejected with a hint to retrain.
+
+CKPT_TAG = "CKPT2"
+
+
+@dataclass
+class AdamState:
+    t: int = 0
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+@dataclass
+class Checkpoint:
+    """The contents of one CKPT2 file; ``opt_state`` is None for a model-only file."""
+
+    model: TwoTowerModel
+    opt_state: AdamState | None = None
+    epoch: int = 0
+    seed: int = 0
+    config_hash: str = ""
 
 
 @contextmanager
 def replace_on_success(path):
     """Yield a temp path beside ``path``; move it over ``path`` once the block succeeds.
 
-    If the block raises, the temp file is removed and ``path`` keeps its old
-    content, so a reader never sees a half-written file.
+    If the block or the move raises, the temp file is removed and ``path``
+    keeps its old content, so a reader never sees a half-written file.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         yield tmp
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
-def save_checkpoint(model: TwoTowerModel, path) -> None:
-    """Write CKPT1 text; an interrupted write leaves any old file at ``path`` intact."""
-    d = model.dims
+def _write_rows(fh, arrays) -> None:
+    for arr in arrays:
+        rows = arr if arr.ndim == 2 else arr[None, :]
+        fh.write((row_format(rows.shape[1]) * rows.shape[0]) % tuple(rows.ravel().tolist()))
+
+
+def write_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` as one CKPT2 file, swapped in by a single ``os.replace``.
+
+    An interrupted write leaves any old file at ``path`` intact.
+    """
+    if any(c.isspace() for c in ckpt.config_hash):
+        raise ValueError(f"config_hash {ckpt.config_hash!r} must not contain whitespace")
+    items = ckpt.model.param_items()
+    d = ckpt.model.dims
     with replace_on_success(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("CKPT1\n")
-        fh.write(f"dims {d.video_in} {d.text_in} {d.hidden} {d.joint}\n")
-        for _, arr in model.param_items():
-            rows = arr if arr.ndim == 2 else arr[None, :]
-            fmt = row_format(rows.shape[1])
-            for row in rows:
-                fh.write(fmt % tuple(row.tolist()))
+        fh.write(f"{CKPT_TAG}\ndims {d.video_in} {d.text_in} {d.hidden} {d.joint}\n")
+        _write_rows(fh, [arr for _, arr in items])
+        adam = ckpt.opt_state
+        if adam is not None:
+            fh.write(f"adam {ckpt.epoch} {ckpt.seed} {adam.t} {ckpt.config_hash}".rstrip() + "\n")
+            _write_rows(fh, [moments[name] for moments in (adam.m, adam.v) for name, _ in items])
 
 
-def load_checkpoint(path) -> TwoTowerModel:
-    _, records = read_records(path, "CKPT1", 0)
-    lineno, parts = next(records, (None, None))
-    if parts is None:
-        raise ParseError(f"{path}: no dims line after the CKPT1 header")
+def _read_rows(path, records, items, lineno: int) -> int:
+    """Fill each ``(name, array)`` of ``items`` row by row; return the last line read."""
+    for name, arr in items:
+        rows = arr if arr.ndim == 2 else arr[None, :]
+        for r in range(rows.shape[0]):
+            lineno, vals = next(records, (lineno, None))
+            if vals is None:
+                raise ParseError(f"{path}: file ends after this line, inside {name}", lineno)
+            if len(vals) != rows.shape[1]:
+                raise ParseError(f"{name}: {len(vals)} values, expected {rows.shape[1]}", lineno)
+            rows[r] = parse_floats(vals, lineno)
+    return lineno
+
+
+def read_checkpoint(path) -> Checkpoint:
+    """Parse a CKPT2 file, the ``adam`` section included when there is one."""
+    try:
+        _, records = read_records(path, CKPT_TAG, 0)
+    except ParseError as exc:
+        hint = "CKPT1 checkpoints are no longer read, retrain to write a CKPT2 file"
+        raise ParseError(f"{path}: expected a {CKPT_TAG} header; {hint}", exc.line) from None
+    lineno, parts = next(records, (None, []))
     if len(parts) != 5 or parts[0] != "dims":
         raise ParseError(f"{path}: expected 'dims <v> <t> <h> <j>'", lineno)
     counts = [parse_count(p, lineno) for p in parts[1:]]
@@ -214,17 +269,28 @@ def load_checkpoint(path) -> TwoTowerModel:
         raise ParseError(f"{path}: bad dims line: {exc}", lineno) from None
 
     model = init_params(dims, seed=0)
-    for name, arr in model.param_items():
-        rows = arr if arr.ndim == 2 else arr[None, :]
-        for r in range(rows.shape[0]):
-            lineno, vals = next(records, (None, None))
-            if vals is None:
-                raise ParseError(f"{path}: truncated while reading {name}")
-            if len(vals) != rows.shape[1]:
-                raise ParseError(
-                    f"{name}: expected {rows.shape[1]} values, got {len(vals)}", lineno
-                )
-            rows[r] = parse_floats(vals, lineno)
+    items = model.param_items()
+    lineno = _read_rows(path, records, items, lineno)
+    lineno, parts = next(records, (lineno, None))
+    if parts is None:
+        return Checkpoint(model)
+    if parts[0] != "adam" or len(parts) not in (4, 5):
+        raise ParseError(f"{path}: expected 'adam <epoch> <seed> <t> [<config_hash>]'", lineno)
+    epoch, seed, t = (parse_count(p, lineno) for p in parts[1:4])
+    adam = AdamState(t)
+    for key, moments in (("m", adam.m), ("v", adam.v)):
+        moments.update((name, np.empty_like(arr)) for name, arr in items)
+        lineno = _read_rows(path, records, [(f"{key} {n}", a) for n, a in moments.items()], lineno)
     for lineno, _ in records:
-        raise ParseError(f"{path}: trailing content after parameters", lineno)
-    return model
+        raise ParseError(f"{path}: trailing content after the adam section", lineno)
+    return Checkpoint(model, adam, epoch, seed, parts[4] if len(parts) == 5 else "")
+
+
+def save_checkpoint(model: TwoTowerModel, path) -> None:
+    """Write a model-only CKPT2 file."""
+    write_checkpoint(Checkpoint(model), path)
+
+
+def load_checkpoint(path) -> TwoTowerModel:
+    """The model of any CKPT2 file; an ``adam`` section is still checked in full."""
+    return read_checkpoint(path).model

@@ -7,25 +7,26 @@ exponential interpolation between the two anchor values, then exactly 1.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from .data import Dataset
-from .errors import ConfigError, MarginForgeError, NonFiniteError, ShapeMismatchError
+from .errors import ConfigError, MarginForgeError, NonFiniteError, ParseError, ShapeMismatchError
 from .evaluation import DEFAULT_KS, evaluate_bidirectional
 from .experts import EXPERT_KINDS, pairwise_distances
 from .margin import RescaleConfig, rescale_margins
 from .model import (
+    AdamState,
+    Checkpoint,
     ModelDims,
     TwoTowerModel,
     forward_batch,
     init_params,
-    load_checkpoint,
-    replace_on_success,
-    save_checkpoint,
+    read_checkpoint,
+    write_checkpoint,
 )
 from .mathcore import unit_rows
 from .objective import MINING_CRITERIA, LossBreakdown, full_loss_grad
@@ -80,22 +81,6 @@ class TrainConfig:
             raise ConfigError(
                 f"mining_criterion must be one of {MINING_CRITERIA}, got {self.mining_criterion!r}"
             )
-
-
-@dataclass
-class AdamState:
-    t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
-class Checkpoint:
-    model: TwoTowerModel
-    opt_state: AdamState
-    epoch: int
-    seed: int
-    config_hash: str
 
 
 def lambda_schedule(epoch: int, cfg: TrainConfig) -> float:
@@ -237,39 +222,20 @@ def evaluate_split(model: TwoTowerModel, dataset: Dataset, ids, ks=DEFAULT_KS):
 
 
 def save_trainer_checkpoint(ckpt: Checkpoint, prefix) -> None:
-    """Model goes to ``<prefix>.ckpt``; optimizer and metadata to JSON.
+    """Model, Adam state and run identity go to the one CKPT2 file ``<prefix>.ckpt``.
 
-    Both files are written to temp files first and replace the old pair only
-    once both are complete, so a failed write leaves the previous pair intact.
+    The file is written to a temp file and swapped in by a single
+    ``os.replace``, so a failed write leaves the previous checkpoint whole.
     """
-    prefix = Path(prefix)
-    payload = {
-        "epoch": ckpt.epoch,
-        "seed": ckpt.seed,
-        "config_hash": ckpt.config_hash,
-        "adam": {
-            "t": ckpt.opt_state.t,
-            "m": {k: v.tolist() for k, v in ckpt.opt_state.m.items()},
-            "v": {k: v.tolist() for k, v in ckpt.opt_state.v.items()},
-        },
-    }
-    with (
-        replace_on_success(prefix.with_suffix(".ckpt")) as ckpt_tmp,
-        replace_on_success(prefix.with_suffix(".state.json")) as state_tmp,
-    ):
-        save_checkpoint(ckpt.model, ckpt_tmp)
-        state_tmp.write_text(json.dumps(payload), encoding="utf-8")
+    write_checkpoint(ckpt, Path(prefix).with_suffix(".ckpt"))
 
 
 def load_trainer_checkpoint(prefix) -> Checkpoint:
-    prefix = Path(prefix)
-    model = load_checkpoint(prefix.with_suffix(".ckpt"))
-    payload = json.loads(prefix.with_suffix(".state.json").read_text(encoding="utf-8"))
-    state = AdamState(t=payload["adam"]["t"])
-    for name, arr in model.param_items():
-        state.m[name] = np.array(payload["adam"]["m"][name], dtype=np.float64).reshape(arr.shape)
-        state.v[name] = np.array(payload["adam"]["v"][name], dtype=np.float64).reshape(arr.shape)
-    return Checkpoint(model, state, payload["epoch"], payload["seed"], payload["config_hash"])
+    path = Path(prefix).with_suffix(".ckpt")
+    ckpt = read_checkpoint(path)
+    if ckpt.opt_state is None:
+        raise ParseError(f"{path}: no adam section, so it cannot restore a trainer")
+    return ckpt
 
 
 REPORT_FIELDS = (
@@ -303,9 +269,10 @@ def run_training(
     """Warm-up plus main epochs with per-epoch validation metrics.
 
     Writes ``report.jsonl`` (one record per epoch, fixed field order), a
-    ``checkpoint_latest`` pair refreshed every epoch, and a
-    ``checkpoint_final`` pair at the end. Identical (dataset, config, seed)
-    runs produce byte-identical outputs.
+    CKPT2 trainer checkpoint ``checkpoint_latest.ckpt`` refreshed every
+    epoch, and ``checkpoint_final.ckpt`` at the end; each checkpoint is one
+    file holding the model and the Adam state. Identical (dataset, config,
+    seed) runs produce byte-identical outputs.
     """
     cfg.validate(len(dataset.train_ids))
     out = Path(out_dir)

@@ -14,7 +14,8 @@ from marginforge.data import (
     write_dataset,
 )
 from marginforge.errors import ChecksumError, ConfigError, DuplicateIdError, ParseError
-from marginforge.experts import sse_video_distances
+from marginforge.experts import pairwise_distances
+from marginforge.mathcore import unit_rows
 
 
 def dir_digest(path):
@@ -75,7 +76,7 @@ class TestGenerate:
             n_items=12, n_concepts=8, duplicate_rate=0.5, noise_video=0.0, noise_text=0.0, seed=4
         )
         ds = generate(cfg)
-        d = sse_video_distances(list(ds.frames)).values
+        d = pairwise_distances(unit_rows(ds.pooled_video(), "sse_video")[0], "sse_video").values
         same = ds.concepts[:, None] == ds.concepts[None, :]
         off = ~np.eye(len(ds), dtype=bool)
         assert np.max(np.abs(d[same & off])) < 1e-12

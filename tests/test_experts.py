@@ -15,8 +15,6 @@ from marginforge.experts import (
     pairwise_distances,
     save_frame_file,
     save_static_embeddings,
-    sse_text_distances,
-    sse_video_distances,
 )
 from marginforge.mathcore import unit_rows
 
@@ -63,55 +61,57 @@ class TestDseDistances:
 
 
 class TestSseVideoDistances:
+    """The sse_video path: frames mean-pooled as ``Dataset.pooled_video`` does, then distances."""
+
+    def distances(self, frames):
+        pooled = np.stack(frames).mean(axis=1)
+        return pairwise_distances(unit_rows(pooled, "sse_video")[0], "sse_video")
+
     def test_identical_frames_zero(self):
         frames = [np.tile([1.0, 2.0], (3, 1))] * 3
-        d = sse_video_distances(frames)
+        d = self.distances(frames)
         np.testing.assert_allclose(d.values, 0.0, atol=1e-12)
 
     def test_orthogonal_pooled(self):
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
         b = np.array([[0.0, 1.0], [0.0, 1.0]])
-        d = sse_video_distances([a, b])
+        d = self.distances([a, b])
         assert d.values[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_pooled_hand_value(self):
         a = np.array([[2.0, 0.0], [0.0, 2.0]])  # pools to [1, 1]
-        b = np.array([[1.0, 0.0]])
-        d = sse_video_distances([a, b])
+        b = np.array([[1.0, 0.0], [1.0, 0.0]])
+        d = self.distances([a, b])
         assert d.values[0, 1] == pytest.approx(ONE_MINUS_INV_SQRT2, abs=1e-12)
 
     def test_single_frame_items_match_pairwise(self):
         rng = np.random.default_rng(30)
         vecs = rng.standard_normal((5, 4))
-        d_pool = sse_video_distances([v[None, :] for v in vecs])
+        d_pool = self.distances([v[None, :] for v in vecs])
         d_pair = pairwise_distances(unit_rows(vecs, "dse_video")[0], "dse_video")
         np.testing.assert_allclose(d_pool.values, d_pair.values, atol=1e-12)
 
 
 class TestSseTextDistances:
+    """The sse_text path: ``StaticEmbeddingTable.lookup`` rows, then distances."""
+
     def table(self, vecs, ids=None):
         ids = ids or [f"id{i}" for i in range(len(vecs))]
         return StaticEmbeddingTable(ids, np.asarray(vecs, dtype=float), "test")
 
     def test_equal_vectors_zero(self):
         t = self.table([[1.0, 2.0], [1.0, 2.0]])
-        d = sse_text_distances(t, ["id0", "id1"])
+        d = pairwise_distances(unit_rows(t.lookup(["id0", "id1"]), "sse_text")[0], "sse_text")
         assert d.values[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_missing_id(self):
         t = self.table([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(UnknownIdError, match="nope"):
-            sse_text_distances(t, ["id0", "nope"])
-
-    def test_hand_value(self):
-        t = self.table([[1.0, 0.0], [1.0, 1.0]])
-        d = sse_text_distances(t, ["id0", "id1"])
-        assert d.values[0, 1] == pytest.approx(ONE_MINUS_INV_SQRT2, abs=1e-12)
+            t.lookup(["id0", "nope"])
 
     def test_respects_batch_order(self):
         t = self.table([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        d = sse_text_distances(t, ["id2", "id0"])
-        assert d.values[0, 1] == pytest.approx(ONE_MINUS_INV_SQRT2, abs=1e-12)
+        np.testing.assert_array_equal(t.lookup(["id2", "id0"]), [[1.0, 1.0], [1.0, 0.0]])
 
 
 class TestDistanceProperties:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from marginforge.margin import (
+    VAR_FLOOR,
     MarginMatrix,
     RescaleConfig,
     batch_stats,
@@ -99,7 +100,7 @@ class TestRescaleMargins:
         vals = np.full((b, b), 1.0 / 3.0)
         np.fill_diagonal(vals, diag)
         cfg = RescaleConfig(mu=0.05, beta=0.04)
-        assert batch_stats(vals)[1] <= cfg.var_floor
+        assert batch_stats(vals)[1] <= VAR_FLOOR
         m = rescale_margins(vals, cfg)
         assert np.all(m.values == cfg.mu)
 
@@ -208,10 +209,6 @@ class TestRescaleConfig:
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
             RescaleConfig(mu=0.05, beta=-0.01)
-
-    def test_rejects_nonpositive_floor(self):
-        with pytest.raises(ValueError):
-            RescaleConfig(mu=0.05, beta=0.04, var_floor=0.0)
 
     def test_margin_matrix_records_config(self):
         d = random_distance_matrix(np.random.default_rng(27), 4)

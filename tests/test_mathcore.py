@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from marginforge.errors import DimMismatchError, EmptyInputError, ZeroNormError
+from marginforge.errors import DimMismatchError, ZeroNormError
 from marginforge.mathcore import (
     cosine_similarity,
-    mean_pool,
     normal_cdf,
     unit_rows,
 )
@@ -49,29 +48,6 @@ class TestCosineSimilarity:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-class TestMeanPool:
-    def test_two_rows(self):
-        np.testing.assert_array_equal(mean_pool([[1.0, 3.0], [3.0, 1.0]]), [2.0, 2.0])
-
-    def test_single_row_identity(self):
-        np.testing.assert_array_equal(mean_pool([[5.0, 7.0]]), [5.0, 7.0])
-
-    def test_three_rows(self):
-        np.testing.assert_array_equal(
-            mean_pool([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), [1.0, 1.0]
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises((EmptyInputError, DimMismatchError)):
-            mean_pool(np.empty((0, 3)))
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(5)
-        frames = rng.standard_normal((6, 4))
-        shuffled = frames[rng.permutation(6)]
-        np.testing.assert_allclose(mean_pool(frames), mean_pool(shuffled), atol=1e-15)
 
 
 class TestNormalCdf:

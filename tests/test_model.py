@@ -3,6 +3,8 @@ import pytest
 
 from marginforge.errors import DimMismatchError, ParseError, ShapeMismatchError
 from marginforge.model import (
+    AdamState,
+    Checkpoint,
     ModelDims,
     Tower,
     TwoTowerModel,
@@ -10,7 +12,10 @@ from marginforge.model import (
     forward_batch,
     init_params,
     load_checkpoint,
+    read_checkpoint,
+    replace_on_success,
     save_checkpoint,
+    write_checkpoint,
 )
 from helpers import finite_diff_grad, flatten_grads, flatten_params, set_flat_params
 
@@ -200,6 +205,107 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match="line 4"):
             load_checkpoint(path)
+
+
+def trainer_file(tmp_path, config_hash="abc"):
+    """A CKPT2 file with an adam section: lines 3-11 hold the 9 parameter rows,
+    line 12 the adam line, 13-21 the m rows and 22-30 the v rows."""
+    model = init_params(ModelDims(4, 3, 0, 6), 17)
+    m = {name: arr / 3.0 for name, arr in model.param_items()}
+    v = {name: arr * arr for name, arr in model.param_items()}
+    path = tmp_path / "trainer.ckpt"
+    write_checkpoint(Checkpoint(model, AdamState(5, m, v), 4, 17, config_hash), path)
+    return path
+
+
+def rewrite(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+
+
+class TestCkpt2AdamSection:
+    @pytest.mark.parametrize("config_hash", ["abc", ""])
+    def test_round_trip_exact(self, tmp_path, config_hash):
+        path = trainer_file(tmp_path, config_hash)
+        adam_line = path.read_text(encoding="utf-8").splitlines()[11]
+        assert adam_line == f"adam 4 17 5 {config_hash}".rstrip()
+        ckpt = read_checkpoint(path)
+        assert (ckpt.epoch, ckpt.seed, ckpt.opt_state.t, ckpt.config_hash) == (
+            4,
+            17,
+            5,
+            config_hash,
+        )
+        for name, arr in ckpt.model.param_items():
+            np.testing.assert_array_equal(ckpt.opt_state.m[name], arr / 3.0)
+            np.testing.assert_array_equal(ckpt.opt_state.v[name], arr * arr)
+
+    def test_model_rows_are_a_model_only_file(self, tmp_path):
+        path = trainer_file(tmp_path)
+        save_checkpoint(read_checkpoint(path).model, tmp_path / "model.ckpt")
+        model_only = (tmp_path / "model.ckpt").read_text(encoding="utf-8")
+        assert path.read_text(encoding="utf-8").startswith(model_only)
+        assert read_checkpoint(tmp_path / "model.ckpt").opt_state is None
+
+    def test_ckpt1_rejected_with_hint(self, tmp_path):
+        path = trainer_file(tmp_path)
+        rewrite(path, lambda lines: ["CKPT1", *lines[1:]])
+        with pytest.raises(ParseError, match="CKPT2.*retrain") as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.line == 1
+
+    @pytest.mark.parametrize("keep", [12, 17, 29])
+    def test_truncated_moments(self, tmp_path, keep):
+        # the file ends right after the adam line, inside m, and inside v
+        path = trainer_file(tmp_path)
+        rewrite(path, lambda lines: lines[:keep])
+        with pytest.raises(ParseError, match="file ends") as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.line == keep
+
+    @pytest.mark.parametrize("row, name", [(13, "m video.w1"), (27, "v text.w1")])
+    def test_wrong_width_moment_row(self, tmp_path, row, name):
+        path = trainer_file(tmp_path)
+        rewrite(path, lambda lines: [*lines[: row - 1], lines[row - 1] + " 1.0", *lines[row:]])
+        with pytest.raises(ParseError, match=f"{name}: 7 values, expected 6") as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.line == row
+
+    def test_trailing_content(self, tmp_path):
+        path = trainer_file(tmp_path)
+        rewrite(path, lambda lines: [*lines, "", "# end", "0.0"])
+        with pytest.raises(ParseError, match="trailing content") as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.line == 33
+
+    @pytest.mark.parametrize(
+        "adam_line", ["adam 4 17", "adam 4 17 5 h x", "adma 4 17 5", "adam 4 -1 5"]
+    )
+    def test_bad_adam_line(self, tmp_path, adam_line):
+        path = trainer_file(tmp_path)
+        rewrite(path, lambda lines: [*lines[:11], adam_line, *lines[12:]])
+        with pytest.raises(ParseError) as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.line == 12
+
+    def test_config_hash_with_whitespace_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="whitespace"):
+            trainer_file(tmp_path, "a b")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_replace_leaves_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "file.txt"
+        path.write_text("old", encoding="utf-8")
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr("marginforge.model.os.replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            with replace_on_success(path) as tmp:
+                tmp.write_text("new", encoding="utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+        assert path.read_text(encoding="utf-8") == "old"
 
 
 class TestFlatten:

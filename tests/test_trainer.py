@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +8,16 @@ import pytest
 
 from marginforge.data import SynthConfig, generate
 from marginforge import trainer
-from marginforge.errors import ConfigError, NonFiniteError, ShapeMismatchError, ZeroNormError
+from marginforge.errors import (
+    ConfigError,
+    NonFiniteError,
+    ParseError,
+    ShapeMismatchError,
+    ZeroNormError,
+)
 from marginforge.experts import pairwise_distances
 from marginforge.margin import RescaleConfig, rescale_margins
-from marginforge.model import ModelDims, forward_batch, init_params
+from marginforge.model import ModelDims, forward_batch, init_params, save_checkpoint
 from marginforge.seeding import named_rng
 from marginforge.trainer import (
     AdamState,
@@ -130,6 +137,21 @@ def small_dataset(seed=21, n=24, rho=0.5):
 def small_model(ds, seed=1, hidden=0, joint=8):
     dims = ModelDims(ds.frames.shape[2], ds.text.shape[1], hidden, joint)
     return init_params(dims, seed)
+
+
+def assert_same_checkpoint(loaded, expected):
+    """Model, run identity and both Adam moments equal, bit for bit."""
+    assert (loaded.epoch, loaded.seed, loaded.config_hash) == (
+        expected.epoch,
+        expected.seed,
+        expected.config_hash,
+    )
+    np.testing.assert_array_equal(flatten_params(loaded.model), flatten_params(expected.model))
+    assert loaded.opt_state.t == expected.opt_state.t
+    assert list(loaded.opt_state.m) == list(expected.opt_state.m)
+    for name in expected.opt_state.m:
+        np.testing.assert_array_equal(loaded.opt_state.m[name], expected.opt_state.m[name])
+        np.testing.assert_array_equal(loaded.opt_state.v[name], expected.opt_state.v[name])
 
 
 class TestTrainEpoch:
@@ -320,15 +342,57 @@ class TestRunTraining:
     def test_checkpoint_round_trip(self, tmp_path):
         ds = small_dataset()
         cfg = TrainConfig(epochs=2, batch_size=8, seed=9)
-        ckpt, _ = run_training(ds, cfg, 0, 8, tmp_path, config_hash="abc123")
-        loaded = load_trainer_checkpoint(tmp_path / "checkpoint_final")
-        assert loaded.epoch == 2 and loaded.seed == 9 and loaded.config_hash == "abc123"
-        np.testing.assert_array_equal(
-            flatten_params(loaded.model), flatten_params(ckpt.model)
-        )
-        assert loaded.opt_state.t == ckpt.opt_state.t
-        for name in ckpt.opt_state.m:
-            np.testing.assert_array_equal(loaded.opt_state.m[name], ckpt.opt_state.m[name])
+        for config_hash in ("abc123", ""):  # "" is run_training's default
+            out = tmp_path / f"hash_{config_hash}"
+            ckpt, _ = run_training(ds, cfg, 0, 8, out, config_hash=config_hash)
+            loaded = load_trainer_checkpoint(out / "checkpoint_final")
+            assert loaded.epoch == 2 and loaded.seed == 9 and loaded.config_hash == config_hash
+            assert_same_checkpoint(loaded, ckpt)
+
+    def test_model_only_file_is_not_a_trainer_checkpoint(self, tmp_path):
+        save_checkpoint(small_model(small_dataset()), tmp_path / "model.ckpt")
+        with pytest.raises(ParseError, match="no adam section"):
+            load_trainer_checkpoint(tmp_path / "model")
+
+    def test_one_replace_per_save(self, tmp_path, monkeypatch):
+        real_replace = os.replace
+        swaps = []
+
+        def counting_replace(src, dst):
+            swaps.append(Path(dst).name)
+            return real_replace(src, dst)
+
+        monkeypatch.setattr("marginforge.model.os.replace", counting_replace)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=11)
+        run_training(small_dataset(), cfg, 0, 8, tmp_path)
+        assert swaps == ["checkpoint_latest.ckpt", "checkpoint_latest.ckpt", "checkpoint_final.ckpt"]
+
+    def test_failed_replace_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        ds = small_dataset()
+        ref_cfg = TrainConfig(epochs=2, batch_size=8, seed=11)
+        run_training(ds, ref_cfg, 0, 8, tmp_path / "ref", config_hash="h")
+
+        real_replace = os.replace
+        swaps = []
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "checkpoint_latest.ckpt":
+                swaps.append(dst)
+                if len(swaps) == 3:  # the epoch-3 save is never swapped in
+                    raise OSError("rename failed")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr("marginforge.model.os.replace", failing_replace)
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=11)
+        with pytest.raises(OSError, match="rename failed"):
+            run_training(ds, cfg, 0, 8, tmp_path / "run", config_hash="h")
+        monkeypatch.undo()
+
+        run, ref = tmp_path / "run", tmp_path / "ref"
+        loaded = load_trainer_checkpoint(run / "checkpoint_latest")
+        assert loaded.epoch == 2
+        assert_same_checkpoint(loaded, load_trainer_checkpoint(ref / "checkpoint_latest"))
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoint_latest.ckpt", "report.jsonl"]
 
     def test_full_run_determinism(self, tmp_path):
         ds = small_dataset()
@@ -348,41 +412,48 @@ class TestRunTraining:
         ref_cfg = TrainConfig(epochs=2, batch_size=8, seed=11)
         run_training(ds, ref_cfg, 0, 8, tmp_path / "ref", config_hash="h")
 
-        real_write_text = Path.write_text
-        state_writes = []
+        real_open = open
+        saves = []
 
-        def failing_write_text(self, data, *args, **kwargs):
-            if self.name.startswith("checkpoint_latest.state.json"):
-                state_writes.append(self)
-                if len(state_writes) == 3:  # the epoch-3 checkpoint dies half written
-                    real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+        class DiesInAdamSection:
+            """A file that fails half way through the first write after the adam line."""
+
+            def __init__(self, fh):
+                self.fh, self.in_adam = fh, False
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if self.in_adam:
+                    self.fh.write(data[: len(data) // 2])
                     raise OSError("disk full")
-            return real_write_text(self, data, *args, **kwargs)
+                self.in_adam = data.startswith("adam ")
+                return self.fh.write(data)
 
-        monkeypatch.setattr(Path, "write_text", failing_write_text)
+        def failing_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            if Path(path).name == "checkpoint_latest.ckpt.tmp":
+                saves.append(path)
+                if len(saves) == 3:  # the epoch-3 checkpoint dies half written
+                    return DiesInAdamSection(fh)
+            return fh
+
+        monkeypatch.setattr("marginforge.model.open", failing_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
             run_training(ds, cfg, 0, 8, tmp_path / "run", config_hash="h")
         monkeypatch.undo()
 
         run, ref = tmp_path / "run", tmp_path / "ref"
-        for suffix in (".ckpt", ".state.json"):
-            name = "checkpoint_latest" + suffix
-            assert (run / name).read_bytes() == (ref / name).read_bytes()
+        name = "checkpoint_latest.ckpt"
+        assert (run / name).read_bytes() == (ref / name).read_bytes()
         loaded = load_trainer_checkpoint(run / "checkpoint_latest")
-        expected = load_trainer_checkpoint(ref / "checkpoint_latest")
-        assert loaded.epoch == expected.epoch == 2
-        np.testing.assert_array_equal(
-            flatten_params(loaded.model), flatten_params(expected.model)
-        )
-        assert loaded.opt_state.t == expected.opt_state.t
-        for name in expected.opt_state.m:
-            np.testing.assert_array_equal(loaded.opt_state.m[name], expected.opt_state.m[name])
-            np.testing.assert_array_equal(loaded.opt_state.v[name], expected.opt_state.v[name])
-        assert sorted(p.name for p in run.iterdir()) == [
-            "checkpoint_latest.ckpt",
-            "checkpoint_latest.state.json",
-            "report.jsonl",
-        ]
+        assert loaded.epoch == 2
+        assert_same_checkpoint(loaded, load_trainer_checkpoint(ref / "checkpoint_latest"))
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoint_latest.ckpt", "report.jsonl"]
 
 
 class TestDseMarginsFromLiveEncoders:
