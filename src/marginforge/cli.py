@@ -95,6 +95,8 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect_margins(args) -> int:
     cfg = _load_config(args.config)
+    if args.seed is not None:
+        cfg.train.seed = args.seed
     dataset = load_dataset(_resolve_data_dir(cfg, args.data))
     model = load_checkpoint(args.ckpt)
     out = _resolve_out_dir(cfg, args.out)
@@ -251,37 +253,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def command(name, summary, seed_help=None):
+        # no abbreviations: ``sweep --seed 7`` must not pass as ``--seeds 7``
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="path to a key = value config file")
-        p.add_argument("--seed", type=int, help="override the relevant seed")
-        p.add_argument("--out", required=out_required, help="output directory")
+        if seed_help is not None:
+            p.add_argument("--seed", type=int, help=seed_help)
+        p.add_argument("--out", required=True, help="output directory")
+        return p
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
-    common(p)
+    p = command("gen-data", "generate a synthetic dataset directory", "override data.seed")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train on a dataset directory")
-    common(p)
+    p = command("train", "train on a dataset directory", "override train.seed")
     p.add_argument("--data", help="dataset directory (overrides paths.data_dir)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p)
+    p = command("eval", "evaluate a checkpoint")
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--ckpt", required=True, help="CKPT2 model checkpoint path")
     p.add_argument("--split", choices=("val", "train"), default="val")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("inspect-margins", help="dump per-pair distances and margins for one batch")
-    common(p)
+    p = command(
+        "inspect-margins",
+        "dump per-pair distances and margins for one batch",
+        "override train.seed, which fixes the epoch-1 batch order",
+    )
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--ckpt", required=True, help="CKPT2 model checkpoint path")
     p.add_argument("--batch", type=int, default=0, help="batch index in epoch-1 order")
     p.add_argument("--expert", choices=("all",) + EXPERT_KINDS, default="all")
     p.set_defaults(func=cmd_inspect_margins)
 
-    p = sub.add_parser("sweep", help="factorial parameter sweep across seeds")
-    common(p)
+    p = command("sweep", "factorial parameter sweep across seeds")
     p.add_argument("--seeds", required=True, help="comma-separated seed list")
     p.add_argument(
         "--param",

@@ -7,6 +7,7 @@ every run's outputs and hashed into checkpoints.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,18 +47,21 @@ def _parse_nonneg_int(text: str) -> int:
 
 
 def _parse_float(text: str) -> float:
-    return float(text)
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {v}")
+    return v
 
 
 def _parse_nonneg_float(text: str) -> float:
-    v = float(text)
+    v = _parse_float(text)
     if v < 0:
         raise ValueError(f"must be nonnegative, got {v}")
     return v
 
 
 def _parse_unit_float(text: str) -> float:
-    v = float(text)
+    v = _parse_float(text)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"must be in [0, 1], got {v}")
     return v

@@ -139,8 +139,10 @@ def generate(cfg: SynthConfig) -> Dataset:
     """Deterministic synthetic dataset with planted semantic duplicates."""
     if min(cfg.latent_dim, cfg.video_dim, cfg.text_dim, cfg.frames_per_video) < 1:
         raise ConfigError(f"dims and frame count must be positive: {cfg}")
-    if cfg.noise_video < 0 or cfg.noise_text < 0:
-        raise ConfigError("noise levels must be nonnegative")
+    if not (0 <= cfg.noise_video < np.inf and 0 <= cfg.noise_text < np.inf):
+        raise ConfigError(
+            f"noise levels must be finite and nonnegative, got {cfg.noise_video}, {cfg.noise_text}"
+        )
     if cfg.n_items < 4:
         raise ConfigError(f"need at least 4 items for a train/val split, got {cfg.n_items}")
     sizes = _plan_concept_sizes(cfg)
@@ -230,7 +232,7 @@ def _load_labels(path) -> dict[str, int]:
         item_id, concept = tokens
         if item_id in labels:
             raise DuplicateIdError(f"line {lineno}: duplicate id {item_id!r}")
-        labels[item_id] = parse_count(concept, lineno)
+        labels[item_id] = parse_count(concept, lineno, path)
     if len(labels) != n:
         raise ParseError(f"{path}: header declares {n} labels, found {len(labels)}")
     return labels

@@ -4,6 +4,10 @@ Dynamic experts measure pairwise distance between the live encoder outputs of
 a batch; static experts do the same over frozen, externally produced
 embeddings loaded from EMB1/FRM1 text files. All distances are 1 - cosine,
 giving symmetric B x B matrices with zero diagonal and entries in [0, 2].
+
+The EMB1, FRM1 and CKPT2 loaders check each record line's structure as they
+read it, but convert its floats a block at a time through ``FloatRows``: one
+numpy cast per ``FLOAT_BLOCK_VALUES`` values, not one ``float()`` per token.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +26,11 @@ from .errors import (
 from .mathcore import ZERO_NORM_EPS
 
 EXPERT_KINDS = ("dse_text", "dse_video", "sse_text", "sse_video")
+
+# Float tokens converted by one numpy cast in ``FloatRows``. A block is bounded
+# by values, not rows, so its token list (about 80 bytes a value) stays small
+# however wide a row is; larger blocks were no faster.
+FLOAT_BLOCK_VALUES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,7 @@ def read_records(path, tag: str, n_counts: int):
     if tokens[0] != tag or len(tokens) != n_counts + 1:
         expected = " ".join([tag] + ["<N>"] * n_counts)
         raise ParseError(f"{path}: expected '{expected}' header, got {' '.join(tokens)!r}", lineno)
-    return [parse_count(token, lineno) for token in tokens[1:]], records
+    return [parse_count(token, lineno, path) for token in tokens[1:]], records
 
 
 def _token_lines(path):
@@ -117,14 +126,16 @@ def _token_lines(path):
                 yield lineno, tokens
 
 
-def parse_count(token: str, lineno) -> int:
+def parse_count(token: str, lineno, path) -> int:
     """Non-negative decimal integer: every header count, FRM1 frame index and LBL1 concept.
 
     Only ASCII digits are accepted, so ``+2``, ``-0``, ``1_0`` and ``1.5``
     are rejected although ``int()`` takes the first three.
     """
     if not (token.isascii() and token.isdigit()):
-        raise ParseError(f"bad count {token!r}: expected a non-negative decimal integer", lineno)
+        raise ParseError(
+            f"{path}: bad count {token!r}: expected a non-negative decimal integer", lineno
+        )
     return int(token)
 
 
@@ -136,15 +147,83 @@ def row_format(dim: int, prefix: str = "") -> str:
     return prefix + " ".join(["%.17e"] * dim) + "\n"
 
 
-def parse_floats(tokens, lineno) -> np.ndarray:
-    """Finite float64 row from text tokens; shared by the EMB1, FRM1 and CKPT2 loaders."""
+def parse_floats(tokens, lineno, path) -> np.ndarray:
+    """Finite float64 row from text tokens: the literal rule of EMB1, FRM1 and CKPT2.
+
+    A token is accepted exactly when ``float()`` accepts it. The loaders
+    convert their rows per block in ``FloatRows``, whose cast accepts the same
+    literals; this per-row form runs only to find the line of a rejected one.
+    """
     try:
         vals = np.array([float(t) for t in tokens])
     except ValueError as exc:
-        raise ParseError(f"bad numeric literal: {exc}", lineno) from None
+        raise ParseError(f"{path}: bad numeric literal: {exc}", lineno) from None
     if not np.isfinite(vals).all():
-        raise ParseError("non-finite value", lineno)
+        raise ParseError(f"{path}: non-finite value", lineno)
     return vals
+
+
+class FloatRows:
+    """Float rows of one text file, converted to float64 a block at a time.
+
+    A loader checks each record line itself and queues the line's float
+    tokens with ``add``, naming the offset of the row's first value in the
+    flat view of ``out``. Every ``FLOAT_BLOCK_VALUES`` queued values are cast
+    by one ``np.array(tokens, dtype=np.float64)``, checked for finiteness and
+    scattered into ``out``.
+
+    Used as a context manager, the pending block is converted when the record
+    loop ends and also before any error leaves it, so a malformed file raises
+    the first of its errors in file order, at that error's line.
+    """
+
+    def __init__(self, path, out: np.ndarray):
+        self.path = path
+        self.flat = out.reshape(-1)  # a view: ``out`` is a fresh, contiguous array
+        self.tokens: list[str] = []
+        self.lines: list[int] = []
+        self.starts: list[int] = []  # index in ``tokens`` of each row's first value
+        self.dests: list[int] = []  # index in ``flat`` of each row's first value
+
+    def add(self, lineno: int, tokens: list[str], dest: int) -> None:
+        self.lines.append(lineno)
+        self.starts.append(len(self.tokens))
+        self.dests.append(dest)
+        self.tokens += tokens
+        if len(self.tokens) >= FLOAT_BLOCK_VALUES:
+            self.flush()
+
+    def flush(self) -> None:
+        """Convert, check and scatter the queued rows."""
+        if not self.lines:
+            return
+        try:
+            vals = np.array(self.tokens, dtype=np.float64)
+        except ValueError:
+            ends = self.starts[1:] + [len(self.tokens)]
+            for lineno, start, end in zip(self.lines, self.starts, ends):
+                parse_floats(self.tokens[start:end], lineno, self.path)
+            raise  # unreachable: the cast and ``parse_floats`` accept the same literals
+        starts = np.array(self.starts)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            row = int(np.searchsorted(starts, np.argmin(finite), side="right")) - 1
+            raise ParseError(f"{self.path}: non-finite value", self.lines[row])
+        widths = np.diff(starts, append=len(self.tokens))
+        self.flat[np.repeat(np.array(self.dests) - starts, widths) + np.arange(vals.size)] = vals
+        self.tokens, self.lines, self.starts, self.dests = [], [], [], []
+
+    def __enter__(self) -> "FloatRows":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.flush()
+        elif issubclass(exc_type, Exception):
+            try:
+                self.flush()
+            except ParseError as earlier:
+                raise earlier from None  # an earlier line's error replaces the one leaving
 
 
 def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbeddingTable:
@@ -156,19 +235,20 @@ def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbed
     ids: list[str] = []
     seen: set[str] = set()
     rows = np.empty((n, dim), dtype=np.float64)
-    for lineno, tokens in records:
-        if len(ids) >= n:
-            raise ParseError(f"more than {n} data rows", lineno)
-        if len(tokens) != dim + 1:
-            raise DimMismatchError(
-                f"line {lineno}: expected id + {dim} values, got {len(tokens) - 1}"
-            )
-        item_id = tokens[0]
-        if item_id in seen:
-            raise DuplicateIdError(f"line {lineno}: duplicate id {item_id!r}")
-        seen.add(item_id)
-        rows[len(ids)] = parse_floats(tokens[1:], lineno)
-        ids.append(item_id)
+    with FloatRows(path, rows) as block:
+        for lineno, tokens in records:
+            if len(ids) >= n:
+                raise ParseError(f"{path}: more than {n} data rows", lineno)
+            if len(tokens) != dim + 1:
+                raise DimMismatchError(
+                    f"line {lineno}: {path}: expected id + {dim} values, got {len(tokens) - 1}"
+                )
+            item_id = tokens[0]
+            if item_id in seen:
+                raise DuplicateIdError(f"line {lineno}: {path}: duplicate id {item_id!r}")
+            seen.add(item_id)
+            block.add(lineno, tokens[1:], len(ids) * dim)
+            ids.append(item_id)
     if len(ids) != n:
         raise ParseError(f"{path}: header declares {n} rows, found {len(ids)}")
 
@@ -203,25 +283,29 @@ def load_frame_file(path) -> tuple[list[str], np.ndarray]:
     order: dict[str, int] = {}
     frames = np.empty((n, t, dim), dtype=np.float64)
     filled = np.zeros((n, t), dtype=bool)
-    for lineno, tokens in records:
-        if len(tokens) != dim + 2:
-            raise DimMismatchError(
-                f"line {lineno}: expected id + frame_index + {dim} values, got {len(tokens) - 2}"
-            )
-        item_id = tokens[0]
-        fidx = parse_count(tokens[1], lineno)
-        if fidx >= t:
-            raise ParseError(f"frame index {fidx} outside [0, {t})", lineno)
-        if item_id not in order:
-            if len(ids) >= n:
-                raise ParseError(f"more than {n} distinct ids", lineno)
-            order[item_id] = len(ids)
-            ids.append(item_id)
-        row = order[item_id]
-        if filled[row, fidx]:
-            raise DuplicateIdError(f"line {lineno}: duplicate frame {fidx} for id {item_id!r}")
-        frames[row, fidx] = parse_floats(tokens[2:], lineno)
-        filled[row, fidx] = True
+    with FloatRows(path, frames) as block:
+        for lineno, tokens in records:
+            if len(tokens) != dim + 2:
+                raise DimMismatchError(
+                    f"line {lineno}: {path}: expected id + frame_index + {dim} values, "
+                    f"got {len(tokens) - 2}"
+                )
+            item_id = tokens[0]
+            fidx = parse_count(tokens[1], lineno, path)
+            if fidx >= t:
+                raise ParseError(f"{path}: frame index {fidx} outside [0, {t})", lineno)
+            if item_id not in order:
+                if len(ids) >= n:
+                    raise ParseError(f"{path}: more than {n} distinct ids", lineno)
+                order[item_id] = len(ids)
+                ids.append(item_id)
+            row = order[item_id]
+            if filled[row, fidx]:
+                raise DuplicateIdError(
+                    f"line {lineno}: {path}: duplicate frame {fidx} for id {item_id!r}"
+                )
+            block.add(lineno, tokens[2:], (row * t + fidx) * dim)
+            filled[row, fidx] = True
 
     if len(ids) != n:
         raise ParseError(f"{path}: header declares {n} ids, found {len(ids)}")

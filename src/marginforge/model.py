@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimMismatchError, ParseError, ShapeMismatchError
-from .experts import parse_count, parse_floats, read_records, row_format
+from .experts import FloatRows, parse_count, read_records, row_format
 from .mathcore import unit_rows
 from .seeding import named_rng
 
@@ -173,7 +173,7 @@ def backward(model: TwoTowerModel, state: ForwardState, grad_video_reprs, grad_t
 # A weight matrix gives one record per input row, a bias one record. A
 # model-only file ends after the parameter rows; an empty ``config_hash`` is
 # no token. Line rules: ``experts.read_records``. Every float goes out through
-# ``experts.row_format`` and back through ``parse_floats``, bit-exact. A
+# ``experts.row_format`` and back through ``experts.FloatRows``, bit-exact. A
 # CKPT1 header is rejected with a hint to retrain.
 
 CKPT_TAG = "CKPT2"
@@ -239,16 +239,25 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def _read_rows(path, records, items, lineno: int) -> int:
-    """Fill each ``(name, array)`` of ``items`` row by row; return the last line read."""
-    for name, arr in items:
-        rows = arr if arr.ndim == 2 else arr[None, :]
-        for r in range(rows.shape[0]):
-            lineno, vals = next(records, (lineno, None))
-            if vals is None:
-                raise ParseError(f"{path}: file ends after this line, inside {name}", lineno)
-            if len(vals) != rows.shape[1]:
-                raise ParseError(f"{name}: {len(vals)} values, expected {rows.shape[1]}", lineno)
-            rows[r] = parse_floats(vals, lineno)
+    """Fill each ``(name, array)`` of ``items`` from the next records; return the last line read."""
+    flat = np.empty(sum(arr.size for _, arr in items))
+    offset = 0
+    with FloatRows(path, flat) as block:
+        for name, arr in items:
+            width = arr.shape[-1]
+            for _ in range(arr.size // width):
+                lineno, vals = next(records, (lineno, None))
+                if vals is None:
+                    raise ParseError(f"{path}: file ends after this line, inside {name}", lineno)
+                if len(vals) != width:
+                    message = f"{path}: {name}: {len(vals)} values, expected {width}"
+                    raise ParseError(message, lineno)
+                block.add(lineno, vals, offset)
+                offset += width
+    offset = 0
+    for _, arr in items:
+        arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
     return lineno
 
 
@@ -262,7 +271,7 @@ def read_checkpoint(path) -> Checkpoint:
     lineno, parts = next(records, (None, []))
     if len(parts) != 5 or parts[0] != "dims":
         raise ParseError(f"{path}: expected 'dims <v> <t> <h> <j>'", lineno)
-    counts = [parse_count(p, lineno) for p in parts[1:]]
+    counts = [parse_count(p, lineno, path) for p in parts[1:]]
     try:
         dims = ModelDims(*counts)
     except ValueError as exc:
@@ -276,7 +285,7 @@ def read_checkpoint(path) -> Checkpoint:
         return Checkpoint(model)
     if parts[0] != "adam" or len(parts) not in (4, 5):
         raise ParseError(f"{path}: expected 'adam <epoch> <seed> <t> [<config_hash>]'", lineno)
-    epoch, seed, t = (parse_count(p, lineno) for p in parts[1:4])
+    epoch, seed, t = (parse_count(p, lineno, path) for p in parts[1:4])
     adam = AdamState(t)
     for key, moments in (("m", adam.m), ("v", adam.v)):
         moments.update((name, np.empty_like(arr)) for name, arr in items)

@@ -56,6 +56,9 @@ class TrainConfig:
     sse_video: bool = True
 
     def validate(self, n_train: int | None = None) -> None:
+        for name in ("alpha", "beta", "learning_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta < 0:
             raise ConfigError(f"beta must be nonnegative, got {self.beta}")
         if self.epochs < 0 or self.warmup_epochs < 0:

@@ -6,13 +6,15 @@ import pytest
 
 from marginforge.cli import main
 from marginforge.config import (
+    KEY_SPECS,
     RunConfig,
     config_hash,
     parse_config,
     resolved_text,
 )
 from marginforge.data import MANIFEST_NAME, SynthConfig, digest, generate, write_dataset
-from marginforge.errors import ConfigTypeError, ParseError, UnknownKeyError
+from marginforge.errors import ConfigError, ConfigTypeError, ParseError, UnknownKeyError
+from marginforge.trainer import TrainConfig
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -20,6 +22,16 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     p.write_text(text, encoding="utf-8")
     return p
 
+
+FLOAT_KEYS = [
+    "data.duplicate_rate",
+    "data.noise_text",
+    "data.noise_video",
+    "train.alpha",
+    "train.beta",
+    "train.lambda_start_value",
+    "train.learning_rate",
+]
 
 SMOKE_CFG = """
 # desk-scale smoke configuration
@@ -88,6 +100,34 @@ class TestParseConfig:
         assert resolved_text(again) == resolved_text(cfg)
         assert config_hash(again) == config_hash(cfg)
 
+    def test_float_keys_listed(self):
+        defaults = RunConfig()
+        sections = {"data": defaults.data, "train": defaults.train, "": defaults}
+        floats = [
+            key
+            for key, (section, name, _) in KEY_SPECS.items()
+            if isinstance(getattr(sections[section], name), float)
+        ]
+        assert sorted(floats) == FLOAT_KEYS
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigTypeError, match=rf"{key}.*line 2"):
+            parse_config(write_cfg(tmp_path, f"# ok\n{key} = {value}\n"))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["noise_video", "noise_text"])
+    def test_generate_rejects_non_finite_noise(self, field, value):
+        with pytest.raises(ConfigError, match="noise"):
+            generate(SynthConfig(n_items=8, n_concepts=8, **{field: value}))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "learning_rate"])
+    def test_train_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+
     def test_inconsistent_lambda_epochs_rejected(self, tmp_path):
         with pytest.raises(ConfigTypeError):
             parse_config(
@@ -112,6 +152,11 @@ class TestGenDataCommand:
         assert (tmp_path / "d1/frames.frm1").read_bytes() != (
             tmp_path / "d3/frames.frm1"
         ).read_bytes()
+
+    def test_nan_noise_fails_and_writes_nothing(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMOKE_CFG + "data.noise_video = nan\n")
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 1
+        assert not (tmp_path / "bad").exists()
 
     def test_infeasible_config_fails(self, tmp_path):
         cfg = write_cfg(tmp_path, "data.n_items = 10\ndata.n_concepts = 4\n")
@@ -189,6 +234,16 @@ class TestEvalCommand:
         assert lines[3].startswith("rsum,")
 
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_seed_flag_is_not_accepted(self, smoke_env, command):
+        cfg_path, data_dir, tmp_path = smoke_env
+        extra = {"eval": ["--data", str(data_dir), "--ckpt", "x.ckpt"], "sweep": ["--seeds", "1"]}
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--config", str(cfg_path), "--seed", "1", "--out", str(tmp_path / "o")]
+                 + extra[command])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_manifest1_dataset_is_error(self, smoke_env, capsys):
         cfg_path, data_dir, tmp_path = smoke_env
         run = tmp_path / "run"
@@ -228,6 +283,34 @@ class TestInspectMarginsCommand:
         assert code == 0
         with open(out / "margins.csv", encoding="utf-8") as fh:
             return list(csv.DictReader(fh))
+
+    def test_seed_flag_sets_train_seed(self, smoke_env):
+        cfg_path, data_dir, tmp_path = smoke_env
+        run = tmp_path / "run_s"
+        main(["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(run)])
+        seeded_cfg = write_cfg(tmp_path, SMOKE_CFG + "train.seed = 7\n", name="seed7.cfg")
+        outputs = []
+        for name, cfg, flag in (("flag", cfg_path, ["--seed", "7"]), ("cfg", seeded_cfg, [])):
+            out = tmp_path / name
+            code = main(
+                [
+                    "inspect-margins", "--config", str(cfg), "--data", str(data_dir),
+                    "--ckpt", str(run / "checkpoint_final.ckpt"), "--out", str(out), *flag,
+                ]
+            )
+            assert code == 0
+            outputs.append(out)
+        flag_out, cfg_out = outputs
+        assert (flag_out / "margins.csv").read_bytes() == (cfg_out / "margins.csv").read_bytes()
+        assert "train.seed = 7\n" in (flag_out / "resolved_config.cfg").read_text()
+        unseeded = tmp_path / "unseeded"
+        main(
+            [
+                "inspect-margins", "--config", str(cfg_path), "--data", str(data_dir),
+                "--ckpt", str(run / "checkpoint_final.ckpt"), "--out", str(unseeded),
+            ]
+        )
+        assert (unseeded / "margins.csv").read_bytes() != (flag_out / "margins.csv").read_bytes()
 
     def test_row_count(self, smoke_env):
         rows = self.run_inspect(smoke_env)

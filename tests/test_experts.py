@@ -9,10 +9,13 @@ from marginforge.errors import (
     ZeroNormError,
 )
 from marginforge.experts import (
+    FLOAT_BLOCK_VALUES,
     StaticEmbeddingTable,
     load_frame_file,
     load_static_embeddings,
     pairwise_distances,
+    parse_floats,
+    row_format,
     save_frame_file,
     save_static_embeddings,
 )
@@ -255,3 +258,151 @@ class TestFrm1Format:
         p.write_text("FRM1 1 2 2\na 0 1.0 2.0\na 0 3.0 4.0\n", encoding="utf-8")
         with pytest.raises(DuplicateIdError):
             load_frame_file(p)
+
+
+# literals float() takes (some non-finite, so rejected by the loaders) and
+# literals it refuses; the block cast must agree on every one
+LITERALS = [
+    "1_0", "\u0661\u0662", "+.5", "5.", "nan", "-Infinity", "1e500", "0x10", "1e", "--1",
+    "5e-324", "-0.0",
+]
+
+
+def emb1_text(n, dim, edit=lambda rows: rows):
+    """An EMB1 file of n rows; ``edit`` may change the row lines (line = index + 2)."""
+    rows = [f"i{r} " + " ".join([str(r + 1.0)] + ["0.5"] * (dim - 1)) for r in range(n)]
+    return f"EMB1 {n} {dim}\n" + "\n".join(edit(rows)) + "\n"
+
+
+def replace_row(index, text):
+    def edit(rows):
+        rows = list(rows)
+        rows[index] = text
+        return rows
+
+    return edit
+
+
+class TestFloatBlocks:
+    """EMB1/FRM1/CKPT2 floats are converted per block; values and errors match per-row parsing."""
+
+    @pytest.mark.parametrize("literal", LITERALS)
+    def test_literal_parity(self, tmp_path, literal):
+        p = tmp_path / "one.emb1"
+        p.write_text(f"EMB1 1 2\na {literal} 1.0\n", encoding="utf-8")
+        try:
+            expected = parse_floats([literal, "1.0"], 2, p)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as excinfo:
+                load_static_embeddings(p)
+            assert (type(excinfo.value), str(excinfo.value)) == (type(exc), str(exc))
+            assert excinfo.value.line == 2
+            return
+        got = load_static_embeddings(p).embeddings[0]
+        assert got.tobytes() == expected.tobytes()
+        assert got[0].hex() == float(literal).hex()
+
+    @pytest.mark.parametrize("bad", ["oops", "nan"])
+    @pytest.mark.parametrize("into_block", [0, 7])
+    def test_emb1_error_line_in_second_block(self, tmp_path, bad, into_block):
+        dim = 16
+        rows_per_block = FLOAT_BLOCK_VALUES // dim
+        index = rows_per_block + into_block
+        p = tmp_path / "long.emb1"
+        bad_row = f"i{index} 1.0 {bad} " + " ".join(["0.5"] * (dim - 2))
+        p.write_text(emb1_text(2 * rows_per_block, dim, replace_row(index, bad_row)))
+        expected = "non-finite" if bad == "nan" else "literal"
+        with pytest.raises(ParseError, match=expected) as excinfo:
+            load_static_embeddings(p)
+        assert excinfo.value.line == index + 2
+
+    @pytest.mark.parametrize("bad", ["oops", "nan"])
+    @pytest.mark.parametrize("into_block", [0, 7])
+    def test_frm1_error_line_in_second_block(self, tmp_path, bad, into_block):
+        n, t, dim = 600, 2, 40
+        frames = np.arange(n * t * dim, dtype=np.float64).reshape(n, t, dim) + 0.25
+        p = tmp_path / "long.frm1"
+        save_frame_file([f"v{i}" for i in range(n)], frames, p)
+        lines = p.read_text(encoding="utf-8").splitlines()
+        row = FLOAT_BLOCK_VALUES // dim + 1 + into_block  # the block closes after a row
+        parts = lines[row].split()
+        parts[5] = bad
+        lines[row] = " ".join(parts)
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = "non-finite" if bad == "nan" else "literal"
+        with pytest.raises(ParseError, match=expected) as excinfo:
+            load_frame_file(p)
+        assert excinfo.value.line == row + 1
+
+    @pytest.mark.parametrize("bad", ["oops", "nan"])
+    def test_float_error_before_later_duplicate_id(self, tmp_path, bad):
+        p = tmp_path / "t.emb1"
+        edit = lambda rows: [rows[0], "i1 1.0 " + bad, rows[2], "i1 2.0 0.5", *rows[4:]]
+        p.write_text(emb1_text(8, 2, edit), encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load_static_embeddings(p)
+        assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("bad", ["oops", "nan"])
+    def test_duplicate_id_before_later_float_error(self, tmp_path, bad):
+        p = tmp_path / "t.emb1"
+        edit = lambda rows: [rows[0], rows[1], "i1 1.0 0.5", "i3 1.0 " + bad, *rows[4:]]
+        p.write_text(emb1_text(8, 2, edit), encoding="utf-8")
+        with pytest.raises(DuplicateIdError, match="line 4:"):
+            load_static_embeddings(p)
+
+    def test_frm1_error_before_later_structural_error(self, tmp_path):
+        p = tmp_path / "f.frm1"
+        p.write_text("FRM1 2 2 2\na 0 1.0 nan\na 1 1.0 2.0\nb 0 1.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="non-finite") as excinfo:
+            load_frame_file(p)
+        assert excinfo.value.line == 2
+
+    def test_frm1_interleaved_shuffled_rows_scatter_exactly(self, tmp_path):
+        n, t, dim = 300, 4, 40  # 48000 values: more than one block
+        rng = np.random.default_rng(35)
+        frames = rng.standard_normal((n, t, dim)) * 10.0 ** rng.integers(-300, 300, (n, t, 1))
+        fmt = row_format(dim, "%s %d ")
+        order = rng.permutation(n * t)  # ids interleave, frame indices come in any order
+        body = [fmt % (f"v{k // t}", k % t, *frames[k // t, k % t].tolist()) for k in order]
+        p = tmp_path / "shuffled.frm1"
+        p.write_text(f"FRM1 {n} {t} {dim}\n" + "".join(body), encoding="utf-8")
+        got_ids, got = load_frame_file(p)
+        first_seen = list(dict.fromkeys(int(k) // t for k in order))
+        assert got_ids == [f"v{i}" for i in first_seen]
+        assert got.tobytes() == frames[first_seen].tobytes()
+
+
+# one malformed record line each: extra row, short row, duplicate id, bad literal, non-finite
+MALFORMED_EMB1 = [
+    "EMB1 1 2\na 1.0 2.0\nb 1.0 2.0\n",
+    "EMB1 2 2\na 1.0 2.0\nb 3.0\n",
+    "EMB1 2 2\na 1.0 2.0\na 3.0 4.0\n",
+    "EMB1 2 2\na 1.0 2.0\nb 3.0 x\n",
+    "EMB1 2 2\na 1.0 2.0\nb 3.0 inf\n",
+]
+# short row, bad frame index, frame out of range, extra id, duplicate frame,
+# bad literal, non-finite
+MALFORMED_FRM1 = [
+    "FRM1 1 1 2\na 0 1.0\n",
+    "FRM1 1 2 2\na 0 1.0 2.0\na +1 1.0 2.0\n",
+    "FRM1 1 1 2\na 1 1.0 2.0\n",
+    "FRM1 1 1 2\na 0 1.0 2.0\nb 0 1.0 2.0\n",
+    "FRM1 1 2 2\na 0 1.0 2.0\na 0 3.0 4.0\n",
+    "FRM1 1 1 2\na 0 1.0 x\n",
+    "FRM1 1 1 2\na 0 nan 2.0\n",
+]
+
+
+@pytest.mark.parametrize(
+    "name, loader, text",
+    [("t.emb1", load_static_embeddings, text) for text in MALFORMED_EMB1]
+    + [("f.frm1", load_frame_file, text) for text in MALFORMED_FRM1],
+)
+def test_record_errors_name_the_file(tmp_path, name, loader, text):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises((ParseError, DimMismatchError, DuplicateIdError)) as excinfo:
+        loader(p)
+    last_line = len(text.splitlines())
+    assert str(excinfo.value).startswith(f"line {last_line}: {p}: ")

@@ -293,6 +293,27 @@ class TestCkpt2AdamSection:
             trainer_file(tmp_path, "a b")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "line, edit",
+        [
+            (2, lambda ls: [ls[0], "dims 4 3 0 +6", *ls[2:]]),
+            (5, lambda ls: [*ls[:4], ls[4] + " 1.0", *ls[5:]]),
+            (9, lambda ls: [*ls[:8], "x" + ls[8], *ls[9:]]),
+            (12, lambda ls: [*ls[:11], "adam 4 17 0x5 abc", *ls[12:]]),
+            (16, lambda ls: [*ls[:15], "nan" + ls[15][ls[15].index(" ") :], *ls[16:]]),
+            (30, lambda ls: [*ls[:29], ls[29].replace(" ", " 1e ", 1), *ls[30:]]),
+            (29, lambda ls: ls[:29]),
+            (31, lambda ls: [*ls, "0.0"]),
+        ],
+    )
+    def test_record_errors_name_the_file(self, tmp_path, line, edit):
+        path = trainer_file(tmp_path)
+        rewrite(path, edit)
+        with pytest.raises(ParseError) as excinfo:
+            read_checkpoint(path)
+        assert excinfo.value.line == line
+        assert str(path) in str(excinfo.value)
+
     def test_failed_replace_leaves_old_file_and_no_temp(self, tmp_path, monkeypatch):
         path = tmp_path / "file.txt"
         path.write_text("old", encoding="utf-8")
