@@ -19,11 +19,10 @@ from .data import generate, load_dataset, write_dataset
 from .errors import ConfigError, IndexOutOfRangeError, MarginForgeError
 from .evaluation import write_metrics_csv
 from .experts import EXPERT_KINDS, pairwise_distances
-from .margin import RescaleConfig, rescale_margins
+from .margin import rescale_margins
 from .mathcore import unit_rows
 from .model import forward_batch, load_checkpoint
-from .seeding import named_rng
-from .trainer import evaluate_split, run_training
+from .trainer import epoch_batches, evaluate_split, run_training
 
 
 def _load_config(path: str | None) -> cfgmod.RunConfig:
@@ -103,14 +102,13 @@ def cmd_inspect_margins(args) -> int:
     cfgmod.write_resolved(cfg, out)
 
     train_rows = dataset.rows(dataset.train_ids)
-    order = named_rng(cfg.train.seed, "shuffle", 1).permutation(len(train_rows))
-    start = args.batch * cfg.train.batch_size
-    batch = order[start : start + cfg.train.batch_size]
-    if batch.size < 2:
+    batches = epoch_batches(cfg.train.seed, len(train_rows), cfg.train.batch_size, 1)
+    if not 0 <= args.batch < len(batches):
         raise IndexOutOfRangeError(
             f"batch {args.batch} is out of range for {len(train_rows)} training items "
             f"at batch_size {cfg.train.batch_size}"
         )
+    batch = batches[args.batch]
     rows = train_rows[batch]
     batch_ids = [dataset.ids[r] for r in rows]
     state = forward_batch(model, dataset.pooled_video()[rows], dataset.text[rows])
@@ -121,9 +119,8 @@ def cmd_inspect_margins(args) -> int:
         "sse_text": unit_rows(dataset.sse_text.lookup(batch_ids), "sse_text")[0],
         "sse_video": unit_rows(dataset.sse_video.lookup(batch_ids), "sse_video")[0],
     }
-    distances = {kind: pairwise_distances(units[kind], kind) for kind in EXPERT_KINDS}
+    distances = {kind: pairwise_distances(units[kind]) for kind in EXPERT_KINDS}
     kinds = EXPERT_KINDS if args.expert == "all" else (args.expert,)
-    rescale = RescaleConfig(mu=cfg.train.alpha, beta=cfg.train.beta)
     concepts = dataset.concepts[rows]
 
     target = out / "margins.csv"
@@ -132,7 +129,7 @@ def cmd_inspect_margins(args) -> int:
         writer.writerow(["i", "j", "expert", "distance", "margin", "same_concept"])
         for kind in kinds:
             dist = distances[kind]
-            margins = rescale_margins(dist, rescale)
+            margins = rescale_margins(dist, cfg.train.alpha, cfg.train.beta)
             for i in range(batch.size):
                 for j in range(batch.size):
                     if i == j:
@@ -142,8 +139,8 @@ def cmd_inspect_margins(args) -> int:
                             i,
                             j,
                             kind,
-                            repr(float(dist.values[i, j])),
-                            repr(float(margins.values[i, j])),
+                            repr(float(dist[i, j])),
+                            repr(float(margins[i, j])),
                             int(concepts[i] == concepts[j]),
                         ]
                     )
@@ -160,6 +157,8 @@ def _parse_param_grid(specs: list[str]) -> list[tuple[str, list[str]]]:
         key = key.strip()
         if key not in cfgmod.KEY_SPECS:
             raise ConfigError(f"--param key {key!r} is not a config key")
+        if key in dict(grid):
+            raise ConfigError(f"--param key {key!r} is given more than once")
         vals = [v.strip() for v in values.split(",") if v.strip()]
         if not vals:
             raise ConfigError(f"--param {key!r} has no values")
@@ -169,7 +168,9 @@ def _parse_param_grid(specs: list[str]) -> list[tuple[str, list[str]]]:
     return grid
 
 
-def _sweep_run(base: cfgmod.RunConfig, assignment, seed: int, run_dir: Path) -> dict:
+def _cell_config(base: cfgmod.RunConfig, assignment, seed: int) -> cfgmod.RunConfig:
+    """One sweep run's config; a value that its key, ``TrainConfig`` or the
+    sweep rejects raises ``ConfigError``."""
     cfg = cfgmod.RunConfig(
         train=dataclasses.replace(base.train),
         data=base.data,
@@ -181,6 +182,13 @@ def _sweep_run(base: cfgmod.RunConfig, assignment, seed: int, run_dir: Path) -> 
         cfgmod.apply_key(cfg, key, raw)
     cfg.train.seed = seed
     cfg.data = dataclasses.replace(cfg.data, seed=seed)
+    cfg.train.validate()
+    if cfg.train.epochs < 1:
+        raise ConfigError("sweep needs train.epochs >= 1 to aggregate metrics")
+    return cfg
+
+
+def _sweep_run(cfg: cfgmod.RunConfig, run_dir: Path) -> dict:
     dataset = generate(cfg.data)
     cfgmod.write_resolved(cfg, run_dir)
     _, records = run_training(
@@ -191,8 +199,6 @@ def _sweep_run(base: cfgmod.RunConfig, assignment, seed: int, run_dir: Path) -> 
         run_dir,
         config_hash=cfgmod.config_hash(cfg),
     )
-    if not records:
-        raise ConfigError("sweep needs train.epochs >= 1 to aggregate metrics")
     last = records[-1]
     return {"rsum": last["rsum"], "t2v_R1": last["t2v_R1"], "v2t_R1": last["v2t_R1"]}
 
@@ -213,20 +219,22 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     if not seeds:
         raise ConfigError("--seeds is empty")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"--seeds repeats a seed: {args.seeds!r}")
     grid = _parse_param_grid(args.param or [])
-    out = _resolve_out_dir(base, args.out)
-    cfgmod.write_resolved(base, out)
 
+    # every run's config is built, and so checked, before the first run starts
     keys = [key for key, _ in grid]
     cells = list(itertools.product(*(vals for _, vals in grid))) if grid else [()]
     tasks = []
     for cell_idx, cell in enumerate(cells):
-        assignment = list(zip(keys, cell))
         for seed in seeds:
-            run_dir = out / f"cell{cell_idx:03d}" / f"seed{seed}"
-            tasks.append((cell_idx, assignment, seed, run_dir))
+            cfg = _cell_config(base, list(zip(keys, cell)), seed)
+            tasks.append((cell_idx, cfg, f"cell{cell_idx:03d}/seed{seed}"))
+    out = _resolve_out_dir(base, args.out)
+    cfgmod.write_resolved(base, out)
 
-    results = [_sweep_run(base, a, s, d) for _, a, s, d in tasks]
+    results = [_sweep_run(cfg, out / run_dir) for _, cfg, run_dir in tasks]
 
     metrics = ("rsum", "t2v_R1", "v2t_R1")
     header = keys + ["n_seeds"]

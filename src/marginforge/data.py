@@ -228,10 +228,10 @@ def _load_labels(path) -> dict[str, int]:
     labels: dict[str, int] = {}
     for lineno, tokens in records:
         if len(tokens) != 2:
-            raise ParseError("expected '<id> <concept>'", lineno)
+            raise ParseError(f"{path}: expected '<id> <concept>'", lineno)
         item_id, concept = tokens
         if item_id in labels:
-            raise DuplicateIdError(f"line {lineno}: duplicate id {item_id!r}")
+            raise DuplicateIdError(f"line {lineno}: {path}: duplicate id {item_id!r}")
         labels[item_id] = parse_count(concept, lineno, path)
     if len(labels) != n:
         raise ParseError(f"{path}: header declares {n} labels, found {len(labels)}")
@@ -250,9 +250,9 @@ def _load_split(path) -> list[str]:
     ids: dict[str, None] = {}  # insertion-ordered set
     for lineno, tokens in records:
         if len(tokens) != 1:
-            raise ParseError(f"expected one id, got {len(tokens)} tokens", lineno)
+            raise ParseError(f"{path}: expected one id, got {len(tokens)} tokens", lineno)
         if tokens[0] in ids:
-            raise DuplicateIdError(f"line {lineno}: duplicate id {tokens[0]!r}")
+            raise DuplicateIdError(f"line {lineno}: {path}: duplicate id {tokens[0]!r}")
         ids[tokens[0]] = None
     if len(ids) != n:
         raise ParseError(f"{path}: header declares {n} ids, found {len(ids)}")
@@ -299,16 +299,20 @@ def _read_manifest(manifest: Path) -> dict[str, tuple[str, int]]:
     entries: dict[str, tuple[str, int]] = {}
     for lineno, parts in records:
         if len(parts) != 3:
-            raise ParseError("expected '<role> <filename> <sha256>'", lineno)
+            raise ParseError(f"{manifest}: expected '<role> <filename> <sha256>'", lineno)
         role, filename, expected = parts
         if role not in _FILES:
-            raise ParseError(f"unknown role {role!r}", lineno)
+            raise ParseError(f"{manifest}: unknown role {role!r}", lineno)
         if role in entries:
-            raise ParseError(f"role {role!r} repeats line {entries[role][1]}", lineno)
+            raise ParseError(f"{manifest}: role {role!r} repeats line {entries[role][1]}", lineno)
         if filename != _FILES[role]:
-            raise ParseError(f"role {role!r} must name {_FILES[role]}, got {filename!r}", lineno)
+            raise ParseError(
+                f"{manifest}: role {role!r} must name {_FILES[role]}, got {filename!r}", lineno
+            )
         if len(expected) != 64 or not set(expected) <= set("0123456789abcdef"):
-            raise ParseError(f"bad digest {expected!r}: expected 64 lowercase hex digits", lineno)
+            raise ParseError(
+                f"{manifest}: bad digest {expected!r}: expected 64 lowercase hex digits", lineno
+            )
         entries[role] = (expected, lineno)
     missing = [role for role in _FILES if role not in entries]
     if missing:
@@ -333,7 +337,8 @@ def load_dataset(data_dir) -> Dataset:
         if actual != expected:
             raise ChecksumError(f"{filename}: checksum {actual} != manifest {expected}")
 
-    ids, frames = load_frame_file(root / _FILES["frames"])
+    frames_path = root / _FILES["frames"]
+    ids, frames = load_frame_file(frames_path)
     text_table = load_static_embeddings(root / _FILES["text"], "text")
     sse_video = load_static_embeddings(root / _FILES["sse_video"], "sse_video")
     sse_text = load_static_embeddings(root / _FILES["sse_text"], "sse_text")
@@ -345,11 +350,17 @@ def load_dataset(data_dir) -> Dataset:
         ("sse_text", sse_text.ids),
     ):
         if table_ids != ids:
-            raise ParseError(f"{name} ids do not match the frame file ids")
+            raise ParseError(
+                f"{root / _FILES[name]}: {name} ids do not match the frame file ids "
+                f"of {frames_path}"
+            )
     try:
         concepts = np.array([labels[i] for i in ids], dtype=np.int64)
     except KeyError as exc:
-        raise ParseError(f"labels file is missing id {exc.args[0]!r}") from None
+        raise ParseError(
+            f"{root / _FILES['labels']}: labels file is missing id {exc.args[0]!r} "
+            f"of {frames_path}"
+        ) from None
 
     return Dataset(
         ids=ids,

@@ -33,14 +33,6 @@ EXPERT_KINDS = ("dse_text", "dse_video", "sse_text", "sse_video")
 FLOAT_BLOCK_VALUES = 1 << 13
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Pairwise 1 - cosine distances produced by one supervision expert."""
-
-    values: np.ndarray
-    expert_kind: str
-
-
 @dataclass
 class StaticEmbeddingTable:
     """Frozen per-item embeddings from an external model, keyed by item id."""
@@ -72,10 +64,11 @@ class StaticEmbeddingTable:
         return self.embeddings[[self.row(i) for i in batch_ids]]
 
 
-def pairwise_distances(U: np.ndarray, expert_kind: str) -> DistanceMatrix:
+def pairwise_distances(U: np.ndarray) -> np.ndarray:
     """1 - cosine over all pairs of unit rows, exact zero diagonal, exactly symmetric.
 
-    ``U`` holds unit rows from ``mathcore.unit_rows``. Symmetry comes from
+    ``U`` holds unit rows from ``mathcore.unit_rows``; the result is a new
+    B x B float64 array, whatever the expert. Symmetry comes from
     ``kernels.pairwise_cosine(U, U)``, whose self product is exactly
     symmetric; the distances are formed in place in that matrix.
     """
@@ -84,7 +77,7 @@ def pairwise_distances(U: np.ndarray, expert_kind: str) -> DistanceMatrix:
     D = kernels.pairwise_cosine(U, U)
     np.subtract(1.0, D, out=D)
     np.fill_diagonal(D, 0.0)
-    return DistanceMatrix(D, expert_kind)
+    return D
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ Off-diagonal distances of a batch are affinely remapped so their sample mean
 equals the hard margin ``mu`` and their population variance equals the value
 ``U(beta)`` for which a normal holds 90% of its mass within ``mu +- beta``.
 The map is strictly increasing, so more distant (less similar) negative pairs
-always receive larger margins; outputs may go negative by design.
+always receive larger margins; outputs may go negative by design. Distances
+and margins are plain B x B float64 arrays.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,30 +23,9 @@ _BISECT_TOL = 1e-10
 _BISECT_MAX_ITERS = 200
 
 
-@dataclass(frozen=True)
-class RescaleConfig:
-    """Target mean (the hard margin) and confidence half-width for margins."""
-
-    mu: float
-    beta: float
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
-
-
-@dataclass(frozen=True)
-class MarginMatrix:
-    """Per-pair adaptive margins plus the config that produced them."""
-
-    values: np.ndarray
-    mu: float
-    beta: float
-
-
 def matrix_values(d) -> np.ndarray:
-    """Accept a DistanceMatrix/MarginMatrix or a bare square array."""
-    vals = np.asarray(getattr(d, "values", d), dtype=np.float64)
+    """``d`` as a float64 array, which must be square."""
+    vals = np.asarray(d, dtype=np.float64)
     if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {vals.shape}")
     return vals
@@ -97,22 +76,22 @@ def beta_to_variance(beta: float) -> float:
     return sigma * sigma
 
 
-def rescale_margins(d, cfg: RescaleConfig) -> MarginMatrix:
-    """Map a distance matrix to margins with mean mu and variance U(beta).
+def rescale_margins(d, mu: float, beta: float) -> np.ndarray:
+    """Map square distances to a new margin array: off-diagonal mean mu, variance U(beta).
 
-    Zero-variance batches (all off-diagonal distances equal) fall back to the
-    hard margin everywhere; the diagonal is always set to mu and is unused
-    downstream.
+    A negative ``beta`` raises ``ValueError``. Zero-variance batches (all
+    off-diagonal distances equal) fall back to the hard margin everywhere;
+    the diagonal is always set to mu and is unused downstream.
     """
+    target = beta_to_variance(beta)
     vals = matrix_values(d)
     mean, var = batch_stats(vals)
-    target = beta_to_variance(cfg.beta)
     if var > VAR_FLOOR:
         scale = math.sqrt(target / var)
         out = vals - mean
         out *= scale
-        out += cfg.mu
-        np.fill_diagonal(out, cfg.mu)
+        out += mu
+        np.fill_diagonal(out, mu)
     else:
-        out = np.full_like(vals, cfg.mu)
-    return MarginMatrix(out, cfg.mu, cfg.beta)
+        out = np.full_like(vals, mu)
+    return out

@@ -13,6 +13,8 @@ supervision experts:
 
     hard + lambda * soft_dse + (1 - lambda) * soft_sse
 
+The expert margins come as one mapping ``{expert kind: B x B margins}`` that
+holds only the enabled experts; an empty mapping gives the hard triplet loss.
 A soft slot is the sum of its video-domain and text-domain hinge; if only one
 expert of a slot is enabled its weight doubles so the slot keeps its mass,
 and a fully disabled slot contributes zero. Margins are always treated as
@@ -25,6 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import EmptyInputError, LambdaOutOfRangeError, ShapeMismatchError
+from .experts import EXPERT_KINDS
 from .margin import matrix_values
 from .mathcore import unit_rows
 from .model import ForwardState, TwoTowerModel, backward
@@ -73,16 +76,16 @@ def _check_square(S) -> np.ndarray:
     return S
 
 
-def _margin_levels(B, m_dse_video, m_dse_text, m_sse_video, m_sse_text, alpha, lam):
-    """Margin levels (the scalar alpha, then B x B matrices) with weights and slot index ranges."""
+def _margin_levels(B, margins, alpha, lam):
+    """Margin levels (the scalar alpha, then B x B arrays) with weights and slot index ranges."""
+    unknown = sorted(set(margins) - set(EXPERT_KINDS))
+    if unknown:
+        raise ValueError(f"unknown expert kinds {unknown}; expected some of {EXPERT_KINDS}")
     levels = [alpha]
     weights = [1.0]
     slots = {}
-    for slot, lam_weight, pair in (
-        ("dse", lam, (m_dse_video, m_dse_text)),
-        ("sse", 1.0 - lam, (m_sse_video, m_sse_text)),
-    ):
-        enabled = [m for m in pair if m is not None]
+    for slot, lam_weight in (("dse", lam), ("sse", 1.0 - lam)):
+        enabled = [margins[k] for k in (f"{slot}_video", f"{slot}_text") if k in margins]
         start = len(levels)
         renorm = 2.0 / len(enabled) if enabled else 0.0
         for m in enabled:
@@ -95,7 +98,7 @@ def _margin_levels(B, m_dse_video, m_dse_text, m_sse_video, m_sse_text, alpha, l
     return levels, np.array(weights), slots
 
 
-def _run(S, m_dse_video, m_dse_text, m_sse_video, m_sse_text, alpha, lam, mining, mining_criterion):
+def _run(S, margins, alpha, lam, mining, mining_criterion):
     S = _check_square(S)
     if not 0.0 <= lam <= 1.0:
         raise LambdaOutOfRangeError(f"lambda must be in [0, 1], got {lam}")
@@ -104,7 +107,7 @@ def _run(S, m_dse_video, m_dse_text, m_sse_video, m_sse_text, alpha, lam, mining
     if mining_criterion not in MINING_CRITERIA:
         raise ValueError(f"mining_criterion must be one of {MINING_CRITERIA}, got {mining_criterion!r}")
     B = S.shape[0]
-    M, w, slots = _margin_levels(B, m_dse_video, m_dse_text, m_sse_video, m_sse_text, alpha, lam)
+    M, w, slots = _margin_levels(B, margins, alpha, lam)
     comp, dS, mined_v, mined_t = kernels.triplet_terms(
         S, M, w, mining == "mean", mining_criterion == "hard_only"
     )
@@ -121,18 +124,9 @@ def _run(S, m_dse_video, m_dse_text, m_sse_video, m_sse_text, alpha, lam, mining
     return breakdown, dS
 
 
-def hard_triplet_loss(S, alpha: float, mining: str = "hardest") -> LossBreakdown:
-    """Fixed-margin triplet ranking loss over both retrieval directions."""
-    breakdown, _ = _run(S, None, None, None, None, alpha, 0.0, mining, "combined")
-    return breakdown
-
-
 def full_loss(
     S,
-    m_dse_video,
-    m_dse_text,
-    m_sse_video,
-    m_sse_text,
+    margins: dict,
     alpha: float,
     lam: float,
     mining: str = "hardest",
@@ -140,22 +134,18 @@ def full_loss(
 ) -> LossBreakdown:
     """Hard hinge plus lambda-blended DSE/SSE soft hinges, mined per anchor.
 
-    Pass ``None`` for a disabled expert's margin matrix; the remaining expert
-    of that slot is reweighted to keep the slot's mass.
+    ``margins`` maps each enabled expert kind to its B x B margins, so ``{}``
+    is the hard triplet loss; a slot's remaining expert is reweighted to keep
+    the slot's mass. A key outside ``EXPERT_KINDS`` raises ``ValueError``.
     """
-    breakdown, _ = _run(
-        S, m_dse_video, m_dse_text, m_sse_video, m_sse_text, alpha, lam, mining, mining_criterion
-    )
+    breakdown, _ = _run(S, margins, alpha, lam, mining, mining_criterion)
     return breakdown
 
 
 def full_loss_grad(
     model: TwoTowerModel,
     state: ForwardState,
-    m_dse_video,
-    m_dse_text,
-    m_sse_video,
-    m_sse_text,
+    margins: dict,
     alpha: float,
     lam: float,
     mining: str = "hardest",
@@ -163,14 +153,13 @@ def full_loss_grad(
 ) -> tuple[LossBreakdown, dict]:
     """Loss breakdown plus exact parameter gradients.
 
+    ``margins`` is the mapping of enabled expert margins, as in ``full_loss``.
     Margins are constants and mined indices fixed selections (subgradient at
     ties), so the gradient flows only through the similarity matrix.
     """
     uv, ut = state.video_units, state.text_units
     S = kernels.pairwise_cosine(uv, ut)
-    breakdown, dS = _run(
-        S, m_dse_video, m_dse_text, m_sse_video, m_sse_text, alpha, lam, mining, mining_criterion
-    )
+    breakdown, dS = _run(S, margins, alpha, lam, mining, mining_criterion)
     d_video, d_text = kernels.cosine_backward(dS, uv, ut, state.video_norms, state.text_norms, S)
     grads = backward(model, state, d_video, d_text)
     return breakdown, grads

@@ -17,7 +17,7 @@ from .data import Dataset
 from .errors import ConfigError, MarginForgeError, NonFiniteError, ParseError, ShapeMismatchError
 from .evaluation import DEFAULT_KS, evaluate_bidirectional
 from .experts import EXPERT_KINDS, pairwise_distances
-from .margin import RescaleConfig, rescale_margins
+from .margin import rescale_margins
 from .model import (
     AdamState,
     Checkpoint,
@@ -127,8 +127,19 @@ def adam_step(param_items, grads: dict, state: AdamState, lr: float) -> AdamStat
     return state
 
 
-def _batch_margins(cfg: TrainConfig, rescale: RescaleConfig, state, sse_units: dict, batch):
-    """Margin matrices for the enabled experts of one batch (None = disabled).
+def epoch_batches(seed: int, n: int, batch_size: int, epoch: int) -> list[np.ndarray]:
+    """The epoch's batches of positions into the ``n`` train items.
+
+    The seed-shuffled order is cut into ``batch_size`` slices; a trailing
+    singleton has no negatives and is dropped.
+    """
+    order = named_rng(seed, "shuffle", epoch).permutation(n)
+    batches = (order[start : start + batch_size] for start in range(0, n, batch_size))
+    return [batch for batch in batches if batch.size >= 2]
+
+
+def _batch_margins(cfg: TrainConfig, state, sse_units: dict, batch) -> dict:
+    """``{expert kind: B x B margins}`` for the enabled experts of one batch.
 
     The DSE experts read the batch's unit rows from ``state``; the SSE
     experts read rows ``batch`` of the epoch's normalised train-split tables.
@@ -136,10 +147,9 @@ def _batch_margins(cfg: TrainConfig, rescale: RescaleConfig, state, sse_units: d
     units = {"dse_video": state.video_units, "dse_text": state.text_units}
     units.update((kind, table[batch]) for kind, table in sse_units.items())
     return {
-        kind: rescale_margins(pairwise_distances(units[kind], kind), rescale)
-        if getattr(cfg, kind)
-        else None
+        kind: rescale_margins(pairwise_distances(units[kind]), cfg.alpha, cfg.beta)
         for kind in EXPERT_KINDS
+        if getattr(cfg, kind)
     }
 
 
@@ -177,42 +187,27 @@ def train_epoch(
     except MarginForgeError as exc:
         raise type(exc)(f"epoch {epoch}: {exc}") from exc
 
-    order = named_rng(cfg.seed, "shuffle", epoch).permutation(len(rows))
+    batches = epoch_batches(cfg.seed, len(rows), cfg.batch_size, epoch)
+    if not batches:
+        raise ConfigError(f"epoch {epoch}: no usable batches for batch_size {cfg.batch_size}")
     mining = "mean" if epoch <= cfg.warmup_epochs else "hardest"
     lam = lambda_schedule(epoch, cfg)
-    rescale = RescaleConfig(mu=cfg.alpha, beta=cfg.beta)
 
     sums = np.zeros(4)
-    n_batches = 0
-    for start in range(0, len(order), cfg.batch_size):
-        batch = order[start : start + cfg.batch_size]
-        if batch.size < 2:
-            continue  # a trailing singleton has no negatives
+    for index, batch in enumerate(batches):
         try:
             state = forward_batch(model, pooled[batch], text[batch])
-            margins = _batch_margins(cfg, rescale, state, sse_units, batch)
+            margins = _batch_margins(cfg, state, sse_units, batch)
             breakdown, grads = full_loss_grad(
-                model,
-                state,
-                margins["dse_video"],
-                margins["dse_text"],
-                margins["sse_video"],
-                margins["sse_text"],
-                cfg.alpha,
-                lam,
-                mining,
-                cfg.mining_criterion,
+                model, state, margins, cfg.alpha, lam, mining, cfg.mining_criterion
             )
             _check_finite_step(breakdown, grads)
             adam_step(model.param_items(), grads, opt_state, cfg.learning_rate)
         except MarginForgeError as exc:
-            raise type(exc)(f"epoch {epoch} batch {n_batches}: {exc}") from exc
+            raise type(exc)(f"epoch {epoch} batch {index}: {exc}") from exc
         sums += (breakdown.total, breakdown.hard_term, breakdown.dse_term, breakdown.sse_term)
-        n_batches += 1
 
-    if n_batches == 0:
-        raise ConfigError(f"epoch {epoch}: no usable batches for batch_size {cfg.batch_size}")
-    sums /= n_batches
+    sums /= len(batches)
     empty = np.empty(0, dtype=np.int64)
     return LossBreakdown(sums[0], sums[1], sums[2], sums[3], lam, empty, empty)
 
@@ -239,25 +234,6 @@ def load_trainer_checkpoint(prefix) -> Checkpoint:
     if ckpt.opt_state is None:
         raise ParseError(f"{path}: no adam section, so it cannot restore a trainer")
     return ckpt
-
-
-REPORT_FIELDS = (
-    "epoch",
-    "lambda",
-    "loss_total",
-    "loss_hard",
-    "loss_dse",
-    "loss_sse",
-    "t2v_R1",
-    "t2v_R5",
-    "t2v_R10",
-    "t2v_MdR",
-    "v2t_R1",
-    "v2t_R5",
-    "v2t_R10",
-    "v2t_MdR",
-    "rsum",
-)
 
 
 def run_training(

@@ -17,11 +17,10 @@ from marginforge.data import SynthConfig, generate
 from marginforge.errors import MarginForgeError
 from marginforge.evaluation import evaluate_bidirectional, median_rank, recall_at_k
 from marginforge.experts import pairwise_distances
-from marginforge.margin import RescaleConfig, batch_stats, beta_to_variance, rescale_margins
+from marginforge.margin import batch_stats, beta_to_variance, rescale_margins
 from marginforge.mathcore import normal_cdf, unit_rows
 from marginforge.model import ModelDims, forward_batch, init_params
-from marginforge.margin import MarginMatrix
-from marginforge.objective import full_loss, full_loss_grad, hard_triplet_loss, similarity_matrix
+from marginforge.objective import full_loss, full_loss_grad, similarity_matrix
 from marginforge.seeding import named_rng
 from marginforge.trainer import TrainConfig, new_adam_state, run_training, train_epoch
 from helpers import finite_diff_grad, flatten_grads, flatten_params, rank_of_positive, set_flat_params
@@ -59,8 +58,8 @@ def test_c1_confidence_interval_property():
     raw = rng.normal(0.7, 0.25, size=(b, b))
     d = 0.5 * (raw + raw.T)
     np.fill_diagonal(d, 0.0)
-    margins = rescale_margins(d, RescaleConfig(mu=0.05, beta=0.05))
-    off = margins.values[~np.eye(b, dtype=bool)]
+    margins = rescale_margins(d, 0.05, 0.05)
+    off = margins[~np.eye(b, dtype=bool)]
     assert off.size >= 100_000
     frac = float(np.mean((off >= 0.0) & (off <= 0.1)))
     elapsed = time.perf_counter() - start
@@ -74,21 +73,21 @@ def test_c1_confidence_interval_property():
 
 def test_c2_rescale_exactness_and_monotonicity():
     rng = np.random.default_rng(2)
-    cfg = RescaleConfig(mu=0.05, beta=0.04)
+    mu, beta = 0.05, 0.04
     target_var = beta_to_variance(0.04)
     worst_mean, worst_var = 0.0, 0.0
     for trial in range(100):
         b = int(rng.choice([4, 8, 16]))
         reprs = rng.standard_normal((b, 6))
-        d = pairwise_distances(unit_rows(reprs, "dse_video")[0], "dse_video")
-        m = rescale_margins(d, cfg)
-        mean, var = batch_stats(m.values)
+        d = pairwise_distances(unit_rows(reprs, "dse_video")[0])
+        m = rescale_margins(d, mu, beta)
+        mean, var = batch_stats(m)
         worst_mean = max(worst_mean, abs(mean - 0.05))
         worst_var = max(worst_var, abs(var - target_var))
         assert abs(mean - 0.05) < 1e-9
         assert abs(var - target_var) < 1e-9
         off = ~np.eye(b, dtype=bool)
-        dv, mv = d.values[off], m.values[off]
+        dv, mv = d[off], m[off]
         order = np.argsort(dv, kind="stable")
         ds_, ms_ = dv[order], mv[order]
         for k in range(len(ds_) - 1):
@@ -109,9 +108,10 @@ def test_c3_beta_zero_collapse():
         alpha = float(rng.uniform(0.0, 0.2))
         lam = float(rng.uniform(0.0, 1.0))
         mining = "hardest" if trial % 2 == 0 else "mean"
-        m = MarginMatrix(np.full((b, b), alpha), alpha, 0.0)
-        full = full_loss(S, m, m, m, m, alpha, lam, mining)
-        hard = hard_triplet_loss(S, alpha, mining)
+        m = np.full((b, b), alpha)
+        margins = {"dse_video": m, "dse_text": m, "sse_video": m, "sse_text": m}
+        full = full_loss(S, margins, alpha, lam, mining)
+        hard = full_loss(S, {}, alpha, 0.0, mining)
         gap = abs(full.total - 3.0 * hard.total)
         worst = max(worst, gap)
         assert gap < 1e-6
@@ -135,9 +135,9 @@ def test_c4_gradient_correctness_matrix():
                 for raw in rng.uniform(-0.05, 0.15, size=(4, b, b)):
                     mats.append(0.5 * (raw + raw.T))
                 weights = np.array([1.0, lam, lam, 1.0 - lam, 1.0 - lam])
-                margins = [MarginMatrix(m, 0.05, 0.04) for m in mats[1:]]
+                margins = dict(zip(("dse_video", "dse_text", "sse_video", "sse_text"), mats[1:]))
                 breakdown, grads = full_loss_grad(
-                    model, state, *margins, 0.05, lam, mining
+                    model, state, margins, 0.05, lam, mining
                 )
                 if mining == "mean":
                     # frozen-selection oracle needs per-pair terms; replicate
@@ -186,7 +186,6 @@ def _margin_split(ds, model, cfg, expert_kinds):
     sse_v = ds.sse_video.lookup(ds.train_ids)
     sse_t = ds.sse_text.lookup(ds.train_ids)
     order = named_rng(cfg.seed, "shuffle", 1).permutation(len(rows))
-    rc = RescaleConfig(mu=cfg.alpha, beta=cfg.beta)
     same_vals = {k: [] for k in expert_kinds}
     cross_vals = {k: [] for k in expert_kinds}
     for start in range(0, len(order), cfg.batch_size):
@@ -195,16 +194,16 @@ def _margin_split(ds, model, cfg, expert_kinds):
             continue
         state = forward_batch(model, pooled[batch], text[batch])
         mats = {
-            "dse_video": pairwise_distances(state.video_units, "dse_video"),
-            "dse_text": pairwise_distances(state.text_units, "dse_text"),
-            "sse_video": pairwise_distances(unit_rows(sse_v[batch], "sse_video")[0], "sse_video"),
-            "sse_text": pairwise_distances(unit_rows(sse_t[batch], "sse_text")[0], "sse_text"),
+            "dse_video": pairwise_distances(state.video_units),
+            "dse_text": pairwise_distances(state.text_units),
+            "sse_video": pairwise_distances(unit_rows(sse_v[batch], "sse_video")[0]),
+            "sse_text": pairwise_distances(unit_rows(sse_t[batch], "sse_text")[0]),
         }
         concepts = ds.concepts[rows[batch]]
         same = (concepts[:, None] == concepts[None, :]) & ~np.eye(batch.size, dtype=bool)
         cross = concepts[:, None] != concepts[None, :]
         for kind in expert_kinds:
-            margins = rescale_margins(mats[kind], rc).values
+            margins = rescale_margins(mats[kind], cfg.alpha, cfg.beta)
             same_vals[kind].extend(margins[same].tolist())
             cross_vals[kind].extend(margins[cross].tolist())
     return {

@@ -340,6 +340,28 @@ class TestInspectMarginsCommand:
             assert r["same_concept"] == str(int(concepts[i] == concepts[j]))
         assert any(r["same_concept"] == "1" for r in rows)  # 16 of 19 items: twins present
 
+    def test_batch_index_outside_the_epoch_rejected(self, smoke_env, capsys):
+        # 19 train items at batch_size 9 make batches of 9, 9 and a dropped singleton
+        cfg_path, data_dir, tmp_path = smoke_env
+        cfg_path = write_cfg(tmp_path, SMOKE_CFG + "train.batch_size = 9\n", name="b9.cfg")
+        run = tmp_path / "run_b9"
+        main(["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(run)])
+
+        def inspect(batch):
+            return main(
+                [
+                    "inspect-margins", "--config", str(cfg_path), "--data", str(data_dir),
+                    "--ckpt", str(run / "checkpoint_final.ckpt"), "--batch", batch,
+                    "--out", str(tmp_path / f"inspect{batch}"),
+                ]
+            )
+
+        assert inspect("1") == 0
+        capsys.readouterr()
+        for batch in ("2", "-1"):
+            assert inspect(batch) == 1
+            assert f"batch {batch} is out of range" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_single_cell_single_seed(self, smoke_env):
@@ -386,6 +408,24 @@ class TestSweepCommand:
         assert float(row["rsum_mean"]) == pytest.approx(mean, abs=1e-9)
         assert float(row["rsum_std"]) == pytest.approx(var**0.5, abs=1e-9)
         assert float(row["rsum_std_sample"]) == pytest.approx(var_s**0.5, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--seeds", "1,1"],
+            ["--seeds", "1", "--param", "train.beta=0.0,0.04", "--param", "train.beta=0.1"],
+            ["--seeds", "1", "--param", "train.beta=0.0,-1"],
+            ["--seeds", "1", "--param", "train.lambda_start_epoch=1,60"],
+            ["--seeds", "1", "--param", "train.epochs=1,0"],
+        ],
+        ids=["repeated-seed", "repeated-key", "rejected-value", "invalid-config", "no-epochs"],
+    )
+    def test_bad_grid_fails_before_any_run(self, smoke_env, capsys, extra):
+        cfg_path, _, tmp_path = smoke_env
+        out = tmp_path / "bad_sweep"
+        assert main(["sweep", "--config", str(cfg_path), *extra, "--out", str(out)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not list(out.glob("cell*"))
 
     def test_too_many_params_rejected(self, smoke_env):
         cfg_path, _, tmp_path = smoke_env

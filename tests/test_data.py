@@ -76,7 +76,7 @@ class TestGenerate:
             n_items=12, n_concepts=8, duplicate_rate=0.5, noise_video=0.0, noise_text=0.0, seed=4
         )
         ds = generate(cfg)
-        d = pairwise_distances(unit_rows(ds.pooled_video(), "sse_video")[0], "sse_video").values
+        d = pairwise_distances(unit_rows(ds.pooled_video(), "sse_video")[0])
         same = ds.concepts[:, None] == ds.concepts[None, :]
         off = ~np.eye(len(ds), dtype=bool)
         assert np.max(np.abs(d[same & off])) < 1e-12
@@ -177,7 +177,7 @@ class TestLabelAndSplitFiles:
 
     def test_repeated_label_id_rejected(self, tmp_path):
         p = self.write(tmp_path, "LBL1 2\na 1\na 2\nb 3\n")
-        with pytest.raises(DuplicateIdError, match="line 3: duplicate id 'a'"):
+        with pytest.raises(DuplicateIdError, match=r"line 3: \S*f\.txt: duplicate id 'a'"):
             _load_labels(p)
 
     @pytest.mark.parametrize("token", ["+2", "1_0", "-0", "1.5"])
@@ -206,7 +206,9 @@ class TestLabelAndSplitFiles:
             manifest.read_text(encoding="utf-8").replace(old_digest, digest(target.read_bytes())),
             encoding="utf-8",
         )
-        with pytest.raises(DuplicateIdError, match=f"line 3: duplicate id '{lines[1]}'"):
+        with pytest.raises(
+            DuplicateIdError, match=rf"line 3: \S*split_val\.txt: duplicate id '{lines[1]}'"
+        ):
             load_dataset(tmp_path)
 
 
@@ -310,3 +312,81 @@ class TestDatasetInvariants:
     def test_pooled_video_matches_mean(self):
         ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=16))
         np.testing.assert_allclose(ds.pooled_video(), ds.frames.mean(axis=1), atol=0)
+
+
+class TestLoadErrorsNameTheirFiles:
+    """Every record and cross-file error of a dataset load says which file is wrong."""
+
+    def edit_signed(self, data_dir, filename, edit):
+        """Apply ``edit`` to the lines of one data file and re-sign the manifest."""
+        target = data_dir / filename
+        old_digest = digest(target.read_bytes())
+        lines = target.read_text(encoding="utf-8").splitlines()
+        edit(lines)
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        manifest = data_dir / MANIFEST_NAME
+        manifest.write_text(
+            manifest.read_text(encoding="utf-8").replace(old_digest, digest(target.read_bytes())),
+            encoding="utf-8",
+        )
+
+    def dataset_dir(self, tmp_path):
+        write_dataset(generate(SynthConfig(n_items=8, n_concepts=8, seed=19)), tmp_path)
+        return tmp_path
+
+    def test_bad_label_line_names_the_file(self, tmp_path):
+        p = tmp_path / "labels.txt"
+        p.write_text("LBL1 2\na 1\nb\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"line 3: \S*labels\.txt: expected '<id> <concept>'"):
+            _load_labels(p)
+
+    def test_bad_split_line_names_the_file(self, tmp_path):
+        p = tmp_path / "split.txt"
+        p.write_text("SPLIT1 2\na\nb c\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"line 3: \S*split\.txt: expected one id"):
+            _load_split(p)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines.__setitem__(2, "text text.emb1"), "expected '<role>"),
+            (lambda lines: lines.insert(2, "extra extra.txt " + "0" * 64), "unknown role"),
+            (lambda lines: lines.insert(2, lines[1]), "role 'frames' repeats line 2"),
+            (
+                lambda lines: lines.__setitem__(2, lines[2].replace(".emb1", ".txt")),
+                "role 'text' must name",
+            ),
+            (lambda lines: lines.__setitem__(2, lines[2][:-1]), "bad digest"),
+        ],
+        ids=["malformed", "unknown-role", "repeated-role", "wrong-file", "bad-digest"],
+    )
+    def test_manifest_record_error_names_the_manifest(self, tmp_path, edit, message):
+        data_dir = self.dataset_dir(tmp_path)
+        manifest = data_dir / MANIFEST_NAME
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        edit(lines)
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"line 3: \S*{MANIFEST_NAME}: {message}"):
+            load_dataset(data_dir)
+
+    def test_id_mismatch_names_both_files(self, tmp_path):
+        data_dir = self.dataset_dir(tmp_path)
+
+        def swap_first_rows(lines):
+            lines[1], lines[2] = lines[2], lines[1]
+
+        self.edit_signed(data_dir, "sse_text.emb1", swap_first_rows)
+        with pytest.raises(ParseError) as excinfo:
+            load_dataset(data_dir)
+        message = str(excinfo.value)
+        assert "sse_text.emb1" in message and "frames.frm1" in message
+        assert "ids do not match the frame file ids" in message
+
+    def test_missing_label_names_both_files(self, tmp_path):
+        data_dir = self.dataset_dir(tmp_path)
+        self.edit_signed(data_dir, "labels.txt", lambda lines: lines.__setitem__(1, "zz 0"))
+        with pytest.raises(ParseError) as excinfo:
+            load_dataset(data_dir)
+        message = str(excinfo.value)
+        assert "labels.txt" in message and "frames.frm1" in message
+        assert "labels file is missing id" in message

@@ -37,30 +37,28 @@ def per_value_text(row) -> str:
 class TestDseDistances:
     def test_identical_reprs_all_zero(self):
         reprs = np.tile([1.0, 2.0, 3.0], (4, 1))
-        d = pairwise_distances(unit_rows(reprs, "dse_text")[0], "dse_text")
-        np.testing.assert_allclose(d.values, 0.0, atol=1e-12)
-        assert d.expert_kind == "dse_text"
+        d = pairwise_distances(unit_rows(reprs, "dse_text")[0])
+        np.testing.assert_allclose(d, 0.0, atol=1e-12)
 
     def test_orthogonal_pair(self):
-        d = pairwise_distances(unit_rows([[1.0, 0.0], [0.0, 1.0]], "dse_text")[0], "dse_text")
-        assert d.values[0, 1] == pytest.approx(1.0, abs=1e-12)
+        d = pairwise_distances(unit_rows([[1.0, 0.0], [0.0, 1.0]], "dse_text")[0])
+        assert d[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value(self):
-        d = pairwise_distances(unit_rows([[1.0, 0.0], [1.0, 1.0]], "dse_text")[0], "dse_text")
-        assert d.values[0, 1] == pytest.approx(ONE_MINUS_INV_SQRT2, abs=1e-12)
-        assert d.values[0, 1] == pytest.approx(0.2928932, abs=1e-7)
+        d = pairwise_distances(unit_rows([[1.0, 0.0], [1.0, 1.0]], "dse_text")[0])
+        assert d[0, 1] == pytest.approx(ONE_MINUS_INV_SQRT2, abs=1e-12)
+        assert d[0, 1] == pytest.approx(0.2928932, abs=1e-7)
 
     def test_video_mirror(self):
         reprs = [[1.0, 0.0], [1.0, 1.0]]
-        dv = pairwise_distances(unit_rows(reprs, "dse_video")[0], "dse_video")
-        dt = pairwise_distances(unit_rows(reprs, "dse_text")[0], "dse_text")
-        np.testing.assert_array_equal(dv.values, dt.values)
-        assert dv.expert_kind == "dse_video"
+        dv = pairwise_distances(unit_rows(reprs, "dse_video")[0])
+        dt = pairwise_distances(unit_rows(reprs, "dse_text")[0])
+        np.testing.assert_array_equal(dv, dt)
 
     def test_zero_norm_rejected(self):
         for bad_row in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]):
             with pytest.raises(ZeroNormError):
-                pairwise_distances(unit_rows([[1.0, 0.0], bad_row], "dse_video")[0], "dse_video")
+                pairwise_distances(unit_rows([[1.0, 0.0], bad_row], "dse_video")[0])
 
 
 class TestSseVideoDistances:
@@ -68,31 +66,31 @@ class TestSseVideoDistances:
 
     def distances(self, frames):
         pooled = np.stack(frames).mean(axis=1)
-        return pairwise_distances(unit_rows(pooled, "sse_video")[0], "sse_video")
+        return pairwise_distances(unit_rows(pooled, "sse_video")[0])
 
     def test_identical_frames_zero(self):
         frames = [np.tile([1.0, 2.0], (3, 1))] * 3
         d = self.distances(frames)
-        np.testing.assert_allclose(d.values, 0.0, atol=1e-12)
+        np.testing.assert_allclose(d, 0.0, atol=1e-12)
 
     def test_orthogonal_pooled(self):
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
         b = np.array([[0.0, 1.0], [0.0, 1.0]])
         d = self.distances([a, b])
-        assert d.values[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert d[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_pooled_hand_value(self):
         a = np.array([[2.0, 0.0], [0.0, 2.0]])  # pools to [1, 1]
         b = np.array([[1.0, 0.0], [1.0, 0.0]])
         d = self.distances([a, b])
-        assert d.values[0, 1] == pytest.approx(ONE_MINUS_INV_SQRT2, abs=1e-12)
+        assert d[0, 1] == pytest.approx(ONE_MINUS_INV_SQRT2, abs=1e-12)
 
     def test_single_frame_items_match_pairwise(self):
         rng = np.random.default_rng(30)
         vecs = rng.standard_normal((5, 4))
         d_pool = self.distances([v[None, :] for v in vecs])
-        d_pair = pairwise_distances(unit_rows(vecs, "dse_video")[0], "dse_video")
-        np.testing.assert_allclose(d_pool.values, d_pair.values, atol=1e-12)
+        d_pair = pairwise_distances(unit_rows(vecs, "dse_video")[0])
+        np.testing.assert_allclose(d_pool, d_pair, atol=1e-12)
 
 
 class TestSseTextDistances:
@@ -104,8 +102,8 @@ class TestSseTextDistances:
 
     def test_equal_vectors_zero(self):
         t = self.table([[1.0, 2.0], [1.0, 2.0]])
-        d = pairwise_distances(unit_rows(t.lookup(["id0", "id1"]), "sse_text")[0], "sse_text")
-        assert d.values[0, 1] == pytest.approx(0.0, abs=1e-12)
+        d = pairwise_distances(unit_rows(t.lookup(["id0", "id1"]), "sse_text")[0])
+        assert d[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_missing_id(self):
         t = self.table([[1.0, 0.0], [0.0, 1.0]])
@@ -122,7 +120,7 @@ class TestDistanceProperties:
         rng = np.random.default_rng(31)
         for _ in range(20):
             x = rng.standard_normal((int(rng.integers(2, 9)), 5))
-            d = pairwise_distances(unit_rows(x, "dse_video")[0], "dse_video").values
+            d = pairwise_distances(unit_rows(x, "dse_video")[0])
             np.testing.assert_array_equal(d, d.T)
             np.testing.assert_array_equal(np.diag(d), 0.0)
             assert d.min() >= -1e-12 and d.max() <= 2.0 + 1e-12
@@ -131,8 +129,8 @@ class TestDistanceProperties:
         rng = np.random.default_rng(32)
         x = rng.standard_normal((6, 4))
         scales = rng.uniform(0.1, 10.0, size=(6, 1))
-        d1 = pairwise_distances(unit_rows(x, "dse_text")[0], "dse_text").values
-        d2 = pairwise_distances(unit_rows(x * scales, "dse_text")[0], "dse_text").values
+        d1 = pairwise_distances(unit_rows(x, "dse_text")[0])
+        d2 = pairwise_distances(unit_rows(x * scales, "dse_text")[0])
         np.testing.assert_allclose(d1, d2, atol=1e-12)
 
 

@@ -5,8 +5,6 @@ import pytest
 
 from marginforge.margin import (
     VAR_FLOOR,
-    MarginMatrix,
-    RescaleConfig,
     batch_stats,
     beta_to_variance,
     rescale_margins,
@@ -90,8 +88,8 @@ class TestBetaToVariance:
 class TestRescaleMargins:
     def test_constant_batch_falls_back_to_mu(self):
         d = symmetric_from_offdiag({(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5}, 3)
-        m = rescale_margins(d, RescaleConfig(mu=0.05, beta=0.04))
-        np.testing.assert_allclose(m.values, 0.05, atol=0)
+        m = rescale_margins(d, 0.05, 0.04)
+        np.testing.assert_allclose(m, 0.05, atol=0)
 
     @pytest.mark.parametrize("b", [2, 3, 64, 257])
     @pytest.mark.parametrize("diag", [0.0, 2.5])
@@ -99,44 +97,44 @@ class TestRescaleMargins:
         # a constant that is not a binary fraction, so the sums round
         vals = np.full((b, b), 1.0 / 3.0)
         np.fill_diagonal(vals, diag)
-        cfg = RescaleConfig(mu=0.05, beta=0.04)
+        mu, beta = 0.05, 0.04
         assert batch_stats(vals)[1] <= VAR_FLOOR
-        m = rescale_margins(vals, cfg)
-        assert np.all(m.values == cfg.mu)
+        m = rescale_margins(vals, mu, beta)
+        assert np.all(m == mu)
 
     def test_hand_example(self):
         # off-diagonal distances {0.1, 0.2, 0.3}: z-scores +-1.224745 and 0,
         # margins mu +- z * beta / z95 (value confirmed by independent
         # quantile arithmetic; see test_sigma_against_independent_quantile)
         d = symmetric_from_offdiag({(0, 1): 0.1, (0, 2): 0.2, (1, 2): 0.3}, 3)
-        m = rescale_margins(d, RescaleConfig(mu=0.05, beta=0.04))
+        m = rescale_margins(d, 0.05, 0.04)
         spread = math.sqrt(1.5) * 0.04 / Z_95  # z-score 1.224745 times sigma
-        assert m.values[0, 1] == pytest.approx(0.05 - spread, abs=1e-9)
-        assert m.values[0, 2] == pytest.approx(0.05, abs=1e-12)
-        assert m.values[1, 2] == pytest.approx(0.05 + spread, abs=1e-9)
-        assert m.values[0, 1] == pytest.approx(0.0202163, abs=1e-7)
-        assert m.values[1, 2] == pytest.approx(0.0797837, abs=1e-7)
+        assert m[0, 1] == pytest.approx(0.05 - spread, abs=1e-9)
+        assert m[0, 2] == pytest.approx(0.05, abs=1e-12)
+        assert m[1, 2] == pytest.approx(0.05 + spread, abs=1e-9)
+        assert m[0, 1] == pytest.approx(0.0202163, abs=1e-7)
+        assert m[1, 2] == pytest.approx(0.0797837, abs=1e-7)
 
     def test_beta_zero_gives_hard_margin(self):
         rng = np.random.default_rng(20)
         x = rng.uniform(0, 2, size=(5, 5))
         d = 0.5 * (x + x.T)
         np.fill_diagonal(d, 0.0)
-        m = rescale_margins(d, RescaleConfig(mu=0.07, beta=0.0))
-        np.testing.assert_allclose(m.values, 0.07, atol=1e-9)
+        m = rescale_margins(d, 0.07, 0.0)
+        np.testing.assert_allclose(m, 0.07, atol=1e-9)
 
     def test_diagonal_is_mu(self):
         rng = np.random.default_rng(21)
         x = rng.uniform(0, 2, size=(4, 4))
         d = 0.5 * (x + x.T)
         np.fill_diagonal(d, 0.0)
-        m = rescale_margins(d, RescaleConfig(mu=0.05, beta=0.04))
-        np.testing.assert_array_equal(np.diag(m.values), 0.05)
+        m = rescale_margins(d, 0.05, 0.04)
+        np.testing.assert_array_equal(np.diag(m), 0.05)
 
     def test_negative_margins_allowed(self):
         d = symmetric_from_offdiag({(0, 1): 0.0, (0, 2): 1.0, (1, 2): 2.0}, 3)
-        m = rescale_margins(d, RescaleConfig(mu=0.0, beta=0.05))
-        assert np.min(m.values) < 0.0
+        m = rescale_margins(d, 0.0, 0.05)
+        assert np.min(m) < 0.0
 
 
 def random_distance_matrix(rng, b):
@@ -149,24 +147,24 @@ def random_distance_matrix(rng, b):
 class TestRescaleProperties:
     def test_mean_and_variance_exact(self):
         rng = np.random.default_rng(22)
-        cfg = RescaleConfig(mu=0.05, beta=0.04)
+        mu, beta = 0.05, 0.04
         target = beta_to_variance(0.04)
         for _ in range(50):
             b = int(rng.choice([3, 4, 8, 16]))
-            m = rescale_margins(random_distance_matrix(rng, b), cfg)
-            mean, var = batch_stats(m.values)
+            m = rescale_margins(random_distance_matrix(rng, b), mu, beta)
+            mean, var = batch_stats(m)
             assert mean == pytest.approx(0.05, abs=1e-9)
             assert var == pytest.approx(target, abs=1e-9)
 
     def test_monotone_in_distance(self):
         rng = np.random.default_rng(23)
-        cfg = RescaleConfig(mu=0.05, beta=0.04)
+        mu, beta = 0.05, 0.04
         for _ in range(20):
             b = int(rng.choice([4, 8]))
             d = random_distance_matrix(rng, b)
-            m = rescale_margins(d, cfg)
+            m = rescale_margins(d, mu, beta)
             off = ~np.eye(b, dtype=bool)
-            dv, mv = d[off], m.values[off]
+            dv, mv = d[off], m[off]
             order = np.argsort(dv, kind="stable")
             ds, ms = dv[order], mv[order]
             for k in range(len(ds) - 1):
@@ -175,22 +173,22 @@ class TestRescaleProperties:
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(24)
-        cfg = RescaleConfig(mu=0.05, beta=0.04)
+        mu, beta = 0.05, 0.04
         d = random_distance_matrix(rng, 6)
         shifted = d + 0.37
         np.fill_diagonal(shifted, 0.0)
-        m1 = rescale_margins(d, cfg).values
-        m2 = rescale_margins(shifted, cfg).values
+        m1 = rescale_margins(d, mu, beta)
+        m2 = rescale_margins(shifted, mu, beta)
         off = ~np.eye(6, dtype=bool)
         np.testing.assert_allclose(m1[off], m2[off], atol=1e-9)
 
     def test_idempotent(self):
         rng = np.random.default_rng(25)
-        cfg = RescaleConfig(mu=0.05, beta=0.04)
+        mu, beta = 0.05, 0.04
         d = random_distance_matrix(rng, 8)
-        once = rescale_margins(d, cfg)
-        twice = rescale_margins(once, cfg)
-        np.testing.assert_allclose(once.values, twice.values, atol=1e-9)
+        once = rescale_margins(d, mu, beta)
+        twice = rescale_margins(once, mu, beta)
+        np.testing.assert_allclose(once, twice, atol=1e-9)
 
     def test_figure_confidence_interval(self):
         # mu = beta = 0.05: 90% of rescaled Gaussian distances in [0, 0.1]
@@ -199,19 +197,14 @@ class TestRescaleProperties:
         x = rng.normal(0.8, 0.2, size=(b, b))
         d = 0.5 * (x + x.T)
         np.fill_diagonal(d, 0.0)
-        m = rescale_margins(d, RescaleConfig(mu=0.05, beta=0.05))
-        off = m.values[~np.eye(b, dtype=bool)]
+        m = rescale_margins(d, 0.05, 0.05)
+        off = m[~np.eye(b, dtype=bool)]
         frac = np.mean((off >= 0.0) & (off <= 0.1))
         assert frac == pytest.approx(0.90, abs=0.02)
 
 
 class TestRescaleConfig:
     def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError):
-            RescaleConfig(mu=0.05, beta=-0.01)
-
-    def test_margin_matrix_records_config(self):
         d = random_distance_matrix(np.random.default_rng(27), 4)
-        m = rescale_margins(d, RescaleConfig(mu=0.03, beta=0.02))
-        assert isinstance(m, MarginMatrix)
-        assert m.mu == 0.03 and m.beta == 0.02
+        with pytest.raises(ValueError):
+            rescale_margins(d, 0.05, -0.01)

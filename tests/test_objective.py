@@ -6,26 +6,32 @@ from marginforge.errors import (
     ShapeMismatchError,
     ZeroNormError,
 )
-from marginforge.margin import MarginMatrix
 from marginforge.model import ModelDims, forward_batch, init_params
 from marginforge.objective import (
     full_loss,
     full_loss_grad,
-    hard_triplet_loss,
     similarity_matrix,
 )
 from helpers import finite_diff_grad, flatten_grads, flatten_params, set_flat_params
 from oracles import brute_force_full_loss, brute_force_similarity, loss_at_frozen_selection
 
 
+EXPERTS = ("dse_video", "dse_text", "sse_video", "sse_text")
+
+
+def margin_map(*margins):
+    """The margins mapping of all four experts, given in ``EXPERTS`` order."""
+    return dict(zip(EXPERTS, margins))
+
+
 def const_margins(b, value):
-    return MarginMatrix(np.full((b, b), value), value, 0.0)
+    return np.full((b, b), value)
 
 
 def random_margins(rng, b, mu=0.05, spread=0.08):
     vals = rng.uniform(mu - spread, mu + spread, size=(b, b))
     vals = 0.5 * (vals + vals.T)
-    return MarginMatrix(vals, mu, 0.04)
+    return vals
 
 
 def random_similarity(rng, b, dim=4):
@@ -69,11 +75,11 @@ class TestSimilarityMatrix:
 class TestHardTripletLoss:
     def test_diagonal_dominant_is_zero(self):
         S = np.array([[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.1, 0.0, 0.9]])
-        assert hard_triplet_loss(S, alpha=0.05).total == 0.0
+        assert full_loss(S, {}, 0.05, 0.0).total == 0.0
 
     def test_b2_enumeration(self):
         S = np.array([[0.9, 0.5], [0.6, 0.8]])
-        got = hard_triplet_loss(S, alpha=0.05)
+        got = full_loss(S, {}, 0.05, 0.0)
         # all four hinges by hand
         expected = (
             max(0.0, S[1, 0] - S[0, 0] + 0.05)
@@ -87,8 +93,8 @@ class TestHardTripletLoss:
         rng = np.random.default_rng(42)
         for _ in range(10):
             S = random_similarity(rng, 2)
-            a = hard_triplet_loss(S, 0.05, mining="hardest").total
-            b = hard_triplet_loss(S, 0.05, mining="mean").total
+            a = full_loss(S, {}, 0.05, 0.0, mining="hardest").total
+            b = full_loss(S, {}, 0.05, 0.0, mining="mean").total
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_matches_brute_force(self):
@@ -98,7 +104,7 @@ class TestHardTripletLoss:
                 b = int(rng.integers(2, 7))
                 S = random_similarity(rng, b)
                 alpha = float(rng.uniform(0.0, 0.3))
-                got = hard_triplet_loss(S, alpha, mining)
+                got = full_loss(S, {}, alpha, 0.0, mining)
                 total, _, _, _ = brute_force_full_loss(
                     S, [np.full((b, b), alpha)], np.ones(1), mining
                 )
@@ -116,9 +122,9 @@ class TestFullLoss:
         b = 4
         S = random_similarity(rng, b)
         mdv, mdt, msv, mst = self.margins4(rng, b)
-        base = full_loss(S, mdv, mdt, msv, mst, 0.05, 1.0)
+        base = full_loss(S, margin_map(mdv, mdt, msv, mst), 0.05, 1.0)
         perturbed = full_loss(
-            S, mdv, mdt, random_margins(rng, b), random_margins(rng, b), 0.05, 1.0
+            S, margin_map(mdv, mdt, random_margins(rng, b), random_margins(rng, b)), 0.05, 1.0
         )
         assert base.total == perturbed.total
         assert base.sse_term == 0.0 == perturbed.sse_term
@@ -129,9 +135,9 @@ class TestFullLoss:
         b = 4
         S = random_similarity(rng, b)
         mdv, mdt, msv, mst = self.margins4(rng, b)
-        base = full_loss(S, mdv, mdt, msv, mst, 0.05, 0.0)
+        base = full_loss(S, margin_map(mdv, mdt, msv, mst), 0.05, 0.0)
         perturbed = full_loss(
-            S, random_margins(rng, b), random_margins(rng, b), msv, mst, 0.05, 0.0
+            S, margin_map(random_margins(rng, b), random_margins(rng, b), msv, mst), 0.05, 0.0
         )
         assert base.total == perturbed.total
         assert base.dse_term == 0.0 == perturbed.dse_term
@@ -146,8 +152,8 @@ class TestFullLoss:
             lam = float(rng.uniform(0.0, 1.0))
             m = const_margins(b, alpha)
             for mining in ("hardest", "mean"):
-                full = full_loss(S, m, m, m, m, alpha, lam, mining)
-                hard = hard_triplet_loss(S, alpha, mining)
+                full = full_loss(S, margin_map(m, m, m, m), alpha, lam, mining)
+                hard = full_loss(S, {}, alpha, 0.0, mining)
                 assert abs(full.total - 3.0 * hard.total) < 1e-9
 
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
@@ -160,8 +166,8 @@ class TestFullLoss:
             mdv, mdt, msv, mst = self.margins4(rng, b)
             alpha = float(rng.uniform(0.0, 0.2))
             lam = float(rng.uniform(0.0, 1.0))
-            got = full_loss(S, mdv, mdt, msv, mst, alpha, lam, mining, criterion)
-            mats = [np.full((b, b), alpha), mdv.values, mdt.values, msv.values, mst.values]
+            got = full_loss(S, margin_map(mdv, mdt, msv, mst), alpha, lam, mining, criterion)
+            mats = [np.full((b, b), alpha), mdv, mdt, msv, mst]
             weights = np.array([1.0, lam, lam, 1.0 - lam, 1.0 - lam])
             total, per_level, bf_v, bf_t = brute_force_full_loss(
                 S, mats, weights, mining, criterion == "hard_only"
@@ -183,15 +189,15 @@ class TestFullLoss:
         b = 4
         S = random_similarity(rng, b)
         m = random_margins(rng, b)
-        only_video = full_loss(S, m, None, None, None, 0.05, 1.0, "mean")
-        both_same = full_loss(S, m, m, None, None, 0.05, 1.0, "mean")
+        only_video = full_loss(S, {"dse_video": m}, 0.05, 1.0, "mean")
+        both_same = full_loss(S, {"dse_video": m, "dse_text": m}, 0.05, 1.0, "mean")
         assert only_video.total == pytest.approx(both_same.total, abs=1e-12)
 
     def test_all_disabled_equals_hard(self):
         rng = np.random.default_rng(50)
         S = random_similarity(rng, 5)
-        got = full_loss(S, None, None, None, None, 0.05, 0.5)
-        hard = hard_triplet_loss(S, 0.05)
+        got = full_loss(S, {}, 0.05, 0.5)
+        hard = full_loss(S, {}, 0.05, 0.0)
         assert got.total == pytest.approx(hard.total, abs=1e-15)
 
     def test_mining_dominance(self):
@@ -200,8 +206,8 @@ class TestFullLoss:
             b = int(rng.integers(2, 8))
             S = random_similarity(rng, b)
             mdv, mdt, msv, mst = self.margins4(rng, b)
-            hardest = full_loss(S, mdv, mdt, msv, mst, 0.05, 0.4, "hardest")
-            mean = full_loss(S, mdv, mdt, msv, mst, 0.05, 0.4, "mean")
+            hardest = full_loss(S, margin_map(mdv, mdt, msv, mst), 0.05, 0.4, "hardest")
+            mean = full_loss(S, margin_map(mdv, mdt, msv, mst), 0.05, 0.4, "mean")
             assert hardest.total >= mean.total - 1e-12
 
     def test_all_terms_nonnegative(self):
@@ -210,7 +216,7 @@ class TestFullLoss:
             b = int(rng.integers(2, 6))
             S = random_similarity(rng, b)
             mdv, mdt, msv, mst = self.margins4(rng, b)
-            got = full_loss(S, mdv, mdt, msv, mst, 0.0, 0.3)
+            got = full_loss(S, margin_map(mdv, mdt, msv, mst), 0.0, 0.3)
             assert got.total >= 0 and got.hard_term >= 0
             assert got.dse_term >= 0 and got.sse_term >= 0
             assert got.total == pytest.approx(
@@ -220,7 +226,14 @@ class TestFullLoss:
     def test_lambda_out_of_range(self):
         S = np.eye(2)
         with pytest.raises(LambdaOutOfRangeError):
-            full_loss(S, None, None, None, None, 0.05, 1.5)
+            full_loss(S, {}, 0.05, 1.5)
+
+    def test_unknown_expert_kind_rejected(self):
+        # a misspelt kind must not silently disable its expert
+        rng = np.random.default_rng(56)
+        S = random_similarity(rng, 3)
+        with pytest.raises(ValueError, match="dse_vidoe"):
+            full_loss(S, {"dse_vidoe": random_margins(rng, 3)}, 0.05, 0.5)
 
 
 class TestFullLossGrad:
@@ -236,9 +249,9 @@ class TestFullLossGrad:
         model, pooled, text = self.build(rng)
         state = forward_batch(model, pooled, text)
         b = 3
-        neg = MarginMatrix(np.full((b, b), -10.0), -10.0, 0.0)
+        neg = np.full((b, b), -10.0)
         breakdown, grads = full_loss_grad(
-            model, state, neg, neg, neg, neg, -10.0, 0.5
+            model, state, margin_map(neg, neg, neg, neg), -10.0, 0.5
         )
         assert breakdown.total == 0.0
         for _, g in sorted(grads.items()):
@@ -256,9 +269,9 @@ class TestFullLossGrad:
             for m in (rng.uniform(-0.05, 0.15, size=(4, b, b)))
         ]
         weights = np.array([1.0, lam, lam, 1.0 - lam, 1.0 - lam])
-        margins = [MarginMatrix(m, 0.05, 0.04) for m in mats[1:]]
+        margins = mats[1:]
         breakdown, grads = full_loss_grad(
-            model, state, margins[0], margins[1], margins[2], margins[3], 0.05, lam
+            model, state, margin_map(*margins), 0.05, lam
         )
         mined_v, mined_t = breakdown.neg_video_idx, breakdown.neg_text_idx
 
@@ -282,12 +295,12 @@ class TestFullLossGrad:
         state = forward_batch(model, pooled, text)
         b = 3
         margins = [
-            MarginMatrix(0.5 * (m + m.T), 0.05, 0.04)
+            0.5 * (m + m.T)
             for m in rng.uniform(0.0, 0.1, size=(4, b, b))
         ]
 
         def grad_at(lam):
-            _, grads = full_loss_grad(model, state, *margins, 0.05, lam, "mean")
+            _, grads = full_loss_grad(model, state, margin_map(*margins), 0.05, lam, "mean")
             return flatten_grads(model, grads)
 
         g0, g_half, g1 = grad_at(0.0), grad_at(0.5), grad_at(1.0)

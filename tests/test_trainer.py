@@ -16,13 +16,14 @@ from marginforge.errors import (
     ZeroNormError,
 )
 from marginforge.experts import pairwise_distances
-from marginforge.margin import RescaleConfig, rescale_margins
+from marginforge.margin import rescale_margins
 from marginforge.model import ModelDims, forward_batch, init_params, save_checkpoint
 from marginforge.seeding import named_rng
 from marginforge.trainer import (
     AdamState,
     TrainConfig,
     adam_step,
+    epoch_batches,
     lambda_schedule,
     load_trainer_checkpoint,
     new_adam_state,
@@ -154,6 +155,19 @@ def assert_same_checkpoint(loaded, expected):
         np.testing.assert_array_equal(loaded.opt_state.v[name], expected.opt_state.v[name])
 
 
+class TestEpochBatches:
+    def test_shuffled_slices_without_the_trailing_singleton(self):
+        batches = epoch_batches(3, 19, 9, 2)
+        order = named_rng(3, "shuffle", 2).permutation(19)
+        assert [b.tolist() for b in batches] == [order[:9].tolist(), order[9:18].tolist()]
+
+    def test_trailing_pair_kept(self):
+        assert [b.size for b in epoch_batches(3, 20, 9, 1)] == [9, 9, 2]
+
+    def test_singleton_batches_give_none(self):
+        assert epoch_batches(3, 5, 1, 1) == []
+
+
 class TestTrainEpoch:
     def test_zero_learning_rate_keeps_params(self):
         ds = small_dataset()
@@ -221,7 +235,7 @@ class TestTrainEpoch:
                 )
                 batch_losses.append(total)
                 _, grads = full_loss_grad(
-                    replay, state, None, None, None, None, cfg.alpha, 0.0, mining
+                    replay, state, {}, cfg.alpha, 0.0, mining
                 )
                 adam_step(replay.param_items(), grads, replay_opt, cfg.learning_rate)
             replay_aggs.append(float(np.mean(batch_losses)))
@@ -463,8 +477,7 @@ class TestDseMarginsFromLiveEncoders:
         model = small_model(ds)
         rows = ds.rows(ds.train_ids)[:8]
         state = forward_batch(model, ds.pooled_video()[rows], ds.text[rows])
-        cfg = RescaleConfig(mu=0.05, beta=0.04)
-        mv = rescale_margins(pairwise_distances(state.video_units, "dse_video"), cfg)
-        mt = rescale_margins(pairwise_distances(state.text_units, "dse_text"), cfg)
-        assert mv.values.shape == (8, 8) and mt.values.shape == (8, 8)
-        assert not np.allclose(mv.values, mt.values)
+        mv = rescale_margins(pairwise_distances(state.video_units), 0.05, 0.04)
+        mt = rescale_margins(pairwise_distances(state.text_units), 0.05, 0.04)
+        assert mv.shape == (8, 8) and mt.shape == (8, 8)
+        assert not np.allclose(mv, mt)
