@@ -6,8 +6,8 @@ mutates an input dataset directory.
 """
 
 import argparse
+import copy
 import csv
-import dataclasses
 import itertools
 import sys
 from pathlib import Path
@@ -15,14 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .data import generate, load_dataset, write_dataset
+from .data import generate, load_dataset, split_sizes, write_dataset
 from .errors import ConfigError, IndexOutOfRangeError, MarginForgeError
 from .evaluation import write_metrics_csv
 from .experts import EXPERT_KINDS, pairwise_distances
 from .margin import rescale_margins
-from .mathcore import unit_rows
 from .model import forward_batch, load_checkpoint
-from .trainer import epoch_batches, evaluate_split, run_training
+from .trainer import epoch_batches, evaluate_split, expert_units, run_training, sse_unit_tables
 
 
 def _load_config(path: str | None) -> cfgmod.RunConfig:
@@ -42,7 +41,7 @@ def _resolve_out_dir(cfg: cfgmod.RunConfig, flag: str | None) -> Path:
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
-        cfg.data = dataclasses.replace(cfg.data, seed=args.seed)
+        cfg.data.seed = args.seed
     out = _resolve_out_dir(cfg, args.out)
     dataset = generate(cfg.data)
     write_dataset(dataset, out)
@@ -110,15 +109,8 @@ def cmd_inspect_margins(args) -> int:
         )
     batch = batches[args.batch]
     rows = train_rows[batch]
-    batch_ids = [dataset.ids[r] for r in rows]
     state = forward_batch(model, dataset.pooled_video()[rows], dataset.text[rows])
-
-    units = {
-        "dse_text": state.text_units,
-        "dse_video": state.video_units,
-        "sse_text": unit_rows(dataset.sse_text.lookup(batch_ids), "sse_text")[0],
-        "sse_video": unit_rows(dataset.sse_video.lookup(batch_ids), "sse_video")[0],
-    }
+    units = expert_units(state, sse_unit_tables(dataset, ("sse_video", "sse_text")), batch)
     distances = {kind: pairwise_distances(units[kind]) for kind in EXPERT_KINDS}
     kinds = EXPERT_KINDS if args.expert == "all" else (args.expert,)
     concepts = dataset.concepts[rows]
@@ -169,20 +161,15 @@ def _parse_param_grid(specs: list[str]) -> list[tuple[str, list[str]]]:
 
 
 def _cell_config(base: cfgmod.RunConfig, assignment, seed: int) -> cfgmod.RunConfig:
-    """One sweep run's config; a value that its key, ``TrainConfig`` or the
-    sweep rejects raises ``ConfigError``."""
-    cfg = cfgmod.RunConfig(
-        train=dataclasses.replace(base.train),
-        data=base.data,
-        hidden_dim=base.hidden_dim,
-        joint_dim=base.joint_dim,
-        ks=base.ks,
-    )
+    """One sweep run's config, checked in full: a value that its key, its
+    dataclass, the generated split size or the sweep rejects raises ``ConfigError``."""
+    cfg = copy.deepcopy(base)
     for key, raw in assignment:
         cfgmod.apply_key(cfg, key, raw)
     cfg.train.seed = seed
-    cfg.data = dataclasses.replace(cfg.data, seed=seed)
-    cfg.train.validate()
+    cfg.data.seed = seed
+    cfg.validate()
+    cfg.train.validate(split_sizes(cfg.data.n_items)[0])
     if cfg.train.epochs < 1:
         raise ConfigError("sweep needs train.epochs >= 1 to aggregate metrics")
     return cfg

@@ -1,9 +1,12 @@
 """Flat ``key = value`` run configuration with dotted keys.
 
 One file drives data generation, model shape, training, and evaluation.
-Unknown keys are rejected; every key has a default, so an empty file is a
-valid config. The fully resolved form (defaults included) is written beside
-every run's outputs and hashed into checkpoints.
+The ``data.*`` and ``train.*`` keys are the fields of ``SynthConfig`` and
+``TrainConfig``, a value is parsed by its field's type alone, and every range
+or choice rule lives in the dataclasses' ``validate``, run once the whole file
+is read. Unknown keys are rejected; every key has a default, so an empty file
+is a valid config. The fully resolved form (defaults included) is written
+beside every run's outputs and hashed into checkpoints.
 """
 
 import dataclasses
@@ -13,7 +16,7 @@ from pathlib import Path
 
 from .data import SynthConfig, digest
 from .errors import ConfigError, ConfigTypeError, MissingKeyError, ParseError, UnknownKeyError
-from .objective import MINING_CRITERIA
+from .model import ModelDims
 from .trainer import TrainConfig
 
 
@@ -27,43 +30,22 @@ class RunConfig:
     data_dir: str | None = None
     out_dir: str | None = None
 
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_pos_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise ValueError(f"must be >= 1, got {v}")
-    return v
-
-
-def _parse_nonneg_int(text: str) -> int:
-    v = int(text)
-    if v < 0:
-        raise ValueError(f"must be >= 0, got {v}")
-    return v
+    def validate(self) -> None:
+        """Raise ``ConfigError`` naming the key of the first value rule broken."""
+        self.data.validate()
+        self.train.validate()
+        try:  # the input dims come from the dataset; the config sets the other two
+            ModelDims(1, 1, self.hidden_dim, self.joint_dim)
+        except ValueError:
+            raise ConfigError(
+                f"invalid model.hidden_dim {self.hidden_dim} or model.joint_dim {self.joint_dim}"
+            ) from None
 
 
 def _parse_float(text: str) -> float:
     v = float(text)
     if not math.isfinite(v):
         raise ValueError(f"must be finite, got {v}")
-    return v
-
-
-def _parse_nonneg_float(text: str) -> float:
-    v = _parse_float(text)
-    if v < 0:
-        raise ValueError(f"must be nonnegative, got {v}")
-    return v
-
-
-def _parse_unit_float(text: str) -> float:
-    v = _parse_float(text)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"must be in [0, 1], got {v}")
     return v
 
 
@@ -76,60 +58,39 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_criterion(text: str) -> str:
-    if text not in MINING_CRITERIA:
-        raise ValueError(f"must be one of {MINING_CRITERIA}, got {text!r}")
-    return text
-
-
 def _parse_ks(text: str) -> tuple[int, ...]:
-    ks = tuple(sorted({_parse_pos_int(tok.strip()) for tok in text.split(",") if tok.strip()}))
-    if not ks:
-        raise ValueError("need at least one K")
+    ks = tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()}))
+    if not ks or ks[0] < 1:
+        raise ValueError(f"need one or more Ks >= 1, got {text!r}")
     return ks
 
 
-def _parse_str(text: str) -> str:
-    return text
+_TYPE_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: str}
+
+
+def _field_specs(section: str, cls) -> dict:
+    specs = {}
+    for f in dataclasses.fields(cls):
+        if f.type not in _TYPE_PARSERS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no config parser for type {f.type!r}")
+        specs[f"{section}.{f.name}"] = (section, f.name, _TYPE_PARSERS[f.type])
+    return specs
 
 
 # key -> (section attribute on RunConfig or "" for top level, field name, parser)
 KEY_SPECS = {
-    "data.n_items": ("data", "n_items", _parse_pos_int),
-    "data.n_concepts": ("data", "n_concepts", _parse_pos_int),
-    "data.latent_dim": ("data", "latent_dim", _parse_pos_int),
-    "data.video_dim": ("data", "video_dim", _parse_pos_int),
-    "data.text_dim": ("data", "text_dim", _parse_pos_int),
-    "data.frames_per_video": ("data", "frames_per_video", _parse_pos_int),
-    "data.noise_video": ("data", "noise_video", _parse_nonneg_float),
-    "data.noise_text": ("data", "noise_text", _parse_nonneg_float),
-    "data.duplicate_rate": ("data", "duplicate_rate", _parse_unit_float),
-    "data.seed": ("data", "seed", _parse_int),
-    "model.hidden_dim": ("", "hidden_dim", _parse_nonneg_int),
-    "model.joint_dim": ("", "joint_dim", _parse_pos_int),
-    "train.alpha": ("train", "alpha", _parse_float),
-    "train.beta": ("train", "beta", _parse_nonneg_float),
-    "train.epochs": ("train", "epochs", _parse_nonneg_int),
-    "train.batch_size": ("train", "batch_size", _parse_pos_int),
-    "train.learning_rate": ("train", "learning_rate", _parse_nonneg_float),
-    "train.seed": ("train", "seed", _parse_int),
-    "train.warmup_epochs": ("train", "warmup_epochs", _parse_nonneg_int),
-    "train.lambda_start_epoch": ("train", "lambda_start_epoch", _parse_pos_int),
-    "train.lambda_start_value": ("train", "lambda_start_value", _parse_unit_float),
-    "train.lambda_end_epoch": ("train", "lambda_end_epoch", _parse_pos_int),
-    "train.mining_criterion": ("train", "mining_criterion", _parse_criterion),
-    "train.dse_text": ("train", "dse_text", _parse_bool),
-    "train.dse_video": ("train", "dse_video", _parse_bool),
-    "train.sse_text": ("train", "sse_text", _parse_bool),
-    "train.sse_video": ("train", "sse_video", _parse_bool),
+    **_field_specs("data", SynthConfig),
+    **_field_specs("train", TrainConfig),
+    "model.hidden_dim": ("", "hidden_dim", int),
+    "model.joint_dim": ("", "joint_dim", int),
     "eval.ks": ("", "ks", _parse_ks),
-    "paths.data_dir": ("", "data_dir", _parse_str),
-    "paths.out_dir": ("", "out_dir", _parse_str),
+    "paths.data_dir": ("", "data_dir", str),
+    "paths.out_dir": ("", "out_dir", str),
 }
 
 
 def apply_key(cfg: RunConfig, key: str, raw_value: str, line: int | None = None) -> None:
-    """Set one dotted key on a RunConfig, validating name and value."""
+    """Set one dotted key on a RunConfig, checking its name and type (not its range)."""
     where = f" (line {line})" if line is not None else ""
     spec = KEY_SPECS.get(key)
     if spec is None:
@@ -139,13 +100,7 @@ def apply_key(cfg: RunConfig, key: str, raw_value: str, line: int | None = None)
         value = parser(raw_value)
     except ValueError as exc:
         raise ConfigTypeError(f"key {key!r}{where}: {exc}") from None
-    if section == "data":
-        # SynthConfig is frozen; rebuild it with the new field
-        cfg.data = dataclasses.replace(cfg.data, **{fieldname: value})
-    elif section == "train":
-        setattr(cfg.train, fieldname, value)
-    else:
-        setattr(cfg, fieldname, value)
+    setattr(getattr(cfg, section) if section else cfg, fieldname, value)
 
 
 def parse_config(path) -> RunConfig:
@@ -165,7 +120,7 @@ def parse_config(path) -> RunConfig:
         key, _, value = text.partition("=")
         apply_key(cfg, key.strip(), value.strip(), lineno)
     try:
-        cfg.train.validate()
+        cfg.validate()
     except ConfigError as exc:
         raise ConfigTypeError(f"{path}: {exc}") from None
     return cfg
@@ -193,12 +148,7 @@ def resolved_text(cfg: RunConfig) -> str:
     lines = []
     for key in sorted(KEY_SPECS):
         section, fieldname, _ = KEY_SPECS[key]
-        if section == "data":
-            value = getattr(cfg.data, fieldname)
-        elif section == "train":
-            value = getattr(cfg.train, fieldname)
-        else:
-            value = getattr(cfg, fieldname)
+        value = getattr(getattr(cfg, section) if section else cfg, fieldname)
         if value is None:
             continue  # unset paths stay unset
         lines.append(f"{key} = {_format_value(value)}")

@@ -55,8 +55,10 @@ _FILES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class SynthConfig:
+    """The ``data.*`` config keys, one per field, and their value rules."""
+
     n_items: int = 64
     n_concepts: int = 64
     latent_dim: int = 8
@@ -67,6 +69,24 @@ class SynthConfig:
     noise_text: float = 0.1
     duplicate_rate: float = 0.0
     seed: int = 0
+
+    def validate(self) -> None:
+        """Raise ``ConfigError`` naming the ``data.*`` key of the first rule broken."""
+        for name in ("latent_dim", "video_dim", "text_dim", "frames_per_video"):
+            if (value := getattr(self, name)) < 1:
+                raise ConfigError(f"data.{name} must be positive, got {value}")
+        for name in ("noise_video", "noise_text"):
+            if not 0 <= (value := getattr(self, name)) < np.inf:
+                raise ConfigError(f"data.{name} must be finite and nonnegative, got {value}")
+        if self.n_items < 4:
+            raise ConfigError(f"data.n_items must be at least 4 for a split, got {self.n_items}")
+        _plan_concept_sizes(self)
+
+
+def split_sizes(n_items: int) -> tuple[int, int]:
+    """(n_train, n_val) of a generated dataset: the one statement of the split size."""
+    n_val = max(2, int(round(VAL_FRACTION * n_items)))
+    return n_items - n_val, n_val
 
 
 @dataclass
@@ -110,41 +130,33 @@ def _duplicate_count(cfg: SynthConfig) -> int:
 def _plan_concept_sizes(cfg: SynthConfig) -> list[int]:
     """Sizes per concept: shared groups (>= 2 items) first, then singletons."""
     if not 0.0 <= cfg.duplicate_rate <= 1.0:
-        raise ConfigError(f"duplicate_rate must be in [0, 1], got {cfg.duplicate_rate}")
+        raise ConfigError(f"data.duplicate_rate must be in [0, 1], got {cfg.duplicate_rate}")
     if cfg.n_concepts > cfg.n_items or cfg.n_concepts < 1:
-        raise ConfigError(
-            f"n_concepts must be in [1, n_items], got {cfg.n_concepts} for {cfg.n_items} items"
-        )
+        raise ConfigError(f"data.n_concepts must be in [1, {cfg.n_items}], got {cfg.n_concepts}")
     d = _duplicate_count(cfg)
     singles = cfg.n_items - d
     shared = cfg.n_concepts - singles
     if d == 0:
         if shared != 0:
             raise ConfigError(
-                f"duplicate_rate {cfg.duplicate_rate} needs n_concepts == n_items "
-                f"({cfg.n_items}), got {cfg.n_concepts}"
+                f"data.duplicate_rate {cfg.duplicate_rate} needs data.n_concepts == "
+                f"data.n_items ({cfg.n_items}), got {cfg.n_concepts}"
             )
         return [1] * singles
     if shared < 1 or 2 * shared > d:
         raise ConfigError(
             f"cannot split {d} duplicated items into {shared} concepts of size >= 2; "
-            f"with n_items={cfg.n_items} and duplicate_rate={cfg.duplicate_rate}, "
-            f"n_concepts must lie in [{singles + 1}, {singles + d // 2}]"
+            f"with data.n_items={cfg.n_items} and data.duplicate_rate={cfg.duplicate_rate}, "
+            f"data.n_concepts must lie in [{singles + 1}, {singles + d // 2}]"
         )
     base, rem = divmod(d, shared)
     return [base + 1] * rem + [base] * (shared - rem) + [1] * singles
 
 
 def generate(cfg: SynthConfig) -> Dataset:
-    """Deterministic synthetic dataset with planted semantic duplicates."""
-    if min(cfg.latent_dim, cfg.video_dim, cfg.text_dim, cfg.frames_per_video) < 1:
-        raise ConfigError(f"dims and frame count must be positive: {cfg}")
-    if not (0 <= cfg.noise_video < np.inf and 0 <= cfg.noise_text < np.inf):
-        raise ConfigError(
-            f"noise levels must be finite and nonnegative, got {cfg.noise_video}, {cfg.noise_text}"
-        )
-    if cfg.n_items < 4:
-        raise ConfigError(f"need at least 4 items for a train/val split, got {cfg.n_items}")
+    """Deterministic synthetic dataset with planted semantic duplicates, split
+    by ``split_sizes``; ``cfg.validate()`` runs first."""
+    cfg.validate()
     sizes = _plan_concept_sizes(cfg)
 
     n, m, t = cfg.n_items, cfg.latent_dim, cfg.frames_per_video
@@ -178,11 +190,9 @@ def generate(cfg: SynthConfig) -> Dataset:
     sse_video_vecs = frames.mean(axis=1)
 
     split_perm = named_rng(cfg.seed, "data_split").permutation(n)
-    n_val = max(2, int(round(VAL_FRACTION * n)))
+    _, n_val = split_sizes(n)
     val_rows = sorted(split_perm[:n_val].tolist())
     train_rows = sorted(split_perm[n_val:].tolist())
-    if len(train_rows) < 2:
-        raise ConfigError(f"{n} items leave fewer than 2 training items")
 
     return Dataset(
         ids=ids,
@@ -362,13 +372,18 @@ def load_dataset(data_dir) -> Dataset:
             f"of {frames_path}"
         ) from None
 
-    return Dataset(
-        ids=ids,
-        concepts=concepts,
-        frames=frames,
-        text=text_table.embeddings,
-        sse_video=sse_video,
-        sse_text=sse_text,
-        train_ids=_load_split(root / _FILES["split_train"]),
-        val_ids=_load_split(root / _FILES["split_val"]),
-    )
+    train_path, val_path = root / _FILES["split_train"], root / _FILES["split_val"]
+    train_ids, val_ids = _load_split(train_path), _load_split(val_path)
+    try:
+        return Dataset(
+            ids=ids,
+            concepts=concepts,
+            frames=frames,
+            text=text_table.embeddings,
+            sse_video=sse_video,
+            sse_text=sse_text,
+            train_ids=train_ids,
+            val_ids=val_ids,
+        )
+    except ConfigError as exc:
+        raise ParseError(f"{train_path} and {val_path}: {exc} of {frames_path}") from None

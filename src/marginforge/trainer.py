@@ -39,6 +39,8 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class TrainConfig:
+    """The ``train.*`` config keys, one per field, and their value rules."""
+
     alpha: float = 0.05
     beta: float = 0.04
     epochs: int = 60
@@ -56,33 +58,36 @@ class TrainConfig:
     sse_video: bool = True
 
     def validate(self, n_train: int | None = None) -> None:
+        """Raise ``ConfigError`` naming the ``train.*`` key of the first rule broken;
+        with ``n_train``, a batch must also fit in the training split."""
         for name in ("alpha", "beta", "learning_rate"):
             if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigError(f"train.{name} must be finite, got {getattr(self, name)}")
         if self.beta < 0:
-            raise ConfigError(f"beta must be nonnegative, got {self.beta}")
+            raise ConfigError(f"train.beta must be nonnegative, got {self.beta}")
         if self.epochs < 0 or self.warmup_epochs < 0:
-            raise ConfigError("epochs and warmup_epochs must be nonnegative")
+            raise ConfigError("train.epochs and train.warmup_epochs must be nonnegative")
         if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+            raise ConfigError(f"train.batch_size must be positive, got {self.batch_size}")
         if n_train is not None and self.batch_size > n_train:
             raise ConfigError(
-                f"batch_size {self.batch_size} exceeds the {n_train} training items"
+                f"train.batch_size {self.batch_size} exceeds the {n_train} training items"
             )
         if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be nonnegative, got {self.learning_rate}")
+            raise ConfigError(f"train.learning_rate must be nonnegative, got {self.learning_rate}")
         if not 0.0 < self.lambda_start_value <= 1.0:
             raise ConfigError(
-                f"lambda_start_value must be in (0, 1], got {self.lambda_start_value}"
+                f"train.lambda_start_value must be in (0, 1], got {self.lambda_start_value}"
             )
         if not 1 <= self.lambda_start_epoch <= self.lambda_end_epoch:
             raise ConfigError(
-                f"need 1 <= lambda_start_epoch <= lambda_end_epoch, got "
+                f"need 1 <= train.lambda_start_epoch <= train.lambda_end_epoch, got "
                 f"{self.lambda_start_epoch}..{self.lambda_end_epoch}"
             )
         if self.mining_criterion not in MINING_CRITERIA:
             raise ConfigError(
-                f"mining_criterion must be one of {MINING_CRITERIA}, got {self.mining_criterion!r}"
+                f"train.mining_criterion must be one of {MINING_CRITERIA}, "
+                f"got {self.mining_criterion!r}"
             )
 
 
@@ -138,14 +143,29 @@ def epoch_batches(seed: int, n: int, batch_size: int, epoch: int) -> list[np.nda
     return [batch for batch in batches if batch.size >= 2]
 
 
-def _batch_margins(cfg: TrainConfig, state, sse_units: dict, batch) -> dict:
-    """``{expert kind: B x B margins}`` for the enabled experts of one batch.
+def sse_unit_tables(dataset: Dataset, kinds) -> dict:
+    """``{SSE kind: unit rows}`` of the train split's static tables for ``kinds``."""
+    return {
+        kind: unit_rows(getattr(dataset, kind).lookup(dataset.train_ids), kind)[0]
+        for kind in kinds
+    }
+
+
+def expert_units(state, sse_units: dict, batch) -> dict:
+    """``{expert kind: unit rows}`` of one batch, the one statement of which
+    rows feed which expert.
 
     The DSE experts read the batch's unit rows from ``state``; the SSE
-    experts read rows ``batch`` of the epoch's normalised train-split tables.
+    experts read rows ``batch`` of the ``sse_unit_tables`` in ``sse_units``.
     """
     units = {"dse_video": state.video_units, "dse_text": state.text_units}
     units.update((kind, table[batch]) for kind, table in sse_units.items())
+    return units
+
+
+def _batch_margins(cfg: TrainConfig, state, sse_units: dict, batch) -> dict:
+    """``{expert kind: B x B margins}`` for the enabled experts of one batch."""
+    units = expert_units(state, sse_units, batch)
     return {
         kind: rescale_margins(pairwise_distances(units[kind]), cfg.alpha, cfg.beta)
         for kind in EXPERT_KINDS
@@ -179,11 +199,9 @@ def train_epoch(
     pooled = dataset.pooled_video()[rows]
     text = dataset.text[rows]
     try:
-        sse_units = {
-            kind: unit_rows(getattr(dataset, kind).lookup(dataset.train_ids), kind)[0]
-            for kind in ("sse_video", "sse_text")
-            if getattr(cfg, kind)
-        }
+        sse_units = sse_unit_tables(
+            dataset, [kind for kind in ("sse_video", "sse_text") if getattr(cfg, kind)]
+        )
     except MarginForgeError as exc:
         raise type(exc)(f"epoch {epoch}: {exc}") from exc
 
@@ -242,7 +260,6 @@ def run_training(
     hidden_dim: int,
     joint_dim: int,
     out_dir,
-    initial_model: TwoTowerModel | None = None,
     config_hash: str = "",
 ) -> tuple[Checkpoint, list[dict]]:
     """Warm-up plus main epochs with per-epoch validation metrics.
@@ -257,11 +274,8 @@ def run_training(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if initial_model is None:
-        dims = ModelDims(dataset.frames.shape[2], dataset.text.shape[1], hidden_dim, joint_dim)
-        model = init_params(dims, cfg.seed)
-    else:
-        model = initial_model
+    dims = ModelDims(dataset.frames.shape[2], dataset.text.shape[1], hidden_dim, joint_dim)
+    model = init_params(dims, cfg.seed)
     opt_state = new_adam_state(model)
 
     records: list[dict] = []

@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+from marginforge import config
 from marginforge.cli import main
 from marginforge.config import (
     KEY_SPECS,
@@ -127,6 +130,29 @@ class TestParseConfig:
     def test_train_config_rejects_non_finite(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "train.lambda_start_value = 0",
+            "data.duplicate_rate = 2",
+            "data.n_concepts = 30",
+            "model.joint_dim = 0",
+        ],
+    )
+    def test_range_error_names_file_and_key(self, tmp_path, line):
+        path = write_cfg(tmp_path, SMOKE_CFG + line + "\n")  # 24 items
+        key = line.partition(" =")[0]
+        with pytest.raises(ConfigTypeError, match=rf"{re.escape(str(path))}: .*{re.escape(key)}"):
+            parse_config(path)
+
+    def test_unsupported_field_type_has_no_key(self):
+        @dataclasses.dataclass
+        class Odd:
+            values: list = dataclasses.field(default_factory=list)
+
+        with pytest.raises(TypeError, match="Odd.values"):
+            config._field_specs("odd", Odd)
 
     def test_inconsistent_lambda_epochs_rejected(self, tmp_path):
         with pytest.raises(ConfigTypeError):
@@ -417,8 +443,13 @@ class TestSweepCommand:
             ["--seeds", "1", "--param", "train.beta=0.0,-1"],
             ["--seeds", "1", "--param", "train.lambda_start_epoch=1,60"],
             ["--seeds", "1", "--param", "train.epochs=1,0"],
+            ["--seeds", "1", "--param", "train.batch_size=8,30"],
+            ["--seeds", "1", "--param", "data.n_items=24,3"],
         ],
-        ids=["repeated-seed", "repeated-key", "rejected-value", "invalid-config", "no-epochs"],
+        ids=[
+            "repeated-seed", "repeated-key", "rejected-value", "invalid-config", "no-epochs",
+            "batch-exceeds-split", "too-few-items",
+        ],
     )
     def test_bad_grid_fails_before_any_run(self, smoke_env, capsys, extra):
         cfg_path, _, tmp_path = smoke_env

@@ -211,6 +211,24 @@ class TestLabelAndSplitFiles:
         ):
             load_dataset(tmp_path)
 
+    def test_splits_that_do_not_partition_name_their_files(self, tmp_path):
+        write_dataset(generate(SynthConfig(n_items=8, n_concepts=8, seed=17)), tmp_path)
+        target = tmp_path / "split_train.txt"
+        old_digest = digest(target.read_bytes())
+        lines = target.read_text(encoding="utf-8").splitlines()
+        val_id = (tmp_path / "split_val.txt").read_text(encoding="utf-8").splitlines()[1]
+        lines[-1] = val_id  # a val id in the train split, count kept
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        manifest = tmp_path / MANIFEST_NAME
+        manifest.write_text(
+            manifest.read_text(encoding="utf-8").replace(old_digest, digest(target.read_bytes())),
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            ParseError, match=r"split_train\.txt and \S*split_val\.txt: .*partition.*frames\.frm1"
+        ):
+            load_dataset(tmp_path)
+
 
 class TestManifest:
     """``load_dataset`` checks every manifest line before it hashes any file."""
