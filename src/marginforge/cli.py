@@ -19,7 +19,7 @@ from .data import generate, load_dataset, split_sizes, write_dataset
 from .errors import ConfigError, IndexOutOfRangeError, MarginForgeError
 from .evaluation import write_metrics_csv
 from .experts import EXPERT_KINDS, pairwise_distances
-from .margin import rescale_margins
+from .margin import expert_margins
 from .model import forward_batch, load_checkpoint
 from .trainer import epoch_batches, evaluate_split, expert_units, run_training, sse_unit_tables
 
@@ -111,7 +111,6 @@ def cmd_inspect_margins(args) -> int:
     rows = train_rows[batch]
     state = forward_batch(model, dataset.pooled_video()[rows], dataset.text[rows])
     units = expert_units(state, sse_unit_tables(dataset, ("sse_video", "sse_text")), batch)
-    distances = {kind: pairwise_distances(units[kind]) for kind in EXPERT_KINDS}
     kinds = EXPERT_KINDS if args.expert == "all" else (args.expert,)
     concepts = dataset.concepts[rows]
 
@@ -120,8 +119,8 @@ def cmd_inspect_margins(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "expert", "distance", "margin", "same_concept"])
         for kind in kinds:
-            dist = distances[kind]
-            margins = rescale_margins(dist, cfg.train.alpha, cfg.train.beta)
+            dist = pairwise_distances(units[kind])
+            margins = expert_margins(units[kind], cfg.train.alpha, cfg.train.beta)
             for i in range(batch.size):
                 for j in range(batch.size):
                     if i == j:
@@ -215,8 +214,13 @@ def cmd_sweep(args) -> int:
     cells = list(itertools.product(*(vals for _, vals in grid))) if grid else [()]
     tasks = []
     for cell_idx, cell in enumerate(cells):
+        assignment = list(zip(keys, cell))
         for seed in seeds:
-            cfg = _cell_config(base, list(zip(keys, cell)), seed)
+            try:
+                cfg = _cell_config(base, assignment, seed)
+            except ConfigError as exc:
+                where = ", ".join(f"{key}={raw}" for key, raw in assignment)
+                raise type(exc)(f"cell{cell_idx:03d} ({where}) seed {seed}: {exc}") from exc
             tasks.append((cell_idx, cfg, f"cell{cell_idx:03d}/seed{seed}"))
     out = _resolve_out_dir(base, args.out)
     cfgmod.write_resolved(base, out)

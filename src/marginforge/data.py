@@ -206,17 +206,6 @@ def generate(cfg: SynthConfig) -> Dataset:
     )
 
 
-def ground_truth_equivalents(dataset: Dataset) -> dict[str, set[str]]:
-    """For each id, the other ids sharing its concept."""
-    by_concept: dict[int, list[str]] = {}
-    for item_id, concept in zip(dataset.ids, dataset.concepts):
-        by_concept.setdefault(int(concept), []).append(item_id)
-    return {
-        item_id: set(by_concept[int(concept)]) - {item_id}
-        for item_id, concept in zip(dataset.ids, dataset.concepts)
-    }
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

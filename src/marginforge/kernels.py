@@ -11,6 +11,12 @@ Input contract: the kernels never take a norm. ``pairwise_cosine`` and
 ``cosine_backward`` take float64 unit rows and their original row norms as
 returned by ``mathcore.unit_rows``, which owns the normalisation and its
 error contract (2-D stacks, finite non-zero norms).
+
+Memory: ``triplet_terms`` makes one B x B array, its gradient ``dS``. Its
+other work runs on (R, B) blocks of anchor rows, R = BLOCK_VALUES // B, so
+at large B every pass over the hinges stays in cache and reads S row-wise
+(direction video reads column stripes ``S[:, r0:r1]``, never a transposed
+copy). Up to B = 181 a batch is one block.
 """
 
 import numpy as np
@@ -20,6 +26,10 @@ __all__ = [
     "triplet_terms",
     "cosine_backward",
 ]
+
+# values per row block of ``triplet_terms``' (R, B) buffers: 256 KiB each,
+# small enough that a block's passes stay in L2
+BLOCK_VALUES = 1 << 15
 
 
 def pairwise_cosine(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -54,62 +64,79 @@ def triplet_terms(
     weighted combined term, or of the level-0 term when ``hard_only``; ties
     resolve to the smallest index).
 
-    Memory is O(B^2) whatever K is: the criterion is built level by level in
-    a few preallocated B x B buffers, and under hardest mining the level
-    totals and dS come from the B mined entries per direction only.
+    Memory is ``dS`` plus a few (R, B) row blocks whatever K is: anchors are
+    taken R = BLOCK_VALUES // B rows at a time, and the criterion is built
+    level by level in the block buffers. Under hardest mining the level
+    totals and dS come from the B mined entries per direction only, so they
+    do not depend on R; under mean mining ``comp`` is summed block by block.
     """
     S = np.ascontiguousarray(S, dtype=np.float64)
     levels = [np.asarray(m, dtype=np.float64) for m in M]
     w = np.ascontiguousarray(w, dtype=np.float64)
     K = len(levels)
     B = S.shape[0]
+    R = min(B, max(1, BLOCK_VALUES // B))
     pos = np.diag(S).copy()
     rows = np.arange(B)
 
     comp = np.zeros(K)
     dS = np.zeros((B, B))
+    dS_flat = dS.reshape(-1)
     mined = np.empty((2, B), dtype=np.int64)
-    base = np.empty((B, B))
-    crit = np.empty((B, B))
-    hinge = np.empty((B, B))
+    base_buf = np.empty((R, B))
+    crit_buf = np.empty((R, B))
+    hinge_buf = np.empty((R, B))
     if mean_mining:
-        wmat = np.empty((B, B))
-        active = np.empty((B, B))
+        wmat_buf = np.empty((R, B))
+        active_buf = np.empty((R, B))
+        scale = 1.0 / (B * (B - 1))
     crit_levels = 1 if hard_only else K
 
-    for d, N in ((0, S.T), (1, S)):
-        np.subtract(N, pos[:, None], out=base)  # s_neg - s_pos
-        if mean_mining:
-            wmat.fill(0.0)
-        # accumulate level by level, in the summation order of the oracle
-        for k in range(K if mean_mining else crit_levels):
-            np.add(base, levels[k], out=hinge)
-            np.maximum(hinge, 0.0, out=hinge)
-            np.fill_diagonal(hinge, 0.0)
+    for d in (0, 1):
+        for r0 in range(0, B, R):
+            r1 = min(r0 + R, B)
+            n = r1 - r0
+            base, crit, hinge = base_buf[:n], crit_buf[:n], hinge_buf[:n]
+            # the anchors' own entries: (i - r0, i) for i in [r0, r1)
+            diag = np.s_[r0 :: B + 1]
+            N = S[:, r0:r1].T if d == 0 else S[r0:r1]
+            np.subtract(N, pos[r0:r1, None], out=base)  # s_neg - s_pos
             if mean_mining:
-                comp[k] += hinge.sum() / (B - 1)
-                np.greater(hinge, 0.0, out=active)
-                active *= w[k]
-                wmat += active
-            if k == 0:
-                if not hard_only:
-                    hinge *= w[0]
-                crit, hinge = hinge, crit  # level 0 starts the criterion; no copy
-            elif k < crit_levels:
-                hinge *= w[k]
-                crit += hinge
-        np.fill_diagonal(crit, -np.inf)
-        jstar = np.argmax(crit, axis=1)
-        mined[d] = jstar
+                wmat, active = wmat_buf[:n], active_buf[:n]
+                wmat.fill(0.0)
+            # accumulate level by level, in the summation order of the oracle
+            for k in range(K if mean_mining else crit_levels):
+                level = levels[k]
+                np.add(base, level if level.ndim == 0 else level[r0:r1], out=hinge)
+                np.maximum(hinge, 0.0, out=hinge)
+                hinge.reshape(-1)[diag] = 0.0
+                if mean_mining:
+                    comp[k] += hinge.sum() / (B - 1)
+                    np.greater(hinge, 0.0, out=active)
+                    active *= w[k]
+                    wmat += active
+                if k == 0:
+                    if not hard_only:
+                        hinge *= w[0]
+                    crit, hinge = hinge, crit  # level 0 starts the criterion; no copy
+                elif k < crit_levels:
+                    hinge *= w[k]
+                    crit += hinge
+            crit.reshape(-1)[diag] = -np.inf
+            np.argmax(crit, axis=1, out=mined[d, r0:r1])
 
-        if mean_mining:
-            scale = 1.0 / (B * (B - 1))
-            row_w = wmat.sum(axis=1)
-            wmat *= scale
-            dS += wmat.T if d == 0 else wmat
-            dS[rows, rows] -= row_w * scale
-        else:
-            picked = base[rows, jstar]
+            if mean_mining:
+                row_w = wmat.sum(axis=1)
+                wmat *= scale
+                if d == 0:
+                    dS[:, r0:r1] += wmat.T
+                else:
+                    dS[r0:r1] += wmat
+                dS_flat[r0 * (B + 1) : r1 * (B + 1) : B + 1] -= row_w * scale
+
+        if not mean_mining:
+            jstar = mined[d]
+            picked = (S[jstar, rows] if d == 0 else S[rows, jstar]) - pos
             # (K, B) in column-major order, the layout of a fancy-indexed
             # (K, B, B) stack, so the level sums below keep its rounding
             args = np.stack(

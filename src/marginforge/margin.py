@@ -6,6 +6,12 @@ equals the hard margin ``mu`` and their population variance equals the value
 The map is strictly increasing, so more distant (less similar) negative pairs
 always receive larger margins; outputs may go negative by design. Distances
 and margins are plain B x B float64 arrays.
+
+``affine`` turns a batch's statistics into the map. ``rescale_margins``
+applies it to any square distance array; ``expert_margins`` builds an
+expert's margins straight from its unit rows, with the statistics of the
+cosine distances taken from Gram sums (D x D work) instead of a pass over a
+B x B distance matrix.
 """
 
 import math
@@ -13,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kernels
 from .errors import EmptyInputError, NonSquareError
 from .mathcore import normal_cdf
 
@@ -35,9 +42,10 @@ def batch_stats(d) -> tuple[float, float]:
     """Mean and population variance of the off-diagonal entries.
 
     Works for any square matrix, symmetric or not, with any diagonal. The
-    mean is the full sum less the trace; the variance sums the squared
-    deviations of one B x B temporary whose diagonal is zeroed, so no mask or
-    gathered copy of the off-diagonal entries is made.
+    mean is the full sum less the trace; the variance is the pairwise sum of
+    the squared deviations, squared in place in one B x B temporary whose
+    diagonal is zeroed, so no mask or gathered copy of the off-diagonal
+    entries is made.
     """
     vals = matrix_values(d)
     b = vals.shape[0]
@@ -47,8 +55,8 @@ def batch_stats(d) -> tuple[float, float]:
     mean = (vals.sum() - np.trace(vals)) / n
     dev = vals - mean
     np.fill_diagonal(dev, 0.0)
-    dev = dev.ravel()
-    return float(mean), float(dev @ dev) / n
+    dev *= dev
+    return float(mean), float(dev.sum()) / n
 
 
 @lru_cache(maxsize=None)
@@ -76,6 +84,21 @@ def beta_to_variance(beta: float) -> float:
     return sigma * sigma
 
 
+def affine(mean: float, var: float, mu: float, beta: float) -> tuple[float, float]:
+    """``(scale, offset)`` of the map ``x -> scale * x + offset`` that takes
+    values of this mean and variance to mean mu and variance U(beta).
+
+    A variance at or below ``VAR_FLOOR`` is a constant batch, which falls
+    back to the hard margin: the map is then ``(0.0, mu)``. A negative
+    ``beta`` raises ``ValueError``.
+    """
+    target = beta_to_variance(beta)
+    if var > VAR_FLOOR:
+        scale = math.sqrt(target / var)
+        return scale, mu - scale * mean
+    return 0.0, mu
+
+
 def rescale_margins(d, mu: float, beta: float) -> np.ndarray:
     """Map square distances to a new margin array: off-diagonal mean mu, variance U(beta).
 
@@ -83,15 +106,43 @@ def rescale_margins(d, mu: float, beta: float) -> np.ndarray:
     off-diagonal distances equal) fall back to the hard margin everywhere;
     the diagonal is always set to mu and is unused downstream.
     """
-    target = beta_to_variance(beta)
     vals = matrix_values(d)
-    mean, var = batch_stats(vals)
-    if var > VAR_FLOOR:
-        scale = math.sqrt(target / var)
-        out = vals - mean
-        out *= scale
-        out += mu
-        np.fill_diagonal(out, mu)
-    else:
-        out = np.full_like(vals, mu)
+    scale, offset = affine(*batch_stats(vals), mu, beta)
+    out = vals * scale
+    out += offset
+    np.fill_diagonal(out, mu)
     return out
+
+
+def expert_margins(U: np.ndarray, mu: float, beta: float) -> np.ndarray:
+    """``rescale_margins`` of the cosine distances between unit rows ``U``.
+
+    The off-diagonal mean and variance of ``g = U @ U.T`` come from Gram
+    sums: with ``s = U.sum(0)``, squared row norms ``q`` and ``C = U.T @ U``,
+    the off-diagonal entries sum to ``s.s - sum(q)`` and their squares to
+    ``|C|_F^2 - q.q``. Distances ``1 - g`` have the variance of ``g`` and the
+    mean of ``-g`` up to the constant 1, which the map's offset absorbs, so
+    the margins are ``-scale * g + offset`` with ``(scale, offset)`` from
+    ``affine(-mean(g), var(g), mu, beta)``. They are formed in place in the
+    exactly symmetric ``kernels.pairwise_cosine(U, U)``; the diagonal is mu.
+
+    The variance is a difference of raw moments, so its rounding error is
+    about eps * (1/B + mean(g)^2) / var(g) relative: tiny for the batch
+    sizes and spreads of training, but a B = 3 batch whose off-diagonal
+    variance is 1.5e-4 can move a margin by ~5e-15.
+    """
+    b = U.shape[0]
+    if b < 2:
+        raise EmptyInputError("need at least two items for pairwise distances")
+    n = b * (b - 1)
+    s = U.sum(axis=0)
+    q = np.einsum("ij,ij->i", U, U)
+    C = U.T @ U
+    mean = (s @ s - q.sum()) / n
+    var = (np.einsum("ij,ij->", C, C) - q @ q) / n - mean * mean
+    scale, offset = affine(-mean, var, mu, beta)
+    G = kernels.pairwise_cosine(U, U)
+    G *= -scale
+    G += offset
+    G.reshape(-1)[:: b + 1] = mu
+    return G

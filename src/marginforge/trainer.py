@@ -16,8 +16,8 @@ from . import kernels
 from .data import Dataset
 from .errors import ConfigError, MarginForgeError, NonFiniteError, ParseError, ShapeMismatchError
 from .evaluation import DEFAULT_KS, evaluate_bidirectional
-from .experts import EXPERT_KINDS, pairwise_distances
-from .margin import rescale_margins
+from .experts import EXPERT_KINDS
+from .margin import expert_margins
 from .model import (
     AdamState,
     Checkpoint,
@@ -167,7 +167,7 @@ def _batch_margins(cfg: TrainConfig, state, sse_units: dict, batch) -> dict:
     """``{expert kind: B x B margins}`` for the enabled experts of one batch."""
     units = expert_units(state, sse_units, batch)
     return {
-        kind: rescale_margins(pairwise_distances(units[kind]), cfg.alpha, cfg.beta)
+        kind: expert_margins(units[kind], cfg.alpha, cfg.beta)
         for kind in EXPERT_KINDS
         if getattr(cfg, kind)
     }

@@ -1,5 +1,6 @@
 """Test-only helpers: a finite-difference gradient checker, flat views of a
-model's parameters and gradients, and the scalar rank reference."""
+model's parameters and gradients, the scalar rank reference and a dataset's
+same-concept partners."""
 
 import numpy as np
 
@@ -50,3 +51,14 @@ def rank_of_positive(scores, positive_index: int) -> int:
     better = int(np.sum(scores > s))
     tied_before = int(np.sum((scores == s) & (np.arange(n) < positive_index)))
     return 1 + better + tied_before
+
+
+def ground_truth_equivalents(dataset) -> dict[str, set[str]]:
+    """For each id, the other ids sharing its concept."""
+    by_concept: dict[int, list[str]] = {}
+    for item_id, concept in zip(dataset.ids, dataset.concepts):
+        by_concept.setdefault(int(concept), []).append(item_id)
+    return {
+        item_id: set(by_concept[int(concept)]) - {item_id}
+        for item_id, concept in zip(dataset.ids, dataset.concepts)
+    }

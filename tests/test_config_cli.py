@@ -458,6 +458,22 @@ class TestSweepCommand:
         assert "error" in capsys.readouterr().err
         assert not list(out.glob("cell*"))
 
+    def test_cell_error_names_cell_and_seed(self, smoke_env, capsys):
+        cfg_path, _, tmp_path = smoke_env
+        out = tmp_path / "bad_cell"
+        code = main(
+            [
+                "sweep", "--config", str(cfg_path), "--seeds", "1,2",
+                "--param", "train.batch_size=4,30", "--param", "train.beta=0.01,0.02",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "cell002 (train.batch_size=30, train.beta=0.01) seed 1: " in err
+        assert "train.batch_size 30 exceeds the 19 training items" in err
+        assert not list(out.glob("cell*"))
+
     def test_too_many_params_rejected(self, smoke_env):
         cfg_path, _, tmp_path = smoke_env
         code = main(

@@ -9,13 +9,13 @@ from marginforge.data import (
     _load_split,
     digest,
     generate,
-    ground_truth_equivalents,
     load_dataset,
     write_dataset,
 )
 from marginforge.errors import ChecksumError, ConfigError, DuplicateIdError, ParseError
 from marginforge.experts import pairwise_distances
 from marginforge.mathcore import unit_rows
+from helpers import ground_truth_equivalents
 
 
 def dir_digest(path):

@@ -98,6 +98,46 @@ class TestTripletTerms:
             tracemalloc.stop()
         assert peak <= 8 * b * b * 8
 
+    @pytest.mark.parametrize("mining", ["hardest", "mean"])
+    @pytest.mark.parametrize("hard_only", [False, True])
+    @pytest.mark.parametrize("b", [9, 17])
+    @pytest.mark.parametrize("block_values", [16, 36, 64])
+    def test_row_blocks(self, monkeypatch, mining, hard_only, b, block_values):
+        # R = block_values // b rows per block: one row per block, then
+        # several rows with a ragged last block (9 = 4+4+1, 17 = 2*8+1, ...)
+        rng = np.random.default_rng(200 + b)
+        S, M, w = random_instance(rng, b=b, levels=5)
+        levels = [0.05] + list(M[1:])
+        whole = kernels.triplet_terms(S, levels, w, mining == "mean", hard_only)
+        monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
+        comp, dS, mined_v, mined_t = kernels.triplet_terms(
+            S, levels, w, mining == "mean", hard_only
+        )
+        total, per_level, bf_v, bf_t = brute_force_full_loss(S, list(M), w, mining, hard_only)
+        np.testing.assert_allclose(comp, per_level, rtol=1e-12, atol=1e-12)
+        assert float(np.dot(w, comp)) == pytest.approx(total, abs=1e-12)
+        np.testing.assert_array_equal(mined_v, bf_v)
+        np.testing.assert_array_equal(mined_t, bf_t)
+        # only mean mining's level totals are summed per block
+        if mining == "hardest":
+            np.testing.assert_array_equal(comp, whole[0])
+        for blocked, one_block in zip((dS, mined_v, mined_t), whole[1:]):
+            np.testing.assert_array_equal(blocked, one_block)
+
+    @pytest.mark.parametrize("mean_mining", [False, True])
+    def test_peak_memory_is_ds_plus_row_blocks(self, mean_mining):
+        b, levels = 1024, 5
+        rng = np.random.default_rng(18)
+        S, M, w = random_instance(rng, b=b, levels=levels)
+        margins = [0.05] + list(M[1:])
+        tracemalloc.start()
+        try:
+            kernels.triplet_terms(S, margins, w, mean_mining, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * b * b * 8
+
     def test_grad_matches_finite_differences_hardest(self):
         rng = np.random.default_rng(13)
         for _ in range(10):

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from marginforge.errors import EmptyInputError
+from marginforge.experts import pairwise_distances
 from marginforge.margin import (
     VAR_FLOOR,
+    affine,
     batch_stats,
     beta_to_variance,
+    expert_margins,
     rescale_margins,
 )
-from marginforge.mathcore import normal_cdf
+from marginforge.mathcore import normal_cdf, unit_rows
 
 # Phi(z) = 0.95; cross-checked against scipy.special.ndtri in
 # test_sigma_against_independent_quantile below.
@@ -208,3 +212,45 @@ class TestRescaleConfig:
         d = random_distance_matrix(np.random.default_rng(27), 4)
         with pytest.raises(ValueError):
             rescale_margins(d, 0.05, -0.01)
+
+
+class TestAffine:
+    def test_maps_mean_to_mu_and_variance_to_target(self):
+        scale, offset = affine(0.8, 0.04, 0.05, 0.04)
+        assert scale * 0.8 + offset == pytest.approx(0.05, abs=1e-15)
+        assert scale * scale * 0.04 == pytest.approx(beta_to_variance(0.04), rel=1e-15)
+
+    @pytest.mark.parametrize("var", [0.0, VAR_FLOOR, -1e-16])
+    def test_constant_batch_maps_to_mu(self, var):
+        assert affine(0.8, var, 0.05, 0.04) == (0.0, 0.05)
+
+
+class TestExpertMargins:
+    @pytest.mark.parametrize("b", [2, 3, 64, 257, 1024])
+    @pytest.mark.parametrize("dim", [1, 16])
+    def test_matches_rescaled_distances(self, b, dim):
+        rng = np.random.default_rng(40 + b + dim)
+        U = unit_rows(rng.standard_normal((b, dim)), "expert")[0]
+        m = expert_margins(U, 0.05, 0.04)
+        np.testing.assert_allclose(
+            m, rescale_margins(pairwise_distances(U), 0.05, 0.04), rtol=0, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("b", [3, 64, 257])
+    def test_exactly_symmetric_with_mu_diagonal(self, b):
+        rng = np.random.default_rng(50 + b)
+        U = unit_rows(rng.standard_normal((b, 16)), "expert")[0]
+        m = expert_margins(U, 0.05, 0.04)
+        np.testing.assert_array_equal(m, m.T)
+        np.testing.assert_array_equal(np.diag(m), 0.05)
+
+    @pytest.mark.parametrize("b", [2, 3, 64, 257])
+    def test_identical_rows_fall_back_to_mu(self, b):
+        rng = np.random.default_rng(60 + b)
+        U = np.repeat(unit_rows(rng.standard_normal((1, 16)), "expert")[0], b, axis=0)
+        m = expert_margins(U, 0.05, 0.04)
+        assert np.all(m == 0.05)
+
+    def test_needs_two_items(self):
+        with pytest.raises(EmptyInputError):
+            expert_margins(np.ones((1, 4)) / 2.0, 0.05, 0.04)
