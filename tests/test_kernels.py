@@ -118,6 +118,18 @@ class TestTripletTerms:
         assert float(np.dot(w, comp)) == pytest.approx(total, abs=1e-12)
         np.testing.assert_array_equal(mined_v, bf_v)
         np.testing.assert_array_equal(mined_t, bf_t)
+        # dS along one random direction, against the oracle's central difference
+        if mining == "mean":
+            def f(X):
+                return mean_loss_all_negatives(X, list(M), w)
+        else:
+            def f(X):
+                return loss_at_frozen_selection(X, list(M), w, mined_v, mined_t)
+
+        E = rng.standard_normal(S.shape)
+        h = 1e-6
+        fd = (f(S + h * E) - f(S - h * E)) / (2.0 * h)
+        assert float(np.sum(dS * E)) == pytest.approx(fd, abs=1e-7)
         # only mean mining's level totals are summed per block
         if mining == "hardest":
             np.testing.assert_array_equal(comp, whole[0])
