@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
+from . import kernels
 from .data import generate, load_dataset, split_sizes, write_dataset
 from .errors import ConfigError, IndexOutOfRangeError, MarginForgeError
 from .evaluation import write_metrics_csv
-from .experts import EXPERT_KINDS, pairwise_distances
+from .experts import EXPERT_KINDS
 from .margin import expert_margins
 from .model import forward_batch, load_checkpoint
 from .trainer import epoch_batches, evaluate_split, expert_units, run_training, sse_unit_tables
@@ -42,6 +43,7 @@ def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.data.seed = args.seed
+        cfg.data.validate()
     out = _resolve_out_dir(cfg, args.out)
     dataset = generate(cfg.data)
     write_dataset(dataset, out)
@@ -57,6 +59,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.train.seed = args.seed
+        cfg.train.validate()
     dataset = load_dataset(_resolve_data_dir(cfg, args.data))
     out = _resolve_out_dir(cfg, args.out)
     cfgmod.write_resolved(cfg, out)
@@ -95,6 +98,7 @@ def cmd_inspect_margins(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.train.seed = args.seed
+        cfg.train.validate()
     dataset = load_dataset(_resolve_data_dir(cfg, args.data))
     model = load_checkpoint(args.ckpt)
     out = _resolve_out_dir(cfg, args.out)
@@ -119,7 +123,7 @@ def cmd_inspect_margins(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "expert", "distance", "margin", "same_concept"])
         for kind in kinds:
-            dist = pairwise_distances(units[kind])
+            dist = 1.0 - kernels.pairwise_cosine(units[kind], units[kind])
             margins = expert_margins(units[kind], cfg.train.alpha, cfg.train.beta)
             for i in range(batch.size):
                 for j in range(batch.size):
@@ -148,6 +152,8 @@ def _parse_param_grid(specs: list[str]) -> list[tuple[str, list[str]]]:
         key = key.strip()
         if key not in cfgmod.KEY_SPECS:
             raise ConfigError(f"--param key {key!r} is not a config key")
+        if key in ("data.seed", "train.seed"):
+            raise ConfigError(f"--param key {key!r} is set by --seeds, not swept")
         if key in dict(grid):
             raise ConfigError(f"--param key {key!r} is given more than once")
         vals = [v.strip() for v in values.split(",") if v.strip()]

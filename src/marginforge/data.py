@@ -80,6 +80,8 @@ class SynthConfig:
                 raise ConfigError(f"data.{name} must be finite and nonnegative, got {value}")
         if self.n_items < 4:
             raise ConfigError(f"data.n_items must be at least 4 for a split, got {self.n_items}")
+        if self.seed < 0:
+            raise ConfigError(f"data.seed must be nonnegative, got {self.seed}")
         _plan_concept_sizes(self)
 
 

@@ -1,9 +1,9 @@
-"""Single-modal supervision experts.
+"""Single-modal supervision experts: their tables and their file formats.
 
-Dynamic experts measure pairwise distance between the live encoder outputs of
-a batch; static experts do the same over frozen, externally produced
-embeddings loaded from EMB1/FRM1 text files. All distances are 1 - cosine,
-giving symmetric B x B matrices with zero diagonal and entries in [0, 2].
+Dynamic experts read the live encoder outputs of a batch; static experts read
+frozen, externally produced embeddings, held in a ``StaticEmbeddingTable`` and
+loaded from EMB1/FRM1 text files. Either kind's unit rows become margins in
+``margin.expert_margins``; ``EXPERT_KINDS`` names the four experts.
 
 The EMB1, FRM1 and CKPT2 loaders check each record line's structure as they
 read it, but convert its floats a block at a time through ``FloatRows``: one
@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     DimMismatchError,
     DuplicateIdError,
-    EmptyInputError,
     ParseError,
     UnknownIdError,
     ZeroNormError,
@@ -62,22 +60,6 @@ class StaticEmbeddingTable:
 
     def lookup(self, batch_ids) -> np.ndarray:
         return self.embeddings[[self.row(i) for i in batch_ids]]
-
-
-def pairwise_distances(U: np.ndarray) -> np.ndarray:
-    """1 - cosine over all pairs of unit rows, exact zero diagonal, exactly symmetric.
-
-    ``U`` holds unit rows from ``mathcore.unit_rows``; the result is a new
-    B x B float64 array, whatever the expert. Symmetry comes from
-    ``kernels.pairwise_cosine(U, U)``, whose self product is exactly
-    symmetric; the distances are formed in place in that matrix.
-    """
-    if U.shape[0] < 2:
-        raise EmptyInputError("need at least two items for pairwise distances")
-    D = kernels.pairwise_cosine(U, U)
-    np.subtract(1.0, D, out=D)
-    np.fill_diagonal(D, 0.0)
-    return D
 
 
 # ---------------------------------------------------------------------------

@@ -1,87 +1,38 @@
-"""Rescale function: expert distances -> adaptive margins.
+"""Adaptive margins: an expert's batch distances -> per-pair margins.
 
-Off-diagonal distances of a batch are affinely remapped so their sample mean
-equals the hard margin ``mu`` and their population variance equals the value
-``U(beta)`` for which a normal holds 90% of its mass within ``mu +- beta``.
-The map is strictly increasing, so more distant (less similar) negative pairs
-always receive larger margins; outputs may go negative by design. Distances
-and margins are plain B x B float64 arrays.
+The off-diagonal cosine distances ``1 - U @ U.T`` of an expert's unit rows
+are affinely remapped so their sample mean equals the hard margin ``mu`` and
+their population variance equals ``U(beta)``, the variance of a normal that
+holds 90% of its mass within ``mu +- beta``. The map is strictly increasing,
+so more distant (less similar) negative pairs always receive larger margins;
+outputs may go negative by design. Margins are plain B x B float64 arrays.
 
-``affine`` turns a batch's statistics into the map. ``rescale_margins``
-applies it to any square distance array; ``expert_margins`` builds an
-expert's margins straight from its unit rows, with the statistics of the
-cosine distances taken from Gram sums (D x D work) instead of a pass over a
-B x B distance matrix.
+``expert_margins`` is the one margin path: it takes the distance statistics
+from Gram sums (D x D work) instead of a pass over a B x B distance matrix,
+and ``affine`` turns them into the map. ``U(beta)`` has the closed form
+``(beta / z)^2`` with ``z`` the 95% standard normal quantile.
 """
 
 import math
-from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
 
 from . import kernels
-from .errors import EmptyInputError, NonSquareError
-from .mathcore import normal_cdf
+from .errors import EmptyInputError
 
 CONFIDENCE = 0.90
 # off-diagonal variances at or below this count as a constant batch
 VAR_FLOOR = 1e-12
-_BISECT_TOL = 1e-10
-_BISECT_MAX_ITERS = 200
+# z with Phi(z) - Phi(-z) = CONFIDENCE
+_Z = NormalDist().inv_cdf(0.5 + CONFIDENCE / 2)
 
 
-def matrix_values(d) -> np.ndarray:
-    """``d`` as a float64 array, which must be square."""
-    vals = np.asarray(d, dtype=np.float64)
-    if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {vals.shape}")
-    return vals
-
-
-def batch_stats(d) -> tuple[float, float]:
-    """Mean and population variance of the off-diagonal entries.
-
-    Works for any square matrix, symmetric or not, with any diagonal. The
-    mean is the full sum less the trace; the variance is the pairwise sum of
-    the squared deviations, squared in place in one B x B temporary whose
-    diagonal is zeroed, so no mask or gathered copy of the off-diagonal
-    entries is made.
-    """
-    vals = matrix_values(d)
-    b = vals.shape[0]
-    if b < 2:
-        raise EmptyInputError("batch statistics need at least two items")
-    n = b * (b - 1)
-    mean = (vals.sum() - np.trace(vals)) / n
-    dev = vals - mean
-    np.fill_diagonal(dev, 0.0)
-    dev *= dev
-    return float(mean), float(dev.sum()) / n
-
-
-@lru_cache(maxsize=None)
 def beta_to_variance(beta: float) -> float:
-    """Variance of a normal whose central 90% interval has half-width beta.
-
-    Found by bisection on the standard deviation: the bracket [beta/10,
-    10*beta] comfortably contains beta / z where Phi(z) = 0.95 (z ~ 1.645).
-    """
+    """Variance of a normal whose central 90% interval has half-width beta."""
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    if beta == 0.0:
-        return 0.0
-    lo, hi = beta / 10.0, beta * 10.0
-    sigma = 0.5 * (lo + hi)
-    for _ in range(_BISECT_MAX_ITERS):
-        sigma = 0.5 * (lo + hi)
-        mass = normal_cdf(beta / sigma) - normal_cdf(-beta / sigma)
-        if abs(mass - CONFIDENCE) < _BISECT_TOL:
-            break
-        if mass > CONFIDENCE:
-            lo = sigma  # too much mass inside: sigma is too small
-        else:
-            hi = sigma
-    return sigma * sigma
+    return (beta / _Z) ** 2
 
 
 def affine(mean: float, var: float, mu: float, beta: float) -> tuple[float, float]:
@@ -99,23 +50,8 @@ def affine(mean: float, var: float, mu: float, beta: float) -> tuple[float, floa
     return 0.0, mu
 
 
-def rescale_margins(d, mu: float, beta: float) -> np.ndarray:
-    """Map square distances to a new margin array: off-diagonal mean mu, variance U(beta).
-
-    A negative ``beta`` raises ``ValueError``. Zero-variance batches (all
-    off-diagonal distances equal) fall back to the hard margin everywhere;
-    the diagonal is always set to mu and is unused downstream.
-    """
-    vals = matrix_values(d)
-    scale, offset = affine(*batch_stats(vals), mu, beta)
-    out = vals * scale
-    out += offset
-    np.fill_diagonal(out, mu)
-    return out
-
-
 def expert_margins(U: np.ndarray, mu: float, beta: float) -> np.ndarray:
-    """``rescale_margins`` of the cosine distances between unit rows ``U``.
+    """Adaptive margins of the cosine distances between unit rows ``U``.
 
     The off-diagonal mean and variance of ``g = U @ U.T`` come from Gram
     sums: with ``s = U.sum(0)``, squared row norms ``q`` and ``C = U.T @ U``,

@@ -1,19 +1,15 @@
 """Scalar and small-vector numeric primitives.
 
-Cosine similarity, row normalisation and the standard normal CDF.
-Everything here is float64, pure, and thread-safe; batched equivalents of the
-hot paths live in :mod:`marginforge.kernels`.
+Vector coercion, scalar cosine similarity and row normalisation. Everything
+here is float64, pure, and thread-safe; batched equivalents of the hot paths
+live in :mod:`marginforge.kernels`.
 """
-
-import math
 
 import numpy as np
 
 from .errors import DimMismatchError, ZeroNormError
 
 ZERO_NORM_EPS = 1e-12
-
-_SQRT2 = math.sqrt(2.0)
 
 
 def as_vector(values) -> np.ndarray:
@@ -58,7 +54,3 @@ def unit_rows(X, what: str) -> tuple[np.ndarray, np.ndarray]:
         raise ZeroNormError(f"{what} row {bad} has non-finite or near-zero norm {norms[bad]:.3e}")
     return X / norms[:, None], norms
 
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via erfc (absolute error well below 1e-10)."""
-    return 0.5 * math.erfc(-x / _SQRT2)

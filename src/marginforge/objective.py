@@ -19,6 +19,10 @@ A soft slot is the sum of its video-domain and text-domain hinge; if only one
 expert of a slot is enabled its weight doubles so the slot keeps its mass,
 and a fully disabled slot contributes zero. Margins are always treated as
 constants: no gradient flows through expert distances, even dynamic ones.
+
+``full_loss`` scores a given ``S``; ``full_loss_grad`` is the training step's
+entry, which forms ``S`` with ``kernels.pairwise_cosine`` from the unit rows
+of the forward pass and returns the parameter gradients too.
 """
 
 from dataclasses import dataclass
@@ -26,10 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import EmptyInputError, LambdaOutOfRangeError, ShapeMismatchError
+from .errors import EmptyInputError, LambdaOutOfRangeError, NonSquareError, ShapeMismatchError
 from .experts import EXPERT_KINDS
-from .margin import matrix_values
-from .mathcore import unit_rows
 from .model import ForwardState, TwoTowerModel, backward
 
 MININGS = ("hardest", "mean")
@@ -56,17 +58,12 @@ class LossBreakdown:
     neg_text_idx: np.ndarray
 
 
-def similarity_matrix(video_reprs, text_reprs) -> np.ndarray:
-    """Pairwise cosine between aligned batches of raw video and text vectors.
-
-    The entry point for raw representations; a training step instead reads
-    the unit rows that ``forward_batch`` already formed.
-    """
-    V = np.atleast_2d(np.asarray(video_reprs, dtype=np.float64))
-    T = np.atleast_2d(np.asarray(text_reprs, dtype=np.float64))
-    if V.shape[0] != T.shape[0]:
-        raise ShapeMismatchError(f"batch sizes differ: {V.shape[0]} vs {T.shape[0]}")
-    return kernels.pairwise_cosine(unit_rows(V, "video")[0], unit_rows(T, "text")[0])
+def matrix_values(d) -> np.ndarray:
+    """``d`` as a float64 array, which must be square."""
+    vals = np.asarray(d, dtype=np.float64)
+    if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+        raise NonSquareError(f"expected a square matrix, got shape {vals.shape}")
+    return vals
 
 
 def _check_square(S) -> np.ndarray:

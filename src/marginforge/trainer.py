@@ -67,6 +67,8 @@ class TrainConfig:
             raise ConfigError(f"train.beta must be nonnegative, got {self.beta}")
         if self.epochs < 0 or self.warmup_epochs < 0:
             raise ConfigError("train.epochs and train.warmup_epochs must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be nonnegative, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"train.batch_size must be positive, got {self.batch_size}")
         if n_train is not None and self.batch_size > n_train:

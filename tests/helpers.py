@@ -1,8 +1,9 @@
 """Test-only helpers: a finite-difference gradient checker, flat views of a
-model's parameters and gradients, the scalar rank reference and a dataset's
-same-concept partners."""
+model's parameters and gradients, the scalar rank reference, a dataset's
+same-concept partners and the adaptive-margin reference."""
 
 import numpy as np
+from scipy.special import ndtri
 
 from marginforge.errors import IndexOutOfRangeError, ShapeMismatchError
 from marginforge.mathcore import as_vector
@@ -62,3 +63,22 @@ def ground_truth_equivalents(dataset) -> dict[str, set[str]]:
         item_id: set(by_concept[int(concept)]) - {item_id}
         for item_id, concept in zip(dataset.ids, dataset.concepts)
     }
+
+
+def reference_margins(U, mu: float, beta: float) -> np.ndarray:
+    """Adaptive margins of unit rows ``U``, the direct way.
+
+    The distances come from the general product ``1 - U @ U.T``, their
+    statistics from the masked off-diagonal entries, and the target standard
+    deviation from the quantile ``ndtri(0.95)``; a batch whose distance
+    variance is at most 1e-12 gets the hard margin mu everywhere. Shares no
+    code with ``marginforge.margin`` or ``marginforge.kernels``.
+    """
+    U = np.asarray(U, dtype=np.float64)
+    b = U.shape[0]
+    d = np.ma.masked_array(1.0 - U @ U.T.copy(), mask=np.eye(b, dtype=bool))
+    mean, var = d.mean(), d.var()
+    if var <= 1e-12:
+        return np.full((b, b), mu)
+    sigma = beta / ndtri(0.95)
+    return ((d - mean) * (sigma / np.sqrt(var)) + mu).filled(mu)

@@ -10,19 +10,26 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from marginforge import kernels
 from marginforge.cli import main
 from marginforge.data import SynthConfig, generate
 from marginforge.errors import MarginForgeError
 from marginforge.evaluation import evaluate_bidirectional, median_rank, recall_at_k
-from marginforge.experts import pairwise_distances
-from marginforge.margin import batch_stats, beta_to_variance, rescale_margins
-from marginforge.mathcore import normal_cdf, unit_rows
+from marginforge.margin import affine, beta_to_variance, expert_margins
+from marginforge.mathcore import unit_rows
 from marginforge.model import ModelDims, forward_batch, init_params
-from marginforge.objective import full_loss, full_loss_grad, similarity_matrix
-from marginforge.seeding import named_rng
-from marginforge.trainer import TrainConfig, new_adam_state, run_training, train_epoch
+from marginforge.objective import full_loss, full_loss_grad
+from marginforge.trainer import (
+    TrainConfig,
+    epoch_batches,
+    expert_units,
+    new_adam_state,
+    run_training,
+    sse_unit_tables,
+    train_epoch,
+)
 from helpers import finite_diff_grad, flatten_grads, flatten_params, rank_of_positive, set_flat_params
 from oracles import brute_force_similarity, loss_at_frozen_selection, rank_by_stable_sort
 
@@ -49,7 +56,7 @@ def test_c1_confidence_interval_property():
     start = time.perf_counter()
     var = beta_to_variance(0.05)
     sigma = math.sqrt(var)
-    analytic_gap = abs(normal_cdf(0.05 / sigma) - normal_cdf(-0.05 / sigma) - 0.90)
+    analytic_gap = abs(ndtr(0.05 / sigma) - ndtr(-0.05 / sigma) - 0.90)
     assert analytic_gap < 1e-8
 
     # 317 * 316 = 100,172 off-diagonal synthetic Gaussian distances
@@ -58,8 +65,9 @@ def test_c1_confidence_interval_property():
     raw = rng.normal(0.7, 0.25, size=(b, b))
     d = 0.5 * (raw + raw.T)
     np.fill_diagonal(d, 0.0)
-    margins = rescale_margins(d, 0.05, 0.05)
-    off = margins[~np.eye(b, dtype=bool)]
+    dist = d[~np.eye(b, dtype=bool)]
+    scale, offset = affine(dist.mean(), dist.var(), 0.05, 0.05)
+    off = scale * dist + offset
     assert off.size >= 100_000
     frac = float(np.mean((off >= 0.0) & (off <= 0.1)))
     elapsed = time.perf_counter() - start
@@ -78,15 +86,15 @@ def test_c2_rescale_exactness_and_monotonicity():
     worst_mean, worst_var = 0.0, 0.0
     for trial in range(100):
         b = int(rng.choice([4, 8, 16]))
-        reprs = rng.standard_normal((b, 6))
-        d = pairwise_distances(unit_rows(reprs, "dse_video")[0])
-        m = rescale_margins(d, mu, beta)
-        mean, var = batch_stats(m)
+        U = unit_rows(rng.standard_normal((b, 6)), "dse_video")[0]
+        d = 1.0 - kernels.pairwise_cosine(U, U)
+        m = expert_margins(U, mu, beta)
+        off = ~np.eye(b, dtype=bool)
+        mean, var = m[off].mean(), m[off].var()
         worst_mean = max(worst_mean, abs(mean - 0.05))
         worst_var = max(worst_var, abs(var - target_var))
         assert abs(mean - 0.05) < 1e-9
         assert abs(var - target_var) < 1e-9
-        off = ~np.eye(b, dtype=bool)
         dv, mv = d[off], m[off]
         order = np.argsort(dv, kind="stable")
         ds_, ms_ = dv[order], mv[order]
@@ -104,7 +112,8 @@ def test_c3_beta_zero_collapse():
     worst = 0.0
     for trial in range(100):
         b = int(rng.integers(2, 9))
-        S = similarity_matrix(rng.standard_normal((b, 5)), rng.standard_normal((b, 5)))
+        V = unit_rows(rng.standard_normal((b, 5)), "video")[0]
+        S = kernels.pairwise_cosine(V, unit_rows(rng.standard_normal((b, 5)), "text")[0])
         alpha = float(rng.uniform(0.0, 0.2))
         lam = float(rng.uniform(0.0, 1.0))
         mining = "hardest" if trial % 2 == 0 else "mean"
@@ -183,27 +192,17 @@ def _margin_split(ds, model, cfg, expert_kinds):
     rows = ds.rows(ds.train_ids)
     pooled = ds.pooled_video()[rows]
     text = ds.text[rows]
-    sse_v = ds.sse_video.lookup(ds.train_ids)
-    sse_t = ds.sse_text.lookup(ds.train_ids)
-    order = named_rng(cfg.seed, "shuffle", 1).permutation(len(rows))
+    sse_units = sse_unit_tables(ds, ("sse_video", "sse_text"))
     same_vals = {k: [] for k in expert_kinds}
     cross_vals = {k: [] for k in expert_kinds}
-    for start in range(0, len(order), cfg.batch_size):
-        batch = order[start : start + cfg.batch_size]
-        if batch.size < 2:
-            continue
+    for batch in epoch_batches(cfg.seed, len(rows), cfg.batch_size, 1):
         state = forward_batch(model, pooled[batch], text[batch])
-        mats = {
-            "dse_video": pairwise_distances(state.video_units),
-            "dse_text": pairwise_distances(state.text_units),
-            "sse_video": pairwise_distances(unit_rows(sse_v[batch], "sse_video")[0]),
-            "sse_text": pairwise_distances(unit_rows(sse_t[batch], "sse_text")[0]),
-        }
+        units = expert_units(state, sse_units, batch)
         concepts = ds.concepts[rows[batch]]
         same = (concepts[:, None] == concepts[None, :]) & ~np.eye(batch.size, dtype=bool)
         cross = concepts[:, None] != concepts[None, :]
         for kind in expert_kinds:
-            margins = rescale_margins(mats[kind], cfg.alpha, cfg.beta)
+            margins = expert_margins(units[kind], cfg.alpha, cfg.beta)
             same_vals[kind].extend(margins[same].tolist())
             cross_vals[kind].extend(margins[cross].tolist())
     return {

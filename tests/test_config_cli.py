@@ -154,6 +154,11 @@ class TestParseConfig:
         with pytest.raises(TypeError, match="Odd.values"):
             config._field_specs("odd", Odd)
 
+    @pytest.mark.parametrize("key", ["data.seed", "train.seed"])
+    def test_negative_seed_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigTypeError, match=rf"{re.escape(key)} must be nonnegative, got -3"):
+            parse_config(write_cfg(tmp_path, f"{key} = -3\n"))
+
     def test_inconsistent_lambda_epochs_rejected(self, tmp_path):
         with pytest.raises(ConfigTypeError):
             parse_config(
@@ -183,6 +188,13 @@ class TestGenDataCommand:
         cfg = write_cfg(tmp_path, SMOKE_CFG + "data.noise_video = nan\n")
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 1
         assert not (tmp_path / "bad").exists()
+
+    def test_negative_seed_flag_fails(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMOKE_CFG)
+        out = tmp_path / "bad"
+        assert main(["gen-data", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 1
+        assert "data.seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infeasible_config_fails(self, tmp_path):
         cfg = write_cfg(tmp_path, "data.n_items = 10\ndata.n_concepts = 4\n")
@@ -231,6 +243,15 @@ class TestTrainCommand:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "inspect-margins"])
+    def test_negative_seed_flag_fails(self, smoke_env, capsys, command):
+        cfg_path, data_dir, tmp_path = smoke_env
+        ckpt = ["--ckpt", str(tmp_path / "none.ckpt")] if command == "inspect-margins" else []
+        args = ["--config", str(cfg_path), "--data", str(data_dir), *ckpt, "--seed", "-1"]
+        assert main([command, *args, "--out", str(tmp_path / "x")]) == 1
+        assert "train.seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_dataset_dir_not_mutated(self, smoke_env):
         cfg_path, data_dir, tmp_path = smoke_env
@@ -445,10 +466,11 @@ class TestSweepCommand:
             ["--seeds", "1", "--param", "train.epochs=1,0"],
             ["--seeds", "1", "--param", "train.batch_size=8,30"],
             ["--seeds", "1", "--param", "data.n_items=24,3"],
+            ["--seeds", "2,-1"],
         ],
         ids=[
             "repeated-seed", "repeated-key", "rejected-value", "invalid-config", "no-epochs",
-            "batch-exceeds-split", "too-few-items",
+            "batch-exceeds-split", "too-few-items", "negative-seed",
         ],
     )
     def test_bad_grid_fails_before_any_run(self, smoke_env, capsys, extra):
@@ -456,6 +478,20 @@ class TestSweepCommand:
         out = tmp_path / "bad_sweep"
         assert main(["sweep", "--config", str(cfg_path), *extra, "--out", str(out)]) == 1
         assert "error" in capsys.readouterr().err
+        assert not list(out.glob("cell*"))
+
+    @pytest.mark.parametrize("key", ["data.seed", "train.seed"])
+    def test_seed_keys_are_set_by_seeds_only(self, smoke_env, capsys, key):
+        cfg_path, _, tmp_path = smoke_env
+        out = tmp_path / "seed_sweep"
+        code = main(
+            [
+                "sweep", "--config", str(cfg_path), "--seeds", "1",
+                "--param", f"{key}=1,2", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert f"--param key {key!r} is set by --seeds, not swept" in capsys.readouterr().err
         assert not list(out.glob("cell*"))
 
     def test_cell_error_names_cell_and_seed(self, smoke_env, capsys):

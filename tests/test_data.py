@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from marginforge import kernels
 from marginforge.data import (
     MANIFEST_NAME,
     Dataset,
@@ -13,7 +14,6 @@ from marginforge.data import (
     write_dataset,
 )
 from marginforge.errors import ChecksumError, ConfigError, DuplicateIdError, ParseError
-from marginforge.experts import pairwise_distances
 from marginforge.mathcore import unit_rows
 from helpers import ground_truth_equivalents
 
@@ -76,7 +76,8 @@ class TestGenerate:
             n_items=12, n_concepts=8, duplicate_rate=0.5, noise_video=0.0, noise_text=0.0, seed=4
         )
         ds = generate(cfg)
-        d = pairwise_distances(unit_rows(ds.pooled_video(), "sse_video")[0])
+        U = unit_rows(ds.pooled_video(), "sse_video")[0]
+        d = 1.0 - kernels.pairwise_cosine(U, U)
         same = ds.concepts[:, None] == ds.concepts[None, :]
         off = ~np.eye(len(ds), dtype=bool)
         assert np.max(np.abs(d[same & off])) < 1e-12

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from marginforge import kernels
 from marginforge.errors import (
     DimMismatchError,
     DuplicateIdError,
@@ -13,7 +14,6 @@ from marginforge.experts import (
     StaticEmbeddingTable,
     load_frame_file,
     load_static_embeddings,
-    pairwise_distances,
     parse_floats,
     row_format,
     save_frame_file,
@@ -29,6 +29,12 @@ EDGE_ROW = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -1.5]
 BAD_COUNTS = ["+2", "1_0", "-0", "1.5"]
 
 
+def cosine_distances(reprs, what):
+    """1 - cosine over all pairs of a row stack, as the margin stage forms it."""
+    U = unit_rows(reprs, what)[0]
+    return 1.0 - kernels.pairwise_cosine(U, U)
+
+
 def per_value_text(row) -> str:
     """The writers' former formatting, one f-string per value."""
     return " ".join(f"{x:.17e}" for x in row)
@@ -37,28 +43,28 @@ def per_value_text(row) -> str:
 class TestDseDistances:
     def test_identical_reprs_all_zero(self):
         reprs = np.tile([1.0, 2.0, 3.0], (4, 1))
-        d = pairwise_distances(unit_rows(reprs, "dse_text")[0])
+        d = cosine_distances(reprs, "dse_text")
         np.testing.assert_allclose(d, 0.0, atol=1e-12)
 
     def test_orthogonal_pair(self):
-        d = pairwise_distances(unit_rows([[1.0, 0.0], [0.0, 1.0]], "dse_text")[0])
+        d = cosine_distances([[1.0, 0.0], [0.0, 1.0]], "dse_text")
         assert d[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value(self):
-        d = pairwise_distances(unit_rows([[1.0, 0.0], [1.0, 1.0]], "dse_text")[0])
+        d = cosine_distances([[1.0, 0.0], [1.0, 1.0]], "dse_text")
         assert d[0, 1] == pytest.approx(ONE_MINUS_INV_SQRT2, abs=1e-12)
         assert d[0, 1] == pytest.approx(0.2928932, abs=1e-7)
 
     def test_video_mirror(self):
         reprs = [[1.0, 0.0], [1.0, 1.0]]
-        dv = pairwise_distances(unit_rows(reprs, "dse_video")[0])
-        dt = pairwise_distances(unit_rows(reprs, "dse_text")[0])
+        dv = cosine_distances(reprs, "dse_video")
+        dt = cosine_distances(reprs, "dse_text")
         np.testing.assert_array_equal(dv, dt)
 
     def test_zero_norm_rejected(self):
         for bad_row in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]):
             with pytest.raises(ZeroNormError):
-                pairwise_distances(unit_rows([[1.0, 0.0], bad_row], "dse_video")[0])
+                cosine_distances([[1.0, 0.0], bad_row], "dse_video")
 
 
 class TestSseVideoDistances:
@@ -66,7 +72,7 @@ class TestSseVideoDistances:
 
     def distances(self, frames):
         pooled = np.stack(frames).mean(axis=1)
-        return pairwise_distances(unit_rows(pooled, "sse_video")[0])
+        return cosine_distances(pooled, "sse_video")
 
     def test_identical_frames_zero(self):
         frames = [np.tile([1.0, 2.0], (3, 1))] * 3
@@ -89,7 +95,7 @@ class TestSseVideoDistances:
         rng = np.random.default_rng(30)
         vecs = rng.standard_normal((5, 4))
         d_pool = self.distances([v[None, :] for v in vecs])
-        d_pair = pairwise_distances(unit_rows(vecs, "dse_video")[0])
+        d_pair = cosine_distances(vecs, "dse_video")
         np.testing.assert_allclose(d_pool, d_pair, atol=1e-12)
 
 
@@ -102,7 +108,7 @@ class TestSseTextDistances:
 
     def test_equal_vectors_zero(self):
         t = self.table([[1.0, 2.0], [1.0, 2.0]])
-        d = pairwise_distances(unit_rows(t.lookup(["id0", "id1"]), "sse_text")[0])
+        d = cosine_distances(t.lookup(["id0", "id1"]), "sse_text")
         assert d[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_missing_id(self):
@@ -120,17 +126,18 @@ class TestDistanceProperties:
         rng = np.random.default_rng(31)
         for _ in range(20):
             x = rng.standard_normal((int(rng.integers(2, 9)), 5))
-            d = pairwise_distances(unit_rows(x, "dse_video")[0])
+            d = cosine_distances(x, "dse_video")
             np.testing.assert_array_equal(d, d.T)
-            np.testing.assert_array_equal(np.diag(d), 0.0)
+            # a self distance is 1 - |u|^2, zero up to the rounding of unit_rows
+            np.testing.assert_allclose(np.diag(d), 0.0, rtol=0, atol=1e-15)
             assert d.min() >= -1e-12 and d.max() <= 2.0 + 1e-12
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(32)
         x = rng.standard_normal((6, 4))
         scales = rng.uniform(0.1, 10.0, size=(6, 1))
-        d1 = pairwise_distances(unit_rows(x, "dse_text")[0])
-        d2 = pairwise_distances(unit_rows(x * scales, "dse_text")[0])
+        d1 = cosine_distances(x, "dse_text")
+        d2 = cosine_distances(x * scales, "dse_text")
         np.testing.assert_allclose(d1, d2, atol=1e-12)
 
 

@@ -1,14 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from marginforge.errors import DimMismatchError, ZeroNormError
-from marginforge.mathcore import (
-    cosine_similarity,
-    normal_cdf,
-    unit_rows,
-)
+from marginforge.mathcore import cosine_similarity, unit_rows
 from helpers import finite_diff_grad
 
 
@@ -48,39 +42,6 @@ class TestCosineSimilarity:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-class TestNormalCdf:
-    def test_zero(self):
-        assert normal_cdf(0.0) == 0.5
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(6)
-        for x in rng.uniform(-6, 6, size=50):
-            assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-12)
-
-    def test_ninety_five_percent_point(self):
-        assert normal_cdf(1.6448536270) == pytest.approx(0.95, abs=1e-8)
-
-    def test_against_quadrature_oracle(self):
-        # composite Simpson integration of the density, independent of erf
-        def phi(t):
-            return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-
-        def simpson_cdf(x, lo=-12.0, n=40000):
-            h = (x - lo) / n
-            acc = phi(lo) + phi(x)
-            for k in range(1, n):
-                acc += phi(lo + k * h) * (4 if k % 2 else 2)
-            return acc * h / 3.0
-
-        for x in (-2.0, -0.5, 0.3, 1.0, 1.6448536270, 3.0):
-            assert normal_cdf(x) == pytest.approx(simpson_cdf(x), abs=1e-10)
-
-    def test_monotone_on_grid(self):
-        grid = np.linspace(-8.0, 8.0, 10_000)
-        vals = np.array([normal_cdf(x) for x in grid])
-        assert np.all(np.diff(vals) >= 0.0)
 
 
 class TestUnitRows:

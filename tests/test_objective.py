@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from marginforge.errors import (
-    LambdaOutOfRangeError,
-    ShapeMismatchError,
-    ZeroNormError,
-)
+from marginforge import kernels
+from marginforge.errors import LambdaOutOfRangeError
+from marginforge.mathcore import unit_rows
 from marginforge.model import ModelDims, forward_batch, init_params
-from marginforge.objective import (
-    full_loss,
-    full_loss_grad,
-    similarity_matrix,
-)
+from marginforge.objective import full_loss, full_loss_grad
 from helpers import finite_diff_grad, flatten_grads, flatten_params, set_flat_params
 from oracles import brute_force_full_loss, brute_force_similarity, loss_at_frozen_selection
 
@@ -37,39 +31,7 @@ def random_margins(rng, b, mu=0.05, spread=0.08):
 def random_similarity(rng, b, dim=4):
     V = rng.standard_normal((b, dim))
     T = rng.standard_normal((b, dim))
-    return similarity_matrix(V, T)
-
-
-class TestSimilarityMatrix:
-    def test_aligned_identical_reprs_unit_diagonal(self):
-        rng = np.random.default_rng(40)
-        X = rng.standard_normal((4, 3))
-        S = similarity_matrix(X, X.copy())
-        np.testing.assert_allclose(np.diag(S), 1.0, atol=1e-12)
-
-    def test_orthonormal_basis_gives_identity(self):
-        S = similarity_matrix(np.eye(3), np.eye(3))
-        np.testing.assert_allclose(S, np.eye(3), atol=1e-12)
-
-    def test_matches_elementwise_oracle(self):
-        rng = np.random.default_rng(41)
-        V = rng.standard_normal((3, 4))
-        T = rng.standard_normal((3, 4))
-        np.testing.assert_allclose(
-            similarity_matrix(V, T), brute_force_similarity(V, T), atol=1e-12
-        )
-
-    def test_batch_size_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            similarity_matrix(np.eye(3), np.eye(2))
-
-    def test_zero_norm(self):
-        for bad_row in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]):
-            bad = np.array([[1.0, 0.0], bad_row])
-            with pytest.raises(ZeroNormError):
-                similarity_matrix(bad, np.eye(2))
-            with pytest.raises(ZeroNormError):
-                similarity_matrix(np.eye(2), bad)
+    return kernels.pairwise_cosine(unit_rows(V, "video")[0], unit_rows(T, "text")[0])
 
 
 class TestHardTripletLoss:

@@ -15,8 +15,7 @@ from marginforge.errors import (
     ShapeMismatchError,
     ZeroNormError,
 )
-from marginforge.experts import pairwise_distances
-from marginforge.margin import rescale_margins
+from marginforge.margin import expert_margins
 from marginforge.model import ModelDims, forward_batch, init_params, save_checkpoint
 from marginforge.seeding import named_rng
 from marginforge.trainer import (
@@ -477,7 +476,7 @@ class TestDseMarginsFromLiveEncoders:
         model = small_model(ds)
         rows = ds.rows(ds.train_ids)[:8]
         state = forward_batch(model, ds.pooled_video()[rows], ds.text[rows])
-        mv = rescale_margins(pairwise_distances(state.video_units), 0.05, 0.04)
-        mt = rescale_margins(pairwise_distances(state.text_units), 0.05, 0.04)
+        mv = expert_margins(state.video_units, 0.05, 0.04)
+        mt = expert_margins(state.text_units, 0.05, 0.04)
         assert mv.shape == (8, 8) and mt.shape == (8, 8)
         assert not np.allclose(mv, mt)
