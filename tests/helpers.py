@@ -68,7 +68,8 @@ def ground_truth_equivalents(dataset) -> dict[str, set[str]]:
 def reference_margins(U, mu: float, beta: float) -> np.ndarray:
     """Adaptive margins of unit rows ``U``, the direct way.
 
-    The distances come from the general product ``1 - U @ U.T``, their
+    The distances come from the general product ``1 - U @ U.T.copy()`` (the
+    copy keeps numpy off the symmetric rank-k update of ``U @ U.T``), their
     statistics from the masked off-diagonal entries, and the target standard
     deviation from the quantile ``ndtri(0.95)``; a batch whose distance
     variance is at most 1e-12 gets the hard margin mu everywhere. Shares no
