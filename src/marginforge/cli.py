@@ -124,7 +124,7 @@ def cmd_inspect_margins(args) -> int:
         writer.writerow(["i", "j", "expert", "distance", "margin", "same_concept"])
         for kind in kinds:
             dist = 1.0 - kernels.pairwise_cosine(units[kind], units[kind])
-            margins = expert_margins(units[kind], cfg.train.alpha, cfg.train.beta)
+            margins = expert_margins(units[kind], cfg.train.alpha, cfg.train.beta).dense()
             for i in range(batch.size):
                 for j in range(batch.size):
                     if i == j:

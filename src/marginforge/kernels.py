@@ -16,7 +16,9 @@ Memory: ``triplet_terms`` makes one B x B array, its gradient ``dS``. Its
 other work runs on (R, B) blocks of anchor rows, R = BLOCK_VALUES // B, so
 at large B every pass over the hinges stays in cache and reads S row-wise
 (direction video reads column stripes ``S[:, r0:r1]``, never a transposed
-copy). Up to B = 181 a batch is one block.
+copy). Margin levels given as row sources (``margin.ExpertMargins``) are
+formed one block at a time too, so a training step holds no B x B margin
+array. Up to B = 181 a batch is one block.
 """
 
 import numpy as np
@@ -41,6 +43,22 @@ def pairwise_cosine(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return U @ V.T
 
 
+def _as_level(m):
+    """A margin level as a float, a float64 array or, unchanged, a row source."""
+    if hasattr(m, "rows"):
+        return m
+    m = np.asarray(m, dtype=np.float64)
+    return float(m) if m.ndim == 0 else m
+
+
+def _level_rows(level, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+    """Rows ``r0:r1`` of a B x B margin level, an array or a row source, in ``out``."""
+    if isinstance(level, np.ndarray):
+        np.copyto(out, level[r0:r1])
+        return out
+    return level.rows(r0, r1, out)
+
+
 def triplet_terms(
     S: np.ndarray,
     M,
@@ -51,10 +69,12 @@ def triplet_terms(
     """Mined triplet hinge totals for both retrieval directions.
 
     S is the B x B similarity matrix (rows = videos, cols = texts); M is a
-    sequence of K margin levels, each a scalar or a B x B array (a stacked
-    (K, B, B) array works too), and w holds their weights. Level hinges for
+    sequence of K margin levels, each a scalar, a B x B array (a stacked
+    (K, B, B) array works too) or a row source with a ``rows(r0, r1, out)``
+    method that writes rows ``r0:r1`` of its B x B margins, such as
+    ``margin.ExpertMargins``; w holds their weights. Level hinges for
     anchor i use negatives S[j, i] (direction video) and S[i, j] (direction
-    text) against the positive S[i, i].
+    text) against the positive S[i, i], both with margins row i.
 
     Returns ``(comp, dS, mined_v, mined_t)`` where ``comp[k]`` is the
     per-level total (mean over anchors, both directions summed, evaluated at
@@ -64,14 +84,18 @@ def triplet_terms(
     weighted combined term, or of the level-0 term when ``hard_only``; ties
     resolve to the smallest index).
 
-    Memory is ``dS`` plus a few (R, B) row blocks whatever K is: anchors are
-    taken R = BLOCK_VALUES // B rows at a time, and the criterion is built
-    level by level in the block buffers. Under hardest mining the level
-    totals and dS come from the B mined entries per direction only, so they
-    do not depend on R; under mean mining ``comp`` is summed block by block.
+    Memory is ``dS`` plus a few (R, B) row blocks per level: anchors are
+    taken R = BLOCK_VALUES // B rows at a time, each non-scalar level's
+    margin rows are formed once per block into one (L, R, B) buffer that
+    serves both directions, and the criterion is built level by level in
+    the block buffers. Under hardest mining the mined margins are gathered
+    from that buffer, and the level totals and dS come from the B mined
+    entries per direction only, so they do not depend on R; under mean
+    mining ``comp`` is summed block by block, in direction-then-block order.
     """
     S = np.ascontiguousarray(S, dtype=np.float64)
-    levels = [np.asarray(m, dtype=np.float64) for m in M]
+    levels = [_as_level(m) for m in M]
+    blocked = [k for k, m in enumerate(levels) if not isinstance(m, float)]
     w = np.ascontiguousarray(w, dtype=np.float64)
     K = len(levels)
     B = S.shape[0]
@@ -83,6 +107,7 @@ def triplet_terms(
     dS = np.zeros((B, B))
     dS_flat = dS.reshape(-1)
     mined = np.empty((2, B), dtype=np.int64)
+    margin_buf = np.empty((len(blocked), R, B))
     base_buf = np.empty((R, B))
     crit_buf = np.empty((R, B))
     hinge_buf = np.empty((R, B))
@@ -90,15 +115,22 @@ def triplet_terms(
         wmat_buf = np.empty((R, B))
         active_buf = np.empty((R, B))
         scale = 1.0 / (B * (B - 1))
+        block_sums = np.empty((2, -(-B // R), K))
+    else:
+        # the non-scalar levels' margins at the mined negatives, per direction
+        mined_margins = np.empty((2, len(blocked), B))
     crit_levels = 1 if hard_only else K
 
-    for d in (0, 1):
-        for r0 in range(0, B, R):
-            r1 = min(r0 + R, B)
-            n = r1 - r0
+    for r0 in range(0, B, R):
+        r1 = min(r0 + R, B)
+        n = r1 - r0
+        block = list(levels)
+        for slot, k in enumerate(blocked):
+            block[k] = _level_rows(levels[k], r0, r1, margin_buf[slot, :n])
+        # the anchors' own entries: (i - r0, i) for i in [r0, r1)
+        diag = np.s_[r0 :: B + 1]
+        for d in (0, 1):
             base, crit, hinge = base_buf[:n], crit_buf[:n], hinge_buf[:n]
-            # the anchors' own entries: (i - r0, i) for i in [r0, r1)
-            diag = np.s_[r0 :: B + 1]
             N = S[:, r0:r1].T if d == 0 else S[r0:r1]
             np.subtract(N, pos[r0:r1, None], out=base)  # s_neg - s_pos
             if mean_mining:
@@ -106,12 +138,11 @@ def triplet_terms(
                 wmat.fill(0.0)
             # accumulate level by level, in the summation order of the oracle
             for k in range(K if mean_mining else crit_levels):
-                level = levels[k]
-                np.add(base, level if level.ndim == 0 else level[r0:r1], out=hinge)
+                np.add(base, block[k], out=hinge)
                 np.maximum(hinge, 0.0, out=hinge)
                 hinge.reshape(-1)[diag] = 0.0
                 if mean_mining:
-                    comp[k] += hinge.sum() / (B - 1)
+                    block_sums[d, r0 // R, k] = hinge.sum() / (B - 1)
                     np.greater(hinge, 0.0, out=active)
                     active *= w[k]
                     wmat += active
@@ -133,14 +164,24 @@ def triplet_terms(
                 else:
                     dS[r0:r1] += wmat
                 dS_flat[r0 * (B + 1) : r1 * (B + 1) : B + 1] -= row_w * scale
+            else:
+                mined_margins[d, :, r0:r1] = margin_buf[:, rows[:n], mined[d, r0:r1]]
 
-        if not mean_mining:
+    if mean_mining:
+        # direction by direction, then block by block, which fixes the
+        # totals' rounding
+        for sums in block_sums.reshape(-1, K):
+            comp += sums
+    else:
+        for d in (0, 1):
             jstar = mined[d]
             picked = (S[jstar, rows] if d == 0 else S[rows, jstar]) - pos
+            at_mined = iter(mined_margins[d])
             # (K, B) in column-major order, the layout of a fancy-indexed
             # (K, B, B) stack, so the level sums below keep its rounding
             args = np.stack(
-                [picked + (m if m.ndim == 0 else m[rows, jstar]) for m in levels], axis=1
+                [picked + (m if isinstance(m, float) else next(at_mined)) for m in levels],
+                axis=1,
             ).T
             comp += np.maximum(args, 0.0).sum(axis=1)
             wsum = np.tensordot(w, (args > 0.0).astype(np.float64), axes=1)

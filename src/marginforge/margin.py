@@ -5,20 +5,24 @@ are affinely remapped so their sample mean equals the hard margin ``mu`` and
 their population variance equals ``U(beta)``, the variance of a normal that
 holds 90% of its mass within ``mu +- beta``. The map is strictly increasing,
 so more distant (less similar) negative pairs always receive larger margins;
-outputs may go negative by design. Margins are plain B x B float64 arrays.
+outputs may go negative by design.
 
 ``expert_margins`` is the one margin path: it takes the distance statistics
 from Gram sums (D x D work) instead of a pass over a B x B distance matrix,
 and ``affine`` turns them into the map. ``U(beta)`` has the closed form
-``(beta / z)^2`` with ``z`` the 95% standard normal quantile.
+``(beta / z)^2`` with ``z`` the 95% standard normal quantile. The margins
+themselves are an ``ExpertMargins``: the unit rows and the map, from which
+``kernels.triplet_terms`` forms one block of anchor rows at a time, so a
+training step never holds an expert's B x B margins. ``dense()`` gives the
+whole matrix.
 """
 
 import math
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from . import kernels
 from .errors import EmptyInputError
 
 CONFIDENCE = 0.90
@@ -50,7 +54,43 @@ def affine(mean: float, var: float, mu: float, beta: float) -> tuple[float, floa
     return 0.0, mu
 
 
-def expert_margins(U: np.ndarray, mu: float, beta: float) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class ExpertMargins:
+    """An expert's B x B margins ``-scale * (units @ units.T) + offset``,
+    with ``mu`` on the diagonal, kept as their (B, D) unit rows and map."""
+
+    units: np.ndarray
+    scale: float
+    offset: float
+    mu: float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        b = self.units.shape[0]
+        return b, b
+
+    def rows(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+        """Write margin rows ``r0:r1`` into the C-contiguous (r1 - r0, B) ``out``.
+
+        The product is formed as ``units[r0:r1] @ units.T``: for the whole
+        matrix numpy takes its exactly symmetric self product, for a strict
+        row block a general one.
+        """
+        U = self.units
+        np.matmul(U[r0:r1], U.T, out=out)
+        out *= -self.scale
+        out += self.offset
+        # the block's own diagonal: (i - r0, i) for i in [r0, r1)
+        out.reshape(-1)[r0 :: U.shape[0] + 1] = self.mu
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The whole B x B margin matrix."""
+        b = self.units.shape[0]
+        return self.rows(0, b, np.empty((b, b)))
+
+
+def expert_margins(U: np.ndarray, mu: float, beta: float) -> ExpertMargins:
     """Adaptive margins of the cosine distances between unit rows ``U``.
 
     The off-diagonal mean and variance of ``g = U @ U.T`` come from Gram
@@ -59,8 +99,8 @@ def expert_margins(U: np.ndarray, mu: float, beta: float) -> np.ndarray:
     ``|C|_F^2 - q.q``. Distances ``1 - g`` have the variance of ``g`` and the
     mean of ``-g`` up to the constant 1, which the map's offset absorbs, so
     the margins are ``-scale * g + offset`` with ``(scale, offset)`` from
-    ``affine(-mean(g), var(g), mu, beta)``. They are formed in place in the
-    exactly symmetric ``kernels.pairwise_cosine(U, U)``; the diagonal is mu.
+    ``affine(-mean(g), var(g), mu, beta)``, and mu on the diagonal. No B x B
+    array is formed here: the result holds ``U`` and the map.
 
     The variance is a difference of raw moments, so its rounding error is
     about eps * (1/B + mean(g)^2) / var(g) relative: tiny for the batch
@@ -77,8 +117,4 @@ def expert_margins(U: np.ndarray, mu: float, beta: float) -> np.ndarray:
     mean = (s @ s - q.sum()) / n
     var = (np.einsum("ij,ij->", C, C) - q @ q) / n - mean * mean
     scale, offset = affine(-mean, var, mu, beta)
-    G = kernels.pairwise_cosine(U, U)
-    G *= -scale
-    G += offset
-    G.reshape(-1)[:: b + 1] = mu
-    return G
+    return ExpertMargins(U, scale, offset, mu)

@@ -13,8 +13,10 @@ supervision experts:
 
     hard + lambda * soft_dse + (1 - lambda) * soft_sse
 
-The expert margins come as one mapping ``{expert kind: B x B margins}`` that
-holds only the enabled experts; an empty mapping gives the hard triplet loss.
+The expert margins come as one mapping ``{expert kind: margins}`` that holds
+only the enabled experts; an empty mapping gives the hard triplet loss. Each
+value is a ``margin.ExpertMargins``, which ``kernels.triplet_terms`` forms
+one block of anchor rows at a time, or a plain B x B array.
 A soft slot is the sum of its video-domain and text-domain hinge; if only one
 expert of a slot is enabled its weight doubles so the slot keeps its mass,
 and a fully disabled slot contributes zero. Margins are always treated as
@@ -32,6 +34,7 @@ import numpy as np
 from . import kernels
 from .errors import EmptyInputError, LambdaOutOfRangeError, NonSquareError, ShapeMismatchError
 from .experts import EXPERT_KINDS
+from .margin import ExpertMargins
 from .model import ForwardState, TwoTowerModel, backward
 
 MININGS = ("hardest", "mean")
@@ -74,7 +77,8 @@ def _check_square(S) -> np.ndarray:
 
 
 def _margin_levels(B, margins, alpha, lam):
-    """Margin levels (the scalar alpha, then B x B arrays) with weights and slot index ranges."""
+    """Margin levels (the scalar alpha, then the experts' ``ExpertMargins``
+    or B x B arrays) with weights and slot index ranges."""
     unknown = sorted(set(margins) - set(EXPERT_KINDS))
     if unknown:
         raise ValueError(f"unknown expert kinds {unknown}; expected some of {EXPERT_KINDS}")
@@ -86,7 +90,7 @@ def _margin_levels(B, margins, alpha, lam):
         start = len(levels)
         renorm = 2.0 / len(enabled) if enabled else 0.0
         for m in enabled:
-            vals = matrix_values(m)
+            vals = m if isinstance(m, ExpertMargins) else matrix_values(m)
             if vals.shape != (B, B):
                 raise ShapeMismatchError(f"{slot} margin shape {vals.shape} != ({B}, {B})")
             levels.append(vals)
@@ -131,9 +135,10 @@ def full_loss(
 ) -> LossBreakdown:
     """Hard hinge plus lambda-blended DSE/SSE soft hinges, mined per anchor.
 
-    ``margins`` maps each enabled expert kind to its B x B margins, so ``{}``
-    is the hard triplet loss; a slot's remaining expert is reweighted to keep
-    the slot's mass. A key outside ``EXPERT_KINDS`` raises ``ValueError``.
+    ``margins`` maps each enabled expert kind to its margins, an
+    ``ExpertMargins`` or a B x B array, so ``{}`` is the hard triplet loss;
+    a slot's remaining expert is reweighted to keep the slot's mass. A key
+    outside ``EXPERT_KINDS`` raises ``ValueError``.
     """
     breakdown, _ = _run(S, margins, alpha, lam, mining, mining_criterion)
     return breakdown

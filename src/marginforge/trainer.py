@@ -166,7 +166,7 @@ def expert_units(state, sse_units: dict, batch) -> dict:
 
 
 def _batch_margins(cfg: TrainConfig, state, sse_units: dict, batch) -> dict:
-    """``{expert kind: B x B margins}`` for the enabled experts of one batch."""
+    """``{expert kind: ExpertMargins}`` for the enabled experts of one batch."""
     units = expert_units(state, sse_units, batch)
     return {
         kind: expert_margins(units[kind], cfg.alpha, cfg.beta)

@@ -88,7 +88,7 @@ def test_c2_rescale_exactness_and_monotonicity():
         b = int(rng.choice([4, 8, 16]))
         U = unit_rows(rng.standard_normal((b, 6)), "dse_video")[0]
         d = 1.0 - kernels.pairwise_cosine(U, U)
-        m = expert_margins(U, mu, beta)
+        m = expert_margins(U, mu, beta).dense()
         off = ~np.eye(b, dtype=bool)
         mean, var = m[off].mean(), m[off].var()
         worst_mean = max(worst_mean, abs(mean - 0.05))
@@ -202,7 +202,7 @@ def _margin_split(ds, model, cfg, expert_kinds):
         same = (concepts[:, None] == concepts[None, :]) & ~np.eye(batch.size, dtype=bool)
         cross = concepts[:, None] != concepts[None, :]
         for kind in expert_kinds:
-            margins = expert_margins(units[kind], cfg.alpha, cfg.beta)
+            margins = expert_margins(units[kind], cfg.alpha, cfg.beta).dense()
             same_vals[kind].extend(margins[same].tolist())
             cross_vals[kind].extend(margins[cross].tolist())
     return {

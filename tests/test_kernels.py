@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from marginforge import kernels
+from marginforge.margin import expert_margins
 from marginforge.mathcore import cosine_similarity, unit_rows
 from helpers import finite_diff_grad
 from oracles import brute_force_full_loss, loss_at_frozen_selection, mean_loss_all_negatives
@@ -183,6 +184,33 @@ class TestTripletTerms:
         w = np.ones(1)
         _, _, mined_v, mined_t = kernels.triplet_terms(S, M, w, False, False)
         assert mined_t[0] == 1
+
+
+class TestMarginRowSources:
+    # B = 181 is the largest one-block batch, 182 the smallest two-block one;
+    # 205 and 410 give blocks of 159 and 79 rows, not multiples of BLAS tiles
+    @pytest.mark.parametrize("b", [2, 3, 26, 64, 181, 182, 205, 410, 1024])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_expert_margins_match_their_dense_arrays(self, b, ties):
+        rng = np.random.default_rng(300 + b + 7 * ties)
+        S = kernels.pairwise_cosine(
+            unit_rows(rng.standard_normal((b, 16)), "video")[0],
+            unit_rows(rng.standard_normal((b, 16)), "text")[0],
+        )
+        if ties:
+            S = np.round(S * 4.0) / 4.0
+        experts = [
+            expert_margins(unit_rows(rng.standard_normal((b, dim)), "expert")[0], 0.05, 0.04)
+            for dim in (16, 16, 24, 20)
+        ]
+        dense = [m.dense() for m in experts]
+        w = np.array([1.0, 0.3, 0.3, 0.7, 0.7])
+        for mean_mining in (False, True):
+            for hard_only in (False, True):
+                blocked = kernels.triplet_terms(S, [0.05, *experts], w, mean_mining, hard_only)
+                whole = kernels.triplet_terms(S, [0.05, *dense], w, mean_mining, hard_only)
+                for got, want in zip(blocked, whole):
+                    assert np.array_equal(got, want)
 
 
 class TestCosineBackward:

@@ -63,7 +63,7 @@ class TestBetaToVariance:
 class TestRescaleMargins:
     def test_constant_batch_falls_back_to_mu(self):
         U = rows_with_distances({(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5}, 3)
-        m = expert_margins(U, 0.05, 0.04)
+        m = expert_margins(U, 0.05, 0.04).dense()
         np.testing.assert_allclose(m, 0.05, atol=0)
 
     @pytest.mark.parametrize("b", [2, 3, 64, 257])
@@ -74,7 +74,7 @@ class TestRescaleMargins:
         # so the Gram sums round
         X = np.hstack([np.ones((b, 1)), math.sqrt(diag) * np.eye(b)])
         mu, beta = 0.05, 0.04
-        m = expert_margins(unit_rows(X, "expert")[0], mu, beta)
+        m = expert_margins(unit_rows(X, "expert")[0], mu, beta).dense()
         assert np.all(m == mu)
 
     def test_hand_example(self):
@@ -82,7 +82,7 @@ class TestRescaleMargins:
         # margins mu +- z * beta / z95 (value confirmed by independent
         # quantile arithmetic; see test_sigma_against_independent_quantile)
         U = rows_with_distances({(0, 1): 0.1, (0, 2): 0.2, (1, 2): 0.3}, 3)
-        m = expert_margins(U, 0.05, 0.04)
+        m = expert_margins(U, 0.05, 0.04).dense()
         spread = math.sqrt(1.5) * 0.04 / Z_95  # z-score 1.224745 times sigma
         assert m[0, 1] == pytest.approx(0.05 - spread, abs=1e-9)
         assert m[0, 2] == pytest.approx(0.05, abs=1e-12)
@@ -91,15 +91,15 @@ class TestRescaleMargins:
         assert m[1, 2] == pytest.approx(0.0797837, abs=1e-7)
 
     def test_beta_zero_gives_hard_margin(self):
-        m = expert_margins(random_rows(np.random.default_rng(20), 5), 0.07, 0.0)
+        m = expert_margins(random_rows(np.random.default_rng(20), 5), 0.07, 0.0).dense()
         np.testing.assert_allclose(m, 0.07, atol=1e-9)
 
     def test_diagonal_is_mu(self):
-        m = expert_margins(random_rows(np.random.default_rng(21), 4), 0.05, 0.04)
+        m = expert_margins(random_rows(np.random.default_rng(21), 4), 0.05, 0.04).dense()
         np.testing.assert_array_equal(np.diag(m), 0.05)
 
     def test_negative_margins_allowed(self):
-        m = expert_margins(random_rows(np.random.default_rng(22), 3), 0.0, 0.05)
+        m = expert_margins(random_rows(np.random.default_rng(22), 3), 0.0, 0.05).dense()
         assert np.min(m) < 0.0
 
 
@@ -110,7 +110,7 @@ class TestRescaleProperties:
         target = beta_to_variance(0.04)
         for _ in range(50):
             b = int(rng.choice([3, 4, 8, 16]))
-            off = offdiag(expert_margins(random_rows(rng, b), mu, beta))
+            off = offdiag(expert_margins(random_rows(rng, b), mu, beta).dense())
             assert off.mean() == pytest.approx(0.05, abs=1e-9)
             assert off.var() == pytest.approx(target, abs=1e-9)
 
@@ -121,7 +121,7 @@ class TestRescaleProperties:
             b = int(rng.choice([4, 8]))
             U = random_rows(rng, b)
             dv = offdiag(1.0 - kernels.pairwise_cosine(U, U))
-            mv = offdiag(expert_margins(U, mu, beta))
+            mv = offdiag(expert_margins(U, mu, beta).dense())
             order = np.argsort(dv, kind="stable")
             ds, ms = dv[order], mv[order]
             for k in range(len(ds) - 1):
@@ -135,15 +135,15 @@ class TestRescaleProperties:
         mu, beta, t = 0.05, 0.04, 0.37
         U = random_rows(rng, 6)
         shifted = np.hstack([math.sqrt(1.0 - t) * U, np.full((6, 1), math.sqrt(t))])
-        m1 = expert_margins(U, mu, beta)
-        m2 = expert_margins(unit_rows(shifted, "expert")[0], mu, beta)
+        m1 = expert_margins(U, mu, beta).dense()
+        m2 = expert_margins(unit_rows(shifted, "expert")[0], mu, beta).dense()
         np.testing.assert_allclose(offdiag(m1), offdiag(m2), atol=1e-9)
 
     def test_figure_confidence_interval(self):
         # mu = beta = 0.05: 90% of the rescaled distances of 150 random
         # 64-d unit rows, which are near Gaussian, lie in [0, 0.1]
         rng = np.random.default_rng(26)
-        off = offdiag(expert_margins(random_rows(rng, 150, dim=64), 0.05, 0.05))
+        off = offdiag(expert_margins(random_rows(rng, 150, dim=64), 0.05, 0.05).dense())
         frac = np.mean((off >= 0.0) & (off <= 0.1))
         assert frac == pytest.approx(0.90, abs=0.02)
 
@@ -172,14 +172,14 @@ class TestExpertMargins:
     def test_matches_rescaled_distances(self, b, dim):
         rng = np.random.default_rng(40 + b + dim)
         U = unit_rows(rng.standard_normal((b, dim)), "expert")[0]
-        m = expert_margins(U, 0.05, 0.04)
+        m = expert_margins(U, 0.05, 0.04).dense()
         np.testing.assert_allclose(m, reference_margins(U, 0.05, 0.04), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("b", [3, 64, 257])
     def test_exactly_symmetric_with_mu_diagonal(self, b):
         rng = np.random.default_rng(50 + b)
         U = unit_rows(rng.standard_normal((b, 16)), "expert")[0]
-        m = expert_margins(U, 0.05, 0.04)
+        m = expert_margins(U, 0.05, 0.04).dense()
         np.testing.assert_array_equal(m, m.T)
         np.testing.assert_array_equal(np.diag(m), 0.05)
 
@@ -187,9 +187,24 @@ class TestExpertMargins:
     def test_identical_rows_fall_back_to_mu(self, b):
         rng = np.random.default_rng(60 + b)
         U = np.repeat(unit_rows(rng.standard_normal((1, 16)), "expert")[0], b, axis=0)
-        m = expert_margins(U, 0.05, 0.04)
+        m = expert_margins(U, 0.05, 0.04).dense()
         assert np.all(m == 0.05)
 
     def test_needs_two_items(self):
         with pytest.raises(EmptyInputError):
             expert_margins(np.ones((1, 4)) / 2.0, 0.05, 0.04)
+
+    def test_empty_batch_rejected_when_built(self):
+        with pytest.raises(EmptyInputError):
+            expert_margins(np.empty((0, 4)), 0.05, 0.04)
+
+    @pytest.mark.parametrize("b", [3, 64, 257])
+    def test_row_blocks_tile_the_dense_matrix(self, b):
+        rng = np.random.default_rng(70 + b)
+        m = expert_margins(unit_rows(rng.standard_normal((b, 16)), "expert")[0], 0.05, 0.04)
+        dense = m.dense()
+        assert m.shape == dense.shape == (b, b)
+        for r0, r1 in ((0, 1), (1, b), (b // 3, b // 2 + 1), (b - 1, b)):
+            block = m.rows(r0, r1, np.empty((r1 - r0, b)))
+            np.testing.assert_allclose(block, dense[r0:r1], rtol=0, atol=1e-16)
+            np.testing.assert_array_equal(block[np.arange(r1 - r0), np.arange(r0, r1)], 0.05)

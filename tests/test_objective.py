@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from marginforge import kernels
-from marginforge.errors import LambdaOutOfRangeError
+from marginforge.errors import LambdaOutOfRangeError, ShapeMismatchError
+from marginforge.margin import expert_margins
 from marginforge.mathcore import unit_rows
 from marginforge.model import ModelDims, forward_batch, init_params
 from marginforge.objective import full_loss, full_loss_grad
@@ -144,6 +145,43 @@ class TestFullLoss:
             )
             np.testing.assert_array_equal(got.neg_video_idx, bf_v)
             np.testing.assert_array_equal(got.neg_text_idx, bf_t)
+
+    @pytest.mark.parametrize("mining", ["hardest", "mean"])
+    @pytest.mark.parametrize("criterion", ["combined", "hard_only"])
+    def test_expert_margins_match_brute_force(self, mining, criterion):
+        rng = np.random.default_rng(50)
+        for _ in range(15):
+            b = int(rng.integers(2, 13))
+            S = random_similarity(rng, b)
+            experts = [
+                expert_margins(unit_rows(rng.standard_normal((b, 5)), "expert")[0], 0.05, 0.04)
+                for _ in EXPERTS
+            ]
+            alpha = float(rng.uniform(0.0, 0.2))
+            lam = float(rng.uniform(0.0, 1.0))
+            got = full_loss(S, margin_map(*experts), alpha, lam, mining, criterion)
+            mats = [np.full((b, b), alpha)] + [m.dense() for m in experts]
+            weights = np.array([1.0, lam, lam, 1.0 - lam, 1.0 - lam])
+            total, per_level, bf_v, bf_t = brute_force_full_loss(
+                S, mats, weights, mining, criterion == "hard_only"
+            )
+            assert got.total == pytest.approx(total, abs=1e-12)
+            assert got.hard_term == pytest.approx(per_level[0], abs=1e-12)
+            assert got.dse_term == pytest.approx(
+                lam * (per_level[1] + per_level[2]), abs=1e-12
+            )
+            assert got.sse_term == pytest.approx(
+                (1 - lam) * (per_level[3] + per_level[4]), abs=1e-12
+            )
+            np.testing.assert_array_equal(got.neg_video_idx, bf_v)
+            np.testing.assert_array_equal(got.neg_text_idx, bf_t)
+
+    def test_expert_margins_of_another_batch_size_rejected(self):
+        rng = np.random.default_rng(51)
+        S = random_similarity(rng, 4)
+        margins = {"sse_text": expert_margins(unit_rows(rng.standard_normal((5, 3)), "e")[0], 0.05, 0.04)}
+        with pytest.raises(ShapeMismatchError, match=r"sse margin shape \(5, 5\) != \(4, 4\)"):
+            full_loss(S, margins, 0.05, 0.5)
 
     def test_single_enabled_expert_doubles(self):
         # one enabled expert per slot carries the slot's full weight

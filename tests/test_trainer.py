@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ from marginforge.errors import (
     ZeroNormError,
 )
 from marginforge.margin import expert_margins
+from marginforge.mathcore import unit_rows
 from marginforge.model import ModelDims, forward_batch, init_params, save_checkpoint
+from marginforge.objective import full_loss_grad
 from marginforge.seeding import named_rng
 from marginforge.trainer import (
     AdamState,
@@ -476,7 +479,34 @@ class TestDseMarginsFromLiveEncoders:
         model = small_model(ds)
         rows = ds.rows(ds.train_ids)[:8]
         state = forward_batch(model, ds.pooled_video()[rows], ds.text[rows])
-        mv = expert_margins(state.video_units, 0.05, 0.04)
-        mt = expert_margins(state.text_units, 0.05, 0.04)
+        mv = expert_margins(state.video_units, 0.05, 0.04).dense()
+        mt = expert_margins(state.text_units, 0.05, 0.04).dense()
         assert mv.shape == (8, 8) and mt.shape == (8, 8)
         assert not np.allclose(mv, mt)
+
+
+class TestStepMemory:
+    @pytest.mark.parametrize("mining", ["hardest", "mean"])
+    def test_b1024_step_holds_no_margin_matrices(self, mining):
+        # forward, the four expert margins, loss and gradients of one B = 1024
+        # step: S, dS and cosine_backward's dS * S are the step's B x B arrays
+        b = 1024
+        rng = np.random.default_rng(90)
+        model = init_params(ModelDims(24, 20, 0, 16), 3)
+        pooled, text = rng.standard_normal((b, 24)), rng.standard_normal((b, 20))
+        sse_units = {
+            kind: unit_rows(rng.standard_normal((b, 12)), kind)[0]
+            for kind in ("sse_video", "sse_text")
+        }
+        cfg = TrainConfig()
+        batch = rng.permutation(b)
+        tracemalloc.start()
+        try:
+            state = forward_batch(model, pooled, text)
+            margins = trainer._batch_margins(cfg, state, sse_units, batch)
+            assert len(margins) == 4
+            full_loss_grad(model, state, margins, cfg.alpha, 0.5, mining, cfg.mining_criterion)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * b * b * 8
