@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("eval", "evaluate a checkpoint")
     p.add_argument("--data", help="dataset directory")
-    p.add_argument("--ckpt", required=True, help="CKPT2 model checkpoint path")
+    p.add_argument("--ckpt", required=True, help="CKPT3 checkpoint path, model-only or trainer")
     p.add_argument("--split", choices=("val", "train"), default="val")
     p.set_defaults(func=cmd_eval)
 
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "override train.seed, which fixes the epoch-1 batch order",
     )
     p.add_argument("--data", help="dataset directory")
-    p.add_argument("--ckpt", required=True, help="CKPT2 model checkpoint path")
+    p.add_argument("--ckpt", required=True, help="CKPT3 checkpoint path, model-only or trainer")
     p.add_argument("--batch", type=int, default=0, help="batch index in epoch-1 order")
     p.add_argument("--expert", choices=("all",) + EXPERT_KINDS, default="all")
     p.set_defaults(func=cmd_inspect_margins)

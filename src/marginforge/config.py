@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .data import SynthConfig, digest
 from .errors import ConfigError, ConfigTypeError, MissingKeyError, ParseError, UnknownKeyError
+from .evaluation import DEFAULT_KS
 from .model import ModelDims
 from .trainer import TrainConfig
 
@@ -26,7 +27,7 @@ class RunConfig:
     data: SynthConfig = field(default_factory=SynthConfig)
     hidden_dim: int = 0
     joint_dim: int = 16
-    ks: tuple[int, ...] = (1, 5, 10)
+    ks: tuple[int, ...] = DEFAULT_KS
     data_dir: str | None = None
     out_dir: str | None = None
 

@@ -5,8 +5,8 @@ frozen, externally produced embeddings, held in a ``StaticEmbeddingTable`` and
 loaded from EMB1/FRM1 text files. Either kind's unit rows become margins in
 ``margin.expert_margins``; ``EXPERT_KINDS`` names the four experts.
 
-The EMB1, FRM1 and CKPT2 loaders check each record line's structure as they
-read it, but convert its floats a block at a time through ``FloatRows``: one
+The EMB1 and FRM1 loaders check each record line's structure as they read
+it, but convert its floats a block at a time through ``FloatRows``: one
 numpy cast per ``FLOAT_BLOCK_VALUES`` values, not one ``float()`` per token.
 """
 
@@ -69,7 +69,8 @@ class StaticEmbeddingTable:
 def read_records(path, tag: str, n_counts: int):
     """Header counts and a record stream for every line format of the package.
 
-    The one rule shared by FRM1, EMB1, LBL1, SPLIT1, MANIFEST2 and CKPT2:
+    The one rule shared by the five line formats, FRM1, EMB1, LBL1, SPLIT1 and
+    MANIFEST2 (checkpoints are binary CKPT3 files, ``model.read_checkpoint``):
 
     - blank lines, and lines whose first token starts with ``#``, are skipped
       everywhere, before the header as well as between records;
@@ -114,7 +115,7 @@ def parse_count(token: str, lineno, path) -> int:
     return int(token)
 
 
-def row_format(dim: int, prefix: str = "") -> str:
+def row_format(dim: int, prefix: str) -> str:
     """%-format string for one text row: ``prefix`` then ``dim`` floats at 18 significant digits.
 
     ``"%.17e" % x`` gives the same text as ``f"{x:.17e}"``, and re-parsing it is exact.
@@ -123,7 +124,7 @@ def row_format(dim: int, prefix: str = "") -> str:
 
 
 def parse_floats(tokens, lineno, path) -> np.ndarray:
-    """Finite float64 row from text tokens: the literal rule of EMB1, FRM1 and CKPT2.
+    """Finite float64 row from text tokens: the literal rule of EMB1 and FRM1.
 
     A token is accepted exactly when ``float()`` accepts it. The loaders
     convert their rows per block in ``FloatRows``, whose cast accepts the same
@@ -139,7 +140,7 @@ def parse_floats(tokens, lineno, path) -> np.ndarray:
 
 
 class FloatRows:
-    """Float rows of one text file, converted to float64 a block at a time.
+    """Float rows of one EMB1 or FRM1 file, converted to float64 a block at a time.
 
     A loader checks each record line itself and queues the line's float
     tokens with ``add``, naming the offset of the row's first value in the

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimMismatchError, ParseError, ShapeMismatchError
-from .experts import FloatRows, parse_count, read_records, row_format
+from .data import digest
+from .errors import ChecksumError, DimMismatchError, ParseError, ShapeMismatchError
+from .experts import parse_count
 from .mathcore import unit_rows
 from .seeding import named_rng
 
@@ -160,23 +161,23 @@ def backward(model: TwoTowerModel, state: ForwardState, grad_video_reprs, grad_t
 
 
 # ---------------------------------------------------------------------------
-# CKPT2 checkpoint format
+# CKPT3 checkpoint format
 # ---------------------------------------------------------------------------
 #
-#   CKPT2
-#   dims <video_in> <text_in> <hidden> <joint>
-#   <one record per parameter row, param_items() order>   # every checkpoint
-#   adam <epoch> <seed> <t> [<config_hash>]               # trainer checkpoints only
-#   <m rows, same order>
-#   <v rows, same order>
+#   CKPT3 <video_in> <text_in> <hidden> <joint> <sha256> [adam <epoch> <seed> <t> [<config_hash>]]\n
+#   <payload: raw little-endian float64>
 #
-# A weight matrix gives one record per input row, a bias one record. A
-# model-only file ends after the parameter rows; an empty ``config_hash`` is
-# no token. Line rules: ``experts.read_records``. Every float goes out through
-# ``experts.row_format`` and back through ``experts.FloatRows``, bit-exact. A
-# CKPT1 header is rejected with a hint to retrain.
+# The payload holds every parameter array in param_items() order, each in C
+# order; a trainer checkpoint, the one with the ``adam`` fields, then adds
+# Adam ``m`` and ``v`` in the same order. ``<sha256>`` is ``data.digest`` of
+# the payload, and an empty ``config_hash`` is no token. Only marginforge
+# writes and reads these files, so the values go out as their own bytes and
+# come back bit-exact. CKPT1 and CKPT2 text files are rejected with a hint to
+# retrain.
 
-CKPT_TAG = "CKPT2"
+CKPT_TAG = "CKPT3"
+_RETRAIN_HINT = "CKPT1 and CKPT2 checkpoints are no longer read, retrain to write a CKPT3 file"
+_FLOAT = np.dtype("<f8")
 
 
 @dataclass
@@ -188,7 +189,7 @@ class AdamState:
 
 @dataclass
 class Checkpoint:
-    """The contents of one CKPT2 file; ``opt_state`` is None for a model-only file."""
+    """The contents of one CKPT3 file; ``opt_state`` is None for a model-only file."""
 
     model: TwoTowerModel
     opt_state: AdamState | None = None
@@ -214,92 +215,83 @@ def replace_on_success(path):
         raise
 
 
-def _write_rows(fh, arrays) -> None:
-    for arr in arrays:
-        rows = arr if arr.ndim == 2 else arr[None, :]
-        fh.write((row_format(rows.shape[1]) * rows.shape[0]) % tuple(rows.ravel().tolist()))
+def _named_arrays(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
+    """Every array of ``ckpt`` in payload order, named as a reader's errors name it."""
+    items = ckpt.model.param_items()
+    adam = ckpt.opt_state
+    if adam is None:
+        return items
+    return items + [
+        (f"{key} {name}", moments[name])
+        for key, moments in (("m", adam.m), ("v", adam.v))
+        for name, _ in items
+    ]
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write ``ckpt`` as one CKPT2 file, swapped in by a single ``os.replace``.
+    """Write ``ckpt`` as one CKPT3 file, swapped in by a single ``os.replace``.
 
     An interrupted write leaves any old file at ``path`` intact.
     """
-    if any(c.isspace() for c in ckpt.config_hash):
-        raise ValueError(f"config_hash {ckpt.config_hash!r} must not contain whitespace")
-    items = ckpt.model.param_items()
+    config_hash = ckpt.config_hash
+    if not config_hash.isascii() or any(c.isspace() for c in config_hash):
+        raise ValueError(f"config_hash {config_hash!r} must be ASCII without whitespace")
+    payload = b"".join(arr.astype(_FLOAT, copy=False).tobytes() for _, arr in _named_arrays(ckpt))
     d = ckpt.model.dims
-    with replace_on_success(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"{CKPT_TAG}\ndims {d.video_in} {d.text_in} {d.hidden} {d.joint}\n")
-        _write_rows(fh, [arr for _, arr in items])
-        adam = ckpt.opt_state
-        if adam is not None:
-            fh.write(f"adam {ckpt.epoch} {ckpt.seed} {adam.t} {ckpt.config_hash}".rstrip() + "\n")
-            _write_rows(fh, [moments[name] for moments in (adam.m, adam.v) for name, _ in items])
-
-
-def _read_rows(path, records, items, lineno: int) -> int:
-    """Fill each ``(name, array)`` of ``items`` from the next records; return the last line read."""
-    flat = np.empty(sum(arr.size for _, arr in items))
-    offset = 0
-    with FloatRows(path, flat) as block:
-        for name, arr in items:
-            width = arr.shape[-1]
-            for _ in range(arr.size // width):
-                lineno, vals = next(records, (lineno, None))
-                if vals is None:
-                    raise ParseError(f"{path}: file ends after this line, inside {name}", lineno)
-                if len(vals) != width:
-                    message = f"{path}: {name}: {len(vals)} values, expected {width}"
-                    raise ParseError(message, lineno)
-                block.add(lineno, vals, offset)
-                offset += width
-    offset = 0
-    for _, arr in items:
-        arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-    return lineno
+    header = f"{CKPT_TAG} {d.video_in} {d.text_in} {d.hidden} {d.joint} {digest(payload)}"
+    if ckpt.opt_state is not None:
+        header = f"{header} adam {ckpt.epoch} {ckpt.seed} {ckpt.opt_state.t} {config_hash}".rstrip()
+    with replace_on_success(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(f"{header}\n".encode("ascii"))
+        fh.write(payload)
 
 
 def read_checkpoint(path) -> Checkpoint:
-    """Parse a CKPT2 file, the ``adam`` section included when there is one."""
-    try:
-        _, records = read_records(path, CKPT_TAG, 0)
-    except ParseError as exc:
-        hint = "CKPT1 checkpoints are no longer read, retrain to write a CKPT2 file"
-        raise ParseError(f"{path}: expected a {CKPT_TAG} header; {hint}", exc.line) from None
-    lineno, parts = next(records, (None, []))
-    if len(parts) != 5 or parts[0] != "dims":
-        raise ParseError(f"{path}: expected 'dims <v> <t> <h> <j>'", lineno)
-    counts = [parse_count(p, lineno, path) for p in parts[1:]]
+    """Parse a CKPT3 file, checking its tag, header fields, digest, payload length
+    and finite values in that order."""
+    line, newline, payload = Path(path).read_bytes().partition(b"\n")
+    parts = line.decode("ascii").split() if newline and line.isascii() else []
+    if not parts or parts[0] != CKPT_TAG:
+        raise ParseError(f"{path}: expected a {CKPT_TAG} header; {_RETRAIN_HINT}", 1)
+    if len(parts) not in (6, 10, 11) or (len(parts) > 6 and parts[6] != "adam"):
+        layout = "<v> <t> <h> <j> <sha256> [adam <epoch> <seed> <t> [<config_hash>]]"
+        raise ParseError(f"{path}: expected '{CKPT_TAG} {layout}'", 1)
+    counts = [parse_count(p, 1, path) for p in parts[1:5]]
     try:
         dims = ModelDims(*counts)
     except ValueError as exc:
-        raise ParseError(f"{path}: bad dims line: {exc}", lineno) from None
-
+        raise ParseError(f"{path}: bad dims: {exc}", 1) from None
     model = init_params(dims, seed=0)
-    items = model.param_items()
-    lineno = _read_rows(path, records, items, lineno)
-    lineno, parts = next(records, (lineno, None))
-    if parts is None:
-        return Checkpoint(model)
-    if parts[0] != "adam" or len(parts) not in (4, 5):
-        raise ParseError(f"{path}: expected 'adam <epoch> <seed> <t> [<config_hash>]'", lineno)
-    epoch, seed, t = (parse_count(p, lineno, path) for p in parts[1:4])
-    adam = AdamState(t)
-    for key, moments in (("m", adam.m), ("v", adam.v)):
-        moments.update((name, np.empty_like(arr)) for name, arr in items)
-        lineno = _read_rows(path, records, [(f"{key} {n}", a) for n, a in moments.items()], lineno)
-    for lineno, _ in records:
-        raise ParseError(f"{path}: trailing content after the adam section", lineno)
-    return Checkpoint(model, adam, epoch, seed, parts[4] if len(parts) == 5 else "")
+    ckpt = Checkpoint(model)
+    if len(parts) > 6:
+        epoch, seed, t = (parse_count(p, 1, path) for p in parts[7:10])
+        m = {name: np.empty_like(arr) for name, arr in model.param_items()}
+        v = {name: np.empty_like(arr) for name, arr in model.param_items()}
+        config_hash = parts[10] if len(parts) == 11 else ""
+        ckpt = Checkpoint(model, AdamState(t, m, v), epoch, seed, config_hash)
+    if digest(payload) != parts[5]:
+        raise ChecksumError(f"{path}: payload digest does not match the header's {parts[5]}")
+
+    arrays = _named_arrays(ckpt)
+    expected = _FLOAT.itemsize * sum(arr.size for _, arr in arrays)
+    if len(payload) != expected:
+        raise ParseError(f"{path}: payload holds {len(payload)} bytes, expected {expected}")
+    flat = np.frombuffer(payload, dtype=_FLOAT)
+    offset = 0
+    for name, arr in arrays:
+        values = flat[offset : offset + arr.size]
+        if not np.isfinite(values).all():
+            raise ParseError(f"{path}: {name} holds a non-finite value")
+        arr[...] = values.reshape(arr.shape)
+        offset += arr.size
+    return ckpt
 
 
 def save_checkpoint(model: TwoTowerModel, path) -> None:
-    """Write a model-only CKPT2 file."""
+    """Write a model-only CKPT3 file."""
     write_checkpoint(Checkpoint(model), path)
 
 
 def load_checkpoint(path) -> TwoTowerModel:
-    """The model of any CKPT2 file; an ``adam`` section is still checked in full."""
+    """The model of any CKPT3 file; a trainer file's Adam state is still checked in full."""
     return read_checkpoint(path).model

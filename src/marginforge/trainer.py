@@ -240,16 +240,17 @@ def evaluate_split(model: TwoTowerModel, dataset: Dataset, ids, ks=DEFAULT_KS):
 
 
 def save_trainer_checkpoint(ckpt: Checkpoint, prefix) -> None:
-    """Model, Adam state and run identity go to the one CKPT2 file ``<prefix>.ckpt``.
+    """Model, Adam state and run identity go to the one CKPT3 file ``<prefix>.ckpt``.
 
-    The file is written to a temp file and swapped in by a single
+    ``.ckpt`` is appended, so prefixes that differ only after a dot stay
+    apart. The file is written to a temp file and swapped in by a single
     ``os.replace``, so a failed write leaves the previous checkpoint whole.
     """
-    write_checkpoint(ckpt, Path(prefix).with_suffix(".ckpt"))
+    write_checkpoint(ckpt, f"{prefix}.ckpt")
 
 
 def load_trainer_checkpoint(prefix) -> Checkpoint:
-    path = Path(prefix).with_suffix(".ckpt")
+    path = f"{prefix}.ckpt"
     ckpt = read_checkpoint(path)
     if ckpt.opt_state is None:
         raise ParseError(f"{path}: no adam section, so it cannot restore a trainer")
@@ -267,7 +268,7 @@ def run_training(
     """Warm-up plus main epochs with per-epoch validation metrics.
 
     Writes ``report.jsonl`` (one record per epoch, fixed field order), a
-    CKPT2 trainer checkpoint ``checkpoint_latest.ckpt`` refreshed every
+    CKPT3 trainer checkpoint ``checkpoint_latest.ckpt`` refreshed every
     epoch, and ``checkpoint_final.ckpt`` at the end; each checkpoint is one
     file holding the model and the Adam state. Identical (dataset, config,
     seed) runs produce byte-identical outputs.
@@ -292,16 +293,11 @@ def run_training(
                 "loss_hard": agg.hard_term,
                 "loss_dse": agg.dse_term,
                 "loss_sse": agg.sse_term,
-                "t2v_R1": t2v.r_at[1],
-                "t2v_R5": t2v.r_at[5],
-                "t2v_R10": t2v.r_at[10],
-                "t2v_MdR": t2v.mdr,
-                "v2t_R1": v2t.r_at[1],
-                "v2t_R5": v2t.r_at[5],
-                "v2t_R10": v2t.r_at[10],
-                "v2t_MdR": v2t.mdr,
-                "rsum": rsum,
             }
+            for direction, rep in (("t2v", t2v), ("v2t", v2t)):
+                record.update({f"{direction}_R{k}": rep.r_at[k] for k in DEFAULT_KS})
+                record[f"{direction}_MdR"] = rep.mdr
+            record["rsum"] = rsum
             records.append(record)
             report.write(json.dumps(record) + "\n")
             ckpt = Checkpoint(model, opt_state, epoch, cfg.seed, config_hash)

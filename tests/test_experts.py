@@ -289,7 +289,7 @@ def replace_row(index, text):
 
 
 class TestFloatBlocks:
-    """EMB1/FRM1/CKPT2 floats are converted per block; values and errors match per-row parsing."""
+    """EMB1/FRM1 floats are converted per block; values and errors match per-row parsing."""
 
     @pytest.mark.parametrize("literal", LITERALS)
     def test_literal_parity(self, tmp_path, literal):

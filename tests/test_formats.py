@@ -1,4 +1,4 @@
-"""The line rule shared by all six text formats (``experts.read_records``).
+"""The line rule shared by all five line formats (``experts.read_records``).
 
 Blank lines and ``#`` comments may stand anywhere, the header is the first
 other line, and a wrong header is reported at its own line.
@@ -17,15 +17,6 @@ from marginforge.data import (
 )
 from marginforge.errors import ParseError
 from marginforge.experts import load_frame_file, load_static_embeddings
-from marginforge.model import (
-    AdamState,
-    Checkpoint,
-    ModelDims,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
-from marginforge.trainer import load_trainer_checkpoint, save_trainer_checkpoint
 
 
 def frm1(path):
@@ -42,28 +33,13 @@ def manifest2(path):
     return {role: hexdigest for role, (hexdigest, _) in _read_manifest(path).items()}
 
 
-def ckpt2(path):
-    model = load_checkpoint(path)
-    return model.dims, [(name, arr.tolist()) for name, arr in model.param_items()]
-
-
-def trainer_ckpt2(path):
-    ckpt = load_trainer_checkpoint(path.with_suffix(""))
-    adam = ckpt.opt_state
-    moments = [(name, adam.m[name].tolist(), adam.v[name].tolist()) for name in adam.m]
-    plain = (ckpt.epoch, ckpt.seed, ckpt.config_hash, adam.t, moments)
-    return ckpt2(path), plain
-
-
-# tag, file written by write_dataset or a checkpoint writer, loader as plain data
+# tag, file written by write_dataset, loader as plain data
 FORMATS = [
     ("FRM1", "frames.frm1", frm1),
     ("EMB1", "text.emb1", emb1),
     ("LBL1", "labels.txt", _load_labels),
     ("SPLIT1", "split_val.txt", _load_split),
     ("MANIFEST2", MANIFEST_NAME, manifest2),
-    ("CKPT2", "model.ckpt", ckpt2),
-    ("CKPT2", "trainer.ckpt", trainer_ckpt2),
 ]
 
 
@@ -71,19 +47,10 @@ FORMATS = [
 def written(tmp_path):
     cfg = SynthConfig(n_items=8, n_concepts=6, duplicate_rate=0.5, seed=19)
     write_dataset(generate(cfg), tmp_path)
-    model = init_params(ModelDims(3, 2, 2, 2), 19)
-    save_checkpoint(model, tmp_path / "model.ckpt")
-    m = {name: arr / 3.0 for name, arr in model.param_items()}
-    v = {name: arr * arr for name, arr in model.param_items()}
-    save_trainer_checkpoint(Checkpoint(model, AdamState(7, m, v), 2, 19, "h"), tmp_path / "trainer")
     return tmp_path
 
 
-@pytest.mark.parametrize(
-    "tag, filename, load",
-    FORMATS,
-    ids=[tag + "-trainer" if load is trainer_ckpt2 else tag for tag, _, load in FORMATS],
-)
+@pytest.mark.parametrize("tag, filename, load", FORMATS, ids=[tag for tag, _, _ in FORMATS])
 class TestSharedLineRule:
     def test_comments_and_blank_lines_anywhere(self, written, tag, filename, load):
         path = written / filename

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from marginforge.errors import DimMismatchError, ParseError, ShapeMismatchError
+from marginforge.data import digest
+from marginforge.errors import (
+    ChecksumError,
+    DimMismatchError,
+    ParseError,
+    ShapeMismatchError,
+)
 from marginforge.model import (
     AdamState,
     Checkpoint,
@@ -144,31 +150,70 @@ class TestBackward:
             backward(model, state, np.zeros((3, 2)), np.zeros((2, 2)))
 
 
+EDGE = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3]
+
+
+def read_parts(path):
+    """A CKPT3 file's header tokens and its payload bytes."""
+    line, _, payload = path.read_bytes().partition(b"\n")
+    return line.decode("ascii").split(), payload
+
+
+def write_parts(path, parts, payload, redigest=True):
+    """Write a header and payload back; ``redigest`` stores the payload's own digest."""
+    if redigest:
+        parts = [*parts[:5], digest(payload), *parts[6:]]
+    path.write_bytes(" ".join(parts).encode("ascii") + b"\n" + payload)
+
+
+def with_value(payload, index, value):
+    """``payload`` with float ``index`` set to ``value``."""
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[index] = value
+    return values.tobytes()
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("hidden", [0, 5])
     def test_round_trip_exact(self, tmp_path, hidden):
         model = init_params(ModelDims(4, 3, hidden, 6), 17)
+        for _, arr in model.param_items():
+            arr.flat[: len(EDGE)] = EDGE
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.dims == model.dims
-        for (na, pa), (nb, pb) in zip(model.param_items(), loaded.param_items()):
-            assert na == nb
-            np.testing.assert_array_equal(pa, pb)
+        assert [n for n, _ in loaded.param_items()] == [n for n, _ in model.param_items()]
+        for (_, pa), (_, pb) in zip(model.param_items(), loaded.param_items()):
+            assert pb.shape == pa.shape
+            assert pb.tobytes() == pa.tobytes()
+
+    def test_payload_is_the_param_bytes(self, tmp_path):
+        model = init_params(ModelDims(4, 3, 5, 6), 17)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        parts, payload = read_parts(path)
+        expected = b"".join(arr.astype("<f8").tobytes() for _, arr in model.param_items())
+        assert payload == expected
+        assert parts == ["CKPT3", "4", "3", "5", "6", digest(expected)]
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.ckpt"
         p.write_text("NOPE\n", encoding="utf-8")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="expected a CKPT3 header") as excinfo:
             load_checkpoint(p)
+        assert excinfo.value.line == 1
 
     def test_truncated(self, tmp_path):
         model = init_params(ModelDims(4, 3, 0, 6), 17)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError):
+        parts, payload = read_parts(path)
+        write_parts(path, parts, payload[:-1], redigest=False)
+        with pytest.raises(ChecksumError):
+            load_checkpoint(path)
+        write_parts(path, parts, payload[:-1])
+        with pytest.raises(ParseError, match="payload holds 431 bytes, expected 432"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("position", [1, 2, 3, 4])
@@ -176,40 +221,27 @@ class TestCheckpoint:
     def test_bad_dims_count_rejected(self, tmp_path, position, token):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_params(ModelDims(2, 2, 2, 2), 17), path)
-        lines = path.read_text().splitlines()
-        parts = lines[1].split()
+        parts, payload = read_parts(path)
         parts[position] = token
-        lines[1] = " ".join(parts)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError) as excinfo:
+        write_parts(path, parts, payload)
+        with pytest.raises(ParseError, match="bad count") as excinfo:
             load_checkpoint(path)
-        assert excinfo.value.line == 2
-
-    def test_rows_match_per_value_text(self, tmp_path):
-        edge = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -1.5]
-        model = init_params(ModelDims(2, 1, 0, len(edge)), 17)
-        model.video.w1[...] = [edge, edge[::-1]]
-        model.video.b1[...] = edge
-        path = tmp_path / "edge.ckpt"
-        save_checkpoint(model, path)
-        expected = [" ".join(f"{x:.17e}" for x in row) for row in (edge, edge[::-1], edge)]
-        assert path.read_text(encoding="utf-8").splitlines()[2:5] == expected
+        assert excinfo.value.line == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_rejected(self, tmp_path, value):
         model = init_params(ModelDims(4, 3, 0, 6), 17)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        lines = path.read_text().splitlines()
-        lines[3] = " ".join([value] + lines[3].split()[1:])
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="line 4"):
+        parts, payload = read_parts(path)
+        write_parts(path, parts, with_value(payload, -1, float(value)))
+        with pytest.raises(ParseError, match="text.b1 holds a non-finite value"):
             load_checkpoint(path)
 
 
 def trainer_file(tmp_path, config_hash="abc"):
-    """A CKPT2 file with an adam section: lines 3-11 hold the 9 parameter rows,
-    line 12 the adam line, 13-21 the m rows and 22-30 the v rows."""
+    """A CKPT3 trainer file. Its 162 payload floats are the 54 parameters
+    (video.w1 24, video.b1 6, text.w1 18, text.b1 6), then m, then v."""
     model = init_params(ModelDims(4, 3, 0, 6), 17)
     m = {name: arr / 3.0 for name, arr in model.param_items()}
     v = {name: arr * arr for name, arr in model.param_items()}
@@ -218,17 +250,28 @@ def trainer_file(tmp_path, config_hash="abc"):
     return path
 
 
-def rewrite(path, edit):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+# one bad trainer file per reader check: an edit of (header tokens, payload), and its error
+ERROR_CASES = {
+    "tag": (lambda parts, payload: (["CKPT2", *parts[1:]], payload), ParseError),
+    "dims": (lambda parts, payload: ([*parts[:4], "+6", *parts[5:]], payload), ParseError),
+    "adam": (lambda parts, payload: ([*parts[:7], "4", "17", "0x5", "abc"], payload), ParseError),
+    "digest": (lambda parts, payload: (parts, payload[::-1]), ChecksumError),
+    "short": (lambda parts, payload: (parts, payload[:-8]), ParseError),
+    "long": (lambda parts, payload: (parts, payload + b"\0"), ParseError),
+    "nan": (lambda parts, payload: (parts, with_value(payload, 100, np.nan)), ParseError),
+}
 
 
 class TestCkpt2AdamSection:
+    """Trainer checkpoints: the header's ``adam`` fields and the m and v payload."""
+
     @pytest.mark.parametrize("config_hash", ["abc", ""])
     def test_round_trip_exact(self, tmp_path, config_hash):
         path = trainer_file(tmp_path, config_hash)
-        adam_line = path.read_text(encoding="utf-8").splitlines()[11]
-        assert adam_line == f"adam 4 17 5 {config_hash}".rstrip()
+        parts, payload = read_parts(path)
+        assert parts[:5] == ["CKPT3", "4", "3", "0", "6"]
+        assert parts[5] == digest(payload)
+        assert " ".join(parts[6:]) == f"adam 4 17 5 {config_hash}".rstrip()
         ckpt = read_checkpoint(path)
         assert (ckpt.epoch, ckpt.seed, ckpt.opt_state.t, ckpt.config_hash) == (
             4,
@@ -237,81 +280,92 @@ class TestCkpt2AdamSection:
             config_hash,
         )
         for name, arr in ckpt.model.param_items():
-            np.testing.assert_array_equal(ckpt.opt_state.m[name], arr / 3.0)
-            np.testing.assert_array_equal(ckpt.opt_state.v[name], arr * arr)
+            assert ckpt.opt_state.m[name].tobytes() == (arr / 3.0).tobytes()
+            assert ckpt.opt_state.v[name].tobytes() == (arr * arr).tobytes()
 
     def test_model_rows_are_a_model_only_file(self, tmp_path):
         path = trainer_file(tmp_path)
         save_checkpoint(read_checkpoint(path).model, tmp_path / "model.ckpt")
-        model_only = (tmp_path / "model.ckpt").read_text(encoding="utf-8")
-        assert path.read_text(encoding="utf-8").startswith(model_only)
+        _, model_payload = read_parts(tmp_path / "model.ckpt")
+        _, trainer_payload = read_parts(path)
+        assert len(trainer_payload) == 3 * len(model_payload)
+        assert trainer_payload.startswith(model_payload)
         assert read_checkpoint(tmp_path / "model.ckpt").opt_state is None
 
     def test_ckpt1_rejected_with_hint(self, tmp_path):
-        path = trainer_file(tmp_path)
-        rewrite(path, lambda lines: ["CKPT1", *lines[1:]])
-        with pytest.raises(ParseError, match="CKPT2.*retrain") as excinfo:
+        path = tmp_path / "old.ckpt"
+        path.write_text("CKPT1 4 3 0 6\n0.0 0.0 0.0 0.0 0.0 0.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="CKPT1 and CKPT2.*retrain") as excinfo:
             load_checkpoint(path)
         assert excinfo.value.line == 1
 
-    @pytest.mark.parametrize("keep", [12, 17, 29])
-    def test_truncated_moments(self, tmp_path, keep):
-        # the file ends right after the adam line, inside m, and inside v
-        path = trainer_file(tmp_path)
-        rewrite(path, lambda lines: lines[:keep])
-        with pytest.raises(ParseError, match="file ends") as excinfo:
+    def test_ckpt2_rejected_with_hint(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        path.write_text("CKPT2\ndims 4 3 0 6\n0.0 0.0 0.0 0.0 0.0 0.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="CKPT1 and CKPT2.*retrain") as excinfo:
             load_checkpoint(path)
-        assert excinfo.value.line == keep
+        assert excinfo.value.line == 1
 
-    @pytest.mark.parametrize("row, name", [(13, "m video.w1"), (27, "v text.w1")])
-    def test_wrong_width_moment_row(self, tmp_path, row, name):
+    @pytest.mark.parametrize("keep", [54, 60, 130], ids=["after-params", "inside-m", "inside-v"])
+    def test_truncated_payload(self, tmp_path, keep):
         path = trainer_file(tmp_path)
-        rewrite(path, lambda lines: [*lines[: row - 1], lines[row - 1] + " 1.0", *lines[row:]])
-        with pytest.raises(ParseError, match=f"{name}: 7 values, expected 6") as excinfo:
+        parts, payload = read_parts(path)
+        write_parts(path, parts, payload[: 8 * keep])
+        with pytest.raises(ParseError, match=f"holds {8 * keep} bytes, expected 1296"):
             load_checkpoint(path)
-        assert excinfo.value.line == row
+
+    @pytest.mark.parametrize("index, name", [(54, "m video.w1"), (147, "v text.w1")])
+    def test_non_finite_moment_named(self, tmp_path, index, name):
+        path = trainer_file(tmp_path)
+        parts, payload = read_parts(path)
+        write_parts(path, parts, with_value(payload, index, np.nan))
+        with pytest.raises(ParseError, match=f"{name} holds a non-finite value"):
+            load_checkpoint(path)
 
     def test_trailing_content(self, tmp_path):
         path = trainer_file(tmp_path)
-        rewrite(path, lambda lines: [*lines, "", "# end", "0.0"])
-        with pytest.raises(ParseError, match="trailing content") as excinfo:
+        parts, payload = read_parts(path)
+        write_parts(path, parts, payload + b"\0")
+        with pytest.raises(ParseError, match="holds 1297 bytes, expected 1296"):
             load_checkpoint(path)
-        assert excinfo.value.line == 33
+
+    def test_flipped_payload_byte(self, tmp_path):
+        path = trainer_file(tmp_path)
+        parts, payload = read_parts(path)
+        flipped = bytearray(payload)
+        flipped[700] ^= 0x01
+        write_parts(path, parts, bytes(flipped), redigest=False)
+        with pytest.raises(ChecksumError, match="digest"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "adam_line", ["adam 4 17", "adam 4 17 5 h x", "adma 4 17 5", "adam 4 -1 5"]
     )
     def test_bad_adam_line(self, tmp_path, adam_line):
         path = trainer_file(tmp_path)
-        rewrite(path, lambda lines: [*lines[:11], adam_line, *lines[12:]])
+        parts, payload = read_parts(path)
+        write_parts(path, [*parts[:6], *adam_line.split()], payload)
         with pytest.raises(ParseError) as excinfo:
             load_checkpoint(path)
-        assert excinfo.value.line == 12
+        assert excinfo.value.line == 1
 
     def test_config_hash_with_whitespace_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="whitespace"):
             trainer_file(tmp_path, "a b")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize(
-        "line, edit",
-        [
-            (2, lambda ls: [ls[0], "dims 4 3 0 +6", *ls[2:]]),
-            (5, lambda ls: [*ls[:4], ls[4] + " 1.0", *ls[5:]]),
-            (9, lambda ls: [*ls[:8], "x" + ls[8], *ls[9:]]),
-            (12, lambda ls: [*ls[:11], "adam 4 17 0x5 abc", *ls[12:]]),
-            (16, lambda ls: [*ls[:15], "nan" + ls[15][ls[15].index(" ") :], *ls[16:]]),
-            (30, lambda ls: [*ls[:29], ls[29].replace(" ", " 1e ", 1), *ls[30:]]),
-            (29, lambda ls: ls[:29]),
-            (31, lambda ls: [*ls, "0.0"]),
-        ],
-    )
-    def test_record_errors_name_the_file(self, tmp_path, line, edit):
+    def test_config_hash_non_ascii_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="ASCII"):
+            trainer_file(tmp_path, "h\u00e9")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", list(ERROR_CASES))
+    def test_errors_name_the_file(self, tmp_path, case):
+        edit, error = ERROR_CASES[case]
         path = trainer_file(tmp_path)
-        rewrite(path, edit)
-        with pytest.raises(ParseError) as excinfo:
+        write_parts(path, *edit(*read_parts(path)), redigest=error is not ChecksumError)
+        with pytest.raises(error) as excinfo:
             read_checkpoint(path)
-        assert excinfo.value.line == line
         assert str(path) in str(excinfo.value)
 
     def test_failed_replace_leaves_old_file_and_no_temp(self, tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ from marginforge.errors import (
 )
 from marginforge.margin import expert_margins
 from marginforge.mathcore import unit_rows
-from marginforge.model import ModelDims, forward_batch, init_params, save_checkpoint
+from marginforge.model import Checkpoint, ModelDims, forward_batch, init_params, save_checkpoint
 from marginforge.objective import full_loss_grad
 from marginforge.seeding import named_rng
 from marginforge.trainer import (
@@ -30,6 +30,7 @@ from marginforge.trainer import (
     load_trainer_checkpoint,
     new_adam_state,
     run_training,
+    save_trainer_checkpoint,
     train_epoch,
 )
 from helpers import flatten_params
@@ -370,6 +371,15 @@ class TestRunTraining:
         with pytest.raises(ParseError, match="no adam section"):
             load_trainer_checkpoint(tmp_path / "model")
 
+    def test_dotted_prefixes_stay_apart(self, tmp_path):
+        model = small_model(small_dataset())
+        for epoch in (1, 2):
+            ckpt = Checkpoint(model, new_adam_state(model), epoch, 3, "h")
+            save_trainer_checkpoint(ckpt, tmp_path / f"run.epoch{epoch}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.epoch1.ckpt", "run.epoch2.ckpt"]
+        assert load_trainer_checkpoint(tmp_path / "run.epoch1").epoch == 1
+        assert load_trainer_checkpoint(tmp_path / "run.epoch2").epoch == 2
+
     def test_one_replace_per_save(self, tmp_path, monkeypatch):
         real_replace = os.replace
         swaps = []
@@ -431,11 +441,11 @@ class TestRunTraining:
         real_open = open
         saves = []
 
-        class DiesInAdamSection:
-            """A file that fails half way through the first write after the adam line."""
+        class DiesInPayload:
+            """A file that fails half way through the payload, after the header line."""
 
             def __init__(self, fh):
-                self.fh, self.in_adam = fh, False
+                self.fh, self.in_payload = fh, False
 
             def __enter__(self):
                 return self
@@ -444,10 +454,10 @@ class TestRunTraining:
                 self.fh.close()
 
             def write(self, data):
-                if self.in_adam:
+                if self.in_payload:
                     self.fh.write(data[: len(data) // 2])
                     raise OSError("disk full")
-                self.in_adam = data.startswith("adam ")
+                self.in_payload = data.startswith(b"CKPT3 ")
                 return self.fh.write(data)
 
         def failing_open(path, *args, **kwargs):
@@ -455,7 +465,7 @@ class TestRunTraining:
             if Path(path).name == "checkpoint_latest.ckpt.tmp":
                 saves.append(path)
                 if len(saves) == 3:  # the epoch-3 checkpoint dies half written
-                    return DiesInAdamSection(fh)
+                    return DiesInPayload(fh)
             return fh
 
         monkeypatch.setattr("marginforge.model.open", failing_open, raising=False)
