@@ -250,14 +250,28 @@ def trainer_file(tmp_path, config_hash="abc"):
     return path
 
 
+def flip_byte(payload, offset):
+    flipped = bytearray(payload)
+    flipped[offset] ^= 0x01
+    return bytes(flipped)
+
+
 # one bad trainer file per reader check: an edit of (header tokens, payload), and its error
 ERROR_CASES = {
     "tag": (lambda parts, payload: (["CKPT2", *parts[1:]], payload), ParseError),
     "dims": (lambda parts, payload: ([*parts[:4], "+6", *parts[5:]], payload), ParseError),
     "adam": (lambda parts, payload: ([*parts[:7], "4", "17", "0x5", "abc"], payload), ParseError),
-    "digest": (lambda parts, payload: (parts, payload[::-1]), ChecksumError),
+    "digest-params": (lambda parts, payload: (parts, flip_byte(payload, 8 * 9)), ChecksumError),
+    "digest-moments": (
+        lambda parts, payload: (parts, flip_byte(payload, 8 * 150)),
+        ChecksumError,
+    ),
     "short": (lambda parts, payload: (parts, payload[:-8]), ParseError),
-    "long": (lambda parts, payload: (parts, payload + b"\0"), ParseError),
+    "extra-value": (
+        lambda parts, payload: (parts, payload[:32] + bytes(8) + payload[32:]),
+        ParseError,
+    ),
+    "trailing": (lambda parts, payload: (parts, payload + b"\0"), ParseError),
     "nan": (lambda parts, payload: (parts, with_value(payload, 100, np.nan)), ParseError),
 }
 
@@ -332,9 +346,7 @@ class TestCkpt2AdamSection:
     def test_flipped_payload_byte(self, tmp_path):
         path = trainer_file(tmp_path)
         parts, payload = read_parts(path)
-        flipped = bytearray(payload)
-        flipped[700] ^= 0x01
-        write_parts(path, parts, bytes(flipped), redigest=False)
+        write_parts(path, parts, flip_byte(payload, 700), redigest=False)
         with pytest.raises(ChecksumError, match="digest"):
             load_checkpoint(path)
 
