@@ -22,7 +22,7 @@ from .evaluation import write_metrics_csv
 from .experts import EXPERT_KINDS
 from .margin import expert_margins
 from .model import forward_batch, load_checkpoint
-from .trainer import epoch_batches, evaluate_split, expert_units, run_training, sse_unit_tables
+from .trainer import epoch_batches, evaluate_split, expert_units, run_training, train_inputs
 
 
 def _load_config(path: str | None) -> cfgmod.RunConfig:
@@ -104,19 +104,18 @@ def cmd_inspect_margins(args) -> int:
     out = _resolve_out_dir(cfg, args.out)
     cfgmod.write_resolved(cfg, out)
 
-    train_rows = dataset.rows(dataset.train_ids)
-    batches = epoch_batches(cfg.train.seed, len(train_rows), cfg.train.batch_size, 1)
+    kinds = EXPERT_KINDS if args.expert == "all" else (args.expert,)
+    inputs = train_inputs(dataset, kinds)
+    batches = epoch_batches(cfg.train.seed, len(inputs.rows), cfg.train.batch_size, 1)
     if not 0 <= args.batch < len(batches):
         raise IndexOutOfRangeError(
-            f"batch {args.batch} is out of range for {len(train_rows)} training items "
+            f"batch {args.batch} is out of range for {len(inputs.rows)} training items "
             f"at batch_size {cfg.train.batch_size}"
         )
     batch = batches[args.batch]
-    rows = train_rows[batch]
-    state = forward_batch(model, dataset.pooled_video()[rows], dataset.text[rows])
-    units = expert_units(state, sse_unit_tables(dataset, ("sse_video", "sse_text")), batch)
-    kinds = EXPERT_KINDS if args.expert == "all" else (args.expert,)
-    concepts = dataset.concepts[rows]
+    state = forward_batch(model, inputs.pooled[batch], inputs.text[batch])
+    units = expert_units(state, inputs.sse_units, batch)
+    concepts = dataset.concepts[inputs.rows[batch]]
 
     target = out / "margins.csv"
     with open(target, "w", encoding="utf-8", newline="") as fh:

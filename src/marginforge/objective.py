@@ -19,8 +19,15 @@ value is a ``margin.ExpertMargins``, which ``kernels.triplet_terms`` forms
 one block of anchor rows at a time, or a plain B x B array.
 A soft slot is the sum of its video-domain and text-domain hinge; if only one
 expert of a slot is enabled its weight doubles so the slot keeps its mass,
-and a fully disabled slot contributes zero. Margins are always treated as
-constants: no gradient flows through expert distances, even dynamic ones.
+and a fully disabled slot contributes zero. ``slot_weights`` states the two
+slot weights; a slot whose weight is exactly 0 (the DSE slot at lambda = 0,
+the SSE slot at lambda = 1) is dropped from the levels after its margins are
+validated, which changes no output bit: its hinges would be multiplied by 0
+before they reach the mining criterion, the loss or ``dS``, and the other
+slot's renormalisation does not depend on it. ``weighted_experts`` names the
+experts that remain, so the trainer builds margins for those only. Margins
+are always treated as constants: no gradient flows through expert
+distances, even dynamic ones.
 
 ``full_loss`` scores a given ``S``; ``full_loss_grad`` is the training step's
 entry, which forms ``S`` with ``kernels.pairwise_cosine`` from the unit rows
@@ -76,25 +83,57 @@ def _check_square(S) -> np.ndarray:
     return S
 
 
+SLOT_EXPERTS = {"dse": ("dse_video", "dse_text"), "sse": ("sse_video", "sse_text")}
+
+
+def slot_weights(lam: float) -> dict:
+    """``{slot: weight}`` of the two soft slots: lambda for DSE, 1 - lambda for SSE."""
+    return {"dse": lam, "sse": 1.0 - lam}
+
+
+def weighted_experts(kinds, lam: float) -> list:
+    """The expert kinds of ``kinds`` whose slot weight at ``lam`` is not 0,
+    in ``SLOT_EXPERTS`` order: the experts whose margins reach the loss."""
+    weights = slot_weights(lam)
+    return [
+        kind
+        for slot, members in SLOT_EXPERTS.items()
+        if weights[slot] != 0.0
+        for kind in members
+        if kind in kinds
+    ]
+
+
 def _margin_levels(B, margins, alpha, lam):
     """Margin levels (the scalar alpha, then the experts' ``ExpertMargins``
-    or B x B arrays) with weights and slot index ranges."""
+    or B x B arrays) with weights and slot index ranges.
+
+    Every given margin is checked for its kind and shape first; then a slot
+    whose weight is exactly 0 is left out, so its index range is empty.
+    """
     unknown = sorted(set(margins) - set(EXPERT_KINDS))
     if unknown:
         raise ValueError(f"unknown expert kinds {unknown}; expected some of {EXPERT_KINDS}")
-    levels = [alpha]
-    weights = [1.0]
-    slots = {}
-    for slot, lam_weight in (("dse", lam), ("sse", 1.0 - lam)):
-        enabled = [margins[k] for k in (f"{slot}_video", f"{slot}_text") if k in margins]
-        start = len(levels)
-        renorm = 2.0 / len(enabled) if enabled else 0.0
-        for m in enabled:
+    enabled = {}
+    for slot, members in SLOT_EXPERTS.items():
+        enabled[slot] = []
+        for kind in members:
+            if kind not in margins:
+                continue
+            m = margins[kind]
             vals = m if isinstance(m, ExpertMargins) else matrix_values(m)
             if vals.shape != (B, B):
                 raise ShapeMismatchError(f"{slot} margin shape {vals.shape} != ({B}, {B})")
-            levels.append(vals)
-            weights.append(lam_weight * renorm)
+            enabled[slot].append(vals)
+    levels = [alpha]
+    weights = [1.0]
+    slots = {}
+    for slot, weight in slot_weights(lam).items():
+        start = len(levels)
+        if weight != 0.0:
+            renorm = 2.0 / len(enabled[slot]) if enabled[slot] else 0.0
+            levels.extend(enabled[slot])
+            weights.extend([weight * renorm] * len(enabled[slot]))
         slots[slot] = range(start, len(levels))
     return levels, np.array(weights), slots
 

@@ -4,6 +4,10 @@ Epochs are 1-indexed. Warm-up epochs average the loss over all in-batch
 negatives; afterwards the hardest negative per anchor is mined. The DSE/SSE
 blending weight follows a three-phase schedule: zero before the start epoch,
 exponential interpolation between the two anchor values, then exactly 1.
+While the schedule gives a slot weight 0, its experts build no margins.
+
+A run's fixed inputs (the train split's rows, pooled video, text and static
+unit tables) are built once by ``train_inputs``; every epoch reads them.
 """
 
 import json
@@ -29,7 +33,7 @@ from .model import (
     write_checkpoint,
 )
 from .mathcore import unit_rows
-from .objective import MINING_CRITERIA, LossBreakdown, full_loss_grad
+from .objective import MINING_CRITERIA, LossBreakdown, full_loss_grad, weighted_experts
 from .seeding import named_rng
 
 ADAM_BETA1 = 0.9
@@ -56,6 +60,10 @@ class TrainConfig:
     dse_video: bool = True
     sse_text: bool = True
     sse_video: bool = True
+
+    def experts(self) -> tuple:
+        """The enabled expert kinds, in ``EXPERT_KINDS`` order."""
+        return tuple(kind for kind in EXPERT_KINDS if getattr(self, kind))
 
     def validate(self, n_train: int | None = None) -> None:
         """Raise ``ConfigError`` naming the ``train.*`` key of the first rule broken;
@@ -153,6 +161,32 @@ def sse_unit_tables(dataset: Dataset, kinds) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class TrainInputs:
+    """The training split's fixed inputs, row-aligned with ``dataset.train_ids``."""
+
+    rows: np.ndarray  # (n_train,) dataset rows of the train split
+    pooled: np.ndarray  # (n_train, video_in) mean-pooled frames
+    text: np.ndarray  # (n_train, text_in) text features
+    sse_units: dict  # {SSE kind: (n_train, dim) unit rows}
+
+
+def train_inputs(dataset: Dataset, kinds) -> TrainInputs:
+    """The train split's inputs for the expert kinds ``kinds``: its rows,
+    pooled video and text, and the unit tables of the SSE kinds among them.
+
+    Nothing in it changes during a run, so ``run_training`` builds it once.
+    A zero-norm static row raises ``ZeroNormError`` naming its table.
+    """
+    rows = dataset.rows(dataset.train_ids)
+    return TrainInputs(
+        rows,
+        dataset.pooled_video()[rows],
+        dataset.text[rows],
+        sse_unit_tables(dataset, [kind for kind in ("sse_video", "sse_text") if kind in kinds]),
+    )
+
+
 def expert_units(state, sse_units: dict, batch) -> dict:
     """``{expert kind: unit rows}`` of one batch, the one statement of which
     rows feed which expert.
@@ -165,13 +199,13 @@ def expert_units(state, sse_units: dict, batch) -> dict:
     return units
 
 
-def _batch_margins(cfg: TrainConfig, state, sse_units: dict, batch) -> dict:
-    """``{expert kind: ExpertMargins}`` for the enabled experts of one batch."""
+def _batch_margins(cfg: TrainConfig, lam: float, state, sse_units: dict, batch) -> dict:
+    """``{expert kind: ExpertMargins}`` of one batch for the enabled experts
+    whose slot weight at ``lam`` is not 0; the others do not reach the loss."""
     units = expert_units(state, sse_units, batch)
     return {
         kind: expert_margins(units[kind], cfg.alpha, cfg.beta)
-        for kind in EXPERT_KINDS
-        if getattr(cfg, kind)
+        for kind in weighted_experts(cfg.experts(), lam)
     }
 
 
@@ -186,28 +220,20 @@ def _check_finite_step(breakdown: LossBreakdown, grads: dict) -> None:
 
 def train_epoch(
     model: TwoTowerModel,
-    dataset: Dataset,
+    inputs: TrainInputs,
     cfg: TrainConfig,
     epoch: int,
     opt_state: AdamState,
 ) -> LossBreakdown:
     """One pass over the training split in seed-shuffled order.
 
-    Updates the model and optimizer state in place and returns the mean loss
+    ``inputs`` is the run's ``train_inputs``, built by the caller once for
+    all epochs; its SSE tables must cover the enabled SSE experts. Updates
+    the model and optimizer state in place and returns the mean loss
     breakdown over the epoch's batches (mined-index fields are left empty in
     the aggregate).
     """
-    rows = dataset.rows(dataset.train_ids)
-    pooled = dataset.pooled_video()[rows]
-    text = dataset.text[rows]
-    try:
-        sse_units = sse_unit_tables(
-            dataset, [kind for kind in ("sse_video", "sse_text") if getattr(cfg, kind)]
-        )
-    except MarginForgeError as exc:
-        raise type(exc)(f"epoch {epoch}: {exc}") from exc
-
-    batches = epoch_batches(cfg.seed, len(rows), cfg.batch_size, epoch)
+    batches = epoch_batches(cfg.seed, len(inputs.rows), cfg.batch_size, epoch)
     if not batches:
         raise ConfigError(f"epoch {epoch}: no usable batches for batch_size {cfg.batch_size}")
     mining = "mean" if epoch <= cfg.warmup_epochs else "hardest"
@@ -216,8 +242,8 @@ def train_epoch(
     sums = np.zeros(4)
     for index, batch in enumerate(batches):
         try:
-            state = forward_batch(model, pooled[batch], text[batch])
-            margins = _batch_margins(cfg, state, sse_units, batch)
+            state = forward_batch(model, inputs.pooled[batch], inputs.text[batch])
+            margins = _batch_margins(cfg, lam, state, inputs.sse_units, batch)
             breakdown, grads = full_loss_grad(
                 model, state, margins, cfg.alpha, lam, mining, cfg.mining_criterion
             )
@@ -272,6 +298,10 @@ def run_training(
     epoch, and ``checkpoint_final.ckpt`` at the end; each checkpoint is one
     file holding the model and the Adam state. Identical (dataset, config,
     seed) runs produce byte-identical outputs.
+
+    The fixed inputs (``train_inputs``) are built once, at epoch 1, and every
+    epoch reuses them; an error building them is reported as epoch 1's, and
+    a run of 0 epochs builds none.
     """
     cfg.validate(len(dataset.train_ids))
     out = Path(out_dir)
@@ -284,7 +314,12 @@ def run_training(
     records: list[dict] = []
     with open(out / "report.jsonl", "w", encoding="utf-8") as report:
         for epoch in range(1, cfg.epochs + 1):
-            agg = train_epoch(model, dataset, cfg, epoch, opt_state)
+            if epoch == 1:
+                try:
+                    inputs = train_inputs(dataset, cfg.experts())
+                except MarginForgeError as exc:
+                    raise type(exc)(f"epoch 1: {exc}") from exc
+            agg = train_epoch(model, inputs, cfg, epoch, opt_state)
             t2v, v2t, rsum = evaluate_split(model, dataset, dataset.val_ids)
             record = {
                 "epoch": epoch,

@@ -27,8 +27,8 @@ from marginforge.trainer import (
     expert_units,
     new_adam_state,
     run_training,
-    sse_unit_tables,
     train_epoch,
+    train_inputs,
 )
 from helpers import finite_diff_grad, flatten_grads, flatten_params, rank_of_positive, set_flat_params
 from oracles import brute_force_similarity, loss_at_frozen_selection, rank_by_stable_sort
@@ -189,16 +189,13 @@ def test_c4_gradient_correctness_matrix():
 def _margin_split(ds, model, cfg, expert_kinds):
     """Mean adaptive margin over same-concept vs cross-concept negative pairs,
     aggregated over the epoch-1 batch partition."""
-    rows = ds.rows(ds.train_ids)
-    pooled = ds.pooled_video()[rows]
-    text = ds.text[rows]
-    sse_units = sse_unit_tables(ds, ("sse_video", "sse_text"))
+    inputs = train_inputs(ds, expert_kinds)
     same_vals = {k: [] for k in expert_kinds}
     cross_vals = {k: [] for k in expert_kinds}
-    for batch in epoch_batches(cfg.seed, len(rows), cfg.batch_size, 1):
-        state = forward_batch(model, pooled[batch], text[batch])
-        units = expert_units(state, sse_units, batch)
-        concepts = ds.concepts[rows[batch]]
+    for batch in epoch_batches(cfg.seed, len(inputs.rows), cfg.batch_size, 1):
+        state = forward_batch(model, inputs.pooled[batch], inputs.text[batch])
+        units = expert_units(state, inputs.sse_units, batch)
+        concepts = ds.concepts[inputs.rows[batch]]
         same = (concepts[:, None] == concepts[None, :]) & ~np.eye(batch.size, dtype=bool)
         cross = concepts[:, None] != concepts[None, :]
         for kind in expert_kinds:
@@ -233,8 +230,9 @@ def test_c5_margin_ordering_on_planted_data():
             assert same < cross, f"seed {seed} {kind} at epoch 1: {same} !< {cross}"
 
         opt = new_adam_state(model)
+        inputs = train_inputs(ds, cfg.experts())
         for epoch in range(1, cfg.epochs + 1):
-            train_epoch(model, ds, cfg, epoch, opt)
+            train_epoch(model, inputs, cfg, epoch, opt)
         dse_trained = _margin_split(ds, model, cfg, ("dse_video", "dse_text"))
         for kind, (same, cross) in dse_trained.items():
             assert same < cross, f"seed {seed} {kind} after training: {same} !< {cross}"
@@ -376,9 +374,10 @@ def test_c9_warmup_rescues_adversarial_start():
         model = _collinear_model(dims, seed)
         opt = new_adam_state(model)
         losses = []
+        inputs = train_inputs(ds, cfg.experts())
         try:
             for epoch in range(1, 6):
-                losses.append(train_epoch(model, ds, cfg, epoch, opt).total)
+                losses.append(train_epoch(model, inputs, cfg, epoch, opt).total)
         except MarginForgeError:
             losses.append(float("nan"))  # divergence is an allowed outcome here
         return losses

@@ -387,6 +387,50 @@ class TestInspectMarginsCommand:
             assert r["same_concept"] == str(int(concepts[i] == concepts[j]))
         assert any(r["same_concept"] == "1" for r in rows)  # 16 of 19 items: twins present
 
+    @pytest.mark.parametrize("expert", ["all", "sse_text"])
+    def test_csv_bytes_match_a_direct_computation(self, smoke_env, expert):
+        # batch 1 of the epoch-1 order, its rows, units and margins taken
+        # straight from the dataset and the checkpoint
+        import io
+
+        from marginforge.data import load_dataset
+        from marginforge.margin import expert_margins
+        from marginforge.mathcore import unit_rows
+        from marginforge.model import forward_batch, load_checkpoint
+        from marginforge.seeding import named_rng
+
+        cfg_path, data_dir, tmp_path = smoke_env
+        run = tmp_path / "run_b"
+        main(["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(run)])
+        out = tmp_path / "inspect_b"
+        ckpt = run / "checkpoint_final.ckpt"
+        args = ["--ckpt", str(ckpt), "--batch", "1", "--expert", expert, "--out", str(out)]
+        assert main(["inspect-margins", "--config", str(cfg_path), "--data", str(data_dir), *args]) == 0
+
+        ds = load_dataset(data_dir)
+        model = load_checkpoint(ckpt)
+        batch = named_rng(11, "shuffle", 1).permutation(len(ds.train_ids))[8:16]
+        rows = ds.rows(ds.train_ids)[batch]
+        state = forward_batch(model, ds.frames[rows].mean(axis=1), ds.text[rows])
+        units = {"dse_video": state.video_units, "dse_text": state.text_units}
+        for kind in ("sse_video", "sse_text"):
+            units[kind] = unit_rows(getattr(ds, kind).lookup([ds.ids[r] for r in rows]), kind)[0]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["i", "j", "expert", "distance", "margin", "same_concept"])
+        kinds = ("dse_text", "dse_video", "sse_text", "sse_video") if expert == "all" else (expert,)
+        for kind in kinds:
+            dist = 1.0 - units[kind] @ units[kind].T
+            margins = expert_margins(units[kind], 0.05, 0.04).dense()
+            for i in range(8):
+                for j in range(8):
+                    if i != j:
+                        same = int(ds.concepts[rows[i]] == ds.concepts[rows[j]])
+                        writer.writerow(
+                            [i, j, kind, repr(float(dist[i, j])), repr(float(margins[i, j])), same]
+                        )
+        assert (out / "margins.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
     def test_batch_index_outside_the_epoch_rejected(self, smoke_env, capsys):
         # 19 train items at batch_size 9 make batches of 9, 9 and a dropped singleton
         cfg_path, data_dir, tmp_path = smoke_env

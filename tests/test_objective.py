@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from marginforge.errors import LambdaOutOfRangeError, ShapeMismatchError
 from marginforge.margin import expert_margins
 from marginforge.mathcore import unit_rows
 from marginforge.model import ModelDims, forward_batch, init_params
-from marginforge.objective import full_loss, full_loss_grad
+from marginforge.objective import _margin_levels, full_loss, full_loss_grad, weighted_experts
 from helpers import finite_diff_grad, flatten_grads, flatten_params, set_flat_params
 from oracles import brute_force_full_loss, brute_force_similarity, loss_at_frozen_selection
 
@@ -234,6 +236,80 @@ class TestFullLoss:
         S = random_similarity(rng, 3)
         with pytest.raises(ValueError, match="dse_vidoe"):
             full_loss(S, {"dse_vidoe": random_margins(rng, 3)}, 0.05, 0.5)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestZeroWeightSlot:
+    """A slot of weight exactly 0 is dropped from the levels: its experts'
+    margins are still checked, and leaving them out changes no bit."""
+
+    DSE, SSE = ("dse_video", "dse_text"), ("sse_video", "sse_text")
+
+    @pytest.mark.parametrize("b", [16, 200])  # 200 > 181: two row blocks
+    @pytest.mark.parametrize("mining", ["hardest", "mean"])
+    @pytest.mark.parametrize("criterion", ["combined", "hard_only"])
+    @pytest.mark.parametrize(
+        "lam, dead, live",
+        [
+            (0.0, DSE, SSE),
+            (0.0, DSE, ("sse_text",)),
+            (0.0, ("dse_text",), ("sse_video",)),
+            (1.0, SSE, DSE),
+            (1.0, SSE, ("dse_video",)),
+            (1.0, ("sse_video",), ("dse_text",)),
+        ],
+    )
+    def test_leaving_out_the_zero_weight_slot_is_exact(
+        self, b, mining, criterion, lam, dead, live
+    ):
+        rng = np.random.default_rng(58)
+        model = init_params(ModelDims(6, 5, 0, 4), 9)
+        state = forward_batch(model, rng.standard_normal((b, 6)), rng.standard_normal((b, 5)))
+        margins = {
+            kind: expert_margins(unit_rows(rng.standard_normal((b, 3)), kind)[0], 0.05, 0.04)
+            for kind in dead + live
+        }
+        full, full_grads = full_loss_grad(model, state, margins, 0.05, lam, mining, criterion)
+        kept = {kind: margins[kind] for kind in live}
+        alone, alone_grads = full_loss_grad(model, state, kept, 0.05, lam, mining, criterion)
+        for field in dataclasses.fields(full):
+            name = field.name
+            assert same_bits(getattr(full, name), getattr(alone, name)), name
+        assert full.total > full.hard_term  # the live slot reaches the loss
+        assert sorted(full_grads) == sorted(alone_grads)
+        for name, g in full_grads.items():
+            assert same_bits(g, alone_grads[name]), name
+
+    @pytest.mark.parametrize("lam, live", [(0.0, SSE), (1.0, DSE), (0.5, DSE + SSE)])
+    def test_only_weighted_slots_are_levels(self, lam, live):
+        rng = np.random.default_rng(61)
+        margins = {kind: random_margins(rng, 4) for kind in EXPERTS}
+        levels, weights, slots = _margin_levels(4, margins, 0.05, lam)
+        assert len(levels) == len(weights) == 1 + len(live)
+        assert 0.0 not in weights
+        assert {slot for slot, span in slots.items() if len(span)} == {k[:3] for k in live}
+        assert weighted_experts(EXPERTS, lam) == [k for k in EXPERTS if k in live]
+
+    @pytest.mark.parametrize("lam, kind", [(0.0, "dse_text"), (1.0, "sse_video")])
+    def test_misshaped_margin_in_zero_weight_slot_rejected(self, lam, kind):
+        rng = np.random.default_rng(59)
+        S = random_similarity(rng, 4)
+        margins = {"dse_video": random_margins(rng, 4), "sse_text": random_margins(rng, 4)}
+        margins[kind] = random_margins(rng, 5)
+        with pytest.raises(ShapeMismatchError, match=rf"{kind[:3]} margin shape \(5, 5\)"):
+            full_loss(S, margins, 0.05, lam)
+
+    @pytest.mark.parametrize("lam, kind", [(0.0, "dse_vidoe"), (1.0, "sse_txt")])
+    def test_unknown_kind_rejected_whatever_lambda(self, lam, kind):
+        rng = np.random.default_rng(60)
+        S = random_similarity(rng, 4)
+        margins = {"dse_video": random_margins(rng, 4), kind: random_margins(rng, 4)}
+        with pytest.raises(ValueError, match=kind):
+            full_loss(S, margins, 0.05, lam)
 
 
 class TestFullLossGrad:

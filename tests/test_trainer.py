@@ -32,6 +32,7 @@ from marginforge.trainer import (
     run_training,
     save_trainer_checkpoint,
     train_epoch,
+    train_inputs,
 )
 from helpers import flatten_params
 
@@ -178,7 +179,7 @@ class TestTrainEpoch:
         model = small_model(ds, seed=cfg.seed)
         before = flatten_params(model).copy()
         opt = new_adam_state(model)
-        train_epoch(model, ds, cfg, 1, opt)
+        train_epoch(model, train_inputs(ds, cfg.experts()), cfg, 1, opt)
         np.testing.assert_array_equal(flatten_params(model), before)
 
     def test_determinism_bit_identical(self):
@@ -188,7 +189,8 @@ class TestTrainEpoch:
         def run():
             model = small_model(ds, seed=cfg.seed)
             opt = new_adam_state(model)
-            aggs = [train_epoch(model, ds, cfg, e, opt) for e in (1, 2, 3)]
+            inputs = train_inputs(ds, cfg.experts())
+            aggs = [train_epoch(model, inputs, cfg, e, opt) for e in (1, 2, 3)]
             return flatten_params(model), [a.total for a in aggs]
 
         p1, l1 = run()
@@ -215,7 +217,8 @@ class TestTrainEpoch:
         )
         model = small_model(ds, seed=cfg.seed)
         opt = new_adam_state(model)
-        epoch_aggs = [train_epoch(model, ds, cfg, e, opt).total for e in (1, 2, 3)]
+        inputs = train_inputs(ds, cfg.experts())
+        epoch_aggs = [train_epoch(model, inputs, cfg, e, opt).total for e in (1, 2, 3)]
 
         replay = small_model(ds, seed=cfg.seed)
         replay_opt = new_adam_state(replay)
@@ -254,8 +257,8 @@ class TestTrainEpoch:
         cfg_hard = TrainConfig(batch_size=8, seed=6, warmup_epochs=0, learning_rate=0.0)
         model = small_model(ds, seed=6)
         opt = new_adam_state(model)
-        warm = train_epoch(model, ds, cfg_warm, 1, opt)
-        hard = train_epoch(model, ds, cfg_hard, 1, opt)
+        warm = train_epoch(model, train_inputs(ds, cfg_warm.experts()), cfg_warm, 1, opt)
+        hard = train_epoch(model, train_inputs(ds, cfg_hard.experts()), cfg_hard, 1, opt)
         # same params (lr 0): hardest-mined loss dominates the mean-mined one
         assert hard.total >= warm.total - 1e-12
 
@@ -265,7 +268,8 @@ class TestTrainEpoch:
         cfg = TrainConfig(batch_size=8, seed=8)
         model = small_model(ds, seed=cfg.seed)
         opt = new_adam_state(model)
-        train_epoch(model, ds, cfg, 1, opt)  # non-zero Adam state to compare against
+        inputs = train_inputs(ds, cfg.experts())
+        train_epoch(model, inputs, cfg, 1, opt)  # non-zero Adam state to compare against
         real = trainer.full_loss_grad
         calls = []
 
@@ -288,7 +292,7 @@ class TestTrainEpoch:
         snapshot = {}
         monkeypatch.setattr(trainer, "full_loss_grad", poisoned)
         with pytest.raises(NonFiniteError, match="epoch 2 batch 1:"):
-            train_epoch(model, ds, cfg, 2, opt)
+            train_epoch(model, inputs, cfg, 2, opt)
         np.testing.assert_array_equal(flatten_params(model), snapshot["params"])
         assert opt.t == snapshot["t"]
         for name, _ in model.param_items():
@@ -313,9 +317,42 @@ class TestTrainEpoch:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", counted)
-        train_epoch(model, ds, cfg, 2, new_adam_state(model))
+        train_epoch(model, train_inputs(ds, cfg.experts()), cfg, 2, new_adam_state(model))
         assert n_batches >= 2
         assert len(calls) == 2 * n_batches + 2
+
+    @pytest.mark.parametrize(
+        "epoch, kinds",
+        [
+            (1, ("sse_video", "sse_text")),  # lambda = 0
+            (2, ("dse_video", "dse_text", "sse_video", "sse_text")),
+            (3, ("dse_video", "dse_text")),  # lambda = 1
+        ],
+    )
+    def test_margins_built_only_for_weighted_slots(self, monkeypatch, epoch, kinds):
+        ds = small_dataset()
+        cfg = TrainConfig(batch_size=8, seed=12, lambda_start_epoch=2, lambda_end_epoch=3)
+        model = small_model(ds, seed=cfg.seed)
+        inputs = train_inputs(ds, cfg.experts())
+        real_units, real_margins = trainer.expert_units, trainer.expert_margins
+        names, built = {}, []
+
+        def named_units(*args):
+            units = real_units(*args)
+            names.clear()
+            names.update((id(arr), kind) for kind, arr in units.items())
+            return units
+
+        def counted_margins(units, alpha, beta):
+            built.append(names[id(units)])
+            return real_margins(units, alpha, beta)
+
+        monkeypatch.setattr(trainer, "expert_units", named_units)
+        monkeypatch.setattr(trainer, "expert_margins", counted_margins)
+        train_epoch(model, inputs, cfg, epoch, new_adam_state(model))
+        n_batches = len(epoch_batches(cfg.seed, len(ds.train_ids), cfg.batch_size, epoch))
+        assert n_batches >= 2
+        assert built == list(kinds) * n_batches
 
     def test_batch_size_larger_than_train_rejected(self):
         ds = small_dataset()
@@ -335,6 +372,26 @@ class TestRunTraining:
         assert (tmp_path / "report.jsonl").read_text() == ""
         fresh = small_model(ds, seed=cfg.seed)
         np.testing.assert_array_equal(flatten_params(ckpt.model), flatten_params(fresh))
+
+    def test_fixed_inputs_built_once_per_run(self, tmp_path, monkeypatch):
+        calls = {"train_inputs": 0, "sse_unit_tables": 0}
+
+        def counted(name):
+            real = getattr(trainer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(trainer, name, counted(name))
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=13)
+        run_training(small_dataset(), cfg, 0, 8, tmp_path / "three")
+        assert calls == {"train_inputs": 1, "sse_unit_tables": 1}
+        run_training(small_dataset(), dataclasses.replace(cfg, epochs=0), 0, 8, tmp_path / "none")
+        assert calls == {"train_inputs": 1, "sse_unit_tables": 1}
 
     @pytest.mark.parametrize("table", ["sse_video", "sse_text"])
     def test_zero_norm_sse_row_names_epoch_and_table(self, tmp_path, table):
@@ -513,7 +570,7 @@ class TestStepMemory:
         tracemalloc.start()
         try:
             state = forward_batch(model, pooled, text)
-            margins = trainer._batch_margins(cfg, state, sse_units, batch)
+            margins = trainer._batch_margins(cfg, 0.5, state, sse_units, batch)
             assert len(margins) == 4
             full_loss_grad(model, state, margins, cfg.alpha, 0.5, mining, cfg.mining_criterion)
             peak = tracemalloc.get_traced_memory()[1]
