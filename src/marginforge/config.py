@@ -109,10 +109,16 @@ def parse_config(path) -> RunConfig:
     cfg = RunConfig()
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        data = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
+    try:
+        content = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line that holds the first bad byte, as ``splitlines`` counts them below
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}", line) from None
+    for lineno, raw in enumerate(content.splitlines(), start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue

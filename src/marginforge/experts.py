@@ -11,6 +11,7 @@ numpy cast per ``FLOAT_BLOCK_VALUES`` values, not one ``float()`` per token.
 """
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (
     UnknownIdError,
     ZeroNormError,
 )
-from .mathcore import ZERO_NORM_EPS
+from .mathcore import row_norms
 
 EXPERT_KINDS = ("dse_text", "dse_video", "sse_text", "sse_video")
 
@@ -94,12 +95,35 @@ def read_records(path, tag: str, n_counts: int):
 
 
 def _token_lines(path):
-    """(line_number, tokens) of each line that is neither blank nor a comment."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if tokens and not tokens[0].startswith("#"):
-                yield lineno, tokens
+    """(line_number, tokens) of each line that is neither blank nor a comment.
+
+    A byte sequence that is not UTF-8 raises ``ParseError`` at its line, after
+    the lines before it, so a file's errors still come in file order. The
+    decoder reads ahead of the lines it returns, so those lines are taken
+    from the file's valid prefix, which is read only once decoding failed.
+    """
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                tokens = line.split()
+                if tokens and not tokens[0].startswith("#"):
+                    yield lineno, tokens
+        return
+    except UnicodeDecodeError as exc:
+        reason = exc.reason
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    # line ends as text mode reads them; the last piece holds the bad byte
+    lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for n, line in enumerate(lines[lineno:-1], start=lineno + 1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield n, tokens
+    raise ParseError(f"{path}: not UTF-8 text: {reason}", len(lines))
 
 
 def parse_count(token: str, lineno, path) -> int:
@@ -228,10 +252,9 @@ def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbed
     if len(ids) != n:
         raise ParseError(f"{path}: header declares {n} rows, found {len(ids)}")
 
-    norms = np.linalg.norm(rows, axis=1) if n else np.array([])
-    if n and np.any(norms < ZERO_NORM_EPS):
-        bad = ids[int(np.argmin(norms))]
-        raise ZeroNormError(f"{path}: embedding for {bad!r} has near-zero norm")
+    bad = row_norms(rows)[1]
+    if bad is not None:
+        raise ZeroNormError(f"{path}: embedding for {ids[bad]!r} has non-finite or near-zero norm")
     label = source_label if source_label is not None else str(path)
     return StaticEmbeddingTable(ids, rows, label)
 

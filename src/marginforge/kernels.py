@@ -3,6 +3,7 @@
 * ``pairwise_cosine``     - B x B cosine similarity between two row stacks
 * ``triplet_terms``       - per-level hinge totals, negative mining and dL/dS
 * ``cosine_backward``     - chain dL/dS back to the two representation stacks
+* ``MinedGradient``       - dL/dS held as its entries, the hardest-mining form
 
 Results are bit-reproducible run to run. Their reference is the scalar-loop
 oracles in ``tests/oracles.py``, which share no code with these kernels.
@@ -12,8 +13,11 @@ Input contract: the kernels never take a norm. ``pairwise_cosine`` and
 returned by ``mathcore.unit_rows``, which owns the normalisation and its
 error contract (2-D stacks, finite non-zero norms).
 
-Memory: ``triplet_terms`` makes one B x B array, its gradient ``dS``. Its
-other work runs on (R, B) blocks of anchor rows, R = BLOCK_VALUES // B, so
+Memory: under mean mining ``triplet_terms`` makes one B x B array, its
+gradient ``dS``. Under hardest mining ``dS`` has at most 3B nonzero cells, so
+it is returned as a ``MinedGradient`` of 3B entries and ``cosine_backward``
+applies them in O(B D) work: such a step makes no B x B array but ``S``.
+The other work runs on (R, B) blocks of anchor rows, R = BLOCK_VALUES // B, so
 at large B every pass over the hinges stays in cache and reads S row-wise
 (direction video reads column stripes ``S[:, r0:r1]``, never a transposed
 copy). Margin levels given as row sources (``margin.ExpertMargins``) are
@@ -24,6 +28,7 @@ array. Up to B = 181 a batch is one block.
 import numpy as np
 
 __all__ = [
+    "MinedGradient",
     "pairwise_cosine",
     "triplet_terms",
     "cosine_backward",
@@ -41,6 +46,32 @@ def pairwise_cosine(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     symmetric rank-k update, so the result is exactly symmetric.
     """
     return U @ V.T
+
+
+class MinedGradient:
+    """A B x B gradient held as its E entries, the form ``triplet_terms``
+    returns under hardest mining (E = 3B).
+
+    Entry e adds ``val[e]`` to cell ``(r[e], c[e])``, where ``S`` holds
+    ``s[e]``; a cell may be named more than once. ``np.asarray`` gives the
+    dense matrix, summed by one ``bincount`` in entry order, and ``size`` is
+    that matrix's B * B cells.
+    """
+
+    __slots__ = ("r", "c", "val", "s", "shape")
+
+    def __init__(self, r, c, val, s, B: int):
+        self.r, self.c, self.val, self.s = r, c, val, s
+        self.shape = (B, B)
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def __array__(self, dtype=None, copy=None):
+        B = self.shape[0]
+        dense = np.bincount(self.r * B + self.c, weights=self.val, minlength=B * B)
+        return dense.reshape(self.shape).astype(dtype or np.float64, copy=False)
 
 
 def _as_level(m):
@@ -82,16 +113,21 @@ def triplet_terms(
     ``dS`` is the gradient of ``sum_k w[k] * comp[k]`` w.r.t. S, and the
     mined arrays give the selected negative index per anchor (argmax of the
     weighted combined term, or of the level-0 term when ``hard_only``; ties
-    resolve to the smallest index).
+    resolve to the smallest index). Under mean mining ``dS`` is a dense
+    B x B array. Under hardest mining it is a ``MinedGradient`` of 3B
+    entries, in this order: direction video's cells ``(mined_v[i], i)``,
+    direction text's cells ``(i, mined_t[i])``, then the diagonal, which
+    both directions subtract from; ``np.asarray(dS)`` is the dense matrix.
 
-    Memory is ``dS`` plus a few (R, B) row blocks per level: anchors are
-    taken R = BLOCK_VALUES // B rows at a time, each non-scalar level's
-    margin rows are formed once per block into one (L, R, B) buffer that
-    serves both directions, and the criterion is built level by level in
-    the block buffers. Under hardest mining the mined margins are gathered
-    from that buffer, and the level totals and dS come from the B mined
-    entries per direction only, so they do not depend on R; under mean
-    mining ``comp`` is summed block by block, in direction-then-block order.
+    Memory is a few (R, B) row blocks per level, plus ``dS`` under mean
+    mining: anchors are taken R = BLOCK_VALUES // B rows at a time, each
+    non-scalar level's margin rows are formed once per block into one
+    (L, R, B) buffer that serves both directions, and the criterion is
+    built level by level in the block buffers. Under hardest mining the
+    mined margins are gathered from that buffer, and the level totals and
+    dS's entries come from the B mined entries per direction only, so they
+    do not depend on R; under mean mining ``comp`` is summed block by block,
+    in direction-then-block order.
     """
     S = np.ascontiguousarray(S, dtype=np.float64)
     levels = [_as_level(m) for m in M]
@@ -104,21 +140,25 @@ def triplet_terms(
     rows = np.arange(B)
 
     comp = np.zeros(K)
-    dS = np.zeros((B, B))
-    dS_flat = dS.reshape(-1)
     mined = np.empty((2, B), dtype=np.int64)
     margin_buf = np.empty((len(blocked), R, B))
     base_buf = np.empty((R, B))
     crit_buf = np.empty((R, B))
     hinge_buf = np.empty((R, B))
     if mean_mining:
+        dS = np.zeros((B, B))
+        dS_flat = dS.reshape(-1)
         wmat_buf = np.empty((R, B))
         active_buf = np.empty((R, B))
         scale = 1.0 / (B * (B - 1))
         block_sums = np.empty((2, -(-B // R), K))
     else:
-        # the non-scalar levels' margins at the mined negatives, per direction
-        mined_margins = np.empty((2, len(blocked), B))
+        # every level's margin at the mined negative, per direction and anchor;
+        # the scalar levels' columns are filled here, the others per block
+        mined_margins = np.empty((2, B, K))
+        for k, m in enumerate(levels):
+            if isinstance(m, float):
+                mined_margins[:, :, k] = m
     crit_levels = 1 if hard_only else K
 
     for r0 in range(0, B, R):
@@ -165,7 +205,7 @@ def triplet_terms(
                     dS[r0:r1] += wmat
                 dS_flat[r0 * (B + 1) : r1 * (B + 1) : B + 1] -= row_w * scale
             else:
-                mined_margins[d, :, r0:r1] = margin_buf[:, rows[:n], mined[d, r0:r1]]
+                mined_margins[d, r0:r1][:, blocked] = margin_buf[:, rows[:n], mined[d, r0:r1]].T
 
     if mean_mining:
         # direction by direction, then block by block, which fixes the
@@ -173,26 +213,35 @@ def triplet_terms(
         for sums in block_sums.reshape(-1, K):
             comp += sums
     else:
+        grads, negs = [], []
         for d in (0, 1):
             jstar = mined[d]
-            picked = (S[jstar, rows] if d == 0 else S[rows, jstar]) - pos
-            at_mined = iter(mined_margins[d])
+            neg = S[jstar, rows] if d == 0 else S[rows, jstar]
             # (K, B) in column-major order, the layout of a fancy-indexed
             # (K, B, B) stack, so the level sums below keep its rounding
-            args = np.stack(
-                [picked + (m if isinstance(m, float) else next(at_mined)) for m in levels],
-                axis=1,
-            ).T
+            args = ((neg - pos)[:, None] + mined_margins[d]).T
             comp += np.maximum(args, 0.0).sum(axis=1)
-            wsum = np.tensordot(w, (args > 0.0).astype(np.float64), axes=1)
-            if d == 0:
-                np.add.at(dS, (jstar, rows), wsum / B)
-            else:
-                np.add.at(dS, (rows, jstar), wsum / B)
-            dS[rows, rows] -= wsum / B
+            grads.append(np.dot(w, (args > 0.0).astype(np.float64)) / B)
+            negs.append(neg)
+        g_v, g_t = grads
+        dS = MinedGradient(
+            np.concatenate([mined[0], rows, rows]),
+            np.concatenate([rows, mined[1], rows]),
+            np.concatenate([g_v, g_t, -g_v - g_t]),
+            np.concatenate([negs[0], negs[1], pos]),
+            B,
+        )
 
     comp /= B
     return comp, dS, mined[0], mined[1]
+
+
+def _scatter_rows(idx, vals, X, n: int) -> np.ndarray:
+    """``sum_e vals[e] * X[e]`` per target row ``idx[e]``, as an (n, D) array:
+    one ``bincount`` over the flat cells ``idx * D + lane``."""
+    D = X.shape[1]
+    flat = (idx[:, None] * D + np.arange(D)).reshape(-1)
+    return np.bincount(flat, weights=(vals[:, None] * X).reshape(-1), minlength=n * D).reshape(n, D)
 
 
 def cosine_backward(dS, U, V, u_norms, v_norms, S):
@@ -200,9 +249,21 @@ def cosine_backward(dS, U, V, u_norms, v_norms, S):
 
     ``U`` and ``V`` are the unit rows of the raw stacks and ``u_norms``,
     ``v_norms`` their row norms; the results are the gradients w.r.t. the
-    raw (unnormalised) rows.
+    raw (unnormalised) rows. ``dS`` is a dense array, read in O(B^2 D), or a
+    ``MinedGradient``, whose E entries are applied in O(E D) with one
+    ``bincount`` per scatter; ``S`` is read only in the dense form.
     """
-    dSS = dS * S
-    dX = (dS @ V - dSS.sum(axis=1)[:, None] * U) / u_norms[:, None]
-    dY = (dS.T @ U - dSS.sum(axis=0)[:, None] * V) / v_norms[:, None]
+    if isinstance(dS, MinedGradient):
+        r, c, val = dS.r, dS.c, dS.val
+        dss = val * dS.s
+        dSV = _scatter_rows(r, val, V[c], U.shape[0])
+        dSTU = _scatter_rows(c, val, U[r], V.shape[0])
+        row_sums = np.bincount(r, weights=dss, minlength=U.shape[0])
+        col_sums = np.bincount(c, weights=dss, minlength=V.shape[0])
+    else:
+        # the sums of dS * S without forming it, a third B x B array
+        row_sums, col_sums = np.einsum("ij,ij->i", dS, S), np.einsum("ij,ij->j", dS, S)
+        dSV, dSTU = dS @ V, dS.T @ U
+    dX = (dSV - row_sums[:, None] * U) / u_norms[:, None]
+    dY = (dSTU - col_sums[:, None] * V) / v_norms[:, None]
     return dX, dY

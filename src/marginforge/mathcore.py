@@ -47,10 +47,21 @@ def unit_rows(X, what: str) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64, order="C")
     if X.ndim != 2:
         raise DimMismatchError(f"expected a stack of vectors, got shape {X.shape}")
-    norms = np.linalg.norm(X, axis=1)
-    ok = np.isfinite(norms) & (norms >= ZERO_NORM_EPS)
-    if not ok.all():
-        bad = int(np.argmin(ok))
+    norms, bad = row_norms(X)
+    if bad is not None:
         raise ZeroNormError(f"{what} row {bad} has non-finite or near-zero norm {norms[bad]:.3e}")
     return X / norms[:, None], norms
 
+
+def row_norms(X: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """Row norms of a 2-D float64 stack, and the index of the first row whose
+    norm breaks the rule of ``unit_rows`` (None if every row keeps it).
+
+    The rule: a norm must be finite and at least ``ZERO_NORM_EPS``. Finite
+    values whose squares overflow give an infinite norm, which breaks the
+    rule; the overflow itself is not warned about.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=1)
+    ok = np.isfinite(norms) & (norms >= ZERO_NORM_EPS)
+    return norms, None if ok.all() else int(np.argmin(ok))

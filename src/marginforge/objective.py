@@ -31,7 +31,10 @@ distances, even dynamic ones.
 
 ``full_loss`` scores a given ``S``; ``full_loss_grad`` is the training step's
 entry, which forms ``S`` with ``kernels.pairwise_cosine`` from the unit rows
-of the forward pass and returns the parameter gradients too.
+of the forward pass and returns the parameter gradients too. The gradient
+w.r.t. ``S`` passes from ``kernels.triplet_terms`` to
+``kernels.cosine_backward`` as it comes: a dense B x B array under mean
+mining, a ``kernels.MinedGradient`` of 3B entries under hardest mining.
 """
 
 from dataclasses import dataclass

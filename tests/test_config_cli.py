@@ -159,6 +159,15 @@ class TestParseConfig:
         with pytest.raises(ConfigTypeError, match=rf"{re.escape(key)} must be nonnegative, got -3"):
             parse_config(write_cfg(tmp_path, f"{key} = -3\n"))
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, newline):
+        text = newline.join(["# note", "", "train.epochs = 3", "data.seed = 1", ""])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text.encode("utf-8").replace(b"1", b"\xe9"))
+        with pytest.raises(ParseError, match=f"^line 4: {cfg}: not UTF-8 text") as excinfo:
+            parse_config(cfg)
+        assert excinfo.value.line == 4
+
     def test_inconsistent_lambda_epochs_rejected(self, tmp_path):
         with pytest.raises(ConfigTypeError):
             parse_config(
@@ -194,6 +203,17 @@ class TestGenDataCommand:
         out = tmp_path / "bad"
         assert main(["gen-data", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 1
         assert "data.seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_config_fails_with_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(SMOKE_CFG.encode("utf-8") + b"data.seed = 1\xe9\n")
+        line = len(SMOKE_CFG.splitlines()) + 1
+        out = tmp_path / "bad"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: {cfg}: not UTF-8 text")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_infeasible_config_fails(self, tmp_path):

@@ -178,6 +178,14 @@ class TestEmb1Format:
         with pytest.raises(ZeroNormError):
             load_static_embeddings(p)
 
+    # the rule of ``unit_rows``: 1e200's square overflows to an infinite norm,
+    # which is rejected with no RuntimeWarning
+    @pytest.mark.parametrize("row", ["1e-13 0.0", "1e200 1.0", "-1e200 1e200"])
+    def test_norm_outside_the_unit_rows_rule(self, tmp_path, row):
+        p = self.write(tmp_path, f"EMB1 3 2\na 1.0 0.0\nb {row}\nc 1e-13 0.0\n")
+        with pytest.raises(ZeroNormError, match="embedding for 'b' has non-finite or near-zero"):
+            load_static_embeddings(p)
+
     @pytest.mark.parametrize("header", ["EMB1 {} 2", "EMB1 2 {}"])
     @pytest.mark.parametrize("token", BAD_COUNTS)
     def test_bad_count_rejected(self, tmp_path, header, token):
@@ -338,6 +346,29 @@ class TestFloatBlocks:
         with pytest.raises(ParseError, match=expected) as excinfo:
             load_frame_file(p)
         assert excinfo.value.line == row + 1
+
+    # line ends as text mode reads them; the bad byte lies past the decoder's
+    # first read, after the rows before it were queued
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_utf8_byte_far_into_the_file(self, tmp_path, newline):
+        index = 1500
+        p = tmp_path / "t.emb1"
+        lines = emb1_text(2000, 4).encode("utf-8").split(b"\n")
+        lines[index + 1] = lines[index + 1].replace(b" ", b" \xff", 1)
+        p.write_bytes(newline.join(lines))
+        with pytest.raises(ParseError, match=f"^line {index + 2}: {p}: not UTF-8") as excinfo:
+            load_static_embeddings(p)
+        assert excinfo.value.line == index + 2
+
+    def test_float_error_before_later_non_utf8_byte(self, tmp_path):
+        p = tmp_path / "t.emb1"
+        edit = replace_row(1, "i1 1.0 oops")
+        lines = emb1_text(8, 2, edit).encode("utf-8").split(b"\n")
+        lines[5] = lines[5] + b"\xe9"
+        p.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match="literal") as excinfo:
+            load_static_embeddings(p)
+        assert excinfo.value.line == 3
 
     @pytest.mark.parametrize("bad", ["oops", "nan"])
     def test_float_error_before_later_duplicate_id(self, tmp_path, bad):

@@ -76,3 +76,12 @@ class TestSharedLineRule:
         with pytest.raises(ParseError) as excinfo:
             load(path)
         assert excinfo.value.line == 3
+
+    def test_non_utf8_byte_reports_its_line(self, written, tag, filename, load):
+        path = written / filename
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:1] + b"\xe9" + lines[2][1:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match=f"^line 3: {path}: not UTF-8 text") as excinfo:
+            load(path)
+        assert excinfo.value.line == 3

@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,10 @@ from marginforge.margin import expert_margins
 from marginforge.mathcore import cosine_similarity, unit_rows
 from helpers import finite_diff_grad
 from oracles import brute_force_full_loss, loss_at_frozen_selection, mean_loss_all_negatives
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from tracer import _count_triplet_terms  # noqa: E402
 
 
 def random_instance(rng, b=5, dim=4, levels=3):
@@ -211,6 +217,86 @@ class TestMarginRowSources:
                 whole = kernels.triplet_terms(S, [0.05, *dense], w, mean_mining, hard_only)
                 for got, want in zip(blocked, whole):
                     assert np.array_equal(got, want)
+
+
+def mined_instance(rng, b, dim=16):
+    """Unit rows, norms, S and a scalar-plus-expert level list of one batch."""
+    X, Y = rng.standard_normal((b, dim)), 2.0 * rng.standard_normal((b, dim))
+    (U, un), (V, vn) = unit_rows(X, "video"), unit_rows(Y, "text")
+    S = kernels.pairwise_cosine(U, V)
+    experts = [
+        expert_margins(unit_rows(rng.standard_normal((b, 8)), "expert")[0], 0.05, 0.04)
+        for _ in range(2)
+    ]
+    levels = [0.2, experts[0], rng.uniform(-0.1, 0.2, size=(b, b)), experts[1]]
+    w = np.array([1.0, 0.6, 0.6, 0.4])
+    return U, un, V, vn, S, levels, w
+
+
+class TestMinedGradient:
+    # B = 2 has one negative per anchor, so cell (0, 1) holds both the video
+    # entry of anchor 1 and the text entry of anchor 0
+    @pytest.mark.parametrize("b", [2, 3, 64, 300])
+    @pytest.mark.parametrize("hard_only", [False, True])
+    def test_dense_form_is_the_add_at_construction(self, b, hard_only):
+        rng = np.random.default_rng(400 + b + hard_only)
+        for _ in range(3):
+            U, un, V, vn, S, levels, w = mined_instance(rng, b)
+            comp, dS, mined_v, mined_t = kernels.triplet_terms(S, levels, w, False, hard_only)
+            assert isinstance(dS, kernels.MinedGradient)
+            rows = np.arange(b)
+            np.testing.assert_array_equal(dS.r, np.concatenate([mined_v, rows, rows]))
+            np.testing.assert_array_equal(dS.c, np.concatenate([rows, mined_t, rows]))
+            np.testing.assert_array_equal(dS.s, S[dS.r, dS.c])
+            # the entry values against a scalar loop over the levels
+            dense_levels = [
+                np.full((b, b), m) if isinstance(m, float) else getattr(m, "dense", lambda: m)()
+                for m in levels
+            ]
+            g_v, g_t = dS.val[:b], dS.val[b : 2 * b]
+            for i in range(b):
+                jv, jt = mined_v[i], mined_t[i]
+                for g, j, s_neg in ((g_v, jv, S[jv, i]), (g_t, jt, S[i, jt])):
+                    active = [s_neg - S[i, i] + M[i, j] > 0.0 for M in dense_levels]
+                    want = sum(wk for wk, on in zip(w, active) if on)
+                    assert g[i] == pytest.approx(want / b, rel=1e-15, abs=0.0)
+            # the dense gradient as it was built before the entry form
+            want = np.zeros((b, b))
+            np.add.at(want, (mined_v, rows), g_v)
+            want[rows, rows] -= g_v
+            np.add.at(want, (rows, mined_t), g_t)
+            want[rows, rows] -= g_t
+            dense = np.asarray(dS)
+            assert dense.shape == (b, b) and dense.dtype == np.float64
+            np.testing.assert_array_equal(dense, want)
+        if b == 2:
+            assert mined_v[1] == 0 and mined_t[0] == 1
+            assert dense[0, 1] == g_v[1] + g_t[0]
+
+    @pytest.mark.parametrize("b", [2, 3, 64, 300])
+    def test_backward_matches_the_dense_form(self, b):
+        rng = np.random.default_rng(500 + b)
+        for hard_only in (False, True):
+            U, un, V, vn, S, levels, w = mined_instance(rng, b)
+            _, dS, _, _ = kernels.triplet_terms(S, levels, w, False, hard_only)
+            got = kernels.cosine_backward(dS, U, V, un, vn, S)
+            want = kernels.cosine_backward(np.asarray(dS), U, V, un, vn, S)
+            for g, d in zip(got, want):
+                assert g.shape == d.shape and g.flags.c_contiguous
+                np.testing.assert_allclose(g, d, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("b", [2, 3, 64, 300])
+    def test_counts_read_by_the_benchmark_tracer(self, b):
+        rng = np.random.default_rng(600 + b)
+        U, un, V, vn, S, levels, w = mined_instance(rng, b)
+        result = kernels.triplet_terms(S, levels, w, False, False)
+        dense = np.asarray(result[1])
+        assert result[1].size == b * b
+        assert np.count_nonzero(result[1]) == np.count_nonzero(dense) <= 3 * b
+        assert _count_triplet_terms((), {}, result) == {
+            "dS_nonzero": np.count_nonzero(dense),
+            "dS_entries": b * b,
+        }
 
 
 class TestCosineBackward:

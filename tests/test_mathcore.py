@@ -60,7 +60,10 @@ class TestUnitRows:
         np.testing.assert_array_equal(U, [[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(norms, [2.0, 1.0])
 
-    @pytest.mark.parametrize("bad_row", [[0.0, 0.0], [1e-13, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
+    # 1e200's square overflows: an infinite norm, rejected without a warning
+    @pytest.mark.parametrize(
+        "bad_row", [[0.0, 0.0], [1e-13, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1e200, 1.0]]
+    )
     def test_first_bad_row_named(self, bad_row):
         X = np.array([[1.0, 0.0], bad_row, bad_row])
         with pytest.raises(ZeroNormError, match="^sse_text row 1 has non-finite or near-zero norm"):
