@@ -30,11 +30,13 @@ are always treated as constants: no gradient flows through expert
 distances, even dynamic ones.
 
 ``full_loss`` scores a given ``S``; ``full_loss_grad`` is the training step's
-entry, which forms ``S`` with ``kernels.pairwise_cosine`` from the unit rows
-of the forward pass and returns the parameter gradients too. The gradient
-w.r.t. ``S`` passes from ``kernels.triplet_terms`` to
-``kernels.cosine_backward`` as it comes: a dense B x B array under mean
-mining, a ``kernels.MinedGradient`` of 3B entries under hardest mining.
+entry, which hands ``kernels.triplet_terms`` the unit rows of the forward
+pass as a ``kernels.UnitSimilarity``, so ``S`` is formed one block of anchor
+rows at a time and never whole, and returns the parameter gradients too.
+The gradient w.r.t. ``S`` passes from ``kernels.triplet_terms`` to
+``kernels.cosine_backward`` as it comes: a ``kernels.ProjectedGradient`` of
+B x D values under mean mining, a ``kernels.MinedGradient`` of 3B entries
+under hardest mining.
 """
 
 from dataclasses import dataclass
@@ -79,8 +81,13 @@ def matrix_values(d) -> np.ndarray:
     return vals
 
 
-def _check_square(S) -> np.ndarray:
-    S = matrix_values(S)
+def _check_square(S):
+    """``S``, a ``kernels.UnitSimilarity`` or a float64 array, checked square
+    and of at least two pairs."""
+    if not isinstance(S, kernels.UnitSimilarity):
+        S = matrix_values(S)
+    elif S.shape[0] != S.shape[1]:
+        raise NonSquareError(f"expected a square matrix, got shape {S.shape}")
     if S.shape[0] < 2:
         raise EmptyInputError("need a batch of at least two pairs")
     return S
@@ -202,8 +209,8 @@ def full_loss_grad(
     ties), so the gradient flows only through the similarity matrix.
     """
     uv, ut = state.video_units, state.text_units
-    S = kernels.pairwise_cosine(uv, ut)
+    S = kernels.UnitSimilarity(uv, ut)
     breakdown, dS = _run(S, margins, alpha, lam, mining, mining_criterion)
-    d_video, d_text = kernels.cosine_backward(dS, uv, ut, state.video_norms, state.text_norms, S)
+    d_video, d_text = kernels.cosine_backward(dS, uv, ut, state.video_norms, state.text_norms)
     grads = backward(model, state, d_video, d_text)
     return breakdown, grads

@@ -181,7 +181,7 @@ def train_inputs(dataset: Dataset, kinds) -> TrainInputs:
     rows = dataset.rows(dataset.train_ids)
     return TrainInputs(
         rows,
-        dataset.pooled_video()[rows],
+        dataset.frames[rows].mean(axis=1),
         dataset.text[rows],
         sse_unit_tables(dataset, [kind for kind in ("sse_video", "sse_text") if kind in kinds]),
     )
@@ -259,9 +259,13 @@ def train_epoch(
 
 
 def evaluate_split(model: TwoTowerModel, dataset: Dataset, ids, ks=DEFAULT_KS):
-    """Encode a split and run bidirectional retrieval over it."""
+    """Encode a split and run bidirectional retrieval over it.
+
+    Only the split's frames are pooled: ``frames[rows].mean(axis=1)`` is
+    ``pooled_video()[rows]`` bit for bit, without pooling every item.
+    """
     rows = dataset.rows(ids)
-    state = forward_batch(model, dataset.pooled_video()[rows], dataset.text[rows])
+    state = forward_batch(model, dataset.frames[rows].mean(axis=1), dataset.text[rows])
     return evaluate_bidirectional(kernels.pairwise_cosine(state.video_units, state.text_units), ks)
 
 

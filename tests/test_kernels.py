@@ -323,3 +323,135 @@ class TestCosineBackward:
             fd_y = finite_diff_grad(f_y, Y.ravel(), h=1e-6).reshape(Y.shape)
             np.testing.assert_allclose(dX, fd_x, atol=1e-6)
             np.testing.assert_allclose(dY, fd_y, atol=1e-6)
+
+
+def grid_rows(rng, b, dim=16):
+    """Rows of multiples of 1/8 in [-1, 1]: every product and partial sum of
+    ``U @ V.T`` is exact, so any blocking of the product gives the same bits."""
+    return rng.integers(-8, 9, size=(b, dim)) / 8.0
+
+
+def relative_gap(got, want) -> float:
+    """``|got - want| / |want|`` in the Frobenius norm, ``want`` in extended precision."""
+    return float(np.linalg.norm(np.asarray(got - want, dtype=np.float64))
+                 / np.linalg.norm(np.asarray(want, dtype=np.float64)))
+
+
+def dense_projections(dS, S, U, V):
+    """``dS @ V``, ``dS.T @ U`` and the row and column sums of ``dS * S``, in
+    long double so that their own rounding stays far below the tolerances."""
+    L = np.longdouble
+    dS, S, U, V = (np.asarray(a).astype(L) for a in (dS, S, U, V))
+    return dS @ V, dS.T @ U, (dS * S).sum(axis=1), (dS * S).sum(axis=0)
+
+
+class TestUnitSimilarity:
+    # B = 181 is the largest one-block batch, 182 the smallest two-block one;
+    # 300 gives blocks of 109 rows and 1024 blocks of 32
+    SIZES = [2, 3, 64, 181, 182, 300, 1024]
+
+    @staticmethod
+    def levels(rng, b):
+        experts = [
+            expert_margins(unit_rows(rng.standard_normal((b, 8)), "expert")[0], 0.05, 0.04)
+            for _ in range(2)
+        ]
+        return [0.2, experts[0], experts[1]], np.array([1.0, 0.6, 0.4])
+
+    def test_blocks_are_rows_and_transposed_columns(self):
+        rng = np.random.default_rng(800)
+        U, V = grid_rows(rng, 7), grid_rows(rng, 7)
+        S, sim = U @ V.T, kernels.UnitSimilarity(U, V)
+        assert sim.shape == (7, 7)
+        out = np.empty((3, 7))
+        np.testing.assert_array_equal(sim.rows(2, 5, out), S[2:5])
+        np.testing.assert_array_equal(sim.cols(2, 5, out), S[:, 2:5].T)
+
+    @pytest.mark.parametrize("b", SIZES)
+    @pytest.mark.parametrize("hard_only", [False, True])
+    def test_hardest_mining_matches_the_dense_matrix_bit_for_bit(self, b, hard_only):
+        rng = np.random.default_rng(810 + b)
+        U, V = grid_rows(rng, b), grid_rows(rng, b)
+        levels, w = self.levels(rng, b)
+        comp, dS, mined_v, mined_t = kernels.triplet_terms(
+            kernels.UnitSimilarity(U, V), levels, w, False, hard_only
+        )
+        want = kernels.triplet_terms(U @ V.T, levels, w, False, hard_only)
+        np.testing.assert_array_equal(comp, want[0])
+        np.testing.assert_array_equal(mined_v, want[2])
+        np.testing.assert_array_equal(mined_t, want[3])
+        assert isinstance(dS, kernels.MinedGradient)
+        for name in ("r", "c", "val", "s"):
+            np.testing.assert_array_equal(getattr(dS, name), getattr(want[1], name))
+
+    @pytest.mark.parametrize("b", SIZES)
+    def test_hardest_mining_of_unit_rows_moves_only_rounding(self, b):
+        # unit rows of random data: a BLAS may round a block's edge cells
+        # apart from the whole product's, so S's values may move by an ulp
+        rng = np.random.default_rng(820 + b)
+        U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
+        V = unit_rows(rng.standard_normal((b, 16)), "text")[0]
+        levels, w = self.levels(rng, b)
+        comp, dS, mined_v, mined_t = kernels.triplet_terms(
+            kernels.UnitSimilarity(U, V), levels, w, False, False
+        )
+        want = kernels.triplet_terms(U @ V.T, levels, w, False, False)
+        np.testing.assert_array_equal(mined_v, want[2])
+        np.testing.assert_array_equal(mined_t, want[3])
+        np.testing.assert_allclose(comp, want[0], rtol=1e-14, atol=0.0)
+        for name in ("r", "c", "val"):
+            np.testing.assert_array_equal(getattr(dS, name), getattr(want[1], name))
+        np.testing.assert_allclose(dS.s, want[1].s, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("b", SIZES)
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_mean_mining_projects_the_dense_gradient(self, b, grid):
+        rng = np.random.default_rng(830 + b + 7 * grid)
+        if grid:
+            U, V = grid_rows(rng, b), grid_rows(rng, b)
+        else:
+            U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
+            V = unit_rows(2.0 * rng.standard_normal((b, 16)), "text")[0]
+        levels, w = self.levels(rng, b)
+        comp, dS, mined_v, mined_t = kernels.triplet_terms(
+            kernels.UnitSimilarity(U, V), levels, w, True, False
+        )
+        S = U @ V.T
+        want = kernels.triplet_terms(S, levels, w, True, False)
+        if grid:
+            np.testing.assert_array_equal(comp, want[0])
+        else:
+            np.testing.assert_allclose(comp, want[0], rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(mined_v, want[2])
+        np.testing.assert_array_equal(mined_t, want[3])
+        assert isinstance(dS, kernels.ProjectedGradient)
+        assert dS.shape == (b, b) and dS.size == b * b
+        got = (dS.dSV, dS.dSTU, dS.row_sums, dS.col_sums)
+        for g, p in zip(got, dense_projections(want[1], S, U, V)):
+            assert g.shape == p.shape
+            assert relative_gap(g, p) <= 1e-15
+        # the raw-row gradients of the two forms agree as closely
+        un, vn = rng.uniform(0.5, 2.0, b), rng.uniform(0.5, 2.0, b)
+        for g, d in zip(
+            kernels.cosine_backward(dS, U, V, un, vn),
+            kernels.cosine_backward(want[1], U, V, un, vn, S),
+        ):
+            assert g.shape == d.shape
+            assert relative_gap(g, d.astype(np.longdouble)) <= 1e-14
+
+    @pytest.mark.parametrize("mean_mining", [False, True])
+    def test_counts_read_by_the_benchmark_tracer(self, mean_mining):
+        # the tracer's np.count_nonzero must not raise on either gradient form;
+        # a ProjectedGradient has no cells to count, so it counts as one value
+        b = 64
+        rng = np.random.default_rng(840)
+        U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
+        V = unit_rows(rng.standard_normal((b, 16)), "text")[0]
+        levels, w = self.levels(rng, b)
+        result = kernels.triplet_terms(kernels.UnitSimilarity(U, V), levels, w, mean_mining, False)
+        counts = _count_triplet_terms((), {}, result)
+        assert counts["dS_entries"] == b * b
+        if mean_mining:
+            assert counts["dS_nonzero"] == 1
+        else:
+            assert counts["dS_nonzero"] == np.count_nonzero(np.asarray(result[1])) <= 3 * b

@@ -1,0 +1,122 @@
+"""Seeded byte mutants of every input format: each one loads or fails with a
+``MarginForgeError``, never with an untyped exception.
+
+A mutant is one single-byte substitution or one deletion of 1-7 bytes at a
+random offset, drawn from numpy's generator seeded with 0. Data-file mutants
+are re-signed in the manifest, so that their parser runs rather than the
+digest check; manifest mutants are not. A CKPT3 mutant changes only the
+header line, whose payload digest guards the rest.
+"""
+
+import shutil
+
+import numpy as np
+import pytest
+
+from marginforge import config as cfgmod
+from marginforge.cli import main
+from marginforge.data import (
+    _FILES,
+    MANIFEST_NAME,
+    SynthConfig,
+    digest,
+    generate,
+    load_dataset,
+    write_dataset,
+)
+from marginforge.errors import MarginForgeError
+from marginforge.model import Checkpoint, ModelDims, init_params, read_checkpoint, write_checkpoint
+from marginforge.trainer import TrainConfig, new_adam_state
+
+DATA = SynthConfig(
+    n_items=12,
+    n_concepts=8,
+    duplicate_rate=0.5,
+    video_dim=3,
+    text_dim=3,
+    latent_dim=2,
+    frames_per_video=2,
+    seed=1,
+)
+# 800 dataset mutants (100 per file), 300 config and 300 CKPT3-header mutants
+MUTANTS_PER_FILE = 100
+
+
+def mutate(rng, raw: bytes, end: int | None = None) -> bytes:
+    """``raw`` with one byte of ``raw[:end]`` replaced, or 1-7 bytes deleted from it."""
+    off = int(rng.integers(end or len(raw)))
+    if rng.random() < 0.5:
+        return raw[:off] + bytes([int(rng.integers(256))]) + raw[off + 1 :]
+    return raw[:off] + raw[off + int(rng.integers(1, 8)) :]
+
+
+def loads_or_fails_typed(load, path, raw: bytes) -> None:
+    path.write_bytes(raw)
+    try:
+        load()
+    except MarginForgeError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mutants")
+    write_dataset(generate(DATA), root / "data")
+    return root / "data"
+
+
+def manifest_text(digests: dict) -> bytes:
+    lines = ["MANIFEST2"] + [f"{role} {name} {digests[role]}" for role, name in _FILES.items()]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("role", [*_FILES, "manifest"])
+def test_dataset_file_mutants_load_or_fail_typed(dataset_dir, role):
+    work = dataset_dir.parent / f"work_{role}"
+    shutil.copytree(dataset_dir, work)
+    rng = np.random.default_rng([0, [*_FILES, "manifest"].index(role)])
+    digests = {r: digest((work / name).read_bytes()) for r, name in _FILES.items()}
+    manifest = work / MANIFEST_NAME
+    assert manifest.read_bytes() == manifest_text(digests)
+    target = manifest if role == "manifest" else work / _FILES[role]
+    original = target.read_bytes()
+    for _ in range(MUTANTS_PER_FILE):
+        raw = mutate(rng, original)
+        if role != "manifest":
+            manifest.write_bytes(manifest_text({**digests, role: digest(raw)}))
+        loads_or_fails_typed(lambda: load_dataset(work), target, raw)
+
+
+def test_config_mutants_load_or_fail_typed(tmp_path):
+    cfg = cfgmod.RunConfig(data=DATA, train=TrainConfig(batch_size=4, epochs=2))
+    cfg.data_dir, cfg.out_dir = "data", "out"
+    original = cfgmod.resolved_text(cfg).encode("utf-8")
+    path = tmp_path / "run.cfg"
+    rng = np.random.default_rng([0, 100])
+    for _ in range(3 * MUTANTS_PER_FILE):
+        loads_or_fails_typed(lambda: cfgmod.parse_config(path), path, mutate(rng, original))
+
+
+def test_checkpoint_header_mutants_load_or_fail_typed(tmp_path):
+    # a model-only file and a trainer file, whose header has the Adam fields
+    model = init_params(ModelDims(DATA.video_dim, DATA.text_dim, 0, 4), 0)
+    path = tmp_path / "model.ckpt"
+    originals = []
+    for ckpt in (Checkpoint(model), Checkpoint(model, new_adam_state(model), 2, 1, "abc")):
+        write_checkpoint(ckpt, path)
+        originals.append(path.read_bytes())
+    rng = np.random.default_rng([0, 200])
+    for original in originals:
+        header_end = original.index(b"\n") + 1
+        for _ in range(MUTANTS_PER_FILE * 3 // 2):
+            raw = mutate(rng, original, header_end)
+            loads_or_fails_typed(lambda: read_checkpoint(path), path, raw)
+
+
+def test_gen_data_rejects_a_non_utf8_config(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"data.n_items = 12\n# caf\xe9\n")
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert not (tmp_path / "out").exists()

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from marginforge import kernels
-from marginforge.errors import LambdaOutOfRangeError, ShapeMismatchError
+from marginforge.errors import (
+    EmptyInputError,
+    LambdaOutOfRangeError,
+    NonSquareError,
+    ShapeMismatchError,
+)
 from marginforge.margin import expert_margins
 from marginforge.mathcore import unit_rows
 from marginforge.model import ModelDims, forward_batch, init_params
@@ -236,6 +241,22 @@ class TestFullLoss:
         S = random_similarity(rng, 3)
         with pytest.raises(ValueError, match="dse_vidoe"):
             full_loss(S, {"dse_vidoe": random_margins(rng, 3)}, 0.05, 0.5)
+
+    def test_unit_row_source_is_checked_like_an_array(self):
+        rng = np.random.default_rng(57)
+        U = unit_rows(rng.standard_normal((4, 5)), "video")[0]
+        V = unit_rows(rng.standard_normal((4, 5)), "text")[0]
+        with pytest.raises(NonSquareError):
+            full_loss(kernels.UnitSimilarity(U[:3], V), {}, 0.05, 0.5)
+        with pytest.raises(EmptyInputError):
+            full_loss(kernels.UnitSimilarity(U[:1], V[:1]), {}, 0.05, 0.5)
+        margins = margin_map(*(random_margins(rng, 4) for _ in EXPERTS))
+        for mining in ("hardest", "mean"):
+            got = full_loss(kernels.UnitSimilarity(U, V), margins, 0.05, 0.5, mining)
+            want = full_loss(U @ V.T, margins, 0.05, 0.5, mining)
+            assert got.total == pytest.approx(want.total, rel=1e-14)
+            np.testing.assert_array_equal(got.neg_video_idx, want.neg_video_idx)
+            np.testing.assert_array_equal(got.neg_text_idx, want.neg_text_idx)
 
 
 def same_bits(a, b) -> bool:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from marginforge.data import SynthConfig, generate
+from marginforge.evaluation import evaluate_bidirectional
 from marginforge import trainer
 from marginforge.errors import (
     ConfigError,
@@ -539,6 +540,29 @@ class TestRunTraining:
         assert sorted(p.name for p in run.iterdir()) == ["checkpoint_latest.ckpt", "report.jsonl"]
 
 
+class TestSplitPooling:
+    # only the split's frames are pooled; the result is the whole table's
+    # pooling, restricted to the split, bit for bit
+    def test_train_inputs_pool_the_train_rows(self):
+        ds = small_dataset()
+        inputs = train_inputs(ds, TrainConfig().experts())
+        assert inputs.pooled.tobytes() == ds.pooled_video()[inputs.rows].tobytes()
+
+    def test_evaluate_split_pools_the_split_rows(self):
+        ds = small_dataset()
+        model = small_model(ds)
+        rows = ds.rows(ds.val_ids)
+        state = forward_batch(model, ds.pooled_video()[rows], ds.text[rows])
+        t2v, v2t, rsum = trainer.evaluate_split(model, ds, ds.val_ids)
+        want_t2v, want_v2t, want_rsum = evaluate_bidirectional(
+            state.video_units @ state.text_units.T
+        )
+        assert rsum == want_rsum
+        for got, want in ((t2v, want_t2v), (v2t, want_v2t)):
+            assert got.r_at == want.r_at and got.mdr == want.mdr
+            np.testing.assert_array_equal(got.ranks, want.ranks)
+
+
 class TestDseMarginsFromLiveEncoders:
     def test_margins_follow_encoder_outputs(self):
         # distances from the current model's outputs feed the margins
@@ -552,13 +576,13 @@ class TestDseMarginsFromLiveEncoders:
         assert not np.allclose(mv, mt)
 
 
-class TestStepMemory:
+class TestStepHoldsNoBatchMatrix:
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
-    def test_b1024_step_holds_no_margin_matrices(self, mining):
+    def test_b1024_step_holds_less_than_one_batch_matrix(self, mining):
         # forward, the four expert margins, loss and gradients of one B = 1024
-        # step. Under mean mining S and dS are the step's B x B arrays
-        # (cosine_backward sums dS * S without forming it); under hardest
-        # mining dS is 3B entries, so S is the only one
+        # step. S is formed one anchor block at a time from the unit rows, and
+        # dS is 3B entries (hardest mining) or its B x D products with the
+        # unit rows (mean mining), so no B x B array is ever held
         b = 1024
         rng = np.random.default_rng(90)
         model = init_params(ModelDims(24, 20, 0, 16), 3)
@@ -578,4 +602,4 @@ class TestStepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (2 if mining == "hardest" else 3) * b * b * 8
+        assert peak < b * b * 8
