@@ -332,7 +332,7 @@ def grid_rows(rng, b, dim=16):
 
 
 def relative_gap(got, want) -> float:
-    """``|got - want| / |want|`` in the Frobenius norm, ``want`` in extended precision."""
+    """``|got - want| / |want|`` in the Frobenius norm."""
     return float(np.linalg.norm(np.asarray(got - want, dtype=np.float64))
                  / np.linalg.norm(np.asarray(want, dtype=np.float64)))
 
@@ -430,7 +430,7 @@ class TestUnitSimilarity:
         for g, p in zip(got, dense_projections(want[1], S, U, V)):
             assert g.shape == p.shape
             assert relative_gap(g, p) <= 1e-15
-        # the raw-row gradients of the two forms agree as closely
+        # and so do the raw-row gradients of the two forms, to 1e-14
         un, vn = rng.uniform(0.5, 2.0, b), rng.uniform(0.5, 2.0, b)
         for g, d in zip(
             kernels.cosine_backward(dS, U, V, un, vn),
