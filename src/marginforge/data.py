@@ -217,6 +217,22 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# bytes per read of ``file_digest``: one buffer, reused, below glibc's
+# default mmap threshold
+DIGEST_CHUNK = 1 << 16
+
+
+def file_digest(path) -> str:
+    """``digest`` of a file's bytes, read in ``DIGEST_CHUNK`` pieces into one buffer."""
+    h = hashlib.sha256()
+    buf = bytearray(DIGEST_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
+    return h.hexdigest()
+
+
 def _write_labels(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"LBL1 {len(dataset)}\n")
@@ -277,7 +293,7 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
     with open(out / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         fh.write(MANIFEST_HEADER + "\n")
         for role, filename in _FILES.items():
-            fh.write(f"{role} {filename} {digest((out / filename).read_bytes())}\n")
+            fh.write(f"{role} {filename} {file_digest(out / filename)}\n")
 
 
 def _read_manifest(manifest: Path) -> dict[str, tuple[str, int]]:
@@ -334,7 +350,7 @@ def load_dataset(data_dir) -> Dataset:
         target = root / filename
         if not target.exists():
             raise ParseError(f"{manifest}: listed file {filename} is missing", lineno)
-        actual = digest(target.read_bytes())
+        actual = file_digest(target)
         if actual != expected:
             raise ChecksumError(f"{filename}: checksum {actual} != manifest {expected}")
 

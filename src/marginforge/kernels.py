@@ -30,6 +30,27 @@ B x D values. A dense ``S`` (tests, ``objective.full_loss``) is read through
 the same blocks and still gets a dense ``dS`` under mean mining. At large B
 every pass over the hinges stays in cache; up to B = 181 a batch is one
 block.
+
+Pruned hardest mining: hardest mining keeps one negative per anchor and
+direction, and at B >= PRUNE_MIN_B ``triplet_terms`` scores only the cells
+that can be it. In each block it takes j*, the cell of largest ``s_neg -
+s_pos`` outside the anchor's own, and scores it exactly: that score ``lb``
+is a lower bound on the row's best. With level weights w >= 0 a cell scores
+at most ``W * max(0, s_neg - s_pos + A)``, W the criterion weights' sum and
+A the row's largest criterion margin, so only cells with ``s_neg >= s_pos +
+lb / W - A`` can reach ``lb``; a slack of (2K + 8) ulps of the values' size
+``|s_pos| + lb / W + |A|``, K the criterion's level count, covers every
+rounding of that bound, since rounding is monotone. Those candidates and j*
+are scored with the full scan's operations in its level order, so with the
+full scan's bits; the smallest index of the best score wins, and a row
+whose best score is 0 mines its first index that is not the anchor, as
+``argmax`` of the full criterion does. For finite inputs the mined indices,
+and so ``comp`` and ``dS``, are the full scan's bit for bit. Per call on a
+``bigbatch``-recipe run's inputs, where 0.4% of the cells (3.8 per row) are
+candidates, the path takes 0.6-0.8 of the full scan's time at B=1024 and
+B=256; at B=64 it takes 1.2-1.5 times as long, since its fixed cost is some
+50 small numpy calls per block. The crossover lies between B=96 (1.05-1.10)
+and B=128 (0.87-0.94), so below PRUNE_MIN_B = 128 the full scan stays.
 """
 
 import numpy as np
@@ -46,6 +67,10 @@ __all__ = [
 # values per row block of ``triplet_terms``' (R, B) buffers: 256 KiB each,
 # small enough that a block's passes stay in L2
 BLOCK_VALUES = 1 << 15
+# smallest B whose hardest mining takes the pruned path: per call on a
+# training run's inputs (2-core x86_64, 1 BLAS thread) the pruned path took
+# 1.05-1.10 of the full scan's time at B=96 and 0.87-0.94 at B=128
+PRUNE_MIN_B = 128
 
 
 def pairwise_cosine(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -167,6 +192,71 @@ def _level_rows(level, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
     return level.rows(r0, r1, out)
 
 
+def _criterion(base, gathered, layout, w):
+    """The mining criterion ``sum_k w[k] * max(0, base + m_k)`` at C gathered
+    cells, with the full scan's operations in its order, so its bits.
+
+    ``base`` holds ``s_neg - s_pos`` per cell and ``gathered`` the (L, C)
+    margins of the non-scalar levels; ``layout`` is ``(blocked, scalars,
+    values)``: the levels whose margins are gathered, the scalar levels and
+    their values as a column.
+    """
+    blocked, scalars, values = layout
+    X = np.empty((len(w), base.size))
+    X[blocked] = gathered
+    X[scalars] = values
+    X += base
+    np.maximum(X, 0.0, out=X)
+    X *= w[:, None]
+    crit = X[0]
+    for k in range(1, len(w)):
+        crit += X[k]
+    return crit
+
+
+def _mine_pruned(N, pos, margins, layout, w, r0, mask):
+    """Both directions' hardest negatives of one block, scoring only the
+    cells that can win: the full scan's argmax, bit for bit.
+
+    ``N`` is the (2, n, B) block of S for anchors ``r0:r0 + n``, with their
+    own cells at ``-inf``; ``pos`` holds the (2, n) positives, ``margins``
+    the (L, n, B) margin rows of the criterion's non-scalar levels and ``w``
+    the criterion's weights, of positive sum; ``mask`` is a (2, n, B) bool
+    buffer. Returns the mined column of each of the 2n rows.
+    """
+    _, n, B = N.shape
+    flat, pos_flat = N.reshape(-1), pos.reshape(-1)
+    anchors = np.arange(2 * n)
+    own = anchors % n  # each row's anchor, within the block
+    starts, offsets = anchors * B, own * B  # each row's first cell in N and in margins
+    # each anchor row's largest criterion margin
+    A = np.full(n, layout[2].max(initial=-np.inf))
+    if len(margins):
+        np.maximum(A, margins.max(axis=(0, 2)), out=A)
+    margins = margins.reshape(len(margins), n * B)
+    # j*, the largest s_neg of each row, scored exactly, is a lower bound
+    star = np.argmax(N, axis=2).reshape(-1)
+    lb = _criterion(flat[starts + star] - pos_flat, margins[:, offsets + star], layout, w)
+    # a cell scores at most W * max(0, s_neg - s_pos + A); keep those that
+    # may reach lb, less a slack that covers every rounding of the bound
+    ratio = lb.reshape(2, n) / w.sum()
+    slack = (2 * len(w) + 8) * np.finfo(np.float64).eps
+    floor = pos + (ratio - A) - slack * (np.abs(pos) + ratio + np.abs(A))
+    np.greater_equal(N, floor[:, :, None], out=mask)
+    mask.reshape(-1)[starts + star] = True
+    cand = np.flatnonzero(mask)
+    row = cand // B
+    col = cand - starts[row]
+    crit = _criterion(flat[cand] - pos_flat[row], margins[:, offsets[row] + col], layout, w)
+    # every row holds j*, so each has a segment; ties go to the smallest index
+    segments = np.searchsorted(row, anchors)
+    best = np.maximum.reduceat(crit, segments)
+    won = np.minimum.reduceat(np.where(crit == best[row], col, B), segments)
+    # a row that scores 0 everywhere mines its first index that is not the
+    # anchor, as the full scan's argmax does: 1 for anchor 0, else 0
+    return np.where(best > 0.0, won, own + r0 == 0)
+
+
 def triplet_terms(
     S,
     M,
@@ -181,9 +271,11 @@ def triplet_terms(
     a scalar, a B x B array (a stacked (K, B, B) array works too) or a row
     source with a ``rows(r0, r1, out)`` method that writes rows ``r0:r1`` of
     its B x B margins, such as ``margin.ExpertMargins``; w holds their
-    weights. Level hinges for anchor i use negatives S[j, i] (direction
-    video) and S[i, j] (direction text) against the positive S[i, i], both
-    with margins row i.
+    weights, which must be nonnegative (``ValueError`` otherwise): the
+    pruned path's bound needs it, and every caller's weights, 1 and the
+    slots' lambda * renorm and (1 - lambda) * renorm, are. Level hinges for
+    anchor i use negatives S[j, i] (direction video) and S[i, j] (direction
+    text) against the positive S[i, i], both with margins row i.
 
     Returns ``(comp, dS, mined_v, mined_t)`` where ``comp[k]`` is the
     per-level total (mean over anchors, both directions summed, evaluated at
@@ -198,13 +290,17 @@ def triplet_terms(
     the dense matrix. Under mean mining ``dS`` is a ``ProjectedGradient``
     when S is a ``UnitSimilarity`` and a dense B x B array otherwise.
 
-    Memory is a few (R, B) row blocks per level, plus a dense ``dS`` under
-    mean mining of an array S: anchors are taken R = BLOCK_VALUES // B rows
-    at a time, each direction's block of S is formed once with its
-    positives on its own diagonal, each non-scalar level's margin rows are
+    Memory is a few (R, B) row blocks, plus a dense ``dS`` under mean
+    mining of an array S: anchors are taken R = BLOCK_VALUES // B rows at a
+    time, each direction's block of S is formed once with its positives on
+    its own diagonal, and each of the L non-scalar levels' margin rows are
     formed once per block into one (L, R, B) buffer that serves both
-    directions, and the criterion is built level by level in the block
-    buffers. Under hardest mining the mined negatives and margins are
+    directions. The full scan builds the criterion level by level in four
+    more (R, B) buffers (six under mean mining). Hardest mining at B >=
+    PRUNE_MIN_B takes the pruned path of the module docstring instead: one
+    (2, R, B) buffer holds both directions' blocks of S and a (2, R, B) bool
+    buffer the candidate mask, L + 2.25 planes in all against the full
+    scan's L + 4. Under hardest mining the mined negatives and margins are
     gathered from the block buffers, and the level totals and dS's entries
     come from the B mined entries per direction only, so they do not depend
     on R; under mean mining ``comp`` is summed block by block, in
@@ -219,20 +315,36 @@ def triplet_terms(
     levels = [_as_level(m) for m in M]
     blocked = [k for k, m in enumerate(levels) if not isinstance(m, float)]
     w = np.ascontiguousarray(w, dtype=np.float64)
+    if (w < 0.0).any():
+        raise ValueError(f"level weights must be nonnegative, got {w.tolist()}")
     K = len(levels)
     B = sim.shape[0]
     R = min(B, max(1, BLOCK_VALUES // B))
     rows = np.arange(B)
+    crit_levels = 1 if hard_only else K
+    # the criterion's weights: level 0 alone is unweighted, and x * 1.0 == x
+    crit_w = np.ones(1) if hard_only else w
+    # a criterion of weight 0 is 0 everywhere and gives no bound to prune by
+    prune = not mean_mining and B >= PRUNE_MIN_B and crit_w.sum() > 0.0
 
     comp = np.zeros(K)
     mined = np.empty((2, B), dtype=np.int64)
     # each direction's positives S[i, i], read off its own blocks' diagonals
     pos = np.empty((2, B))
     margin_buf = np.empty((len(blocked), R, B))
-    sim_buf = np.empty((R, B))
-    base_buf = np.empty((R, B))
-    crit_buf = np.empty((R, B))
-    hinge_buf = np.empty((R, B))
+    if prune:
+        # both directions' blocks, each plane C-contiguous for any block size
+        sim_buf = np.empty(2 * R * B)
+        mask_buf = np.empty(2 * R * B, dtype=bool)
+        crit_slots = sum(1 for k in blocked if k < crit_levels)
+        scalars = [k for k in range(crit_levels) if isinstance(levels[k], float)]
+        values = np.array([levels[k] for k in scalars]).reshape(-1, 1)
+        layout = (blocked[:crit_slots], scalars, values)
+    else:
+        sim_buf = np.empty((R, B))
+        base_buf = np.empty((R, B))
+        crit_buf = np.empty((R, B))
+        hinge_buf = np.empty((R, B))
     if mean_mining:
         wmat_buf = np.empty((R, B))
         active_buf = np.empty((R, B))
@@ -255,7 +367,6 @@ def triplet_terms(
         for k, m in enumerate(levels):
             if isinstance(m, float):
                 mined_margins[:, :, k] = m
-    crit_levels = 1 if hard_only else K
 
     for r0 in range(0, B, R):
         r1 = min(r0 + R, B)
@@ -265,6 +376,22 @@ def triplet_terms(
             block[k] = _level_rows(levels[k], r0, r1, margin_buf[slot, :n])
         # the anchors' own entries: (i - r0, i) for i in [r0, r1)
         diag = np.s_[r0 :: B + 1]
+        if prune:
+            N = sim_buf[: 2 * n * B].reshape(2, n, B)
+            sim.cols(r0, r1, N[0])
+            sim.rows(r0, r1, N[1])
+            pos[:, r0:r1] = N.reshape(2, -1)[:, diag]
+            N.reshape(2, -1)[:, diag] = -np.inf
+            found = _mine_pruned(
+                N, pos[:, r0:r1], margin_buf[:crit_slots, :n], layout, crit_w, r0,
+                mask_buf[: 2 * n * B].reshape(2, n, B),
+            )
+            mined[:, r0:r1] = found.reshape(2, n)
+            cells = np.arange(0, 2 * n * B, B) + found
+            negs[:, r0:r1] = N.reshape(-1)[cells].reshape(2, n)
+            at = margin_buf[:, :n].reshape(len(blocked), n * B)[:, cells % (n * B)]
+            mined_margins[:, r0:r1, blocked] = at.T.reshape(2, n, -1)
+            continue
         for d in (0, 1):
             base, crit, hinge = base_buf[:n], crit_buf[:n], hinge_buf[:n]
             N = sim.cols(r0, r1, sim_buf[:n]) if d == 0 else sim.rows(r0, r1, sim_buf[:n])

@@ -3,12 +3,14 @@ import pytest
 
 from marginforge import kernels
 from marginforge.data import (
+    DIGEST_CHUNK,
     MANIFEST_NAME,
     Dataset,
     SynthConfig,
     _load_labels,
     _load_split,
     digest,
+    file_digest,
     generate,
     load_dataset,
     write_dataset,
@@ -27,6 +29,14 @@ class TestDigest:
         # FIPS 180-2 SHA-256 test vectors
         assert digest(b"") == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         assert digest(b"abc") == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+    @pytest.mark.parametrize(
+        "size", [0, 3, DIGEST_CHUNK - 1, DIGEST_CHUNK, DIGEST_CHUNK + 1, 3 * DIGEST_CHUNK + 7]
+    )
+    def test_file_digest_is_the_digest_of_the_bytes(self, tmp_path, size):
+        path = tmp_path / "data.bin"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert file_digest(path) == digest(path.read_bytes())
 
 
 class TestGenerate:

@@ -192,6 +192,183 @@ class TestTripletTerms:
         assert mined_t[0] == 1
 
 
+def both_paths(monkeypatch, S, levels, w, hard_only=False):
+    """Hardest mining by the full scan and by the pruned path."""
+    monkeypatch.setattr(kernels, "PRUNE_MIN_B", 1 << 30)
+    full = kernels.triplet_terms(S, levels, w, False, hard_only)
+    monkeypatch.setattr(kernels, "PRUNE_MIN_B", 2)
+    pruned = kernels.triplet_terms(S, levels, w, False, hard_only)
+    return full, pruned
+
+
+def assert_same_mining(full, pruned):
+    """The two paths' level totals, mined indices and dS entries, bit for bit."""
+    for got, want in zip((pruned[0], *pruned[2:]), (full[0], *full[2:])):
+        np.testing.assert_array_equal(got, want)
+    for name in ("r", "c", "val", "s"):
+        np.testing.assert_array_equal(getattr(pruned[1], name), getattr(full[1], name))
+
+
+def assert_matches_oracle(result, S, levels, w, hard_only=False):
+    b = S.shape[0]
+    dense = [np.full((b, b), m) if np.ndim(m) == 0 else np.asarray(m) for m in levels]
+    _, per_level, bf_v, bf_t = brute_force_full_loss(S, dense, w, "hardest", hard_only)
+    np.testing.assert_allclose(result[0], per_level, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(result[2], bf_v)
+    np.testing.assert_array_equal(result[3], bf_t)
+
+
+def boundary_instance(rng, b, scale):
+    """S and three margin levels in which, in every anchor row of direction
+    text, a second cell j sits on the pruning bound: its margins are the
+    row's largest margin A at every level and S[i, j] + A equals S[i, j*] +
+    m* to within a few ulps, where j* holds the row's largest S and the
+    margin m* at every level. Which of j and j* wins is decided by rounding."""
+    S = scale * rng.uniform(-1.0, 1.0, (b, b))
+    np.fill_diagonal(S, 0.5 * scale)
+    M = scale * rng.uniform(0.0, 0.2, (3, b, b))
+    for i in range(b):
+        others = [j for j in range(b) if j != i]
+        star = others[int(np.argmax(S[i, others]))]
+        j = int(rng.choice([k for k in others if k != star]))
+        m_star = M[:, i, star].min()
+        M[:, i, star] = m_star
+        M[:, i, j] = M[:, i].max()
+        S[i, j] = S[i, star] + m_star - M[0, i, j]
+        for _ in range(int(rng.integers(-3, 4)) % 7):
+            S[i, j] = np.nextafter(S[i, j], np.inf if rng.random() < 0.5 else -np.inf)
+    return S, list(M)
+
+
+class TestPrunedMining:
+    # the pruned path is forced at small B by lowering PRUNE_MIN_B; each test
+    # checks it against the full scan bit for bit and against the oracle
+
+    @pytest.mark.parametrize("hard_only", [False, True])
+    def test_matches_full_scan_and_oracle(self, monkeypatch, hard_only):
+        rng = np.random.default_rng(900 + hard_only)
+        for _ in range(20):
+            b = int(rng.integers(2, 12))
+            S, M, w = random_instance(rng, b=b, levels=int(rng.integers(1, 6)))
+            levels = [0.05] + list(M[1:])
+            full, pruned = both_paths(monkeypatch, S, levels, w, hard_only)
+            assert_same_mining(full, pruned)
+            assert_matches_oracle(pruned, S, levels, w, hard_only)
+
+    @pytest.mark.parametrize("hard_only", [False, True])
+    def test_exact_ties_go_to_the_smallest_index(self, monkeypatch, hard_only):
+        # duplicate columns of S and of every margin level tie direction
+        # text's candidates exactly; duplicate rows tie direction video's
+        rng = np.random.default_rng(910 + hard_only)
+        b = 12
+        S, M, w = random_instance(rng, b=b, levels=4)
+        S = np.round(S * 4.0) / 4.0
+        for src, dst in ((2, 7), (3, 9), (7, 11)):
+            S[:, dst], M[:, :, dst] = S[:, src], M[:, :, src]
+            S[dst, :], M[:, dst, :] = S[src, :], M[:, src, :]
+        levels = list(M)
+        full, pruned = both_paths(monkeypatch, S, levels, w, hard_only)
+        assert_same_mining(full, pruned)
+        assert_matches_oracle(pruned, S, levels, w, hard_only)
+
+    @pytest.mark.parametrize("hard_only", [False, True])
+    def test_rows_inactive_everywhere_mine_their_first_other_index(
+        self, monkeypatch, hard_only
+    ):
+        # every hinge is 0 in the rows of anchors 0, 3 and 5, and in both
+        # directions: anchor 0 mines index 1, the others index 0
+        rng = np.random.default_rng(920 + hard_only)
+        b = 8
+        S, M, w = random_instance(rng, b=b, levels=3)
+        for i in (0, 3, 5):
+            S[i, i] = 10.0
+        levels = [0.05] + list(M[1:])
+        full, pruned = both_paths(monkeypatch, S, levels, w, hard_only)
+        assert_same_mining(full, pruned)
+        assert_matches_oracle(pruned, S, levels, w, hard_only)
+        for mined in pruned[2:]:
+            assert (mined[0], mined[3], mined[5]) == (1, 0, 0)
+        # and a batch inactive everywhere
+        S = np.eye(b) * 10.0
+        full, pruned = both_paths(monkeypatch, S, levels, w, hard_only)
+        assert_same_mining(full, pruned)
+        for mined in pruned[2:]:
+            np.testing.assert_array_equal(mined, [1] + [0] * (b - 1))
+        assert not pruned[1].val.any()
+
+    @pytest.mark.parametrize("hard_only", [False, True])
+    @pytest.mark.parametrize("level", ["scalar", "array"])
+    def test_single_level(self, monkeypatch, hard_only, level):
+        rng = np.random.default_rng(930 + hard_only)
+        S, M, w = random_instance(rng, b=9, levels=2)
+        levels = [0.05 if level == "scalar" else M[1]]
+        full, pruned = both_paths(monkeypatch, S, levels, w[:1], hard_only)
+        assert_same_mining(full, pruned)
+        assert_matches_oracle(pruned, S, levels, w[:1], hard_only)
+
+    @pytest.mark.parametrize("hard_only", [False, True])
+    @pytest.mark.parametrize("block_values", [16, 36, 64])
+    def test_ragged_last_block(self, monkeypatch, hard_only, block_values):
+        # 17 anchors in blocks of 1, 2 and 3 rows: 17 = 8 * 2 + 1 = 5 * 3 + 2
+        rng = np.random.default_rng(940 + block_values)
+        b = 17
+        U, un, V, vn, S, levels, w = mined_instance(rng, b)
+        monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
+        for sim in (kernels.UnitSimilarity(U, V), S):
+            full, pruned = both_paths(monkeypatch, sim, levels, w, hard_only)
+            assert_same_mining(full, pruned)
+        dense = [m.dense() if hasattr(m, "dense") else m for m in levels]
+        assert_matches_oracle(pruned, S, dense, w, hard_only)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_cells_on_the_bound(self, monkeypatch, scale):
+        # at 1e6 a rounding of the bound is ~1e-10, far above an absolute
+        # slack: the slack must scale with the values
+        rng = np.random.default_rng(950)
+        w = np.array([1.0, 0.3, 0.7])
+        for _ in range(10):
+            S, levels = boundary_instance(rng, 16, scale)
+            full, pruned = both_paths(monkeypatch, S, levels, w)
+            assert_same_mining(full, pruned)
+            assert_matches_oracle(pruned, S, levels, w)
+
+    def test_large_values(self, monkeypatch):
+        rng = np.random.default_rng(960)
+        for b in (5, 40):
+            S, M, w = random_instance(rng, b=b, levels=4)
+            S, levels = 1e6 * S, [1e6 * 0.05] + list(1e6 * M[1:])
+            full, pruned = both_paths(monkeypatch, S, levels, w)
+            assert_same_mining(full, pruned)
+            assert_matches_oracle(pruned, S, levels, w)
+
+    def test_gate(self, monkeypatch):
+        # the pruned path runs from PRUNE_MIN_B on, only under hardest mining
+        # and only for a criterion of nonzero weight
+        calls = []
+        real = kernels._mine_pruned
+        monkeypatch.setattr(
+            kernels, "_mine_pruned", lambda *a: calls.append(a[0].shape[1]) or real(*a)
+        )
+        rng = np.random.default_rng(970)
+        for b in (kernels.PRUNE_MIN_B - 1, kernels.PRUNE_MIN_B):
+            S, M, w = random_instance(rng, b=b, levels=2)
+            for mean_mining in (False, True):
+                kernels.triplet_terms(S, [0.05, M[1]], w, mean_mining, False)
+        assert calls == [kernels.PRUNE_MIN_B]
+        _, _, mined_v, mined_t = kernels.triplet_terms(S, [0.05, M[1]], 0.0 * w, False, False)
+        assert calls == [kernels.PRUNE_MIN_B]
+        for mined in (mined_v, mined_t):
+            np.testing.assert_array_equal(mined, [1] + [0] * (S.shape[0] - 1))
+
+    def test_negative_weight_rejected(self):
+        rng = np.random.default_rng(980)
+        S, M, w = random_instance(rng, b=4, levels=3)
+        w[2] = -0.1
+        for mean_mining in (False, True):
+            with pytest.raises(ValueError, match="nonnegative"):
+                kernels.triplet_terms(S, list(M), w, mean_mining, False)
+
+
 class TestMarginRowSources:
     # B = 181 is the largest one-block batch, 182 the smallest two-block one;
     # 205 and 410 give blocks of 159 and 79 rows, not multiples of BLAS tiles

@@ -490,6 +490,31 @@ class TestRunTraining:
             tmp_path / "b/checkpoint_final.ckpt"
         ).read_bytes()
 
+    @pytest.mark.parametrize("criterion", ["combined", "hard_only"])
+    def test_pruned_mining_leaves_outputs_byte_identical(self, tmp_path, monkeypatch, criterion):
+        # B = 256 hardest mining with all four experts' ExpertMargins levels,
+        # once by the full scan and once by the pruned path
+        from marginforge import kernels
+
+        ds = small_dataset(n=320)
+        assert len(ds.train_ids) == 256
+        cfg = TrainConfig(
+            epochs=2, batch_size=256, seed=12, warmup_epochs=0,
+            lambda_start_epoch=1, lambda_end_epoch=3, mining_criterion=criterion,
+        )
+        pruned_blocks = []
+        real = kernels._mine_pruned
+        monkeypatch.setattr(
+            kernels, "_mine_pruned", lambda *a: pruned_blocks.append(1) or real(*a)
+        )
+        for gate, out in ((1 << 30, "full"), (2, "pruned")):
+            monkeypatch.setattr(kernels, "PRUNE_MIN_B", gate)
+            run_training(ds, cfg, 0, 8, tmp_path / out)
+            assert bool(pruned_blocks) == (out == "pruned")
+        for name in ("report.jsonl", "checkpoint_final.ckpt"):
+            full, pruned = (tmp_path / out / name for out in ("full", "pruned"))
+            assert full.read_bytes() == pruned.read_bytes()
+
     def test_failed_state_write_keeps_previous_pair(self, tmp_path, monkeypatch):
         ds = small_dataset()
         cfg = TrainConfig(epochs=3, batch_size=8, seed=11)
