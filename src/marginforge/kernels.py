@@ -21,15 +21,17 @@ one (R, B) block of anchor rows at a time, R = BLOCK_VALUES // B, from a
 similarity row source: the training step's ``UnitSimilarity`` forms each
 block from the unit rows, ``U[r0:r1] @ V.T`` for direction text and
 ``V[r0:r1] @ U.T`` for direction video, so no pass reads ``S`` by columns.
-Margin levels given as row sources (``margin.ExpertMargins``) are formed one
-block at a time too. Under hardest mining ``dS`` has at most 3B nonzero
-cells and is returned as a ``MinedGradient`` of 3B entries; under mean
-mining of a ``UnitSimilarity`` each block's part of ``dS`` is applied to the
-unit rows as the block finishes and returned as a ``ProjectedGradient`` of
-B x D values. A dense ``S`` (tests, ``objective.full_loss``) is read through
-the same blocks and still gets a dense ``dS`` under mean mining. At large B
-every pass over the hinges stays in cache; up to B = 181 a batch is one
-block.
+Margin levels are row sources too (``margin.ExpertMargins``), formed one
+block at a time. Under hardest mining ``dS`` has at most 3B nonzero cells
+and is returned as a ``MinedGradient`` of 3B entries; under mean mining of a
+``UnitSimilarity`` each block's part of ``dS`` is applied to the unit rows
+as the block finishes and returned as a ``ProjectedGradient`` of B x D
+values. ``triplet_terms`` and ``cosine_backward`` also take a dense ``S``,
+read through the same blocks, with a dense ``dS`` under mean mining: no
+training step uses it, but it is the kernel tests' reference for the
+unit-row path and lets them take finite differences over an arbitrary
+``S``. At large B every pass over the hinges stays in cache; up to B = 181
+a batch is one block.
 
 Pruned hardest mining: hardest mining keeps one negative per anchor and
 direction, and at B >= PRUNE_MIN_B ``triplet_terms`` scores only the cells
@@ -176,22 +178,6 @@ class ProjectedGradient:
         return self.shape[0] * self.shape[1]
 
 
-def _as_level(m):
-    """A margin level as a float, a float64 array or, unchanged, a row source."""
-    if hasattr(m, "rows"):
-        return m
-    m = np.asarray(m, dtype=np.float64)
-    return float(m) if m.ndim == 0 else m
-
-
-def _level_rows(level, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
-    """Rows ``r0:r1`` of a B x B margin level, an array or a row source, in ``out``."""
-    if isinstance(level, np.ndarray):
-        np.copyto(out, level[r0:r1])
-        return out
-    return level.rows(r0, r1, out)
-
-
 def _criterion(base, gathered, layout, w):
     """The mining criterion ``sum_k w[k] * max(0, base + m_k)`` at C gathered
     cells, with the full scan's operations in its order, so its bits.
@@ -268,10 +254,10 @@ def triplet_terms(
 
     S is the B x B similarity matrix (rows = videos, cols = texts), a
     ``UnitSimilarity`` or an array; M is a sequence of K margin levels, each
-    a scalar, a B x B array (a stacked (K, B, B) array works too) or a row
-    source with a ``rows(r0, r1, out)`` method that writes rows ``r0:r1`` of
-    its B x B margins, such as ``margin.ExpertMargins``; w holds their
-    weights, which must be nonnegative (``ValueError`` otherwise): the
+    a scalar or a row source with a ``rows(r0, r1, out)`` method that writes
+    rows ``r0:r1`` of its B x B margins, such as ``margin.ExpertMargins``
+    (``objective._margin_levels`` states and checks that contract); w holds
+    their weights, which must be nonnegative (``ValueError`` otherwise): the
     pruned path's bound needs it, and every caller's weights, 1 and the
     slots' lambda * renorm and (1 - lambda) * renorm, are. Level hinges for
     anchor i use negatives S[j, i] (direction video) and S[i, j] (direction
@@ -312,7 +298,7 @@ def triplet_terms(
         np.ascontiguousarray(S, dtype=np.float64)
     )
     projected = mean_mining and isinstance(sim, UnitSimilarity)
-    levels = [_as_level(m) for m in M]
+    levels = [m if hasattr(m, "rows") else float(m) for m in M]
     blocked = [k for k, m in enumerate(levels) if not isinstance(m, float)]
     w = np.ascontiguousarray(w, dtype=np.float64)
     if (w < 0.0).any():
@@ -373,7 +359,7 @@ def triplet_terms(
         n = r1 - r0
         block = list(levels)
         for slot, k in enumerate(blocked):
-            block[k] = _level_rows(levels[k], r0, r1, margin_buf[slot, :n])
+            block[k] = levels[k].rows(r0, r1, margin_buf[slot, :n])
         # the anchors' own entries: (i - r0, i) for i in [r0, r1)
         diag = np.s_[r0 :: B + 1]
         if prune:

@@ -15,28 +15,27 @@ supervision experts:
 
 The expert margins come as one mapping ``{expert kind: margins}`` that holds
 only the enabled experts; an empty mapping gives the hard triplet loss. Each
-value is a ``margin.ExpertMargins``, which ``kernels.triplet_terms`` forms
-one block of anchor rows at a time, or a plain B x B array.
-A soft slot is the sum of its video-domain and text-domain hinge; if only one
-expert of a slot is enabled its weight doubles so the slot keeps its mass,
-and a fully disabled slot contributes zero. ``slot_weights`` states the two
-slot weights; a slot whose weight is exactly 0 (the DSE slot at lambda = 0,
-the SSE slot at lambda = 1) is dropped from the levels after its margins are
-validated, which changes no output bit: its hinges would be multiplied by 0
-before they reach the mining criterion, the loss or ``dS``, and the other
-slot's renormalisation does not depend on it. ``weighted_experts`` names the
-experts that remain, so the trainer builds margins for those only. Margins
-are always treated as constants: no gradient flows through expert
-distances, even dynamic ones.
+value is a row source such as ``margin.ExpertMargins`` (``_margin_levels``
+states the contract), which ``kernels.triplet_terms`` forms one block of
+anchor rows at a time. A soft slot is the sum of its video-domain and
+text-domain hinge; if only one expert of a slot is enabled its weight
+doubles so the slot keeps its mass, and a fully disabled slot contributes
+zero. ``slot_weights`` states the two slot weights; a slot whose weight is
+exactly 0 (the DSE slot at lambda = 0, the SSE slot at lambda = 1) is
+dropped from the levels after its margins are validated, which changes no
+output bit: its hinges would be multiplied by 0 before they reach the mining
+criterion, the loss or ``dS``, and the other slot's renormalisation does not
+depend on it. ``weighted_experts`` names the experts that remain, so the
+trainer builds margins for those only. Margins are always treated as
+constants: no gradient flows through expert distances, even dynamic ones.
 
-``full_loss`` scores a given ``S``; ``full_loss_grad`` is the training step's
-entry, which hands ``kernels.triplet_terms`` the unit rows of the forward
-pass as a ``kernels.UnitSimilarity``, so ``S`` is formed one block of anchor
-rows at a time and never whole, and returns the parameter gradients too.
-The gradient w.r.t. ``S`` passes from ``kernels.triplet_terms`` to
-``kernels.cosine_backward`` as it comes: a ``kernels.ProjectedGradient`` of
-B x D values under mean mining, a ``kernels.MinedGradient`` of 3B entries
-under hardest mining.
+``full_loss_grad`` is the one entry: it hands ``kernels.triplet_terms`` the
+unit rows of the forward pass as a ``kernels.UnitSimilarity``, so ``S`` is
+formed one block of anchor rows at a time and never whole, and returns the
+loss breakdown and the parameter gradients. The gradient w.r.t. ``S`` passes
+from ``kernels.triplet_terms`` to ``kernels.cosine_backward`` as it comes: a
+``kernels.ProjectedGradient`` of B x D values under mean mining, a
+``kernels.MinedGradient`` of 3B entries under hardest mining.
 """
 
 from dataclasses import dataclass
@@ -46,7 +45,6 @@ import numpy as np
 from . import kernels
 from .errors import EmptyInputError, LambdaOutOfRangeError, NonSquareError, ShapeMismatchError
 from .experts import EXPERT_KINDS
-from .margin import ExpertMargins
 from .model import ForwardState, TwoTowerModel, backward
 
 MININGS = ("hardest", "mean")
@@ -73,26 +71,6 @@ class LossBreakdown:
     neg_text_idx: np.ndarray
 
 
-def matrix_values(d) -> np.ndarray:
-    """``d`` as a float64 array, which must be square."""
-    vals = np.asarray(d, dtype=np.float64)
-    if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {vals.shape}")
-    return vals
-
-
-def _check_square(S):
-    """``S``, a ``kernels.UnitSimilarity`` or a float64 array, checked square
-    and of at least two pairs."""
-    if not isinstance(S, kernels.UnitSimilarity):
-        S = matrix_values(S)
-    elif S.shape[0] != S.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {S.shape}")
-    if S.shape[0] < 2:
-        raise EmptyInputError("need a batch of at least two pairs")
-    return S
-
-
 SLOT_EXPERTS = {"dse": ("dse_video", "dse_text"), "sse": ("sse_video", "sse_text")}
 
 
@@ -115,11 +93,18 @@ def weighted_experts(kinds, lam: float) -> list:
 
 
 def _margin_levels(B, margins, alpha, lam):
-    """Margin levels (the scalar alpha, then the experts' ``ExpertMargins``
-    or B x B arrays) with weights and slot index ranges.
+    """Margin levels (the scalar alpha, then the experts' margins) with
+    weights and slot index ranges.
 
-    Every given margin is checked for its kind and shape first; then a slot
-    whose weight is exactly 0 is left out, so its index range is empty.
+    A margin level is a float or a row source: an object whose ``shape`` is
+    (B, B) and whose ``rows(r0, r1, out)`` writes rows ``r0:r1`` of its
+    B x B margins into the C-contiguous (r1 - r0, B) float64 ``out`` and
+    returns ``out``. ``margin.ExpertMargins`` is the one the trainer builds;
+    any other object that keeps the contract reaches the loss the same way.
+    Every given margin is checked for its kind, for being a row source
+    (``TypeError`` naming the kind otherwise) and for its shape first; then
+    a slot whose weight is exactly 0 is left out, so its index range is
+    empty.
     """
     unknown = sorted(set(margins) - set(EXPERT_KINDS))
     if unknown:
@@ -131,10 +116,14 @@ def _margin_levels(B, margins, alpha, lam):
             if kind not in margins:
                 continue
             m = margins[kind]
-            vals = m if isinstance(m, ExpertMargins) else matrix_values(m)
-            if vals.shape != (B, B):
-                raise ShapeMismatchError(f"{slot} margin shape {vals.shape} != ({B}, {B})")
-            enabled[slot].append(vals)
+            if not (callable(getattr(m, "rows", None)) and hasattr(m, "shape")):
+                raise TypeError(
+                    f"{kind} margins must be a row source with shape and "
+                    f"rows(r0, r1, out), got {type(m).__name__}"
+                )
+            if m.shape != (B, B):
+                raise ShapeMismatchError(f"{slot} margin shape {m.shape} != ({B}, {B})")
+            enabled[slot].append(m)
     levels = [alpha]
     weights = [1.0]
     slots = {}
@@ -149,7 +138,11 @@ def _margin_levels(B, margins, alpha, lam):
 
 
 def _run(S, margins, alpha, lam, mining, mining_criterion):
-    S = _check_square(S)
+    """Loss breakdown and ``dS`` of a ``kernels.UnitSimilarity`` ``S``."""
+    if S.shape[0] != S.shape[1]:
+        raise NonSquareError(f"expected a square matrix, got shape {S.shape}")
+    if S.shape[0] < 2:
+        raise EmptyInputError("need a batch of at least two pairs")
     if not 0.0 <= lam <= 1.0:
         raise LambdaOutOfRangeError(f"lambda must be in [0, 1], got {lam}")
     if mining not in MININGS:
@@ -174,25 +167,6 @@ def _run(S, margins, alpha, lam, mining, mining_criterion):
     return breakdown, dS
 
 
-def full_loss(
-    S,
-    margins: dict,
-    alpha: float,
-    lam: float,
-    mining: str = "hardest",
-    mining_criterion: str = "combined",
-) -> LossBreakdown:
-    """Hard hinge plus lambda-blended DSE/SSE soft hinges, mined per anchor.
-
-    ``margins`` maps each enabled expert kind to its margins, an
-    ``ExpertMargins`` or a B x B array, so ``{}`` is the hard triplet loss;
-    a slot's remaining expert is reweighted to keep the slot's mass. A key
-    outside ``EXPERT_KINDS`` raises ``ValueError``.
-    """
-    breakdown, _ = _run(S, margins, alpha, lam, mining, mining_criterion)
-    return breakdown
-
-
 def full_loss_grad(
     model: TwoTowerModel,
     state: ForwardState,
@@ -202,9 +176,12 @@ def full_loss_grad(
     mining: str = "hardest",
     mining_criterion: str = "combined",
 ) -> tuple[LossBreakdown, dict]:
-    """Loss breakdown plus exact parameter gradients.
+    """Hard hinge plus lambda-blended DSE/SSE soft hinges, mined per anchor,
+    with exact parameter gradients.
 
-    ``margins`` is the mapping of enabled expert margins, as in ``full_loss``.
+    ``margins`` maps each enabled expert kind to its margins, so ``{}`` is
+    the hard triplet loss; a slot's remaining expert is reweighted to keep
+    the slot's mass. A key outside ``EXPERT_KINDS`` raises ``ValueError``.
     Margins are constants and mined indices fixed selections (subgradient at
     ties), so the gradient flows only through the similarity matrix.
     """

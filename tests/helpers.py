@@ -1,10 +1,12 @@
 """Test-only helpers: a finite-difference gradient checker, flat views of a
 model's parameters and gradients, the scalar rank reference, a dataset's
-same-concept partners and the adaptive-margin reference."""
+same-concept partners, the adaptive-margin reference, and a given matrix as
+a margin level or as the loss's similarity source."""
 
 import numpy as np
 from scipy.special import ndtri
 
+from marginforge import kernels, objective
 from marginforge.errors import IndexOutOfRangeError, ShapeMismatchError
 from marginforge.mathcore import as_vector
 
@@ -83,3 +85,61 @@ def reference_margins(U, mu: float, beta: float) -> np.ndarray:
         return np.full((b, b), mu)
     sigma = beta / ndtri(0.95)
     return ((d - mean) * (sigma / np.sqrt(var)) + mu).filled(mu)
+
+
+class DenseMargins:
+    """A given B x B margin matrix as a margin level: a row source that
+    copies rows ``r0:r1`` of the matrix into ``out``."""
+
+    def __init__(self, m):
+        self.m = np.asarray(m, dtype=np.float64)
+
+    @property
+    def shape(self) -> tuple:
+        return self.m.shape
+
+    def rows(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, self.m[r0:r1])
+        return out
+
+    def dense(self) -> np.ndarray:
+        return self.m
+
+
+class Delegating:
+    """A row source that is not a ``margin.ExpertMargins``: it forwards
+    ``shape`` and ``rows`` to the one it wraps and counts the ``rows`` calls,
+    as a study's own distance-to-margin map would reach the loss."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    @property
+    def shape(self) -> tuple:
+        return self.inner.shape
+
+    def rows(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        return self.inner.rows(r0, r1, out)
+
+
+def row_sources(levels) -> list:
+    """``levels`` with each array wrapped in ``DenseMargins``; scalars and
+    row sources pass through."""
+    return [DenseMargins(m) if isinstance(m, np.ndarray) else m for m in levels]
+
+
+def score(S, margins: dict, alpha: float, lam: float, mining="hardest", criterion="combined"):
+    """The loss breakdown of a given B x B ``S``, whose array margins are
+    wrapped in ``DenseMargins``.
+
+    ``S`` reaches the loss as ``kernels.UnitSimilarity(np.eye(b), S.T)``:
+    each cell of that product is ``1.0 * S[i, j]`` plus exact zeros, so it
+    is ``S`` bit for bit wherever ``S`` is finite.
+    """
+    S = np.asarray(S, dtype=np.float64)
+    sim = kernels.UnitSimilarity(np.eye(S.shape[0]), S.T)
+    margins = dict(zip(margins, row_sources(margins.values())))
+    breakdown, _ = objective._run(sim, margins, alpha, lam, mining, criterion)
+    return breakdown

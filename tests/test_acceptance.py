@@ -20,7 +20,7 @@ from marginforge.evaluation import evaluate_bidirectional, median_rank, recall_a
 from marginforge.margin import affine, beta_to_variance, expert_margins
 from marginforge.mathcore import unit_rows
 from marginforge.model import ModelDims, forward_batch, init_params
-from marginforge.objective import full_loss, full_loss_grad
+from marginforge.objective import full_loss_grad
 from marginforge.trainer import (
     TrainConfig,
     epoch_batches,
@@ -30,7 +30,15 @@ from marginforge.trainer import (
     train_epoch,
     train_inputs,
 )
-from helpers import finite_diff_grad, flatten_grads, flatten_params, rank_of_positive, set_flat_params
+from helpers import (
+    finite_diff_grad,
+    flatten_grads,
+    flatten_params,
+    rank_of_positive,
+    row_sources,
+    score,
+    set_flat_params,
+)
 from oracles import brute_force_similarity, loss_at_frozen_selection, rank_by_stable_sort
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -119,8 +127,8 @@ def test_c3_beta_zero_collapse():
         mining = "hardest" if trial % 2 == 0 else "mean"
         m = np.full((b, b), alpha)
         margins = {"dse_video": m, "dse_text": m, "sse_video": m, "sse_text": m}
-        full = full_loss(S, margins, alpha, lam, mining)
-        hard = full_loss(S, {}, alpha, 0.0, mining)
+        full = score(S, margins, alpha, lam, mining)
+        hard = score(S, {}, alpha, 0.0, mining)
         gap = abs(full.total - 3.0 * hard.total)
         worst = max(worst, gap)
         assert gap < 1e-6
@@ -144,7 +152,9 @@ def test_c4_gradient_correctness_matrix():
                 for raw in rng.uniform(-0.05, 0.15, size=(4, b, b)):
                     mats.append(0.5 * (raw + raw.T))
                 weights = np.array([1.0, lam, lam, 1.0 - lam, 1.0 - lam])
-                margins = dict(zip(("dse_video", "dse_text", "sse_video", "sse_text"), mats[1:]))
+                margins = dict(
+                    zip(("dse_video", "dse_text", "sse_video", "sse_text"), row_sources(mats[1:]))
+                )
                 breakdown, grads = full_loss_grad(
                     model, state, margins, 0.05, lam, mining
                 )

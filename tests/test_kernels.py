@@ -8,7 +8,7 @@ import pytest
 from marginforge import kernels
 from marginforge.margin import expert_margins
 from marginforge.mathcore import cosine_similarity, unit_rows
-from helpers import finite_diff_grad
+from helpers import DenseMargins, finite_diff_grad, row_sources
 from oracles import brute_force_full_loss, loss_at_frozen_selection, mean_loss_all_negatives
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -48,7 +48,7 @@ class TestTripletTerms:
             b = int(rng.integers(2, 7))
             S, M, w = random_instance(rng, b=b, levels=int(rng.integers(1, 6)))
             comp, dS, mined_v, mined_t = kernels.triplet_terms(
-                S, M, w, mining == "mean", hard_only
+                S, row_sources(M), w, mining == "mean", hard_only
             )
             total, per_level, bf_v, bf_t = brute_force_full_loss(
                 S, list(M), w, mining, hard_only
@@ -67,7 +67,7 @@ class TestTripletTerms:
         rng = np.random.default_rng(100 + b)
         for _ in range(3):
             S, M, w = random_instance(rng, b=b, levels=5)
-            levels = [0.05] + list(M[1:])
+            levels = [0.05] + row_sources(M[1:])
             comp, dS, mined_v, mined_t = kernels.triplet_terms(
                 S, levels, w, mining == "mean", hard_only
             )
@@ -96,7 +96,7 @@ class TestTripletTerms:
         b, levels = 256, 5
         rng = np.random.default_rng(17)
         S, M, w = random_instance(rng, b=b, levels=levels)
-        margins = [0.05] + list(M[1:])
+        margins = [0.05] + row_sources(M[1:])
         tracemalloc.start()
         try:
             kernels.triplet_terms(S, margins, w, mean_mining, False)
@@ -114,7 +114,7 @@ class TestTripletTerms:
         # several rows with a ragged last block (9 = 4+4+1, 17 = 2*8+1, ...)
         rng = np.random.default_rng(200 + b)
         S, M, w = random_instance(rng, b=b, levels=5)
-        levels = [0.05] + list(M[1:])
+        levels = [0.05] + row_sources(M[1:])
         whole = kernels.triplet_terms(S, levels, w, mining == "mean", hard_only)
         monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
         comp, dS, mined_v, mined_t = kernels.triplet_terms(
@@ -148,7 +148,7 @@ class TestTripletTerms:
         b, levels = 1024, 5
         rng = np.random.default_rng(18)
         S, M, w = random_instance(rng, b=b, levels=levels)
-        margins = [0.05] + list(M[1:])
+        margins = [0.05] + row_sources(M[1:])
         tracemalloc.start()
         try:
             kernels.triplet_terms(S, margins, w, mean_mining, False)
@@ -161,7 +161,7 @@ class TestTripletTerms:
         rng = np.random.default_rng(13)
         for _ in range(10):
             S, M, w = random_instance(rng, b=4)
-            comp, dS, mined_v, mined_t = kernels.triplet_terms(S, M, w, False, False)
+            comp, dS, mined_v, mined_t = kernels.triplet_terms(S, row_sources(M), w, False, False)
 
             def f(flat):
                 return loss_at_frozen_selection(
@@ -175,7 +175,7 @@ class TestTripletTerms:
         rng = np.random.default_rng(14)
         for _ in range(10):
             S, M, w = random_instance(rng, b=4)
-            _, dS, _, _ = kernels.triplet_terms(S, M, w, True, False)
+            _, dS, _, _ = kernels.triplet_terms(S, row_sources(M), w, True, False)
 
             def f(flat):
                 return mean_loss_all_negatives(flat.reshape(S.shape), list(M), w)
@@ -188,12 +188,14 @@ class TestTripletTerms:
         S = np.array([[0.9, 0.5, 0.5], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
         M = np.full((1, 3, 3), 0.05)
         w = np.ones(1)
-        _, _, mined_v, mined_t = kernels.triplet_terms(S, M, w, False, False)
+        _, _, mined_v, mined_t = kernels.triplet_terms(S, row_sources(M), w, False, False)
         assert mined_t[0] == 1
 
 
 def both_paths(monkeypatch, S, levels, w, hard_only=False):
-    """Hardest mining by the full scan and by the pruned path."""
+    """Hardest mining by the full scan and by the pruned path, with each
+    array level wrapped in ``DenseMargins``."""
+    levels = row_sources(levels)
     monkeypatch.setattr(kernels, "PRUNE_MIN_B", 1 << 30)
     full = kernels.triplet_terms(S, levels, w, False, hard_only)
     monkeypatch.setattr(kernels, "PRUNE_MIN_B", 2)
@@ -353,9 +355,11 @@ class TestPrunedMining:
         for b in (kernels.PRUNE_MIN_B - 1, kernels.PRUNE_MIN_B):
             S, M, w = random_instance(rng, b=b, levels=2)
             for mean_mining in (False, True):
-                kernels.triplet_terms(S, [0.05, M[1]], w, mean_mining, False)
+                kernels.triplet_terms(S, [0.05, DenseMargins(M[1])], w, mean_mining, False)
         assert calls == [kernels.PRUNE_MIN_B]
-        _, _, mined_v, mined_t = kernels.triplet_terms(S, [0.05, M[1]], 0.0 * w, False, False)
+        _, _, mined_v, mined_t = kernels.triplet_terms(
+            S, [0.05, DenseMargins(M[1])], 0.0 * w, False, False
+        )
         assert calls == [kernels.PRUNE_MIN_B]
         for mined in (mined_v, mined_t):
             np.testing.assert_array_equal(mined, [1] + [0] * (S.shape[0] - 1))
@@ -366,7 +370,7 @@ class TestPrunedMining:
         w[2] = -0.1
         for mean_mining in (False, True):
             with pytest.raises(ValueError, match="nonnegative"):
-                kernels.triplet_terms(S, list(M), w, mean_mining, False)
+                kernels.triplet_terms(S, row_sources(M), w, mean_mining, False)
 
 
 class TestMarginRowSources:
@@ -391,7 +395,9 @@ class TestMarginRowSources:
         for mean_mining in (False, True):
             for hard_only in (False, True):
                 blocked = kernels.triplet_terms(S, [0.05, *experts], w, mean_mining, hard_only)
-                whole = kernels.triplet_terms(S, [0.05, *dense], w, mean_mining, hard_only)
+                whole = kernels.triplet_terms(
+                    S, [0.05, *row_sources(dense)], w, mean_mining, hard_only
+                )
                 for got, want in zip(blocked, whole):
                     assert np.array_equal(got, want)
 
@@ -405,7 +411,7 @@ def mined_instance(rng, b, dim=16):
         expert_margins(unit_rows(rng.standard_normal((b, 8)), "expert")[0], 0.05, 0.04)
         for _ in range(2)
     ]
-    levels = [0.2, experts[0], rng.uniform(-0.1, 0.2, size=(b, b)), experts[1]]
+    levels = [0.2, experts[0], DenseMargins(rng.uniform(-0.1, 0.2, size=(b, b))), experts[1]]
     w = np.array([1.0, 0.6, 0.6, 0.4])
     return U, un, V, vn, S, levels, w
 

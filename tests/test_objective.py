@@ -13,8 +13,17 @@ from marginforge.errors import (
 from marginforge.margin import expert_margins
 from marginforge.mathcore import unit_rows
 from marginforge.model import ModelDims, forward_batch, init_params
-from marginforge.objective import _margin_levels, full_loss, full_loss_grad, weighted_experts
-from helpers import finite_diff_grad, flatten_grads, flatten_params, set_flat_params
+from marginforge.objective import _margin_levels, _run, full_loss_grad, weighted_experts
+from helpers import (
+    DenseMargins,
+    Delegating,
+    finite_diff_grad,
+    flatten_grads,
+    flatten_params,
+    row_sources,
+    score,
+    set_flat_params,
+)
 from oracles import brute_force_full_loss, brute_force_similarity, loss_at_frozen_selection
 
 
@@ -45,11 +54,11 @@ def random_similarity(rng, b, dim=4):
 class TestHardTripletLoss:
     def test_diagonal_dominant_is_zero(self):
         S = np.array([[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.1, 0.0, 0.9]])
-        assert full_loss(S, {}, 0.05, 0.0).total == 0.0
+        assert score(S, {}, 0.05, 0.0).total == 0.0
 
     def test_b2_enumeration(self):
         S = np.array([[0.9, 0.5], [0.6, 0.8]])
-        got = full_loss(S, {}, 0.05, 0.0)
+        got = score(S, {}, 0.05, 0.0)
         # all four hinges by hand
         expected = (
             max(0.0, S[1, 0] - S[0, 0] + 0.05)
@@ -63,8 +72,8 @@ class TestHardTripletLoss:
         rng = np.random.default_rng(42)
         for _ in range(10):
             S = random_similarity(rng, 2)
-            a = full_loss(S, {}, 0.05, 0.0, mining="hardest").total
-            b = full_loss(S, {}, 0.05, 0.0, mining="mean").total
+            a = score(S, {}, 0.05, 0.0, mining="hardest").total
+            b = score(S, {}, 0.05, 0.0, mining="mean").total
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_matches_brute_force(self):
@@ -74,7 +83,7 @@ class TestHardTripletLoss:
                 b = int(rng.integers(2, 7))
                 S = random_similarity(rng, b)
                 alpha = float(rng.uniform(0.0, 0.3))
-                got = full_loss(S, {}, alpha, 0.0, mining)
+                got = score(S, {}, alpha, 0.0, mining)
                 total, _, _, _ = brute_force_full_loss(
                     S, [np.full((b, b), alpha)], np.ones(1), mining
                 )
@@ -92,8 +101,8 @@ class TestFullLoss:
         b = 4
         S = random_similarity(rng, b)
         mdv, mdt, msv, mst = self.margins4(rng, b)
-        base = full_loss(S, margin_map(mdv, mdt, msv, mst), 0.05, 1.0)
-        perturbed = full_loss(
+        base = score(S, margin_map(mdv, mdt, msv, mst), 0.05, 1.0)
+        perturbed = score(
             S, margin_map(mdv, mdt, random_margins(rng, b), random_margins(rng, b)), 0.05, 1.0
         )
         assert base.total == perturbed.total
@@ -105,8 +114,8 @@ class TestFullLoss:
         b = 4
         S = random_similarity(rng, b)
         mdv, mdt, msv, mst = self.margins4(rng, b)
-        base = full_loss(S, margin_map(mdv, mdt, msv, mst), 0.05, 0.0)
-        perturbed = full_loss(
+        base = score(S, margin_map(mdv, mdt, msv, mst), 0.05, 0.0)
+        perturbed = score(
             S, margin_map(random_margins(rng, b), random_margins(rng, b), msv, mst), 0.05, 0.0
         )
         assert base.total == perturbed.total
@@ -122,8 +131,8 @@ class TestFullLoss:
             lam = float(rng.uniform(0.0, 1.0))
             m = const_margins(b, alpha)
             for mining in ("hardest", "mean"):
-                full = full_loss(S, margin_map(m, m, m, m), alpha, lam, mining)
-                hard = full_loss(S, {}, alpha, 0.0, mining)
+                full = score(S, margin_map(m, m, m, m), alpha, lam, mining)
+                hard = score(S, {}, alpha, 0.0, mining)
                 assert abs(full.total - 3.0 * hard.total) < 1e-9
 
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
@@ -136,7 +145,7 @@ class TestFullLoss:
             mdv, mdt, msv, mst = self.margins4(rng, b)
             alpha = float(rng.uniform(0.0, 0.2))
             lam = float(rng.uniform(0.0, 1.0))
-            got = full_loss(S, margin_map(mdv, mdt, msv, mst), alpha, lam, mining, criterion)
+            got = score(S, margin_map(mdv, mdt, msv, mst), alpha, lam, mining, criterion)
             mats = [np.full((b, b), alpha), mdv, mdt, msv, mst]
             weights = np.array([1.0, lam, lam, 1.0 - lam, 1.0 - lam])
             total, per_level, bf_v, bf_t = brute_force_full_loss(
@@ -166,7 +175,7 @@ class TestFullLoss:
             ]
             alpha = float(rng.uniform(0.0, 0.2))
             lam = float(rng.uniform(0.0, 1.0))
-            got = full_loss(S, margin_map(*experts), alpha, lam, mining, criterion)
+            got = score(S, margin_map(*experts), alpha, lam, mining, criterion)
             mats = [np.full((b, b), alpha)] + [m.dense() for m in experts]
             weights = np.array([1.0, lam, lam, 1.0 - lam, 1.0 - lam])
             total, per_level, bf_v, bf_t = brute_force_full_loss(
@@ -188,7 +197,7 @@ class TestFullLoss:
         S = random_similarity(rng, 4)
         margins = {"sse_text": expert_margins(unit_rows(rng.standard_normal((5, 3)), "e")[0], 0.05, 0.04)}
         with pytest.raises(ShapeMismatchError, match=r"sse margin shape \(5, 5\) != \(4, 4\)"):
-            full_loss(S, margins, 0.05, 0.5)
+            score(S, margins, 0.05, 0.5)
 
     def test_single_enabled_expert_doubles(self):
         # one enabled expert per slot carries the slot's full weight
@@ -196,15 +205,15 @@ class TestFullLoss:
         b = 4
         S = random_similarity(rng, b)
         m = random_margins(rng, b)
-        only_video = full_loss(S, {"dse_video": m}, 0.05, 1.0, "mean")
-        both_same = full_loss(S, {"dse_video": m, "dse_text": m}, 0.05, 1.0, "mean")
+        only_video = score(S, {"dse_video": m}, 0.05, 1.0, "mean")
+        both_same = score(S, {"dse_video": m, "dse_text": m}, 0.05, 1.0, "mean")
         assert only_video.total == pytest.approx(both_same.total, abs=1e-12)
 
     def test_all_disabled_equals_hard(self):
         rng = np.random.default_rng(50)
         S = random_similarity(rng, 5)
-        got = full_loss(S, {}, 0.05, 0.5)
-        hard = full_loss(S, {}, 0.05, 0.0)
+        got = score(S, {}, 0.05, 0.5)
+        hard = score(S, {}, 0.05, 0.0)
         assert got.total == pytest.approx(hard.total, abs=1e-15)
 
     def test_mining_dominance(self):
@@ -213,8 +222,8 @@ class TestFullLoss:
             b = int(rng.integers(2, 8))
             S = random_similarity(rng, b)
             mdv, mdt, msv, mst = self.margins4(rng, b)
-            hardest = full_loss(S, margin_map(mdv, mdt, msv, mst), 0.05, 0.4, "hardest")
-            mean = full_loss(S, margin_map(mdv, mdt, msv, mst), 0.05, 0.4, "mean")
+            hardest = score(S, margin_map(mdv, mdt, msv, mst), 0.05, 0.4, "hardest")
+            mean = score(S, margin_map(mdv, mdt, msv, mst), 0.05, 0.4, "mean")
             assert hardest.total >= mean.total - 1e-12
 
     def test_all_terms_nonnegative(self):
@@ -223,7 +232,7 @@ class TestFullLoss:
             b = int(rng.integers(2, 6))
             S = random_similarity(rng, b)
             mdv, mdt, msv, mst = self.margins4(rng, b)
-            got = full_loss(S, margin_map(mdv, mdt, msv, mst), 0.0, 0.3)
+            got = score(S, margin_map(mdv, mdt, msv, mst), 0.0, 0.3)
             assert got.total >= 0 and got.hard_term >= 0
             assert got.dse_term >= 0 and got.sse_term >= 0
             assert got.total == pytest.approx(
@@ -233,27 +242,27 @@ class TestFullLoss:
     def test_lambda_out_of_range(self):
         S = np.eye(2)
         with pytest.raises(LambdaOutOfRangeError):
-            full_loss(S, {}, 0.05, 1.5)
+            score(S, {}, 0.05, 1.5)
 
     def test_unknown_expert_kind_rejected(self):
         # a misspelt kind must not silently disable its expert
         rng = np.random.default_rng(56)
         S = random_similarity(rng, 3)
         with pytest.raises(ValueError, match="dse_vidoe"):
-            full_loss(S, {"dse_vidoe": random_margins(rng, 3)}, 0.05, 0.5)
+            score(S, {"dse_vidoe": random_margins(rng, 3)}, 0.05, 0.5)
 
     def test_unit_row_source_is_checked_like_an_array(self):
         rng = np.random.default_rng(57)
         U = unit_rows(rng.standard_normal((4, 5)), "video")[0]
         V = unit_rows(rng.standard_normal((4, 5)), "text")[0]
         with pytest.raises(NonSquareError):
-            full_loss(kernels.UnitSimilarity(U[:3], V), {}, 0.05, 0.5)
+            _run(kernels.UnitSimilarity(U[:3], V), {}, 0.05, 0.5, "hardest", "combined")
         with pytest.raises(EmptyInputError):
-            full_loss(kernels.UnitSimilarity(U[:1], V[:1]), {}, 0.05, 0.5)
-        margins = margin_map(*(random_margins(rng, 4) for _ in EXPERTS))
+            _run(kernels.UnitSimilarity(U[:1], V[:1]), {}, 0.05, 0.5, "hardest", "combined")
+        margins = margin_map(*row_sources(random_margins(rng, 4) for _ in EXPERTS))
         for mining in ("hardest", "mean"):
-            got = full_loss(kernels.UnitSimilarity(U, V), margins, 0.05, 0.5, mining)
-            want = full_loss(U @ V.T, margins, 0.05, 0.5, mining)
+            got, _ = _run(kernels.UnitSimilarity(U, V), margins, 0.05, 0.5, mining, "combined")
+            want = score(U @ V.T, margins, 0.05, 0.5, mining)
             assert got.total == pytest.approx(want.total, rel=1e-14)
             np.testing.assert_array_equal(got.neg_video_idx, want.neg_video_idx)
             np.testing.assert_array_equal(got.neg_text_idx, want.neg_text_idx)
@@ -308,7 +317,7 @@ class TestZeroWeightSlot:
     @pytest.mark.parametrize("lam, live", [(0.0, SSE), (1.0, DSE), (0.5, DSE + SSE)])
     def test_only_weighted_slots_are_levels(self, lam, live):
         rng = np.random.default_rng(61)
-        margins = {kind: random_margins(rng, 4) for kind in EXPERTS}
+        margins = {kind: DenseMargins(random_margins(rng, 4)) for kind in EXPERTS}
         levels, weights, slots = _margin_levels(4, margins, 0.05, lam)
         assert len(levels) == len(weights) == 1 + len(live)
         assert 0.0 not in weights
@@ -322,7 +331,7 @@ class TestZeroWeightSlot:
         margins = {"dse_video": random_margins(rng, 4), "sse_text": random_margins(rng, 4)}
         margins[kind] = random_margins(rng, 5)
         with pytest.raises(ShapeMismatchError, match=rf"{kind[:3]} margin shape \(5, 5\)"):
-            full_loss(S, margins, 0.05, lam)
+            score(S, margins, 0.05, lam)
 
     @pytest.mark.parametrize("lam, kind", [(0.0, "dse_vidoe"), (1.0, "sse_txt")])
     def test_unknown_kind_rejected_whatever_lambda(self, lam, kind):
@@ -330,7 +339,47 @@ class TestZeroWeightSlot:
         S = random_similarity(rng, 4)
         margins = {"dse_video": random_margins(rng, 4), kind: random_margins(rng, 4)}
         with pytest.raises(ValueError, match=kind):
-            full_loss(S, margins, 0.05, lam)
+            score(S, margins, 0.05, lam)
+
+
+class TestMarginLevelContract:
+    """A margin level is a float or any row source: a study's own map reaches
+    the loss as ``ExpertMargins`` does, and anything else is rejected."""
+
+    @pytest.mark.parametrize("b", [16, 200])  # 200: two row blocks, pruned mining
+    @pytest.mark.parametrize("mining", ["hardest", "mean"])
+    @pytest.mark.parametrize("criterion", ["combined", "hard_only"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    def test_study_row_source_gives_the_expert_margins_bits(self, b, mining, criterion, lam):
+        rng = np.random.default_rng(62)
+        U = unit_rows(rng.standard_normal((b, 6)), "video")[0]
+        V = unit_rows(rng.standard_normal((b, 6)), "text")[0]
+        experts = margin_map(*(
+            expert_margins(unit_rows(rng.standard_normal((b, 3)), kind)[0], 0.05, 0.04)
+            for kind in EXPERTS
+        ))
+        study = {kind: Delegating(m) for kind, m in experts.items()}
+        sim = kernels.UnitSimilarity(U, V)
+        want, want_dS = _run(sim, experts, 0.05, lam, mining, criterion)
+        got, got_dS = _run(sim, study, 0.05, lam, mining, criterion)
+        for field in dataclasses.fields(want):
+            assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
+        for name in type(want_dS).__slots__:
+            assert same_bits(getattr(got_dS, name), getattr(want_dS, name)), name
+        assert {kind for kind, m in study.items() if m.calls} == set(weighted_experts(EXPERTS, lam))
+
+    @pytest.mark.parametrize("form", ["array", "nested list"])
+    @pytest.mark.parametrize(
+        "lam, kind", [(0.5, "dse_video"), (0.5, "sse_text"), (0.0, "dse_text"), (1.0, "sse_video")]
+    )
+    def test_margins_that_are_not_a_row_source_rejected(self, form, lam, kind):
+        # also in a slot of weight 0, which would be dropped from the levels
+        rng = np.random.default_rng(63)
+        m = random_margins(rng, 4)
+        margins = {"dse_video": DenseMargins(m), "sse_text": DenseMargins(m)}
+        margins[kind] = m if form == "array" else m.tolist()
+        with pytest.raises(TypeError, match=rf"{kind} margins must be a row source"):
+            _margin_levels(4, margins, 0.05, lam)
 
 
 class TestFullLossGrad:
@@ -348,7 +397,7 @@ class TestFullLossGrad:
         b = 3
         neg = np.full((b, b), -10.0)
         breakdown, grads = full_loss_grad(
-            model, state, margin_map(neg, neg, neg, neg), -10.0, 0.5
+            model, state, margin_map(*row_sources([neg, neg, neg, neg])), -10.0, 0.5
         )
         assert breakdown.total == 0.0
         for _, g in sorted(grads.items()):
@@ -368,7 +417,7 @@ class TestFullLossGrad:
         weights = np.array([1.0, lam, lam, 1.0 - lam, 1.0 - lam])
         margins = mats[1:]
         breakdown, grads = full_loss_grad(
-            model, state, margin_map(*margins), 0.05, lam
+            model, state, margin_map(*row_sources(margins)), 0.05, lam
         )
         mined_v, mined_t = breakdown.neg_video_idx, breakdown.neg_text_idx
 
@@ -397,7 +446,7 @@ class TestFullLossGrad:
         ]
 
         def grad_at(lam):
-            _, grads = full_loss_grad(model, state, margin_map(*margins), 0.05, lam, "mean")
+            _, grads = full_loss_grad(model, state, margin_map(*row_sources(margins)), 0.05, lam, "mean")
             return flatten_grads(model, grads)
 
         g0, g_half, g1 = grad_at(0.0), grad_at(0.5), grad_at(1.0)

@@ -1,0 +1,64 @@
+"""The package's public surface is what its own code uses.
+
+Every public top-level function or class of ``src/marginforge`` must be
+named by code in ``src/`` other than its own definition: a name, an
+attribute or an import of that name. A name that only tests or perfbench
+reach is dead surface; it is deleted, or listed in ``ALLOWED`` with the
+reason it stays. An allowed name that gains a ``src/`` caller, or is gone,
+fails too, so the list only shrinks.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "marginforge"
+
+# (module, name): why it stays without a caller in src/
+ALLOWED = {
+    ("mathcore", "cosine_similarity"): "the scalar primitive of tests/oracles.py",
+    ("model", "save_checkpoint"): "perfbench's ingest-eval set-up writes its model with it (ROADMAP item 6)",
+    ("trainer", "load_trainer_checkpoint"): "train --resume will read with it (ROADMAP item 3); "
+    "perfbench's check reloads checkpoint_final with it",
+}
+
+
+def public_definitions() -> set:
+    """``(module, name)`` of every public top-level function and class."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found.add((path.stem, node.name))
+    return found
+
+
+def names_used_in_src() -> set:
+    """Every name that code in ``src/`` loads, reads as an attribute or imports;
+    strings, such as ``__all__``'s, do not count."""
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+def test_every_public_name_has_a_src_caller():
+    used = names_used_in_src()
+    unused = sorted(
+        f"{module}.{name}"
+        for module, name in public_definitions() - set(ALLOWED)
+        if name not in used
+    )
+    assert not unused, f"public names that no code in src/ uses: {unused}"
+
+
+def test_allowed_names_only_shrink():
+    defined, used = public_definitions(), names_used_in_src()
+    for module, name in ALLOWED:
+        assert (module, name) in defined, f"{module}.{name} is gone; drop it from ALLOWED"
+        assert name not in used, f"{module}.{name} now has a src/ caller; drop it from ALLOWED"

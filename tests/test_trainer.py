@@ -35,7 +35,7 @@ from marginforge.trainer import (
     train_epoch,
     train_inputs,
 )
-from helpers import flatten_params
+from helpers import Delegating, flatten_params
 
 
 class TestLambdaSchedule:
@@ -514,6 +514,34 @@ class TestRunTraining:
         for name in ("report.jsonl", "checkpoint_final.ckpt"):
             full, pruned = (tmp_path / out / name for out in ("full", "pruned"))
             assert full.read_bytes() == pruned.read_bytes()
+
+    @pytest.mark.parametrize("b", [64, 256])  # 256: the pruned hardest-mining path
+    def test_study_row_source_reaches_the_loss(self, tmp_path, monkeypatch, b):
+        # a row source that is not an ExpertMargins, passed in from outside
+        # the package by rebinding trainer.expert_margins, trains exactly as
+        # the ExpertMargins it wraps
+        from marginforge import kernels
+
+        ds = small_dataset(n=320)
+        cfg = TrainConfig(
+            epochs=2, batch_size=b, seed=13, warmup_epochs=1,
+            lambda_start_epoch=1, lambda_end_epoch=3,
+        )
+        run_training(ds, cfg, 0, 8, tmp_path / "experts")
+        study, pruned_blocks = [], []
+        real, real_mine = trainer.expert_margins, kernels._mine_pruned
+        monkeypatch.setattr(
+            trainer, "expert_margins", lambda *a: study.append(Delegating(real(*a))) or study[-1]
+        )
+        monkeypatch.setattr(
+            kernels, "_mine_pruned", lambda *a: pruned_blocks.append(1) or real_mine(*a)
+        )
+        run_training(ds, cfg, 0, 8, tmp_path / "study")
+        assert study and all(m.calls for m in study)
+        assert bool(pruned_blocks) == (b >= kernels.PRUNE_MIN_B)
+        for name in ("report.jsonl", "checkpoint_final.ckpt"):
+            experts, wrapped = (tmp_path / out / name for out in ("experts", "study"))
+            assert experts.read_bytes() == wrapped.read_bytes()
 
     def test_failed_state_write_keeps_previous_pair(self, tmp_path, monkeypatch):
         ds = small_dataset()
