@@ -1,37 +1,33 @@
 """Hot numeric kernels of a training step, one float64 numpy path each.
 
 * ``pairwise_cosine``     - B x B cosine similarity between two row stacks
-* ``UnitSimilarity``      - that matrix held as its unit rows, formed by blocks
 * ``triplet_terms``       - per-level hinge totals, negative mining and dL/dS
 * ``cosine_backward``     - chain dL/dS back to the two representation stacks
 * ``MinedGradient``       - dL/dS held as its entries, the hardest-mining form
 * ``ProjectedGradient``   - dL/dS held as its products with the unit rows,
-  the mean-mining form of a ``UnitSimilarity``
+  the mean-mining form
 
 Results are bit-reproducible run to run. Their reference is the scalar-loop
 oracles in ``tests/oracles.py``, which share no code with these kernels.
 
-Input contract: the kernels never take a norm. ``pairwise_cosine``,
-``UnitSimilarity`` and ``cosine_backward`` take float64 unit rows and their
-original row norms as returned by ``mathcore.unit_rows``, which owns the
+Input contract: the kernels never take a norm. Each takes float64 unit
+rows, U for the videos and V for the texts of a batch, whose similarity
+matrix is ``S = U @ V.T``; ``cosine_backward`` also takes their original
+row norms. Both come from ``mathcore.unit_rows``, which owns the
 normalisation and its error contract (2-D stacks, finite non-zero norms).
+``triplet_terms`` and ``cosine_backward`` take the same unit rows: the
+gradient the first returns is applied to them by the second.
 
-Memory: a training step makes no B x B array. ``triplet_terms`` reads ``S``
-one (R, B) block of anchor rows at a time, R = BLOCK_VALUES // B, from a
-similarity row source: the training step's ``UnitSimilarity`` forms each
-block from the unit rows, ``U[r0:r1] @ V.T`` for direction text and
-``V[r0:r1] @ U.T`` for direction video, so no pass reads ``S`` by columns.
-Margin levels are row sources too (``margin.ExpertMargins``), formed one
-block at a time. Under hardest mining ``dS`` has at most 3B nonzero cells
-and is returned as a ``MinedGradient`` of 3B entries; under mean mining of a
-``UnitSimilarity`` each block's part of ``dS`` is applied to the unit rows
-as the block finishes and returned as a ``ProjectedGradient`` of B x D
-values. ``triplet_terms`` and ``cosine_backward`` also take a dense ``S``,
-read through the same blocks, with a dense ``dS`` under mean mining: no
-training step uses it, but it is the kernel tests' reference for the
-unit-row path and lets them take finite differences over an arbitrary
-``S``. At large B every pass over the hinges stays in cache; up to B = 181
-a batch is one block.
+Memory: a training step makes no B x B array. ``triplet_terms`` forms ``S``
+one (R, B) block of anchor rows at a time, R = BLOCK_VALUES // B, from the
+unit rows: ``U[r0:r1] @ V.T`` for direction text and ``V[r0:r1] @ U.T`` for
+direction video, so no pass reads ``S`` by columns. Margin levels are row
+sources (``margin.ExpertMargins``), formed one block at a time. Under
+hardest mining ``dS`` has at most 3B nonzero cells and is returned as a
+``MinedGradient`` of 3B entries; under mean mining each block's part of
+``dS`` is applied to the unit rows as the block finishes and returned as a
+``ProjectedGradient`` of B x D values. At large B every pass over the hinges
+stays in cache; up to B = 181 a batch is one block.
 
 Pruned hardest mining: hardest mining keeps one negative per anchor and
 direction, and at B >= PRUNE_MIN_B ``triplet_terms`` scores only the cells
@@ -60,7 +56,6 @@ import numpy as np
 __all__ = [
     "MinedGradient",
     "ProjectedGradient",
-    "UnitSimilarity",
     "pairwise_cosine",
     "triplet_terms",
     "cosine_backward",
@@ -82,52 +77,6 @@ def pairwise_cosine(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     symmetric rank-k update, so the result is exactly symmetric.
     """
     return U @ V.T
-
-
-class UnitSimilarity:
-    """The similarity matrix ``S = U @ V.T`` of two unit-row stacks, kept as
-    the rows and formed one block of anchor rows at a time.
-
-    ``rows(r0, r1, out)`` writes ``S[r0:r1]`` and ``cols(r0, r1, out)``
-    writes ``S[:, r0:r1].T``, both as C-contiguous (r1 - r0, B) rows; each
-    is one product of a row block with the other stack.
-    """
-
-    __slots__ = ("U", "V")
-
-    def __init__(self, U: np.ndarray, V: np.ndarray):
-        self.U, self.V = U, V
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.U.shape[0], self.V.shape[0]
-
-    def rows(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
-        return np.matmul(self.U[r0:r1], self.V.T, out=out)
-
-    def cols(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
-        return np.matmul(self.V[r0:r1], self.U.T, out=out)
-
-
-class _DenseSimilarity:
-    """A given B x B ``S`` behind the row-source interface of ``UnitSimilarity``."""
-
-    __slots__ = ("S",)
-
-    def __init__(self, S: np.ndarray):
-        self.S = S
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.S.shape
-
-    def rows(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, self.S[r0:r1])
-        return out
-
-    def cols(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, self.S[:, r0:r1].T)
-        return out
 
 
 class MinedGradient:
@@ -161,10 +110,9 @@ class ProjectedGradient:
     ``cosine_backward`` reads of it: ``dSV = dS @ V``, ``dSTU = dS.T @ U``
     and the row and column sums of ``dS * S``.
 
-    It is the form ``triplet_terms`` returns under mean mining of a
-    ``UnitSimilarity``. The matrix itself is gone, so it has no dense form:
-    ``shape`` and ``size`` describe it, and ``np.count_nonzero`` counts the
-    object as one value.
+    It is the form ``triplet_terms`` returns under mean mining. The matrix
+    itself is gone, so it has no dense form: ``shape`` and ``size`` describe
+    it, and ``np.count_nonzero`` counts the object as one value.
     """
 
     __slots__ = ("dSV", "dSTU", "row_sums", "col_sums", "shape")
@@ -244,7 +192,8 @@ def _mine_pruned(N, pos, margins, layout, w, r0, mask):
 
 
 def triplet_terms(
-    S,
+    U: np.ndarray,
+    V: np.ndarray,
     M,
     w: np.ndarray,
     mean_mining: bool,
@@ -252,16 +201,18 @@ def triplet_terms(
 ):
     """Mined triplet hinge totals for both retrieval directions.
 
-    S is the B x B similarity matrix (rows = videos, cols = texts), a
-    ``UnitSimilarity`` or an array; M is a sequence of K margin levels, each
-    a scalar or a row source with a ``rows(r0, r1, out)`` method that writes
-    rows ``r0:r1`` of its B x B margins, such as ``margin.ExpertMargins``
-    (``objective._margin_levels`` states and checks that contract); w holds
-    their weights, which must be nonnegative (``ValueError`` otherwise): the
-    pruned path's bound needs it, and every caller's weights, 1 and the
-    slots' lambda * renorm and (1 - lambda) * renorm, are. Level hinges for
-    anchor i use negatives S[j, i] (direction video) and S[i, j] (direction
-    text) against the positive S[i, i], both with margins row i.
+    U and V are the B x D unit rows of the videos and the texts, so the
+    similarity matrix is ``S = U @ V.T`` (rows = videos, cols = texts), of
+    which only row blocks are formed; M is a sequence of K margin levels,
+    each a scalar or a row source with a ``rows(r0, r1, out)`` method that
+    writes rows ``r0:r1`` of its B x B margins, such as
+    ``margin.ExpertMargins`` (``objective._margin_levels`` states and checks
+    that contract); w holds their weights, which must be nonnegative
+    (``ValueError`` otherwise): the pruned path's bound needs it, and every
+    caller's weights, 1 and the slots' lambda * renorm and (1 - lambda) *
+    renorm, are. Level hinges for anchor i use negatives S[j, i] (direction
+    video) and S[i, j] (direction text) against the positive S[i, i], both
+    with margins row i.
 
     Returns ``(comp, dS, mined_v, mined_t)`` where ``comp[k]`` is the
     per-level total (mean over anchors, both directions summed, evaluated at
@@ -273,15 +224,14 @@ def triplet_terms(
     ``MinedGradient`` of 3B entries, in this order: direction video's cells
     ``(mined_v[i], i)``, direction text's cells ``(i, mined_t[i])``, then
     the diagonal, which both directions subtract from; ``np.asarray(dS)`` is
-    the dense matrix. Under mean mining ``dS`` is a ``ProjectedGradient``
-    when S is a ``UnitSimilarity`` and a dense B x B array otherwise.
+    the dense matrix. Under mean mining ``dS`` is a ``ProjectedGradient`` of
+    U and V.
 
-    Memory is a few (R, B) row blocks, plus a dense ``dS`` under mean
-    mining of an array S: anchors are taken R = BLOCK_VALUES // B rows at a
-    time, each direction's block of S is formed once with its positives on
-    its own diagonal, and each of the L non-scalar levels' margin rows are
-    formed once per block into one (L, R, B) buffer that serves both
-    directions. The full scan builds the criterion level by level in four
+    Memory is a few (R, B) row blocks: anchors are taken R = BLOCK_VALUES //
+    B rows at a time, each direction's block of S is formed once with its
+    positives on its own diagonal, and each of the L non-scalar levels'
+    margin rows are formed once per block into one (L, R, B) buffer that
+    serves both directions. The full scan builds the criterion level by level in four
     more (R, B) buffers (six under mean mining). Hardest mining at B >=
     PRUNE_MIN_B takes the pruned path of the module docstring instead: one
     (2, R, B) buffer holds both directions' blocks of S and a (2, R, B) bool
@@ -291,20 +241,15 @@ def triplet_terms(
     come from the B mined entries per direction only, so they do not depend
     on R; under mean mining ``comp`` is summed block by block, in
     direction-then-block order, and each block's weighted active cells are
-    added to ``dS`` or, for a ``UnitSimilarity``, multiplied into its
-    products with the unit rows.
+    multiplied into ``dS``'s products with the unit rows.
     """
-    sim = S if isinstance(S, UnitSimilarity) else _DenseSimilarity(
-        np.ascontiguousarray(S, dtype=np.float64)
-    )
-    projected = mean_mining and isinstance(sim, UnitSimilarity)
     levels = [m if hasattr(m, "rows") else float(m) for m in M]
     blocked = [k for k, m in enumerate(levels) if not isinstance(m, float)]
     w = np.ascontiguousarray(w, dtype=np.float64)
     if (w < 0.0).any():
         raise ValueError(f"level weights must be nonnegative, got {w.tolist()}")
     K = len(levels)
-    B = sim.shape[0]
+    B = U.shape[0]
     R = min(B, max(1, BLOCK_VALUES // B))
     rows = np.arange(B)
     crit_levels = 1 if hard_only else K
@@ -312,6 +257,9 @@ def triplet_terms(
     crit_w = np.ones(1) if hard_only else w
     # a criterion of weight 0 is 0 everywhere and gives no bound to prune by
     prune = not mean_mining and B >= PRUNE_MIN_B and crit_w.sum() > 0.0
+    # each direction's block of S: S[:, r0:r1].T = V[r0:r1] @ U.T for
+    # direction video, S[r0:r1] = U[r0:r1] @ V.T for direction text
+    factors = ((V, U), (U, V))
 
     comp = np.zeros(K)
     mined = np.empty((2, B), dtype=np.int64)
@@ -336,15 +284,10 @@ def triplet_terms(
         active_buf = np.empty((R, B))
         scale = 1.0 / (B * (B - 1))
         block_sums = np.empty((2, -(-B // R), K))
-        if projected:
-            U, V = sim.U, sim.V
-            dSV, dSTU = np.zeros(U.shape), np.zeros(V.shape)
-            row_sums, col_sums = np.zeros(B), np.zeros(B)
-            # minus the diagonal cells of dS, before the scale
-            diag_w = np.zeros(B)
-        else:
-            dS = np.zeros((B, B))
-            dS_flat = dS.reshape(-1)
+        dSV, dSTU = np.zeros(U.shape), np.zeros(V.shape)
+        row_sums, col_sums = np.zeros(B), np.zeros(B)
+        # minus the diagonal cells of dS, before the scale
+        diag_w = np.zeros(B)
     else:
         negs = np.empty((2, B))
         # every level's margin at the mined negative, per direction and anchor;
@@ -364,8 +307,8 @@ def triplet_terms(
         diag = np.s_[r0 :: B + 1]
         if prune:
             N = sim_buf[: 2 * n * B].reshape(2, n, B)
-            sim.cols(r0, r1, N[0])
-            sim.rows(r0, r1, N[1])
+            for d, (X, Y) in enumerate(factors):
+                np.matmul(X[r0:r1], Y.T, out=N[d])
             pos[:, r0:r1] = N.reshape(2, -1)[:, diag]
             N.reshape(2, -1)[:, diag] = -np.inf
             found = _mine_pruned(
@@ -378,9 +321,9 @@ def triplet_terms(
             at = margin_buf[:, :n].reshape(len(blocked), n * B)[:, cells % (n * B)]
             mined_margins[:, r0:r1, blocked] = at.T.reshape(2, n, -1)
             continue
-        for d in (0, 1):
+        for d, (X, Y) in enumerate(factors):
             base, crit, hinge = base_buf[:n], crit_buf[:n], hinge_buf[:n]
-            N = sim.cols(r0, r1, sim_buf[:n]) if d == 0 else sim.rows(r0, r1, sim_buf[:n])
+            N = np.matmul(X[r0:r1], Y.T, out=sim_buf[:n])
             pos[d, r0:r1] = N.diagonal(r0)  # the block's own cells (i - r0, i)
             np.subtract(N, pos[d, r0:r1, None], out=base)  # s_neg - s_pos
             if mean_mining:
@@ -408,7 +351,7 @@ def triplet_terms(
             crit.reshape(-1)[diag] = -np.inf
             np.argmax(crit, axis=1, out=mined[d, r0:r1])
 
-            if projected:
+            if mean_mining:
                 # the block's cells of dS, unscaled: wmat[a, j] at (j, i) for
                 # direction video and at (i, j) for direction text, i = r0 + a
                 diag_w[r0:r1] += wmat.sum(axis=1)
@@ -423,14 +366,6 @@ def triplet_terms(
                     dSTU += wmat.T @ U[r0:r1]
                     row_sums[r0:r1] += base.sum(axis=1)
                     col_sums += base.sum(axis=0)
-            elif mean_mining:
-                row_w = wmat.sum(axis=1)
-                wmat *= scale
-                if d == 0:
-                    dS[:, r0:r1] += wmat.T
-                else:
-                    dS[r0:r1] += wmat
-                dS_flat[r0 * (B + 1) : r1 * (B + 1) : B + 1] -= row_w * scale
             else:
                 negs[d, r0:r1] = N[rows[:n], mined[d, r0:r1]]
                 mined_margins[d, r0:r1][:, blocked] = margin_buf[:, rows[:n], mined[d, r0:r1]].T
@@ -440,6 +375,12 @@ def triplet_terms(
         # totals' rounding
         for sums in block_sums.reshape(-1, K):
             comp += sums
+        dSV -= diag_w[:, None] * V
+        dSTU -= diag_w[:, None] * U
+        dss = diag_w * pos[1]
+        row_sums -= dss
+        col_sums -= dss
+        dS = ProjectedGradient(dSV * scale, dSTU * scale, row_sums * scale, col_sums * scale)
     else:
         grads = []
         for d in (0, 1):
@@ -456,13 +397,6 @@ def triplet_terms(
             np.concatenate([negs[0], negs[1], pos[1]]),
             B,
         )
-    if projected:
-        dSV -= diag_w[:, None] * V
-        dSTU -= diag_w[:, None] * U
-        dss = diag_w * pos[1]
-        row_sums -= dss
-        col_sums -= dss
-        dS = ProjectedGradient(dSV * scale, dSTU * scale, row_sums * scale, col_sums * scale)
 
     comp /= B
     return comp, dS, mined[0], mined[1]
@@ -476,19 +410,16 @@ def _scatter_rows(idx, vals, X, n: int) -> np.ndarray:
     return np.bincount(flat, weights=(vals[:, None] * X).reshape(-1), minlength=n * D).reshape(n, D)
 
 
-def cosine_backward(dS, U, V, u_norms, v_norms, S=None):
+def cosine_backward(dS, U, V, u_norms, v_norms):
     """Backpropagate a gradient w.r.t. ``S = U @ V.T`` onto the raw row stacks.
 
     ``U`` and ``V`` are the unit rows of the raw stacks and ``u_norms``,
     ``v_norms`` their row norms; the results are the gradients w.r.t. the
-    raw (unnormalised) rows. ``dS`` is a dense array, read in O(B^2 D) with
-    ``S``; a ``MinedGradient``, whose E entries are applied in O(E D) with
-    one ``bincount`` per scatter; or a ``ProjectedGradient``, which already
-    holds the products. ``S`` is read only in the dense form.
+    raw (unnormalised) rows. ``dS`` is a ``MinedGradient``, whose E entries
+    are applied in O(E D) with one ``bincount`` per scatter, or a
+    ``ProjectedGradient``, which already holds the products.
     """
-    if isinstance(dS, ProjectedGradient):
-        dSV, dSTU, row_sums, col_sums = dS.dSV, dS.dSTU, dS.row_sums, dS.col_sums
-    elif isinstance(dS, MinedGradient):
+    if isinstance(dS, MinedGradient):
         r, c, val = dS.r, dS.c, dS.val
         dss = val * dS.s
         dSV = _scatter_rows(r, val, V[c], U.shape[0])
@@ -496,9 +427,7 @@ def cosine_backward(dS, U, V, u_norms, v_norms, S=None):
         row_sums = np.bincount(r, weights=dss, minlength=U.shape[0])
         col_sums = np.bincount(c, weights=dss, minlength=V.shape[0])
     else:
-        # the sums of dS * S without forming it, a third B x B array
-        row_sums, col_sums = np.einsum("ij,ij->i", dS, S), np.einsum("ij,ij->j", dS, S)
-        dSV, dSTU = dS @ V, dS.T @ U
+        dSV, dSTU, row_sums, col_sums = dS.dSV, dS.dSTU, dS.row_sums, dS.col_sums
     dX = (dSV - row_sums[:, None] * U) / u_norms[:, None]
     dY = (dSTU - col_sums[:, None] * V) / v_norms[:, None]
     return dX, dY

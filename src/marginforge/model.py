@@ -7,6 +7,7 @@ step's similarities, dynamic-expert distances and cosine backward all read
 those unit rows and norms.
 """
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -80,23 +81,24 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
-def _init_tower(rng: np.random.Generator, d_in: int, hidden: int, joint: int) -> Tower:
-    if hidden == 0:
-        return Tower(_xavier(rng, d_in, joint), np.zeros(joint))
-    return Tower(
-        _xavier(rng, d_in, hidden),
-        np.zeros(hidden),
-        _xavier(rng, hidden, joint),
-        np.zeros(joint),
-    )
+def _tower_shapes(dims: ModelDims) -> list[list[tuple[int, ...]]]:
+    """The shapes of each tower's ``Tower`` fields, video then text, in order:
+    ``(w1, b1)`` or ``(w1, b1, w2, b2)``."""
+    h, j = dims.hidden, dims.joint
+    return [
+        [(d_in, j), (j,)] if h == 0 else [(d_in, h), (h,), (h, j), (j,)]
+        for d_in in (dims.video_in, dims.text_in)
+    ]
 
 
 def init_params(dims: ModelDims, seed: int) -> TwoTowerModel:
     """Xavier-uniform weights, zero biases; bit-reproducible per seed."""
     rng = named_rng(seed, "init")
-    video = _init_tower(rng, dims.video_in, dims.hidden, dims.joint)
-    text = _init_tower(rng, dims.text_in, dims.hidden, dims.joint)
-    return TwoTowerModel(dims, video, text)
+    towers = (
+        Tower(*(_xavier(rng, *shape) if len(shape) == 2 else np.zeros(shape) for shape in tower))
+        for tower in _tower_shapes(dims)
+    )
+    return TwoTowerModel(dims, *towers)
 
 
 def _tower_forward(tower: Tower, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -261,21 +263,28 @@ def read_checkpoint(path) -> Checkpoint:
         dims = ModelDims(*counts)
     except ValueError as exc:
         raise ParseError(f"{path}: bad dims: {exc}", 1) from None
-    model = init_params(dims, seed=0)
-    ckpt = Checkpoint(model)
-    if len(parts) > 6:
+    adam = len(parts) > 6
+    if adam:
         epoch, seed, t = (parse_count(p, 1, path) for p in parts[7:10])
+    if digest(payload) != parts[5]:
+        raise ChecksumError(f"{path}: payload digest does not match the header's {parts[5]}")
+
+    # the payload's length follows from the dims alone: the model's values,
+    # then for a trainer file its Adam m and v. No array is made before the
+    # length matches, so a short payload costs nothing whatever the dims.
+    shapes = _tower_shapes(dims)
+    count = sum(math.prod(shape) for tower in shapes for shape in tower)
+    expected = _FLOAT.itemsize * count * (3 if adam else 1)
+    if len(payload) != expected:
+        raise ParseError(f"{path}: payload holds {len(payload)} bytes, expected {expected}")
+    model = TwoTowerModel(dims, *(Tower(*map(np.empty, tower)) for tower in shapes))
+    ckpt = Checkpoint(model)
+    if adam:
         m = {name: np.empty_like(arr) for name, arr in model.param_items()}
         v = {name: np.empty_like(arr) for name, arr in model.param_items()}
         config_hash = parts[10] if len(parts) == 11 else ""
         ckpt = Checkpoint(model, AdamState(t, m, v), epoch, seed, config_hash)
-    if digest(payload) != parts[5]:
-        raise ChecksumError(f"{path}: payload digest does not match the header's {parts[5]}")
-
     arrays = _named_arrays(ckpt)
-    expected = _FLOAT.itemsize * sum(arr.size for _, arr in arrays)
-    if len(payload) != expected:
-        raise ParseError(f"{path}: payload holds {len(payload)} bytes, expected {expected}")
     flat = np.frombuffer(payload, dtype=_FLOAT)
     offset = 0
     for name, arr in arrays:

@@ -30,12 +30,13 @@ trainer builds margins for those only. Margins are always treated as
 constants: no gradient flows through expert distances, even dynamic ones.
 
 ``full_loss_grad`` is the one entry: it hands ``kernels.triplet_terms`` the
-unit rows of the forward pass as a ``kernels.UnitSimilarity``, so ``S`` is
-formed one block of anchor rows at a time and never whole, and returns the
-loss breakdown and the parameter gradients. The gradient w.r.t. ``S`` passes
-from ``kernels.triplet_terms`` to ``kernels.cosine_backward`` as it comes: a
-``kernels.ProjectedGradient`` of B x D values under mean mining, a
-``kernels.MinedGradient`` of 3B entries under hardest mining.
+unit rows of the forward pass, from which ``S`` is formed one block of
+anchor rows at a time and never whole, and returns the loss breakdown and
+the parameter gradients. The gradient w.r.t. ``S`` passes from
+``kernels.triplet_terms`` to ``kernels.cosine_backward`` as it comes, with
+the same unit rows: a ``kernels.ProjectedGradient`` of B x D values under
+mean mining, a ``kernels.MinedGradient`` of 3B entries under hardest
+mining.
 """
 
 from dataclasses import dataclass
@@ -137,11 +138,13 @@ def _margin_levels(B, margins, alpha, lam):
     return levels, np.array(weights), slots
 
 
-def _run(S, margins, alpha, lam, mining, mining_criterion):
-    """Loss breakdown and ``dS`` of a ``kernels.UnitSimilarity`` ``S``."""
-    if S.shape[0] != S.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {S.shape}")
-    if S.shape[0] < 2:
+def _run(U, V, margins, alpha, lam, mining, mining_criterion):
+    """Loss breakdown and ``dS`` of ``S = U @ V.T``, given the unit rows U of
+    the videos and V of the texts."""
+    shape = (U.shape[0], V.shape[0])
+    if shape[0] != shape[1]:
+        raise NonSquareError(f"expected a square matrix, got shape {shape}")
+    if shape[0] < 2:
         raise EmptyInputError("need a batch of at least two pairs")
     if not 0.0 <= lam <= 1.0:
         raise LambdaOutOfRangeError(f"lambda must be in [0, 1], got {lam}")
@@ -149,10 +152,10 @@ def _run(S, margins, alpha, lam, mining, mining_criterion):
         raise ValueError(f"mining must be one of {MININGS}, got {mining!r}")
     if mining_criterion not in MINING_CRITERIA:
         raise ValueError(f"mining_criterion must be one of {MINING_CRITERIA}, got {mining_criterion!r}")
-    B = S.shape[0]
+    B = shape[0]
     M, w, slots = _margin_levels(B, margins, alpha, lam)
     comp, dS, mined_v, mined_t = kernels.triplet_terms(
-        S, M, w, mining == "mean", mining_criterion == "hard_only"
+        U, V, M, w, mining == "mean", mining_criterion == "hard_only"
     )
     weighted = w * comp
     breakdown = LossBreakdown(
@@ -186,8 +189,7 @@ def full_loss_grad(
     ties), so the gradient flows only through the similarity matrix.
     """
     uv, ut = state.video_units, state.text_units
-    S = kernels.UnitSimilarity(uv, ut)
-    breakdown, dS = _run(S, margins, alpha, lam, mining, mining_criterion)
+    breakdown, dS = _run(uv, ut, margins, alpha, lam, mining, mining_criterion)
     d_video, d_text = kernels.cosine_backward(dS, uv, ut, state.video_norms, state.text_norms)
     grads = backward(model, state, d_video, d_text)
     return breakdown, grads

@@ -1,7 +1,17 @@
 """Test-only helpers: a finite-difference gradient checker, flat views of a
 model's parameters and gradients, the scalar rank reference, a dataset's
-same-concept partners, the adaptive-margin reference, and a given matrix as
-a margin level or as the loss's similarity source."""
+same-concept partners, the adaptive-margin reference, a given matrix as a
+margin level or as the loss's unit rows, and the dense forms of ``dS`` and
+of the cosine backward.
+
+The kernels take unit rows U and V, not ``S``. A given B x B ``S`` reaches
+them as its identity form ``dense_rows(S) = (I, S.T)``: each cell of a block
+``I[r0:r1] @ S`` or ``S.T[r0:r1] @ I`` is ``1.0 * S[i, j]`` plus exact
+zeros, so the kernels read ``S`` bit for bit wherever it is finite, for any
+blocking of the products. With D = B its products cost O(B^3) against
+O(B^2 D) for unit rows, so a test whose ``S`` comes from unit rows passes
+those rows instead.
+"""
 
 import numpy as np
 from scipy.special import ndtri
@@ -130,16 +140,36 @@ def row_sources(levels) -> list:
     return [DenseMargins(m) if isinstance(m, np.ndarray) else m for m in levels]
 
 
-def score(S, margins: dict, alpha: float, lam: float, mining="hardest", criterion="combined"):
-    """The loss breakdown of a given B x B ``S``, whose array margins are
-    wrapped in ``DenseMargins``.
-
-    ``S`` reaches the loss as ``kernels.UnitSimilarity(np.eye(b), S.T)``:
-    each cell of that product is ``1.0 * S[i, j]`` plus exact zeros, so it
-    is ``S`` bit for bit wherever ``S`` is finite.
-    """
+def dense_rows(S) -> tuple:
+    """The identity form ``(U, V) = (I, S.T)`` of a given B x B ``S``: the
+    kernels' unit-row arguments whose ``U @ V.T`` is ``S`` bit for bit."""
     S = np.asarray(S, dtype=np.float64)
-    sim = kernels.UnitSimilarity(np.eye(S.shape[0]), S.T)
+    return np.eye(S.shape[0]), S.T
+
+
+def dense_gradient(dS) -> np.ndarray:
+    """The B x B matrix of a ``triplet_terms`` gradient: a ``MinedGradient``'s
+    own dense form, or the ``dSTU.T`` of a ``ProjectedGradient`` of the
+    identity form, which is exact since there ``dSTU = dS.T @ I``."""
+    if isinstance(dS, kernels.MinedGradient):
+        return np.asarray(dS)
+    return dS.dSTU.T
+
+
+def dense_cosine_backward(dS, S, U, V, u_norms, v_norms) -> tuple:
+    """``kernels.cosine_backward`` of a dense B x B ``dS``, read in O(B^2 D)
+    with ``S = U @ V.T``: the reference for the entry and projected forms."""
+    # the sums of dS * S without forming it, a third B x B array
+    row_sums, col_sums = np.einsum("ij,ij->i", dS, S), np.einsum("ij,ij->j", dS, S)
+    dSV, dSTU = dS @ V, dS.T @ U
+    dX = (dSV - row_sums[:, None] * U) / u_norms[:, None]
+    dY = (dSTU - col_sums[:, None] * V) / v_norms[:, None]
+    return dX, dY
+
+
+def score(S, margins: dict, alpha: float, lam: float, mining="hardest", criterion="combined"):
+    """The loss breakdown of a given B x B ``S``, passed as ``dense_rows(S)``,
+    whose array margins are wrapped in ``DenseMargins``."""
     margins = dict(zip(margins, row_sources(margins.values())))
-    breakdown, _ = objective._run(sim, margins, alpha, lam, mining, criterion)
+    breakdown, _ = objective._run(*dense_rows(S), margins, alpha, lam, mining, criterion)
     return breakdown

@@ -8,7 +8,14 @@ import pytest
 from marginforge import kernels
 from marginforge.margin import expert_margins
 from marginforge.mathcore import cosine_similarity, unit_rows
-from helpers import DenseMargins, finite_diff_grad, row_sources
+from helpers import (
+    DenseMargins,
+    dense_cosine_backward,
+    dense_gradient,
+    dense_rows,
+    finite_diff_grad,
+    row_sources,
+)
 from oracles import brute_force_full_loss, loss_at_frozen_selection, mean_loss_all_negatives
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -16,15 +23,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import _count_triplet_terms  # noqa: E402
 
 
-def random_instance(rng, b=5, dim=4, levels=3):
-    V = rng.standard_normal((b, dim))
-    T = rng.standard_normal((b, dim))
-    S = kernels.pairwise_cosine(unit_rows(V, "video")[0], unit_rows(T, "text")[0])
+def unit_instance(rng, b=5, dim=4, levels=3):
+    """Unit rows U, V of a random batch and ``levels`` margin matrices with
+    their weights: the constant 0.05 of weight 1, then random ones."""
+    U = unit_rows(rng.standard_normal((b, dim)), "video")[0]
+    V = unit_rows(rng.standard_normal((b, dim)), "text")[0]
     M = np.concatenate(
         [np.full((1, b, b), 0.05), rng.uniform(-0.1, 0.2, size=(levels - 1, b, b))]
     )
     w = np.concatenate([[1.0], rng.uniform(0.0, 1.0, size=levels - 1)])
-    return S, M, w
+    return U, V, M, w
+
+
+def random_instance(rng, b=5, dim=4, levels=3):
+    """``unit_instance`` with its unit rows as their similarity matrix S,
+    which the tests pass as ``dense_rows(S)`` and are free to edit."""
+    U, V, M, w = unit_instance(rng, b, dim, levels)
+    return kernels.pairwise_cosine(U, V), M, w
 
 
 class TestPairwiseCosine:
@@ -48,7 +63,7 @@ class TestTripletTerms:
             b = int(rng.integers(2, 7))
             S, M, w = random_instance(rng, b=b, levels=int(rng.integers(1, 6)))
             comp, dS, mined_v, mined_t = kernels.triplet_terms(
-                S, row_sources(M), w, mining == "mean", hard_only
+                *dense_rows(S), row_sources(M), w, mining == "mean", hard_only
             )
             total, per_level, bf_v, bf_t = brute_force_full_loss(
                 S, list(M), w, mining, hard_only
@@ -69,7 +84,7 @@ class TestTripletTerms:
             S, M, w = random_instance(rng, b=b, levels=5)
             levels = [0.05] + row_sources(M[1:])
             comp, dS, mined_v, mined_t = kernels.triplet_terms(
-                S, levels, w, mining == "mean", hard_only
+                *dense_rows(S), levels, w, mining == "mean", hard_only
             )
             total, per_level, bf_v, bf_t = brute_force_full_loss(
                 S, list(M), w, mining, hard_only
@@ -89,17 +104,17 @@ class TestTripletTerms:
                         )
 
                 fd = finite_diff_grad(f, S.ravel(), h=1e-6).reshape(S.shape)
-                np.testing.assert_allclose(dS, fd, atol=1e-7)
+                np.testing.assert_allclose(dense_gradient(dS), fd, atol=1e-7)
 
     @pytest.mark.parametrize("mean_mining", [False, True])
     def test_peak_memory_is_a_few_batch_matrices(self, mean_mining):
         b, levels = 256, 5
         rng = np.random.default_rng(17)
-        S, M, w = random_instance(rng, b=b, levels=levels)
+        U, V, M, w = unit_instance(rng, b=b, dim=16, levels=levels)
         margins = [0.05] + row_sources(M[1:])
         tracemalloc.start()
         try:
-            kernels.triplet_terms(S, margins, w, mean_mining, False)
+            kernels.triplet_terms(U, V, margins, w, mean_mining, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -115,10 +130,10 @@ class TestTripletTerms:
         rng = np.random.default_rng(200 + b)
         S, M, w = random_instance(rng, b=b, levels=5)
         levels = [0.05] + row_sources(M[1:])
-        whole = kernels.triplet_terms(S, levels, w, mining == "mean", hard_only)
+        whole = kernels.triplet_terms(*dense_rows(S), levels, w, mining == "mean", hard_only)
         monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
         comp, dS, mined_v, mined_t = kernels.triplet_terms(
-            S, levels, w, mining == "mean", hard_only
+            *dense_rows(S), levels, w, mining == "mean", hard_only
         )
         total, per_level, bf_v, bf_t = brute_force_full_loss(S, list(M), w, mining, hard_only)
         np.testing.assert_allclose(comp, per_level, rtol=1e-12, atol=1e-12)
@@ -136,32 +151,35 @@ class TestTripletTerms:
         E = rng.standard_normal(S.shape)
         h = 1e-6
         fd = (f(S + h * E) - f(S - h * E)) / (2.0 * h)
-        assert float(np.sum(dS * E)) == pytest.approx(fd, abs=1e-7)
+        assert float(np.sum(dense_gradient(dS) * E)) == pytest.approx(fd, abs=1e-7)
         # only mean mining's level totals are summed per block
         if mining == "hardest":
             np.testing.assert_array_equal(comp, whole[0])
-        for blocked, one_block in zip((dS, mined_v, mined_t), whole[1:]):
+        np.testing.assert_array_equal(dense_gradient(dS), dense_gradient(whole[1]))
+        for blocked, one_block in zip((mined_v, mined_t), whole[2:]):
             np.testing.assert_array_equal(blocked, one_block)
 
     @pytest.mark.parametrize("mean_mining", [False, True])
-    def test_peak_memory_is_ds_plus_row_blocks(self, mean_mining):
+    def test_peak_memory_is_row_blocks(self, mean_mining):
         b, levels = 1024, 5
         rng = np.random.default_rng(18)
-        S, M, w = random_instance(rng, b=b, levels=levels)
+        U, V, M, w = unit_instance(rng, b=b, dim=16, levels=levels)
         margins = [0.05] + row_sources(M[1:])
         tracemalloc.start()
         try:
-            kernels.triplet_terms(S, margins, w, mean_mining, False)
+            kernels.triplet_terms(U, V, margins, w, mean_mining, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * b * b * 8
+        assert peak < b * b * 8
 
     def test_grad_matches_finite_differences_hardest(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             S, M, w = random_instance(rng, b=4)
-            comp, dS, mined_v, mined_t = kernels.triplet_terms(S, row_sources(M), w, False, False)
+            comp, dS, mined_v, mined_t = kernels.triplet_terms(
+                *dense_rows(S), row_sources(M), w, False, False
+            )
 
             def f(flat):
                 return loss_at_frozen_selection(
@@ -175,31 +193,33 @@ class TestTripletTerms:
         rng = np.random.default_rng(14)
         for _ in range(10):
             S, M, w = random_instance(rng, b=4)
-            _, dS, _, _ = kernels.triplet_terms(S, row_sources(M), w, True, False)
+            _, dS, _, _ = kernels.triplet_terms(*dense_rows(S), row_sources(M), w, True, False)
 
             def f(flat):
                 return mean_loss_all_negatives(flat.reshape(S.shape), list(M), w)
 
             fd = finite_diff_grad(f, S.ravel(), h=1e-6).reshape(S.shape)
-            np.testing.assert_allclose(dS, fd, atol=1e-7)
+            np.testing.assert_allclose(dense_gradient(dS), fd, atol=1e-7)
 
     def test_tie_breaks_to_smallest_index(self):
         # two identical negatives: index 1 must win over index 2
         S = np.array([[0.9, 0.5, 0.5], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
         M = np.full((1, 3, 3), 0.05)
         w = np.ones(1)
-        _, _, mined_v, mined_t = kernels.triplet_terms(S, row_sources(M), w, False, False)
+        _, _, mined_v, mined_t = kernels.triplet_terms(
+            *dense_rows(S), row_sources(M), w, False, False
+        )
         assert mined_t[0] == 1
 
 
-def both_paths(monkeypatch, S, levels, w, hard_only=False):
-    """Hardest mining by the full scan and by the pruned path, with each
-    array level wrapped in ``DenseMargins``."""
+def both_paths(monkeypatch, rows, levels, w, hard_only=False):
+    """Hardest mining of the unit rows ``rows = (U, V)`` by the full scan and
+    by the pruned path, with each array level wrapped in ``DenseMargins``."""
     levels = row_sources(levels)
     monkeypatch.setattr(kernels, "PRUNE_MIN_B", 1 << 30)
-    full = kernels.triplet_terms(S, levels, w, False, hard_only)
+    full = kernels.triplet_terms(*rows, levels, w, False, hard_only)
     monkeypatch.setattr(kernels, "PRUNE_MIN_B", 2)
-    pruned = kernels.triplet_terms(S, levels, w, False, hard_only)
+    pruned = kernels.triplet_terms(*rows, levels, w, False, hard_only)
     return full, pruned
 
 
@@ -253,7 +273,7 @@ class TestPrunedMining:
             b = int(rng.integers(2, 12))
             S, M, w = random_instance(rng, b=b, levels=int(rng.integers(1, 6)))
             levels = [0.05] + list(M[1:])
-            full, pruned = both_paths(monkeypatch, S, levels, w, hard_only)
+            full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only)
             assert_same_mining(full, pruned)
             assert_matches_oracle(pruned, S, levels, w, hard_only)
 
@@ -269,7 +289,7 @@ class TestPrunedMining:
             S[:, dst], M[:, :, dst] = S[:, src], M[:, :, src]
             S[dst, :], M[:, dst, :] = S[src, :], M[:, src, :]
         levels = list(M)
-        full, pruned = both_paths(monkeypatch, S, levels, w, hard_only)
+        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only)
         assert_same_mining(full, pruned)
         assert_matches_oracle(pruned, S, levels, w, hard_only)
 
@@ -285,14 +305,14 @@ class TestPrunedMining:
         for i in (0, 3, 5):
             S[i, i] = 10.0
         levels = [0.05] + list(M[1:])
-        full, pruned = both_paths(monkeypatch, S, levels, w, hard_only)
+        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only)
         assert_same_mining(full, pruned)
         assert_matches_oracle(pruned, S, levels, w, hard_only)
         for mined in pruned[2:]:
             assert (mined[0], mined[3], mined[5]) == (1, 0, 0)
         # and a batch inactive everywhere
         S = np.eye(b) * 10.0
-        full, pruned = both_paths(monkeypatch, S, levels, w, hard_only)
+        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only)
         assert_same_mining(full, pruned)
         for mined in pruned[2:]:
             np.testing.assert_array_equal(mined, [1] + [0] * (b - 1))
@@ -304,7 +324,7 @@ class TestPrunedMining:
         rng = np.random.default_rng(930 + hard_only)
         S, M, w = random_instance(rng, b=9, levels=2)
         levels = [0.05 if level == "scalar" else M[1]]
-        full, pruned = both_paths(monkeypatch, S, levels, w[:1], hard_only)
+        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w[:1], hard_only)
         assert_same_mining(full, pruned)
         assert_matches_oracle(pruned, S, levels, w[:1], hard_only)
 
@@ -316,8 +336,8 @@ class TestPrunedMining:
         b = 17
         U, un, V, vn, S, levels, w = mined_instance(rng, b)
         monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
-        for sim in (kernels.UnitSimilarity(U, V), S):
-            full, pruned = both_paths(monkeypatch, sim, levels, w, hard_only)
+        for rows in ((U, V), dense_rows(S)):
+            full, pruned = both_paths(monkeypatch, rows, levels, w, hard_only)
             assert_same_mining(full, pruned)
         dense = [m.dense() if hasattr(m, "dense") else m for m in levels]
         assert_matches_oracle(pruned, S, dense, w, hard_only)
@@ -330,7 +350,7 @@ class TestPrunedMining:
         w = np.array([1.0, 0.3, 0.7])
         for _ in range(10):
             S, levels = boundary_instance(rng, 16, scale)
-            full, pruned = both_paths(monkeypatch, S, levels, w)
+            full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w)
             assert_same_mining(full, pruned)
             assert_matches_oracle(pruned, S, levels, w)
 
@@ -339,7 +359,7 @@ class TestPrunedMining:
         for b in (5, 40):
             S, M, w = random_instance(rng, b=b, levels=4)
             S, levels = 1e6 * S, [1e6 * 0.05] + list(1e6 * M[1:])
-            full, pruned = both_paths(monkeypatch, S, levels, w)
+            full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w)
             assert_same_mining(full, pruned)
             assert_matches_oracle(pruned, S, levels, w)
 
@@ -355,10 +375,12 @@ class TestPrunedMining:
         for b in (kernels.PRUNE_MIN_B - 1, kernels.PRUNE_MIN_B):
             S, M, w = random_instance(rng, b=b, levels=2)
             for mean_mining in (False, True):
-                kernels.triplet_terms(S, [0.05, DenseMargins(M[1])], w, mean_mining, False)
+                kernels.triplet_terms(
+                    *dense_rows(S), [0.05, DenseMargins(M[1])], w, mean_mining, False
+                )
         assert calls == [kernels.PRUNE_MIN_B]
         _, _, mined_v, mined_t = kernels.triplet_terms(
-            S, [0.05, DenseMargins(M[1])], 0.0 * w, False, False
+            *dense_rows(S), [0.05, DenseMargins(M[1])], 0.0 * w, False, False
         )
         assert calls == [kernels.PRUNE_MIN_B]
         for mined in (mined_v, mined_t):
@@ -370,7 +392,7 @@ class TestPrunedMining:
         w[2] = -0.1
         for mean_mining in (False, True):
             with pytest.raises(ValueError, match="nonnegative"):
-                kernels.triplet_terms(S, row_sources(M), w, mean_mining, False)
+                kernels.triplet_terms(*dense_rows(S), row_sources(M), w, mean_mining, False)
 
 
 class TestMarginRowSources:
@@ -380,12 +402,13 @@ class TestMarginRowSources:
     @pytest.mark.parametrize("ties", [False, True])
     def test_expert_margins_match_their_dense_arrays(self, b, ties):
         rng = np.random.default_rng(300 + b + 7 * ties)
-        S = kernels.pairwise_cosine(
-            unit_rows(rng.standard_normal((b, 16)), "video")[0],
-            unit_rows(rng.standard_normal((b, 16)), "text")[0],
-        )
+        U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
+        V = unit_rows(rng.standard_normal((b, 16)), "text")[0]
         if ties:
-            S = np.round(S * 4.0) / 4.0
+            # one-hot video rows against text rows rounded to quarters: every
+            # cell of S is an exact quarter, so many of them tie
+            U = np.eye(16)[np.argmax(U, axis=1)]
+            V = np.round(V * 4.0) / 4.0
         experts = [
             expert_margins(unit_rows(rng.standard_normal((b, dim)), "expert")[0], 0.05, 0.04)
             for dim in (16, 16, 24, 20)
@@ -394,12 +417,14 @@ class TestMarginRowSources:
         w = np.array([1.0, 0.3, 0.3, 0.7, 0.7])
         for mean_mining in (False, True):
             for hard_only in (False, True):
-                blocked = kernels.triplet_terms(S, [0.05, *experts], w, mean_mining, hard_only)
+                blocked = kernels.triplet_terms(U, V, [0.05, *experts], w, mean_mining, hard_only)
                 whole = kernels.triplet_terms(
-                    S, [0.05, *row_sources(dense)], w, mean_mining, hard_only
+                    U, V, [0.05, *row_sources(dense)], w, mean_mining, hard_only
                 )
-                for got, want in zip(blocked, whole):
-                    assert np.array_equal(got, want)
+                for k in (0, 2, 3):  # comp and the mined indices
+                    assert np.array_equal(blocked[k], whole[k])
+                for name in type(blocked[1]).__slots__:
+                    assert np.array_equal(getattr(blocked[1], name), getattr(whole[1], name))
 
 
 def mined_instance(rng, b, dim=16):
@@ -425,7 +450,10 @@ class TestMinedGradient:
         rng = np.random.default_rng(400 + b + hard_only)
         for _ in range(3):
             U, un, V, vn, S, levels, w = mined_instance(rng, b)
-            comp, dS, mined_v, mined_t = kernels.triplet_terms(S, levels, w, False, hard_only)
+            # the identity form, so that the entries read S's own cells
+            comp, dS, mined_v, mined_t = kernels.triplet_terms(
+                *dense_rows(S), levels, w, False, hard_only
+            )
             assert isinstance(dS, kernels.MinedGradient)
             rows = np.arange(b)
             np.testing.assert_array_equal(dS.r, np.concatenate([mined_v, rows, rows]))
@@ -461,9 +489,9 @@ class TestMinedGradient:
         rng = np.random.default_rng(500 + b)
         for hard_only in (False, True):
             U, un, V, vn, S, levels, w = mined_instance(rng, b)
-            _, dS, _, _ = kernels.triplet_terms(S, levels, w, False, hard_only)
-            got = kernels.cosine_backward(dS, U, V, un, vn, S)
-            want = kernels.cosine_backward(np.asarray(dS), U, V, un, vn, S)
+            _, dS, _, _ = kernels.triplet_terms(U, V, levels, w, False, hard_only)
+            got = kernels.cosine_backward(dS, U, V, un, vn)
+            want = dense_cosine_backward(np.asarray(dS), S, U, V, un, vn)
             for g, d in zip(got, want):
                 assert g.shape == d.shape and g.flags.c_contiguous
                 np.testing.assert_allclose(g, d, rtol=0.0, atol=1e-15)
@@ -472,7 +500,7 @@ class TestMinedGradient:
     def test_counts_read_by_the_benchmark_tracer(self, b):
         rng = np.random.default_rng(600 + b)
         U, un, V, vn, S, levels, w = mined_instance(rng, b)
-        result = kernels.triplet_terms(S, levels, w, False, False)
+        result = kernels.triplet_terms(U, V, levels, w, False, False)
         dense = np.asarray(result[1])
         assert result[1].size == b * b
         assert np.count_nonzero(result[1]) == np.count_nonzero(dense) <= 3 * b
@@ -484,6 +512,8 @@ class TestMinedGradient:
 
 class TestCosineBackward:
     def test_matches_finite_differences(self):
+        # a random dense dS through the dense reference, and through the
+        # kernel as a MinedGradient of one entry per cell
         rng = np.random.default_rng(16)
         for _ in range(10):
             X = rng.standard_normal((4, 3))
@@ -492,7 +522,8 @@ class TestCosineBackward:
             U, xn = unit_rows(X, "X")
             V, yn = unit_rows(Y, "Y")
             S = kernels.pairwise_cosine(U, V)
-            dX, dY = kernels.cosine_backward(dS, U, V, xn, yn, S)
+            r, c = np.indices(S.shape).reshape(2, -1)
+            entries = kernels.MinedGradient(r, c, dS.ravel(), S.ravel(), 4)
 
             def f_x(flat):
                 Xf = flat.reshape(X.shape)
@@ -504,8 +535,12 @@ class TestCosineBackward:
 
             fd_x = finite_diff_grad(f_x, X.ravel(), h=1e-6).reshape(X.shape)
             fd_y = finite_diff_grad(f_y, Y.ravel(), h=1e-6).reshape(Y.shape)
-            np.testing.assert_allclose(dX, fd_x, atol=1e-6)
-            np.testing.assert_allclose(dY, fd_y, atol=1e-6)
+            for dX, dY in (
+                dense_cosine_backward(dS, S, U, V, xn, yn),
+                kernels.cosine_backward(entries, U, V, xn, yn),
+            ):
+                np.testing.assert_allclose(dX, fd_x, atol=1e-6)
+                np.testing.assert_allclose(dY, fd_y, atol=1e-6)
 
 
 def grid_rows(rng, b, dim=16):
@@ -528,9 +563,10 @@ def dense_projections(dS, S, U, V):
     return dS @ V, dS.T @ U, (dS * S).sum(axis=1), (dS * S).sum(axis=0)
 
 
-class TestUnitSimilarity:
-    # B = 181 is the largest one-block batch, 182 the smallest two-block one;
-    # 300 gives blocks of 109 rows and 1024 blocks of 32
+class TestUnitRows:
+    # the unit rows against the identity form of their S; B = 181 is the
+    # largest one-block batch, 182 the smallest two-block one; 300 gives
+    # blocks of 109 rows and 1024 blocks of 32
     SIZES = [2, 3, 64, 181, 182, 300, 1024]
 
     @staticmethod
@@ -541,25 +577,14 @@ class TestUnitSimilarity:
         ]
         return [0.2, experts[0], experts[1]], np.array([1.0, 0.6, 0.4])
 
-    def test_blocks_are_rows_and_transposed_columns(self):
-        rng = np.random.default_rng(800)
-        U, V = grid_rows(rng, 7), grid_rows(rng, 7)
-        S, sim = U @ V.T, kernels.UnitSimilarity(U, V)
-        assert sim.shape == (7, 7)
-        out = np.empty((3, 7))
-        np.testing.assert_array_equal(sim.rows(2, 5, out), S[2:5])
-        np.testing.assert_array_equal(sim.cols(2, 5, out), S[:, 2:5].T)
-
     @pytest.mark.parametrize("b", SIZES)
     @pytest.mark.parametrize("hard_only", [False, True])
     def test_hardest_mining_matches_the_dense_matrix_bit_for_bit(self, b, hard_only):
         rng = np.random.default_rng(810 + b)
         U, V = grid_rows(rng, b), grid_rows(rng, b)
         levels, w = self.levels(rng, b)
-        comp, dS, mined_v, mined_t = kernels.triplet_terms(
-            kernels.UnitSimilarity(U, V), levels, w, False, hard_only
-        )
-        want = kernels.triplet_terms(U @ V.T, levels, w, False, hard_only)
+        comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False, hard_only)
+        want = kernels.triplet_terms(*dense_rows(U @ V.T), levels, w, False, hard_only)
         np.testing.assert_array_equal(comp, want[0])
         np.testing.assert_array_equal(mined_v, want[2])
         np.testing.assert_array_equal(mined_t, want[3])
@@ -575,10 +600,8 @@ class TestUnitSimilarity:
         U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
         V = unit_rows(rng.standard_normal((b, 16)), "text")[0]
         levels, w = self.levels(rng, b)
-        comp, dS, mined_v, mined_t = kernels.triplet_terms(
-            kernels.UnitSimilarity(U, V), levels, w, False, False
-        )
-        want = kernels.triplet_terms(U @ V.T, levels, w, False, False)
+        comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False, False)
+        want = kernels.triplet_terms(*dense_rows(U @ V.T), levels, w, False, False)
         np.testing.assert_array_equal(mined_v, want[2])
         np.testing.assert_array_equal(mined_t, want[3])
         np.testing.assert_allclose(comp, want[0], rtol=1e-14, atol=0.0)
@@ -596,11 +619,10 @@ class TestUnitSimilarity:
             U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
             V = unit_rows(2.0 * rng.standard_normal((b, 16)), "text")[0]
         levels, w = self.levels(rng, b)
-        comp, dS, mined_v, mined_t = kernels.triplet_terms(
-            kernels.UnitSimilarity(U, V), levels, w, True, False
-        )
+        comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, True, False)
         S = U @ V.T
-        want = kernels.triplet_terms(S, levels, w, True, False)
+        want = kernels.triplet_terms(*dense_rows(S), levels, w, True, False)
+        dense = dense_gradient(want[1])
         if grid:
             np.testing.assert_array_equal(comp, want[0])
         else:
@@ -610,14 +632,14 @@ class TestUnitSimilarity:
         assert isinstance(dS, kernels.ProjectedGradient)
         assert dS.shape == (b, b) and dS.size == b * b
         got = (dS.dSV, dS.dSTU, dS.row_sums, dS.col_sums)
-        for g, p in zip(got, dense_projections(want[1], S, U, V)):
+        for g, p in zip(got, dense_projections(dense, S, U, V)):
             assert g.shape == p.shape
             assert relative_gap(g, p) <= 1e-15
         # and so do the raw-row gradients of the two forms, to 1e-14
         un, vn = rng.uniform(0.5, 2.0, b), rng.uniform(0.5, 2.0, b)
         for g, d in zip(
             kernels.cosine_backward(dS, U, V, un, vn),
-            kernels.cosine_backward(want[1], U, V, un, vn, S),
+            dense_cosine_backward(dense, S, U, V, un, vn),
         ):
             assert g.shape == d.shape
             assert relative_gap(g, d.astype(np.longdouble)) <= 1e-14
@@ -631,7 +653,7 @@ class TestUnitSimilarity:
         U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
         V = unit_rows(rng.standard_normal((b, 16)), "text")[0]
         levels, w = self.levels(rng, b)
-        result = kernels.triplet_terms(kernels.UnitSimilarity(U, V), levels, w, mean_mining, False)
+        result = kernels.triplet_terms(U, V, levels, w, mean_mining, False)
         counts = _count_triplet_terms((), {}, result)
         assert counts["dS_entries"] == b * b
         if mean_mining:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,20 @@ class TestCheckpoint:
         write_parts(path, parts, payload[:-1])
         with pytest.raises(ParseError, match="payload holds 431 bytes, expected 432"):
             load_checkpoint(path)
+
+    def test_short_payload_is_rejected_before_the_dims_allocate(self, tmp_path):
+        # the header's dims name 36 MB of parameters; a 320-byte payload with
+        # a valid digest must fail its length check without building them
+        path = tmp_path / "model.ckpt"
+        write_parts(path, ["CKPT3", "1500", "1500", "0", "1500", ""], bytes(320))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="payload holds 320 bytes, expected 36024000"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("position", [1, 2, 3, 4])
     @pytest.mark.parametrize("token", ["+2", "1_0", "-0", "1.5"])

@@ -256,12 +256,12 @@ class TestFullLoss:
         U = unit_rows(rng.standard_normal((4, 5)), "video")[0]
         V = unit_rows(rng.standard_normal((4, 5)), "text")[0]
         with pytest.raises(NonSquareError):
-            _run(kernels.UnitSimilarity(U[:3], V), {}, 0.05, 0.5, "hardest", "combined")
+            _run(U[:3], V, {}, 0.05, 0.5, "hardest", "combined")
         with pytest.raises(EmptyInputError):
-            _run(kernels.UnitSimilarity(U[:1], V[:1]), {}, 0.05, 0.5, "hardest", "combined")
+            _run(U[:1], V[:1], {}, 0.05, 0.5, "hardest", "combined")
         margins = margin_map(*row_sources(random_margins(rng, 4) for _ in EXPERTS))
         for mining in ("hardest", "mean"):
-            got, _ = _run(kernels.UnitSimilarity(U, V), margins, 0.05, 0.5, mining, "combined")
+            got, _ = _run(U, V, margins, 0.05, 0.5, mining, "combined")
             want = score(U @ V.T, margins, 0.05, 0.5, mining)
             assert got.total == pytest.approx(want.total, rel=1e-14)
             np.testing.assert_array_equal(got.neg_video_idx, want.neg_video_idx)
@@ -359,9 +359,8 @@ class TestMarginLevelContract:
             for kind in EXPERTS
         ))
         study = {kind: Delegating(m) for kind, m in experts.items()}
-        sim = kernels.UnitSimilarity(U, V)
-        want, want_dS = _run(sim, experts, 0.05, lam, mining, criterion)
-        got, got_dS = _run(sim, study, 0.05, lam, mining, criterion)
+        want, want_dS = _run(U, V, experts, 0.05, lam, mining, criterion)
+        got, got_dS = _run(U, V, study, 0.05, lam, mining, criterion)
         for field in dataclasses.fields(want):
             assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
         for name in type(want_dS).__slots__:
