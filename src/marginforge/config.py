@@ -105,7 +105,11 @@ def apply_key(cfg: RunConfig, key: str, raw_value: str, line: int | None = None)
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a config file into a fully defaulted, validated RunConfig."""
+    """Parse a config file into a fully defaulted, validated RunConfig.
+
+    A key given twice is a ``ParseError`` at its second line that names the
+    first, not a silent override.
+    """
     cfg = RunConfig()
     path = Path(path)
     try:
@@ -118,6 +122,7 @@ def parse_config(path) -> RunConfig:
         # the line that holds the first bad byte, as ``splitlines`` counts them below
         line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}", line) from None
+    seen: dict[str, int] = {}  # key -> its line
     for lineno, raw in enumerate(content.splitlines(), start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
@@ -125,7 +130,11 @@ def parse_config(path) -> RunConfig:
         if "=" not in text:
             raise ParseError(f"expected 'key = value', got {text!r}", lineno)
         key, _, value = text.partition("=")
-        apply_key(cfg, key.strip(), value.strip(), lineno)
+        key = key.strip()
+        if key in seen:
+            raise ParseError(f"{path}: key {key!r} repeats line {seen[key]}", lineno)
+        apply_key(cfg, key, value.strip(), lineno)
+        seen[key] = lineno
     try:
         cfg.validate()
     except ConfigError as exc:

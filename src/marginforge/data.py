@@ -240,6 +240,10 @@ def _write_labels(dataset: Dataset, path) -> None:
             fh.write(f"{item_id} {int(concept)}\n")
 
 
+# ``Dataset.concepts`` holds int64 labels
+_CONCEPT_MAX = np.iinfo(np.int64).max
+
+
 def _load_labels(path) -> dict[str, int]:
     (n,), records = read_records(path, "LBL1", 1)
     labels: dict[str, int] = {}
@@ -250,6 +254,8 @@ def _load_labels(path) -> dict[str, int]:
         if item_id in labels:
             raise DuplicateIdError(f"line {lineno}: {path}: duplicate id {item_id!r}")
         labels[item_id] = parse_count(concept, lineno, path)
+        if labels[item_id] > _CONCEPT_MAX:
+            raise ParseError(f"{path}: concept {concept} exceeds the int64 range", lineno)
     if len(labels) != n:
         raise ParseError(f"{path}: header declares {n} labels, found {len(labels)}")
     return labels

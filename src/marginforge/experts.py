@@ -67,7 +67,7 @@ class StaticEmbeddingTable:
 # EMB1 / FRM1 text formats (line rules: ``read_records``)
 # ---------------------------------------------------------------------------
 
-def read_records(path, tag: str, n_counts: int):
+def read_records(path, tag: str, n_counts: int, least_bytes=None):
     """Header counts and a record stream for every line format of the package.
 
     The one rule shared by the five line formats, FRM1, EMB1, LBL1, SPLIT1 and
@@ -80,6 +80,11 @@ def read_records(path, tag: str, n_counts: int):
       ``ParseError`` at its line;
     - every later line is a record.
 
+    ``least_bytes``, if given, maps the header's counts to the fewest bytes
+    the records they declare can take; a header that declares more than the
+    file holds is a ``ParseError`` at its line, so a loader sizes its arrays
+    only from counts that the file can back.
+
     Returns ``(counts, records)``: the header's counts as a list of ints, and
     an iterator of ``(line_number, tokens)``, one per record, read lazily from
     the open file.
@@ -91,7 +96,15 @@ def read_records(path, tag: str, n_counts: int):
     if tokens[0] != tag or len(tokens) != n_counts + 1:
         expected = " ".join([tag] + ["<N>"] * n_counts)
         raise ParseError(f"{path}: expected '{expected}' header, got {' '.join(tokens)!r}", lineno)
-    return [parse_count(token, lineno, path) for token in tokens[1:]], records
+    counts = [parse_count(token, lineno, path) for token in tokens[1:]]
+    if least_bytes is not None:
+        need, size = least_bytes(*counts), Path(path).stat().st_size
+        if need > size:
+            raise ParseError(
+                f"{path}: header declares records of at least {need} bytes, "
+                f"but the file holds {size}", lineno,
+            )
+    return counts, records
 
 
 def _token_lines(path):
@@ -228,7 +241,8 @@ class FloatRows:
 
 def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbeddingTable:
     """Parse an EMB1 file: header ``EMB1 <N> <D>`` then N ``<id> <x1..xD>`` records."""
-    (n, dim), records = read_records(path, "EMB1", 2)
+    # a record is D + 1 tokens, each of at least one byte and a separator
+    (n, dim), records = read_records(path, "EMB1", 2, lambda n, dim: 2 * n * (dim + 1))
     if dim < 1:
         raise ParseError(f"{path}: EMB1 header needs D >= 1")
 
@@ -274,7 +288,8 @@ def load_frame_file(path) -> tuple[list[str], np.ndarray]:
     Header is ``FRM1 <N> <T> <D>``; each of the N*T records is
     ``<id> <frame_index> <x1..xD>`` with frame_index in [0, T).
     """
-    (n, t, dim), records = read_records(path, "FRM1", 3)
+    # a record is D + 2 tokens, each of at least one byte and a separator
+    (n, t, dim), records = read_records(path, "FRM1", 3, lambda n, t, dim: 2 * n * t * (dim + 2))
     if t < 1 or dim < 1:
         raise ParseError(f"{path}: FRM1 header needs T >= 1 and D >= 1")
 

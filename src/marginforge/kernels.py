@@ -3,9 +3,7 @@
 * ``pairwise_cosine``     - B x B cosine similarity between two row stacks
 * ``triplet_terms``       - per-level hinge totals, negative mining and dL/dS
 * ``cosine_backward``     - chain dL/dS back to the two representation stacks
-* ``MinedGradient``       - dL/dS held as its entries, the hardest-mining form
-* ``ProjectedGradient``   - dL/dS held as its products with the unit rows,
-  the mean-mining form
+* ``ProjectedGradient``   - dL/dS held as its products with the unit rows
 
 Results are bit-reproducible run to run. Their reference is the scalar-loop
 oracles in ``tests/oracles.py``, which share no code with these kernels.
@@ -22,12 +20,12 @@ Memory: a training step makes no B x B array. ``triplet_terms`` forms ``S``
 one (R, B) block of anchor rows at a time, R = BLOCK_VALUES // B, from the
 unit rows: ``U[r0:r1] @ V.T`` for direction text and ``V[r0:r1] @ U.T`` for
 direction video, so no pass reads ``S`` by columns. Margin levels are row
-sources (``margin.ExpertMargins``), formed one block at a time. Under
-hardest mining ``dS`` has at most 3B nonzero cells and is returned as a
-``MinedGradient`` of 3B entries; under mean mining each block's part of
-``dS`` is applied to the unit rows as the block finishes and returned as a
-``ProjectedGradient`` of B x D values. At large B every pass over the hinges
-stays in cache; up to B = 181 a batch is one block.
+sources (``margin.ExpertMargins``), formed one block at a time. ``dS`` is
+never formed either: it is applied to the unit rows and returned as a
+``ProjectedGradient`` of B x D values. Under hardest mining it has 3B
+entries, applied after the blocks, once their buffers are freed; under mean
+mining each block's part is applied as the block finishes. At large B every
+pass over the hinges stays in cache; up to B = 181 a batch is one block.
 
 Pruned hardest mining: hardest mining keeps one negative per anchor and
 direction, and at B >= PRUNE_MIN_B ``triplet_terms`` scores only the cells
@@ -54,7 +52,6 @@ and B=128 (0.87-0.94), so below PRUNE_MIN_B = 128 the full scan stays.
 import numpy as np
 
 __all__ = [
-    "MinedGradient",
     "ProjectedGradient",
     "pairwise_cosine",
     "triplet_terms",
@@ -79,40 +76,14 @@ def pairwise_cosine(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return U @ V.T
 
 
-class MinedGradient:
-    """A B x B gradient held as its E entries, the form ``triplet_terms``
-    returns under hardest mining (E = 3B).
-
-    Entry e adds ``val[e]`` to cell ``(r[e], c[e])``, where ``S`` holds
-    ``s[e]``; a cell may be named more than once. ``np.asarray`` gives the
-    dense matrix, summed by one ``bincount`` in entry order, and ``size`` is
-    that matrix's B * B cells.
-    """
-
-    __slots__ = ("r", "c", "val", "s", "shape")
-
-    def __init__(self, r, c, val, s, B: int):
-        self.r, self.c, self.val, self.s = r, c, val, s
-        self.shape = (B, B)
-
-    @property
-    def size(self) -> int:
-        return self.shape[0] * self.shape[1]
-
-    def __array__(self, dtype=None, copy=None):
-        B = self.shape[0]
-        dense = np.bincount(self.r * B + self.c, weights=self.val, minlength=B * B)
-        return dense.reshape(self.shape).astype(dtype or np.float64, copy=False)
-
-
 class ProjectedGradient:
     """A B x B gradient ``dS`` of ``S = U @ V.T`` held as what
     ``cosine_backward`` reads of it: ``dSV = dS @ V``, ``dSTU = dS.T @ U``
     and the row and column sums of ``dS * S``.
 
-    It is the form ``triplet_terms`` returns under mean mining. The matrix
-    itself is gone, so it has no dense form: ``shape`` and ``size`` describe
-    it, and ``np.count_nonzero`` counts the object as one value.
+    It is the form ``triplet_terms`` returns. The matrix itself is gone, so
+    it has no dense form: ``shape`` and ``size`` describe it, and
+    ``np.count_nonzero`` counts the object as one value.
     """
 
     __slots__ = ("dSV", "dSTU", "row_sums", "col_sums", "shape")
@@ -220,12 +191,12 @@ def triplet_terms(
     ``dS`` is the gradient of ``sum_k w[k] * comp[k]`` w.r.t. S, and the
     mined arrays give the selected negative index per anchor (argmax of the
     weighted combined term, or of the level-0 term when ``hard_only``; ties
-    resolve to the smallest index). Under hardest mining ``dS`` is a
-    ``MinedGradient`` of 3B entries, in this order: direction video's cells
-    ``(mined_v[i], i)``, direction text's cells ``(i, mined_t[i])``, then
-    the diagonal, which both directions subtract from; ``np.asarray(dS)`` is
-    the dense matrix. Under mean mining ``dS`` is a ``ProjectedGradient`` of
-    U and V.
+    resolve to the smallest index). ``dS`` is a ``ProjectedGradient`` of U
+    and V. Under hardest mining it has 3B entries, in this order: direction
+    video's cells ``(mined_v[i], i)``, direction text's cells ``(i,
+    mined_t[i])``, then the diagonal, which both directions subtract from;
+    each product and sum adds its entries in that order, with one
+    ``bincount``.
 
     Memory is a few (R, B) row blocks: anchors are taken R = BLOCK_VALUES //
     B rows at a time, each direction's block of S is formed once with its
@@ -239,7 +210,8 @@ def triplet_terms(
     scan's L + 4. Under hardest mining the mined negatives and margins are
     gathered from the block buffers, and the level totals and dS's entries
     come from the B mined entries per direction only, so they do not depend
-    on R; under mean mining ``comp`` is summed block by block, in
+    on R, and the entries are applied once the block buffers are freed;
+    under mean mining ``comp`` is summed block by block, in
     direction-then-block order, and each block's weighted active cells are
     multiplied into ``dS``'s products with the unit rows.
     """
@@ -382,6 +354,9 @@ def triplet_terms(
         col_sums -= dss
         dS = ProjectedGradient(dSV * scale, dSTU * scale, row_sums * scale, col_sums * scale)
     else:
+        # free the block buffers and their views before the entries' temporaries
+        sim_buf = mask_buf = base_buf = crit_buf = hinge_buf = margin_buf = None
+        N = base = crit = hinge = block = None
         grads = []
         for d in (0, 1):
             # (K, B) in column-major order, the layout of a fancy-indexed
@@ -390,12 +365,16 @@ def triplet_terms(
             comp += np.maximum(args, 0.0).sum(axis=1)
             grads.append(np.dot(w, (args > 0.0).astype(np.float64)) / B)
         g_v, g_t = grads
-        dS = MinedGradient(
-            np.concatenate([mined[0], rows, rows]),
-            np.concatenate([rows, mined[1], rows]),
-            np.concatenate([g_v, g_t, -g_v - g_t]),
-            np.concatenate([negs[0], negs[1], pos[1]]),
-            B,
+        # dS's 3B entries, in the order of the docstring
+        r = np.concatenate([mined[0], rows, rows])
+        c = np.concatenate([rows, mined[1], rows])
+        val = np.concatenate([g_v, g_t, -g_v - g_t])
+        dss = val * np.concatenate([negs[0], negs[1], pos[1]])
+        dS = ProjectedGradient(
+            _scatter_rows(r, val, V[c], B),
+            _scatter_rows(c, val, U[r], B),
+            np.bincount(r, weights=dss, minlength=B),
+            np.bincount(c, weights=dss, minlength=B),
         )
 
     comp /= B
@@ -415,19 +394,9 @@ def cosine_backward(dS, U, V, u_norms, v_norms):
 
     ``U`` and ``V`` are the unit rows of the raw stacks and ``u_norms``,
     ``v_norms`` their row norms; the results are the gradients w.r.t. the
-    raw (unnormalised) rows. ``dS`` is a ``MinedGradient``, whose E entries
-    are applied in O(E D) with one ``bincount`` per scatter, or a
-    ``ProjectedGradient``, which already holds the products.
+    raw (unnormalised) rows. ``dS`` is the ``ProjectedGradient`` that
+    ``triplet_terms`` returns, which already holds the products.
     """
-    if isinstance(dS, MinedGradient):
-        r, c, val = dS.r, dS.c, dS.val
-        dss = val * dS.s
-        dSV = _scatter_rows(r, val, V[c], U.shape[0])
-        dSTU = _scatter_rows(c, val, U[r], V.shape[0])
-        row_sums = np.bincount(r, weights=dss, minlength=U.shape[0])
-        col_sums = np.bincount(c, weights=dss, minlength=V.shape[0])
-    else:
-        dSV, dSTU, row_sums, col_sums = dS.dSV, dS.dSTU, dS.row_sums, dS.col_sums
-    dX = (dSV - row_sums[:, None] * U) / u_norms[:, None]
-    dY = (dSTU - col_sums[:, None] * V) / v_norms[:, None]
+    dX = (dS.dSV - dS.row_sums[:, None] * U) / u_norms[:, None]
+    dY = (dS.dSTU - dS.col_sums[:, None] * V) / v_norms[:, None]
     return dX, dY

@@ -34,9 +34,8 @@ unit rows of the forward pass, from which ``S`` is formed one block of
 anchor rows at a time and never whole, and returns the loss breakdown and
 the parameter gradients. The gradient w.r.t. ``S`` passes from
 ``kernels.triplet_terms`` to ``kernels.cosine_backward`` as it comes, with
-the same unit rows: a ``kernels.ProjectedGradient`` of B x D values under
-mean mining, a ``kernels.MinedGradient`` of 3B entries under hardest
-mining.
+the same unit rows: a ``kernels.ProjectedGradient`` of B x D values, for
+either mining.
 """
 
 from dataclasses import dataclass

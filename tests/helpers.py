@@ -8,7 +8,8 @@ The kernels take unit rows U and V, not ``S``. A given B x B ``S`` reaches
 them as its identity form ``dense_rows(S) = (I, S.T)``: each cell of a block
 ``I[r0:r1] @ S`` or ``S.T[r0:r1] @ I`` is ``1.0 * S[i, j]`` plus exact
 zeros, so the kernels read ``S`` bit for bit wherever it is finite, for any
-blocking of the products. With D = B its products cost O(B^3) against
+blocking of the products, and the gradient they return holds the B x B
+``dS`` itself (``dense_gradient``). With D = B its products cost O(B^3) against
 O(B^2 D) for unit rows, so a test whose ``S`` comes from unit rows passes
 those rows instead.
 """
@@ -16,7 +17,7 @@ those rows instead.
 import numpy as np
 from scipy.special import ndtri
 
-from marginforge import kernels, objective
+from marginforge import objective
 from marginforge.errors import IndexOutOfRangeError, ShapeMismatchError
 from marginforge.mathcore import as_vector
 
@@ -148,17 +149,15 @@ def dense_rows(S) -> tuple:
 
 
 def dense_gradient(dS) -> np.ndarray:
-    """The B x B matrix of a ``triplet_terms`` gradient: a ``MinedGradient``'s
-    own dense form, or the ``dSTU.T`` of a ``ProjectedGradient`` of the
-    identity form, which is exact since there ``dSTU = dS.T @ I``."""
-    if isinstance(dS, kernels.MinedGradient):
-        return np.asarray(dS)
+    """The B x B matrix of a ``triplet_terms`` gradient of the identity form:
+    its ``dSTU.T``, which is exact since there ``dSTU = dS.T @ I``. Under
+    hardest mining each cell sums its entries in entry order, from 0."""
     return dS.dSTU.T
 
 
 def dense_cosine_backward(dS, S, U, V, u_norms, v_norms) -> tuple:
     """``kernels.cosine_backward`` of a dense B x B ``dS``, read in O(B^2 D)
-    with ``S = U @ V.T``: the reference for the entry and projected forms."""
+    with ``S = U @ V.T``: the reference for the projected form."""
     # the sums of dS * S without forming it, a third B x B array
     row_sums, col_sums = np.einsum("ij,ij->i", dS, S), np.einsum("ij,ij->j", dS, S)
     dSV, dSTU = dS @ V, dS.T @ U

@@ -52,6 +52,14 @@ model.joint_dim = 8
 """
 
 
+def with_line(text: str, line: str) -> str:
+    """Config ``text`` with the ``key = value`` of ``line`` in place of that
+    key's own line, if any: a config file sets each key once."""
+    key = line.partition("=")[0].strip()
+    kept = [old for old in text.splitlines() if old.partition("=")[0].strip() != key]
+    return "\n".join(kept) + "\n" + line.strip() + "\n"
+
+
 class TestParseConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, ""))
@@ -83,6 +91,11 @@ class TestParseConfig:
     def test_missing_equals_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             parse_config(write_cfg(tmp_path, "train.alpha 0.05\n"))
+
+    def test_repeated_key_names_the_key_and_both_lines(self, tmp_path):
+        text = "train.epochs = 3\n# note\ntrain.alpha = 0.2\ntrain.epochs = 5\n"
+        with pytest.raises(ParseError, match=r"line 4: .*'train\.epochs' repeats line 1"):
+            parse_config(write_cfg(tmp_path, text))
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, "\n# note\ntrain.alpha = 0.2\n\n"))
@@ -141,7 +154,7 @@ class TestParseConfig:
         ],
     )
     def test_range_error_names_file_and_key(self, tmp_path, line):
-        path = write_cfg(tmp_path, SMOKE_CFG + line + "\n")  # 24 items
+        path = write_cfg(tmp_path, with_line(SMOKE_CFG, line))  # 24 items
         key = line.partition(" =")[0]
         with pytest.raises(ConfigTypeError, match=rf"{re.escape(str(path))}: .*{re.escape(key)}"):
             parse_config(path)
@@ -336,7 +349,7 @@ class TestInspectMarginsCommand:
     def run_inspect(self, smoke_env, extra_cfg="", expert="all"):
         cfg_path, data_dir, tmp_path = smoke_env
         if extra_cfg:
-            cfg_path = write_cfg(tmp_path, SMOKE_CFG + extra_cfg, name="inspect.cfg")
+            cfg_path = write_cfg(tmp_path, with_line(SMOKE_CFG, extra_cfg), name="inspect.cfg")
         run = tmp_path / "run_i"
         main(["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(run)])
         out = tmp_path / "inspect"
@@ -355,7 +368,7 @@ class TestInspectMarginsCommand:
         cfg_path, data_dir, tmp_path = smoke_env
         run = tmp_path / "run_s"
         main(["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(run)])
-        seeded_cfg = write_cfg(tmp_path, SMOKE_CFG + "train.seed = 7\n", name="seed7.cfg")
+        seeded_cfg = write_cfg(tmp_path, with_line(SMOKE_CFG, "train.seed = 7"), name="seed7.cfg")
         outputs = []
         for name, cfg, flag in (("flag", cfg_path, ["--seed", "7"]), ("cfg", seeded_cfg, [])):
             out = tmp_path / name
@@ -454,7 +467,7 @@ class TestInspectMarginsCommand:
     def test_batch_index_outside_the_epoch_rejected(self, smoke_env, capsys):
         # 19 train items at batch_size 9 make batches of 9, 9 and a dropped singleton
         cfg_path, data_dir, tmp_path = smoke_env
-        cfg_path = write_cfg(tmp_path, SMOKE_CFG + "train.batch_size = 9\n", name="b9.cfg")
+        cfg_path = write_cfg(tmp_path, with_line(SMOKE_CFG, "train.batch_size = 9"), name="b9.cfg")
         run = tmp_path / "run_b9"
         main(["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(run)])
 

@@ -198,6 +198,14 @@ class TestLabelAndSplitFiles:
             _load_labels(p)
         assert excinfo.value.line == 3
 
+    def test_concept_beyond_int64_rejected_at_its_line(self, tmp_path):
+        largest = np.iinfo(np.int64).max
+        assert _load_labels(self.write(tmp_path, f"LBL1 1\na {largest}\n")) == {"a": largest}
+        p = self.write(tmp_path, f"LBL1 2\na 1\nb {largest + 1}\n")
+        with pytest.raises(ParseError, match="int64") as excinfo:
+            _load_labels(p)
+        assert excinfo.value.line == 3
+
     def test_split_line_takes_one_id(self, tmp_path):
         p = self.write(tmp_path, "SPLIT1 2\na\nb c\n")
         with pytest.raises(ParseError) as excinfo:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,8 +241,10 @@ class TestFrm1Format:
     @pytest.mark.parametrize("token", BAD_COUNTS)
     def test_bad_frame_index_rejected(self, tmp_path, token):
         p = tmp_path / "f.frm1"
-        # T = 11, so int() would read +2 and 1_0 as frames in range
-        p.write_text(f"FRM1 1 11 2\na 0 1.0 2.0\na {token} 3.0 4.0\n", encoding="utf-8")
+        # T = 11, so int() would read +2 and 1_0 as frames in range; frames
+        # 1-10 follow, so that the file holds the records its header declares
+        rest = "".join(f"a {f} 3.0 4.0\n" for f in range(1, 11))
+        p.write_text(f"FRM1 1 11 2\na 0 1.0 2.0\na {token} 3.0 4.0\n" + rest, encoding="utf-8")
         with pytest.raises(ParseError) as excinfo:
             load_frame_file(p)
         assert excinfo.value.line == 3
@@ -442,3 +446,41 @@ def test_record_errors_name_the_file(tmp_path, name, loader, text):
         loader(p)
     last_line = len(text.splitlines())
     assert str(excinfo.value).startswith(f"line {last_line}: {p}: ")
+
+
+# headers that declare more records than their file can hold, after a
+# comment line: the loaders size their arrays from the header's counts
+OVERSIZED_HEADERS = [
+    ("t.emb1", load_static_embeddings, "EMB1 100000000 100000000\n"),
+    ("f.frm1", load_frame_file, "FRM1 1000000 1000 1000000\n"),
+    ("t.emb1", load_static_embeddings, "EMB1 20000 20000\na 1.0\n"),
+]
+
+
+@pytest.mark.parametrize("name, loader, text", OVERSIZED_HEADERS)
+def test_header_beyond_the_file_is_rejected_before_allocating(tmp_path, name, loader, text):
+    p = tmp_path / name
+    p.write_text("# one comment line\n" + text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as excinfo:
+            loader(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert excinfo.value.line == 2
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "name, loader, text",
+    [
+        ("t.emb1", load_static_embeddings, "EMB1 3 1\na 1\nb 2\nc 3"),
+        ("f.frm1", load_frame_file, "FRM1 1 3 1\na 0 1\na 1 2\na 2 3"),
+    ],
+)
+def test_shortest_records_fit_their_header(tmp_path, name, loader, text):
+    # one-byte tokens and no final line end: the fewest bytes records can take
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    loader(p)

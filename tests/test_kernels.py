@@ -187,7 +187,7 @@ class TestTripletTerms:
                 )
 
             fd = finite_diff_grad(f, S.ravel(), h=1e-6).reshape(S.shape)
-            np.testing.assert_allclose(dS, fd, atol=1e-7)
+            np.testing.assert_allclose(dense_gradient(dS), fd, atol=1e-7)
 
     def test_grad_matches_finite_differences_mean(self):
         rng = np.random.default_rng(14)
@@ -223,11 +223,15 @@ def both_paths(monkeypatch, rows, levels, w, hard_only=False):
     return full, pruned
 
 
+# what a ``ProjectedGradient`` holds of dS
+PROJECTIONS = ("dSV", "dSTU", "row_sums", "col_sums")
+
+
 def assert_same_mining(full, pruned):
-    """The two paths' level totals, mined indices and dS entries, bit for bit."""
+    """The two paths' level totals, mined indices and dS projections, bit for bit."""
     for got, want in zip((pruned[0], *pruned[2:]), (full[0], *full[2:])):
         np.testing.assert_array_equal(got, want)
-    for name in ("r", "c", "val", "s"):
+    for name in PROJECTIONS:
         np.testing.assert_array_equal(getattr(pruned[1], name), getattr(full[1], name))
 
 
@@ -316,7 +320,8 @@ class TestPrunedMining:
         assert_same_mining(full, pruned)
         for mined in pruned[2:]:
             np.testing.assert_array_equal(mined, [1] + [0] * (b - 1))
-        assert not pruned[1].val.any()
+        for name in PROJECTIONS:
+            assert not getattr(pruned[1], name).any()
 
     @pytest.mark.parametrize("hard_only", [False, True])
     @pytest.mark.parametrize("level", ["scalar", "array"])
@@ -441,7 +446,7 @@ def mined_instance(rng, b, dim=16):
     return U, un, V, vn, S, levels, w
 
 
-class TestMinedGradient:
+class TestHardestGradient:
     # B = 2 has one negative per anchor, so cell (0, 1) holds both the video
     # entry of anchor 1 and the text entry of anchor 0
     @pytest.mark.parametrize("b", [2, 3, 64, 300])
@@ -450,26 +455,28 @@ class TestMinedGradient:
         rng = np.random.default_rng(400 + b + hard_only)
         for _ in range(3):
             U, un, V, vn, S, levels, w = mined_instance(rng, b)
-            # the identity form, so that the entries read S's own cells
+            # the identity form, whose gradient holds the dense dS
             comp, dS, mined_v, mined_t = kernels.triplet_terms(
                 *dense_rows(S), levels, w, False, hard_only
             )
-            assert isinstance(dS, kernels.MinedGradient)
+            assert isinstance(dS, kernels.ProjectedGradient)
             rows = np.arange(b)
-            np.testing.assert_array_equal(dS.r, np.concatenate([mined_v, rows, rows]))
-            np.testing.assert_array_equal(dS.c, np.concatenate([rows, mined_t, rows]))
-            np.testing.assert_array_equal(dS.s, S[dS.r, dS.c])
-            # the entry values against a scalar loop over the levels
+            # each mined entry's active levels, by a scalar loop over the levels
             dense_levels = [
                 np.full((b, b), m) if isinstance(m, float) else getattr(m, "dense", lambda: m)()
                 for m in levels
             ]
-            g_v, g_t = dS.val[:b], dS.val[b : 2 * b]
+            active = np.zeros((2, b, len(w)), dtype=bool)
             for i in range(b):
                 jv, jt = mined_v[i], mined_t[i]
-                for g, j, s_neg in ((g_v, jv, S[jv, i]), (g_t, jt, S[i, jt])):
-                    active = [s_neg - S[i, i] + M[i, j] > 0.0 for M in dense_levels]
-                    want = sum(wk for wk, on in zip(w, active) if on)
+                for d, (j, s_neg) in enumerate(((jv, S[jv, i]), (jt, S[i, jt]))):
+                    active[d, i] = [s_neg - S[i, i] + M[i, j] > 0.0 for M in dense_levels]
+            # the entry values: the active levels' weights over b, as one dot
+            # product per direction, and against a scalar sum
+            g_v, g_t = (np.dot(w, a.astype(np.float64).T) / b for a in active)
+            for g, a in ((g_v, active[0]), (g_t, active[1])):
+                for i in range(b):
+                    want = sum(wk for wk, on in zip(w, a[i]) if on)
                     assert g[i] == pytest.approx(want / b, rel=1e-15, abs=0.0)
             # the dense gradient as it was built before the entry form
             want = np.zeros((b, b))
@@ -477,7 +484,7 @@ class TestMinedGradient:
             want[rows, rows] -= g_v
             np.add.at(want, (rows, mined_t), g_t)
             want[rows, rows] -= g_t
-            dense = np.asarray(dS)
+            dense = dense_gradient(dS)
             assert dense.shape == (b, b) and dense.dtype == np.float64
             np.testing.assert_array_equal(dense, want)
         if b == 2:
@@ -486,34 +493,35 @@ class TestMinedGradient:
 
     @pytest.mark.parametrize("b", [2, 3, 64, 300])
     def test_backward_matches_the_dense_form(self, b):
+        # the unit rows' gradient through the kernel, against the identity
+        # form's dense gradient through the dense reference
         rng = np.random.default_rng(500 + b)
         for hard_only in (False, True):
             U, un, V, vn, S, levels, w = mined_instance(rng, b)
-            _, dS, _, _ = kernels.triplet_terms(U, V, levels, w, False, hard_only)
+            _, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False, hard_only)
+            want = kernels.triplet_terms(*dense_rows(S), levels, w, False, hard_only)
+            np.testing.assert_array_equal(mined_v, want[2])
+            np.testing.assert_array_equal(mined_t, want[3])
             got = kernels.cosine_backward(dS, U, V, un, vn)
-            want = dense_cosine_backward(np.asarray(dS), S, U, V, un, vn)
-            for g, d in zip(got, want):
+            ref = dense_cosine_backward(dense_gradient(want[1]), S, U, V, un, vn)
+            for g, d in zip(got, ref):
                 assert g.shape == d.shape and g.flags.c_contiguous
                 np.testing.assert_allclose(g, d, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("b", [2, 3, 64, 300])
     def test_counts_read_by_the_benchmark_tracer(self, b):
+        # the gradient has no cells to count, so it counts as one value
         rng = np.random.default_rng(600 + b)
         U, un, V, vn, S, levels, w = mined_instance(rng, b)
         result = kernels.triplet_terms(U, V, levels, w, False, False)
-        dense = np.asarray(result[1])
-        assert result[1].size == b * b
-        assert np.count_nonzero(result[1]) == np.count_nonzero(dense) <= 3 * b
-        assert _count_triplet_terms((), {}, result) == {
-            "dS_nonzero": np.count_nonzero(dense),
-            "dS_entries": b * b,
-        }
+        assert result[1].shape == (b, b) and result[1].size == b * b
+        assert _count_triplet_terms((), {}, result) == {"dS_nonzero": 1, "dS_entries": b * b}
 
 
 class TestCosineBackward:
     def test_matches_finite_differences(self):
         # a random dense dS through the dense reference, and through the
-        # kernel as a MinedGradient of one entry per cell
+        # kernel as the ProjectedGradient of its products
         rng = np.random.default_rng(16)
         for _ in range(10):
             X = rng.standard_normal((4, 3))
@@ -522,8 +530,9 @@ class TestCosineBackward:
             U, xn = unit_rows(X, "X")
             V, yn = unit_rows(Y, "Y")
             S = kernels.pairwise_cosine(U, V)
-            r, c = np.indices(S.shape).reshape(2, -1)
-            entries = kernels.MinedGradient(r, c, dS.ravel(), S.ravel(), 4)
+            projected = kernels.ProjectedGradient(
+                dS @ V, dS.T @ U, (dS * S).sum(axis=1), (dS * S).sum(axis=0)
+            )
 
             def f_x(flat):
                 Xf = flat.reshape(X.shape)
@@ -537,7 +546,7 @@ class TestCosineBackward:
             fd_y = finite_diff_grad(f_y, Y.ravel(), h=1e-6).reshape(Y.shape)
             for dX, dY in (
                 dense_cosine_backward(dS, S, U, V, xn, yn),
-                kernels.cosine_backward(entries, U, V, xn, yn),
+                kernels.cosine_backward(projected, U, V, xn, yn),
             ):
                 np.testing.assert_allclose(dX, fd_x, atol=1e-6)
                 np.testing.assert_allclose(dY, fd_y, atol=1e-6)
@@ -577,20 +586,45 @@ class TestUnitRows:
         ]
         return [0.2, experts[0], experts[1]], np.array([1.0, 0.6, 0.4])
 
+    @staticmethod
+    def assert_projects(dS, dense, S, U, V, rng):
+        """``dS`` of the unit rows U and V against ``dense``, the dense
+        gradient of their S: its four products to 1e-15 and the raw-row
+        gradients of the two forms to 1e-14."""
+        b = S.shape[0]
+        assert isinstance(dS, kernels.ProjectedGradient)
+        assert dS.shape == (b, b) and dS.size == b * b
+        got = tuple(getattr(dS, name) for name in PROJECTIONS)
+        for g, p in zip(got, dense_projections(dense, S, U, V)):
+            assert g.shape == p.shape
+            assert relative_gap(g, p) <= 1e-15
+        un, vn = rng.uniform(0.5, 2.0, b), rng.uniform(0.5, 2.0, b)
+        for g, d in zip(
+            kernels.cosine_backward(dS, U, V, un, vn),
+            dense_cosine_backward(dense, S, U, V, un, vn),
+        ):
+            assert g.shape == d.shape
+            assert relative_gap(g, d.astype(np.longdouble)) <= 1e-14
+
     @pytest.mark.parametrize("b", SIZES)
     @pytest.mark.parametrize("hard_only", [False, True])
     def test_hardest_mining_matches_the_dense_matrix_bit_for_bit(self, b, hard_only):
+        # grid rows make S exact in both forms, so both mine the same entries
+        # of the same values: the totals, the indices and the sums of dS * S,
+        # which read S's cells, agree bit for bit; dS @ V and dS.T @ U take
+        # different rows in the two forms, so they are checked as products
         rng = np.random.default_rng(810 + b)
         U, V = grid_rows(rng, b), grid_rows(rng, b)
         levels, w = self.levels(rng, b)
         comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False, hard_only)
-        want = kernels.triplet_terms(*dense_rows(U @ V.T), levels, w, False, hard_only)
+        S = U @ V.T
+        want = kernels.triplet_terms(*dense_rows(S), levels, w, False, hard_only)
         np.testing.assert_array_equal(comp, want[0])
         np.testing.assert_array_equal(mined_v, want[2])
         np.testing.assert_array_equal(mined_t, want[3])
-        assert isinstance(dS, kernels.MinedGradient)
-        for name in ("r", "c", "val", "s"):
+        for name in ("row_sums", "col_sums"):
             np.testing.assert_array_equal(getattr(dS, name), getattr(want[1], name))
+        self.assert_projects(dS, dense_gradient(want[1]), S, U, V, rng)
 
     @pytest.mark.parametrize("b", SIZES)
     def test_hardest_mining_of_unit_rows_moves_only_rounding(self, b):
@@ -601,13 +635,12 @@ class TestUnitRows:
         V = unit_rows(rng.standard_normal((b, 16)), "text")[0]
         levels, w = self.levels(rng, b)
         comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False, False)
-        want = kernels.triplet_terms(*dense_rows(U @ V.T), levels, w, False, False)
+        S = U @ V.T
+        want = kernels.triplet_terms(*dense_rows(S), levels, w, False, False)
         np.testing.assert_array_equal(mined_v, want[2])
         np.testing.assert_array_equal(mined_t, want[3])
         np.testing.assert_allclose(comp, want[0], rtol=1e-14, atol=0.0)
-        for name in ("r", "c", "val"):
-            np.testing.assert_array_equal(getattr(dS, name), getattr(want[1], name))
-        np.testing.assert_allclose(dS.s, want[1].s, rtol=0.0, atol=1e-15)
+        self.assert_projects(dS, dense_gradient(want[1]), S, U, V, rng)
 
     @pytest.mark.parametrize("b", SIZES)
     @pytest.mark.parametrize("grid", [False, True])
@@ -622,41 +655,22 @@ class TestUnitRows:
         comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, True, False)
         S = U @ V.T
         want = kernels.triplet_terms(*dense_rows(S), levels, w, True, False)
-        dense = dense_gradient(want[1])
         if grid:
             np.testing.assert_array_equal(comp, want[0])
         else:
             np.testing.assert_allclose(comp, want[0], rtol=1e-14, atol=0.0)
         np.testing.assert_array_equal(mined_v, want[2])
         np.testing.assert_array_equal(mined_t, want[3])
-        assert isinstance(dS, kernels.ProjectedGradient)
-        assert dS.shape == (b, b) and dS.size == b * b
-        got = (dS.dSV, dS.dSTU, dS.row_sums, dS.col_sums)
-        for g, p in zip(got, dense_projections(dense, S, U, V)):
-            assert g.shape == p.shape
-            assert relative_gap(g, p) <= 1e-15
-        # and so do the raw-row gradients of the two forms, to 1e-14
-        un, vn = rng.uniform(0.5, 2.0, b), rng.uniform(0.5, 2.0, b)
-        for g, d in zip(
-            kernels.cosine_backward(dS, U, V, un, vn),
-            dense_cosine_backward(dense, S, U, V, un, vn),
-        ):
-            assert g.shape == d.shape
-            assert relative_gap(g, d.astype(np.longdouble)) <= 1e-14
+        self.assert_projects(dS, dense_gradient(want[1]), S, U, V, rng)
 
     @pytest.mark.parametrize("mean_mining", [False, True])
     def test_counts_read_by_the_benchmark_tracer(self, mean_mining):
-        # the tracer's np.count_nonzero must not raise on either gradient form;
-        # a ProjectedGradient has no cells to count, so it counts as one value
+        # the tracer's np.count_nonzero must not raise on the gradient; it has
+        # no cells to count, so it counts as one value under either mining
         b = 64
         rng = np.random.default_rng(840)
         U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
         V = unit_rows(rng.standard_normal((b, 16)), "text")[0]
         levels, w = self.levels(rng, b)
         result = kernels.triplet_terms(U, V, levels, w, mean_mining, False)
-        counts = _count_triplet_terms((), {}, result)
-        assert counts["dS_entries"] == b * b
-        if mean_mining:
-            assert counts["dS_nonzero"] == 1
-        else:
-            assert counts["dS_nonzero"] == np.count_nonzero(np.asarray(result[1])) <= 3 * b
+        assert _count_triplet_terms((), {}, result) == {"dS_nonzero": 1, "dS_entries": b * b}

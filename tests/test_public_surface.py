@@ -5,7 +5,9 @@ named by code in ``src/`` other than its own definition: a name, an
 attribute or an import of that name. A name that only tests or perfbench
 reach is dead surface; it is deleted, or listed in ``ALLOWED`` with the
 reason it stays. An allowed name that gains a ``src/`` caller, or is gone,
-fails too, so the list only shrinks.
+fails too, so the list only shrinks. A module's ``__all__`` names only
+public top-level definitions of that module, so it cannot keep a deleted
+name.
 """
 
 import ast
@@ -62,3 +64,15 @@ def test_allowed_names_only_shrink():
     for module, name in ALLOWED:
         assert (module, name) in defined, f"{module}.{name} is gone; drop it from ALLOWED"
         assert name not in used, f"{module}.{name} now has a src/ caller; drop it from ALLOWED"
+
+
+def test_all_names_only_public_definitions():
+    """A module's ``__all__`` names only its own public top-level definitions."""
+    defined = public_definitions()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                for name in ast.literal_eval(node.value):
+                    assert (path.stem, name) in defined, f"{path.stem}.__all__ names {name!r}"
