@@ -179,17 +179,17 @@ def _cell_config(base: cfgmod.RunConfig, assignment, seed: int) -> cfgmod.RunCon
     return cfg
 
 
-def _sweep_run(cfg: cfgmod.RunConfig, run_dir: Path) -> dict:
-    dataset = generate(cfg.data)
-    cfgmod.write_resolved(cfg, run_dir)
-    _, records = run_training(
-        dataset,
-        cfg.train,
-        cfg.hidden_dim,
-        cfg.joint_dim,
-        run_dir,
-        config_hash=cfgmod.config_hash(cfg),
-    )
+def _sweep_run(cfg: cfgmod.RunConfig, run_dir: Path, label: str) -> dict:
+    """One sweep run; its errors start with ``label``, which names its cell and seed."""
+    try:
+        dataset = generate(cfg.data)
+        cfgmod.write_resolved(cfg, run_dir)
+        _, records = run_training(
+            dataset, cfg.train, cfg.hidden_dim, cfg.joint_dim, run_dir,
+            config_hash=cfgmod.config_hash(cfg),
+        )
+    except MarginForgeError as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
     last = records[-1]
     return {"rsum": last["rsum"], "t2v_R1": last["t2v_R1"], "v2t_R1": last["v2t_R1"]}
 
@@ -220,17 +220,18 @@ def cmd_sweep(args) -> int:
     tasks = []
     for cell_idx, cell in enumerate(cells):
         assignment = list(zip(keys, cell))
+        where = ", ".join(f"{key}={raw}" for key, raw in assignment)
         for seed in seeds:
+            label = f"cell{cell_idx:03d} ({where}) seed {seed}"
             try:
                 cfg = _cell_config(base, assignment, seed)
             except ConfigError as exc:
-                where = ", ".join(f"{key}={raw}" for key, raw in assignment)
-                raise type(exc)(f"cell{cell_idx:03d} ({where}) seed {seed}: {exc}") from exc
-            tasks.append((cell_idx, cfg, f"cell{cell_idx:03d}/seed{seed}"))
+                raise type(exc)(f"{label}: {exc}") from exc
+            tasks.append((cell_idx, cfg, f"cell{cell_idx:03d}/seed{seed}", label))
     out = _resolve_out_dir(base, args.out)
     cfgmod.write_resolved(base, out)
 
-    results = [_sweep_run(cfg, out / run_dir) for _, cfg, run_dir in tasks]
+    results = [_sweep_run(cfg, out / run_dir, label) for _, cfg, run_dir, label in tasks]
 
     metrics = ("rsum", "t2v_R1", "v2t_R1")
     header = keys + ["n_seeds"]

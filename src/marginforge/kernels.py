@@ -17,36 +17,37 @@ normalisation and its error contract (2-D stacks, finite non-zero norms).
 gradient the first returns is applied to them by the second.
 
 Memory: a training step makes no B x B array. ``triplet_terms`` forms ``S``
-one (R, B) block of anchor rows at a time, R = BLOCK_VALUES // B, from the
-unit rows: ``U[r0:r1] @ V.T`` for direction text and ``V[r0:r1] @ U.T`` for
-direction video, so no pass reads ``S`` by columns. Margin levels are row
-sources (``margin.ExpertMargins``), formed one block at a time. ``dS`` is
-never formed either: it is applied to the unit rows and returned as a
-``ProjectedGradient`` of B x D values. Under hardest mining it has 3B
-entries, applied after the blocks, once their buffers are freed; under mean
-mining each block's part is applied as the block finishes. At large B every
-pass over the hinges stays in cache; up to B = 181 a batch is one block.
+one block of R anchor rows at a time, R = BLOCK_VALUES // B, from the unit
+rows: ``U[r0:r1] @ V.T`` for direction text and ``V[r0:r1] @ U.T`` for
+direction video, both into one (2, R, B) buffer, so no pass reads ``S`` by
+columns. Margin levels are row sources (``margin.ExpertMargins``), formed
+one block at a time. ``dS`` is never formed either: it is applied to the
+unit rows and returned as a ``ProjectedGradient`` of B x D values. Under
+hardest mining it has 3B entries, applied after the blocks, once their
+buffers are freed; under mean mining each block's part is applied as the
+block finishes. At large B every pass over the hinges stays in cache; up
+to B = 181 a batch is one block.
 
-Pruned hardest mining: hardest mining keeps one negative per anchor and
-direction, and at B >= PRUNE_MIN_B ``triplet_terms`` scores only the cells
-that can be it. In each block it takes j*, the cell of largest ``s_neg -
-s_pos`` outside the anchor's own, and scores it exactly: that score ``lb``
-is a lower bound on the row's best. With level weights w >= 0 a cell scores
-at most ``W * max(0, s_neg - s_pos + A)``, W the criterion weights' sum and
-A the row's largest criterion margin, so only cells with ``s_neg >= s_pos +
-lb / W - A`` can reach ``lb``; a slack of (2K + 8) ulps of the values' size
-``|s_pos| + lb / W + |A|``, K the criterion's level count, covers every
-rounding of that bound, since rounding is monotone. Those candidates and j*
-are scored with the full scan's operations in its level order, so with the
-full scan's bits; the smallest index of the best score wins, and a row
+Mining: both minings mine one negative per anchor and direction, the
+argmax of the criterion that ``_criterion`` states; hardest mining takes
+its loss there. Per block, ``_mine_full`` scores every cell and, at B >=
+PRUNE_MIN_B, ``_mine_pruned`` only the cells that can win. It takes j*, the
+cell of largest ``s_neg - s_pos`` outside the anchor's own, and scores it
+exactly: that score ``lb`` is a lower bound on the row's best. With level
+weights w >= 0 a cell scores at most ``W * max(0, s_neg - s_pos + A)``, W
+the criterion weights' sum and A the row's largest criterion margin, so
+only cells with ``s_neg >= s_pos + lb / W - A`` can reach ``lb``; a slack
+of (2K + 8) ulps of the values' size ``|s_pos| + lb / W + |A|``, K the
+criterion's level count, covers every rounding of that bound, since
+rounding is monotone. Both selectors score a cell by ``_criterion``, so
+with the same bits; the smallest index of the best score wins, and a row
 whose best score is 0 mines its first index that is not the anchor, as
 ``argmax`` of the full criterion does. For finite inputs the mined indices,
-and so ``comp`` and ``dS``, are the full scan's bit for bit. Per call on a
-``bigbatch``-recipe run's inputs, where 0.4% of the cells (3.8 per row) are
-candidates, the path takes 0.6-0.8 of the full scan's time at B=1024 and
-B=256; at B=64 it takes 1.2-1.5 times as long, since its fixed cost is some
-50 small numpy calls per block. The crossover lies between B=96 (1.05-1.10)
-and B=128 (0.87-0.94), so below PRUNE_MIN_B = 128 the full scan stays.
+and so ``comp`` and ``dS``, do not depend on the selector. Per
+hardest-mining call on a ``bigbatch``-recipe run's inputs, where 0.4% of
+the cells (3.8 per row) are candidates, the pruned selector takes 0.6-0.8
+of the full scan's time at B=1024 and B=256, and 1.2-1.5 times as long at
+B=64, where some 50 small numpy calls per block dominate (PRUNE_MIN_B).
 """
 
 import numpy as np
@@ -58,12 +59,13 @@ __all__ = [
     "cosine_backward",
 ]
 
-# values per row block of ``triplet_terms``' (R, B) buffers: 256 KiB each,
+# values per row block of ``triplet_terms``' (R, B) planes: 256 KiB each,
 # small enough that a block's passes stay in L2
 BLOCK_VALUES = 1 << 15
-# smallest B whose hardest mining takes the pruned path: per call on a
-# training run's inputs (2-core x86_64, 1 BLAS thread) the pruned path took
-# 1.05-1.10 of the full scan's time at B=96 and 0.87-0.94 at B=128
+# smallest B at which both minings mine through the pruned selector:
+# per hardest-mining call on a training run's inputs (2-core x86_64, 1 BLAS
+# thread) it took 1.05-1.10 of the full scan's time at B=96 and 0.87-0.94
+# at B=128; the crossover was not measured on mean-mining calls
 PRUNE_MIN_B = 128
 
 
@@ -97,39 +99,61 @@ class ProjectedGradient:
         return self.shape[0] * self.shape[1]
 
 
-def _criterion(base, gathered, layout, w):
-    """The mining criterion ``sum_k w[k] * max(0, base + m_k)`` at C gathered
-    cells, with the full scan's operations in its order, so its bits.
+def _criterion(base, gathered, layout, w, out=None):
+    """The mining criterion ``sum_k w[k] * max(0, base + m_k)`` at an array
+    of cells, its one statement: both selectors score a cell with these
+    operations in this level order, so with the same bits.
 
-    ``base`` holds ``s_neg - s_pos`` per cell and ``gathered`` the (L, C)
-    margins of the non-scalar levels; ``layout`` is ``(blocked, scalars,
-    values)``: the levels whose margins are gathered, the scalar levels and
-    their values as a column.
+    ``base`` holds ``s_neg - s_pos`` per cell and ``gathered`` the margins
+    of the non-scalar levels, an (L, ...) array that broadcasts against
+    ``base``; ``layout`` is ``(blocked, scalars, values)``: the levels whose
+    margins are gathered, the scalar levels and their values. ``out``, if
+    given, is the (K, ...) buffer to work in; the criterion is its first
+    entry.
     """
     blocked, scalars, values = layout
-    X = np.empty((len(w), base.size))
+    column = (-1,) + (1,) * base.ndim  # a value per level, against the cells
+    X = np.empty((len(w),) + base.shape) if out is None else out
     X[blocked] = gathered
-    X[scalars] = values
+    X[scalars] = values.reshape(column)
     X += base
     np.maximum(X, 0.0, out=X)
-    X *= w[:, None]
+    X *= w.reshape(column)
     crit = X[0]
     for k in range(1, len(w)):
         crit += X[k]
     return crit
 
 
-def _mine_pruned(N, pos, margins, layout, w, r0, mask):
+def _mine_full(N, pos, margins, layout, w, r0, buf):
+    """Both directions' hardest negatives of one block: the argmax of the
+    criterion at every cell but the anchor's own.
+
+    Takes ``_mine_pruned``'s arguments, except that ``w`` may sum to 0 and
+    ``buf`` is a (K + 1, 2 * R * B) float buffer, R >= n: ``s_neg - s_pos``
+    in its last row and the criterion's K levels in the others, each row
+    both directions' block.
+    """
+    buf = buf[:, : N.size].reshape(-1, *N.shape)
+    base = np.subtract(N, pos[:, :, None], out=buf[-1])
+    crit = _criterion(base, margins[:, None], layout, w, out=buf[:-1])
+    crit.reshape(2, -1)[:, r0 :: N.shape[2] + 1] = -np.inf  # the anchors' own cells
+    return np.argmax(crit, axis=2).reshape(-1)
+
+
+def _mine_pruned(N, pos, margins, layout, w, r0, buf):
     """Both directions' hardest negatives of one block, scoring only the
-    cells that can win: the full scan's argmax, bit for bit.
+    cells that can win: ``_mine_full``'s result, bit for bit.
 
     ``N`` is the (2, n, B) block of S for anchors ``r0:r0 + n``, with their
     own cells at ``-inf``; ``pos`` holds the (2, n) positives, ``margins``
     the (L, n, B) margin rows of the criterion's non-scalar levels and ``w``
-    the criterion's weights, of positive sum; ``mask`` is a (2, n, B) bool
-    buffer. Returns the mined column of each of the 2n rows.
+    the criterion's weights, of positive sum; ``buf`` is a bool buffer of at
+    least 2nB values, for the candidate mask. Returns the mined column of
+    each of the 2n rows.
     """
     _, n, B = N.shape
+    mask = buf[: N.size].reshape(N.shape)
     flat, pos_flat = N.reshape(-1), pos.reshape(-1)
     anchors = np.arange(2 * n)
     own = anchors % n  # each row's anchor, within the block
@@ -198,37 +222,44 @@ def triplet_terms(
     each product and sum adds its entries in that order, with one
     ``bincount``.
 
-    Memory is a few (R, B) row blocks: anchors are taken R = BLOCK_VALUES //
-    B rows at a time, each direction's block of S is formed once with its
-    positives on its own diagonal, and each of the L non-scalar levels'
-    margin rows are formed once per block into one (L, R, B) buffer that
-    serves both directions. The full scan builds the criterion level by level in four
-    more (R, B) buffers (six under mean mining). Hardest mining at B >=
-    PRUNE_MIN_B takes the pruned path of the module docstring instead: one
-    (2, R, B) buffer holds both directions' blocks of S and a (2, R, B) bool
-    buffer the candidate mask, L + 2.25 planes in all against the full
-    scan's L + 4. Under hardest mining the mined negatives and margins are
-    gathered from the block buffers, and the level totals and dS's entries
-    come from the B mined entries per direction only, so they do not depend
-    on R, and the entries are applied once the block buffers are freed;
-    under mean mining ``comp`` is summed block by block, in
-    direction-then-block order, and each block's weighted active cells are
-    multiplied into ``dS``'s products with the unit rows.
+    Memory is a few (R, B) planes: anchors are taken R = BLOCK_VALUES // B
+    rows at a time. One (2, R, B) buffer holds both directions' blocks of
+    S, each formed once with its positives on its own diagonal, and one
+    (L, R, B) buffer the margin rows of the L non-scalar levels, formed
+    once per block for both directions. Both minings mine through the
+    selectors of the module docstring: the pruned one adds a (2, R, B)
+    bool candidate mask, L + 2.25 planes in all, and the full scan adds
+    ``s_neg - s_pos`` and the criterion's K' levels for both directions
+    (K' = 1 when ``hard_only``, else K), L + 2K' + 4 planes. Mean mining
+    adds three planes for its loss. Under hardest mining the mined
+    negatives and margins are gathered from the block buffers, and the
+    level totals and dS's entries come from the B mined entries per
+    direction only, so they do not depend on R, and the entries are applied
+    once the block buffers are freed; under mean mining ``comp`` is summed
+    block by block, in direction-then-block order, and each block's
+    weighted active cells are multiplied into ``dS``'s products with the
+    unit rows.
     """
     levels = [m if hasattr(m, "rows") else float(m) for m in M]
     blocked = [k for k, m in enumerate(levels) if not isinstance(m, float)]
     w = np.ascontiguousarray(w, dtype=np.float64)
     if (w < 0.0).any():
         raise ValueError(f"level weights must be nonnegative, got {w.tolist()}")
-    K = len(levels)
-    B = U.shape[0]
+    K, B = len(levels), U.shape[0]
     R = min(B, max(1, BLOCK_VALUES // B))
     rows = np.arange(B)
     crit_levels = 1 if hard_only else K
     # the criterion's weights: level 0 alone is unweighted, and x * 1.0 == x
     crit_w = np.ones(1) if hard_only else w
+    crit_slots = sum(1 for k in blocked if k < crit_levels)
+    scalars = [k for k in range(crit_levels) if isinstance(levels[k], float)]
+    values = np.array([levels[k] for k in scalars])
+    layout = (blocked[:crit_slots], scalars, values)
     # a criterion of weight 0 is 0 everywhere and gives no bound to prune by
-    prune = not mean_mining and B >= PRUNE_MIN_B and crit_w.sum() > 0.0
+    if B >= PRUNE_MIN_B and crit_w.sum() > 0.0:
+        select, scratch = _mine_pruned, np.empty(2 * R * B, dtype=bool)
+    else:
+        select, scratch = _mine_full, np.empty((crit_levels + 1, 2 * R * B))
     # each direction's block of S: S[:, r0:r1].T = V[r0:r1] @ U.T for
     # direction video, S[r0:r1] = U[r0:r1] @ V.T for direction text
     factors = ((V, U), (U, V))
@@ -238,36 +269,25 @@ def triplet_terms(
     # each direction's positives S[i, i], read off its own blocks' diagonals
     pos = np.empty((2, B))
     margin_buf = np.empty((len(blocked), R, B))
-    if prune:
-        # both directions' blocks, each plane C-contiguous for any block size
-        sim_buf = np.empty(2 * R * B)
-        mask_buf = np.empty(2 * R * B, dtype=bool)
-        crit_slots = sum(1 for k in blocked if k < crit_levels)
-        scalars = [k for k in range(crit_levels) if isinstance(levels[k], float)]
-        values = np.array([levels[k] for k in scalars]).reshape(-1, 1)
-        layout = (blocked[:crit_slots], scalars, values)
-    else:
-        sim_buf = np.empty((R, B))
-        base_buf = np.empty((R, B))
-        crit_buf = np.empty((R, B))
-        hinge_buf = np.empty((R, B))
+    # both directions' blocks, each plane C-contiguous for any block size
+    sim_buf = np.empty(2 * R * B)
     if mean_mining:
-        wmat_buf = np.empty((R, B))
-        active_buf = np.empty((R, B))
+        base_buf, hinge_buf, wmat_buf = (np.empty((R, B)) for _ in range(3))
         scale = 1.0 / (B * (B - 1))
         block_sums = np.empty((2, -(-B // R), K))
         dSV, dSTU = np.zeros(U.shape), np.zeros(V.shape)
         row_sums, col_sums = np.zeros(B), np.zeros(B)
         # minus the diagonal cells of dS, before the scale
         diag_w = np.zeros(B)
+        # dS's product and dS * S sums on each side: dS @ V and the row
+        # sums, dS.T @ U and the column sums
+        sides = ((dSV, row_sums), (dSTU, col_sums))
     else:
         negs = np.empty((2, B))
         # every level's margin at the mined negative, per direction and anchor;
         # the scalar levels' columns are filled here, the others per block
         mined_margins = np.empty((2, B, K))
-        for k, m in enumerate(levels):
-            if isinstance(m, float):
-                mined_margins[:, :, k] = m
+        mined_margins[:] = [m if isinstance(m, float) else 0.0 for m in levels]
 
     for r0 in range(0, B, R):
         r1 = min(r0 + R, B)
@@ -277,70 +297,45 @@ def triplet_terms(
             block[k] = levels[k].rows(r0, r1, margin_buf[slot, :n])
         # the anchors' own entries: (i - r0, i) for i in [r0, r1)
         diag = np.s_[r0 :: B + 1]
-        if prune:
-            N = sim_buf[: 2 * n * B].reshape(2, n, B)
-            for d, (X, Y) in enumerate(factors):
-                np.matmul(X[r0:r1], Y.T, out=N[d])
-            pos[:, r0:r1] = N.reshape(2, -1)[:, diag]
-            N.reshape(2, -1)[:, diag] = -np.inf
-            found = _mine_pruned(
-                N, pos[:, r0:r1], margin_buf[:crit_slots, :n], layout, crit_w, r0,
-                mask_buf[: 2 * n * B].reshape(2, n, B),
-            )
-            mined[:, r0:r1] = found.reshape(2, n)
+        N = sim_buf[: 2 * n * B].reshape(2, n, B)
+        for d, (X, Y) in enumerate(factors):
+            np.matmul(X[r0:r1], Y.T, out=N[d])
+        pos[:, r0:r1] = N.reshape(2, -1)[:, diag]
+        N.reshape(2, -1)[:, diag] = -np.inf
+        found = select(N, pos[:, r0:r1], margin_buf[:crit_slots, :n], layout, crit_w, r0, scratch)
+        mined[:, r0:r1] = found.reshape(2, n)
+        if not mean_mining:
             cells = np.arange(0, 2 * n * B, B) + found
             negs[:, r0:r1] = N.reshape(-1)[cells].reshape(2, n)
             at = margin_buf[:, :n].reshape(len(blocked), n * B)[:, cells % (n * B)]
             mined_margins[:, r0:r1, blocked] = at.T.reshape(2, n, -1)
             continue
+        # the positives back in the anchors' own cells, for dS * S
+        N.reshape(2, -1)[:, diag] = pos[:, r0:r1]
         for d, (X, Y) in enumerate(factors):
-            base, crit, hinge = base_buf[:n], crit_buf[:n], hinge_buf[:n]
-            N = np.matmul(X[r0:r1], Y.T, out=sim_buf[:n])
-            pos[d, r0:r1] = N.diagonal(r0)  # the block's own cells (i - r0, i)
-            np.subtract(N, pos[d, r0:r1, None], out=base)  # s_neg - s_pos
-            if mean_mining:
-                wmat, active = wmat_buf[:n], active_buf[:n]
-                wmat.fill(0.0)
+            base, hinge, wmat = base_buf[:n], hinge_buf[:n], wmat_buf[:n]
+            np.subtract(N[d], pos[d, r0:r1, None], out=base)  # s_neg - s_pos
+            wmat.fill(0.0)
             # accumulate level by level, in the summation order of the oracle
-            for k in range(K if mean_mining else crit_levels):
+            for k in range(K):
                 np.add(base, block[k], out=hinge)
                 np.maximum(hinge, 0.0, out=hinge)
-                if mean_mining:
-                    # the criterion's diagonal is set to -inf below, so only
-                    # the mean needs the anchors' own cells zeroed
-                    hinge.reshape(-1)[diag] = 0.0
-                    block_sums[d, r0 // R, k] = hinge.sum() / (B - 1)
-                    np.greater(hinge, 0.0, out=active)
-                    active *= w[k]
-                    wmat += active
-                if k == 0:
-                    if not hard_only:
-                        hinge *= w[0]
-                    crit, hinge = hinge, crit  # level 0 starts the criterion; no copy
-                elif k < crit_levels:
-                    hinge *= w[k]
-                    crit += hinge
-            crit.reshape(-1)[diag] = -np.inf
-            np.argmax(crit, axis=1, out=mined[d, r0:r1])
-
-            if mean_mining:
-                # the block's cells of dS, unscaled: wmat[a, j] at (j, i) for
-                # direction video and at (i, j) for direction text, i = r0 + a
-                diag_w[r0:r1] += wmat.sum(axis=1)
-                np.multiply(wmat, N, out=base)  # the block's cells of dS * S
-                if d == 0:
-                    dSV += wmat.T @ V[r0:r1]
-                    dSTU[r0:r1] += wmat @ U
-                    row_sums += base.sum(axis=0)
-                    col_sums[r0:r1] += base.sum(axis=1)
-                else:
-                    dSV[r0:r1] += wmat @ V
-                    dSTU += wmat.T @ U[r0:r1]
-                    row_sums[r0:r1] += base.sum(axis=1)
-                    col_sums += base.sum(axis=0)
-            else:
-                negs[d, r0:r1] = N[rows[:n], mined[d, r0:r1]]
-                mined_margins[d, r0:r1][:, blocked] = margin_buf[:, rows[:n], mined[d, r0:r1]].T
+                hinge.reshape(-1)[diag] = 0.0  # the anchors' own cells
+                block_sums[d, r0 // R, k] = hinge.sum() / (B - 1)
+                np.greater(hinge, 0.0, out=hinge)  # the level's active cells
+                hinge *= w[k]
+                wmat += hinge
+            # the block's cells of dS, unscaled: wmat[a, j] at (j, i) for
+            # direction video and at (i, j) for direction text, i = r0 + a
+            diag_w[r0:r1] += wmat.sum(axis=1)
+            np.multiply(wmat, N[d], out=base)  # the block's cells of dS * S
+            # direction video's block is dS's columns r0:r1, direction text's
+            # its rows: each adds to all rows of one side, rows r0:r1 of the other
+            (P, p_sums), (Q, q_sums) = sides[d], sides[1 - d]
+            P += wmat.T @ X[r0:r1]
+            Q[r0:r1] += wmat @ Y
+            p_sums += base.sum(axis=0)
+            q_sums[r0:r1] += base.sum(axis=1)
 
     if mean_mining:
         # direction by direction, then block by block, which fixes the
@@ -355,8 +350,7 @@ def triplet_terms(
         dS = ProjectedGradient(dSV * scale, dSTU * scale, row_sums * scale, col_sums * scale)
     else:
         # free the block buffers and their views before the entries' temporaries
-        sim_buf = mask_buf = base_buf = crit_buf = hinge_buf = margin_buf = None
-        N = base = crit = hinge = block = None
+        sim_buf = scratch = margin_buf = N = block = None
         grads = []
         for d in (0, 1):
             # (K, B) in column-major order, the layout of a fancy-indexed

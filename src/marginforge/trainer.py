@@ -305,7 +305,8 @@ def run_training(
 
     The fixed inputs (``train_inputs``) are built once, at epoch 1, and every
     epoch reuses them; an error building them is reported as epoch 1's, and
-    a run of 0 epochs builds none.
+    a run of 0 epochs builds none. An error in an epoch's validation names
+    that epoch.
     """
     cfg.validate(len(dataset.train_ids))
     out = Path(out_dir)
@@ -324,7 +325,10 @@ def run_training(
                 except MarginForgeError as exc:
                     raise type(exc)(f"epoch 1: {exc}") from exc
             agg = train_epoch(model, inputs, cfg, epoch, opt_state)
-            t2v, v2t, rsum = evaluate_split(model, dataset, dataset.val_ids)
+            try:
+                t2v, v2t, rsum = evaluate_split(model, dataset, dataset.val_ids)
+            except MarginForgeError as exc:
+                raise type(exc)(f"epoch {epoch} validation: {exc}") from exc
             record = {
                 "epoch": epoch,
                 "lambda": agg.lambda_used,

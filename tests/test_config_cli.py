@@ -587,6 +587,20 @@ class TestSweepCommand:
         assert "train.batch_size 30 exceeds the 19 training items" in err
         assert not list(out.glob("cell*"))
 
+    def test_run_error_names_cell_and_seed(self, smoke_env, capsys):
+        # every config is valid, so the error comes from a run, not a check
+        cfg_path, _, tmp_path = smoke_env
+        out = tmp_path / "bad_run"
+        code = main(
+            [
+                "sweep", "--config", str(cfg_path), "--seeds", "1,2",
+                "--param", "train.learning_rate=3e-4,1e306", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: cell001 (train.learning_rate=1e306) seed 1: epoch 1 " in err
+
     def test_too_many_params_rejected(self, smoke_env):
         cfg_path, _, tmp_path = smoke_env
         code = main(

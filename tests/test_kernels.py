@@ -212,14 +212,14 @@ class TestTripletTerms:
         assert mined_t[0] == 1
 
 
-def both_paths(monkeypatch, rows, levels, w, hard_only=False):
-    """Hardest mining of the unit rows ``rows = (U, V)`` by the full scan and
-    by the pruned path, with each array level wrapped in ``DenseMargins``."""
+def both_paths(monkeypatch, rows, levels, w, hard_only=False, mean_mining=False):
+    """Mining of the unit rows ``rows = (U, V)`` by the full scan and by the
+    pruned path, with each array level wrapped in ``DenseMargins``."""
     levels = row_sources(levels)
     monkeypatch.setattr(kernels, "PRUNE_MIN_B", 1 << 30)
-    full = kernels.triplet_terms(*rows, levels, w, False, hard_only)
+    full = kernels.triplet_terms(*rows, levels, w, mean_mining, hard_only)
     monkeypatch.setattr(kernels, "PRUNE_MIN_B", 2)
-    pruned = kernels.triplet_terms(*rows, levels, w, False, hard_only)
+    pruned = kernels.triplet_terms(*rows, levels, w, mean_mining, hard_only)
     return full, pruned
 
 
@@ -235,10 +235,11 @@ def assert_same_mining(full, pruned):
         np.testing.assert_array_equal(getattr(pruned[1], name), getattr(full[1], name))
 
 
-def assert_matches_oracle(result, S, levels, w, hard_only=False):
+def assert_matches_oracle(result, S, levels, w, hard_only=False, mean_mining=False):
     b = S.shape[0]
     dense = [np.full((b, b), m) if np.ndim(m) == 0 else np.asarray(m) for m in levels]
-    _, per_level, bf_v, bf_t = brute_force_full_loss(S, dense, w, "hardest", hard_only)
+    mining = "mean" if mean_mining else "hardest"
+    _, per_level, bf_v, bf_t = brute_force_full_loss(S, dense, w, mining, hard_only)
     np.testing.assert_allclose(result[0], per_level, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(result[2], bf_v)
     np.testing.assert_array_equal(result[3], bf_t)
@@ -270,19 +271,21 @@ class TestPrunedMining:
     # the pruned path is forced at small B by lowering PRUNE_MIN_B; each test
     # checks it against the full scan bit for bit and against the oracle
 
+    @pytest.mark.parametrize("mean_mining", [False, True])
     @pytest.mark.parametrize("hard_only", [False, True])
-    def test_matches_full_scan_and_oracle(self, monkeypatch, hard_only):
+    def test_matches_full_scan_and_oracle(self, monkeypatch, hard_only, mean_mining):
         rng = np.random.default_rng(900 + hard_only)
         for _ in range(20):
             b = int(rng.integers(2, 12))
             S, M, w = random_instance(rng, b=b, levels=int(rng.integers(1, 6)))
             levels = [0.05] + list(M[1:])
-            full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only)
+            full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only, mean_mining)
             assert_same_mining(full, pruned)
-            assert_matches_oracle(pruned, S, levels, w, hard_only)
+            assert_matches_oracle(pruned, S, levels, w, hard_only, mean_mining)
 
+    @pytest.mark.parametrize("mean_mining", [False, True])
     @pytest.mark.parametrize("hard_only", [False, True])
-    def test_exact_ties_go_to_the_smallest_index(self, monkeypatch, hard_only):
+    def test_exact_ties_go_to_the_smallest_index(self, monkeypatch, hard_only, mean_mining):
         # duplicate columns of S and of every margin level tie direction
         # text's candidates exactly; duplicate rows tie direction video's
         rng = np.random.default_rng(910 + hard_only)
@@ -293,13 +296,14 @@ class TestPrunedMining:
             S[:, dst], M[:, :, dst] = S[:, src], M[:, :, src]
             S[dst, :], M[:, dst, :] = S[src, :], M[:, src, :]
         levels = list(M)
-        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only)
+        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only, mean_mining)
         assert_same_mining(full, pruned)
-        assert_matches_oracle(pruned, S, levels, w, hard_only)
+        assert_matches_oracle(pruned, S, levels, w, hard_only, mean_mining)
 
+    @pytest.mark.parametrize("mean_mining", [False, True])
     @pytest.mark.parametrize("hard_only", [False, True])
     def test_rows_inactive_everywhere_mine_their_first_other_index(
-        self, monkeypatch, hard_only
+        self, monkeypatch, hard_only, mean_mining
     ):
         # every hinge is 0 in the rows of anchors 0, 3 and 5, and in both
         # directions: anchor 0 mines index 1, the others index 0
@@ -309,43 +313,45 @@ class TestPrunedMining:
         for i in (0, 3, 5):
             S[i, i] = 10.0
         levels = [0.05] + list(M[1:])
-        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only)
+        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only, mean_mining)
         assert_same_mining(full, pruned)
-        assert_matches_oracle(pruned, S, levels, w, hard_only)
+        assert_matches_oracle(pruned, S, levels, w, hard_only, mean_mining)
         for mined in pruned[2:]:
             assert (mined[0], mined[3], mined[5]) == (1, 0, 0)
         # and a batch inactive everywhere
         S = np.eye(b) * 10.0
-        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only)
+        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only, mean_mining)
         assert_same_mining(full, pruned)
         for mined in pruned[2:]:
             np.testing.assert_array_equal(mined, [1] + [0] * (b - 1))
         for name in PROJECTIONS:
             assert not getattr(pruned[1], name).any()
 
+    @pytest.mark.parametrize("mean_mining", [False, True])
     @pytest.mark.parametrize("hard_only", [False, True])
     @pytest.mark.parametrize("level", ["scalar", "array"])
-    def test_single_level(self, monkeypatch, hard_only, level):
+    def test_single_level(self, monkeypatch, hard_only, mean_mining, level):
         rng = np.random.default_rng(930 + hard_only)
         S, M, w = random_instance(rng, b=9, levels=2)
         levels = [0.05 if level == "scalar" else M[1]]
-        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w[:1], hard_only)
+        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w[:1], hard_only, mean_mining)
         assert_same_mining(full, pruned)
-        assert_matches_oracle(pruned, S, levels, w[:1], hard_only)
+        assert_matches_oracle(pruned, S, levels, w[:1], hard_only, mean_mining)
 
+    @pytest.mark.parametrize("mean_mining", [False, True])
     @pytest.mark.parametrize("hard_only", [False, True])
     @pytest.mark.parametrize("block_values", [16, 36, 64])
-    def test_ragged_last_block(self, monkeypatch, hard_only, block_values):
+    def test_ragged_last_block(self, monkeypatch, hard_only, mean_mining, block_values):
         # 17 anchors in blocks of 1, 2 and 3 rows: 17 = 8 * 2 + 1 = 5 * 3 + 2
         rng = np.random.default_rng(940 + block_values)
         b = 17
         U, un, V, vn, S, levels, w = mined_instance(rng, b)
         monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
         for rows in ((U, V), dense_rows(S)):
-            full, pruned = both_paths(monkeypatch, rows, levels, w, hard_only)
+            full, pruned = both_paths(monkeypatch, rows, levels, w, hard_only, mean_mining)
             assert_same_mining(full, pruned)
         dense = [m.dense() if hasattr(m, "dense") else m for m in levels]
-        assert_matches_oracle(pruned, S, dense, w, hard_only)
+        assert_matches_oracle(pruned, S, dense, w, hard_only, mean_mining)
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_cells_on_the_bound(self, monkeypatch, scale):
@@ -369,8 +375,8 @@ class TestPrunedMining:
             assert_matches_oracle(pruned, S, levels, w)
 
     def test_gate(self, monkeypatch):
-        # the pruned path runs from PRUNE_MIN_B on, only under hardest mining
-        # and only for a criterion of nonzero weight
+        # the pruned path runs from PRUNE_MIN_B on, under either mining, and
+        # only for a criterion of nonzero weight
         calls = []
         real = kernels._mine_pruned
         monkeypatch.setattr(
@@ -383,13 +389,14 @@ class TestPrunedMining:
                 kernels.triplet_terms(
                     *dense_rows(S), [0.05, DenseMargins(M[1])], w, mean_mining, False
                 )
-        assert calls == [kernels.PRUNE_MIN_B]
-        _, _, mined_v, mined_t = kernels.triplet_terms(
-            *dense_rows(S), [0.05, DenseMargins(M[1])], 0.0 * w, False, False
-        )
-        assert calls == [kernels.PRUNE_MIN_B]
-        for mined in (mined_v, mined_t):
-            np.testing.assert_array_equal(mined, [1] + [0] * (S.shape[0] - 1))
+        assert calls == [kernels.PRUNE_MIN_B, kernels.PRUNE_MIN_B]
+        for mean_mining in (False, True):
+            _, _, mined_v, mined_t = kernels.triplet_terms(
+                *dense_rows(S), [0.05, DenseMargins(M[1])], 0.0 * w, mean_mining, False
+            )
+            assert calls == [kernels.PRUNE_MIN_B, kernels.PRUNE_MIN_B]
+            for mined in (mined_v, mined_t):
+                np.testing.assert_array_equal(mined, [1] + [0] * (S.shape[0] - 1))
 
     def test_negative_weight_rejected(self):
         rng = np.random.default_rng(980)

@@ -403,6 +403,15 @@ class TestRunTraining:
         with pytest.raises(ZeroNormError, match=f"^epoch 1: {table} row 3 has"):
             run_training(ds, cfg, 0, 8, tmp_path)
 
+    def test_failed_validation_names_its_epoch(self, tmp_path):
+        # epoch 1's one step is finite, but its 1e306 step size leaves
+        # weights so large that the validation rows' norms overflow
+        ds = small_dataset(n=80)
+        assert len(ds.train_ids) == 64
+        cfg = TrainConfig(epochs=2, batch_size=64, seed=7, learning_rate=1e306)
+        with pytest.raises(ZeroNormError, match="^epoch 1 validation: video row 0 has"):
+            run_training(ds, cfg, 0, 8, tmp_path)
+
     def test_report_record_count_equals_epochs(self, tmp_path):
         ds = small_dataset()
         cfg = TrainConfig(epochs=4, batch_size=8, seed=8)
@@ -490,16 +499,20 @@ class TestRunTraining:
             tmp_path / "b/checkpoint_final.ckpt"
         ).read_bytes()
 
+    @pytest.mark.parametrize("warmup_epochs", [0, 1])
     @pytest.mark.parametrize("criterion", ["combined", "hard_only"])
-    def test_pruned_mining_leaves_outputs_byte_identical(self, tmp_path, monkeypatch, criterion):
-        # B = 256 hardest mining with all four experts' ExpertMargins levels,
-        # once by the full scan and once by the pruned path
+    def test_pruned_mining_leaves_outputs_byte_identical(
+        self, tmp_path, monkeypatch, criterion, warmup_epochs
+    ):
+        # B = 256 mining with all four experts' ExpertMargins levels, once by
+        # the full scan and once by the pruned path; a warm-up epoch mines
+        # under mean mining
         from marginforge import kernels
 
         ds = small_dataset(n=320)
         assert len(ds.train_ids) == 256
         cfg = TrainConfig(
-            epochs=2, batch_size=256, seed=12, warmup_epochs=0,
+            epochs=2, batch_size=256, seed=12, warmup_epochs=warmup_epochs,
             lambda_start_epoch=1, lambda_end_epoch=3, mining_criterion=criterion,
         )
         pruned_blocks = []
@@ -515,7 +528,7 @@ class TestRunTraining:
             full, pruned = (tmp_path / out / name for out in ("full", "pruned"))
             assert full.read_bytes() == pruned.read_bytes()
 
-    @pytest.mark.parametrize("b", [64, 256])  # 256: the pruned hardest-mining path
+    @pytest.mark.parametrize("b", [64, 256])  # 256: the pruned selector
     def test_study_row_source_reaches_the_loss(self, tmp_path, monkeypatch, b):
         # a row source that is not an ExpertMargins, passed in from outside
         # the package by rebinding trainer.expert_margins, trains exactly as
