@@ -6,10 +6,12 @@ loaded from EMB1/FRM1 text files. Either kind's unit rows become margins in
 ``margin.expert_margins``; ``EXPERT_KINDS`` names the four experts.
 
 The EMB1 and FRM1 loaders check each record line's structure as they read
-it, but convert its floats a block at a time through ``FloatRows``: one
-numpy cast per ``FLOAT_BLOCK_VALUES`` values, not one ``float()`` per token.
+it and convert its float tokens into its row with one numpy assignment,
+which accepts exactly the literals that ``float()`` accepts. Finiteness is
+checked once per file, in ``_finite_rows``.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,11 +27,6 @@ from .errors import (
 from .mathcore import row_norms
 
 EXPERT_KINDS = ("dse_text", "dse_video", "sse_text", "sse_video")
-
-# Float tokens converted by one numpy cast in ``FloatRows``. A block is bounded
-# by values, not rows, so its token list (about 80 bytes a value) stays small
-# however wide a row is; larger blocks were no faster.
-FLOAT_BLOCK_VALUES = 1 << 13
 
 
 @dataclass
@@ -160,87 +157,37 @@ def row_format(dim: int, prefix: str) -> str:
     return prefix + " ".join(["%.17e"] * dim) + "\n"
 
 
-def parse_floats(tokens, lineno, path) -> np.ndarray:
-    """Finite float64 row from text tokens: the literal rule of EMB1 and FRM1.
+@contextmanager
+def _finite_rows(path, values: np.ndarray, lines: np.ndarray):
+    """Check the float rows that a loader's record loop reads for non-finite values.
 
-    A token is accepted exactly when ``float()`` accepts it. The loaders
-    convert their rows per block in ``FloatRows``, whose cast accepts the same
-    literals; this per-row form runs only to find the line of a rejected one.
+    ``lines`` holds the line of each row of ``values`` (its shape less the
+    last axis), 0 for a row not read. When the loop ends, and also when an
+    ``Exception`` leaves it, a read row that holds a non-finite value is a
+    ``ParseError`` at the smallest such line. Every row read lies before the
+    line that raised, so this error replaces the one leaving, and a file's
+    first error in file order wins.
     """
+
+    def check():
+        bad = lines[(lines > 0) & ~np.isfinite(values).all(axis=-1)]
+        if bad.size:
+            raise ParseError(f"{path}: non-finite value", int(bad.min())) from None
+
     try:
-        vals = np.array([float(t) for t in tokens])
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad numeric literal: {exc}", lineno) from None
-    if not np.isfinite(vals).all():
-        raise ParseError(f"{path}: non-finite value", lineno)
-    return vals
-
-
-class FloatRows:
-    """Float rows of one EMB1 or FRM1 file, converted to float64 a block at a time.
-
-    A loader checks each record line itself and queues the line's float
-    tokens with ``add``, naming the offset of the row's first value in the
-    flat view of ``out``. Every ``FLOAT_BLOCK_VALUES`` queued values are cast
-    by one ``np.array(tokens, dtype=np.float64)``, checked for finiteness and
-    scattered into ``out``.
-
-    Used as a context manager, the pending block is converted when the record
-    loop ends and also before any error leaves it, so a malformed file raises
-    the first of its errors in file order, at that error's line.
-    """
-
-    def __init__(self, path, out: np.ndarray):
-        self.path = path
-        self.flat = out.reshape(-1)  # a view: ``out`` is a fresh, contiguous array
-        self.tokens: list[str] = []
-        self.lines: list[int] = []
-        self.starts: list[int] = []  # index in ``tokens`` of each row's first value
-        self.dests: list[int] = []  # index in ``flat`` of each row's first value
-
-    def add(self, lineno: int, tokens: list[str], dest: int) -> None:
-        self.lines.append(lineno)
-        self.starts.append(len(self.tokens))
-        self.dests.append(dest)
-        self.tokens += tokens
-        if len(self.tokens) >= FLOAT_BLOCK_VALUES:
-            self.flush()
-
-    def flush(self) -> None:
-        """Convert, check and scatter the queued rows."""
-        if not self.lines:
-            return
-        try:
-            vals = np.array(self.tokens, dtype=np.float64)
-        except ValueError:
-            ends = self.starts[1:] + [len(self.tokens)]
-            for lineno, start, end in zip(self.lines, self.starts, ends):
-                parse_floats(self.tokens[start:end], lineno, self.path)
-            raise  # unreachable: the cast and ``parse_floats`` accept the same literals
-        starts = np.array(self.starts)
-        finite = np.isfinite(vals)
-        if not finite.all():
-            row = int(np.searchsorted(starts, np.argmin(finite), side="right")) - 1
-            raise ParseError(f"{self.path}: non-finite value", self.lines[row])
-        widths = np.diff(starts, append=len(self.tokens))
-        self.flat[np.repeat(np.array(self.dests) - starts, widths) + np.arange(vals.size)] = vals
-        self.tokens, self.lines, self.starts, self.dests = [], [], [], []
-
-    def __enter__(self) -> "FloatRows":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.flush()
-        elif issubclass(exc_type, Exception):
-            try:
-                self.flush()
-            except ParseError as earlier:
-                raise earlier from None  # an earlier line's error replaces the one leaving
+        yield
+    except Exception:
+        check()
+        raise
+    check()
 
 
 def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbeddingTable:
-    """Parse an EMB1 file: header ``EMB1 <N> <D>`` then N ``<id> <x1..xD>`` records."""
+    """Parse an EMB1 file: header ``EMB1 <N> <D>`` then N ``<id> <x1..xD>`` records.
+
+    A value is any literal that ``float()`` accepts; a rejected literal is a
+    ``ParseError`` at its line, and so is a non-finite value.
+    """
     # a record is D + 1 tokens, each of at least one byte and a separator
     (n, dim), records = read_records(path, "EMB1", 2, lambda n, dim: 2 * n * (dim + 1))
     if dim < 1:
@@ -249,7 +196,8 @@ def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbed
     ids: list[str] = []
     seen: set[str] = set()
     rows = np.empty((n, dim), dtype=np.float64)
-    with FloatRows(path, rows) as block:
+    lines = np.zeros(n, dtype=np.int64)
+    with _finite_rows(path, rows, lines):
         for lineno, tokens in records:
             if len(ids) >= n:
                 raise ParseError(f"{path}: more than {n} data rows", lineno)
@@ -261,7 +209,11 @@ def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbed
             if item_id in seen:
                 raise DuplicateIdError(f"line {lineno}: {path}: duplicate id {item_id!r}")
             seen.add(item_id)
-            block.add(lineno, tokens[1:], len(ids) * dim)
+            try:
+                rows[len(ids)] = tokens[1:]
+            except ValueError as exc:
+                raise ParseError(f"{path}: bad numeric literal: {exc}", lineno) from None
+            lines[len(ids)] = lineno
             ids.append(item_id)
     if len(ids) != n:
         raise ParseError(f"{path}: header declares {n} rows, found {len(ids)}")
@@ -286,7 +238,8 @@ def load_frame_file(path) -> tuple[list[str], np.ndarray]:
     """Parse an FRM1 file into (ids, frames) with frames shaped (N, T, D).
 
     Header is ``FRM1 <N> <T> <D>``; each of the N*T records is
-    ``<id> <frame_index> <x1..xD>`` with frame_index in [0, T).
+    ``<id> <frame_index> <x1..xD>`` with frame_index in [0, T). Values
+    follow the rule of ``load_static_embeddings``.
     """
     # a record is D + 2 tokens, each of at least one byte and a separator
     (n, t, dim), records = read_records(path, "FRM1", 3, lambda n, t, dim: 2 * n * t * (dim + 2))
@@ -296,8 +249,8 @@ def load_frame_file(path) -> tuple[list[str], np.ndarray]:
     ids: list[str] = []
     order: dict[str, int] = {}
     frames = np.empty((n, t, dim), dtype=np.float64)
-    filled = np.zeros((n, t), dtype=bool)
-    with FloatRows(path, frames) as block:
+    lines = np.zeros((n, t), dtype=np.int64)
+    with _finite_rows(path, frames, lines):
         for lineno, tokens in records:
             if len(tokens) != dim + 2:
                 raise DimMismatchError(
@@ -314,17 +267,20 @@ def load_frame_file(path) -> tuple[list[str], np.ndarray]:
                 order[item_id] = len(ids)
                 ids.append(item_id)
             row = order[item_id]
-            if filled[row, fidx]:
+            if lines[row, fidx]:
                 raise DuplicateIdError(
                     f"line {lineno}: {path}: duplicate frame {fidx} for id {item_id!r}"
                 )
-            block.add(lineno, tokens[2:], (row * t + fidx) * dim)
-            filled[row, fidx] = True
+            try:
+                frames[row, fidx] = tokens[2:]
+            except ValueError as exc:
+                raise ParseError(f"{path}: bad numeric literal: {exc}", lineno) from None
+            lines[row, fidx] = lineno
 
     if len(ids) != n:
         raise ParseError(f"{path}: header declares {n} ids, found {len(ids)}")
-    if not filled.all():
-        missing = np.argwhere(~filled)[0]
+    if not lines.all():
+        missing = np.argwhere(lines == 0)[0]
         raise ParseError(f"{path}: id {ids[missing[0]]!r} is missing frame {missing[1]}")
     return ids, frames
 

@@ -202,12 +202,12 @@ def triplet_terms(
     each a scalar or a row source with a ``rows(r0, r1, out)`` method that
     writes rows ``r0:r1`` of its B x B margins, such as
     ``margin.ExpertMargins`` (``objective._margin_levels`` states and checks
-    that contract); w holds their weights, which must be nonnegative
-    (``ValueError`` otherwise): the pruned path's bound needs it, and every
-    caller's weights, 1 and the slots' lambda * renorm and (1 - lambda) *
-    renorm, are. Level hinges for anchor i use negatives S[j, i] (direction
-    video) and S[i, j] (direction text) against the positive S[i, i], both
-    with margins row i.
+    that contract); w holds their K weights, which must be nonnegative
+    (``ValueError`` otherwise, as for a w of another length): the pruned
+    path's bound needs it, and every caller's weights, 1 and the slots'
+    lambda * renorm and (1 - lambda) * renorm, are. Level hinges for
+    anchor i use negatives S[j, i] (direction video) and S[i, j] (direction
+    text) against the positive S[i, i], both with margins row i.
 
     Returns ``(comp, dS, mined_v, mined_t)`` where ``comp[k]`` is the
     per-level total (mean over anchors, both directions summed, evaluated at
@@ -243,6 +243,8 @@ def triplet_terms(
     levels = [m if hasattr(m, "rows") else float(m) for m in M]
     blocked = [k for k, m in enumerate(levels) if not isinstance(m, float)]
     w = np.ascontiguousarray(w, dtype=np.float64)
+    if w.shape != (len(levels),):
+        raise ValueError(f"{w.size} level weights for {len(levels)} margin levels")
     if (w < 0.0).any():
         raise ValueError(f"level weights must be nonnegative, got {w.tolist()}")
     K, B = len(levels), U.shape[0]

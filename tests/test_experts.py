@@ -12,11 +12,9 @@ from marginforge.errors import (
     ZeroNormError,
 )
 from marginforge.experts import (
-    FLOAT_BLOCK_VALUES,
     StaticEmbeddingTable,
     load_frame_file,
     load_static_embeddings,
-    parse_floats,
     row_format,
     save_frame_file,
     save_static_embeddings,
@@ -278,7 +276,7 @@ class TestFrm1Format:
 
 
 # literals float() takes (some non-finite, so rejected by the loaders) and
-# literals it refuses; the block cast must agree on every one
+# literals it refuses; the loaders' row assignment must agree on every one
 LITERALS = [
     "1_0", "\u0661\u0662", "+.5", "5.", "nan", "-Infinity", "1e500", "0x10", "1e", "--1",
     "5e-324", "-0.0",
@@ -301,47 +299,50 @@ def replace_row(index, text):
 
 
 class TestFloatBlocks:
-    """EMB1/FRM1 floats are converted per block; values and errors match per-row parsing."""
+    """EMB1/FRM1 floats are converted per row; values and errors match ``float()``
+    and come in file order."""
 
     @pytest.mark.parametrize("literal", LITERALS)
     def test_literal_parity(self, tmp_path, literal):
         p = tmp_path / "one.emb1"
         p.write_text(f"EMB1 1 2\na {literal} 1.0\n", encoding="utf-8")
         try:
-            expected = parse_floats([literal, "1.0"], 2, p)
-        except ParseError as exc:
+            value = float(literal)
+            exc = None if np.isfinite(value) else ParseError(f"{p}: non-finite value", 2)
+        except ValueError as rejected:
+            exc = ParseError(f"{p}: bad numeric literal: {rejected}", 2)
+        if exc is not None:
             with pytest.raises(ParseError) as excinfo:
                 load_static_embeddings(p)
             assert (type(excinfo.value), str(excinfo.value)) == (type(exc), str(exc))
             assert excinfo.value.line == 2
             return
         got = load_static_embeddings(p).embeddings[0]
-        assert got.tobytes() == expected.tobytes()
-        assert got[0].hex() == float(literal).hex()
+        assert got.tobytes() == np.array([value, 1.0]).tobytes()
+        assert got[0].hex() == value.hex()
 
     @pytest.mark.parametrize("bad", ["oops", "nan"])
-    @pytest.mark.parametrize("into_block", [0, 7])
-    def test_emb1_error_line_in_second_block(self, tmp_path, bad, into_block):
+    @pytest.mark.parametrize("offset", [0, 7])
+    def test_emb1_error_line_far_into_the_file(self, tmp_path, bad, offset):
         dim = 16
-        rows_per_block = FLOAT_BLOCK_VALUES // dim
-        index = rows_per_block + into_block
+        index = 512 + offset
         p = tmp_path / "long.emb1"
         bad_row = f"i{index} 1.0 {bad} " + " ".join(["0.5"] * (dim - 2))
-        p.write_text(emb1_text(2 * rows_per_block, dim, replace_row(index, bad_row)))
+        p.write_text(emb1_text(2 * 512, dim, replace_row(index, bad_row)))
         expected = "non-finite" if bad == "nan" else "literal"
         with pytest.raises(ParseError, match=expected) as excinfo:
             load_static_embeddings(p)
         assert excinfo.value.line == index + 2
 
     @pytest.mark.parametrize("bad", ["oops", "nan"])
-    @pytest.mark.parametrize("into_block", [0, 7])
-    def test_frm1_error_line_in_second_block(self, tmp_path, bad, into_block):
+    @pytest.mark.parametrize("offset", [0, 7])
+    def test_frm1_error_line_far_into_the_file(self, tmp_path, bad, offset):
         n, t, dim = 600, 2, 40
         frames = np.arange(n * t * dim, dtype=np.float64).reshape(n, t, dim) + 0.25
         p = tmp_path / "long.frm1"
         save_frame_file([f"v{i}" for i in range(n)], frames, p)
         lines = p.read_text(encoding="utf-8").splitlines()
-        row = FLOAT_BLOCK_VALUES // dim + 1 + into_block  # the block closes after a row
+        row = 205 + offset
         parts = lines[row].split()
         parts[5] = bad
         lines[row] = " ".join(parts)
@@ -391,6 +392,25 @@ class TestFloatBlocks:
         with pytest.raises(DuplicateIdError, match="line 4:"):
             load_static_embeddings(p)
 
+    # a bad literal raises at once and a non-finite value when the loop
+    # ends, yet the earlier line's error wins either way
+    @pytest.mark.parametrize("fmt", ["emb1", "frm1"])
+    @pytest.mark.parametrize("first, later", [("nan", "oops"), ("oops", "nan")])
+    def test_mixed_float_errors_keep_file_order(self, tmp_path, fmt, first, later):
+        p = tmp_path / f"t.{fmt}"
+        if fmt == "emb1":
+            edit = lambda rows: [rows[0], "i1 1.0 " + first, rows[2], f"i3 {later} 0.5", *rows[4:]]
+            p.write_text(emb1_text(8, 2, edit), encoding="utf-8")
+            load = load_static_embeddings
+        else:
+            body = f"a 0 1.0 2.0\na 1 1.0 {first}\nb 0 1.0 2.0\nb 1 {later} 2.0\n"
+            p.write_text("FRM1 2 2 2\n" + body, encoding="utf-8")
+            load = load_frame_file
+        expected = "non-finite" if first == "nan" else "literal"
+        with pytest.raises(ParseError, match=expected) as excinfo:
+            load(p)
+        assert excinfo.value.line == 3
+
     def test_frm1_error_before_later_structural_error(self, tmp_path):
         p = tmp_path / "f.frm1"
         p.write_text("FRM1 2 2 2\na 0 1.0 nan\na 1 1.0 2.0\nb 0 1.0\n", encoding="utf-8")
@@ -399,7 +419,7 @@ class TestFloatBlocks:
         assert excinfo.value.line == 2
 
     def test_frm1_interleaved_shuffled_rows_scatter_exactly(self, tmp_path):
-        n, t, dim = 300, 4, 40  # 48000 values: more than one block
+        n, t, dim = 300, 4, 40
         rng = np.random.default_rng(35)
         frames = rng.standard_normal((n, t, dim)) * 10.0 ** rng.integers(-300, 300, (n, t, 1))
         fmt = row_format(dim, "%s %d ")

@@ -173,6 +173,22 @@ class TestTripletTerms:
             tracemalloc.stop()
         assert peak < b * b * 8
 
+    @pytest.mark.parametrize("mean_mining", [False, True])
+    def test_peak_memory_at_small_batch_in_bytes(self, mean_mining):
+        # at B=64 numpy's fixed 64 KiB iterator buffer alone is two B x B
+        # matrices, so this bound is in bytes
+        b, levels = 64, 5
+        rng = np.random.default_rng(19)
+        U, V, M, w = unit_instance(rng, b=b, dim=16, levels=levels)
+        margins = [0.05] + row_sources(M[1:])
+        tracemalloc.start()
+        try:
+            kernels.triplet_terms(U, V, margins, w, mean_mining, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
     def test_grad_matches_finite_differences_hardest(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -405,6 +421,16 @@ class TestPrunedMining:
         for mean_mining in (False, True):
             with pytest.raises(ValueError, match="nonnegative"):
                 kernels.triplet_terms(*dense_rows(S), row_sources(M), w, mean_mining, False)
+
+    @pytest.mark.parametrize("mean_mining", [False, True])
+    @pytest.mark.parametrize("b", [64, 128])
+    @pytest.mark.parametrize("w", [[1.0, 0.5, 0.5], [1.0]])
+    def test_weight_count_must_match_levels(self, b, mean_mining, w):
+        rng = np.random.default_rng(981)
+        U, V, M, _ = unit_instance(rng, b=b, dim=16, levels=2)
+        margins = [0.05] + row_sources(M[1:])
+        with pytest.raises(ValueError, match=f"^{len(w)} level weights for 2 margin levels$"):
+            kernels.triplet_terms(U, V, margins, np.array(w), mean_mining, False)
 
 
 class TestMarginRowSources:

@@ -1,8 +1,8 @@
 """The package's public surface is what its own code uses.
 
-Every public top-level function or class of ``src/marginforge`` must be
-named by code in ``src/`` other than its own definition: a name, an
-attribute or an import of that name. A name that only tests or perfbench
+Every public top-level function, class or upper-case constant of
+``src/marginforge`` must be named by code in ``src/`` other than its own
+definition: a name that is loaded, an attribute or an import of that name. A name that only tests or perfbench
 reach is dead surface; it is deleted, or listed in ``ALLOWED`` with the
 reason it stays. An allowed name that gains a ``src/`` caller, or is gone,
 fails too, so the list only shrinks. A module's ``__all__`` names only
@@ -25,22 +25,29 @@ ALLOWED = {
 
 
 def public_definitions() -> set:
-    """``(module, name)`` of every public top-level function and class."""
+    """``(module, name)`` of every public top-level function, class and
+    upper-case constant (a name assigned at module level)."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                found.add((path.stem, node.name))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+            else:
+                continue
+            found.update((path.stem, name) for name in names if not name.startswith("_"))
     return found
 
 
 def names_used_in_src() -> set:
     """Every name that code in ``src/`` loads, reads as an attribute or imports;
-    strings, such as ``__all__``'s, do not count."""
+    assignments to a name, and strings, such as ``__all__``'s, do not count."""
     used = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
