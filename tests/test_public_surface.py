@@ -2,12 +2,12 @@
 
 Every public top-level function, class or upper-case constant of
 ``src/marginforge`` must be named by code in ``src/`` other than its own
-definition: a name that is loaded, an attribute or an import of that name. A name that only tests or perfbench
-reach is dead surface; it is deleted, or listed in ``ALLOWED`` with the
-reason it stays. An allowed name that gains a ``src/`` caller, or is gone,
-fails too, so the list only shrinks. A module's ``__all__`` names only
-public top-level definitions of that module, so it cannot keep a deleted
-name.
+definition: a name that is loaded, an attribute or an import of that
+name. A name that only tests or perfbench reach is dead surface; it is
+deleted, or listed in ``ALLOWED`` with the reason it stays. An allowed
+name that gains a ``src/`` caller, or is gone, fails too, so the list only
+shrinks. A module's ``__all__`` names only public top-level definitions of
+that module, so it cannot keep a deleted name.
 """
 
 import ast
