@@ -17,7 +17,7 @@ import numpy as np
 from . import config as cfgmod
 from . import kernels
 from .data import generate, load_dataset, split_sizes, write_dataset
-from .errors import ConfigError, IndexOutOfRangeError, MarginForgeError
+from .errors import ConfigError, IndexOutOfRangeError, MarginForgeError, error_context
 from .evaluation import write_metrics_csv
 from .experts import EXPERT_KINDS
 from .margin import expert_margins
@@ -33,8 +33,11 @@ def _resolve_data_dir(cfg: cfgmod.RunConfig, flag: str | None) -> Path:
     return Path(cfgmod.require(flag or cfg.data_dir, "paths.data_dir"))
 
 
-def _resolve_out_dir(cfg: cfgmod.RunConfig, flag: str | None) -> Path:
-    out = Path(cfgmod.require(flag or cfg.out_dir, "paths.out_dir"))
+def _make_out_dir(flag: str) -> Path:
+    """The ``--out`` directory, created if it does not exist."""
+    if not flag:
+        raise ConfigError("--out is empty")
+    out = Path(flag)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -44,7 +47,7 @@ def cmd_gen_data(args) -> int:
     if args.seed is not None:
         cfg.data.seed = args.seed
         cfg.data.validate()
-    out = _resolve_out_dir(cfg, args.out)
+    out = _make_out_dir(args.out)
     dataset = generate(cfg.data)
     write_dataset(dataset, out)
     cfgmod.write_resolved(cfg, out)
@@ -61,7 +64,7 @@ def cmd_train(args) -> int:
         cfg.train.seed = args.seed
         cfg.train.validate()
     dataset = load_dataset(_resolve_data_dir(cfg, args.data))
-    out = _resolve_out_dir(cfg, args.out)
+    out = _make_out_dir(args.out)
     cfgmod.write_resolved(cfg, out)
     _, records = run_training(
         dataset,
@@ -82,7 +85,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     dataset = load_dataset(_resolve_data_dir(cfg, args.data))
     model = load_checkpoint(args.ckpt)
-    out = _resolve_out_dir(cfg, args.out)
+    out = _make_out_dir(args.out)
     cfgmod.write_resolved(cfg, out)
     ids = dataset.val_ids if args.split == "val" else dataset.train_ids
     t2v, v2t, rsum = evaluate_split(model, dataset, ids, ks=cfg.ks)
@@ -101,7 +104,7 @@ def cmd_inspect_margins(args) -> int:
         cfg.train.validate()
     dataset = load_dataset(_resolve_data_dir(cfg, args.data))
     model = load_checkpoint(args.ckpt)
-    out = _resolve_out_dir(cfg, args.out)
+    out = _make_out_dir(args.out)
     cfgmod.write_resolved(cfg, out)
 
     kinds = EXPERT_KINDS if args.expert == "all" else (args.expert,)
@@ -181,15 +184,13 @@ def _cell_config(base: cfgmod.RunConfig, assignment, seed: int) -> cfgmod.RunCon
 
 def _sweep_run(cfg: cfgmod.RunConfig, run_dir: Path, label: str) -> dict:
     """One sweep run; its errors start with ``label``, which names its cell and seed."""
-    try:
+    with error_context(label):
         dataset = generate(cfg.data)
         cfgmod.write_resolved(cfg, run_dir)
         _, records = run_training(
             dataset, cfg.train, cfg.hidden_dim, cfg.joint_dim, run_dir,
             config_hash=cfgmod.config_hash(cfg),
         )
-    except MarginForgeError as exc:
-        raise type(exc)(f"{label}: {exc}") from exc
     last = records[-1]
     return {"rsum": last["rsum"], "t2v_R1": last["t2v_R1"], "v2t_R1": last["v2t_R1"]}
 
@@ -223,12 +224,10 @@ def cmd_sweep(args) -> int:
         where = ", ".join(f"{key}={raw}" for key, raw in assignment)
         for seed in seeds:
             label = f"cell{cell_idx:03d} ({where}) seed {seed}"
-            try:
+            with error_context(label):
                 cfg = _cell_config(base, assignment, seed)
-            except ConfigError as exc:
-                raise type(exc)(f"{label}: {exc}") from exc
             tasks.append((cell_idx, cfg, f"cell{cell_idx:03d}/seed{seed}", label))
-    out = _resolve_out_dir(base, args.out)
+    out = _make_out_dir(args.out)
     cfgmod.write_resolved(base, out)
 
     results = [_sweep_run(cfg, out / run_dir, label) for _, cfg, run_dir, label in tasks]

@@ -29,7 +29,6 @@ class RunConfig:
     joint_dim: int = 16
     ks: tuple[int, ...] = DEFAULT_KS
     data_dir: str | None = None
-    out_dir: str | None = None
 
     def validate(self) -> None:
         """Raise ``ConfigError`` naming the key of the first value rule broken."""
@@ -86,7 +85,6 @@ KEY_SPECS = {
     "model.joint_dim": ("", "joint_dim", int),
     "eval.ks": ("", "ks", _parse_ks),
     "paths.data_dir": ("", "data_dir", str),
-    "paths.out_dir": ("", "out_dir", str),
 }
 
 

@@ -8,6 +8,10 @@ static expert tables are derived views: mean-pooled frames for video, and the
 text features under independent extra noise for text (a deliberately
 imperfect external encoder).
 
+``Dataset`` is the one owner of row order: row i of ``frames``, ``text``,
+``concepts`` and both static tables belongs to ``ids[i]``, and
+``Dataset.rows`` maps ids to rows.
+
 On disk a dataset is a directory of seven text files (FRM1 frames, three
 EMB1 tables, LBL1 labels, two SPLIT1 id lists) plus ``manifest.txt``, all
 read under the line rules of ``experts.read_records``. The manifest's header
@@ -93,6 +97,13 @@ def split_sizes(n_items: int) -> tuple[int, int]:
 
 @dataclass
 class Dataset:
+    """Per-item arrays, one row per id in ``ids`` order, and the split.
+
+    ``ConfigError`` unless the ids are unique, every array and static table
+    has one row per id, the tables' ids are ``ids`` in order, and the splits
+    partition the ids.
+    """
+
     ids: list[str]
     concepts: np.ndarray  # (N,) int64 concept label per item
     frames: np.ndarray  # (N, T, video_dim)
@@ -107,6 +118,12 @@ class Dataset:
         self.index = {item_id: i for i, item_id in enumerate(self.ids)}
         if len(self.index) != len(self.ids):
             raise ConfigError("dataset ids are not unique")
+        for name in ("concepts", "frames", "text"):
+            if (n := len(getattr(self, name))) != len(self.ids):
+                raise ConfigError(f"{name} has {n} rows for {len(self.ids)} ids")
+        for name in ("sse_video", "sse_text"):
+            if getattr(self, name).ids != self.ids:
+                raise ConfigError(f"{name} ids are not the dataset ids in order")
         assigned = set(self.train_ids) | set(self.val_ids)
         if assigned != set(self.ids) or len(self.train_ids) + len(self.val_ids) != len(self.ids):
             raise ConfigError("train/val splits must partition the ids")
@@ -201,8 +218,8 @@ def generate(cfg: SynthConfig) -> Dataset:
         concepts=concepts,
         frames=frames,
         text=text,
-        sse_video=StaticEmbeddingTable(ids, sse_video_vecs, "sse_video"),
-        sse_text=StaticEmbeddingTable(ids, sse_text_vecs, "sse_text"),
+        sse_video=StaticEmbeddingTable(ids, sse_video_vecs),
+        sse_text=StaticEmbeddingTable(ids, sse_text_vecs),
         train_ids=[ids[i] for i in train_rows],
         val_ids=[ids[i] for i in val_rows],
     )
@@ -287,11 +304,9 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_frame_file(dataset.ids, dataset.frames, out / _FILES["frames"])
-    save_static_embeddings(
-        StaticEmbeddingTable(dataset.ids, dataset.text, "text"), out / _FILES["text"]
-    )
-    save_static_embeddings(dataset.sse_video, out / _FILES["sse_video"])
-    save_static_embeddings(dataset.sse_text, out / _FILES["sse_text"])
+    save_static_embeddings(dataset.ids, dataset.text, out / _FILES["text"])
+    for name in ("sse_video", "sse_text"):
+        save_static_embeddings(dataset.ids, getattr(dataset, name).embeddings, out / _FILES[name])
     _write_labels(dataset, out / _FILES["labels"])
     _write_split(dataset.train_ids, out / _FILES["split_train"])
     _write_split(dataset.val_ids, out / _FILES["split_val"])
@@ -362,16 +377,12 @@ def load_dataset(data_dir) -> Dataset:
 
     frames_path = root / _FILES["frames"]
     ids, frames = load_frame_file(frames_path)
-    text_table = load_static_embeddings(root / _FILES["text"], "text")
-    sse_video = load_static_embeddings(root / _FILES["sse_video"], "sse_video")
-    sse_text = load_static_embeddings(root / _FILES["sse_text"], "sse_text")
+    tables = {
+        name: load_static_embeddings(root / _FILES[name]) for name in ("text", "sse_video", "sse_text")
+    }
     labels = _load_labels(root / _FILES["labels"])
 
-    for name, table_ids in (
-        ("text", text_table.ids),
-        ("sse_video", sse_video.ids),
-        ("sse_text", sse_text.ids),
-    ):
+    for name, (table_ids, _) in tables.items():
         if table_ids != ids:
             raise ParseError(
                 f"{root / _FILES[name]}: {name} ids do not match the frame file ids "
@@ -392,9 +403,9 @@ def load_dataset(data_dir) -> Dataset:
             ids=ids,
             concepts=concepts,
             frames=frames,
-            text=text_table.embeddings,
-            sse_video=sse_video,
-            sse_text=sse_text,
+            text=tables["text"][1],
+            sse_video=StaticEmbeddingTable(ids, tables["sse_video"][1]),
+            sse_text=StaticEmbeddingTable(ids, tables["sse_text"][1]),
             train_ids=train_ids,
             val_ids=val_ids,
         )

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class MarginForgeError(Exception):
     """Base class for all package errors."""
@@ -47,10 +49,6 @@ class DuplicateIdError(MarginForgeError):
     """The same item id appears more than once."""
 
 
-class UnknownIdError(MarginForgeError):
-    """An item id is absent from the table it was looked up in."""
-
-
 class ChecksumError(MarginForgeError):
     """Stored checksum does not match the file contents."""
 
@@ -73,3 +71,13 @@ class ConfigTypeError(ConfigError):
 
 class MissingKeyError(ConfigError):
     """A required config key was not provided."""
+
+
+@contextmanager
+def error_context(prefix: str):
+    """Re-raise a package error leaving the block as ``<prefix>: <message>``,
+    of the same type and chained to it."""
+    try:
+        yield
+    except MarginForgeError as exc:
+        raise type(exc)(f"{prefix}: {exc}") from exc

@@ -1,9 +1,10 @@
 """Single-modal supervision experts: their tables and their file formats.
 
 Dynamic experts read the live encoder outputs of a batch; static experts read
-frozen, externally produced embeddings, held in a ``StaticEmbeddingTable`` and
-loaded from EMB1/FRM1 text files. Either kind's unit rows become margins in
-``margin.expert_margins``; ``EXPERT_KINDS`` names the four experts.
+frozen, externally produced embeddings, one row per item in ``Dataset.ids``
+order, held in a ``StaticEmbeddingTable`` and loaded from EMB1 text files.
+Either kind's unit rows become margins in ``margin.expert_margins``;
+``EXPERT_KINDS`` names the four experts.
 
 The EMB1 and FRM1 loaders check each record line's structure as they read
 it and convert its float tokens into its row with one numpy assignment,
@@ -12,52 +13,31 @@ checked once per file, in ``_finite_rows``.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    DuplicateIdError,
-    ParseError,
-    UnknownIdError,
-    ZeroNormError,
-)
+from .errors import DimMismatchError, DuplicateIdError, ParseError, ZeroNormError
 from .mathcore import row_norms
 
 EXPERT_KINDS = ("dse_text", "dse_video", "sse_text", "sse_video")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StaticEmbeddingTable:
-    """Frozen per-item embeddings from an external model, keyed by item id."""
+    """Frozen per-item embeddings from an external model: row i is ``ids[i]``'s.
+
+    ``Dataset`` requires ``ids`` to be its own, in order, so a table's rows
+    are indexed by dataset row.
+    """
 
     ids: list[str]
     embeddings: np.ndarray  # (N, D)
-    source_label: str
-    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._index = {item_id: i for i, item_id in enumerate(self.ids)}
-        if len(self._index) != len(self.ids):
-            raise DuplicateIdError("table ids are not unique")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    @property
-    def dim(self) -> int:
-        return self.embeddings.shape[1]
-
-    def row(self, item_id: str) -> int:
-        try:
-            return self._index[item_id]
-        except KeyError:
-            raise UnknownIdError(f"id {item_id!r} not in table {self.source_label!r}") from None
-
-    def lookup(self, batch_ids) -> np.ndarray:
-        return self.embeddings[[self.row(i) for i in batch_ids]]
+        if len(self.ids) != len(self.embeddings):
+            raise DimMismatchError(f"{len(self.ids)} ids for {len(self.embeddings)} embedding rows")
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +162,10 @@ def _finite_rows(path, values: np.ndarray, lines: np.ndarray):
     check()
 
 
-def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbeddingTable:
-    """Parse an EMB1 file: header ``EMB1 <N> <D>`` then N ``<id> <x1..xD>`` records.
+def load_static_embeddings(path) -> tuple[list[str], np.ndarray]:
+    """Parse an EMB1 file into (ids, rows) with rows shaped (N, D).
 
+    Header is ``EMB1 <N> <D>``; each of the N records is ``<id> <x1..xD>``.
     A value is any literal that ``float()`` accepts; a rejected literal is a
     ``ParseError`` at its line, and so is a non-finite value.
     """
@@ -221,16 +202,16 @@ def load_static_embeddings(path, source_label: str | None = None) -> StaticEmbed
     bad = row_norms(rows)[1]
     if bad is not None:
         raise ZeroNormError(f"{path}: embedding for {ids[bad]!r} has non-finite or near-zero norm")
-    label = source_label if source_label is not None else str(path)
-    return StaticEmbeddingTable(ids, rows, label)
+    return ids, rows
 
 
-def save_static_embeddings(table: StaticEmbeddingTable, path) -> None:
+def save_static_embeddings(ids, rows: np.ndarray, path) -> None:
     """Write an EMB1 file; values carry 18 significant digits so re-parsing is exact."""
-    fmt = row_format(table.dim, "%s ")
+    n, dim = rows.shape
+    fmt = row_format(dim, "%s ")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"EMB1 {len(table.ids)} {table.dim}\n")
-        for item_id, row in zip(table.ids, table.embeddings):
+        fh.write(f"EMB1 {n} {dim}\n")
+        for item_id, row in zip(ids, rows):
             fh.write(fmt % (item_id, *row.tolist()))
 
 

@@ -203,9 +203,9 @@ def triplet_terms(
     writes rows ``r0:r1`` of its B x B margins, such as
     ``margin.ExpertMargins`` (``objective._margin_levels`` states and checks
     that contract); w holds their K weights, which must be nonnegative
-    (``ValueError`` otherwise, as for a w of another length): the pruned
-    path's bound needs it, and every caller's weights, 1 and the slots'
-    lambda * renorm and (1 - lambda) * renorm, are. Level hinges for
+    (``ValueError`` otherwise, as for K = 0 or a w of another length): the
+    pruned path's bound needs it, and every caller's weights, 1 and the
+    slots' lambda * renorm and (1 - lambda) * renorm, are. Level hinges for
     anchor i use negatives S[j, i] (direction video) and S[i, j] (direction
     text) against the positive S[i, i], both with margins row i.
 
@@ -245,6 +245,8 @@ def triplet_terms(
     w = np.ascontiguousarray(w, dtype=np.float64)
     if w.shape != (len(levels),):
         raise ValueError(f"{w.size} level weights for {len(levels)} margin levels")
+    if not levels:
+        raise ValueError("need at least one margin level")
     if (w < 0.0).any():
         raise ValueError(f"level weights must be nonnegative, got {w.tolist()}")
     K, B = len(levels), U.shape[0]

@@ -58,8 +58,9 @@ class LossBreakdown:
     ``total = hard_term + dse_term + sse_term`` where the expert terms
     already carry their lambda / (1 - lambda) weights; ``neg_video_idx`` and
     ``neg_text_idx`` hold the selected negative per anchor for the two
-    directions (argmax of the combined per-negative term even under mean
-    mining, where the loss itself averages over all negatives).
+    directions (argmax of the combined per-negative term, or of the level-0
+    term under the ``hard_only`` criterion, even under mean mining, where
+    the loss itself averages over all negatives).
     """
 
     total: float

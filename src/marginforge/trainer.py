@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .data import Dataset
-from .errors import ConfigError, MarginForgeError, NonFiniteError, ParseError, ShapeMismatchError
+from .errors import ConfigError, NonFiniteError, ParseError, ShapeMismatchError, error_context
 from .evaluation import DEFAULT_KS, evaluate_bidirectional
 from .experts import EXPERT_KINDS
 from .margin import expert_margins
@@ -153,14 +153,6 @@ def epoch_batches(seed: int, n: int, batch_size: int, epoch: int) -> list[np.nda
     return [batch for batch in batches if batch.size >= 2]
 
 
-def sse_unit_tables(dataset: Dataset, kinds) -> dict:
-    """``{SSE kind: unit rows}`` of the train split's static tables for ``kinds``."""
-    return {
-        kind: unit_rows(getattr(dataset, kind).lookup(dataset.train_ids), kind)[0]
-        for kind in kinds
-    }
-
-
 @dataclass(frozen=True)
 class TrainInputs:
     """The training split's fixed inputs, row-aligned with ``dataset.train_ids``."""
@@ -179,12 +171,12 @@ def train_inputs(dataset: Dataset, kinds) -> TrainInputs:
     A zero-norm static row raises ``ZeroNormError`` naming its table.
     """
     rows = dataset.rows(dataset.train_ids)
-    return TrainInputs(
-        rows,
-        dataset.frames[rows].mean(axis=1),
-        dataset.text[rows],
-        sse_unit_tables(dataset, [kind for kind in ("sse_video", "sse_text") if kind in kinds]),
-    )
+    sse_units = {
+        kind: unit_rows(getattr(dataset, kind).embeddings[rows], kind)[0]
+        for kind in ("sse_video", "sse_text")
+        if kind in kinds
+    }
+    return TrainInputs(rows, dataset.frames[rows].mean(axis=1), dataset.text[rows], sse_units)
 
 
 def expert_units(state, sse_units: dict, batch) -> dict:
@@ -192,7 +184,7 @@ def expert_units(state, sse_units: dict, batch) -> dict:
     rows feed which expert.
 
     The DSE experts read the batch's unit rows from ``state``; the SSE
-    experts read rows ``batch`` of the ``sse_unit_tables`` in ``sse_units``.
+    experts read rows ``batch`` of the unit tables in ``sse_units``.
     """
     units = {"dse_video": state.video_units, "dse_text": state.text_units}
     units.update((kind, table[batch]) for kind, table in sse_units.items())
@@ -241,7 +233,7 @@ def train_epoch(
 
     sums = np.zeros(4)
     for index, batch in enumerate(batches):
-        try:
+        with error_context(f"epoch {epoch} batch {index}"):
             state = forward_batch(model, inputs.pooled[batch], inputs.text[batch])
             margins = _batch_margins(cfg, lam, state, inputs.sse_units, batch)
             breakdown, grads = full_loss_grad(
@@ -249,8 +241,6 @@ def train_epoch(
             )
             _check_finite_step(breakdown, grads)
             adam_step(model.param_items(), grads, opt_state, cfg.learning_rate)
-        except MarginForgeError as exc:
-            raise type(exc)(f"epoch {epoch} batch {index}: {exc}") from exc
         sums += (breakdown.total, breakdown.hard_term, breakdown.dse_term, breakdown.sse_term)
 
     sums /= len(batches)
@@ -320,15 +310,11 @@ def run_training(
     with open(out / "report.jsonl", "w", encoding="utf-8") as report:
         for epoch in range(1, cfg.epochs + 1):
             if epoch == 1:
-                try:
+                with error_context("epoch 1"):
                     inputs = train_inputs(dataset, cfg.experts())
-                except MarginForgeError as exc:
-                    raise type(exc)(f"epoch 1: {exc}") from exc
             agg = train_epoch(model, inputs, cfg, epoch, opt_state)
-            try:
+            with error_context(f"epoch {epoch} validation"):
                 t2v, v2t, rsum = evaluate_split(model, dataset, dataset.val_ids)
-            except MarginForgeError as exc:
-                raise type(exc)(f"epoch {epoch} validation: {exc}") from exc
             record = {
                 "epoch": epoch,
                 "lambda": agg.lambda_used,

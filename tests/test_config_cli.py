@@ -84,6 +84,11 @@ class TestParseConfig:
         with pytest.raises(UnknownKeyError, match=r"train.bogus.*line 2"):
             parse_config(write_cfg(tmp_path, "# ok\ntrain.bogus = 1\n"))
 
+    def test_out_dir_is_not_a_config_key(self, tmp_path):
+        # every command takes its output directory from --out
+        with pytest.raises(UnknownKeyError, match=r"^unknown config key 'paths\.out_dir' \(line 1\)$"):
+            parse_config(write_cfg(tmp_path, "paths.out_dir = out\n"))
+
     def test_bad_value_names_line(self, tmp_path):
         with pytest.raises(ConfigTypeError, match="line 1"):
             parse_config(write_cfg(tmp_path, "train.epochs = soon\n"))
@@ -228,6 +233,12 @@ class TestGenDataCommand:
         assert err.startswith(f"error: line {line}: {cfg}: not UTF-8 text")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_empty_out_flag_fails_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-data", "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: --out is empty\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_infeasible_config_fails(self, tmp_path):
         cfg = write_cfg(tmp_path, "data.n_items = 10\ndata.n_concepts = 4\n")
@@ -447,7 +458,7 @@ class TestInspectMarginsCommand:
         state = forward_batch(model, ds.frames[rows].mean(axis=1), ds.text[rows])
         units = {"dse_video": state.video_units, "dse_text": state.text_units}
         for kind in ("sse_video", "sse_text"):
-            units[kind] = unit_rows(getattr(ds, kind).lookup([ds.ids[r] for r in rows]), kind)[0]
+            units[kind] = unit_rows(getattr(ds, kind).embeddings[rows], kind)[0]
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["i", "j", "expert", "distance", "margin", "same_concept"])

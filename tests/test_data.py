@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from marginforge import kernels
 from marginforge.data import (
     DIGEST_CHUNK,
     MANIFEST_NAME,
-    Dataset,
     SynthConfig,
     _load_labels,
     _load_split,
@@ -16,6 +17,7 @@ from marginforge.data import (
     write_dataset,
 )
 from marginforge.errors import ChecksumError, ConfigError, DuplicateIdError, ParseError
+from marginforge.experts import StaticEmbeddingTable
 from marginforge.mathcore import unit_rows
 from helpers import ground_truth_equivalents
 
@@ -318,33 +320,41 @@ class TestManifest:
 
 
 class TestDatasetInvariants:
+    @pytest.mark.parametrize("table", ["sse_video", "sse_text"])
+    def test_reordered_table_rejected(self, table):
+        # the same ids and rows, in another order: a table's row i must be ids[i]'s
+        ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=14))
+        emb = getattr(ds, table)
+        order = [1, 0, 2, 3, 4, 5]
+        swapped = StaticEmbeddingTable([emb.ids[i] for i in order], emb.embeddings[order])
+        with pytest.raises(ConfigError, match=f"^{table} ids are not the dataset ids in order$"):
+            replace(ds, **{table: swapped})
+
+    @pytest.mark.parametrize("table", ["sse_video", "sse_text"])
+    def test_table_of_other_length_rejected(self, table):
+        ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=14))
+        emb = getattr(ds, table)
+        short = StaticEmbeddingTable(emb.ids[:5], emb.embeddings[:5])
+        with pytest.raises(ConfigError, match=f"^{table} ids are not the dataset ids in order$"):
+            replace(ds, **{table: short})
+
+    @pytest.mark.parametrize("name", ["concepts", "frames", "text"])
+    @pytest.mark.parametrize("n_rows", [5, 7])
+    def test_array_of_other_row_count_rejected(self, name, n_rows):
+        ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=14))
+        rows = np.resize(getattr(ds, name), (n_rows, *getattr(ds, name).shape[1:]))
+        with pytest.raises(ConfigError, match=f"^{name} has {n_rows} rows for 6 ids$"):
+            replace(ds, **{name: rows})
+
     def test_duplicate_ids_rejected(self):
         ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=14))
         with pytest.raises(ConfigError):
-            Dataset(
-                ids=[ds.ids[0]] * len(ds.ids),
-                concepts=ds.concepts,
-                frames=ds.frames,
-                text=ds.text,
-                sse_video=ds.sse_video,
-                sse_text=ds.sse_text,
-                train_ids=ds.train_ids,
-                val_ids=ds.val_ids,
-            )
+            replace(ds, ids=[ds.ids[0]] * len(ds.ids))
 
     def test_bad_split_rejected(self):
         ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=15))
         with pytest.raises(ConfigError):
-            Dataset(
-                ids=ds.ids,
-                concepts=ds.concepts,
-                frames=ds.frames,
-                text=ds.text,
-                sse_video=ds.sse_video,
-                sse_text=ds.sse_text,
-                train_ids=ds.train_ids + ds.val_ids[:1],
-                val_ids=ds.val_ids,
-            )
+            replace(ds, train_ids=ds.train_ids + ds.val_ids[:1])
 
     def test_pooled_video_matches_mean(self):
         ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=16))

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from marginforge import kernels
-from marginforge.errors import (
-    DimMismatchError,
-    DuplicateIdError,
-    ParseError,
-    UnknownIdError,
-    ZeroNormError,
-)
+from marginforge.errors import DimMismatchError, DuplicateIdError, ParseError, ZeroNormError
 from marginforge.experts import (
     StaticEmbeddingTable,
     load_frame_file,
@@ -100,25 +94,20 @@ class TestSseVideoDistances:
 
 
 class TestSseTextDistances:
-    """The sse_text path: ``StaticEmbeddingTable.lookup`` rows, then distances."""
+    """The sse_text path: a ``StaticEmbeddingTable``'s rows, then distances."""
 
-    def table(self, vecs, ids=None):
-        ids = ids or [f"id{i}" for i in range(len(vecs))]
-        return StaticEmbeddingTable(ids, np.asarray(vecs, dtype=float), "test")
+    def table(self, vecs):
+        return StaticEmbeddingTable([f"id{i}" for i in range(len(vecs))], np.asarray(vecs, float))
 
     def test_equal_vectors_zero(self):
         t = self.table([[1.0, 2.0], [1.0, 2.0]])
-        d = cosine_distances(t.lookup(["id0", "id1"]), "sse_text")
+        d = cosine_distances(t.embeddings[[0, 1]], "sse_text")
         assert d[0, 1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_missing_id(self):
-        t = self.table([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(UnknownIdError, match="nope"):
-            t.lookup(["id0", "nope"])
-
-    def test_respects_batch_order(self):
-        t = self.table([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(t.lookup(["id2", "id0"]), [[1.0, 1.0], [1.0, 0.0]])
+    @pytest.mark.parametrize("n_ids", [2, 4])
+    def test_id_count_must_match_rows(self, n_ids):
+        with pytest.raises(DimMismatchError, match=f"^{n_ids} ids for 3 embedding rows$"):
+            StaticEmbeddingTable([f"id{i}" for i in range(n_ids)], np.eye(3))
 
 
 class TestDistanceProperties:
@@ -149,9 +138,9 @@ class TestEmb1Format:
 
     def test_basic_parse(self, tmp_path):
         p = self.write(tmp_path, "EMB1 2 3\n# comment\na 1.0 2.0 3.0\nb 4.0 5.0 6.0\n")
-        t = load_static_embeddings(p)
-        assert t.ids == ["a", "b"] and t.dim == 3
-        np.testing.assert_array_equal(t.embeddings[1], [4.0, 5.0, 6.0])
+        ids, rows = load_static_embeddings(p)
+        assert ids == ["a", "b"] and rows.shape == (2, 3)
+        np.testing.assert_array_equal(rows[1], [4.0, 5.0, 6.0])
 
     def test_count_mismatch(self, tmp_path):
         p = self.write(tmp_path, "EMB1 3 2\na 1.0 2.0\nb 3.0 4.0\n")
@@ -195,9 +184,8 @@ class TestEmb1Format:
         assert excinfo.value.line == 1
 
     def test_rows_match_per_value_text(self, tmp_path):
-        table = StaticEmbeddingTable(["a", "b"], np.array([EDGE_ROW, EDGE_ROW[::-1]]), "src")
         p = tmp_path / "edge.emb1"
-        save_static_embeddings(table, p)
+        save_static_embeddings(["a", "b"], np.array([EDGE_ROW, EDGE_ROW[::-1]]), p)
         assert p.read_text(encoding="utf-8").splitlines()[1:] == [
             "a " + per_value_text(EDGE_ROW),
             "b " + per_value_text(EDGE_ROW[::-1]),
@@ -205,14 +193,12 @@ class TestEmb1Format:
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(33)
-        table = StaticEmbeddingTable(
-            ["x", "y", "z"], rng.standard_normal((3, 5)) * 10.0 ** rng.integers(-8, 8), "src"
-        )
+        ids, rows = ["x", "y", "z"], rng.standard_normal((3, 5)) * 10.0 ** rng.integers(-8, 8)
         p = tmp_path / "rt.emb1"
-        save_static_embeddings(table, p)
-        loaded = load_static_embeddings(p)
-        assert loaded.ids == table.ids
-        np.testing.assert_array_equal(loaded.embeddings, table.embeddings)
+        save_static_embeddings(ids, rows, p)
+        loaded_ids, loaded = load_static_embeddings(p)
+        assert loaded_ids == ids
+        np.testing.assert_array_equal(loaded, rows)
 
 
 class TestFrm1Format:
@@ -317,7 +303,7 @@ class TestFloatBlocks:
             assert (type(excinfo.value), str(excinfo.value)) == (type(exc), str(exc))
             assert excinfo.value.line == 2
             return
-        got = load_static_embeddings(p).embeddings[0]
+        got = load_static_embeddings(p)[1][0]
         assert got.tobytes() == np.array([value, 1.0]).tobytes()
         assert got[0].hex() == value.hex()
 

@@ -25,8 +25,8 @@ def frm1(path):
 
 
 def emb1(path):
-    table = load_static_embeddings(path)
-    return table.ids, table.embeddings.tolist()
+    ids, rows = load_static_embeddings(path)
+    return ids, rows.tolist()
 
 
 def manifest2(path):

@@ -432,6 +432,14 @@ class TestPrunedMining:
         with pytest.raises(ValueError, match=f"^{len(w)} level weights for 2 margin levels$"):
             kernels.triplet_terms(U, V, margins, np.array(w), mean_mining, False)
 
+    @pytest.mark.parametrize("mean_mining", [False, True])
+    @pytest.mark.parametrize("hard_only", [False, True])
+    def test_no_margin_levels_rejected(self, mean_mining, hard_only):
+        rng = np.random.default_rng(982)
+        U, V, _, _ = unit_instance(rng, b=8, dim=16, levels=1)
+        with pytest.raises(ValueError, match="^need at least one margin level$"):
+            kernels.triplet_terms(U, V, [], np.array([]), mean_mining, hard_only)
+
 
 class TestMarginRowSources:
     # B = 181 is the largest one-block batch, 182 the smallest two-block one;

@@ -89,7 +89,7 @@ def test_dataset_file_mutants_load_or_fail_typed(dataset_dir, role):
 
 def test_config_mutants_load_or_fail_typed(tmp_path):
     cfg = cfgmod.RunConfig(data=DATA, train=TrainConfig(batch_size=4, epochs=2))
-    cfg.data_dir, cfg.out_dir = "data", "out"
+    cfg.data_dir = "data"
     original = cfgmod.resolved_text(cfg).encode("utf-8")
     path = tmp_path / "run.cfg"
     rng = np.random.default_rng([0, 100])

@@ -375,7 +375,8 @@ class TestRunTraining:
         np.testing.assert_array_equal(flatten_params(ckpt.model), flatten_params(fresh))
 
     def test_fixed_inputs_built_once_per_run(self, tmp_path, monkeypatch):
-        calls = {"train_inputs": 0, "sse_unit_tables": 0}
+        # the static tables' unit rows, one per SSE expert, are among the inputs
+        calls = {"train_inputs": 0, "unit_rows": 0}
 
         def counted(name):
             real = getattr(trainer, name)
@@ -390,15 +391,15 @@ class TestRunTraining:
             monkeypatch.setattr(trainer, name, counted(name))
         cfg = TrainConfig(epochs=3, batch_size=8, seed=13)
         run_training(small_dataset(), cfg, 0, 8, tmp_path / "three")
-        assert calls == {"train_inputs": 1, "sse_unit_tables": 1}
+        assert calls == {"train_inputs": 1, "unit_rows": 2}
         run_training(small_dataset(), dataclasses.replace(cfg, epochs=0), 0, 8, tmp_path / "none")
-        assert calls == {"train_inputs": 1, "sse_unit_tables": 1}
+        assert calls == {"train_inputs": 1, "unit_rows": 2}
 
     @pytest.mark.parametrize("table", ["sse_video", "sse_text"])
     def test_zero_norm_sse_row_names_epoch_and_table(self, tmp_path, table):
         ds = small_dataset()
         emb = getattr(ds, table)
-        emb.embeddings[emb.row(ds.train_ids[3])] = 0.0
+        emb.embeddings[ds.rows(ds.train_ids)[3]] = 0.0
         cfg = TrainConfig(epochs=2, batch_size=8, seed=7)
         with pytest.raises(ZeroNormError, match=f"^epoch 1: {table} row 3 has"):
             run_training(ds, cfg, 0, 8, tmp_path)
