@@ -97,12 +97,8 @@ def split_sizes(n_items: int) -> tuple[int, int]:
 
 @dataclass
 class Dataset:
-    """Per-item arrays, one row per id in ``ids`` order, and the split.
-
-    ``ConfigError`` unless the ids are unique, every array and static table
-    has one row per id, the tables' ids are ``ids`` in order, and the splits
-    partition the ids.
-    """
+    """Per-item arrays and static tables, row i of each for ``ids[i]``, and the
+    split; other shapes, table ids or splits are a ``ConfigError``."""
 
     ids: list[str]
     concepts: np.ndarray  # (N,) int64 concept label per item

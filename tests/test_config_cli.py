@@ -86,7 +86,7 @@ class TestParseConfig:
 
     def test_out_dir_is_not_a_config_key(self, tmp_path):
         # every command takes its output directory from --out
-        with pytest.raises(UnknownKeyError, match=r"^unknown config key 'paths\.out_dir' \(line 1\)$"):
+        with pytest.raises(UnknownKeyError, match=r"key 'paths\.out_dir' \(line 1\)$"):
             parse_config(write_cfg(tmp_path, "paths.out_dir = out\n"))
 
     def test_bad_value_names_line(self, tmp_path):
