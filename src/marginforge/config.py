@@ -65,7 +65,7 @@ def _parse_ks(text: str) -> tuple[int, ...]:
     return ks
 
 
-_TYPE_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: str}
+_TYPE_PARSERS = {int: int, float: _parse_float, bool: _parse_bool}
 
 
 def _field_specs(section: str, cls) -> dict:

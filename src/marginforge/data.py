@@ -128,7 +128,11 @@ class Dataset:
         return len(self.ids)
 
     def rows(self, ids) -> np.ndarray:
-        return np.array([self.index[i] for i in ids], dtype=np.int64)
+        """The row of each id; an id not in the dataset is a ``ConfigError``."""
+        try:
+            return np.array([self.index[i] for i in ids], dtype=np.int64)
+        except KeyError as exc:
+            raise ConfigError(f"id {exc.args[0]!r} is not in the dataset") from None
 
     def pooled_video(self) -> np.ndarray:
         return self.frames.mean(axis=1)

@@ -192,7 +192,6 @@ def triplet_terms(
     M,
     w: np.ndarray,
     mean_mining: bool,
-    hard_only: bool,
 ):
     """Mined triplet hinge totals for both retrieval directions.
 
@@ -214,13 +213,12 @@ def triplet_terms(
     the mined negative or averaged over all negatives when ``mean_mining``),
     ``dS`` is the gradient of ``sum_k w[k] * comp[k]`` w.r.t. S, and the
     mined arrays give the selected negative index per anchor (argmax of the
-    weighted combined term, or of the level-0 term when ``hard_only``; ties
-    resolve to the smallest index). ``dS`` is a ``ProjectedGradient`` of U
-    and V. Under hardest mining it has 3B entries, in this order: direction
-    video's cells ``(mined_v[i], i)``, direction text's cells ``(i,
-    mined_t[i])``, then the diagonal, which both directions subtract from;
-    each product and sum adds its entries in that order, with one
-    ``bincount``.
+    weighted combined term; ties resolve to the smallest index). ``dS`` is
+    a ``ProjectedGradient`` of U and V. Under hardest mining it has 3B
+    entries, in this order: direction video's cells ``(mined_v[i], i)``,
+    direction text's cells ``(i, mined_t[i])``, then the diagonal, which
+    both directions subtract from; each product and sum adds its entries in
+    that order, with one ``bincount``.
 
     Memory is a few (R, B) planes: anchors are taken R = BLOCK_VALUES // B
     rows at a time. One (2, R, B) buffer holds both directions' blocks of
@@ -229,16 +227,15 @@ def triplet_terms(
     once per block for both directions. Both minings mine through the
     selectors of the module docstring: the pruned one adds a (2, R, B)
     bool candidate mask, L + 2.25 planes in all, and the full scan adds
-    ``s_neg - s_pos`` and the criterion's K' levels for both directions
-    (K' = 1 when ``hard_only``, else K), L + 2K' + 4 planes. Mean mining
-    adds three planes for its loss. Under hardest mining the mined
-    negatives and margins are gathered from the block buffers, and the
-    level totals and dS's entries come from the B mined entries per
-    direction only, so they do not depend on R, and the entries are applied
-    once the block buffers are freed; under mean mining ``comp`` is summed
-    block by block, in direction-then-block order, and each block's
-    weighted active cells are multiplied into ``dS``'s products with the
-    unit rows.
+    ``s_neg - s_pos`` and the criterion's K levels for both directions,
+    L + 2K + 4 planes. Mean mining adds three planes for its loss. Under
+    hardest mining the mined negatives and margins are gathered from the
+    block buffers, and the level totals and dS's entries come from the B
+    mined entries per direction only, so they do not depend on R, and the
+    entries are applied once the block buffers are freed; under mean mining
+    ``comp`` is summed block by block, in direction-then-block order, and
+    each block's weighted active cells are multiplied into ``dS``'s
+    products with the unit rows.
     """
     levels = [m if hasattr(m, "rows") else float(m) for m in M]
     blocked = [k for k, m in enumerate(levels) if not isinstance(m, float)]
@@ -252,18 +249,13 @@ def triplet_terms(
     K, B = len(levels), U.shape[0]
     R = min(B, max(1, BLOCK_VALUES // B))
     rows = np.arange(B)
-    crit_levels = 1 if hard_only else K
-    # the criterion's weights: level 0 alone is unweighted, and x * 1.0 == x
-    crit_w = np.ones(1) if hard_only else w
-    crit_slots = sum(1 for k in blocked if k < crit_levels)
-    scalars = [k for k in range(crit_levels) if isinstance(levels[k], float)]
-    values = np.array([levels[k] for k in scalars])
-    layout = (blocked[:crit_slots], scalars, values)
+    scalars = [k for k, m in enumerate(levels) if isinstance(m, float)]
+    layout = (blocked, scalars, np.array([levels[k] for k in scalars]))
     # a criterion of weight 0 is 0 everywhere and gives no bound to prune by
-    if B >= PRUNE_MIN_B and crit_w.sum() > 0.0:
+    if B >= PRUNE_MIN_B and w.sum() > 0.0:
         select, scratch = _mine_pruned, np.empty(2 * R * B, dtype=bool)
     else:
-        select, scratch = _mine_full, np.empty((crit_levels + 1, 2 * R * B))
+        select, scratch = _mine_full, np.empty((K + 1, 2 * R * B))
     # each direction's block of S: S[:, r0:r1].T = V[r0:r1] @ U.T for
     # direction video, S[r0:r1] = U[r0:r1] @ V.T for direction text
     factors = ((V, U), (U, V))
@@ -306,7 +298,7 @@ def triplet_terms(
             np.matmul(X[r0:r1], Y.T, out=N[d])
         pos[:, r0:r1] = N.reshape(2, -1)[:, diag]
         N.reshape(2, -1)[:, diag] = -np.inf
-        found = select(N, pos[:, r0:r1], margin_buf[:crit_slots, :n], layout, crit_w, r0, scratch)
+        found = select(N, pos[:, r0:r1], margin_buf[:, :n], layout, w, r0, scratch)
         mined[:, r0:r1] = found.reshape(2, n)
         if not mean_mining:
             cells = np.arange(0, 2 * n * B, B) + found

@@ -48,7 +48,6 @@ from .experts import EXPERT_KINDS
 from .model import ForwardState, TwoTowerModel, backward
 
 MININGS = ("hardest", "mean")
-MINING_CRITERIA = ("combined", "hard_only")
 
 
 @dataclass(frozen=True)
@@ -58,9 +57,8 @@ class LossBreakdown:
     ``total = hard_term + dse_term + sse_term`` where the expert terms
     already carry their lambda / (1 - lambda) weights; ``neg_video_idx`` and
     ``neg_text_idx`` hold the selected negative per anchor for the two
-    directions (argmax of the combined per-negative term, or of the level-0
-    term under the ``hard_only`` criterion, even under mean mining, where
-    the loss itself averages over all negatives).
+    directions (argmax of the combined per-negative term, even under mean
+    mining, where the loss itself averages over all negatives).
     """
 
     total: float
@@ -138,7 +136,7 @@ def _margin_levels(B, margins, alpha, lam):
     return levels, np.array(weights), slots
 
 
-def _run(U, V, margins, alpha, lam, mining, mining_criterion):
+def _run(U, V, margins, alpha, lam, mining):
     """Loss breakdown and ``dS`` of ``S = U @ V.T``, given the unit rows U of
     the videos and V of the texts."""
     shape = (U.shape[0], V.shape[0])
@@ -150,13 +148,9 @@ def _run(U, V, margins, alpha, lam, mining, mining_criterion):
         raise LambdaOutOfRangeError(f"lambda must be in [0, 1], got {lam}")
     if mining not in MININGS:
         raise ValueError(f"mining must be one of {MININGS}, got {mining!r}")
-    if mining_criterion not in MINING_CRITERIA:
-        raise ValueError(f"mining_criterion must be one of {MINING_CRITERIA}, got {mining_criterion!r}")
     B = shape[0]
     M, w, slots = _margin_levels(B, margins, alpha, lam)
-    comp, dS, mined_v, mined_t = kernels.triplet_terms(
-        U, V, M, w, mining == "mean", mining_criterion == "hard_only"
-    )
+    comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, M, w, mining == "mean")
     weighted = w * comp
     breakdown = LossBreakdown(
         total=float(weighted.sum()),
@@ -177,7 +171,6 @@ def full_loss_grad(
     alpha: float,
     lam: float,
     mining: str = "hardest",
-    mining_criterion: str = "combined",
 ) -> tuple[LossBreakdown, dict]:
     """Hard hinge plus lambda-blended DSE/SSE soft hinges, mined per anchor,
     with exact parameter gradients.
@@ -189,7 +182,7 @@ def full_loss_grad(
     ties), so the gradient flows only through the similarity matrix.
     """
     uv, ut = state.video_units, state.text_units
-    breakdown, dS = _run(uv, ut, margins, alpha, lam, mining, mining_criterion)
+    breakdown, dS = _run(uv, ut, margins, alpha, lam, mining)
     d_video, d_text = kernels.cosine_backward(dS, uv, ut, state.video_norms, state.text_norms)
     grads = backward(model, state, d_video, d_text)
     return breakdown, grads

@@ -33,7 +33,7 @@ from .model import (
     write_checkpoint,
 )
 from .mathcore import unit_rows
-from .objective import MINING_CRITERIA, LossBreakdown, full_loss_grad, weighted_experts
+from .objective import LossBreakdown, full_loss_grad, weighted_experts
 from .seeding import named_rng
 
 ADAM_BETA1 = 0.9
@@ -55,7 +55,6 @@ class TrainConfig:
     lambda_start_epoch: int = 20
     lambda_start_value: float = 0.1
     lambda_end_epoch: int = 50
-    mining_criterion: str = "combined"
     dse_text: bool = True
     dse_video: bool = True
     sse_text: bool = True
@@ -93,11 +92,6 @@ class TrainConfig:
             raise ConfigError(
                 f"need 1 <= train.lambda_start_epoch <= train.lambda_end_epoch, got "
                 f"{self.lambda_start_epoch}..{self.lambda_end_epoch}"
-            )
-        if self.mining_criterion not in MINING_CRITERIA:
-            raise ConfigError(
-                f"train.mining_criterion must be one of {MINING_CRITERIA}, "
-                f"got {self.mining_criterion!r}"
             )
 
 
@@ -236,9 +230,7 @@ def train_epoch(
         with error_context(f"epoch {epoch} batch {index}"):
             state = forward_batch(model, inputs.pooled[batch], inputs.text[batch])
             margins = _batch_margins(cfg, lam, state, inputs.sse_units, batch)
-            breakdown, grads = full_loss_grad(
-                model, state, margins, cfg.alpha, lam, mining, cfg.mining_criterion
-            )
+            breakdown, grads = full_loss_grad(model, state, margins, cfg.alpha, lam, mining)
             _check_finite_step(breakdown, grads)
             adam_step(model.param_items(), grads, opt_state, cfg.learning_rate)
         sums += (breakdown.total, breakdown.hard_term, breakdown.dse_term, breakdown.sse_term)

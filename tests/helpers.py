@@ -166,9 +166,9 @@ def dense_cosine_backward(dS, S, U, V, u_norms, v_norms) -> tuple:
     return dX, dY
 
 
-def score(S, margins: dict, alpha: float, lam: float, mining="hardest", criterion="combined"):
+def score(S, margins: dict, alpha: float, lam: float, mining="hardest"):
     """The loss breakdown of a given B x B ``S``, passed as ``dense_rows(S)``,
     whose array margins are wrapped in ``DenseMargins``."""
     margins = dict(zip(margins, row_sources(margins.values())))
-    breakdown, _ = objective._run(*dense_rows(S), margins, alpha, lam, mining, criterion)
+    breakdown, _ = objective._run(*dense_rows(S), margins, alpha, lam, mining)
     return breakdown

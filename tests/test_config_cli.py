@@ -84,10 +84,16 @@ class TestParseConfig:
         with pytest.raises(UnknownKeyError, match=r"train.bogus.*line 2"):
             parse_config(write_cfg(tmp_path, "# ok\ntrain.bogus = 1\n"))
 
-    def test_out_dir_is_not_a_config_key(self, tmp_path):
-        # every command takes its output directory from --out
-        with pytest.raises(UnknownKeyError, match=r"key 'paths\.out_dir' \(line 1\)$"):
-            parse_config(write_cfg(tmp_path, "paths.out_dir = out\n"))
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("paths.out_dir", "out"),  # every command takes its output directory from --out
+            ("train.mining_criterion", "combined"),  # mining has one criterion
+        ],
+    )
+    def test_out_dir_is_not_a_config_key(self, tmp_path, key, value):
+        with pytest.raises(UnknownKeyError, match=rf"key '{re.escape(key)}' \(line 1\)$"):
+            parse_config(write_cfg(tmp_path, f"{key} = {value}\n"))
 
     def test_bad_value_names_line(self, tmp_path):
         with pytest.raises(ConfigTypeError, match="line 1"):
@@ -164,11 +170,9 @@ class TestParseConfig:
         with pytest.raises(ConfigTypeError, match=rf"{re.escape(str(path))}: .*{re.escape(key)}"):
             parse_config(path)
 
-    def test_unsupported_field_type_has_no_key(self):
-        @dataclasses.dataclass
-        class Odd:
-            values: list = dataclasses.field(default_factory=list)
-
+    @pytest.mark.parametrize("kind", [list, str])  # no data.* or train.* field is a str
+    def test_unsupported_field_type_has_no_key(self, kind):
+        Odd = dataclasses.make_dataclass("Odd", [("values", kind)])
         with pytest.raises(TypeError, match="Odd.values"):
             config._field_specs("odd", Odd)
 

@@ -19,6 +19,8 @@ from marginforge.data import (
 from marginforge.errors import ChecksumError, ConfigError, DuplicateIdError, ParseError
 from marginforge.experts import StaticEmbeddingTable
 from marginforge.mathcore import unit_rows
+from marginforge.model import ModelDims, init_params
+from marginforge.trainer import evaluate_split
 from helpers import ground_truth_equivalents
 
 
@@ -355,6 +357,14 @@ class TestDatasetInvariants:
         ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=15))
         with pytest.raises(ConfigError):
             replace(ds, train_ids=ds.train_ids + ds.val_ids[:1])
+
+    def test_unknown_id_is_named(self):
+        ds = generate(SynthConfig(n_items=6, n_concepts=6))
+        np.testing.assert_array_equal(ds.rows(["it000001", "it000000"]), [1, 0])
+        model = init_params(ModelDims(ds.frames.shape[2], ds.text.shape[1], 0, 4), 0)
+        for lookup in (ds.rows, lambda ids: evaluate_split(model, ds, ids)):
+            with pytest.raises(ConfigError, match="^id 'nope' is not in the dataset$"):
+                lookup(["it000000", "nope"])
 
     def test_pooled_video_matches_mean(self):
         ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=16))

@@ -56,27 +56,23 @@ class TestPairwiseCosine:
 
 class TestTripletTerms:
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
-    @pytest.mark.parametrize("hard_only", [False, True])
-    def test_matches_brute_force(self, mining, hard_only):
+    def test_matches_brute_force(self, mining):
         rng = np.random.default_rng(12)
         for trial in range(30):
             b = int(rng.integers(2, 7))
             S, M, w = random_instance(rng, b=b, levels=int(rng.integers(1, 6)))
             comp, dS, mined_v, mined_t = kernels.triplet_terms(
-                *dense_rows(S), row_sources(M), w, mining == "mean", hard_only
+                *dense_rows(S), row_sources(M), w, mining == "mean"
             )
-            total, per_level, bf_v, bf_t = brute_force_full_loss(
-                S, list(M), w, mining, hard_only
-            )
+            total, per_level, bf_v, bf_t = brute_force_full_loss(S, list(M), w, mining)
             np.testing.assert_allclose(comp, per_level, atol=1e-12)
             assert float(np.dot(w, comp)) == pytest.approx(total, abs=1e-12)
             np.testing.assert_array_equal(mined_v, bf_v)
             np.testing.assert_array_equal(mined_t, bf_t)
 
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
-    @pytest.mark.parametrize("hard_only", [False, True])
     @pytest.mark.parametrize("b", [9, 17, 33])
-    def test_level_list_past_summation_blocks(self, mining, hard_only, b):
+    def test_level_list_past_summation_blocks(self, mining, b):
         # a scalar level 0 plus B x B levels, at sizes where numpy's sums
         # switch to unrolled and blocked pairwise summation
         rng = np.random.default_rng(100 + b)
@@ -84,11 +80,9 @@ class TestTripletTerms:
             S, M, w = random_instance(rng, b=b, levels=5)
             levels = [0.05] + row_sources(M[1:])
             comp, dS, mined_v, mined_t = kernels.triplet_terms(
-                *dense_rows(S), levels, w, mining == "mean", hard_only
+                *dense_rows(S), levels, w, mining == "mean"
             )
-            total, per_level, bf_v, bf_t = brute_force_full_loss(
-                S, list(M), w, mining, hard_only
-            )
+            total, per_level, bf_v, bf_t = brute_force_full_loss(S, list(M), w, mining)
             np.testing.assert_allclose(comp, per_level, rtol=1e-12, atol=1e-12)
             assert float(np.dot(w, comp)) == pytest.approx(total, abs=1e-12)
             np.testing.assert_array_equal(mined_v, bf_v)
@@ -114,28 +108,27 @@ class TestTripletTerms:
         margins = [0.05] + row_sources(M[1:])
         tracemalloc.start()
         try:
-            kernels.triplet_terms(U, V, margins, w, mean_mining, False)
+            kernels.triplet_terms(U, V, margins, w, mean_mining)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * b * b * 8
 
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
-    @pytest.mark.parametrize("hard_only", [False, True])
     @pytest.mark.parametrize("b", [9, 17])
     @pytest.mark.parametrize("block_values", [16, 36, 64])
-    def test_row_blocks(self, monkeypatch, mining, hard_only, b, block_values):
+    def test_row_blocks(self, monkeypatch, mining, b, block_values):
         # R = block_values // b rows per block: one row per block, then
         # several rows with a ragged last block (9 = 4+4+1, 17 = 2*8+1, ...)
         rng = np.random.default_rng(200 + b)
         S, M, w = random_instance(rng, b=b, levels=5)
         levels = [0.05] + row_sources(M[1:])
-        whole = kernels.triplet_terms(*dense_rows(S), levels, w, mining == "mean", hard_only)
+        whole = kernels.triplet_terms(*dense_rows(S), levels, w, mining == "mean")
         monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
         comp, dS, mined_v, mined_t = kernels.triplet_terms(
-            *dense_rows(S), levels, w, mining == "mean", hard_only
+            *dense_rows(S), levels, w, mining == "mean"
         )
-        total, per_level, bf_v, bf_t = brute_force_full_loss(S, list(M), w, mining, hard_only)
+        total, per_level, bf_v, bf_t = brute_force_full_loss(S, list(M), w, mining)
         np.testing.assert_allclose(comp, per_level, rtol=1e-12, atol=1e-12)
         assert float(np.dot(w, comp)) == pytest.approx(total, abs=1e-12)
         np.testing.assert_array_equal(mined_v, bf_v)
@@ -167,7 +160,7 @@ class TestTripletTerms:
         margins = [0.05] + row_sources(M[1:])
         tracemalloc.start()
         try:
-            kernels.triplet_terms(U, V, margins, w, mean_mining, False)
+            kernels.triplet_terms(U, V, margins, w, mean_mining)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -183,7 +176,7 @@ class TestTripletTerms:
         margins = [0.05] + row_sources(M[1:])
         tracemalloc.start()
         try:
-            kernels.triplet_terms(U, V, margins, w, mean_mining, False)
+            kernels.triplet_terms(U, V, margins, w, mean_mining)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -194,7 +187,7 @@ class TestTripletTerms:
         for _ in range(10):
             S, M, w = random_instance(rng, b=4)
             comp, dS, mined_v, mined_t = kernels.triplet_terms(
-                *dense_rows(S), row_sources(M), w, False, False
+                *dense_rows(S), row_sources(M), w, False
             )
 
             def f(flat):
@@ -209,7 +202,7 @@ class TestTripletTerms:
         rng = np.random.default_rng(14)
         for _ in range(10):
             S, M, w = random_instance(rng, b=4)
-            _, dS, _, _ = kernels.triplet_terms(*dense_rows(S), row_sources(M), w, True, False)
+            _, dS, _, _ = kernels.triplet_terms(*dense_rows(S), row_sources(M), w, True)
 
             def f(flat):
                 return mean_loss_all_negatives(flat.reshape(S.shape), list(M), w)
@@ -222,20 +215,18 @@ class TestTripletTerms:
         S = np.array([[0.9, 0.5, 0.5], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
         M = np.full((1, 3, 3), 0.05)
         w = np.ones(1)
-        _, _, mined_v, mined_t = kernels.triplet_terms(
-            *dense_rows(S), row_sources(M), w, False, False
-        )
+        _, _, mined_v, mined_t = kernels.triplet_terms(*dense_rows(S), row_sources(M), w, False)
         assert mined_t[0] == 1
 
 
-def both_paths(monkeypatch, rows, levels, w, hard_only=False, mean_mining=False):
+def both_paths(monkeypatch, rows, levels, w, mean_mining=False):
     """Mining of the unit rows ``rows = (U, V)`` by the full scan and by the
     pruned path, with each array level wrapped in ``DenseMargins``."""
     levels = row_sources(levels)
     monkeypatch.setattr(kernels, "PRUNE_MIN_B", 1 << 30)
-    full = kernels.triplet_terms(*rows, levels, w, mean_mining, hard_only)
+    full = kernels.triplet_terms(*rows, levels, w, mean_mining)
     monkeypatch.setattr(kernels, "PRUNE_MIN_B", 2)
-    pruned = kernels.triplet_terms(*rows, levels, w, mean_mining, hard_only)
+    pruned = kernels.triplet_terms(*rows, levels, w, mean_mining)
     return full, pruned
 
 
@@ -251,11 +242,11 @@ def assert_same_mining(full, pruned):
         np.testing.assert_array_equal(getattr(pruned[1], name), getattr(full[1], name))
 
 
-def assert_matches_oracle(result, S, levels, w, hard_only=False, mean_mining=False):
+def assert_matches_oracle(result, S, levels, w, mean_mining=False):
     b = S.shape[0]
     dense = [np.full((b, b), m) if np.ndim(m) == 0 else np.asarray(m) for m in levels]
     mining = "mean" if mean_mining else "hardest"
-    _, per_level, bf_v, bf_t = brute_force_full_loss(S, dense, w, mining, hard_only)
+    _, per_level, bf_v, bf_t = brute_force_full_loss(S, dense, w, mining)
     np.testing.assert_allclose(result[0], per_level, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(result[2], bf_v)
     np.testing.assert_array_equal(result[3], bf_t)
@@ -288,23 +279,21 @@ class TestPrunedMining:
     # checks it against the full scan bit for bit and against the oracle
 
     @pytest.mark.parametrize("mean_mining", [False, True])
-    @pytest.mark.parametrize("hard_only", [False, True])
-    def test_matches_full_scan_and_oracle(self, monkeypatch, hard_only, mean_mining):
-        rng = np.random.default_rng(900 + hard_only)
+    def test_matches_full_scan_and_oracle(self, monkeypatch, mean_mining):
+        rng = np.random.default_rng(900)
         for _ in range(20):
             b = int(rng.integers(2, 12))
             S, M, w = random_instance(rng, b=b, levels=int(rng.integers(1, 6)))
             levels = [0.05] + list(M[1:])
-            full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only, mean_mining)
+            full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, mean_mining)
             assert_same_mining(full, pruned)
-            assert_matches_oracle(pruned, S, levels, w, hard_only, mean_mining)
+            assert_matches_oracle(pruned, S, levels, w, mean_mining)
 
     @pytest.mark.parametrize("mean_mining", [False, True])
-    @pytest.mark.parametrize("hard_only", [False, True])
-    def test_exact_ties_go_to_the_smallest_index(self, monkeypatch, hard_only, mean_mining):
+    def test_exact_ties_go_to_the_smallest_index(self, monkeypatch, mean_mining):
         # duplicate columns of S and of every margin level tie direction
         # text's candidates exactly; duplicate rows tie direction video's
-        rng = np.random.default_rng(910 + hard_only)
+        rng = np.random.default_rng(910)
         b = 12
         S, M, w = random_instance(rng, b=b, levels=4)
         S = np.round(S * 4.0) / 4.0
@@ -312,31 +301,28 @@ class TestPrunedMining:
             S[:, dst], M[:, :, dst] = S[:, src], M[:, :, src]
             S[dst, :], M[:, dst, :] = S[src, :], M[:, src, :]
         levels = list(M)
-        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only, mean_mining)
+        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, mean_mining)
         assert_same_mining(full, pruned)
-        assert_matches_oracle(pruned, S, levels, w, hard_only, mean_mining)
+        assert_matches_oracle(pruned, S, levels, w, mean_mining)
 
     @pytest.mark.parametrize("mean_mining", [False, True])
-    @pytest.mark.parametrize("hard_only", [False, True])
-    def test_rows_inactive_everywhere_mine_their_first_other_index(
-        self, monkeypatch, hard_only, mean_mining
-    ):
+    def test_rows_inactive_everywhere_mine_their_first_other_index(self, monkeypatch, mean_mining):
         # every hinge is 0 in the rows of anchors 0, 3 and 5, and in both
         # directions: anchor 0 mines index 1, the others index 0
-        rng = np.random.default_rng(920 + hard_only)
+        rng = np.random.default_rng(920)
         b = 8
         S, M, w = random_instance(rng, b=b, levels=3)
         for i in (0, 3, 5):
             S[i, i] = 10.0
         levels = [0.05] + list(M[1:])
-        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only, mean_mining)
+        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, mean_mining)
         assert_same_mining(full, pruned)
-        assert_matches_oracle(pruned, S, levels, w, hard_only, mean_mining)
+        assert_matches_oracle(pruned, S, levels, w, mean_mining)
         for mined in pruned[2:]:
             assert (mined[0], mined[3], mined[5]) == (1, 0, 0)
         # and a batch inactive everywhere
         S = np.eye(b) * 10.0
-        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, hard_only, mean_mining)
+        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, mean_mining)
         assert_same_mining(full, pruned)
         for mined in pruned[2:]:
             np.testing.assert_array_equal(mined, [1] + [0] * (b - 1))
@@ -344,30 +330,28 @@ class TestPrunedMining:
             assert not getattr(pruned[1], name).any()
 
     @pytest.mark.parametrize("mean_mining", [False, True])
-    @pytest.mark.parametrize("hard_only", [False, True])
     @pytest.mark.parametrize("level", ["scalar", "array"])
-    def test_single_level(self, monkeypatch, hard_only, mean_mining, level):
-        rng = np.random.default_rng(930 + hard_only)
+    def test_single_level(self, monkeypatch, mean_mining, level):
+        rng = np.random.default_rng(930)
         S, M, w = random_instance(rng, b=9, levels=2)
         levels = [0.05 if level == "scalar" else M[1]]
-        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w[:1], hard_only, mean_mining)
+        full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w[:1], mean_mining)
         assert_same_mining(full, pruned)
-        assert_matches_oracle(pruned, S, levels, w[:1], hard_only, mean_mining)
+        assert_matches_oracle(pruned, S, levels, w[:1], mean_mining)
 
     @pytest.mark.parametrize("mean_mining", [False, True])
-    @pytest.mark.parametrize("hard_only", [False, True])
     @pytest.mark.parametrize("block_values", [16, 36, 64])
-    def test_ragged_last_block(self, monkeypatch, hard_only, mean_mining, block_values):
+    def test_ragged_last_block(self, monkeypatch, mean_mining, block_values):
         # 17 anchors in blocks of 1, 2 and 3 rows: 17 = 8 * 2 + 1 = 5 * 3 + 2
         rng = np.random.default_rng(940 + block_values)
         b = 17
         U, un, V, vn, S, levels, w = mined_instance(rng, b)
         monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
         for rows in ((U, V), dense_rows(S)):
-            full, pruned = both_paths(monkeypatch, rows, levels, w, hard_only, mean_mining)
+            full, pruned = both_paths(monkeypatch, rows, levels, w, mean_mining)
             assert_same_mining(full, pruned)
         dense = [m.dense() if hasattr(m, "dense") else m for m in levels]
-        assert_matches_oracle(pruned, S, dense, w, hard_only, mean_mining)
+        assert_matches_oracle(pruned, S, dense, w, mean_mining)
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_cells_on_the_bound(self, monkeypatch, scale):
@@ -403,12 +387,12 @@ class TestPrunedMining:
             S, M, w = random_instance(rng, b=b, levels=2)
             for mean_mining in (False, True):
                 kernels.triplet_terms(
-                    *dense_rows(S), [0.05, DenseMargins(M[1])], w, mean_mining, False
+                    *dense_rows(S), [0.05, DenseMargins(M[1])], w, mean_mining
                 )
         assert calls == [kernels.PRUNE_MIN_B, kernels.PRUNE_MIN_B]
         for mean_mining in (False, True):
             _, _, mined_v, mined_t = kernels.triplet_terms(
-                *dense_rows(S), [0.05, DenseMargins(M[1])], 0.0 * w, mean_mining, False
+                *dense_rows(S), [0.05, DenseMargins(M[1])], 0.0 * w, mean_mining
             )
             assert calls == [kernels.PRUNE_MIN_B, kernels.PRUNE_MIN_B]
             for mined in (mined_v, mined_t):
@@ -420,7 +404,7 @@ class TestPrunedMining:
         w[2] = -0.1
         for mean_mining in (False, True):
             with pytest.raises(ValueError, match="nonnegative"):
-                kernels.triplet_terms(*dense_rows(S), row_sources(M), w, mean_mining, False)
+                kernels.triplet_terms(*dense_rows(S), row_sources(M), w, mean_mining)
 
     @pytest.mark.parametrize("mean_mining", [False, True])
     @pytest.mark.parametrize("b", [64, 128])
@@ -430,15 +414,14 @@ class TestPrunedMining:
         U, V, M, _ = unit_instance(rng, b=b, dim=16, levels=2)
         margins = [0.05] + row_sources(M[1:])
         with pytest.raises(ValueError, match=f"^{len(w)} level weights for 2 margin levels$"):
-            kernels.triplet_terms(U, V, margins, np.array(w), mean_mining, False)
+            kernels.triplet_terms(U, V, margins, np.array(w), mean_mining)
 
     @pytest.mark.parametrize("mean_mining", [False, True])
-    @pytest.mark.parametrize("hard_only", [False, True])
-    def test_no_margin_levels_rejected(self, mean_mining, hard_only):
+    def test_no_margin_levels_rejected(self, mean_mining):
         rng = np.random.default_rng(982)
         U, V, _, _ = unit_instance(rng, b=8, dim=16, levels=1)
         with pytest.raises(ValueError, match="^need at least one margin level$"):
-            kernels.triplet_terms(U, V, [], np.array([]), mean_mining, hard_only)
+            kernels.triplet_terms(U, V, [], np.array([]), mean_mining)
 
 
 class TestMarginRowSources:
@@ -462,15 +445,12 @@ class TestMarginRowSources:
         dense = [m.dense() for m in experts]
         w = np.array([1.0, 0.3, 0.3, 0.7, 0.7])
         for mean_mining in (False, True):
-            for hard_only in (False, True):
-                blocked = kernels.triplet_terms(U, V, [0.05, *experts], w, mean_mining, hard_only)
-                whole = kernels.triplet_terms(
-                    U, V, [0.05, *row_sources(dense)], w, mean_mining, hard_only
-                )
-                for k in (0, 2, 3):  # comp and the mined indices
-                    assert np.array_equal(blocked[k], whole[k])
-                for name in type(blocked[1]).__slots__:
-                    assert np.array_equal(getattr(blocked[1], name), getattr(whole[1], name))
+            blocked = kernels.triplet_terms(U, V, [0.05, *experts], w, mean_mining)
+            whole = kernels.triplet_terms(U, V, [0.05, *row_sources(dense)], w, mean_mining)
+            for k in (0, 2, 3):  # comp and the mined indices
+                assert np.array_equal(blocked[k], whole[k])
+            for name in type(blocked[1]).__slots__:
+                assert np.array_equal(getattr(blocked[1], name), getattr(whole[1], name))
 
 
 def mined_instance(rng, b, dim=16):
@@ -491,15 +471,12 @@ class TestHardestGradient:
     # B = 2 has one negative per anchor, so cell (0, 1) holds both the video
     # entry of anchor 1 and the text entry of anchor 0
     @pytest.mark.parametrize("b", [2, 3, 64, 300])
-    @pytest.mark.parametrize("hard_only", [False, True])
-    def test_dense_form_is_the_add_at_construction(self, b, hard_only):
-        rng = np.random.default_rng(400 + b + hard_only)
+    def test_dense_form_is_the_add_at_construction(self, b):
+        rng = np.random.default_rng(400 + b)
         for _ in range(3):
             U, un, V, vn, S, levels, w = mined_instance(rng, b)
             # the identity form, whose gradient holds the dense dS
-            comp, dS, mined_v, mined_t = kernels.triplet_terms(
-                *dense_rows(S), levels, w, False, hard_only
-            )
+            comp, dS, mined_v, mined_t = kernels.triplet_terms(*dense_rows(S), levels, w, False)
             assert isinstance(dS, kernels.ProjectedGradient)
             rows = np.arange(b)
             # each mined entry's active levels, by a scalar loop over the levels
@@ -537,24 +514,23 @@ class TestHardestGradient:
         # the unit rows' gradient through the kernel, against the identity
         # form's dense gradient through the dense reference
         rng = np.random.default_rng(500 + b)
-        for hard_only in (False, True):
-            U, un, V, vn, S, levels, w = mined_instance(rng, b)
-            _, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False, hard_only)
-            want = kernels.triplet_terms(*dense_rows(S), levels, w, False, hard_only)
-            np.testing.assert_array_equal(mined_v, want[2])
-            np.testing.assert_array_equal(mined_t, want[3])
-            got = kernels.cosine_backward(dS, U, V, un, vn)
-            ref = dense_cosine_backward(dense_gradient(want[1]), S, U, V, un, vn)
-            for g, d in zip(got, ref):
-                assert g.shape == d.shape and g.flags.c_contiguous
-                np.testing.assert_allclose(g, d, rtol=0.0, atol=1e-15)
+        U, un, V, vn, S, levels, w = mined_instance(rng, b)
+        _, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False)
+        want = kernels.triplet_terms(*dense_rows(S), levels, w, False)
+        np.testing.assert_array_equal(mined_v, want[2])
+        np.testing.assert_array_equal(mined_t, want[3])
+        got = kernels.cosine_backward(dS, U, V, un, vn)
+        ref = dense_cosine_backward(dense_gradient(want[1]), S, U, V, un, vn)
+        for g, d in zip(got, ref):
+            assert g.shape == d.shape and g.flags.c_contiguous
+            np.testing.assert_allclose(g, d, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("b", [2, 3, 64, 300])
     def test_counts_read_by_the_benchmark_tracer(self, b):
         # the gradient has no cells to count, so it counts as one value
         rng = np.random.default_rng(600 + b)
         U, un, V, vn, S, levels, w = mined_instance(rng, b)
-        result = kernels.triplet_terms(U, V, levels, w, False, False)
+        result = kernels.triplet_terms(U, V, levels, w, False)
         assert result[1].shape == (b, b) and result[1].size == b * b
         assert _count_triplet_terms((), {}, result) == {"dS_nonzero": 1, "dS_entries": b * b}
 
@@ -648,8 +624,7 @@ class TestUnitRows:
             assert relative_gap(g, d.astype(np.longdouble)) <= 1e-14
 
     @pytest.mark.parametrize("b", SIZES)
-    @pytest.mark.parametrize("hard_only", [False, True])
-    def test_hardest_mining_matches_the_dense_matrix_bit_for_bit(self, b, hard_only):
+    def test_hardest_mining_matches_the_dense_matrix_bit_for_bit(self, b):
         # grid rows make S exact in both forms, so both mine the same entries
         # of the same values: the totals, the indices and the sums of dS * S,
         # which read S's cells, agree bit for bit; dS @ V and dS.T @ U take
@@ -657,9 +632,9 @@ class TestUnitRows:
         rng = np.random.default_rng(810 + b)
         U, V = grid_rows(rng, b), grid_rows(rng, b)
         levels, w = self.levels(rng, b)
-        comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False, hard_only)
+        comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False)
         S = U @ V.T
-        want = kernels.triplet_terms(*dense_rows(S), levels, w, False, hard_only)
+        want = kernels.triplet_terms(*dense_rows(S), levels, w, False)
         np.testing.assert_array_equal(comp, want[0])
         np.testing.assert_array_equal(mined_v, want[2])
         np.testing.assert_array_equal(mined_t, want[3])
@@ -675,9 +650,9 @@ class TestUnitRows:
         U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
         V = unit_rows(rng.standard_normal((b, 16)), "text")[0]
         levels, w = self.levels(rng, b)
-        comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False, False)
+        comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False)
         S = U @ V.T
-        want = kernels.triplet_terms(*dense_rows(S), levels, w, False, False)
+        want = kernels.triplet_terms(*dense_rows(S), levels, w, False)
         np.testing.assert_array_equal(mined_v, want[2])
         np.testing.assert_array_equal(mined_t, want[3])
         np.testing.assert_allclose(comp, want[0], rtol=1e-14, atol=0.0)
@@ -693,9 +668,9 @@ class TestUnitRows:
             U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
             V = unit_rows(2.0 * rng.standard_normal((b, 16)), "text")[0]
         levels, w = self.levels(rng, b)
-        comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, True, False)
+        comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, True)
         S = U @ V.T
-        want = kernels.triplet_terms(*dense_rows(S), levels, w, True, False)
+        want = kernels.triplet_terms(*dense_rows(S), levels, w, True)
         if grid:
             np.testing.assert_array_equal(comp, want[0])
         else:
@@ -713,5 +688,5 @@ class TestUnitRows:
         U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
         V = unit_rows(rng.standard_normal((b, 16)), "text")[0]
         levels, w = self.levels(rng, b)
-        result = kernels.triplet_terms(U, V, levels, w, mean_mining, False)
+        result = kernels.triplet_terms(U, V, levels, w, mean_mining)
         assert _count_triplet_terms((), {}, result) == {"dS_nonzero": 1, "dS_entries": b * b}

@@ -136,8 +136,7 @@ class TestFullLoss:
                 assert abs(full.total - 3.0 * hard.total) < 1e-9
 
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
-    @pytest.mark.parametrize("criterion", ["combined", "hard_only"])
-    def test_matches_brute_force(self, mining, criterion):
+    def test_matches_brute_force(self, mining):
         rng = np.random.default_rng(48)
         for _ in range(25):
             b = int(rng.integers(2, 7))
@@ -145,12 +144,10 @@ class TestFullLoss:
             mdv, mdt, msv, mst = self.margins4(rng, b)
             alpha = float(rng.uniform(0.0, 0.2))
             lam = float(rng.uniform(0.0, 1.0))
-            got = score(S, margin_map(mdv, mdt, msv, mst), alpha, lam, mining, criterion)
+            got = score(S, margin_map(mdv, mdt, msv, mst), alpha, lam, mining)
             mats = [np.full((b, b), alpha), mdv, mdt, msv, mst]
             weights = np.array([1.0, lam, lam, 1.0 - lam, 1.0 - lam])
-            total, per_level, bf_v, bf_t = brute_force_full_loss(
-                S, mats, weights, mining, criterion == "hard_only"
-            )
+            total, per_level, bf_v, bf_t = brute_force_full_loss(S, mats, weights, mining)
             assert got.total == pytest.approx(total, abs=1e-12)
             assert got.hard_term == pytest.approx(per_level[0], abs=1e-12)
             assert got.dse_term == pytest.approx(
@@ -163,8 +160,7 @@ class TestFullLoss:
             np.testing.assert_array_equal(got.neg_text_idx, bf_t)
 
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
-    @pytest.mark.parametrize("criterion", ["combined", "hard_only"])
-    def test_expert_margins_match_brute_force(self, mining, criterion):
+    def test_expert_margins_match_brute_force(self, mining):
         rng = np.random.default_rng(50)
         for _ in range(15):
             b = int(rng.integers(2, 13))
@@ -175,12 +171,10 @@ class TestFullLoss:
             ]
             alpha = float(rng.uniform(0.0, 0.2))
             lam = float(rng.uniform(0.0, 1.0))
-            got = score(S, margin_map(*experts), alpha, lam, mining, criterion)
+            got = score(S, margin_map(*experts), alpha, lam, mining)
             mats = [np.full((b, b), alpha)] + [m.dense() for m in experts]
             weights = np.array([1.0, lam, lam, 1.0 - lam, 1.0 - lam])
-            total, per_level, bf_v, bf_t = brute_force_full_loss(
-                S, mats, weights, mining, criterion == "hard_only"
-            )
+            total, per_level, bf_v, bf_t = brute_force_full_loss(S, mats, weights, mining)
             assert got.total == pytest.approx(total, abs=1e-12)
             assert got.hard_term == pytest.approx(per_level[0], abs=1e-12)
             assert got.dse_term == pytest.approx(
@@ -256,12 +250,12 @@ class TestFullLoss:
         U = unit_rows(rng.standard_normal((4, 5)), "video")[0]
         V = unit_rows(rng.standard_normal((4, 5)), "text")[0]
         with pytest.raises(NonSquareError):
-            _run(U[:3], V, {}, 0.05, 0.5, "hardest", "combined")
+            _run(U[:3], V, {}, 0.05, 0.5, "hardest")
         with pytest.raises(EmptyInputError):
-            _run(U[:1], V[:1], {}, 0.05, 0.5, "hardest", "combined")
+            _run(U[:1], V[:1], {}, 0.05, 0.5, "hardest")
         margins = margin_map(*row_sources(random_margins(rng, 4) for _ in EXPERTS))
         for mining in ("hardest", "mean"):
-            got, _ = _run(U, V, margins, 0.05, 0.5, mining, "combined")
+            got, _ = _run(U, V, margins, 0.05, 0.5, mining)
             want = score(U @ V.T, margins, 0.05, 0.5, mining)
             assert got.total == pytest.approx(want.total, rel=1e-14)
             np.testing.assert_array_equal(got.neg_video_idx, want.neg_video_idx)
@@ -281,7 +275,6 @@ class TestZeroWeightSlot:
 
     @pytest.mark.parametrize("b", [16, 200])  # 200 > 181: two row blocks
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
-    @pytest.mark.parametrize("criterion", ["combined", "hard_only"])
     @pytest.mark.parametrize(
         "lam, dead, live",
         [
@@ -293,9 +286,7 @@ class TestZeroWeightSlot:
             (1.0, ("sse_video",), ("dse_text",)),
         ],
     )
-    def test_leaving_out_the_zero_weight_slot_is_exact(
-        self, b, mining, criterion, lam, dead, live
-    ):
+    def test_leaving_out_the_zero_weight_slot_is_exact(self, b, mining, lam, dead, live):
         rng = np.random.default_rng(58)
         model = init_params(ModelDims(6, 5, 0, 4), 9)
         state = forward_batch(model, rng.standard_normal((b, 6)), rng.standard_normal((b, 5)))
@@ -303,9 +294,9 @@ class TestZeroWeightSlot:
             kind: expert_margins(unit_rows(rng.standard_normal((b, 3)), kind)[0], 0.05, 0.04)
             for kind in dead + live
         }
-        full, full_grads = full_loss_grad(model, state, margins, 0.05, lam, mining, criterion)
+        full, full_grads = full_loss_grad(model, state, margins, 0.05, lam, mining)
         kept = {kind: margins[kind] for kind in live}
-        alone, alone_grads = full_loss_grad(model, state, kept, 0.05, lam, mining, criterion)
+        alone, alone_grads = full_loss_grad(model, state, kept, 0.05, lam, mining)
         for field in dataclasses.fields(full):
             name = field.name
             assert same_bits(getattr(full, name), getattr(alone, name)), name
@@ -348,9 +339,8 @@ class TestMarginLevelContract:
 
     @pytest.mark.parametrize("b", [16, 200])  # 200: two row blocks, pruned mining
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
-    @pytest.mark.parametrize("criterion", ["combined", "hard_only"])
     @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
-    def test_study_row_source_gives_the_expert_margins_bits(self, b, mining, criterion, lam):
+    def test_study_row_source_gives_the_expert_margins_bits(self, b, mining, lam):
         rng = np.random.default_rng(62)
         U = unit_rows(rng.standard_normal((b, 6)), "video")[0]
         V = unit_rows(rng.standard_normal((b, 6)), "text")[0]
@@ -359,8 +349,8 @@ class TestMarginLevelContract:
             for kind in EXPERTS
         ))
         study = {kind: Delegating(m) for kind, m in experts.items()}
-        want, want_dS = _run(U, V, experts, 0.05, lam, mining, criterion)
-        got, got_dS = _run(U, V, study, 0.05, lam, mining, criterion)
+        want, want_dS = _run(U, V, experts, 0.05, lam, mining)
+        got, got_dS = _run(U, V, study, 0.05, lam, mining)
         for field in dataclasses.fields(want):
             assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
         for name in type(want_dS).__slots__:

@@ -501,9 +501,8 @@ class TestRunTraining:
         ).read_bytes()
 
     @pytest.mark.parametrize("warmup_epochs", [0, 1])
-    @pytest.mark.parametrize("criterion", ["combined", "hard_only"])
     def test_pruned_mining_leaves_outputs_byte_identical(
-        self, tmp_path, monkeypatch, criterion, warmup_epochs
+        self, tmp_path, monkeypatch, warmup_epochs
     ):
         # B = 256 mining with all four experts' ExpertMargins levels, once by
         # the full scan and once by the pruned path; a warm-up epoch mines
@@ -514,7 +513,7 @@ class TestRunTraining:
         assert len(ds.train_ids) == 256
         cfg = TrainConfig(
             epochs=2, batch_size=256, seed=12, warmup_epochs=warmup_epochs,
-            lambda_start_epoch=1, lambda_end_epoch=3, mining_criterion=criterion,
+            lambda_start_epoch=1, lambda_end_epoch=3,
         )
         pruned_blocks = []
         real = kernels._mine_pruned
@@ -665,7 +664,7 @@ class TestStepHoldsNoBatchMatrix:
             state = forward_batch(model, pooled, text)
             margins = trainer._batch_margins(cfg, 0.5, state, sse_units, batch)
             assert len(margins) == 4
-            full_loss_grad(model, state, margins, cfg.alpha, 0.5, mining, cfg.mining_criterion)
+            full_loss_grad(model, state, margins, cfg.alpha, 0.5, mining)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
