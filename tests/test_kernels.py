@@ -42,6 +42,27 @@ def random_instance(rng, b=5, dim=4, levels=3):
     return kernels.pairwise_cosine(U, V), M, w
 
 
+# where a level list holds its scalar levels: nowhere, at level 0 as
+# training builds it, or also past level 0, between the row sources; the
+# criterion's layout and the mined margins' scalar columns take any of them
+SCALAR_PLACES = ["none", "first", "spread"]
+
+
+def place_scalars(M, where):
+    """The level list of a (K, b, b) margin stack M whose level 0 is
+    constant, editing M to match: every level an array (``"none"``), level
+    0 a scalar (``"first"``), or also every odd level, each first set to a
+    constant of M's (``"spread"``; at K = 2 no level is an array)."""
+    levels = list(M)
+    if where != "none":
+        levels[0] = float(M[0, 0, 0])
+    if where == "spread":
+        for k in range(1, len(M), 2):
+            M[k] = M[k, 0, -1]
+            levels[k] = float(M[k, 0, 0])
+    return levels
+
+
 class TestPairwiseCosine:
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(10)
@@ -56,13 +77,15 @@ class TestPairwiseCosine:
 
 class TestTripletTerms:
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
-    def test_matches_brute_force(self, mining):
+    @pytest.mark.parametrize("scalars", SCALAR_PLACES)
+    def test_matches_brute_force(self, mining, scalars):
         rng = np.random.default_rng(12)
         for trial in range(30):
             b = int(rng.integers(2, 7))
             S, M, w = random_instance(rng, b=b, levels=int(rng.integers(1, 6)))
+            levels = row_sources(place_scalars(M, scalars))
             comp, dS, mined_v, mined_t = kernels.triplet_terms(
-                *dense_rows(S), row_sources(M), w, mining == "mean"
+                *dense_rows(S), levels, w, mining == "mean"
             )
             total, per_level, bf_v, bf_t = brute_force_full_loss(S, list(M), w, mining)
             np.testing.assert_allclose(comp, per_level, atol=1e-12)
@@ -71,14 +94,15 @@ class TestTripletTerms:
             np.testing.assert_array_equal(mined_t, bf_t)
 
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
+    @pytest.mark.parametrize("scalars", ["first", "spread"])
     @pytest.mark.parametrize("b", [9, 17, 33])
-    def test_level_list_past_summation_blocks(self, mining, b):
-        # a scalar level 0 plus B x B levels, at sizes where numpy's sums
+    def test_level_list_past_summation_blocks(self, mining, scalars, b):
+        # scalar levels plus B x B levels, at sizes where numpy's sums
         # switch to unrolled and blocked pairwise summation
         rng = np.random.default_rng(100 + b)
         for _ in range(3):
             S, M, w = random_instance(rng, b=b, levels=5)
-            levels = [0.05] + row_sources(M[1:])
+            levels = row_sources(place_scalars(M, scalars))
             comp, dS, mined_v, mined_t = kernels.triplet_terms(
                 *dense_rows(S), levels, w, mining == "mean"
             )
@@ -115,14 +139,15 @@ class TestTripletTerms:
         assert peak <= 8 * b * b * 8
 
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
+    @pytest.mark.parametrize("scalars", SCALAR_PLACES)
     @pytest.mark.parametrize("b", [9, 17])
     @pytest.mark.parametrize("block_values", [16, 36, 64])
-    def test_row_blocks(self, monkeypatch, mining, b, block_values):
+    def test_row_blocks(self, monkeypatch, mining, scalars, b, block_values):
         # R = block_values // b rows per block: one row per block, then
         # several rows with a ragged last block (9 = 4+4+1, 17 = 2*8+1, ...)
         rng = np.random.default_rng(200 + b)
         S, M, w = random_instance(rng, b=b, levels=5)
-        levels = [0.05] + row_sources(M[1:])
+        levels = row_sources(place_scalars(M, scalars))
         whole = kernels.triplet_terms(*dense_rows(S), levels, w, mining == "mean")
         monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
         comp, dS, mined_v, mined_t = kernels.triplet_terms(
@@ -279,18 +304,20 @@ class TestPrunedMining:
     # checks it against the full scan bit for bit and against the oracle
 
     @pytest.mark.parametrize("mean_mining", [False, True])
-    def test_matches_full_scan_and_oracle(self, monkeypatch, mean_mining):
+    @pytest.mark.parametrize("scalars", SCALAR_PLACES)
+    def test_matches_full_scan_and_oracle(self, monkeypatch, mean_mining, scalars):
         rng = np.random.default_rng(900)
         for _ in range(20):
             b = int(rng.integers(2, 12))
             S, M, w = random_instance(rng, b=b, levels=int(rng.integers(1, 6)))
-            levels = [0.05] + list(M[1:])
+            levels = place_scalars(M, scalars)
             full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, mean_mining)
             assert_same_mining(full, pruned)
             assert_matches_oracle(pruned, S, levels, w, mean_mining)
 
     @pytest.mark.parametrize("mean_mining", [False, True])
-    def test_exact_ties_go_to_the_smallest_index(self, monkeypatch, mean_mining):
+    @pytest.mark.parametrize("scalars", SCALAR_PLACES)
+    def test_exact_ties_go_to_the_smallest_index(self, monkeypatch, mean_mining, scalars):
         # duplicate columns of S and of every margin level tie direction
         # text's candidates exactly; duplicate rows tie direction video's
         rng = np.random.default_rng(910)
@@ -300,13 +327,16 @@ class TestPrunedMining:
         for src, dst in ((2, 7), (3, 9), (7, 11)):
             S[:, dst], M[:, :, dst] = S[:, src], M[:, :, src]
             S[dst, :], M[:, dst, :] = S[src, :], M[:, src, :]
-        levels = list(M)
+        levels = place_scalars(M, scalars)
         full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, mean_mining)
         assert_same_mining(full, pruned)
         assert_matches_oracle(pruned, S, levels, w, mean_mining)
 
     @pytest.mark.parametrize("mean_mining", [False, True])
-    def test_rows_inactive_everywhere_mine_their_first_other_index(self, monkeypatch, mean_mining):
+    @pytest.mark.parametrize("scalars", SCALAR_PLACES)
+    def test_rows_inactive_everywhere_mine_their_first_other_index(
+        self, monkeypatch, mean_mining, scalars
+    ):
         # every hinge is 0 in the rows of anchors 0, 3 and 5, and in both
         # directions: anchor 0 mines index 1, the others index 0
         rng = np.random.default_rng(920)
@@ -314,7 +344,7 @@ class TestPrunedMining:
         S, M, w = random_instance(rng, b=b, levels=3)
         for i in (0, 3, 5):
             S[i, i] = 10.0
-        levels = [0.05] + list(M[1:])
+        levels = place_scalars(M, scalars)
         full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w, mean_mining)
         assert_same_mining(full, pruned)
         assert_matches_oracle(pruned, S, levels, w, mean_mining)
@@ -340,12 +370,13 @@ class TestPrunedMining:
         assert_matches_oracle(pruned, S, levels, w[:1], mean_mining)
 
     @pytest.mark.parametrize("mean_mining", [False, True])
+    @pytest.mark.parametrize("scalars", ["first", "spread"])
     @pytest.mark.parametrize("block_values", [16, 36, 64])
-    def test_ragged_last_block(self, monkeypatch, mean_mining, block_values):
+    def test_ragged_last_block(self, monkeypatch, mean_mining, scalars, block_values):
         # 17 anchors in blocks of 1, 2 and 3 rows: 17 = 8 * 2 + 1 = 5 * 3 + 2
         rng = np.random.default_rng(940 + block_values)
         b = 17
-        U, un, V, vn, S, levels, w = mined_instance(rng, b)
+        U, un, V, vn, S, levels, w = mined_instance(rng, b, scalars=scalars)
         monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
         for rows in ((U, V), dense_rows(S)):
             full, pruned = both_paths(monkeypatch, rows, levels, w, mean_mining)
@@ -453,8 +484,9 @@ class TestMarginRowSources:
                 assert np.array_equal(getattr(blocked[1], name), getattr(whole[1], name))
 
 
-def mined_instance(rng, b, dim=16):
-    """Unit rows, norms, S and a scalar-plus-expert level list of one batch."""
+def mined_instance(rng, b, dim=16, scalars="first"):
+    """Unit rows, norms, S and a scalar-plus-expert level list of one batch;
+    ``scalars="spread"`` makes level 2 a scalar too, between the experts."""
     X, Y = rng.standard_normal((b, dim)), 2.0 * rng.standard_normal((b, dim))
     (U, un), (V, vn) = unit_rows(X, "video"), unit_rows(Y, "text")
     S = kernels.pairwise_cosine(U, V)
@@ -462,7 +494,8 @@ def mined_instance(rng, b, dim=16):
         expert_margins(unit_rows(rng.standard_normal((b, 8)), "expert")[0], 0.05, 0.04)
         for _ in range(2)
     ]
-    levels = [0.2, experts[0], DenseMargins(rng.uniform(-0.1, 0.2, size=(b, b))), experts[1]]
+    middle = DenseMargins(rng.uniform(-0.1, 0.2, size=(b, b)))
+    levels = [0.2, experts[0], 0.1 if scalars == "spread" else middle, experts[1]]
     w = np.array([1.0, 0.6, 0.6, 0.4])
     return U, un, V, vn, S, levels, w
 
@@ -471,10 +504,11 @@ class TestHardestGradient:
     # B = 2 has one negative per anchor, so cell (0, 1) holds both the video
     # entry of anchor 1 and the text entry of anchor 0
     @pytest.mark.parametrize("b", [2, 3, 64, 300])
-    def test_dense_form_is_the_add_at_construction(self, b):
+    @pytest.mark.parametrize("scalars", ["first", "spread"])
+    def test_dense_form_is_the_add_at_construction(self, b, scalars):
         rng = np.random.default_rng(400 + b)
         for _ in range(3):
-            U, un, V, vn, S, levels, w = mined_instance(rng, b)
+            U, un, V, vn, S, levels, w = mined_instance(rng, b, scalars=scalars)
             # the identity form, whose gradient holds the dense dS
             comp, dS, mined_v, mined_t = kernels.triplet_terms(*dense_rows(S), levels, w, False)
             assert isinstance(dS, kernels.ProjectedGradient)
@@ -510,11 +544,12 @@ class TestHardestGradient:
             assert dense[0, 1] == g_v[1] + g_t[0]
 
     @pytest.mark.parametrize("b", [2, 3, 64, 300])
-    def test_backward_matches_the_dense_form(self, b):
+    @pytest.mark.parametrize("scalars", ["first", "spread"])
+    def test_backward_matches_the_dense_form(self, b, scalars):
         # the unit rows' gradient through the kernel, against the identity
         # form's dense gradient through the dense reference
         rng = np.random.default_rng(500 + b)
-        U, un, V, vn, S, levels, w = mined_instance(rng, b)
+        U, un, V, vn, S, levels, w = mined_instance(rng, b, scalars=scalars)
         _, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False)
         want = kernels.triplet_terms(*dense_rows(S), levels, w, False)
         np.testing.assert_array_equal(mined_v, want[2])
@@ -596,11 +631,15 @@ class TestUnitRows:
     SIZES = [2, 3, 64, 181, 182, 300, 1024]
 
     @staticmethod
-    def levels(rng, b):
+    def levels(rng, b, scalars="first"):
+        """A scalar level and two experts' levels, with a second scalar
+        between the experts when ``scalars="spread"``."""
         experts = [
             expert_margins(unit_rows(rng.standard_normal((b, 8)), "expert")[0], 0.05, 0.04)
             for _ in range(2)
         ]
+        if scalars == "spread":
+            return [0.2, experts[0], 0.1, experts[1]], np.array([1.0, 0.6, 0.3, 0.4])
         return [0.2, experts[0], experts[1]], np.array([1.0, 0.6, 0.4])
 
     @staticmethod
@@ -624,14 +663,15 @@ class TestUnitRows:
             assert relative_gap(g, d.astype(np.longdouble)) <= 1e-14
 
     @pytest.mark.parametrize("b", SIZES)
-    def test_hardest_mining_matches_the_dense_matrix_bit_for_bit(self, b):
+    @pytest.mark.parametrize("scalars", ["first", "spread"])
+    def test_hardest_mining_matches_the_dense_matrix_bit_for_bit(self, b, scalars):
         # grid rows make S exact in both forms, so both mine the same entries
         # of the same values: the totals, the indices and the sums of dS * S,
         # which read S's cells, agree bit for bit; dS @ V and dS.T @ U take
         # different rows in the two forms, so they are checked as products
         rng = np.random.default_rng(810 + b)
         U, V = grid_rows(rng, b), grid_rows(rng, b)
-        levels, w = self.levels(rng, b)
+        levels, w = self.levels(rng, b, scalars)
         comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, False)
         S = U @ V.T
         want = kernels.triplet_terms(*dense_rows(S), levels, w, False)
@@ -660,14 +700,15 @@ class TestUnitRows:
 
     @pytest.mark.parametrize("b", SIZES)
     @pytest.mark.parametrize("grid", [False, True])
-    def test_mean_mining_projects_the_dense_gradient(self, b, grid):
+    @pytest.mark.parametrize("scalars", ["first", "spread"])
+    def test_mean_mining_projects_the_dense_gradient(self, b, grid, scalars):
         rng = np.random.default_rng(830 + b + 7 * grid)
         if grid:
             U, V = grid_rows(rng, b), grid_rows(rng, b)
         else:
             U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
             V = unit_rows(2.0 * rng.standard_normal((b, 16)), "text")[0]
-        levels, w = self.levels(rng, b)
+        levels, w = self.levels(rng, b, scalars)
         comp, dS, mined_v, mined_t = kernels.triplet_terms(U, V, levels, w, True)
         S = U @ V.T
         want = kernels.triplet_terms(*dense_rows(S), levels, w, True)

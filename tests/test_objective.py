@@ -273,7 +273,8 @@ class TestZeroWeightSlot:
 
     DSE, SSE = ("dse_video", "dse_text"), ("sse_video", "sse_text")
 
-    @pytest.mark.parametrize("b", [16, 200])  # 200 > 181: two row blocks
+    # 128: one row block, pruned mining; 200 > 181: two row blocks
+    @pytest.mark.parametrize("b", [16, 128, 200])
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
     @pytest.mark.parametrize(
         "lam, dead, live",
@@ -337,7 +338,8 @@ class TestMarginLevelContract:
     """A margin level is a float or any row source: a study's own map reaches
     the loss as ``ExpertMargins`` does, and anything else is rejected."""
 
-    @pytest.mark.parametrize("b", [16, 200])  # 200: two row blocks, pruned mining
+    # 128: one row block, pruned mining; 200: two row blocks, pruned mining
+    @pytest.mark.parametrize("b", [16, 128, 200])
     @pytest.mark.parametrize("mining", ["hardest", "mean"])
     @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
     def test_study_row_source_gives_the_expert_margins_bits(self, b, mining, lam):
