@@ -12,14 +12,16 @@ imperfect external encoder).
 ``concepts`` and both static tables belongs to ``ids[i]``, and
 ``Dataset.rows`` maps ids to rows.
 
-On disk a dataset is a directory of seven text files (FRM1 frames, three
-EMB1 tables, LBL1 labels, two SPLIT1 id lists) plus ``manifest.txt``, all
-read under the line rules of ``experts.read_records``. The manifest's header
+On disk a dataset is a directory of seven text files (FRM2 frames, three
+EMB2 tables, LBL1 labels, two SPLIT1 id lists) plus ``manifest.txt``, all
+read under the line rules of ``experts.read_records``. FRM2 and EMB2 hold
+each float as its exact hex literal (``float.hex``). The manifest's header
 is ``MANIFEST2``; each record is ``<role> <filename> <sha256>``, each role
 exactly once under its canonical filename. ``load_dataset`` checks every
-digest before it parses any file. Directories written with the older
-``MANIFEST1`` header (FNV-1a digests) are rejected; regenerate them with
-``gen-data``.
+digest before it parses any file. Directories written with an older format,
+a ``MANIFEST1`` header (FNV-1a digests) or decimal FRM1 and EMB1 files, are
+rejected; regenerate them with ``gen-data``. The filenames keep their
+``.frm1`` and ``.emb1`` suffixes.
 """
 
 import hashlib
@@ -326,14 +328,7 @@ def _read_manifest(manifest: Path) -> dict[str, tuple[str, int]]:
     """
     if not manifest.exists():
         raise ParseError(f"{manifest}: manifest not found")
-    try:
-        _, records = read_records(manifest, MANIFEST_HEADER, 0)
-    except ParseError as exc:
-        raise ParseError(
-            f"{manifest}: expected a {MANIFEST_HEADER} header; MANIFEST1 (FNV-1a) datasets "
-            "are no longer read, regenerate the directory with gen-data",
-            exc.line,
-        ) from None
+    _, records = read_records(manifest, MANIFEST_HEADER, 0, retired=("MANIFEST1",))
     entries: dict[str, tuple[str, int]] = {}
     for lineno, parts in records:
         if len(parts) != 3:
@@ -380,7 +375,8 @@ def load_dataset(data_dir) -> Dataset:
     tables = {
         name: load_static_embeddings(root / _FILES[name]) for name in ("text", "sse_video", "sse_text")
     }
-    labels = _load_labels(root / _FILES["labels"])
+    labels_path = root / _FILES["labels"]
+    labels = _load_labels(labels_path)
 
     for name, (table_ids, _) in tables.items():
         if table_ids != ids:
@@ -392,9 +388,12 @@ def load_dataset(data_dir) -> Dataset:
         concepts = np.array([labels[i] for i in ids], dtype=np.int64)
     except KeyError as exc:
         raise ParseError(
-            f"{root / _FILES['labels']}: labels file is missing id {exc.args[0]!r} "
-            f"of {frames_path}"
+            f"{labels_path}: labels file is missing id {exc.args[0]!r} of {frames_path}"
         ) from None
+    if len(labels) != len(ids):
+        known = set(ids)
+        extra = next(i for i in labels if i not in known)
+        raise ParseError(f"{labels_path}: labels file has id {extra!r} that {frames_path} lacks")
 
     train_path, val_path = root / _FILES["split_train"], root / _FILES["split_val"]
     train_ids, val_ids = _load_split(train_path), _load_split(val_path)

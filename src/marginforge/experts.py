@@ -2,14 +2,17 @@
 
 Dynamic experts read the live encoder outputs of a batch; static experts read
 frozen, externally produced embeddings, one row per item in ``Dataset.ids``
-order, held in a ``StaticEmbeddingTable`` and loaded from EMB1 text files.
+order, held in a ``StaticEmbeddingTable`` and loaded from EMB2 text files.
 Either kind's unit rows become margins in ``margin.expert_margins``;
 ``EXPERT_KINDS`` names the four experts.
 
-The EMB1 and FRM1 loaders check each record line's structure as they read
-it and convert its float tokens into its row with one numpy assignment,
-which accepts exactly the literals that ``float()`` accepts. Finiteness is
-checked once per file, in ``_finite_rows``.
+EMB2 and FRM2 files hold each float as its exact C99 hex literal
+(``float.hex``), which re-parses bit for bit and takes no decimal
+conversion. The loaders check each record line's structure as they read it
+and convert its value tokens into its row under the token rule of
+``_hex_values``. Finiteness is checked once per file, in ``_finite_rows``.
+EMB1 and FRM1 files, which held decimal text, are rejected with a hint to
+regenerate the dataset.
 """
 
 from contextlib import contextmanager
@@ -41,20 +44,21 @@ class StaticEmbeddingTable:
 
 
 # ---------------------------------------------------------------------------
-# EMB1 / FRM1 text formats (line rules: ``read_records``)
+# EMB2 / FRM2 text formats (line rules: ``read_records``)
 # ---------------------------------------------------------------------------
 
-def read_records(path, tag: str, n_counts: int, least_bytes=None):
+def read_records(path, tag: str, n_counts: int, least_bytes=None, retired=()):
     """Header counts and a record stream for every line format of the package.
 
-    The one rule shared by the five line formats, FRM1, EMB1, LBL1, SPLIT1 and
+    The one rule shared by the five line formats, FRM2, EMB2, LBL1, SPLIT1 and
     MANIFEST2 (checkpoints are binary CKPT3 files, ``model.read_checkpoint``):
 
     - blank lines, and lines whose first token starts with ``#``, are skipped
       everywhere, before the header as well as between records;
     - the first remaining line is the header: ``tag`` followed by exactly
       ``n_counts`` counts, each read by ``parse_count``; any other header is a
-      ``ParseError`` at its line;
+      ``ParseError`` at its line, and one whose first token is a ``retired``
+      tag, an older version of the format, says to regenerate the dataset;
     - every later line is a record.
 
     ``least_bytes``, if given, maps the header's counts to the fewest bytes
@@ -70,6 +74,11 @@ def read_records(path, tag: str, n_counts: int, least_bytes=None):
     lineno, tokens = next(records, (None, None))
     if tokens is None:
         raise ParseError(f"{path}: no {tag} header")
+    if tokens[0] in retired:
+        raise ParseError(
+            f"{path}: {tokens[0]} files are no longer read, regenerate the dataset "
+            f"with gen-data to write {tag}", lineno,
+        )
     if tokens[0] != tag or len(tokens) != n_counts + 1:
         expected = " ".join([tag] + ["<N>"] * n_counts)
         raise ParseError(f"{path}: expected '{expected}' header, got {' '.join(tokens)!r}", lineno)
@@ -117,7 +126,7 @@ def _token_lines(path):
 
 
 def parse_count(token: str, lineno, path) -> int:
-    """Non-negative decimal integer: every header count, FRM1 frame index and LBL1 concept.
+    """Non-negative decimal integer: every header count, FRM2 frame index and LBL1 concept.
 
     Only ASCII digits are accepted, so ``+2``, ``-0``, ``1_0`` and ``1.5``
     are rejected although ``int()`` takes the first three.
@@ -129,12 +138,30 @@ def parse_count(token: str, lineno, path) -> int:
     return int(token)
 
 
-def row_format(dim: int, prefix: str) -> str:
-    """%-format string for one text row: ``prefix`` then ``dim`` floats at 18 significant digits.
+def _hex_values(tokens: list[str], lineno, path) -> list[float]:
+    """The floats of one record's value tokens; a token outside the rule is a ``ParseError``.
 
-    ``"%.17e" % x`` gives the same text as ``f"{x:.17e}"``, and re-parsing it is exact.
+    A value token is an optional sign, then a lowercase ``0x``, then what
+    ``float.fromhex`` accepts: ``-0x1.8p+0`` is -1.5. The ``0x`` is required,
+    because ``fromhex`` reads ``1.5`` as 1.3125 and also accepts ``inf`` and
+    ``nan``. Only a token's prefix can hold ``0x`` once ``fromhex`` took it,
+    so one count over the joined tokens checks every prefix. An exponent
+    beyond the float range (``0x1p+9999``) is rejected too.
     """
-    return prefix + " ".join(["%.17e"] * dim) + "\n"
+    try:
+        values = list(map(float.fromhex, tokens))
+        if " ".join(tokens).count("0x") == len(tokens):
+            return values
+    except (ValueError, OverflowError):
+        pass
+    for token in tokens:
+        try:
+            float.fromhex(token)
+        except (ValueError, OverflowError):
+            break
+        if not token.lstrip("+-").startswith("0x"):
+            break
+    raise ParseError(f"{path}: bad value {token!r}: expected a hex float such as -0x1.8p+0", lineno)
 
 
 @contextmanager
@@ -163,16 +190,18 @@ def _finite_rows(path, values: np.ndarray, lines: np.ndarray):
 
 
 def load_static_embeddings(path) -> tuple[list[str], np.ndarray]:
-    """Parse an EMB1 file into (ids, rows) with rows shaped (N, D).
+    """Parse an EMB2 file into (ids, rows) with rows shaped (N, D).
 
-    Header is ``EMB1 <N> <D>``; each of the N records is ``<id> <x1..xD>``.
-    A value is any literal that ``float()`` accepts; a rejected literal is a
+    Header is ``EMB2 <N> <D>``; each of the N records is ``<id> <x1..xD>``.
+    A value is a hex float token (``_hex_values``); any other token is a
     ``ParseError`` at its line, and so is a non-finite value.
     """
     # a record is D + 1 tokens, each of at least one byte and a separator
-    (n, dim), records = read_records(path, "EMB1", 2, lambda n, dim: 2 * n * (dim + 1))
+    (n, dim), records = read_records(
+        path, "EMB2", 2, lambda n, dim: 2 * n * (dim + 1), retired=("EMB1",)
+    )
     if dim < 1:
-        raise ParseError(f"{path}: EMB1 header needs D >= 1")
+        raise ParseError(f"{path}: EMB2 header needs D >= 1")
 
     ids: list[str] = []
     seen: set[str] = set()
@@ -190,10 +219,7 @@ def load_static_embeddings(path) -> tuple[list[str], np.ndarray]:
             if item_id in seen:
                 raise DuplicateIdError(f"line {lineno}: {path}: duplicate id {item_id!r}")
             seen.add(item_id)
-            try:
-                rows[len(ids)] = tokens[1:]
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad numeric literal: {exc}", lineno) from None
+            rows[len(ids)] = _hex_values(tokens[1:], lineno, path)
             lines[len(ids)] = lineno
             ids.append(item_id)
     if len(ids) != n:
@@ -206,26 +232,27 @@ def load_static_embeddings(path) -> tuple[list[str], np.ndarray]:
 
 
 def save_static_embeddings(ids, rows: np.ndarray, path) -> None:
-    """Write an EMB1 file; values carry 18 significant digits so re-parsing is exact."""
+    """Write an EMB2 file; each value is its ``float.hex`` literal, so re-parsing is exact."""
     n, dim = rows.shape
-    fmt = row_format(dim, "%s ")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"EMB1 {n} {dim}\n")
+        fh.write(f"EMB2 {n} {dim}\n")
         for item_id, row in zip(ids, rows):
-            fh.write(fmt % (item_id, *row.tolist()))
+            fh.write(f"{item_id} {' '.join(map(float.hex, row.tolist()))}\n")
 
 
 def load_frame_file(path) -> tuple[list[str], np.ndarray]:
-    """Parse an FRM1 file into (ids, frames) with frames shaped (N, T, D).
+    """Parse an FRM2 file into (ids, frames) with frames shaped (N, T, D).
 
-    Header is ``FRM1 <N> <T> <D>``; each of the N*T records is
+    Header is ``FRM2 <N> <T> <D>``; each of the N*T records is
     ``<id> <frame_index> <x1..xD>`` with frame_index in [0, T). Values
     follow the rule of ``load_static_embeddings``.
     """
     # a record is D + 2 tokens, each of at least one byte and a separator
-    (n, t, dim), records = read_records(path, "FRM1", 3, lambda n, t, dim: 2 * n * t * (dim + 2))
+    (n, t, dim), records = read_records(
+        path, "FRM2", 3, lambda n, t, dim: 2 * n * t * (dim + 2), retired=("FRM1",)
+    )
     if t < 1 or dim < 1:
-        raise ParseError(f"{path}: FRM1 header needs T >= 1 and D >= 1")
+        raise ParseError(f"{path}: FRM2 header needs T >= 1 and D >= 1")
 
     ids: list[str] = []
     order: dict[str, int] = {}
@@ -252,10 +279,7 @@ def load_frame_file(path) -> tuple[list[str], np.ndarray]:
                 raise DuplicateIdError(
                     f"line {lineno}: {path}: duplicate frame {fidx} for id {item_id!r}"
                 )
-            try:
-                frames[row, fidx] = tokens[2:]
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad numeric literal: {exc}", lineno) from None
+            frames[row, fidx] = _hex_values(tokens[2:], lineno, path)
             lines[row, fidx] = lineno
 
     if len(ids) != n:
@@ -267,11 +291,10 @@ def load_frame_file(path) -> tuple[list[str], np.ndarray]:
 
 
 def save_frame_file(ids, frames: np.ndarray, path) -> None:
-    """Write an FRM1 file (item-major, ascending frame index)."""
+    """Write an FRM2 file (item-major, ascending frame index), values as in EMB2."""
     n, t, dim = frames.shape
-    fmt = row_format(dim, "%s %d ")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"FRM1 {n} {t} {dim}\n")
+        fh.write(f"FRM2 {n} {t} {dim}\n")
         for item_id, item in zip(ids, frames):
             for fidx, row in enumerate(item.tolist()):
-                fh.write(fmt % (item_id, fidx, *row))
+                fh.write(f"{item_id} {fidx} {' '.join(map(float.hex, row))}\n")

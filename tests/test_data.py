@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -138,6 +139,16 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.sse_text.embeddings, ds.sse_text.embeddings)
         assert loaded.train_ids == ds.train_ids
         assert loaded.val_ids == ds.val_ids
+
+    def test_every_value_token_is_a_hex_float(self, tmp_path):
+        write_dataset(generate(SynthConfig(n_items=10, n_concepts=8, duplicate_rate=0.4)), tmp_path)
+        for filename, first_value in [
+            ("frames.frm1", 2), ("text.emb1", 1), ("sse_video.emb1", 1), ("sse_text.emb1", 1)
+        ]:
+            header, *records = (tmp_path / filename).read_text(encoding="utf-8").splitlines()
+            tokens = [token for line in records for token in line.split()[first_value:]]
+            assert len(tokens) == math.prod(map(int, header.split()[1:]))
+            assert all(token.startswith(("0x", "-0x")) for token in tokens)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ParseError):
@@ -314,7 +325,7 @@ class TestManifest:
     def test_lines_checked_before_any_hashing(self, tmp_path):
         # a corrupt file listed before a bad line: the bad line is reported, not the checksum
         def corrupt_then_repeat(lines):
-            (tmp_path / "frames.frm1").write_bytes(b"FRM1 0 1 1\n")
+            (tmp_path / "frames.frm1").write_bytes(b"FRM2 0 1 1\n")
             lines.append(lines[1])
 
         self.write(tmp_path, corrupt_then_repeat)
@@ -438,6 +449,20 @@ class TestLoadErrorsNameTheirFiles:
         message = str(excinfo.value)
         assert "sse_text.emb1" in message and "frames.frm1" in message
         assert "ids do not match the frame file ids" in message
+
+    def test_extra_label_names_the_labels_file_and_the_id(self, tmp_path):
+        data_dir = self.dataset_dir(tmp_path)
+
+        def add_ghost(lines):
+            lines[0] = "LBL1 9"
+            lines.append("ghost 3")
+
+        self.edit_signed(data_dir, "labels.txt", add_ghost)
+        with pytest.raises(ParseError) as excinfo:
+            load_dataset(data_dir)
+        message = str(excinfo.value)
+        assert "labels.txt" in message and "frames.frm1" in message
+        assert "labels file has id 'ghost'" in message
 
     def test_missing_label_names_both_files(self, tmp_path):
         data_dir = self.dataset_dir(tmp_path)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,8 @@ from marginforge.errors import DimMismatchError, DuplicateIdError, ParseError, Z
 from marginforge.experts import (
     StaticEmbeddingTable,
     load_frame_file,
+    _finite_rows,
     load_static_embeddings,
-    row_format,
     save_frame_file,
     save_static_embeddings,
 )
@@ -30,8 +31,13 @@ def cosine_distances(reprs, what):
 
 
 def per_value_text(row) -> str:
-    """The writers' former formatting, one f-string per value."""
-    return " ".join(f"{x:.17e}" for x in row)
+    """One ``float.hex`` literal per value: the EMB2/FRM2 value tokens."""
+    return " ".join(float(x).hex() for x in row)
+
+
+def hex_text(decimal: str) -> str:
+    """Decimal literals, space-separated, as hex value tokens: ``"1.5 0.0"`` -> ``"0x1.8..."``."""
+    return per_value_text(float(x) for x in decimal.split())
 
 
 class TestDseDistances:
@@ -130,40 +136,40 @@ class TestDistanceProperties:
         np.testing.assert_allclose(d1, d2, atol=1e-12)
 
 
-class TestEmb1Format:
+class TestEmb2Format:
     def write(self, tmp_path, text):
         p = tmp_path / "t.emb1"
         p.write_text(text, encoding="utf-8")
         return p
 
     def test_basic_parse(self, tmp_path):
-        p = self.write(tmp_path, "EMB1 2 3\n# comment\na 1.0 2.0 3.0\nb 4.0 5.0 6.0\n")
-        ids, rows = load_static_embeddings(p)
+        text = "EMB2 2 3\n# comment\na 0x1p+0 0x1p+1 0x1.8p+1\nb 0x1p+2 0x1.4p+2 0x1.8p+2\n"
+        ids, rows = load_static_embeddings(self.write(tmp_path, text))
         assert ids == ["a", "b"] and rows.shape == (2, 3)
         np.testing.assert_array_equal(rows[1], [4.0, 5.0, 6.0])
 
     def test_count_mismatch(self, tmp_path):
-        p = self.write(tmp_path, "EMB1 3 2\na 1.0 2.0\nb 3.0 4.0\n")
+        p = self.write(tmp_path, "EMB2 3 2\na 0x1p+0 0x1p+1\nb 0x1.8p+1 0x1p+2\n")
         with pytest.raises(ParseError):
             load_static_embeddings(p)
 
     def test_duplicate_id(self, tmp_path):
-        p = self.write(tmp_path, "EMB1 2 2\na 1.0 2.0\na 3.0 4.0\n")
+        p = self.write(tmp_path, "EMB2 2 2\na 0x1p+0 0x1p+1\na 0x1.8p+1 0x1p+2\n")
         with pytest.raises(DuplicateIdError):
             load_static_embeddings(p)
 
     def test_dim_mismatch(self, tmp_path):
-        p = self.write(tmp_path, "EMB1 2 2\na 1.0 2.0\nb 3.0\n")
+        p = self.write(tmp_path, "EMB2 2 2\na 0x1p+0 0x1p+1\nb 0x1.8p+1\n")
         with pytest.raises(DimMismatchError):
             load_static_embeddings(p)
 
     def test_bad_float_names_line(self, tmp_path):
-        p = self.write(tmp_path, "EMB1 1 2\na 1.0 oops\n")
+        p = self.write(tmp_path, "EMB2 1 2\na 0x1p+0 oops\n")
         with pytest.raises(ParseError, match="line 2"):
             load_static_embeddings(p)
 
     def test_zero_norm_row(self, tmp_path):
-        p = self.write(tmp_path, "EMB1 1 2\na 0.0 0.0\n")
+        p = self.write(tmp_path, "EMB2 1 2\na 0x0p+0 -0x0p+0\n")
         with pytest.raises(ZeroNormError):
             load_static_embeddings(p)
 
@@ -171,14 +177,15 @@ class TestEmb1Format:
     # which is rejected with no RuntimeWarning
     @pytest.mark.parametrize("row", ["1e-13 0.0", "1e200 1.0", "-1e200 1e200"])
     def test_norm_outside_the_unit_rows_rule(self, tmp_path, row):
-        p = self.write(tmp_path, f"EMB1 3 2\na 1.0 0.0\nb {row}\nc 1e-13 0.0\n")
+        text = f"EMB2 3 2\na {hex_text('1.0 0.0')}\nb {hex_text(row)}\nc {hex_text('1e-13 0.0')}\n"
+        p = self.write(tmp_path, text)
         with pytest.raises(ZeroNormError, match="embedding for 'b' has non-finite or near-zero"):
             load_static_embeddings(p)
 
-    @pytest.mark.parametrize("header", ["EMB1 {} 2", "EMB1 2 {}"])
+    @pytest.mark.parametrize("header", ["EMB2 {} 2", "EMB2 2 {}"])
     @pytest.mark.parametrize("token", BAD_COUNTS)
     def test_bad_count_rejected(self, tmp_path, header, token):
-        p = self.write(tmp_path, header.format(token) + "\na 1.0 0.0\nb 0.0 1.0\n")
+        p = self.write(tmp_path, header.format(token) + "\na 0x1p+0 0x0p+0\nb 0x0p+0 0x1p+0\n")
         with pytest.raises(ParseError) as excinfo:
             load_static_embeddings(p)
         assert excinfo.value.line == 1
@@ -201,7 +208,7 @@ class TestEmb1Format:
         np.testing.assert_array_equal(loaded, rows)
 
 
-class TestFrm1Format:
+class TestFrm2Format:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(34)
         ids = ["a", "b"]
@@ -212,11 +219,11 @@ class TestFrm1Format:
         assert got_ids == ids
         np.testing.assert_array_equal(got, frames)
 
-    @pytest.mark.parametrize("header", ["FRM1 {} 2 2", "FRM1 2 {} 2", "FRM1 2 2 {}"])
+    @pytest.mark.parametrize("header", ["FRM2 {} 2 2", "FRM2 2 {} 2", "FRM2 2 2 {}"])
     @pytest.mark.parametrize("token", BAD_COUNTS)
     def test_bad_count_rejected(self, tmp_path, header, token):
         p = tmp_path / "f.frm1"
-        rows = "".join(f"{i} {f} 1.0 2.0\n" for i in "ab" for f in range(2))
+        rows = "".join(f"{i} {f} 0x1p+0 0x1p+1\n" for i in "ab" for f in range(2))
         p.write_text(header.format(token) + "\n" + rows, encoding="utf-8")
         with pytest.raises(ParseError) as excinfo:
             load_frame_file(p)
@@ -227,8 +234,10 @@ class TestFrm1Format:
         p = tmp_path / "f.frm1"
         # T = 11, so int() would read +2 and 1_0 as frames in range; frames
         # 1-10 follow, so that the file holds the records its header declares
-        rest = "".join(f"a {f} 3.0 4.0\n" for f in range(1, 11))
-        p.write_text(f"FRM1 1 11 2\na 0 1.0 2.0\na {token} 3.0 4.0\n" + rest, encoding="utf-8")
+        rest = "".join(f"a {f} 0x1.8p+1 0x1p+2\n" for f in range(1, 11))
+        p.write_text(
+            f"FRM2 1 11 2\na 0 0x1p+0 0x1p+1\na {token} 0x1.8p+1 0x1p+2\n" + rest, encoding="utf-8"
+        )
         with pytest.raises(ParseError) as excinfo:
             load_frame_file(p)
         assert excinfo.value.line == 3
@@ -244,35 +253,63 @@ class TestFrm1Format:
 
     def test_frame_index_out_of_range(self, tmp_path):
         p = tmp_path / "f.frm1"
-        p.write_text("FRM1 1 1 2\na 1 1.0 2.0\n", encoding="utf-8")
+        p.write_text("FRM2 1 1 2\na 1 0x1p+0 0x1p+1\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_frame_file(p)
 
     def test_missing_frame(self, tmp_path):
         p = tmp_path / "f.frm1"
-        p.write_text("FRM1 1 2 2\na 0 1.0 2.0\n", encoding="utf-8")
+        p.write_text("FRM2 1 2 2\na 0 0x1p+0 0x1p+1\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_frame_file(p)
 
     def test_duplicate_frame(self, tmp_path):
         p = tmp_path / "f.frm1"
-        p.write_text("FRM1 1 2 2\na 0 1.0 2.0\na 0 3.0 4.0\n", encoding="utf-8")
+        p.write_text("FRM2 1 2 2\na 0 0x1p+0 0x1p+1\na 0 0x1.8p+1 0x1p+2\n", encoding="utf-8")
         with pytest.raises(DuplicateIdError):
             load_frame_file(p)
 
 
-# literals float() takes (some non-finite, so rejected by the loaders) and
-# literals it refuses; the loaders' row assignment must agree on every one
-LITERALS = [
-    "1_0", "\u0661\u0662", "+.5", "5.", "nan", "-Infinity", "1e500", "0x10", "1e", "--1",
-    "5e-324", "-0.0",
+@pytest.mark.parametrize(
+    "name, loader, text",
+    [
+        ("t.emb1", load_static_embeddings, "# decimal text\nEMB1 1 2\na 1.0 2.0\n"),
+        ("f.frm1", load_frame_file, "# decimal text\nFRM1 1 1 2\na 0 1.0 2.0\n"),
+    ],
+)
+def test_retired_tag_rejected_with_regenerate_hint(tmp_path, name, loader, text):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    tag = text.split("\n")[1].split()[0]
+    with pytest.raises(ParseError, match=f"{tag} files are no longer read.*gen-data") as excinfo:
+        loader(p)
+    assert excinfo.value.line == 2
+
+
+def test_edge_row_round_trips_bit_for_bit(tmp_path):
+    # through FRM2: an EMB2 row holding the largest double fails the norm
+    # rule. The sign of -0.0 shows only in the bits, not under ==.
+    edge = np.array([[EDGE_ROW, EDGE_ROW[::-1]]])
+    save_frame_file(["a"], edge, tmp_path / "f.frm1")
+    got = load_frame_file(tmp_path / "f.frm1")[1]
+    assert got.view(np.uint64).tolist() == edge.view(np.uint64).tolist()
+    assert got.view(np.uint64)[0, 0, 0] == np.array(-0.0).view(np.uint64)
+
+
+# value tokens: accepted ones load as ``float.fromhex`` reads them; rejected
+# ones are a decimal literal (which ``fromhex`` would misread: 1.5 -> 1.3125,
+# 10 -> 16.0), a non-finite word, an exponent beyond the float range, or a
+# form ``fromhex`` refuses or takes without the lowercase ``0x``
+ACCEPTED_TOKENS = [
+    "0x1p+0", "-0x1.8p+0", "-0x0.0p+0", "0x0.0000000000001p-1022", "0x1.fffffffffffffp+1023",
 ]
+REJECTED_TOKENS = ["1.5", "10", "inf", "nan", "-inf", "0x1p+9999", "0x1_0p0", "0xinf", "0X1p+0"]
 
 
-def emb1_text(n, dim, edit=lambda rows: rows):
-    """An EMB1 file of n rows; ``edit`` may change the row lines (line = index + 2)."""
-    rows = [f"i{r} " + " ".join([str(r + 1.0)] + ["0.5"] * (dim - 1)) for r in range(n)]
-    return f"EMB1 {n} {dim}\n" + "\n".join(edit(rows)) + "\n"
+def emb2_text(n, dim, edit=lambda rows: rows):
+    """An EMB2 file of n rows; ``edit`` may change the row lines (line = index + 2)."""
+    rows = [f"i{r} " + " ".join([(r + 1.0).hex()] + ["0x1p-1"] * (dim - 1)) for r in range(n)]
+    return f"EMB2 {n} {dim}\n" + "\n".join(edit(rows)) + "\n"
 
 
 def replace_row(index, text):
@@ -285,44 +322,47 @@ def replace_row(index, text):
 
 
 class TestFloatBlocks:
-    """EMB1/FRM1 floats are converted per row; values and errors match ``float()``
-    and come in file order."""
+    """EMB2/FRM2 floats are converted per row under one token rule, and
+    errors come in file order."""
 
-    @pytest.mark.parametrize("literal", LITERALS)
-    def test_literal_parity(self, tmp_path, literal):
+    # in a frame file, which has no norm rule to trip on the largest double
+    @pytest.mark.parametrize("token", ACCEPTED_TOKENS)
+    def test_accepted_token(self, tmp_path, token):
+        p = tmp_path / "one.frm1"
+        p.write_text(f"FRM2 1 1 2\na 0 {token} 0x1p+0\n", encoding="utf-8")
+        got = load_frame_file(p)[1][0, 0]
+        assert got.tobytes() == np.array([float.fromhex(token), 1.0]).tobytes()
+
+    @pytest.mark.parametrize("token", REJECTED_TOKENS)
+    def test_rejected_token_names_its_line(self, tmp_path, token):
         p = tmp_path / "one.emb1"
-        p.write_text(f"EMB1 1 2\na {literal} 1.0\n", encoding="utf-8")
-        try:
-            value = float(literal)
-            exc = None if np.isfinite(value) else ParseError(f"{p}: non-finite value", 2)
-        except ValueError as rejected:
-            exc = ParseError(f"{p}: bad numeric literal: {rejected}", 2)
-        if exc is not None:
-            with pytest.raises(ParseError) as excinfo:
-                load_static_embeddings(p)
-            assert (type(excinfo.value), str(excinfo.value)) == (type(exc), str(exc))
-            assert excinfo.value.line == 2
-            return
-        got = load_static_embeddings(p)[1][0]
-        assert got.tobytes() == np.array([value, 1.0]).tobytes()
-        assert got[0].hex() == value.hex()
+        p.write_text(f"EMB2 2 2\na 0x1p+0 0x1p+0\nb 0x1p+0 {token}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="^" + re.escape(f"line 3: {p}: bad value {token!r}:")) as excinfo:
+            load_static_embeddings(p)
+        assert excinfo.value.line == 3
+
+    def test_exponent_overflow_in_a_frame_file(self, tmp_path):
+        p = tmp_path / "f.frm1"
+        p.write_text("FRM2 1 2 2\na 0 0x1p+0 0x1p+1\na 1 -0x1p+9999 0x1p+1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="bad value '-0x1p\\+9999'") as excinfo:
+            load_frame_file(p)
+        assert excinfo.value.line == 3
 
     @pytest.mark.parametrize("bad", ["oops", "nan"])
     @pytest.mark.parametrize("offset", [0, 7])
-    def test_emb1_error_line_far_into_the_file(self, tmp_path, bad, offset):
+    def test_emb2_error_line_far_into_the_file(self, tmp_path, bad, offset):
         dim = 16
         index = 512 + offset
         p = tmp_path / "long.emb1"
-        bad_row = f"i{index} 1.0 {bad} " + " ".join(["0.5"] * (dim - 2))
-        p.write_text(emb1_text(2 * 512, dim, replace_row(index, bad_row)))
-        expected = "non-finite" if bad == "nan" else "literal"
-        with pytest.raises(ParseError, match=expected) as excinfo:
+        bad_row = f"i{index} 0x1p+0 {bad} " + " ".join(["0x1p-1"] * (dim - 2))
+        p.write_text(emb2_text(2 * 512, dim, replace_row(index, bad_row)))
+        with pytest.raises(ParseError, match=re.escape(f"bad value {bad!r}")) as excinfo:
             load_static_embeddings(p)
         assert excinfo.value.line == index + 2
 
     @pytest.mark.parametrize("bad", ["oops", "nan"])
     @pytest.mark.parametrize("offset", [0, 7])
-    def test_frm1_error_line_far_into_the_file(self, tmp_path, bad, offset):
+    def test_frm2_error_line_far_into_the_file(self, tmp_path, bad, offset):
         n, t, dim = 600, 2, 40
         frames = np.arange(n * t * dim, dtype=np.float64).reshape(n, t, dim) + 0.25
         p = tmp_path / "long.frm1"
@@ -333,8 +373,7 @@ class TestFloatBlocks:
         parts[5] = bad
         lines[row] = " ".join(parts)
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        expected = "non-finite" if bad == "nan" else "literal"
-        with pytest.raises(ParseError, match=expected) as excinfo:
+        with pytest.raises(ParseError, match=re.escape(f"bad value {bad!r}")) as excinfo:
             load_frame_file(p)
         assert excinfo.value.line == row + 1
 
@@ -344,7 +383,7 @@ class TestFloatBlocks:
     def test_non_utf8_byte_far_into_the_file(self, tmp_path, newline):
         index = 1500
         p = tmp_path / "t.emb1"
-        lines = emb1_text(2000, 4).encode("utf-8").split(b"\n")
+        lines = emb2_text(2000, 4).encode("utf-8").split(b"\n")
         lines[index + 1] = lines[index + 1].replace(b" ", b" \xff", 1)
         p.write_bytes(newline.join(lines))
         with pytest.raises(ParseError, match=f"^line {index + 2}: {p}: not UTF-8") as excinfo:
@@ -353,19 +392,19 @@ class TestFloatBlocks:
 
     def test_float_error_before_later_non_utf8_byte(self, tmp_path):
         p = tmp_path / "t.emb1"
-        edit = replace_row(1, "i1 1.0 oops")
-        lines = emb1_text(8, 2, edit).encode("utf-8").split(b"\n")
+        edit = replace_row(1, "i1 0x1p+0 oops")
+        lines = emb2_text(8, 2, edit).encode("utf-8").split(b"\n")
         lines[5] = lines[5] + b"\xe9"
         p.write_bytes(b"\n".join(lines))
-        with pytest.raises(ParseError, match="literal") as excinfo:
+        with pytest.raises(ParseError, match="bad value") as excinfo:
             load_static_embeddings(p)
         assert excinfo.value.line == 3
 
     @pytest.mark.parametrize("bad", ["oops", "nan"])
     def test_float_error_before_later_duplicate_id(self, tmp_path, bad):
         p = tmp_path / "t.emb1"
-        edit = lambda rows: [rows[0], "i1 1.0 " + bad, rows[2], "i1 2.0 0.5", *rows[4:]]
-        p.write_text(emb1_text(8, 2, edit), encoding="utf-8")
+        edit = lambda rows: [rows[0], "i1 0x1p+0 " + bad, rows[2], "i1 0x1p+1 0x1p-1", *rows[4:]]
+        p.write_text(emb2_text(8, 2, edit), encoding="utf-8")
         with pytest.raises(ParseError) as excinfo:
             load_static_embeddings(p)
         assert excinfo.value.line == 3
@@ -373,77 +412,102 @@ class TestFloatBlocks:
     @pytest.mark.parametrize("bad", ["oops", "nan"])
     def test_duplicate_id_before_later_float_error(self, tmp_path, bad):
         p = tmp_path / "t.emb1"
-        edit = lambda rows: [rows[0], rows[1], "i1 1.0 0.5", "i3 1.0 " + bad, *rows[4:]]
-        p.write_text(emb1_text(8, 2, edit), encoding="utf-8")
+        edit = lambda rows: [rows[0], rows[1], "i1 0x1p+0 0x1p-1", "i3 0x1p+0 " + bad, *rows[4:]]
+        p.write_text(emb2_text(8, 2, edit), encoding="utf-8")
         with pytest.raises(DuplicateIdError, match="line 4:"):
             load_static_embeddings(p)
 
-    # a bad literal raises at once and a non-finite value when the loop
-    # ends, yet the earlier line's error wins either way
+    # two bad tokens on different lines: the earlier line's error wins
     @pytest.mark.parametrize("fmt", ["emb1", "frm1"])
     @pytest.mark.parametrize("first, later", [("nan", "oops"), ("oops", "nan")])
     def test_mixed_float_errors_keep_file_order(self, tmp_path, fmt, first, later):
         p = tmp_path / f"t.{fmt}"
         if fmt == "emb1":
-            edit = lambda rows: [rows[0], "i1 1.0 " + first, rows[2], f"i3 {later} 0.5", *rows[4:]]
-            p.write_text(emb1_text(8, 2, edit), encoding="utf-8")
+            edit = lambda rows: [
+                rows[0], "i1 0x1p+0 " + first, rows[2], f"i3 {later} 0x1p-1", *rows[4:]
+            ]
+            p.write_text(emb2_text(8, 2, edit), encoding="utf-8")
             load = load_static_embeddings
         else:
-            body = f"a 0 1.0 2.0\na 1 1.0 {first}\nb 0 1.0 2.0\nb 1 {later} 2.0\n"
-            p.write_text("FRM1 2 2 2\n" + body, encoding="utf-8")
+            body = (
+                f"a 0 0x1p+0 0x1p+1\na 1 0x1p+0 {first}\n"
+                f"b 0 0x1p+0 0x1p+1\nb 1 {later} 0x1p+1\n"
+            )
+            p.write_text("FRM2 2 2 2\n" + body, encoding="utf-8")
             load = load_frame_file
-        expected = "non-finite" if first == "nan" else "literal"
-        with pytest.raises(ParseError, match=expected) as excinfo:
+        with pytest.raises(ParseError, match=re.escape(f"bad value {first!r}")) as excinfo:
             load(p)
         assert excinfo.value.line == 3
 
-    def test_frm1_error_before_later_structural_error(self, tmp_path):
+    def test_frm2_error_before_later_structural_error(self, tmp_path):
         p = tmp_path / "f.frm1"
-        p.write_text("FRM1 2 2 2\na 0 1.0 nan\na 1 1.0 2.0\nb 0 1.0\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="non-finite") as excinfo:
+        p.write_text(
+            "FRM2 2 2 2\na 0 0x1p+0 nan\na 1 0x1p+0 0x1p+1\nb 0 0x1p+0\n", encoding="utf-8"
+        )
+        with pytest.raises(ParseError, match="bad value 'nan'") as excinfo:
             load_frame_file(p)
         assert excinfo.value.line == 2
 
-    def test_frm1_interleaved_shuffled_rows_scatter_exactly(self, tmp_path):
+    def test_frm2_interleaved_shuffled_rows_scatter_exactly(self, tmp_path):
         n, t, dim = 300, 4, 40
         rng = np.random.default_rng(35)
         frames = rng.standard_normal((n, t, dim)) * 10.0 ** rng.integers(-300, 300, (n, t, 1))
-        fmt = row_format(dim, "%s %d ")
         order = rng.permutation(n * t)  # ids interleave, frame indices come in any order
-        body = [fmt % (f"v{k // t}", k % t, *frames[k // t, k % t].tolist()) for k in order]
+        body = [
+            f"v{k // t} {k % t} {per_value_text(frames[k // t, k % t].tolist())}\n" for k in order
+        ]
         p = tmp_path / "shuffled.frm1"
-        p.write_text(f"FRM1 {n} {t} {dim}\n" + "".join(body), encoding="utf-8")
+        p.write_text(f"FRM2 {n} {t} {dim}\n" + "".join(body), encoding="utf-8")
         got_ids, got = load_frame_file(p)
         first_seen = list(dict.fromkeys(int(k) // t for k in order))
         assert got_ids == [f"v{i}" for i in first_seen]
         assert got.tobytes() == frames[first_seen].tobytes()
 
 
-# one malformed record line each: extra row, short row, duplicate id, bad literal, non-finite
-MALFORMED_EMB1 = [
-    "EMB1 1 2\na 1.0 2.0\nb 1.0 2.0\n",
-    "EMB1 2 2\na 1.0 2.0\nb 3.0\n",
-    "EMB1 2 2\na 1.0 2.0\na 3.0 4.0\n",
-    "EMB1 2 2\na 1.0 2.0\nb 3.0 x\n",
-    "EMB1 2 2\na 1.0 2.0\nb 3.0 inf\n",
+class TestFiniteRows:
+    """No FRM2/EMB2 token the rule accepts is non-finite, so the loaders'
+    once-per-file finiteness check is tested on its own."""
+
+    def test_earliest_read_line_wins_over_the_error_leaving(self):
+        values = np.ones((4, 2))
+        values[1, 0], values[3, 1] = np.inf, np.nan
+        lines = np.array([2, 9, 0, 5])
+        with pytest.raises(ParseError, match="^line 5: f: non-finite value"):
+            with _finite_rows("f", values, lines):
+                raise ParseError("f: later error", 11)
+
+    def test_unread_rows_are_not_checked(self):
+        values = np.full((3, 2), np.nan)
+        values[0] = 1.0
+        with _finite_rows("f", values, np.array([2, 0, 0])):
+            pass
+
+
+# one malformed record line each: extra row, short row, duplicate id, bad token, non-finite
+MALFORMED_EMB2 = [
+    "EMB2 1 2\na 0x1p+0 0x1p+1\nb 0x1p+0 0x1p+1\n",
+    "EMB2 2 2\na 0x1p+0 0x1p+1\nb 0x1.8p+1\n",
+    "EMB2 2 2\na 0x1p+0 0x1p+1\na 0x1.8p+1 0x1p+2\n",
+    "EMB2 2 2\na 0x1p+0 0x1p+1\nb 0x1.8p+1 x\n",
+    "EMB2 2 2\na 0x1p+0 0x1p+1\nb 0x1.8p+1 inf\n",
 ]
 # short row, bad frame index, frame out of range, extra id, duplicate frame,
-# bad literal, non-finite
-MALFORMED_FRM1 = [
-    "FRM1 1 1 2\na 0 1.0\n",
-    "FRM1 1 2 2\na 0 1.0 2.0\na +1 1.0 2.0\n",
-    "FRM1 1 1 2\na 1 1.0 2.0\n",
-    "FRM1 1 1 2\na 0 1.0 2.0\nb 0 1.0 2.0\n",
-    "FRM1 1 2 2\na 0 1.0 2.0\na 0 3.0 4.0\n",
-    "FRM1 1 1 2\na 0 1.0 x\n",
-    "FRM1 1 1 2\na 0 nan 2.0\n",
+# bad token, non-finite
+MALFORMED_FRM2 = [
+    "FRM2 1 1 2\na 0 0x1p+0\n",
+    "FRM2 1 2 2\na 0 0x1p+0 0x1p+1\na +1 0x1p+0 0x1p+1\n",
+    "FRM2 1 1 2\na 1 0x1p+0 0x1p+1\n",
+    "FRM2 1 1 2\na 0 0x1p+0 0x1p+1\nb 0 0x1p+0 0x1p+1\n",
+    "FRM2 1 2 2\na 0 0x1p+0 0x1p+1\na 0 0x1.8p+1 0x1p+2\n",
+    "FRM2 1 1 2\na 0 0x1p+0 x\n",
+    "FRM2 1 1 2\na 0 nan 0x1p+1\n",
 ]
 
 
 @pytest.mark.parametrize(
     "name, loader, text",
-    [("t.emb1", load_static_embeddings, text) for text in MALFORMED_EMB1]
-    + [("f.frm1", load_frame_file, text) for text in MALFORMED_FRM1],
+    [("t.emb1", load_static_embeddings, text) for text in MALFORMED_EMB2]
+    + [("f.frm1", load_frame_file, text) for text in MALFORMED_FRM2],
 )
 def test_record_errors_name_the_file(tmp_path, name, loader, text):
     p = tmp_path / name
@@ -457,9 +521,9 @@ def test_record_errors_name_the_file(tmp_path, name, loader, text):
 # headers that declare more records than their file can hold, after a
 # comment line: the loaders size their arrays from the header's counts
 OVERSIZED_HEADERS = [
-    ("t.emb1", load_static_embeddings, "EMB1 100000000 100000000\n"),
-    ("f.frm1", load_frame_file, "FRM1 1000000 1000 1000000\n"),
-    ("t.emb1", load_static_embeddings, "EMB1 20000 20000\na 1.0\n"),
+    ("t.emb1", load_static_embeddings, "EMB2 100000000 100000000\n"),
+    ("f.frm1", load_frame_file, "FRM2 1000000 1000 1000000\n"),
+    ("t.emb1", load_static_embeddings, "EMB2 20000 20000\na 0x1p+0\n"),
 ]
 
 
@@ -481,12 +545,13 @@ def test_header_beyond_the_file_is_rejected_before_allocating(tmp_path, name, lo
 @pytest.mark.parametrize(
     "name, loader, text",
     [
-        ("t.emb1", load_static_embeddings, "EMB1 3 1\na 1\nb 2\nc 3"),
-        ("f.frm1", load_frame_file, "FRM1 1 3 1\na 0 1\na 1 2\na 2 3"),
+        ("t.emb1", load_static_embeddings, "EMB2 3 1\na 0x1\nb 0x2\nc 0x3"),
+        ("f.frm1", load_frame_file, "FRM2 1 3 1\na 0 0x1\na 1 0x2\na 2 0x3"),
     ],
 )
 def test_shortest_records_fit_their_header(tmp_path, name, loader, text):
-    # one-byte tokens and no final line end: the fewest bytes records can take
+    # three-byte value tokens, one-byte ids and no final line end: the
+    # header's byte bound, which counts one byte a token, still admits them
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     loader(p)

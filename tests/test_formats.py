@@ -19,12 +19,12 @@ from marginforge.errors import ParseError
 from marginforge.experts import load_frame_file, load_static_embeddings
 
 
-def frm1(path):
+def frm2(path):
     ids, frames = load_frame_file(path)
     return ids, frames.tolist()
 
 
-def emb1(path):
+def emb2(path):
     ids, rows = load_static_embeddings(path)
     return ids, rows.tolist()
 
@@ -35,8 +35,8 @@ def manifest2(path):
 
 # tag, file written by write_dataset, loader as plain data
 FORMATS = [
-    ("FRM1", "frames.frm1", frm1),
-    ("EMB1", "text.emb1", emb1),
+    ("FRM2", "frames.frm1", frm2),
+    ("EMB2", "text.emb1", emb2),
     ("LBL1", "labels.txt", _load_labels),
     ("SPLIT1", "split_val.txt", _load_split),
     ("MANIFEST2", MANIFEST_NAME, manifest2),

@@ -5,9 +5,11 @@ A mutant is one single-byte substitution or one deletion of 1-7 bytes at a
 random offset, drawn from numpy's generator seeded with 0. Data-file mutants
 are re-signed in the manifest, so that their parser runs rather than the
 digest check; manifest mutants are not. A CKPT3 mutant changes only the
-header line, whose payload digest guards the rest.
+header line, whose payload digest guards the rest. A targeted case puts an
+exponent beyond the float range into each FRM2 and EMB2 file.
 """
 
+import re
 import shutil
 
 import numpy as np
@@ -24,7 +26,7 @@ from marginforge.data import (
     load_dataset,
     write_dataset,
 )
-from marginforge.errors import MarginForgeError
+from marginforge.errors import MarginForgeError, ParseError
 from marginforge.model import Checkpoint, ModelDims, init_params, read_checkpoint, write_checkpoint
 from marginforge.trainer import TrainConfig, new_adam_state
 
@@ -85,6 +87,24 @@ def test_dataset_file_mutants_load_or_fail_typed(dataset_dir, role):
         if role != "manifest":
             manifest.write_bytes(manifest_text({**digests, role: digest(raw)}))
         loads_or_fails_typed(lambda: load_dataset(work), target, raw)
+
+
+@pytest.mark.parametrize("role", ["frames", "text", "sse_video", "sse_text"])
+def test_exponent_beyond_the_float_range_fails_at_its_line(dataset_dir, role):
+    work = dataset_dir.parent / f"overflow_{role}"
+    shutil.copytree(dataset_dir, work)
+    target = work / _FILES[role]
+    lines = target.read_text(encoding="utf-8").split("\n")
+    tokens = lines[1].split()
+    value = 2 if role == "frames" else 1
+    tokens[value] = re.sub(r"p[+-][0-9]+$", "p+9999", tokens[value])
+    lines[1] = " ".join(tokens)
+    target.write_text("\n".join(lines), encoding="utf-8")
+    digests = {r: digest((work / name).read_bytes()) for r, name in _FILES.items()}
+    (work / MANIFEST_NAME).write_bytes(manifest_text(digests))
+    with pytest.raises(ParseError, match=re.escape(f"bad value {tokens[value]!r}")) as excinfo:
+        load_dataset(work)
+    assert excinfo.value.line == 2 and tokens[value].endswith("p+9999")
 
 
 def test_config_mutants_load_or_fail_typed(tmp_path):
