@@ -12,16 +12,17 @@ imperfect external encoder).
 ``concepts`` and both static tables belongs to ``ids[i]``, and
 ``Dataset.rows`` maps ids to rows.
 
-On disk a dataset is a directory of seven text files (FRM2 frames, three
+On disk a dataset is a directory of seven text files (FRM3 frames, three
 EMB2 tables, LBL1 labels, two SPLIT1 id lists) plus ``manifest.txt``, all
-read under the line rules of ``experts.read_records``. FRM2 and EMB2 hold
-each float as its exact hex literal (``float.hex``). The manifest's header
-is ``MANIFEST2``; each record is ``<role> <filename> <sha256>``, each role
+read under the line rules of ``experts.read_records``. An FRM3 record holds
+one item's T*D frame values, an EMB2 record one item's D values, each float
+as its exact hex literal (``float.hex``). The manifest's header is
+``MANIFEST2``; each record is ``<role> <filename> <sha256>``, each role
 exactly once under its canonical filename. ``load_dataset`` checks every
 digest before it parses any file. Directories written with an older format,
-a ``MANIFEST1`` header (FNV-1a digests) or decimal FRM1 and EMB1 files, are
-rejected; regenerate them with ``gen-data``. The filenames keep their
-``.frm1`` and ``.emb1`` suffixes.
+a ``MANIFEST1`` header (FNV-1a digests), decimal FRM1 and EMB1 files or
+FRM2 files (one record per frame), are rejected; regenerate them with
+``gen-data``. The filenames keep their ``.frm1`` and ``.emb1`` suffixes.
 """
 
 import hashlib

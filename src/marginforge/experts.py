@@ -6,16 +6,17 @@ order, held in a ``StaticEmbeddingTable`` and loaded from EMB2 text files.
 Either kind's unit rows become margins in ``margin.expert_margins``;
 ``EXPERT_KINDS`` names the four experts.
 
-EMB2 and FRM2 files hold each float as its exact C99 hex literal
-(``float.hex``), which re-parses bit for bit and takes no decimal
-conversion. The loaders check each record line's structure as they read it
-and convert its value tokens into its row under the token rule of
-``_hex_values``. Finiteness is checked once per file, in ``_finite_rows``.
-EMB1 and FRM1 files, which held decimal text, are rejected with a hint to
-regenerate the dataset.
+An EMB2 file holds one record per item, ``<id>`` and then its D values;
+an FRM3 file is the same with T*D values, the item's (T, D) frames in
+frame-major order. Both are read and written by one record loop,
+``_load_rows`` and ``_save_rows``, which hold each float as its exact C99
+hex literal (``float.hex``): it re-parses bit for bit, takes no decimal
+conversion, and the token rule of ``_hex_values`` accepts no non-finite
+value. EMB1, FRM1 and FRM2 files are rejected with a hint to regenerate the
+dataset with ``gen-data``.
 """
 
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,13 +45,13 @@ class StaticEmbeddingTable:
 
 
 # ---------------------------------------------------------------------------
-# EMB2 / FRM2 text formats (line rules: ``read_records``)
+# EMB2 / FRM3 text formats (line rules: ``read_records``)
 # ---------------------------------------------------------------------------
 
 def read_records(path, tag: str, n_counts: int, least_bytes=None, retired=()):
     """Header counts and a record stream for every line format of the package.
 
-    The one rule shared by the five line formats, FRM2, EMB2, LBL1, SPLIT1 and
+    The one rule shared by the five line formats, FRM3, EMB2, LBL1, SPLIT1 and
     MANIFEST2 (checkpoints are binary CKPT3 files, ``model.read_checkpoint``):
 
     - blank lines, and lines whose first token starts with ``#``, are skipped
@@ -96,37 +97,23 @@ def read_records(path, tag: str, n_counts: int, least_bytes=None, retired=()):
 def _token_lines(path):
     """(line_number, tokens) of each line that is neither blank nor a comment.
 
-    A byte sequence that is not UTF-8 raises ``ParseError`` at its line, after
-    the lines before it, so a file's errors still come in file order. The
-    decoder reads ahead of the lines it returns, so those lines are taken
-    from the file's valid prefix, which is read only once decoding failed.
+    A line whose bytes are not UTF-8 raises ``ParseError`` at that line,
+    after the lines before it, so a file's errors still come in file order.
     """
-    lineno = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                tokens = line.split()
-                if tokens and not tokens[0].startswith("#"):
-                    yield lineno, tokens
-        return
-    except UnicodeDecodeError as exc:
-        reason = exc.reason
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        data = data[: exc.start]
-    # line ends as text mode reads them; the last piece holds the bad byte
-    lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for n, line in enumerate(lines[lineno:-1], start=lineno + 1):
-        tokens = line.split()
-        if tokens and not tokens[0].startswith("#"):
-            yield n, tokens
-    raise ParseError(f"{path}: not UTF-8 text: {reason}", len(lines))
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"{path}: not UTF-8 text: {exc.reason}", lineno) from None
+            tokens = line.split()
+            if tokens and not tokens[0].startswith("#"):
+                yield lineno, tokens
 
 
 def parse_count(token: str, lineno, path) -> int:
-    """Non-negative decimal integer: every header count, FRM2 frame index and LBL1 concept.
+    """Non-negative decimal integer: every header count and LBL1 concept.
 
     Only ASCII digits are accepted, so ``+2``, ``-0``, ``1_0`` and ``1.5``
     are rejected although ``int()`` takes the first three.
@@ -164,67 +151,59 @@ def _hex_values(tokens: list[str], lineno, path) -> list[float]:
     raise ParseError(f"{path}: bad value {token!r}: expected a hex float such as -0x1.8p+0", lineno)
 
 
-@contextmanager
-def _finite_rows(path, values: np.ndarray, lines: np.ndarray):
-    """Check the float rows that a loader's record loop reads for non-finite values.
+def _load_rows(path, tag: str, n_counts: int, retired) -> tuple[list[str], np.ndarray]:
+    """The ids and rows of a file whose header is ``tag <N> <counts...>``.
 
-    ``lines`` holds the line of each row of ``values`` (its shape less the
-    last axis), 0 for a row not read. When the loop ends, and also when an
-    ``Exception`` leaves it, a read row that holds a non-finite value is a
-    ``ParseError`` at the smallest such line. Every row read lies before the
-    line that raised, so this error replaces the one leaving, and a file's
-    first error in file order wins.
+    Each of the N records is ``<id>`` and then one row of ``width`` hex
+    float tokens (``_hex_values``), where ``width`` is the product of the
+    counts after N, each of which must be at least 1. Returns the ids in file
+    order and the rows shaped (N, *counts after N).
     """
+    # a record is width + 1 tokens, each of at least one byte and a separator
+    (n, *shape), records = read_records(
+        path, tag, n_counts, lambda n, *shape: 2 * n * (math.prod(shape) + 1), retired
+    )
+    if min(shape) < 1:
+        raise ParseError(f"{path}: {tag} header needs every count after N >= 1")
+    width = math.prod(shape)
 
-    def check():
-        bad = lines[(lines > 0) & ~np.isfinite(values).all(axis=-1)]
-        if bad.size:
-            raise ParseError(f"{path}: non-finite value", int(bad.min())) from None
+    ids: list[str] = []
+    seen: set[str] = set()
+    rows = np.empty((n, width), dtype=np.float64)
+    for lineno, tokens in records:
+        if len(ids) >= n:
+            raise ParseError(f"{path}: more than {n} data rows", lineno)
+        if len(tokens) != width + 1:
+            raise DimMismatchError(
+                f"line {lineno}: {path}: expected id + {width} values, got {len(tokens) - 1}"
+            )
+        item_id = tokens[0]
+        if item_id in seen:
+            raise DuplicateIdError(f"line {lineno}: {path}: duplicate id {item_id!r}")
+        seen.add(item_id)
+        rows[len(ids)] = _hex_values(tokens[1:], lineno, path)
+        ids.append(item_id)
+    if len(ids) != n:
+        raise ParseError(f"{path}: header declares {n} rows, found {len(ids)}")
+    return ids, rows.reshape(n, *shape)
 
-    try:
-        yield
-    except Exception:
-        check()
-        raise
-    check()
+
+def _save_rows(path, header: str, ids, rows: np.ndarray) -> None:
+    """Write ``header``, then one ``<id> <hex values>`` record per row of the 2-D ``rows``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{header}\n")
+        for item_id, row in zip(ids, rows):
+            # one row at a time: a whole-array tolist() would hold every value as a float
+            fh.write(f"{item_id} {' '.join(map(float.hex, row.tolist()))}\n")
 
 
 def load_static_embeddings(path) -> tuple[list[str], np.ndarray]:
     """Parse an EMB2 file into (ids, rows) with rows shaped (N, D).
 
     Header is ``EMB2 <N> <D>``; each of the N records is ``<id> <x1..xD>``.
-    A value is a hex float token (``_hex_values``); any other token is a
-    ``ParseError`` at its line, and so is a non-finite value.
+    A row whose norm is non-finite or near zero is a ``ZeroNormError``.
     """
-    # a record is D + 1 tokens, each of at least one byte and a separator
-    (n, dim), records = read_records(
-        path, "EMB2", 2, lambda n, dim: 2 * n * (dim + 1), retired=("EMB1",)
-    )
-    if dim < 1:
-        raise ParseError(f"{path}: EMB2 header needs D >= 1")
-
-    ids: list[str] = []
-    seen: set[str] = set()
-    rows = np.empty((n, dim), dtype=np.float64)
-    lines = np.zeros(n, dtype=np.int64)
-    with _finite_rows(path, rows, lines):
-        for lineno, tokens in records:
-            if len(ids) >= n:
-                raise ParseError(f"{path}: more than {n} data rows", lineno)
-            if len(tokens) != dim + 1:
-                raise DimMismatchError(
-                    f"line {lineno}: {path}: expected id + {dim} values, got {len(tokens) - 1}"
-                )
-            item_id = tokens[0]
-            if item_id in seen:
-                raise DuplicateIdError(f"line {lineno}: {path}: duplicate id {item_id!r}")
-            seen.add(item_id)
-            rows[len(ids)] = _hex_values(tokens[1:], lineno, path)
-            lines[len(ids)] = lineno
-            ids.append(item_id)
-    if len(ids) != n:
-        raise ParseError(f"{path}: header declares {n} rows, found {len(ids)}")
-
+    ids, rows = _load_rows(path, "EMB2", 2, retired=("EMB1",))
     bad = row_norms(rows)[1]
     if bad is not None:
         raise ZeroNormError(f"{path}: embedding for {ids[bad]!r} has non-finite or near-zero norm")
@@ -234,67 +213,19 @@ def load_static_embeddings(path) -> tuple[list[str], np.ndarray]:
 def save_static_embeddings(ids, rows: np.ndarray, path) -> None:
     """Write an EMB2 file; each value is its ``float.hex`` literal, so re-parsing is exact."""
     n, dim = rows.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"EMB2 {n} {dim}\n")
-        for item_id, row in zip(ids, rows):
-            fh.write(f"{item_id} {' '.join(map(float.hex, row.tolist()))}\n")
+    _save_rows(path, f"EMB2 {n} {dim}", ids, rows)
 
 
 def load_frame_file(path) -> tuple[list[str], np.ndarray]:
-    """Parse an FRM2 file into (ids, frames) with frames shaped (N, T, D).
+    """Parse an FRM3 file into (ids, frames) with frames shaped (N, T, D).
 
-    Header is ``FRM2 <N> <T> <D>``; each of the N*T records is
-    ``<id> <frame_index> <x1..xD>`` with frame_index in [0, T). Values
-    follow the rule of ``load_static_embeddings``.
+    Header is ``FRM3 <N> <T> <D>``; each of the N records is ``<id>`` and
+    then the item's T*D values in frame-major order, as in EMB2.
     """
-    # a record is D + 2 tokens, each of at least one byte and a separator
-    (n, t, dim), records = read_records(
-        path, "FRM2", 3, lambda n, t, dim: 2 * n * t * (dim + 2), retired=("FRM1",)
-    )
-    if t < 1 or dim < 1:
-        raise ParseError(f"{path}: FRM2 header needs T >= 1 and D >= 1")
-
-    ids: list[str] = []
-    order: dict[str, int] = {}
-    frames = np.empty((n, t, dim), dtype=np.float64)
-    lines = np.zeros((n, t), dtype=np.int64)
-    with _finite_rows(path, frames, lines):
-        for lineno, tokens in records:
-            if len(tokens) != dim + 2:
-                raise DimMismatchError(
-                    f"line {lineno}: {path}: expected id + frame_index + {dim} values, "
-                    f"got {len(tokens) - 2}"
-                )
-            item_id = tokens[0]
-            fidx = parse_count(tokens[1], lineno, path)
-            if fidx >= t:
-                raise ParseError(f"{path}: frame index {fidx} outside [0, {t})", lineno)
-            if item_id not in order:
-                if len(ids) >= n:
-                    raise ParseError(f"{path}: more than {n} distinct ids", lineno)
-                order[item_id] = len(ids)
-                ids.append(item_id)
-            row = order[item_id]
-            if lines[row, fidx]:
-                raise DuplicateIdError(
-                    f"line {lineno}: {path}: duplicate frame {fidx} for id {item_id!r}"
-                )
-            frames[row, fidx] = _hex_values(tokens[2:], lineno, path)
-            lines[row, fidx] = lineno
-
-    if len(ids) != n:
-        raise ParseError(f"{path}: header declares {n} ids, found {len(ids)}")
-    if not lines.all():
-        missing = np.argwhere(lines == 0)[0]
-        raise ParseError(f"{path}: id {ids[missing[0]]!r} is missing frame {missing[1]}")
-    return ids, frames
+    return _load_rows(path, "FRM3", 3, retired=("FRM1", "FRM2"))
 
 
 def save_frame_file(ids, frames: np.ndarray, path) -> None:
-    """Write an FRM2 file (item-major, ascending frame index), values as in EMB2."""
+    """Write an FRM3 file: one record per item, ``frames[i].reshape(-1)``, values as in EMB2."""
     n, t, dim = frames.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"FRM2 {n} {t} {dim}\n")
-        for item_id, item in zip(ids, frames):
-            for fidx, row in enumerate(item.tolist()):
-                fh.write(f"{item_id} {fidx} {' '.join(map(float.hex, row))}\n")
+    _save_rows(path, f"FRM3 {n} {t} {dim}", ids, frames.reshape(n, t * dim))

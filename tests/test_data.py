@@ -143,7 +143,7 @@ class TestRoundTrip:
     def test_every_value_token_is_a_hex_float(self, tmp_path):
         write_dataset(generate(SynthConfig(n_items=10, n_concepts=8, duplicate_rate=0.4)), tmp_path)
         for filename, first_value in [
-            ("frames.frm1", 2), ("text.emb1", 1), ("sse_video.emb1", 1), ("sse_text.emb1", 1)
+            ("frames.frm1", 1), ("text.emb1", 1), ("sse_video.emb1", 1), ("sse_text.emb1", 1)
         ]:
             header, *records = (tmp_path / filename).read_text(encoding="utf-8").splitlines()
             tokens = [token for line in records for token in line.split()[first_value:]]
@@ -325,7 +325,7 @@ class TestManifest:
     def test_lines_checked_before_any_hashing(self, tmp_path):
         # a corrupt file listed before a bad line: the bad line is reported, not the checksum
         def corrupt_then_repeat(lines):
-            (tmp_path / "frames.frm1").write_bytes(b"FRM2 0 1 1\n")
+            (tmp_path / "frames.frm1").write_bytes(b"FRM3 0 1 1\n")
             lines.append(lines[1])
 
         self.write(tmp_path, corrupt_then_repeat)

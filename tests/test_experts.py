@@ -9,7 +9,6 @@ from marginforge.errors import DimMismatchError, DuplicateIdError, ParseError, Z
 from marginforge.experts import (
     StaticEmbeddingTable,
     load_frame_file,
-    _finite_rows,
     load_static_embeddings,
     save_frame_file,
     save_static_embeddings,
@@ -31,7 +30,7 @@ def cosine_distances(reprs, what):
 
 
 def per_value_text(row) -> str:
-    """One ``float.hex`` literal per value: the EMB2/FRM2 value tokens."""
+    """One ``float.hex`` literal per value: the EMB2/FRM3 value tokens."""
     return " ".join(float(x).hex() for x in row)
 
 
@@ -208,7 +207,7 @@ class TestEmb2Format:
         np.testing.assert_array_equal(loaded, rows)
 
 
-class TestFrm2Format:
+class TestFrm3Format:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(34)
         ids = ["a", "b"]
@@ -219,55 +218,64 @@ class TestFrm2Format:
         assert got_ids == ids
         np.testing.assert_array_equal(got, frames)
 
-    @pytest.mark.parametrize("header", ["FRM2 {} 2 2", "FRM2 2 {} 2", "FRM2 2 2 {}"])
+    @pytest.mark.parametrize("header", ["FRM3 {} 2 2", "FRM3 2 {} 2", "FRM3 2 2 {}"])
     @pytest.mark.parametrize("token", BAD_COUNTS)
     def test_bad_count_rejected(self, tmp_path, header, token):
         p = tmp_path / "f.frm1"
-        rows = "".join(f"{i} {f} 0x1p+0 0x1p+1\n" for i in "ab" for f in range(2))
+        rows = "".join(f"{i} 0x1p+0 0x1p+1 0x1p+0 0x1p+1\n" for i in "ab")
         p.write_text(header.format(token) + "\n" + rows, encoding="utf-8")
         with pytest.raises(ParseError) as excinfo:
             load_frame_file(p)
         assert excinfo.value.line == 1
-
-    @pytest.mark.parametrize("token", BAD_COUNTS)
-    def test_bad_frame_index_rejected(self, tmp_path, token):
-        p = tmp_path / "f.frm1"
-        # T = 11, so int() would read +2 and 1_0 as frames in range; frames
-        # 1-10 follow, so that the file holds the records its header declares
-        rest = "".join(f"a {f} 0x1.8p+1 0x1p+2\n" for f in range(1, 11))
-        p.write_text(
-            f"FRM2 1 11 2\na 0 0x1p+0 0x1p+1\na {token} 0x1.8p+1 0x1p+2\n" + rest, encoding="utf-8"
-        )
-        with pytest.raises(ParseError) as excinfo:
-            load_frame_file(p)
-        assert excinfo.value.line == 3
 
     def test_rows_match_per_value_text(self, tmp_path):
         frames = np.array([[EDGE_ROW, EDGE_ROW[::-1]]])
         p = tmp_path / "edge.frm1"
         save_frame_file(["a"], frames, p)
         assert p.read_text(encoding="utf-8").splitlines()[1:] == [
-            "a 0 " + per_value_text(EDGE_ROW),
-            "a 1 " + per_value_text(EDGE_ROW[::-1]),
+            "a " + per_value_text(EDGE_ROW + EDGE_ROW[::-1]),
         ]
 
-    def test_frame_index_out_of_range(self, tmp_path):
+    # C and Fortran memory order: a record follows the frames' index order
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_record_per_item_in_frame_major_order(self, tmp_path, order):
+        ids = ["a", "b", "c"]
+        frames = np.asarray(np.random.default_rng(36).standard_normal((3, 2, 4)), order=order)
         p = tmp_path / "f.frm1"
-        p.write_text("FRM2 1 1 2\na 1 0x1p+0 0x1p+1\n", encoding="utf-8")
-        with pytest.raises(ParseError):
+        save_frame_file(ids, frames, p)
+        header, *records = p.read_text(encoding="utf-8").splitlines()
+        assert header == "FRM3 3 2 4"
+        assert records == [f"{i} {per_value_text(frames[k].reshape(-1))}" for k, i in enumerate(ids)]
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_record_of_wrong_width_names_its_line(self, tmp_path, extra):
+        p = tmp_path / "f.frm1"
+        values = lambda count: " ".join(["0x1p+0"] * count)
+        p.write_text(f"FRM3 2 2 3\na {values(6)}\nb {values(6 + extra)}\n", encoding="utf-8")
+        message = f"line 3: {p}: expected id + 6 values, got {6 + extra}"
+        with pytest.raises(DimMismatchError, match="^" + re.escape(message) + "$"):
             load_frame_file(p)
 
-    def test_missing_frame(self, tmp_path):
+    def test_count_mismatch(self, tmp_path):
         p = tmp_path / "f.frm1"
-        p.write_text("FRM2 1 2 2\na 0 0x1p+0 0x1p+1\n", encoding="utf-8")
-        with pytest.raises(ParseError):
+        p.write_text("FRM3 3 2 1\na 0x1p+0 0x1p+1\nb 0x1.8p+1 0x1p+2\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="header declares 3 rows, found 2"):
             load_frame_file(p)
 
-    def test_duplicate_frame(self, tmp_path):
-        p = tmp_path / "f.frm1"
-        p.write_text("FRM2 1 2 2\na 0 0x1p+0 0x1p+1\na 0 0x1.8p+1 0x1p+2\n", encoding="utf-8")
-        with pytest.raises(DuplicateIdError):
-            load_frame_file(p)
+
+@pytest.mark.parametrize(
+    "name, loader, header",
+    [
+        ("t.emb1", load_static_embeddings, "EMB2 1 0"),
+        ("f.frm1", load_frame_file, "FRM3 1 0 2"),
+        ("f.frm1", load_frame_file, "FRM3 1 2 0"),
+    ],
+)
+def test_zero_count_after_n_rejected(tmp_path, name, loader, header):
+    p = tmp_path / name
+    p.write_text(header + "\na\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="header needs every count after N >= 1"):
+        loader(p)
 
 
 @pytest.mark.parametrize(
@@ -275,6 +283,7 @@ class TestFrm2Format:
     [
         ("t.emb1", load_static_embeddings, "# decimal text\nEMB1 1 2\na 1.0 2.0\n"),
         ("f.frm1", load_frame_file, "# decimal text\nFRM1 1 1 2\na 0 1.0 2.0\n"),
+        ("f.frm1", load_frame_file, "# one record a frame\nFRM2 1 1 2\na 0 0x1p+0 0x1p+1\n"),
     ],
 )
 def test_retired_tag_rejected_with_regenerate_hint(tmp_path, name, loader, text):
@@ -287,7 +296,7 @@ def test_retired_tag_rejected_with_regenerate_hint(tmp_path, name, loader, text)
 
 
 def test_edge_row_round_trips_bit_for_bit(tmp_path):
-    # through FRM2: an EMB2 row holding the largest double fails the norm
+    # through FRM3: an EMB2 row holding the largest double fails the norm
     # rule. The sign of -0.0 shows only in the bits, not under ==.
     edge = np.array([[EDGE_ROW, EDGE_ROW[::-1]]])
     save_frame_file(["a"], edge, tmp_path / "f.frm1")
@@ -322,14 +331,14 @@ def replace_row(index, text):
 
 
 class TestFloatBlocks:
-    """EMB2/FRM2 floats are converted per row under one token rule, and
+    """EMB2/FRM3 floats are converted per row under one token rule, and
     errors come in file order."""
 
     # in a frame file, which has no norm rule to trip on the largest double
     @pytest.mark.parametrize("token", ACCEPTED_TOKENS)
     def test_accepted_token(self, tmp_path, token):
         p = tmp_path / "one.frm1"
-        p.write_text(f"FRM2 1 1 2\na 0 {token} 0x1p+0\n", encoding="utf-8")
+        p.write_text(f"FRM3 1 1 2\na {token} 0x1p+0\n", encoding="utf-8")
         got = load_frame_file(p)[1][0, 0]
         assert got.tobytes() == np.array([float.fromhex(token), 1.0]).tobytes()
 
@@ -343,7 +352,10 @@ class TestFloatBlocks:
 
     def test_exponent_overflow_in_a_frame_file(self, tmp_path):
         p = tmp_path / "f.frm1"
-        p.write_text("FRM2 1 2 2\na 0 0x1p+0 0x1p+1\na 1 -0x1p+9999 0x1p+1\n", encoding="utf-8")
+        p.write_text(
+            "FRM3 2 2 2\na 0x1p+0 0x1p+1 0x1p+0 0x1p+1\nb 0x1p+0 0x1p+1 -0x1p+9999 0x1p+1\n",
+            encoding="utf-8",
+        )
         with pytest.raises(ParseError, match="bad value '-0x1p\\+9999'") as excinfo:
             load_frame_file(p)
         assert excinfo.value.line == 3
@@ -362,7 +374,7 @@ class TestFloatBlocks:
 
     @pytest.mark.parametrize("bad", ["oops", "nan"])
     @pytest.mark.parametrize("offset", [0, 7])
-    def test_frm2_error_line_far_into_the_file(self, tmp_path, bad, offset):
+    def test_frm3_error_line_far_into_the_file(self, tmp_path, bad, offset):
         n, t, dim = 600, 2, 40
         frames = np.arange(n * t * dim, dtype=np.float64).reshape(n, t, dim) + 0.25
         p = tmp_path / "long.frm1"
@@ -389,6 +401,24 @@ class TestFloatBlocks:
         with pytest.raises(ParseError, match=f"^line {index + 2}: {p}: not UTF-8") as excinfo:
             load_static_embeddings(p)
         assert excinfo.value.line == index + 2
+
+    # the line and reason of a strict decode; a comment line of valid
+    # non-ASCII UTF-8 before it loads
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (b"\xff", "invalid start byte"),
+            (b"\xe9\r\n", "invalid continuation byte"),
+            (b"\xed\xa0\x80\n", "invalid continuation byte"),  # an encoded surrogate
+            (b"\xe2\x82", "unexpected end of data"),  # a sequence cut short by the file's end
+        ],
+    )
+    def test_non_utf8_line_and_reason(self, tmp_path, bad, reason):
+        p = tmp_path / "t.emb1"
+        p.write_bytes("# caf\u00e9\nEMB2 1 2\na 0x1p+0 0x1p+1\n# ".encode("utf-8") + bad)
+        message = f"line 4: {p}: not UTF-8 text: {reason}"
+        with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+            load_static_embeddings(p)
 
     def test_float_error_before_later_non_utf8_byte(self, tmp_path):
         p = tmp_path / "t.emb1"
@@ -430,57 +460,23 @@ class TestFloatBlocks:
             load = load_static_embeddings
         else:
             body = (
-                f"a 0 0x1p+0 0x1p+1\na 1 0x1p+0 {first}\n"
-                f"b 0 0x1p+0 0x1p+1\nb 1 {later} 0x1p+1\n"
+                f"a 0x1p+0 0x1p+1\nb 0x1p+0 {first}\n"
+                f"c 0x1p+0 0x1p+1\nd {later} 0x1p+1\n"
             )
-            p.write_text("FRM2 2 2 2\n" + body, encoding="utf-8")
+            p.write_text("FRM3 4 2 1\n" + body, encoding="utf-8")
             load = load_frame_file
         with pytest.raises(ParseError, match=re.escape(f"bad value {first!r}")) as excinfo:
             load(p)
         assert excinfo.value.line == 3
 
-    def test_frm2_error_before_later_structural_error(self, tmp_path):
+    def test_frm3_error_before_later_structural_error(self, tmp_path):
         p = tmp_path / "f.frm1"
         p.write_text(
-            "FRM2 2 2 2\na 0 0x1p+0 nan\na 1 0x1p+0 0x1p+1\nb 0 0x1p+0\n", encoding="utf-8"
+            "FRM3 2 2 2\na 0x1p+0 nan 0x1p+0 0x1p+1\nb 0x1p+0 0x1p+1 0x1p+0\n", encoding="utf-8"
         )
         with pytest.raises(ParseError, match="bad value 'nan'") as excinfo:
             load_frame_file(p)
         assert excinfo.value.line == 2
-
-    def test_frm2_interleaved_shuffled_rows_scatter_exactly(self, tmp_path):
-        n, t, dim = 300, 4, 40
-        rng = np.random.default_rng(35)
-        frames = rng.standard_normal((n, t, dim)) * 10.0 ** rng.integers(-300, 300, (n, t, 1))
-        order = rng.permutation(n * t)  # ids interleave, frame indices come in any order
-        body = [
-            f"v{k // t} {k % t} {per_value_text(frames[k // t, k % t].tolist())}\n" for k in order
-        ]
-        p = tmp_path / "shuffled.frm1"
-        p.write_text(f"FRM2 {n} {t} {dim}\n" + "".join(body), encoding="utf-8")
-        got_ids, got = load_frame_file(p)
-        first_seen = list(dict.fromkeys(int(k) // t for k in order))
-        assert got_ids == [f"v{i}" for i in first_seen]
-        assert got.tobytes() == frames[first_seen].tobytes()
-
-
-class TestFiniteRows:
-    """No FRM2/EMB2 token the rule accepts is non-finite, so the loaders'
-    once-per-file finiteness check is tested on its own."""
-
-    def test_earliest_read_line_wins_over_the_error_leaving(self):
-        values = np.ones((4, 2))
-        values[1, 0], values[3, 1] = np.inf, np.nan
-        lines = np.array([2, 9, 0, 5])
-        with pytest.raises(ParseError, match="^line 5: f: non-finite value"):
-            with _finite_rows("f", values, lines):
-                raise ParseError("f: later error", 11)
-
-    def test_unread_rows_are_not_checked(self):
-        values = np.full((3, 2), np.nan)
-        values[0] = 1.0
-        with _finite_rows("f", values, np.array([2, 0, 0])):
-            pass
 
 
 # one malformed record line each: extra row, short row, duplicate id, bad token, non-finite
@@ -491,23 +487,20 @@ MALFORMED_EMB2 = [
     "EMB2 2 2\na 0x1p+0 0x1p+1\nb 0x1.8p+1 x\n",
     "EMB2 2 2\na 0x1p+0 0x1p+1\nb 0x1.8p+1 inf\n",
 ]
-# short row, bad frame index, frame out of range, extra id, duplicate frame,
-# bad token, non-finite
-MALFORMED_FRM2 = [
-    "FRM2 1 1 2\na 0 0x1p+0\n",
-    "FRM2 1 2 2\na 0 0x1p+0 0x1p+1\na +1 0x1p+0 0x1p+1\n",
-    "FRM2 1 1 2\na 1 0x1p+0 0x1p+1\n",
-    "FRM2 1 1 2\na 0 0x1p+0 0x1p+1\nb 0 0x1p+0 0x1p+1\n",
-    "FRM2 1 2 2\na 0 0x1p+0 0x1p+1\na 0 0x1.8p+1 0x1p+2\n",
-    "FRM2 1 1 2\na 0 0x1p+0 x\n",
-    "FRM2 1 1 2\na 0 nan 0x1p+1\n",
+# short row, extra row, duplicate id, bad token, non-finite
+MALFORMED_FRM3 = [
+    "FRM3 1 1 2\na 0x1p+0\n",
+    "FRM3 1 1 2\na 0x1p+0 0x1p+1\nb 0x1p+0 0x1p+1\n",
+    "FRM3 2 2 1\na 0x1p+0 0x1p+1\na 0x1.8p+1 0x1p+2\n",
+    "FRM3 1 1 2\na 0x1p+0 x\n",
+    "FRM3 1 1 2\na nan 0x1p+1\n",
 ]
 
 
 @pytest.mark.parametrize(
     "name, loader, text",
     [("t.emb1", load_static_embeddings, text) for text in MALFORMED_EMB2]
-    + [("f.frm1", load_frame_file, text) for text in MALFORMED_FRM2],
+    + [("f.frm1", load_frame_file, text) for text in MALFORMED_FRM3],
 )
 def test_record_errors_name_the_file(tmp_path, name, loader, text):
     p = tmp_path / name
@@ -522,7 +515,7 @@ def test_record_errors_name_the_file(tmp_path, name, loader, text):
 # comment line: the loaders size their arrays from the header's counts
 OVERSIZED_HEADERS = [
     ("t.emb1", load_static_embeddings, "EMB2 100000000 100000000\n"),
-    ("f.frm1", load_frame_file, "FRM2 1000000 1000 1000000\n"),
+    ("f.frm1", load_frame_file, "FRM3 1000000 1000 1000000\n"),
     ("t.emb1", load_static_embeddings, "EMB2 20000 20000\na 0x1p+0\n"),
 ]
 
@@ -546,7 +539,7 @@ def test_header_beyond_the_file_is_rejected_before_allocating(tmp_path, name, lo
     "name, loader, text",
     [
         ("t.emb1", load_static_embeddings, "EMB2 3 1\na 0x1\nb 0x2\nc 0x3"),
-        ("f.frm1", load_frame_file, "FRM2 1 3 1\na 0 0x1\na 1 0x2\na 2 0x3"),
+        ("f.frm1", load_frame_file, "FRM3 1 3 1\na 0x1 0x2 0x3"),
     ],
 )
 def test_shortest_records_fit_their_header(tmp_path, name, loader, text):

@@ -19,7 +19,7 @@ from marginforge.errors import ParseError
 from marginforge.experts import load_frame_file, load_static_embeddings
 
 
-def frm2(path):
+def frm3(path):
     ids, frames = load_frame_file(path)
     return ids, frames.tolist()
 
@@ -35,7 +35,7 @@ def manifest2(path):
 
 # tag, file written by write_dataset, loader as plain data
 FORMATS = [
-    ("FRM2", "frames.frm1", frm2),
+    ("FRM3", "frames.frm1", frm3),
     ("EMB2", "text.emb1", emb2),
     ("LBL1", "labels.txt", _load_labels),
     ("SPLIT1", "split_val.txt", _load_split),

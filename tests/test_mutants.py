@@ -6,7 +6,7 @@ random offset, drawn from numpy's generator seeded with 0. Data-file mutants
 are re-signed in the manifest, so that their parser runs rather than the
 digest check; manifest mutants are not. A CKPT3 mutant changes only the
 header line, whose payload digest guards the rest. A targeted case puts an
-exponent beyond the float range into each FRM2 and EMB2 file.
+exponent beyond the float range into each FRM3 and EMB2 file.
 """
 
 import re
@@ -96,15 +96,14 @@ def test_exponent_beyond_the_float_range_fails_at_its_line(dataset_dir, role):
     target = work / _FILES[role]
     lines = target.read_text(encoding="utf-8").split("\n")
     tokens = lines[1].split()
-    value = 2 if role == "frames" else 1
-    tokens[value] = re.sub(r"p[+-][0-9]+$", "p+9999", tokens[value])
+    tokens[1] = re.sub(r"p[+-][0-9]+$", "p+9999", tokens[1])
     lines[1] = " ".join(tokens)
     target.write_text("\n".join(lines), encoding="utf-8")
     digests = {r: digest((work / name).read_bytes()) for r, name in _FILES.items()}
     (work / MANIFEST_NAME).write_bytes(manifest_text(digests))
-    with pytest.raises(ParseError, match=re.escape(f"bad value {tokens[value]!r}")) as excinfo:
+    with pytest.raises(ParseError, match=re.escape(f"bad value {tokens[1]!r}")) as excinfo:
         load_dataset(work)
-    assert excinfo.value.line == 2 and tokens[value].endswith("p+9999")
+    assert excinfo.value.line == 2 and tokens[1].endswith("p+9999")
 
 
 def test_config_mutants_load_or_fail_typed(tmp_path):
