@@ -265,7 +265,7 @@ _CONCEPT_MAX = np.iinfo(np.int64).max
 
 
 def _load_labels(path) -> dict[str, int]:
-    (n,), records = read_records(path, "LBL1", 1)
+    (n,), records, _ = read_records(path, "LBL1", 1)
     labels: dict[str, int] = {}
     for lineno, tokens in records:
         if len(tokens) != 2:
@@ -289,7 +289,7 @@ def _write_split(ids, path) -> None:
 
 
 def _load_split(path) -> list[str]:
-    (n,), records = read_records(path, "SPLIT1", 1)
+    (n,), records, _ = read_records(path, "SPLIT1", 1)
     ids: dict[str, None] = {}  # insertion-ordered set
     for lineno, tokens in records:
         if len(tokens) != 1:
@@ -329,7 +329,7 @@ def _read_manifest(manifest: Path) -> dict[str, tuple[str, int]]:
     """
     if not manifest.exists():
         raise ParseError(f"{manifest}: manifest not found")
-    _, records = read_records(manifest, MANIFEST_HEADER, 0, retired=("MANIFEST1",))
+    _, records, _ = read_records(manifest, MANIFEST_HEADER, 0, retired=("MANIFEST1",))
     entries: dict[str, tuple[str, int]] = {}
     for lineno, parts in records:
         if len(parts) != 3:

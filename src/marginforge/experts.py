@@ -14,6 +14,16 @@ hex literal (``float.hex``): it re-parses bit for bit, takes no decimal
 conversion, and the token rule of ``_hex_values`` accepts no non-finite
 value. EMB1, FRM1 and FRM2 files are rejected with a hint to regenerate the
 dataset with ``gen-data``.
+
+The writer makes no ``float.hex`` call: ``_format_values`` forms the same
+text with numpy from each value's float64 bit fields (sign, leading digit
+from the biased exponent, 13 mantissa hex digits, and the exponent's text
+from a table of the 2047 finite ones) in fixed-width slots with a keep
+mask, one block of about ``_BLOCK_VALUES`` values at a time, so a file is
+written in one masked gather and one write a block and the writer's memory
+does not grow with the file. Before it opens the file, ``_save_rows``
+refuses what the loader would reject, such as an id that is empty, holds
+whitespace or starts with ``#``, or a non-finite value.
 """
 
 import math
@@ -22,7 +32,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimMismatchError, DuplicateIdError, ParseError, ZeroNormError
+from .errors import (
+    ConfigError,
+    DimMismatchError,
+    DuplicateIdError,
+    NonFiniteError,
+    ParseError,
+    ShapeMismatchError,
+    ZeroNormError,
+)
 from .mathcore import row_norms
 
 EXPERT_KINDS = ("dse_text", "dse_video", "sse_text", "sse_video")
@@ -67,9 +85,10 @@ def read_records(path, tag: str, n_counts: int, least_bytes=None, retired=()):
     file holds is a ``ParseError`` at its line, so a loader sizes its arrays
     only from counts that the file can back.
 
-    Returns ``(counts, records)``: the header's counts as a list of ints, and
-    an iterator of ``(line_number, tokens)``, one per record, read lazily from
-    the open file.
+    Returns ``(counts, records, header_line)``: the header's counts as a list
+    of ints, an iterator of ``(line_number, tokens)``, one per record, read
+    lazily from the open file, and the header's line number, at which a
+    loader reports its own checks of the counts.
     """
     records = _token_lines(path)
     lineno, tokens = next(records, (None, None))
@@ -91,7 +110,7 @@ def read_records(path, tag: str, n_counts: int, least_bytes=None, retired=()):
                 f"{path}: header declares records of at least {need} bytes, "
                 f"but the file holds {size}", lineno,
             )
-    return counts, records
+    return counts, records, lineno
 
 
 def _token_lines(path):
@@ -160,11 +179,11 @@ def _load_rows(path, tag: str, n_counts: int, retired) -> tuple[list[str], np.nd
     order and the rows shaped (N, *counts after N).
     """
     # a record is width + 1 tokens, each of at least one byte and a separator
-    (n, *shape), records = read_records(
+    (n, *shape), records, header_line = read_records(
         path, tag, n_counts, lambda n, *shape: 2 * n * (math.prod(shape) + 1), retired
     )
     if min(shape) < 1:
-        raise ParseError(f"{path}: {tag} header needs every count after N >= 1")
+        raise ParseError(f"{path}: {tag} header needs every count after N >= 1", header_line)
     width = math.prod(shape)
 
     ids: list[str] = []
@@ -188,13 +207,124 @@ def _load_rows(path, tag: str, n_counts: int, retired) -> tuple[list[str], np.nd
     return ids, rows.reshape(n, *shape)
 
 
+# values formatted per block: a block's text and keep buffers and their
+# temporaries stay under 2 MiB, however large the file
+_BLOCK_VALUES = 8192
+
+# one value's text as ``float.hex`` writes it, and the slot it is formed in:
+# the sign (0), ``0x``, the leading digit (3), ``.``, 13 mantissa digits
+# (5-17), ``p``, an exponent of up to five characters (19-23) and the
+# separator (24)
+_SLOT = np.frombuffer(b"-0x1." + b"0" * 13 + b"p+1023 ", dtype=np.uint8)
+_MANTISSA = np.uint64((1 << 52) - 1)
+
+
+def _exponent_texts() -> tuple[np.ndarray, np.ndarray]:
+    """The exponent text of each finite biased exponent eb, and its keep mask.
+
+    Each entry packs the five exponent bytes, and their keep flags, into one
+    uint64, so a block gathers them with one ``take`` each: ``eb - 1023``
+    with its sign, or -1022 for eb 0, the subnormals. Entry 1023 (``+0``)
+    is also zero's.
+    """
+    text = np.zeros((2047, 8), dtype=np.uint8)
+    keep = np.zeros((2047, 8), dtype=bool)
+    for eb in range(2047):
+        exp = f"{max(eb - 1023, -1022):+d}".encode("ascii")
+        text[eb, : len(exp)] = list(exp)
+        keep[eb, : len(exp)] = True
+    return text.view(np.uint64).ravel(), keep.view(np.uint64).ravel()
+
+
+_EXP_TEXT, _EXP_KEEP = _exponent_texts()
+
+
+def _format_values(values: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
+    """Fill the (r, w, len(_SLOT)) ``text`` slots of (r, w) finite ``values``
+    with their ``float.hex`` text, where ``keep`` is True.
+
+    The slots' constant bytes, and their keep flags, are already in place;
+    this writes the parts each value's bits decide: the sign, the leading
+    digit (0 for zero and the subnormals), the 13 mantissa digits (dropped
+    but the first for zero, so ``0x0.0p+0``), and the exponent.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    shape = text.shape[:2]
+    eb = (bits >> 52) & 0x7FF
+    zero = (bits << 1) == 0
+    keep[..., 0] = bits >> 63
+    text[..., 3] = ord("0") + (eb != 0)
+    digits = (bits & _MANTISSA).astype(">u8").tobytes().hex().encode("ascii")
+    text[..., 5:18] = np.frombuffer(digits, dtype=np.uint8).reshape(*shape, 16)[..., 3:]
+    keep[..., 6:18] = ~zero[..., None]
+    eb[zero] = 1023
+    text[..., 19:24] = _EXP_TEXT.take(eb).view(np.uint8).reshape(*shape, 8)[..., :5]
+    keep[..., 19:24] = _EXP_KEEP.take(eb).view(bool).reshape(*shape, 8)[..., :5]
+
+
 def _save_rows(path, header: str, ids, rows: np.ndarray) -> None:
-    """Write ``header``, then one ``<id> <hex values>`` record per row of the 2-D ``rows``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{header}\n")
-        for item_id, row in zip(ids, rows):
-            # one row at a time: a whole-array tolist() would hold every value as a float
-            fh.write(f"{item_id} {' '.join(map(float.hex, row.tolist()))}\n")
+    """Write ``header``, then one ``<id> <hex values>`` record per row of the 2-D ``rows``.
+
+    Each value is written as the text ``float.hex`` gives it, formed from
+    its bits by ``_format_values`` (``-`` for a set sign bit, ``0x``, the
+    leading digit, 13 mantissa digits, ``p`` and the exponent, and
+    ``0x0.0p+0`` for zero). Blocks of whole rows, of about
+    ``_BLOCK_VALUES`` values, or pieces of one row wider than that, are laid
+    out in one fixed-width byte buffer: per row, the id field (id and a
+    space) and one slot per value. A keep mask marks the bytes of the text,
+    so each block is one masked gather and one write.
+
+    Rows the loaders would reject are refused before the file is opened:
+    ids that do not match the rows in number (``DimMismatchError``), rows of
+    no value (``ShapeMismatchError``), an id that is empty, holds whitespace
+    or starts with ``#`` (``ConfigError``) or repeats (``DuplicateIdError``),
+    and a row holding a non-finite value (``NonFiniteError``, naming its id).
+    """
+    n, width = rows.shape
+    if len(ids) != n:
+        raise DimMismatchError(f"{path}: {len(ids)} ids for {n} rows")
+    if width < 1:
+        raise ShapeMismatchError(f"{path}: rows need at least one value, got shape {rows.shape}")
+    fields, seen = [], set()
+    for item_id in ids:
+        if item_id.split() != [item_id] or item_id.startswith("#"):
+            raise ConfigError(
+                f"{path}: id {item_id!r} cannot be written: "
+                "an id is one token, not starting with '#'"
+            )
+        if item_id in seen:
+            raise DuplicateIdError(f"{path}: duplicate id {item_id!r}")
+        seen.add(item_id)
+        fields.append(f"{item_id} ".encode("utf-8"))
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        bad = ids[int(np.argmin(finite))]
+        raise NonFiniteError(f"{path}: row {bad!r} holds a non-finite value")
+
+    block_rows, block_cols = max(1, _BLOCK_VALUES // width), min(width, _BLOCK_VALUES)
+    id_width = max(map(len, fields), default=0)
+    buf = np.empty((min(n, block_rows), id_width + block_cols * _SLOT.size), dtype=np.uint8)
+    keep = np.ones(buf.shape, dtype=bool)
+    id_text, id_keep = buf[:, :id_width], keep[:, :id_width]
+    slots = buf[:, id_width:].reshape(len(buf), block_cols, _SLOT.size)
+    slot_keep = keep[:, id_width:].reshape(slots.shape)
+    slots[...] = _SLOT
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode("ascii"))
+        for r0 in range(0, n, block_rows):
+            r = min(n - r0, block_rows)
+            block = fields[r0 : r0 + r]
+            id_text[:r] = np.array(block, dtype=f"S{id_width}").view(np.uint8).reshape(r, id_width)
+            id_keep[:r] = np.arange(id_width) < np.array([len(f) for f in block])[:, None]
+            for c0 in range(0, width, block_cols):
+                w = min(width - c0, block_cols)
+                _format_values(rows[r0 : r0 + r, c0 : c0 + w], slots[:r, :w], slot_keep[:r, :w])
+                slots[:r, :w, -1] = ord(" ")
+                if c0 + w == width:
+                    slots[:r, w - 1, -1] = ord("\n")
+                end = id_width + w * _SLOT.size
+                fh.write(buf[:r, :end][keep[:r, :end]].tobytes())
+                id_keep[:r] = False  # a row's later pieces carry no id
 
 
 def load_static_embeddings(path) -> tuple[list[str], np.ndarray]:
@@ -211,7 +341,11 @@ def load_static_embeddings(path) -> tuple[list[str], np.ndarray]:
 
 
 def save_static_embeddings(ids, rows: np.ndarray, path) -> None:
-    """Write an EMB2 file; each value is its ``float.hex`` literal, so re-parsing is exact."""
+    """Write an EMB2 file; each value is its ``float.hex`` literal, so re-parsing is exact.
+
+    Ids and rows that ``load_static_embeddings`` would reject, other than by
+    the norm rule, are refused before the file is opened (``_save_rows``).
+    """
     n, dim = rows.shape
     _save_rows(path, f"EMB2 {n} {dim}", ids, rows)
 
@@ -226,6 +360,9 @@ def load_frame_file(path) -> tuple[list[str], np.ndarray]:
 
 
 def save_frame_file(ids, frames: np.ndarray, path) -> None:
-    """Write an FRM3 file: one record per item, ``frames[i].reshape(-1)``, values as in EMB2."""
+    """Write an FRM3 file: one record per item, ``frames[i].reshape(-1)``.
+
+    Values and refusals are as in EMB2.
+    """
     n, t, dim = frames.shape
     _save_rows(path, f"FRM3 {n} {t} {dim}", ids, frames.reshape(n, t * dim))

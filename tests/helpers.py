@@ -1,8 +1,9 @@
 """Test-only helpers: a finite-difference gradient checker, flat views of a
 model's parameters and gradients, the scalar rank reference, a dataset's
 same-concept partners, the adaptive-margin reference, a given matrix as a
-margin level or as the loss's unit rows, and the dense forms of ``dS`` and
-of the cosine backward.
+margin level or as the loss's unit rows, the dense forms of ``dS`` and of
+the cosine backward, and the per-value ``float.hex`` writer of EMB2/FRM3
+records.
 
 The kernels take unit rows U and V, not ``S``. A given B x B ``S`` reaches
 them as its identity form ``dense_rows(S) = (I, S.T)``: each cell of a block
@@ -172,3 +173,18 @@ def score(S, margins: dict, alpha: float, lam: float, mining="hardest"):
     margins = dict(zip(margins, row_sources(margins.values())))
     breakdown, _ = objective._run(*dense_rows(S), margins, alpha, lam, mining)
     return breakdown
+
+
+def per_value_text(row) -> str:
+    """One ``float.hex`` call per value, space-separated: the EMB2/FRM3 value tokens."""
+    return " ".join(map(float.hex, np.asarray(row, dtype=np.float64).tolist()))
+
+
+def per_value_rows(path, header: str, ids, rows) -> None:
+    """``header``, then one ``<id> <per_value_text(row)>`` line per row: the
+    byte reference for ``experts._save_rows``, which forms the same text
+    from the values' bits."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{header}\n")
+        for item_id, row in zip(ids, rows):
+            fh.write(f"{item_id} {per_value_text(row)}\n")

@@ -4,8 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from marginforge import kernels
-from marginforge.errors import DimMismatchError, DuplicateIdError, ParseError, ZeroNormError
+from marginforge import experts, kernels
+from marginforge.data import SynthConfig, generate, write_dataset
+from marginforge.errors import (
+    ConfigError,
+    DimMismatchError,
+    DuplicateIdError,
+    NonFiniteError,
+    ParseError,
+    ShapeMismatchError,
+    ZeroNormError,
+)
 from marginforge.experts import (
     StaticEmbeddingTable,
     load_frame_file,
@@ -14,6 +23,7 @@ from marginforge.experts import (
     save_static_embeddings,
 )
 from marginforge.mathcore import unit_rows
+from helpers import per_value_rows, per_value_text
 
 ONE_MINUS_INV_SQRT2 = 1.0 - 1.0 / np.sqrt(2.0)  # 0.29289321881345254
 
@@ -29,14 +39,9 @@ def cosine_distances(reprs, what):
     return 1.0 - kernels.pairwise_cosine(U, U)
 
 
-def per_value_text(row) -> str:
-    """One ``float.hex`` literal per value: the EMB2/FRM3 value tokens."""
-    return " ".join(float(x).hex() for x in row)
-
-
 def hex_text(decimal: str) -> str:
     """Decimal literals, space-separated, as hex value tokens: ``"1.5 0.0"`` -> ``"0x1.8..."``."""
-    return per_value_text(float(x) for x in decimal.split())
+    return per_value_text([float(x) for x in decimal.split()])
 
 
 class TestDseDistances:
@@ -272,10 +277,13 @@ class TestFrm3Format:
     ],
 )
 def test_zero_count_after_n_rejected(tmp_path, name, loader, header):
+    # after a comment line, so the header's line is not the first
     p = tmp_path / name
-    p.write_text(header + "\na\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="header needs every count after N >= 1"):
+    p.write_text("# c\n" + header + "\na\n", encoding="utf-8")
+    message = f"line 2: {p}: {header.split()[0]} header needs every count after N >= 1"
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$") as excinfo:
         loader(p)
+    assert excinfo.value.line == 2
 
 
 @pytest.mark.parametrize(
@@ -548,3 +556,145 @@ def test_shortest_records_fit_their_header(tmp_path, name, loader, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     loader(p)
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+LARGEST = 1.7976931348623157e308
+
+
+def assert_bytes_match_reference(tmp_path, header, ids, rows):
+    """``_save_rows`` writes the bytes of the per-value ``float.hex`` writer."""
+    experts._save_rows(tmp_path / "rows.fast", header, ids, rows)
+    per_value_rows(tmp_path / "rows.ref", header, ids, rows)
+    fast = (tmp_path / "rows.fast").read_bytes()
+    ref = (tmp_path / "rows.ref").read_bytes()
+    if fast != ref:
+        fast_lines, ref_lines = fast.split(b"\n"), ref.split(b"\n")
+        line = next(k for k, pair in enumerate(zip(fast_lines, ref_lines)) if pair[0] != pair[1])
+        pytest.fail(f"line {line + 1}: {fast_lines[line][:200]!r} != {ref_lines[line][:200]!r}")
+
+
+class TestWriterBytes:
+    """The writer forms each value's ``float.hex`` text from its bits, in
+    blocks of about ``experts._BLOCK_VALUES`` values."""
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(37).integers(0, 2**64, size=(256, 200), dtype=np.uint64)
+        rows = bits.view(np.float64)
+        rows[~np.isfinite(rows)] = 1.0
+        assert_bytes_match_reference(tmp_path, "EMB2 256 200", [f"r{i}" for i in range(256)], rows)
+
+    def test_every_exponent_and_edge_values(self, tmp_path):
+        exponents = np.arange(-1074, 1024)
+        mantissas = np.random.default_rng(38).uniform(1.0, 2.0, exponents.size)
+        below_normal = np.nextafter(SMALLEST_NORMAL, 0.0)
+        edges = [0.0, -0.0, 5e-324, SMALLEST_NORMAL, below_normal, LARGEST, -LARGEST]
+        rows = [np.ldexp(1.0, exponents), -np.ldexp(1.0, exponents), np.ldexp(mantissas, exponents)]
+        rows.append(np.resize(edges, exponents.size))
+        ids = ["pow", "neg", "mixed", "edges"]
+        assert_bytes_match_reference(tmp_path, "H", ids, np.array(rows))
+        # the powers of two reach every exponent text, subnormal ones as 0x0.<digits>p-1022
+        text = (tmp_path / "rows.fast").read_text(encoding="utf-8").split()
+        ends = {"0x0.0000000000001p-1022", "0x1.0000000000000p-1022", "-0x1.0000000000000p+1023"}
+        assert ends <= set(text)
+        assert text[-exponents.size :][:2] == ["0x0.0p+0", "-0x0.0p+0"]
+
+    @pytest.mark.parametrize(
+        "n, width",
+        [
+            (3 * experts._BLOCK_VALUES // 96 + 5, 96),  # several blocks of whole rows
+            (3, 2 * experts._BLOCK_VALUES + 5),  # each row in three pieces
+            (2, experts._BLOCK_VALUES),  # one row a block
+            (1, 7),
+        ],
+        ids=["several-blocks", "rows-in-pieces", "one-row-a-block", "one-row"],
+    )
+    def test_block_layouts(self, tmp_path, n, width):
+        scales = 10.0 ** np.arange(-n, 0)[:, None]
+        rows = np.random.default_rng(39).standard_normal((n, width)) * scales
+        rows[0, 0] = 0.0
+        ids = [f"i{k}" for k in range(n)]
+        assert_bytes_match_reference(tmp_path, f"EMB2 {n} {width}", ids, rows)
+
+    def test_ids_of_different_lengths(self, tmp_path):
+        lengths = np.random.default_rng(40).integers(1, 40, size=300)
+        ids = [f"{k}" + "\u00e9" * (size % 3) + "x" * size for k, size in enumerate(lengths)]
+        rows = np.random.default_rng(41).standard_normal((300, 60))
+        assert_bytes_match_reference(tmp_path, "EMB2 300 60", ids, rows)
+
+    def test_write_dataset_row_files_match_reference(self, tmp_path):
+        cfg = SynthConfig(n_items=300, n_concepts=200, duplicate_rate=0.5, seed=42)
+        dataset = generate(cfg)
+        write_dataset(dataset, tmp_path / "ds")
+        n, t, d = dataset.frames.shape
+        tables = {
+            "frames.frm1": (f"FRM3 {n} {t} {d}", dataset.frames.reshape(n, t * d)),
+            "text.emb1": (f"EMB2 {n} {dataset.text.shape[1]}", dataset.text),
+        }
+        for name in ("sse_video", "sse_text"):
+            rows = getattr(dataset, name).embeddings
+            tables[f"{name}.emb1"] = (f"EMB2 {n} {rows.shape[1]}", rows)
+        for filename, (header, rows) in tables.items():
+            per_value_rows(tmp_path / filename, header, dataset.ids, rows)
+            assert (tmp_path / "ds" / filename).read_bytes() == (tmp_path / filename).read_bytes()
+
+
+# ids the loaders would read as another id, another record or a comment
+UNWRITABLE_IDS = ["", "a b", "a\tb", "a\nb", " a", "a\u2028b", "#x"]
+
+
+class TestWriterRefusals:
+    """Rows the loaders would reject are refused before the file is opened,
+    so a file already at the path is left as it was."""
+
+    def write(self, tmp_path, save, ids, rows):
+        p = tmp_path / "old.txt"
+        p.write_text("old\n", encoding="utf-8")
+        try:
+            save(ids, rows, p)
+        finally:
+            assert p.read_text(encoding="utf-8") == "old\n"
+
+    @pytest.mark.parametrize("bad", UNWRITABLE_IDS)
+    def test_unwritable_id(self, tmp_path, bad):
+        with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+            self.write(tmp_path, save_static_embeddings, ["ok", bad], np.eye(2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_row(self, tmp_path, value):
+        rows = np.ones((3, 2))
+        rows[1, 1] = value
+        with pytest.raises(NonFiniteError, match="row 'b' holds a non-finite value"):
+            self.write(tmp_path, save_static_embeddings, ["a", "b", "c"], rows)
+        frames = np.ones((3, 2, 2))
+        frames[2, 1, 0] = value
+        with pytest.raises(NonFiniteError, match="row 'c' holds a non-finite value"):
+            self.write(tmp_path, save_frame_file, ["a", "b", "c"], frames)
+
+    def test_duplicate_id(self, tmp_path):
+        with pytest.raises(DuplicateIdError, match="duplicate id 'a'"):
+            self.write(tmp_path, save_static_embeddings, ["a", "b", "a"], np.eye(3))
+
+    @pytest.mark.parametrize("n_ids", [1, 3])
+    def test_id_count_must_match_rows(self, tmp_path, n_ids):
+        with pytest.raises(DimMismatchError, match=f"{n_ids} ids for 2 rows"):
+            self.write(tmp_path, save_frame_file, ["a", "b", "c"][:n_ids], np.ones((2, 1, 3)))
+
+    @pytest.mark.parametrize("shape", [(1, 0, 2), (1, 2, 0)])
+    def test_rows_of_no_value(self, tmp_path, shape):
+        with pytest.raises(ShapeMismatchError, match="rows need at least one value"):
+            self.write(tmp_path, save_frame_file, ["a"], np.ones(shape))
+
+
+def test_frame_writer_memory_stays_bounded(tmp_path):
+    # the ingest-eval frames: formatted at once, their text and keep masks
+    # would take about 100 bytes a value, some 40 MiB
+    frames = np.random.default_rng(43).standard_normal((4096, 4, 24))
+    ids = [f"v{i:05d}" for i in range(4096)]
+    tracemalloc.start()
+    try:
+        save_frame_file(ids, frames, tmp_path / "f.frm1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
