@@ -267,7 +267,8 @@ _CONCEPT_MAX = np.iinfo(np.int64).max
 def _load_labels(path) -> dict[str, int]:
     (n,), records, _ = read_records(path, "LBL1", 1)
     labels: dict[str, int] = {}
-    for lineno, tokens in records:
+    for lineno, line in records:
+        tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"{path}: expected '<id> <concept>'", lineno)
         item_id, concept = tokens
@@ -291,7 +292,8 @@ def _write_split(ids, path) -> None:
 def _load_split(path) -> list[str]:
     (n,), records, _ = read_records(path, "SPLIT1", 1)
     ids: dict[str, None] = {}  # insertion-ordered set
-    for lineno, tokens in records:
+    for lineno, line in records:
+        tokens = line.split()
         if len(tokens) != 1:
             raise ParseError(f"{path}: expected one id, got {len(tokens)} tokens", lineno)
         if tokens[0] in ids:
@@ -331,7 +333,8 @@ def _read_manifest(manifest: Path) -> dict[str, tuple[str, int]]:
         raise ParseError(f"{manifest}: manifest not found")
     _, records, _ = read_records(manifest, MANIFEST_HEADER, 0, retired=("MANIFEST1",))
     entries: dict[str, tuple[str, int]] = {}
-    for lineno, parts in records:
+    for lineno, line in records:
+        parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"{manifest}: expected '<role> <filename> <sha256>'", lineno)
         role, filename, expected = parts

@@ -2,8 +2,8 @@
 model's parameters and gradients, the scalar rank reference, a dataset's
 same-concept partners, the adaptive-margin reference, a given matrix as a
 margin level or as the loss's unit rows, the dense forms of ``dS`` and of
-the cosine backward, and the per-value ``float.hex`` writer of EMB2/FRM3
-records.
+the cosine backward, and the per-value ``float.hex`` writer and per-token
+``float.fromhex`` reader of EMB2/FRM3 records.
 
 The kernels take unit rows U and V, not ``S``. A given B x B ``S`` reaches
 them as its identity form ``dense_rows(S) = (I, S.T)``: each cell of a block
@@ -15,11 +15,20 @@ O(B^3) against O(B^2 D) for unit rows, so a test whose ``S`` comes from
 unit rows passes those rows instead.
 """
 
+import math
+
 import numpy as np
 from scipy.special import ndtri
 
 from marginforge import objective
-from marginforge.errors import IndexOutOfRangeError, ShapeMismatchError
+from marginforge.errors import (
+    DimMismatchError,
+    DuplicateIdError,
+    IndexOutOfRangeError,
+    ParseError,
+    ShapeMismatchError,
+)
+from marginforge.experts import read_records
 from marginforge.mathcore import as_vector
 
 
@@ -188,3 +197,44 @@ def per_value_rows(path, header: str, ids, rows) -> None:
         fh.write(f"{header}\n")
         for item_id, row in zip(ids, rows):
             fh.write(f"{item_id} {per_value_text(row)}\n")
+
+
+def per_token_rows(path, tag: str, n_counts: int) -> tuple[list[str], np.ndarray]:
+    """The ids and rows of an EMB2/FRM3 file read one token at a time: the
+    reference for ``experts._load_rows``, which reads the writer's form a
+    block at a time.
+
+    Each record is split, counted and checked for a repeated id, and each
+    value token goes through ``float.fromhex`` and must start with a
+    lowercase ``0x`` after an optional sign. The errors are the loader's,
+    with their messages and lines; the header's byte bound is not checked.
+    """
+    (n, *shape), records, header_line = read_records(path, tag, n_counts)
+    if min(shape) < 1:
+        raise ParseError(f"{path}: {tag} header needs every count after N >= 1", header_line)
+    width = math.prod(shape)
+    ids, rows = {}, []
+    for lineno, line in records:
+        tokens = line.split()
+        if len(ids) >= n:
+            raise ParseError(f"{path}: more than {n} data rows", lineno)
+        if len(tokens) != width + 1:
+            raise DimMismatchError(
+                f"line {lineno}: {path}: expected id + {width} values, got {len(tokens) - 1}"
+            )
+        if tokens[0] in ids:
+            raise DuplicateIdError(f"line {lineno}: {path}: duplicate id {tokens[0]!r}")
+        ids[tokens[0]] = None
+        for token in tokens[1:]:
+            try:
+                value = float.fromhex(token)
+            except (ValueError, OverflowError):
+                value = None
+            if value is None or not token.lstrip("+-").startswith("0x"):
+                raise ParseError(
+                    f"{path}: bad value {token!r}: expected a hex float such as -0x1.8p+0", lineno
+                )
+            rows.append(value)
+    if len(ids) != n:
+        raise ParseError(f"{path}: header declares {n} rows, found {len(ids)}")
+    return list(ids), np.array(rows, dtype=np.float64).reshape(n, *shape)

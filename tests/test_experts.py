@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from marginforge import experts, kernels
-from marginforge.data import SynthConfig, generate, write_dataset
+from marginforge.data import SynthConfig, generate, load_dataset, write_dataset
 from marginforge.errors import (
     ConfigError,
     DimMismatchError,
     DuplicateIdError,
+    MarginForgeError,
     NonFiniteError,
     ParseError,
     ShapeMismatchError,
@@ -23,7 +24,7 @@ from marginforge.experts import (
     save_static_embeddings,
 )
 from marginforge.mathcore import unit_rows
-from helpers import per_value_rows, per_value_text
+from helpers import per_token_rows, per_value_rows, per_value_text
 
 ONE_MINUS_INV_SQRT2 = 1.0 - 1.0 / np.sqrt(2.0)  # 0.29289321881345254
 
@@ -487,6 +488,155 @@ class TestFloatBlocks:
         assert excinfo.value.line == 2
 
 
+def load_outcome(load) -> tuple:
+    """The ids and row bits that ``load()`` returns, or its error's type, message and line."""
+    try:
+        ids, rows = load()
+    except MarginForgeError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return ids, rows.view(np.uint64).tobytes()
+
+
+def assert_loads_as_reference(path) -> tuple:
+    """``_load_rows`` reads the EMB2 file at ``path`` as ``per_token_rows`` does."""
+    got = load_outcome(lambda: experts._load_rows(path, "EMB2", 2, ()))
+    assert got == load_outcome(lambda: per_token_rows(path, "EMB2", 2))
+    return got
+
+
+BLOCK_WIDTH = 24
+BLOCK_ROWS = experts._BLOCK_VALUES // BLOCK_WIDTH
+# three loader blocks and part of a fourth
+N_BLOCK_FILE = 3 * BLOCK_ROWS + 40
+# the index in the file's lines of the record an edit changes, in the first,
+# a middle or the last block
+EDIT_LINE = {"first": 6, "middle": 1 + BLOCK_ROWS + BLOCK_ROWS // 2, "last": N_BLOCK_FILE - 2}
+
+
+def block_file_lines(n: int, seed: int) -> list[str]:
+    """The lines of an EMB2 file in the writer's form: n rows of
+    ``BLOCK_WIDTH`` random bit patterns, zeros of both signs and subnormals
+    among them."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=(n, BLOCK_WIDTH), dtype=np.uint64)
+    bits[:, 1] &= np.uint64(1 << 63)  # zeros
+    bits[:, 2] &= np.uint64((1 << 63) | ((1 << 52) - 1))  # subnormals
+    rows = bits.view(np.float64)
+    rows[~np.isfinite(rows)] = 1.0
+    return [f"EMB2 {n} {BLOCK_WIDTH}\n"] + [f"i{r} {per_value_text(row)}\n" for r, row in enumerate(rows)]
+
+
+def edit_line(change):
+    def edit(lines, i):
+        lines[i] = change(lines[i])
+
+    return edit
+
+
+def swap_token(token):
+    """An edit that puts ``token`` in place of a record's second value."""
+
+    def change(line):
+        parts = line.split(" ")
+        parts[2] = token
+        return " ".join(parts)
+
+    return edit_line(change)
+
+
+def duplicate_id(lines, i):
+    # the id of a record half the file away, in another block
+    other = 1 + (i - 1 + N_BLOCK_FILE // 2) % N_BLOCK_FILE
+    lines[i] = lines[other].split(" ")[0] + lines[i][lines[i].index(" ") :]
+
+
+# one edit of a file in the writer's form: tokens that ``float.fromhex``
+# reads but the writer never forms, an overflow, whitespace the writer never
+# writes, lines between records, ids the block path declines, and record errors
+BLOCK_EDITS = {
+    **{
+        token: swap_token(token)
+        for token in [
+            "0x1p+0", "+0x1.8p+0", "0x1.ABp+0", "0x1.8P+0", "0x1.0p-1023",
+            "0x0.0000000000000p+0", "0x0.0p+00", "0x0.0p+0z", "0x1.fffffffffffff8p+1023",
+        ]
+    },
+    "no-id": edit_line(lambda line: line[line.index(" ") :]),
+    "tab": edit_line(lambda line: line.replace(" ", "\t", 1)),
+    "two-spaces": edit_line(lambda line: line.replace(" ", "  ", 1)),
+    "trailing-space": edit_line(lambda line: line[:-1] + " \n"),
+    "leading-space": edit_line(lambda line: " " + line),
+    "comment-and-blank-lines": lambda lines, i: lines.insert(i, "# note\n\n \t\n"),
+    "unit-separator-in-id": edit_line(lambda line: "x\x1f" + line),
+    "non-ascii-id": edit_line(lambda line: "\u00e9" + line),
+    "duplicate-id": duplicate_id,
+    "row-too-many": lambda lines, i: lines.insert(i + 1, "extra" + lines[i][lines[i].index(" ") :]),
+    "no-final-line-end": lambda lines, i: lines.append(lines.pop()[:-1]),
+}
+
+
+@pytest.fixture(scope="module")
+def block_lines():
+    return block_file_lines(N_BLOCK_FILE, seed=46)
+
+
+def count_block_parses(monkeypatch) -> list:
+    """Record whether each ``_parse_block`` call took its block (True) or declined it."""
+    taken, parse = [], experts._parse_block
+
+    def counted(lines, width):
+        parsed = parse(lines, width)
+        taken.append(parsed is not None)
+        return parsed
+
+    monkeypatch.setattr(experts, "_parse_block", counted)
+    return taken
+
+
+class TestBlockReader:
+    """``_load_rows`` reads every file as the per-token reference does: the
+    writer's blocks through ``_parse_block``, all others through the
+    per-record loop, with the same ids, bits, errors and lines."""
+
+    def test_writer_form_takes_the_block_path(self, tmp_path, block_lines, monkeypatch):
+        taken = count_block_parses(monkeypatch)
+        p = tmp_path / "t.emb1"
+        p.write_text("".join(block_lines), encoding="utf-8")
+        ids, _ = assert_loads_as_reference(p)
+        assert len(ids) == N_BLOCK_FILE and taken == [True] * 4
+
+    def test_dataset_files_take_the_block_path(self, tmp_path, monkeypatch):
+        cfg = SynthConfig(n_items=300, n_concepts=200, duplicate_rate=0.5, seed=42)
+        write_dataset(generate(cfg), tmp_path)
+        taken = count_block_parses(monkeypatch)
+        load_dataset(tmp_path)
+        assert len(taken) >= 4 and all(taken)
+
+    @pytest.mark.parametrize("where", EDIT_LINE)
+    @pytest.mark.parametrize("edit", BLOCK_EDITS.values(), ids=BLOCK_EDITS.keys())
+    def test_one_edit_loads_as_reference(self, tmp_path, block_lines, edit, where):
+        lines = list(block_lines)
+        edit(lines, EDIT_LINE[where])
+        p = tmp_path / "t.emb1"
+        p.write_text("".join(lines), encoding="utf-8")
+        assert_loads_as_reference(p)
+
+    def test_single_byte_mutants_load_as_reference(self, tmp_path, monkeypatch):
+        # blocks of four records, so that a mutant's file holds six of them
+        monkeypatch.setattr(experts, "_BLOCK_VALUES", 4 * BLOCK_WIDTH)
+        raw = "".join(block_file_lines(24, seed=47)).encode("ascii")
+        records = raw.index(b"\n") + 1
+        alphabet = b" \t\n\r\x1f#+-.0123456789abcdefgpxAFPX\x80\xe9\xff"
+        rng = np.random.default_rng(48)
+        p = tmp_path / "t.emb1"
+        loaded = 0
+        for _ in range(400):
+            off = int(rng.integers(records, len(raw)))
+            byte = alphabet[rng.integers(len(alphabet))] if rng.random() < 0.5 else rng.integers(256)
+            p.write_bytes(raw[:off] + bytes([byte]) + raw[off + 1 :])
+            loaded += isinstance(assert_loads_as_reference(p)[0], list)
+        assert 0 < loaded < 400
+
+
 # one malformed record line each: extra row, short row, duplicate id, bad token, non-finite
 MALFORMED_EMB2 = [
     "EMB2 1 2\na 0x1p+0 0x1p+1\nb 0x1p+0 0x1p+1\n",
@@ -525,6 +675,12 @@ OVERSIZED_HEADERS = [
     ("t.emb1", load_static_embeddings, "EMB2 100000000 100000000\n"),
     ("f.frm1", load_frame_file, "FRM3 1000000 1000 1000000\n"),
     ("t.emb1", load_static_embeddings, "EMB2 20000 20000\na 0x1p+0\n"),
+    # 600 kB of records: more than a one-byte token each needs (501 kB), less
+    # than the 1 MB of three-byte value tokens, and a 2 MB array to allocate
+    pytest.param(
+        "t.emb1", load_static_embeddings, "EMB2 500 500\n" + "a 0x1\n" * 100_000,
+        id="between-the-bounds",
+    ),
 ]
 
 
@@ -551,8 +707,8 @@ def test_header_beyond_the_file_is_rejected_before_allocating(tmp_path, name, lo
     ],
 )
 def test_shortest_records_fit_their_header(tmp_path, name, loader, text):
-    # three-byte value tokens, one-byte ids and no final line end: the
-    # header's byte bound, which counts one byte a token, still admits them
+    # three-byte value tokens, one-byte ids and no final line end: exactly
+    # the header's byte bound, the shortest records it admits
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     loader(p)
@@ -639,8 +795,9 @@ class TestWriterBytes:
             assert (tmp_path / "ds" / filename).read_bytes() == (tmp_path / filename).read_bytes()
 
 
-# ids the loaders would read as another id, another record or a comment
-UNWRITABLE_IDS = ["", "a b", "a\tb", "a\nb", " a", "a\u2028b", "#x"]
+# ids the loaders would read as another id, another record or a comment, or
+# that have no UTF-8 form
+UNWRITABLE_IDS = ["", "a b", "a\tb", "a\nb", " a", "a\u2028b", "#x", "a\ud800"]
 
 
 class TestWriterRefusals:
@@ -698,3 +855,18 @@ def test_frame_writer_memory_stays_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_frame_loader_memory_stays_bounded(tmp_path):
+    # the ingest-eval frames: parsed at once, their 8.5 MB of text and the
+    # offsets of its tokens would take several times the 3 MiB output
+    frames = np.random.default_rng(44).standard_normal((4096, 4, 24))
+    save_frame_file([f"v{i:05d}" for i in range(4096)], frames, tmp_path / "f.frm1")
+    tracemalloc.start()
+    try:
+        got = load_frame_file(tmp_path / "f.frm1")[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == frames.tobytes()
+    assert peak - frames.nbytes < 4 << 20
