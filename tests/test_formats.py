@@ -12,11 +12,14 @@ from marginforge.data import (
     _load_labels,
     _load_split,
     _read_manifest,
+    digest,
     generate,
     write_dataset,
 )
 from marginforge.errors import ParseError
 from marginforge.experts import load_frame_file, load_static_embeddings
+from marginforge.model import Checkpoint, ModelDims, init_params, write_checkpoint
+from marginforge.trainer import new_adam_state
 
 
 def frm3(path):
@@ -85,3 +88,21 @@ class TestSharedLineRule:
         with pytest.raises(ParseError, match=f"^line 3: {path}: not UTF-8 text") as excinfo:
             load(path)
         assert excinfo.value.line == 3
+
+
+# SHA-256 of whole CKPT3 files, header and payload, as the format was first
+# written: a change to the writer that moves one byte of either fails here
+CKPT3_GOLDEN = {
+    "model": "b4b6b816f8adc1f54a68a9218117e8dcefca25f6295f9e3fcf395562abaa7691",
+    "trainer": "45e206466001519643b36ac318e959dc3a876dd20739b75126446cedaddcc35c",
+}
+
+
+@pytest.mark.parametrize("kind", list(CKPT3_GOLDEN))
+def test_ckpt3_bytes_match_the_golden_digest(tmp_path, kind):
+    model = init_params(ModelDims(4, 3, 5, 2), 7)
+    ckpt = Checkpoint(model)
+    if kind == "trainer":
+        ckpt = Checkpoint(model, new_adam_state(model), 3, 11, "c0ffee")
+    write_checkpoint(ckpt, tmp_path / "golden.ckpt")
+    assert digest((tmp_path / "golden.ckpt").read_bytes()) == CKPT3_GOLDEN[kind]
