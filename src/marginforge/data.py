@@ -12,17 +12,20 @@ imperfect external encoder).
 ``concepts`` and both static tables belongs to ``ids[i]``, and
 ``Dataset.rows`` maps ids to rows.
 
-On disk a dataset is a directory of seven text files (FRM3 frames, three
-EMB2 tables, LBL1 labels, two SPLIT1 id lists) plus ``manifest.txt``, all
-read under the line rules of ``experts.read_records``. An FRM3 record holds
-one item's T*D frame values, an EMB2 record one item's D values, each float
-as its exact hex literal (``float.hex``). The manifest's header is
-``MANIFEST2``; each record is ``<role> <filename> <sha256>``, each role
-exactly once under its canonical filename. ``load_dataset`` checks every
-digest before it parses any file. Directories written with an older format,
-a ``MANIFEST1`` header (FNV-1a digests), decimal FRM1 and EMB1 files or
-FRM2 files (one record per frame), are rejected; regenerate them with
-``gen-data``. The filenames keep their ``.frm1`` and ``.emb1`` suffixes.
+On disk a dataset is a directory of four binary row files, three line files
+and ``manifest.txt``. The row files, FRM4 frames and three EMB3 tables, are
+containers of ``experts.write_container``: a header line with the payload's
+SHA-256, then the raw float64 values. They hold no ids; row i is the item on
+record i of the LBL1 labels file, the one file that holds each id once, as
+``<id> <concept>`` in dataset order. The two SPLIT1 files list each split's
+ids. The three line files and the manifest follow the line rule of
+``experts.read_records``. The manifest's header is ``MANIFEST2``; each
+record is ``<role> <filename> <sha256>``, each role exactly once under its
+canonical filename. ``load_dataset`` checks every digest before it parses any
+file. Directories written with an older format, a ``MANIFEST1`` header
+(FNV-1a digests) or text FRM1, FRM2, FRM3, EMB1 or EMB2 row files, are
+rejected; regenerate them with ``gen-data``. The filenames keep their
+``.frm1`` and ``.emb1`` suffixes.
 """
 
 import hashlib
@@ -253,15 +256,47 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
+# ``Dataset.concepts`` holds int64 labels
+_CONCEPT_MAX = np.iinfo(np.int64).max
+
+
+def _check_labels(dataset: Dataset) -> None:
+    """Refuse the ids and concepts that ``_load_labels`` would reject or read
+    back otherwise: an id that is empty, holds whitespace, has no UTF-8 form
+    or starts with ``#`` (``ConfigError``), a repeated id
+    (``DuplicateIdError``), and a concept that is negative, not an integer or
+    beyond int64 (``ConfigError``, naming its id)."""
+    seen = set()
+    for item_id, concept in zip(dataset.ids, np.asarray(dataset.concepts).tolist()):
+        try:
+            writable = item_id.split() == [item_id] and not item_id.startswith("#")
+            item_id.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, such as "\ud800"
+            writable = False
+        if not writable:
+            raise ConfigError(
+                f"id {item_id!r} cannot be written: "
+                "an id is one token of UTF-8 text, not starting with '#'"
+            )
+        if item_id in seen:
+            raise DuplicateIdError(f"duplicate id {item_id!r}")
+        seen.add(item_id)
+        try:
+            exact = concept == int(concept) and 0 <= concept <= _CONCEPT_MAX
+        except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
+            exact = False
+        if not exact:
+            raise ConfigError(
+                f"id {item_id!r}: concept {concept!r} cannot be written: "
+                f"a concept is an integer in [0, {_CONCEPT_MAX}]"
+            )
+
+
 def _write_labels(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"LBL1 {len(dataset)}\n")
         for item_id, concept in zip(dataset.ids, dataset.concepts):
             fh.write(f"{item_id} {int(concept)}\n")
-
-
-# ``Dataset.concepts`` holds int64 labels
-_CONCEPT_MAX = np.iinfo(np.int64).max
 
 
 def _load_labels(path) -> dict[str, int]:
@@ -305,13 +340,18 @@ def _load_split(path) -> list[str]:
 
 
 def write_dataset(dataset: Dataset, out_dir) -> None:
-    """Write all data files, then a MANIFEST2 manifest with each file's SHA-256."""
+    """Write all data files, then a MANIFEST2 manifest with each file's SHA-256.
+
+    The ids and concepts are checked first (``_check_labels``), so a refused
+    dataset leaves no file behind.
+    """
+    _check_labels(dataset)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_frame_file(dataset.ids, dataset.frames, out / _FILES["frames"])
-    save_static_embeddings(dataset.ids, dataset.text, out / _FILES["text"])
+    save_frame_file(dataset.frames, out / _FILES["frames"])
+    save_static_embeddings(dataset.text, out / _FILES["text"])
     for name in ("sse_video", "sse_text"):
-        save_static_embeddings(dataset.ids, getattr(dataset, name).embeddings, out / _FILES[name])
+        save_static_embeddings(getattr(dataset, name).embeddings, out / _FILES[name])
     _write_labels(dataset, out / _FILES["labels"])
     _write_split(dataset.train_ids, out / _FILES["split_train"])
     _write_split(dataset.val_ids, out / _FILES["split_val"])
@@ -361,7 +401,8 @@ def load_dataset(data_dir) -> Dataset:
     """Load a dataset directory after checking its MANIFEST2 manifest.
 
     Every manifest line is validated first; then each file's SHA-256 must
-    match before any file is parsed.
+    match before any file is parsed. The ids, in order, are those of
+    ``labels.txt``, and each row file must hold one row per id.
     """
     root = Path(data_dir)
     manifest = root / MANIFEST_NAME
@@ -374,43 +415,35 @@ def load_dataset(data_dir) -> Dataset:
         if actual != expected:
             raise ChecksumError(f"{filename}: checksum {actual} != manifest {expected}")
 
-    frames_path = root / _FILES["frames"]
-    ids, frames = load_frame_file(frames_path)
-    tables = {
-        name: load_static_embeddings(root / _FILES[name]) for name in ("text", "sse_video", "sse_text")
-    }
     labels_path = root / _FILES["labels"]
     labels = _load_labels(labels_path)
-
-    for name, (table_ids, _) in tables.items():
-        if table_ids != ids:
+    ids = list(labels)
+    rows = {}
+    for name, load in (
+        ("frames", load_frame_file),
+        ("text", load_static_embeddings),
+        ("sse_video", load_static_embeddings),
+        ("sse_text", load_static_embeddings),
+    ):
+        path = root / _FILES[name]
+        rows[name] = load(path)
+        if len(rows[name]) != len(ids):
             raise ParseError(
-                f"{root / _FILES[name]}: {name} ids do not match the frame file ids "
-                f"of {frames_path}"
+                f"{path}: holds {len(rows[name])} rows, but {labels_path} holds {len(ids)} ids"
             )
-    try:
-        concepts = np.array([labels[i] for i in ids], dtype=np.int64)
-    except KeyError as exc:
-        raise ParseError(
-            f"{labels_path}: labels file is missing id {exc.args[0]!r} of {frames_path}"
-        ) from None
-    if len(labels) != len(ids):
-        known = set(ids)
-        extra = next(i for i in labels if i not in known)
-        raise ParseError(f"{labels_path}: labels file has id {extra!r} that {frames_path} lacks")
 
     train_path, val_path = root / _FILES["split_train"], root / _FILES["split_val"]
     train_ids, val_ids = _load_split(train_path), _load_split(val_path)
     try:
         return Dataset(
             ids=ids,
-            concepts=concepts,
-            frames=frames,
-            text=tables["text"][1],
-            sse_video=StaticEmbeddingTable(ids, tables["sse_video"][1]),
-            sse_text=StaticEmbeddingTable(ids, tables["sse_text"][1]),
+            concepts=np.array(list(labels.values()), dtype=np.int64),
+            frames=rows["frames"],
+            text=rows["text"],
+            sse_video=StaticEmbeddingTable(ids, rows["sse_video"]),
+            sse_text=StaticEmbeddingTable(ids, rows["sse_text"]),
             train_ids=train_ids,
             val_ids=val_ids,
         )
     except ConfigError as exc:
-        raise ParseError(f"{train_path} and {val_path}: {exc} of {frames_path}") from None
+        raise ParseError(f"{train_path} and {val_path}: {exc} of {labels_path}") from None

@@ -34,7 +34,7 @@ class NonSquareError(MarginForgeError):
 
 
 class ParseError(MarginForgeError):
-    """A text file does not conform to its declared format."""
+    """A file does not conform to its declared format."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

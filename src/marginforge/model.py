@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import digest
-from .errors import ChecksumError, DimMismatchError, ParseError, ShapeMismatchError
-from .experts import parse_count
+from .errors import DimMismatchError, ParseError, ShapeMismatchError
+from .experts import parse_count, read_container, write_container
 from .mathcore import unit_rows
 from .seeding import named_rng
 
@@ -169,17 +168,15 @@ def backward(model: TwoTowerModel, state: ForwardState, grad_video_reprs, grad_t
 #   CKPT3 <video_in> <text_in> <hidden> <joint> <sha256> [adam <epoch> <seed> <t> [<config_hash>]]\n
 #   <payload: raw little-endian float64>
 #
+# A CKPT3 file is a container of ``experts.write_container`` and
+# ``experts.read_container``, the skeleton the dataset's row files share.
 # The payload holds every parameter array in param_items() order, each in C
 # order; a trainer checkpoint, the one with the ``adam`` fields, then adds
-# Adam ``m`` and ``v`` in the same order. ``<sha256>`` is ``data.digest`` of
-# the payload, and an empty ``config_hash`` is no token. Only marginforge
-# writes and reads these files, so the values go out as their own bytes and
-# come back bit-exact. CKPT1 and CKPT2 text files are rejected with a hint to
-# retrain.
+# Adam ``m`` and ``v`` in the same order. An empty ``config_hash`` is no
+# token. CKPT1 and CKPT2 text files are rejected with a hint to retrain.
 
 CKPT_TAG = "CKPT3"
 _RETRAIN_HINT = "CKPT1 and CKPT2 checkpoints are no longer read, retrain to write a CKPT3 file"
-_FLOAT = np.dtype("<f8")
 
 
 @dataclass
@@ -238,56 +235,47 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
     config_hash = ckpt.config_hash
     if not config_hash.isascii() or any(c.isspace() for c in config_hash):
         raise ValueError(f"config_hash {config_hash!r} must be ASCII without whitespace")
-    payload = b"".join(arr.astype(_FLOAT, copy=False).tobytes() for _, arr in _named_arrays(ckpt))
     d = ckpt.model.dims
-    header = f"{CKPT_TAG} {d.video_in} {d.text_in} {d.hidden} {d.joint} {digest(payload)}"
+    head = f"{CKPT_TAG} {d.video_in} {d.text_in} {d.hidden} {d.joint}"
+    tail = ""
     if ckpt.opt_state is not None:
-        header = f"{header} adam {ckpt.epoch} {ckpt.seed} {ckpt.opt_state.t} {config_hash}".rstrip()
-    with replace_on_success(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(f"{header}\n".encode("ascii"))
-        fh.write(payload)
+        tail = f"adam {ckpt.epoch} {ckpt.seed} {ckpt.opt_state.t} {config_hash}".rstrip()
+    with replace_on_success(path) as tmp:
+        write_container(tmp, head, [arr for _, arr in _named_arrays(ckpt)], tail)
 
 
 def read_checkpoint(path) -> Checkpoint:
     """Parse a CKPT3 file, checking its tag, header fields, digest, payload length
     and finite values in that order."""
-    line, newline, payload = Path(path).read_bytes().partition(b"\n")
-    parts = line.decode("ascii").split() if newline and line.isascii() else []
-    if not parts or parts[0] != CKPT_TAG:
-        raise ParseError(f"{path}: expected a {CKPT_TAG} header; {_RETRAIN_HINT}", 1)
-    if len(parts) not in (6, 10, 11) or (len(parts) > 6 and parts[6] != "adam"):
-        layout = "<v> <t> <h> <j> <sha256> [adam <epoch> <seed> <t> [<config_hash>]]"
-        raise ParseError(f"{path}: expected '{CKPT_TAG} {layout}'", 1)
-    counts = [parse_count(p, 1, path) for p in parts[1:5]]
-    try:
-        dims = ModelDims(*counts)
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad dims: {exc}", 1) from None
-    adam = len(parts) > 6
-    if adam:
-        epoch, seed, t = (parse_count(p, 1, path) for p in parts[7:10])
-    if digest(payload) != parts[5]:
-        raise ChecksumError(f"{path}: payload digest does not match the header's {parts[5]}")
 
-    # the payload's length follows from the dims alone: the model's values,
-    # then for a trainer file its Adam m and v. No array is made before the
-    # length matches, so a short payload costs nothing whatever the dims.
-    shapes = _tower_shapes(dims)
-    count = sum(math.prod(shape) for tower in shapes for shape in tower)
-    expected = _FLOAT.itemsize * count * (3 if adam else 1)
-    if len(payload) != expected:
-        raise ParseError(f"{path}: payload holds {len(payload)} bytes, expected {expected}")
-    model = TwoTowerModel(dims, *(Tower(*map(np.empty, tower)) for tower in shapes))
+    def layout(fields):
+        if len(fields) not in (5, 9, 10) or (len(fields) > 5 and fields[5] != "adam"):
+            expected = "<v> <t> <h> <j> <sha256> [adam <epoch> <seed> <t> [<config_hash>]]"
+            raise ParseError(f"{path}: expected '{CKPT_TAG} {expected}'", 1)
+        counts = [parse_count(p, 1, path) for p in fields[:4]]
+        try:
+            dims = ModelDims(*counts)
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad dims: {exc}", 1) from None
+        adam = None
+        if len(fields) > 5:
+            epoch, seed, t = (parse_count(p, 1, path) for p in fields[6:9])
+            adam = (epoch, seed, t, fields[9] if len(fields) == 10 else "")
+        # the payload's length follows from the dims alone: the model's
+        # values, then for a trainer file its Adam m and v
+        count = sum(math.prod(shape) for tower in _tower_shapes(dims) for shape in tower)
+        return fields[4], count * (1 if adam is None else 3), (dims, adam)
+
+    (dims, adam), flat = read_container(path, CKPT_TAG, _RETRAIN_HINT, layout)
+    model = TwoTowerModel(dims, *(Tower(*map(np.empty, tower)) for tower in _tower_shapes(dims)))
     ckpt = Checkpoint(model)
-    if adam:
+    if adam is not None:
+        epoch, seed, t, config_hash = adam
         m = {name: np.empty_like(arr) for name, arr in model.param_items()}
         v = {name: np.empty_like(arr) for name, arr in model.param_items()}
-        config_hash = parts[10] if len(parts) == 11 else ""
         ckpt = Checkpoint(model, AdamState(t, m, v), epoch, seed, config_hash)
-    arrays = _named_arrays(ckpt)
-    flat = np.frombuffer(payload, dtype=_FLOAT)
     offset = 0
-    for name, arr in arrays:
+    for name, arr in _named_arrays(ckpt):
         values = flat[offset : offset + arr.size]
         if not np.isfinite(values).all():
             raise ParseError(f"{path}: {name} holds a non-finite value")

@@ -1,4 +1,4 @@
-import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -140,15 +140,18 @@ class TestRoundTrip:
         assert loaded.train_ids == ds.train_ids
         assert loaded.val_ids == ds.val_ids
 
-    def test_every_value_token_is_a_hex_float(self, tmp_path):
-        write_dataset(generate(SynthConfig(n_items=10, n_concepts=8, duplicate_rate=0.4)), tmp_path)
-        for filename, first_value in [
-            ("frames.frm1", 1), ("text.emb1", 1), ("sse_video.emb1", 1), ("sse_text.emb1", 1)
+    def test_row_files_hold_raw_values_and_no_ids(self, tmp_path):
+        ds = generate(SynthConfig(n_items=10, n_concepts=8, duplicate_rate=0.4))
+        write_dataset(ds, tmp_path)
+        for filename, tag, rows in [
+            ("frames.frm1", "FRM4", ds.frames),
+            ("text.emb1", "EMB3", ds.text),
+            ("sse_video.emb1", "EMB3", ds.sse_video.embeddings),
+            ("sse_text.emb1", "EMB3", ds.sse_text.embeddings),
         ]:
-            header, *records = (tmp_path / filename).read_text(encoding="utf-8").splitlines()
-            tokens = [token for line in records for token in line.split()[first_value:]]
-            assert len(tokens) == math.prod(map(int, header.split()[1:]))
-            assert all(token.startswith(("0x", "-0x")) for token in tokens)
+            line, _, payload = (tmp_path / filename).read_bytes().partition(b"\n")
+            assert line.decode("ascii").split() == [tag, *map(str, rows.shape), digest(payload)]
+            assert payload == rows.astype("<f8").tobytes()
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ParseError):
@@ -259,7 +262,7 @@ class TestLabelAndSplitFiles:
             encoding="utf-8",
         )
         with pytest.raises(
-            ParseError, match=r"split_train\.txt and \S*split_val\.txt: .*partition.*frames\.frm1"
+            ParseError, match=r"split_train\.txt and \S*split_val\.txt: .*partition.*labels\.txt"
         ):
             load_dataset(tmp_path)
 
@@ -388,13 +391,18 @@ class TestLoadErrorsNameTheirFiles:
     def edit_signed(self, data_dir, filename, edit):
         """Apply ``edit`` to the lines of one data file and re-sign the manifest."""
         target = data_dir / filename
-        old_digest = digest(target.read_bytes())
         lines = target.read_text(encoding="utf-8").splitlines()
         edit(lines)
-        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.write_signed(data_dir, filename, ("\n".join(lines) + "\n").encode("utf-8"))
+
+    def write_signed(self, data_dir, filename, raw: bytes):
+        """Replace one data file's bytes and re-sign the manifest."""
+        target = data_dir / filename
+        old_digest = digest(target.read_bytes())
+        target.write_bytes(raw)
         manifest = data_dir / MANIFEST_NAME
         manifest.write_text(
-            manifest.read_text(encoding="utf-8").replace(old_digest, digest(target.read_bytes())),
+            manifest.read_text(encoding="utf-8").replace(old_digest, digest(raw)),
             encoding="utf-8",
         )
 
@@ -437,20 +445,17 @@ class TestLoadErrorsNameTheirFiles:
         with pytest.raises(ParseError, match=rf"line 3: \S*{MANIFEST_NAME}: {message}"):
             load_dataset(data_dir)
 
-    def test_id_mismatch_names_both_files(self, tmp_path):
+    @pytest.mark.parametrize("filename", ["frames.frm1", "sse_text.emb1"])
+    def test_row_count_mismatch_names_both_files(self, tmp_path, filename):
         data_dir = self.dataset_dir(tmp_path)
-
-        def swap_first_rows(lines):
-            lines[1], lines[2] = lines[2], lines[1]
-
-        self.edit_signed(data_dir, "sse_text.emb1", swap_first_rows)
-        with pytest.raises(ParseError) as excinfo:
+        other = tmp_path / "other"
+        write_dataset(generate(SynthConfig(n_items=7, n_concepts=7, seed=19)), other)
+        self.write_signed(data_dir, filename, (other / filename).read_bytes())
+        message = f"{data_dir / filename}: holds 7 rows, but {data_dir / 'labels.txt'} holds 8 ids"
+        with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
             load_dataset(data_dir)
-        message = str(excinfo.value)
-        assert "sse_text.emb1" in message and "frames.frm1" in message
-        assert "ids do not match the frame file ids" in message
 
-    def test_extra_label_names_the_labels_file_and_the_id(self, tmp_path):
+    def test_extra_label_names_both_files(self, tmp_path):
         data_dir = self.dataset_dir(tmp_path)
 
         def add_ghost(lines):
@@ -461,14 +466,60 @@ class TestLoadErrorsNameTheirFiles:
         with pytest.raises(ParseError) as excinfo:
             load_dataset(data_dir)
         message = str(excinfo.value)
-        assert "labels.txt" in message and "frames.frm1" in message
-        assert "labels file has id 'ghost'" in message
+        assert "labels.txt holds 9 ids" in message and "frames.frm1: holds 8 rows" in message
 
-    def test_missing_label_names_both_files(self, tmp_path):
+    def test_renamed_label_names_the_split_and_label_files(self, tmp_path):
+        # the ids are the labels file's, so a renamed one is missing from the splits
         data_dir = self.dataset_dir(tmp_path)
         self.edit_signed(data_dir, "labels.txt", lambda lines: lines.__setitem__(1, "zz 0"))
         with pytest.raises(ParseError) as excinfo:
             load_dataset(data_dir)
         message = str(excinfo.value)
-        assert "labels.txt" in message and "frames.frm1" in message
-        assert "labels file is missing id" in message
+        assert "split_train.txt" in message and "split_val.txt" in message
+        assert "partition" in message and "labels.txt" in message
+
+
+# ids that ``_load_labels`` would read as another id, another record or a
+# comment, or that have no UTF-8 form
+UNWRITABLE_IDS = ["", "a b", "a\tb", "a\nb", " a", "a\u2028b", "#x", "a\ud800"]
+
+
+class TestWriteRefusals:
+    """``write_dataset`` refuses ids and concepts that ``labels.txt`` cannot
+    hold exactly before it makes any file or directory."""
+
+    def refused(self, tmp_path, ds, error, match):
+        out = tmp_path / "out"
+        with pytest.raises(error, match=match):
+            write_dataset(ds, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", UNWRITABLE_IDS)
+    def test_unwritable_id(self, tmp_path, bad):
+        ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=1))
+        ds.ids[3] = bad
+        self.refused(tmp_path, ds, ConfigError, re.escape(repr(bad)))
+
+    def test_duplicate_id(self, tmp_path):
+        # ``Dataset`` refuses repeated ids; a caller can still edit them after
+        ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=1))
+        ds.ids[5] = ds.ids[2]
+        self.refused(tmp_path, ds, DuplicateIdError, f"duplicate id '{ds.ids[2]}'")
+
+    @pytest.mark.parametrize(
+        "concept, dtype",
+        [(-1, np.int64), (1.5, float), (np.nan, float), (np.inf, float), (2**63, object)],
+        ids=["negative", "fraction", "nan", "inf", "beyond-int64"],
+    )
+    def test_unwritable_concept_names_its_id(self, tmp_path, concept, dtype):
+        ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=1))
+        ds.concepts = ds.concepts.astype(dtype)
+        ds.concepts[4] = concept
+        self.refused(tmp_path, ds, ConfigError, rf"id '{ds.ids[4]}': concept .* cannot be written")
+
+    def test_integral_float_concepts_round_trip(self, tmp_path):
+        ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=1))
+        concepts = ds.concepts.copy()
+        ds.concepts = concepts.astype(float)
+        write_dataset(ds, tmp_path)
+        np.testing.assert_array_equal(load_dataset(tmp_path).concepts, concepts)

@@ -1,9 +1,18 @@
-"""The line rule shared by all five line formats (``experts.read_records``).
+"""The two file skeletons of the package and the formats built on them.
 
-Blank lines and ``#`` comments may stand anywhere, the header is the first
-other line, and a wrong header is reported at its own line.
+The line rule of the three line formats, LBL1, SPLIT1 and MANIFEST2
+(``experts.read_records``): blank lines and ``#`` comments may stand
+anywhere, the header is the first other line, and a wrong header is reported
+at its own line. The binary container of CKPT3, FRM4 and EMB3
+(``experts.read_container``): one ASCII header line with the payload's
+SHA-256, then raw little-endian float64 values, checked in one order
+whatever the format.
 """
 
+import re
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from marginforge.data import (
@@ -16,20 +25,21 @@ from marginforge.data import (
     generate,
     write_dataset,
 )
-from marginforge.errors import ParseError
-from marginforge.experts import load_frame_file, load_static_embeddings
-from marginforge.model import Checkpoint, ModelDims, init_params, write_checkpoint
+from marginforge.errors import ChecksumError, ParseError
+from marginforge.experts import (
+    load_frame_file,
+    load_static_embeddings,
+    save_frame_file,
+    save_static_embeddings,
+)
+from marginforge.model import (
+    Checkpoint,
+    ModelDims,
+    init_params,
+    read_checkpoint,
+    write_checkpoint,
+)
 from marginforge.trainer import new_adam_state
-
-
-def frm3(path):
-    ids, frames = load_frame_file(path)
-    return ids, frames.tolist()
-
-
-def emb2(path):
-    ids, rows = load_static_embeddings(path)
-    return ids, rows.tolist()
 
 
 def manifest2(path):
@@ -38,8 +48,6 @@ def manifest2(path):
 
 # tag, file written by write_dataset, loader as plain data
 FORMATS = [
-    ("FRM3", "frames.frm1", frm3),
-    ("EMB2", "text.emb1", emb2),
     ("LBL1", "labels.txt", _load_labels),
     ("SPLIT1", "split_val.txt", _load_split),
     ("MANIFEST2", MANIFEST_NAME, manifest2),
@@ -88,6 +96,114 @@ class TestSharedLineRule:
         with pytest.raises(ParseError, match=f"^line 3: {path}: not UTF-8 text") as excinfo:
             load(path)
         assert excinfo.value.line == 3
+
+
+
+
+def write_trainer_checkpoint(path):
+    model = init_params(ModelDims(3, 2, 0, 2), 5)
+    write_checkpoint(Checkpoint(model, new_adam_state(model), 1, 2, "h"), path)
+
+
+# tag: (writer of a valid file, loader, index of the header's digest token,
+# the retired text tags and the hint they get, the header tokens before the
+# digest of a file whose counts declare far more than the file holds)
+CONTAINERS = {
+    "CKPT3": (
+        write_trainer_checkpoint,
+        read_checkpoint,
+        5,
+        ["CKPT1", "CKPT2"],
+        "CKPT1 and CKPT2 checkpoints are no longer read, retrain",
+        ["CKPT3", "1500", "1500", "0", "1500"],
+    ),
+    "FRM4": (
+        lambda path: save_frame_file(np.random.default_rng(50).standard_normal((3, 2, 4)), path),
+        load_frame_file,
+        4,
+        ["FRM1", "FRM2", "FRM3"],
+        "FRM1, FRM2 and FRM3 files are no longer read, regenerate the dataset with gen-data",
+        ["FRM4", "1000", "1000", "1000"],
+    ),
+    "EMB3": (
+        lambda path: save_static_embeddings(np.random.default_rng(51).standard_normal((3, 5)), path),
+        load_static_embeddings,
+        3,
+        ["EMB1", "EMB2"],
+        "EMB1 and EMB2 files are no longer read, regenerate the dataset with gen-data",
+        ["EMB3", "100000", "100000"],
+    ),
+}
+
+
+def read_parts(path):
+    """A container file's header tokens and its payload bytes."""
+    line, _, payload = path.read_bytes().partition(b"\n")
+    return line.decode("ascii").split(), payload
+
+
+def write_signed(path, parts, payload, at):
+    """A header and payload, with the payload's own digest as token ``at``."""
+    parts = [*parts[:at], digest(payload), *parts[at + 1 :]]
+    path.write_bytes(" ".join(parts).encode("ascii") + b"\n" + payload)
+
+
+@pytest.mark.parametrize("tag", list(CONTAINERS))
+class TestContainer:
+    def written(self, tmp_path, tag):
+        write, load, at, *_ = CONTAINERS[tag]
+        path = tmp_path / f"file.{tag.lower()}"
+        write(path)
+        return path, load, at
+
+    def test_retired_text_tag_gets_its_hint_at_line_1(self, tmp_path, tag):
+        path, load, _ = self.written(tmp_path, tag)
+        _, _, _, retired, hint, _ = CONTAINERS[tag]
+        for old in retired:
+            path.write_text(f"{old} 1 1 2\na 0x1p+0 0x1p+1\n", encoding="utf-8")
+            with pytest.raises(ParseError, match=re.escape(hint)) as excinfo:
+                load(path)
+            assert excinfo.value.line == 1
+
+    def test_flipped_payload_byte_is_a_checksum_error(self, tmp_path, tag):
+        path, load, _ = self.written(tmp_path, tag)
+        raw = bytearray(path.read_bytes())
+        raw[-5] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumError, match=re.escape(str(path))):
+            load(path)
+
+    @pytest.mark.parametrize("edit", ["short", "long"])
+    def test_payload_one_value_off_is_a_parse_error(self, tmp_path, tag, edit):
+        path, load, at = self.written(tmp_path, tag)
+        parts, payload = read_parts(path)
+        changed = payload[:-8] if edit == "short" else payload + np.float64(1.0).tobytes()
+        write_signed(path, parts, changed, at)
+        message = f"{path}: payload holds {len(changed)} bytes, expected {len(payload)}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load(path)
+
+    def test_header_beyond_the_payload_fails_before_allocating(self, tmp_path, tag):
+        path, load, at = self.written(tmp_path, tag)
+        write_signed(path, [*CONTAINERS[tag][5], "digest"], bytes(320), at)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="payload holds 320 bytes"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_a_parse_error_naming_the_file(self, tmp_path, tag, value):
+        path, load, at = self.written(tmp_path, tag)
+        parts, payload = read_parts(path)
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        values[len(values) // 2] = value
+        write_signed(path, parts, values.tobytes(), at)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: ") + ".*holds a non-finite value"):
+            load(path)
 
 
 # SHA-256 of whole CKPT3 files, header and payload, as the format was first

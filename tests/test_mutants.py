@@ -4,9 +4,10 @@
 A mutant is one single-byte substitution or one deletion of 1-7 bytes at a
 random offset, drawn from numpy's generator seeded with 0. Data-file mutants
 are re-signed in the manifest, so that their parser runs rather than the
-digest check; manifest mutants are not. A CKPT3 mutant changes only the
-header line, whose payload digest guards the rest. A targeted case puts an
-exponent beyond the float range into each FRM3 and EMB2 file.
+digest check; manifest mutants are not. A mutant of a binary container, a
+row file or a CKPT3 checkpoint, changes only the header line, whose payload
+digest guards the rest. A targeted case writes a NaN into each row file's
+payload under a correct digest.
 """
 
 import re
@@ -42,6 +43,7 @@ DATA = SynthConfig(
 )
 # 800 dataset mutants (100 per file), 300 config and 300 CKPT3-header mutants
 MUTANTS_PER_FILE = 100
+ROW_FILES = ["frames", "text", "sse_video", "sse_text"]
 
 
 def mutate(rng, raw: bytes, end: int | None = None) -> bytes:
@@ -82,28 +84,29 @@ def test_dataset_file_mutants_load_or_fail_typed(dataset_dir, role):
     assert manifest.read_bytes() == manifest_text(digests)
     target = manifest if role == "manifest" else work / _FILES[role]
     original = target.read_bytes()
+    header_end = original.index(b"\n") + 1 if role in ROW_FILES else None
     for _ in range(MUTANTS_PER_FILE):
-        raw = mutate(rng, original)
+        raw = mutate(rng, original, header_end)
         if role != "manifest":
             manifest.write_bytes(manifest_text({**digests, role: digest(raw)}))
         loads_or_fails_typed(lambda: load_dataset(work), target, raw)
 
 
-@pytest.mark.parametrize("role", ["frames", "text", "sse_video", "sse_text"])
-def test_exponent_beyond_the_float_range_fails_at_its_line(dataset_dir, role):
-    work = dataset_dir.parent / f"overflow_{role}"
+@pytest.mark.parametrize("role", ROW_FILES)
+def test_non_finite_payload_value_fails_naming_its_file(dataset_dir, role):
+    work = dataset_dir.parent / f"nan_{role}"
     shutil.copytree(dataset_dir, work)
     target = work / _FILES[role]
-    lines = target.read_text(encoding="utf-8").split("\n")
-    tokens = lines[1].split()
-    tokens[1] = re.sub(r"p[+-][0-9]+$", "p+9999", tokens[1])
-    lines[1] = " ".join(tokens)
-    target.write_text("\n".join(lines), encoding="utf-8")
+    line, _, payload = target.read_bytes().partition(b"\n")
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[-1] = np.nan
+    payload = values.tobytes()
+    header = line.decode("ascii").split()[:-1] + [digest(payload)]
+    target.write_bytes(" ".join(header).encode("ascii") + b"\n" + payload)
     digests = {r: digest((work / name).read_bytes()) for r, name in _FILES.items()}
     (work / MANIFEST_NAME).write_bytes(manifest_text(digests))
-    with pytest.raises(ParseError, match=re.escape(f"bad value {tokens[1]!r}")) as excinfo:
+    with pytest.raises(ParseError, match=re.escape(f"{target}: row {DATA.n_items - 1} holds a non-finite value")):
         load_dataset(work)
-    assert excinfo.value.line == 2 and tokens[1].endswith("p+9999")
 
 
 def test_config_mutants_load_or_fail_typed(tmp_path):

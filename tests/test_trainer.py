@@ -592,7 +592,7 @@ class TestRunTraining:
                     return DiesInPayload(fh)
             return fh
 
-        monkeypatch.setattr("marginforge.model.open", failing_open, raising=False)
+        monkeypatch.setattr("marginforge.experts.open", failing_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
             run_training(ds, cfg, 0, 8, tmp_path / "run", config_hash="h")
         monkeypatch.undo()
