@@ -198,7 +198,10 @@ def read_container(path, tag: str, hint: str, layout):
 
 
 def _retired_hint(tag: str, retired: str) -> str:
-    return f"{retired} files are no longer read, regenerate the dataset with gen-data to write {tag}"
+    return (
+        f"{retired} files are no longer read, "
+        f"regenerate the dataset with gen-data to write {tag}"
+    )
 
 
 def _read_rows(path, tag: str, n_counts: int, hint: str) -> np.ndarray:

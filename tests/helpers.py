@@ -1,8 +1,8 @@
 """Test-only helpers: a finite-difference gradient checker, flat views of a
 model's parameters and gradients, the scalar rank reference, a dataset's
 same-concept partners, the adaptive-margin reference, a given matrix as a
-margin level or as the loss's unit rows, and the dense forms of ``dS`` and
-of the cosine backward.
+margin level or as the loss's unit rows, the dense forms of ``dS`` and of
+the cosine backward, and a container file's header tokens and payload.
 
 The kernels take unit rows U and V, not ``S``. A given B x B ``S`` reaches
 them as its identity form ``dense_rows(S) = (I, S.T)``: each cell of a block
@@ -173,3 +173,8 @@ def score(S, margins: dict, alpha: float, lam: float, mining="hardest"):
     breakdown, _ = objective._run(*dense_rows(S), margins, alpha, lam, mining)
     return breakdown
 
+
+def read_parts(path) -> tuple[list[str], bytes]:
+    """A container file's header tokens and its payload bytes."""
+    line, _, payload = path.read_bytes().partition(b"\n")
+    return line.decode("ascii").split(), payload

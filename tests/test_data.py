@@ -22,7 +22,7 @@ from marginforge.experts import StaticEmbeddingTable
 from marginforge.mathcore import unit_rows
 from marginforge.model import ModelDims, init_params
 from marginforge.trainer import evaluate_split
-from helpers import ground_truth_equivalents
+from helpers import ground_truth_equivalents, read_parts
 
 
 def dir_digest(path):
@@ -149,8 +149,8 @@ class TestRoundTrip:
             ("sse_video.emb1", "EMB3", ds.sse_video.embeddings),
             ("sse_text.emb1", "EMB3", ds.sse_text.embeddings),
         ]:
-            line, _, payload = (tmp_path / filename).read_bytes().partition(b"\n")
-            assert line.decode("ascii").split() == [tag, *map(str, rows.shape), digest(payload)]
+            parts, payload = read_parts(tmp_path / filename)
+            assert parts == [tag, *map(str, rows.shape), digest(payload)]
             assert payload == rows.astype("<f8").tobytes()
 
     def test_missing_manifest(self, tmp_path):
@@ -453,6 +453,20 @@ class TestLoadErrorsNameTheirFiles:
         self.write_signed(data_dir, filename, (other / filename).read_bytes())
         message = f"{data_dir / filename}: holds 7 rows, but {data_dir / 'labels.txt'} holds 8 ids"
         with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+            load_dataset(data_dir)
+
+    @pytest.mark.parametrize(
+        "filename, text",
+        [
+            ("frames.frm1", "FRM3 1 1 2\nit0 0x1p+0 0x1p+1\n"),
+            ("text.emb1", "EMB2 1 1\nit0 0x1p+0\n"),
+        ],
+    )
+    def test_text_row_file_gets_the_gen_data_hint(self, tmp_path, filename, text):
+        data_dir = self.dataset_dir(tmp_path)
+        self.write_signed(data_dir, filename, text.encode("ascii"))
+        hint = rf"{re.escape(filename)}: .*regenerate the dataset with gen-data"
+        with pytest.raises(ParseError, match=hint):
             load_dataset(data_dir)
 
     def test_extra_label_names_both_files(self, tmp_path):

@@ -21,6 +21,7 @@ from marginforge.experts import (
     save_static_embeddings,
 )
 from marginforge.mathcore import unit_rows
+from helpers import read_parts
 
 ONE_MINUS_INV_SQRT2 = 1.0 - 1.0 / np.sqrt(2.0)  # 0.29289321881345254
 
@@ -132,12 +133,6 @@ class TestDistanceProperties:
         np.testing.assert_allclose(d1, d2, atol=1e-12)
 
 
-def read_parts(path):
-    """A row file's header tokens and its payload bytes."""
-    line, _, payload = path.read_bytes().partition(b"\n")
-    return line.decode("ascii").split(), payload
-
-
 def write_header(path, parts):
     """Replace a row file's header tokens, keeping its payload."""
     _, payload = read_parts(path)
@@ -241,7 +236,8 @@ class TestRowHeaders:
     def test_wrong_field_count_rejected(self, row_file, edit):
         path, load = row_file
         write_header(path, edit(read_parts(path)[0]))
-        with pytest.raises(ParseError, match=r"expected '(FRM4|EMB3) <N> .*<sha256>' header") as excinfo:
+        expected = r"expected '(FRM4|EMB3) <N> .*<sha256>' header"
+        with pytest.raises(ParseError, match=expected) as excinfo:
             load(path)
         assert excinfo.value.line == 1
 

@@ -40,6 +40,7 @@ from marginforge.model import (
     write_checkpoint,
 )
 from marginforge.trainer import new_adam_state
+from helpers import read_parts
 
 
 def manifest2(path):
@@ -126,7 +127,7 @@ CONTAINERS = {
         ["FRM4", "1000", "1000", "1000"],
     ),
     "EMB3": (
-        lambda path: save_static_embeddings(np.random.default_rng(51).standard_normal((3, 5)), path),
+        lambda path: save_static_embeddings(np.random.default_rng(51).normal(size=(3, 5)), path),
         load_static_embeddings,
         3,
         ["EMB1", "EMB2"],
@@ -134,12 +135,6 @@ CONTAINERS = {
         ["EMB3", "100000", "100000"],
     ),
 }
-
-
-def read_parts(path):
-    """A container file's header tokens and its payload bytes."""
-    line, _, payload = path.read_bytes().partition(b"\n")
-    return line.decode("ascii").split(), payload
 
 
 def write_signed(path, parts, payload, at):

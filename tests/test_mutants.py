@@ -30,6 +30,7 @@ from marginforge.data import (
 from marginforge.errors import MarginForgeError, ParseError
 from marginforge.model import Checkpoint, ModelDims, init_params, read_checkpoint, write_checkpoint
 from marginforge.trainer import TrainConfig, new_adam_state
+from helpers import read_parts
 
 DATA = SynthConfig(
     n_items=12,
@@ -97,15 +98,16 @@ def test_non_finite_payload_value_fails_naming_its_file(dataset_dir, role):
     work = dataset_dir.parent / f"nan_{role}"
     shutil.copytree(dataset_dir, work)
     target = work / _FILES[role]
-    line, _, payload = target.read_bytes().partition(b"\n")
+    parts, payload = read_parts(target)
     values = np.frombuffer(payload, dtype="<f8").copy()
     values[-1] = np.nan
     payload = values.tobytes()
-    header = line.decode("ascii").split()[:-1] + [digest(payload)]
+    header = parts[:-1] + [digest(payload)]
     target.write_bytes(" ".join(header).encode("ascii") + b"\n" + payload)
     digests = {r: digest((work / name).read_bytes()) for r, name in _FILES.items()}
     (work / MANIFEST_NAME).write_bytes(manifest_text(digests))
-    with pytest.raises(ParseError, match=re.escape(f"{target}: row {DATA.n_items - 1} holds a non-finite value")):
+    message = f"{target}: row {DATA.n_items - 1} holds a non-finite value"
+    with pytest.raises(ParseError, match=re.escape(message)):
         load_dataset(work)
 
 
