@@ -140,6 +140,32 @@ class TestRoundTrip:
         assert loaded.train_ids == ds.train_ids
         assert loaded.val_ids == ds.val_ids
 
+    # the fewest items a split takes, one frame, one-value rows, and more
+    # items than concepts
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(n_items=4, n_concepts=4),
+            dict(n_items=5, n_concepts=5, frames_per_video=1),
+            dict(n_items=6, n_concepts=6, text_dim=1, video_dim=1),
+            dict(n_items=33, n_concepts=20, duplicate_rate=0.6),
+        ],
+        ids=["fewest-items", "one-frame", "one-value-rows", "duplicates"],
+    )
+    def test_rows_stay_with_their_ids(self, tmp_path, changes):
+        ds = generate(SynthConfig(**changes, seed=23))
+        write_dataset(ds, tmp_path)
+        loaded = load_dataset(tmp_path)
+        assert loaded.ids == ds.ids
+        np.testing.assert_array_equal(loaded.concepts, ds.concepts)
+        for name in ("frames", "text"):
+            assert getattr(loaded, name).tobytes() == getattr(ds, name).tobytes()
+        for name in ("sse_video", "sse_text"):
+            table = getattr(loaded, name)
+            assert table.ids == ds.ids
+            assert table.embeddings.tobytes() == getattr(ds, name).embeddings.tobytes()
+        assert (loaded.train_ids, loaded.val_ids) == (ds.train_ids, ds.val_ids)
+
     def test_row_files_hold_raw_values_and_no_ids(self, tmp_path):
         ds = generate(SynthConfig(n_items=10, n_concepts=8, duplicate_rate=0.4))
         write_dataset(ds, tmp_path)
@@ -385,6 +411,9 @@ class TestDatasetInvariants:
         np.testing.assert_allclose(ds.pooled_video(), ds.frames.mean(axis=1), atol=0)
 
 
+ROW_FILES = ["frames.frm1", "sse_text.emb1", "text.emb1", "sse_video.emb1"]
+
+
 class TestLoadErrorsNameTheirFiles:
     """Every record and cross-file error of a dataset load says which file is wrong."""
 
@@ -445,13 +474,23 @@ class TestLoadErrorsNameTheirFiles:
         with pytest.raises(ParseError, match=rf"line 3: \S*{MANIFEST_NAME}: {message}"):
             load_dataset(data_dir)
 
-    @pytest.mark.parametrize("filename", ["frames.frm1", "sse_text.emb1"])
+    @pytest.mark.parametrize("filename", ROW_FILES)
     def test_row_count_mismatch_names_both_files(self, tmp_path, filename):
         data_dir = self.dataset_dir(tmp_path)
         other = tmp_path / "other"
         write_dataset(generate(SynthConfig(n_items=7, n_concepts=7, seed=19)), other)
         self.write_signed(data_dir, filename, (other / filename).read_bytes())
         message = f"{data_dir / filename}: holds 7 rows, but {data_dir / 'labels.txt'} holds 8 ids"
+        with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+            load_dataset(data_dir)
+
+    @pytest.mark.parametrize("filename", ROW_FILES)
+    def test_more_rows_than_labels_names_both_files(self, tmp_path, filename):
+        data_dir = self.dataset_dir(tmp_path)
+        other = tmp_path / "other"
+        write_dataset(generate(SynthConfig(n_items=9, n_concepts=9, seed=19)), other)
+        self.write_signed(data_dir, filename, (other / filename).read_bytes())
+        message = f"{data_dir / filename}: holds 9 rows, but {data_dir / 'labels.txt'} holds 8 ids"
         with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
             load_dataset(data_dir)
 

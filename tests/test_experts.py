@@ -28,7 +28,7 @@ ONE_MINUS_INV_SQRT2 = 1.0 - 1.0 / np.sqrt(2.0)  # 0.29289321881345254
 # signed zero, the smallest subnormal, the largest double, a repeating binary
 # fraction and a short exact value
 EDGE_ROW = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -1.5]
-BAD_COUNTS = ["+2", "1_0", "-0", "1.5"]
+BAD_COUNTS = ["+2", "1_0", "-0", "1.5", "0x2", "2e0", "two", "--1", "0b1"]
 
 
 def cosine_distances(reprs, what):
@@ -200,6 +200,99 @@ class TestFrm4Format:
             load_frame_file(tmp_path / "f.frm1")
 
 
+# the row writers of both tags, each with the shape of its rows
+SAVERS = {
+    "EMB3": (save_static_embeddings, load_static_embeddings),
+    "FRM4": (save_frame_file, load_frame_file),
+}
+
+
+@pytest.mark.parametrize(
+    "tag, shape",
+    [
+        ("EMB3", (1, 1)),
+        ("EMB3", (1, 9)),
+        ("EMB3", (6, 2)),
+        ("EMB3", (0, 3)),
+        ("FRM4", (1, 1, 1)),
+        ("FRM4", (1, 5, 1)),
+        ("FRM4", (4, 1, 3)),
+        ("FRM4", (0, 2, 2)),
+        ("FRM4", (7, 3, 2)),
+    ],
+)
+def test_rows_of_any_shape_round_trip(tmp_path, tag, shape):
+    save, load = SAVERS[tag]
+    rows = np.random.default_rng(sum(shape)).uniform(0.5, 2.0, size=shape)
+    save(rows, tmp_path / "rows")
+    parts, payload = read_parts(tmp_path / "rows")
+    assert parts[:-1] == [tag, *map(str, shape)] and len(payload) == rows.nbytes
+    got = load(tmp_path / "rows")
+    assert got.shape == shape and got.tobytes() == rows.tobytes()
+
+
+# any real dtype is written as its float64 values, little-endian whatever
+# the input's byte order
+@pytest.mark.parametrize("tag", list(SAVERS))
+@pytest.mark.parametrize("dtype", [">f8", "<f4", ">f4", "<i8", ">i4"])
+def test_rows_are_written_as_little_endian_float64(tmp_path, tag, dtype):
+    save, load = SAVERS[tag]
+    shape = (3, 4) if tag == "EMB3" else (3, 2, 2)
+    rows = (np.arange(1, 13).reshape(shape) * (-1) ** np.arange(12).reshape(shape)).astype(dtype)
+    save(rows, tmp_path / "rows")
+    expected = rows.astype("<f8")
+    assert read_parts(tmp_path / "rows")[1] == expected.tobytes()
+    assert load(tmp_path / "rows").tobytes() == expected.tobytes()
+
+
+# views that are not C-contiguous are written in their index order
+VIEWS = {
+    "every-other-row": lambda rows: rows[::2],
+    "transposed": lambda rows: rows.swapaxes(-1, -2),
+    "reversed": lambda rows: rows[::-1, ..., ::-1],
+}
+
+
+@pytest.mark.parametrize("tag", list(SAVERS))
+@pytest.mark.parametrize("view", list(VIEWS))
+def test_strided_views_are_written_in_index_order(tmp_path, tag, view):
+    save, load = SAVERS[tag]
+    shape = (6, 4) if tag == "EMB3" else (6, 3, 4)
+    rows = VIEWS[view](np.random.default_rng(37).standard_normal(shape))
+    assert not rows.flags.c_contiguous
+    save(rows, tmp_path / "rows")
+    assert read_parts(tmp_path / "rows")[1] == np.ascontiguousarray(rows).tobytes()
+    assert load(tmp_path / "rows").tobytes() == np.ascontiguousarray(rows).tobytes()
+
+
+def write_values(path, values):
+    """Replace a row file's payload by ``values``, under their own digest."""
+    parts, _ = read_parts(path)
+    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    parts[-1] = hashlib.sha256(payload).hexdigest()
+    path.write_bytes(" ".join(parts).encode("ascii") + b"\n" + payload)
+
+
+# (flat index of the first non-finite value, row it falls in) for 4 rows of 6 values
+NON_FINITE_AT = {"first-value": (0, 0), "end-of-row": (5, 0), "last-value": (23, 3)}
+
+
+@pytest.mark.parametrize("tag", list(SAVERS))
+@pytest.mark.parametrize("where", list(NON_FINITE_AT))
+def test_loader_names_the_first_row_holding_a_non_finite_value(tmp_path, tag, where):
+    save, load = SAVERS[tag]
+    rows = np.ones((4, 6) if tag == "EMB3" else (4, 2, 3))
+    save(rows, tmp_path / "rows")
+    index, row = NON_FINITE_AT[where]
+    values = rows.ravel()
+    values[index] = np.nan
+    values[index + 1 :: 7] = np.inf  # later rows too: the first one is named
+    write_values(tmp_path / "rows", values)
+    message = f"{tmp_path / 'rows'}: row {row} holds a non-finite value"
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        load(tmp_path / "rows")
+
+
 @pytest.fixture(params=["EMB3", "FRM4"])
 def row_file(request, tmp_path):
     """A valid row file of each tag, and its loader."""
@@ -264,6 +357,13 @@ class TestWriterRefusals:
         frames[2, 1, 0] = value
         with pytest.raises(NonFiniteError, match="row 2 holds a non-finite value"):
             self.write(tmp_path, save_frame_file, frames)
+
+    @pytest.mark.parametrize("tag", list(SAVERS))
+    def test_first_of_several_non_finite_rows_is_named(self, tmp_path, tag):
+        rows = np.ones((5, 3) if tag == "EMB3" else (5, 3, 1))
+        rows.reshape(5, 3)[[1, 3, 4], -1] = [np.inf, np.nan, -np.inf]
+        with pytest.raises(NonFiniteError, match="row 1 holds a non-finite value"):
+            self.write(tmp_path, SAVERS[tag][0], rows)
 
     @pytest.mark.parametrize("shape", [(1, 0, 2), (1, 2, 0)])
     def test_rows_of_no_value(self, tmp_path, shape):

@@ -25,12 +25,14 @@ from marginforge.data import (
     generate,
     write_dataset,
 )
-from marginforge.errors import ChecksumError, ParseError
+from marginforge.errors import ChecksumError, MarginForgeError, ParseError
 from marginforge.experts import (
     load_frame_file,
     load_static_embeddings,
+    read_container,
     save_frame_file,
     save_static_embeddings,
+    write_container,
 )
 from marginforge.model import (
     Checkpoint,
@@ -137,10 +139,88 @@ CONTAINERS = {
 }
 
 
-def write_signed(path, parts, payload, at):
+def signed(parts, payload, at) -> bytes:
     """A header and payload, with the payload's own digest as token ``at``."""
     parts = [*parts[:at], digest(payload), *parts[at + 1 :]]
-    path.write_bytes(" ".join(parts).encode("ascii") + b"\n" + payload)
+    return " ".join(parts).encode("ascii") + b"\n" + payload
+
+
+def write_signed(path, parts, payload, at):
+    path.write_bytes(signed(parts, payload, at))
+
+
+def content(loaded):
+    """What a loader returned, as comparable plain data."""
+    if isinstance(loaded, np.ndarray):
+        return loaded.shape, loaded.tobytes()
+    arrays = [arr for _, arr in loaded.model.param_items()]
+    if loaded.opt_state is not None:
+        arrays += [*loaded.opt_state.m.values(), *loaded.opt_state.v.values()]
+    fields = (loaded.epoch, loaded.seed, loaded.config_hash)
+    return loaded.model.dims, fields, [arr.tobytes() for arr in arrays]
+
+
+def header(parts, sep=" ", end="\n") -> bytes:
+    return (sep.join(parts) + end).encode("utf-8")
+
+
+def recount(parts, step):
+    """``parts`` with its first count moved by ``step``."""
+    return [parts[0], str(int(parts[1]) + step), *parts[2:]]
+
+
+HINT_ERROR = (ParseError, "line 1: {path}: expected a {tag} header; ", 1)
+DIGEST_ERROR = (ChecksumError, "{path}: payload digest does not match the header's ", None)
+COUNT_ERROR = (ParseError, r"{path}: payload holds {size} bytes, expected \d+$", None)
+LENGTH_ERROR = (ParseError, r"{path}: payload holds \d+ bytes, expected {size}$", None)
+
+# name: (edit of a valid file's header tokens, payload and digest position,
+# and what loading the edited file gives: None for the original contents, or
+# the error type, its message as a pattern and its line)
+CONTAINER_EDITS = {
+    "two-spaces": (lambda parts, payload, at: header(parts, "  ") + payload, None),
+    "tabs": (lambda parts, payload, at: header(parts, "\t") + payload, None),
+    "crlf": (lambda parts, payload, at: header(parts, end="\r\n") + payload, None),
+    "trailing-space": (lambda parts, payload, at: header(parts, end=" \n") + payload, None),
+    "lowercase-tag": (
+        lambda parts, payload, at: header([parts[0].lower(), *parts[1:]]) + payload,
+        HINT_ERROR,
+    ),
+    "empty-file": (lambda parts, payload, at: b"", HINT_ERROR),
+    "blank-first-line": (lambda parts, payload, at: b"\n" + header(parts) + payload, HINT_ERROR),
+    "no-line-end": (lambda parts, payload, at: header(parts, end=""), HINT_ERROR),
+    "non-ascii-space": (lambda parts, payload, at: header(parts, "\u00a0") + payload, HINT_ERROR),
+    "uppercase-digest": (
+        lambda parts, payload, at: header([*parts[:at], parts[at].upper(), *parts[at + 1 :]])
+        + payload,
+        DIGEST_ERROR,
+    ),
+    "digest-one-short": (
+        lambda parts, payload, at: header([*parts[:at], parts[at][:-1], *parts[at + 1 :]])
+        + payload,
+        DIGEST_ERROR,
+    ),
+    "non-hex-digest": (
+        lambda parts, payload, at: header([*parts[:at], "z" * 64, *parts[at + 1 :]]) + payload,
+        DIGEST_ERROR,
+    ),
+    "no-payload": (lambda parts, payload, at: header(parts), DIGEST_ERROR),
+    "byte-appended": (lambda parts, payload, at: header(parts) + payload + b"\0", DIGEST_ERROR),
+    "first-count-up": (
+        lambda parts, payload, at: header(recount(parts, 1)) + payload,
+        COUNT_ERROR,
+    ),
+    "first-count-down": (
+        lambda parts, payload, at: header(recount(parts, -1)) + payload,
+        COUNT_ERROR,
+    ),
+    "byte-short-signed": (lambda parts, payload, at: signed(parts, payload[:-1], at), LENGTH_ERROR),
+    "byte-long-signed": (
+        lambda parts, payload, at: signed(parts, payload + b"\0", at),
+        LENGTH_ERROR,
+    ),
+    "empty-payload-signed": (lambda parts, payload, at: signed(parts, b"", at), LENGTH_ERROR),
+}
 
 
 @pytest.mark.parametrize("tag", list(CONTAINERS))
@@ -199,6 +279,123 @@ class TestContainer:
         write_signed(path, parts, values.tobytes(), at)
         with pytest.raises(ParseError, match=re.escape(f"{path}: ") + ".*holds a non-finite value"):
             load(path)
+
+    @pytest.mark.parametrize("edit", list(CONTAINER_EDITS))
+    def test_edited_file_loads_the_same_or_fails_naming_itself(self, tmp_path, tag, edit):
+        path, load, at = self.written(tmp_path, tag)
+        original = content(load(path))
+        parts, payload = read_parts(path)
+        change, outcome = CONTAINER_EDITS[edit]
+        path.write_bytes(change(parts, payload, at))
+        if outcome is None:
+            assert content(load(path)) == original
+            return
+        error, message, line = outcome
+        message = message.format(path=re.escape(str(path)), tag=tag, size=len(payload))
+        with pytest.raises(error, match="^" + message) as excinfo:
+            load(path)
+        assert getattr(excinfo.value, "line", None) == line
+
+    def test_every_header_byte_substitution_loads_the_same_or_fails_naming_the_file(
+        self, tmp_path, tag
+    ):
+        # each field of these headers sets the payload's length or is its
+        # digest; a trainer CKPT3's adam fields are neither, so the model-only
+        # file stands for CKPT3 here
+        if tag == "CKPT3":
+            path, load = tmp_path / "file.ckpt3", read_checkpoint
+            write_checkpoint(Checkpoint(init_params(ModelDims(3, 2, 0, 2), 5)), path)
+        else:
+            path, load, _ = self.written(tmp_path, tag)
+        original, raw = content(load(path)), path.read_bytes()
+        loaded = 0
+        for offset in range(raw.index(b"\n") + 1):
+            for byte in range(256):
+                path.write_bytes(raw[:offset] + bytes([byte]) + raw[offset + 1 :])
+                try:
+                    got = load(path)
+                except MarginForgeError as exc:
+                    assert str(path) in str(exc)
+                else:
+                    assert content(got) == original
+                    loaded += 1
+        # the original byte itself, and whitespace for a separator
+        assert loaded > raw.index(b"\n")
+
+    def test_text_file_opening_with_a_comment_gets_the_hint(self, tmp_path, tag):
+        path, load, _ = self.written(tmp_path, tag)
+        path.write_text(f"# written by an old version\n{tag} 1 1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(CONTAINERS[tag][4])) as excinfo:
+            load(path)
+        assert excinfo.value.line == 1
+
+    def test_writer_replaces_a_longer_file(self, tmp_path, tag):
+        path, load, _ = self.written(tmp_path, tag)
+        raw = path.read_bytes()
+        path.write_bytes(b"\xff" * (3 * len(raw)))
+        CONTAINERS[tag][0](path)
+        assert path.read_bytes() == raw
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "written_as, read_as",
+    [(a, b) for a in CONTAINERS for b in CONTAINERS if a != b],
+    ids=[f"{a}-as-{b}" for a in CONTAINERS for b in CONTAINERS if a != b],
+)
+def test_file_of_another_container_is_refused_at_line_1(tmp_path, written_as, read_as):
+    path = tmp_path / "file.bin"
+    CONTAINERS[written_as][0](path)
+    message = f"line 1: {path}: expected a {read_as} header; {CONTAINERS[read_as][4]}"
+    with pytest.raises(ParseError, match="^" + re.escape(message)):
+        CONTAINERS[read_as][1](path)
+
+
+class TestContainerSkeleton:
+    """``write_container`` and ``read_container`` as any format calls them."""
+
+    def test_arrays_follow_one_another_in_c_order(self, tmp_path):
+        a = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        b = np.array([-0.0, 0.5, 1e300])
+        write_container(tmp_path / "x", "TAG 7", [a, b])
+        parts, payload = read_parts(tmp_path / "x")
+        assert payload == np.ascontiguousarray(a).tobytes() + b.tobytes()
+        assert parts == ["TAG", "7", digest(payload)]
+
+    def test_tail_follows_the_digest(self, tmp_path):
+        write_container(tmp_path / "x", "TAG", [np.ones(2)], "adam 1 2")
+        parts, payload = read_parts(tmp_path / "x")
+        assert parts == ["TAG", digest(payload), "adam", "1", "2"]
+
+    def test_empty_tail_is_no_token(self, tmp_path):
+        write_container(tmp_path / "x", "TAG 1", [np.ones(1)])
+        line = (tmp_path / "x").read_bytes().partition(b"\n")[0]
+        assert line == f"TAG 1 {digest(np.ones(1).tobytes())}".encode("ascii")
+
+    def test_layout_reads_the_fields_after_the_tag(self, tmp_path):
+        values = np.arange(5.0)
+        write_container(tmp_path / "x", "TAG 5", [values], "end")
+        seen = []
+
+        def layout(fields):
+            seen.append(fields)
+            return fields[1], int(fields[0]), "parsed"
+
+        header, got = read_container(tmp_path / "x", "TAG", "hint", layout)
+        assert seen == [["5", digest(values.tobytes()), "end"]]
+        assert header == "parsed" and got.tobytes() == values.tobytes()
+
+    def test_layout_error_comes_before_the_digest_check(self, tmp_path):
+        write_container(tmp_path / "x", "TAG", [np.ones(3)])
+        raw = bytearray((tmp_path / "x").read_bytes())
+        raw[-1] ^= 0xFF
+
+        def layout(fields):
+            raise ParseError("layout refused", 1)
+
+        (tmp_path / "x").write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="^line 1: layout refused$"):
+            read_container(tmp_path / "x", "TAG", "hint", layout)
 
 
 # SHA-256 of whole CKPT3 files, header and payload, as the format was first
