@@ -41,6 +41,8 @@ from .experts import (
     load_static_embeddings,
     parse_count,
     read_records,
+    embeddings_head,
+    frames_head,
     save_frame_file,
     save_static_embeddings,
 )
@@ -224,8 +226,10 @@ def generate(cfg: SynthConfig) -> Dataset:
         concepts=concepts,
         frames=frames,
         text=text,
-        sse_video=StaticEmbeddingTable(ids, sse_video_vecs),
-        sse_text=StaticEmbeddingTable(ids, sse_text_vecs),
+        # each table holds its own copy of the ids, so an edit of one list
+        # edits no other
+        sse_video=StaticEmbeddingTable(list(ids), sse_video_vecs),
+        sse_text=StaticEmbeddingTable(list(ids), sse_text_vecs),
         train_ids=[ids[i] for i in train_rows],
         val_ids=[ids[i] for i in val_rows],
     )
@@ -342,16 +346,25 @@ def _load_split(path) -> list[str]:
 def write_dataset(dataset: Dataset, out_dir) -> None:
     """Write all data files, then a MANIFEST2 manifest with each file's SHA-256.
 
-    The ids and concepts are checked first (``_check_labels``), so a refused
-    dataset leaves no file behind.
+    The ids and concepts (``_check_labels``) and then every row array (its
+    file's head, ``experts.frames_head`` or ``embeddings_head``) are checked
+    before the directory is made, so a refused dataset leaves no file or
+    directory behind.
     """
     _check_labels(dataset)
     out = Path(out_dir)
+    embeddings = {
+        "text": dataset.text,
+        "sse_video": dataset.sse_video.embeddings,
+        "sse_text": dataset.sse_text.embeddings,
+    }
+    heads = {"frames": frames_head(dataset.frames, out / _FILES["frames"])}
+    for name, rows in embeddings.items():
+        heads[name] = embeddings_head(rows, out / _FILES[name])
     out.mkdir(parents=True, exist_ok=True)
-    save_frame_file(dataset.frames, out / _FILES["frames"])
-    save_static_embeddings(dataset.text, out / _FILES["text"])
-    for name in ("sse_video", "sse_text"):
-        save_static_embeddings(getattr(dataset, name).embeddings, out / _FILES[name])
+    save_frame_file(dataset.frames, out / _FILES["frames"], heads["frames"])
+    for name, rows in embeddings.items():
+        save_static_embeddings(rows, out / _FILES[name], heads[name])
     _write_labels(dataset, out / _FILES["labels"])
     _write_split(dataset.train_ids, out / _FILES["split_train"])
     _write_split(dataset.val_ids, out / _FILES["split_val"])
@@ -440,8 +453,8 @@ def load_dataset(data_dir) -> Dataset:
             concepts=np.array(list(labels.values()), dtype=np.int64),
             frames=rows["frames"],
             text=rows["text"],
-            sse_video=StaticEmbeddingTable(ids, rows["sse_video"]),
-            sse_text=StaticEmbeddingTable(ids, rows["sse_text"]),
+            sse_video=StaticEmbeddingTable(list(ids), rows["sse_video"]),
+            sse_text=StaticEmbeddingTable(list(ids), rows["sse_text"]),
             train_ids=train_ids,
             val_ids=val_ids,
         )

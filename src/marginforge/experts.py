@@ -226,17 +226,17 @@ def _read_rows(path, tag: str, n_counts: int, hint: str) -> np.ndarray:
     return values.reshape(shape)
 
 
-def _write_rows(path, head: str, rows: np.ndarray) -> None:
-    """``write_container`` of one row array; rows the loaders would reject,
-    rows of no value (``ShapeMismatchError``) or a row holding a non-finite
-    value (``NonFiniteError``, naming its row), are refused before the file
-    is opened."""
+def _row_head(path, tag: str, rows: np.ndarray) -> str:
+    """The head ``tag <N> <counts...>`` of a row file at ``path`` for
+    ``rows``, once they pass the check: rows the loaders would reject, rows
+    of no value (``ShapeMismatchError``) or a row holding a non-finite value
+    (``NonFiniteError``, naming its row), are refused."""
     if min(rows.shape[1:]) < 1:
         raise ShapeMismatchError(f"{path}: rows need at least one value, got shape {rows.shape}")
     finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
     if not finite.all():
         raise NonFiniteError(f"{path}: row {int(np.argmin(finite))} holds a non-finite value")
-    write_container(path, head, [rows])
+    return " ".join([tag, *map(str, rows.shape)])
 
 
 def load_static_embeddings(path) -> np.ndarray:
@@ -251,10 +251,17 @@ def load_static_embeddings(path) -> np.ndarray:
     return rows
 
 
-def save_static_embeddings(rows: np.ndarray, path) -> None:
-    """Write the (N, D) ``rows`` as an EMB3 file."""
+def embeddings_head(rows: np.ndarray, path) -> str:
+    """The checked EMB3 head of the (N, D) ``rows`` (``_row_head``)."""
     n, dim = rows.shape
-    _write_rows(path, f"EMB3 {n} {dim}", rows)
+    return _row_head(path, "EMB3", rows)
+
+
+def save_static_embeddings(rows: np.ndarray, path, head: str | None = None) -> None:
+    """Write the (N, D) ``rows`` as an EMB3 file; ``head`` is their
+    ``embeddings_head`` if the caller has checked them already, so that the
+    rows are checked once, before the file is opened."""
+    write_container(path, head or embeddings_head(rows, path), [rows])
 
 
 def load_frame_file(path) -> np.ndarray:
@@ -262,7 +269,13 @@ def load_frame_file(path) -> np.ndarray:
     return _read_rows(path, "FRM4", 3, _retired_hint("FRM4", "FRM1, FRM2 and FRM3"))
 
 
-def save_frame_file(frames: np.ndarray, path) -> None:
-    """Write the (N, T, D) ``frames`` as an FRM4 file, item by item, frame-major."""
+def frames_head(frames: np.ndarray, path) -> str:
+    """The checked FRM4 head of the (N, T, D) ``frames`` (``_row_head``)."""
     n, t, dim = frames.shape
-    _write_rows(path, f"FRM4 {n} {t} {dim}", frames)
+    return _row_head(path, "FRM4", frames)
+
+
+def save_frame_file(frames: np.ndarray, path, head: str | None = None) -> None:
+    """Write the (N, T, D) ``frames`` as an FRM4 file, item by item,
+    frame-major; ``head`` is as for ``save_static_embeddings``."""
+    write_container(path, head or frames_head(frames, path), [frames])

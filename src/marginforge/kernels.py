@@ -20,8 +20,11 @@ Memory: a training step makes no B x B array. ``triplet_terms`` forms ``S``
 one block of R anchor rows at a time, R = BLOCK_VALUES // B, from the unit
 rows: ``U[r0:r1] @ V.T`` for direction text and ``V[r0:r1] @ U.T`` for
 direction video, both into one (2, R, B) buffer, so no pass reads ``S`` by
-columns. Margin levels are row sources (``margin.ExpertMargins``), formed
-one block at a time. ``dS`` is never formed either: it is applied to the
+columns. A margin level is a scalar or a row source (``margin.ExpertMargins``;
+``objective._margin_levels`` states the contract): product rows, formed one
+block at a time, under an affine map, with a bound on its margins. The full
+scan and mean mining's loss map whole blocks; pruned hardest mining maps
+only the cells it scores. ``dS`` is never formed either: it is applied to the
 unit rows and returned as a ``ProjectedGradient`` of B x D values. Under
 hardest mining it has 3B entries, applied after the blocks, once their
 buffers are freed; under mean mining each block's part is applied as the
@@ -35,7 +38,8 @@ PRUNE_MIN_B, ``_mine_pruned`` only the cells that can win. It takes j*, the
 cell of largest ``s_neg - s_pos`` outside the anchor's own, and scores it
 exactly: that score ``lb`` is a lower bound on the row's best. With level
 weights w >= 0 a cell scores at most ``W * max(0, s_neg - s_pos + A)``, W
-the criterion weights' sum and A the row's largest criterion margin, so
+the criterion weights' sum and A the largest of the scalar levels and the
+row sources' bounds, which no margin off the anchors' own cells exceeds, so
 only cells with ``s_neg >= s_pos + lb / W - A`` can reach ``lb``; a slack
 of (2K + 8) ulps of the values' size ``|s_pos| + lb / W + |A|``, K the
 criterion's level count, covers every rounding of that bound, since
@@ -43,11 +47,14 @@ rounding is monotone. Both selectors score a cell by ``_criterion``, so
 with the same bits; the smallest index of the best score wins, and a row
 whose best score is 0 mines its first index that is not the anchor, as
 ``argmax`` of the full criterion does. For finite inputs the mined indices,
-and so ``comp`` and ``dS``, do not depend on the selector. Per
-hardest-mining call on a ``bigbatch``-recipe run's inputs, where 0.4% of
-the cells (3.8 per row) are candidates, the pruned selector takes 0.6-0.8
-of the full scan's time at B=1024 and B=256, and 1.2-1.5 times as long at
-B=64, where some 50 small numpy calls per block dominate (PRUNE_MIN_B).
+and so ``comp`` and ``dS``, do not depend on the selector; a looser A
+only admits more candidates. Per hardest-mining call on a
+``bigbatch``-recipe run's inputs, where 0.24% of the cells are candidates
+(0.235% with each row's exact largest margin for A), a call through the
+pruned selector takes 0.39-0.54 of the full scan's time at B=1024 and
+0.51-0.63 at B=256, and 1.24-1.44 times as long at B=64, where some 50
+small numpy calls per block dominate (PRUNE_MIN_B; the range of 7
+alternating rounds in each of two runs, 2-core x86_64, 1 BLAS thread).
 """
 
 import numpy as np
@@ -64,8 +71,9 @@ __all__ = [
 BLOCK_VALUES = 1 << 15
 # smallest B at which both minings mine through the pruned selector:
 # per hardest-mining call on a training run's inputs (2-core x86_64, 1 BLAS
-# thread) it took 1.05-1.10 of the full scan's time at B=96 and 0.87-0.94
-# at B=128; the crossover was not measured on mean-mining calls
+# thread, the medians of two runs of 7 alternating rounds) it took 1.04 and
+# 1.12 of the full scan's time at B=96, 0.79 and 0.88 at B=128, and 0.63
+# and 0.73 at B=192; the crossover was not measured on mean-mining calls
 PRUNE_MIN_B = 128
 
 
@@ -125,14 +133,26 @@ def _criterion(base, gathered, layout, w, out=None):
     return crit
 
 
+def _margins_at(planes, cells, cell_map):
+    """The (L, cells) margins at flat ``cells`` of the (L, m) ``planes``;
+    ``cell_map``, if not None, is the ``(-scale, offset)`` columns of the
+    levels' maps, still to be applied to what the planes hold."""
+    at = planes[:, cells]
+    if cell_map is not None:
+        at *= cell_map[0]
+        at += cell_map[1]
+    return at
+
+
 def _mine_full(N, pos, margins, layout, w, r0, buf):
     """Both directions' hardest negatives of one block: the argmax of the
     criterion at every cell but the anchor's own.
 
-    Takes ``_mine_pruned``'s arguments, except that ``w`` may sum to 0 and
-    ``buf`` is a (K + 1, 2 * R * B) float buffer, R >= n: ``s_neg - s_pos``
-    in its last row and the criterion's K levels in the others, each row
-    both directions' block.
+    Takes ``N``, ``pos``, ``layout``, ``w`` and ``r0`` as ``_mine_pruned``
+    does, except that ``w`` may sum to 0; ``margins`` is the (L, n, B)
+    margin rows of the non-scalar levels, mapped, and ``buf`` is a (K + 1,
+    2 * R * B) float buffer, R >= n: ``s_neg - s_pos`` in its last row and
+    the criterion's K levels in the others, each row both directions' block.
     """
     buf = buf[:, : N.size].reshape(-1, *N.shape)
     base = np.subtract(N, pos[:, :, None], out=buf[-1])
@@ -141,42 +161,42 @@ def _mine_full(N, pos, margins, layout, w, r0, buf):
     return np.argmax(crit, axis=2).reshape(-1)
 
 
-def _mine_pruned(N, pos, margins, layout, w, r0, buf):
+def _mine_pruned(N, pos, planes, cell_map, A, layout, w, r0, buf):
     """Both directions' hardest negatives of one block, scoring only the
     cells that can win: ``_mine_full``'s result, bit for bit.
 
     ``N`` is the (2, n, B) block of S for anchors ``r0:r0 + n``, with their
-    own cells at ``-inf``; ``pos`` holds the (2, n) positives, ``margins``
-    the (L, n, B) margin rows of the criterion's non-scalar levels and ``w``
-    the criterion's weights, of positive sum; ``buf`` is a bool buffer of at
-    least 2nB values, for the candidate mask. Returns the mined column of
-    each of the 2n rows.
+    own cells at ``-inf``; ``pos`` holds the (2, n) positives, ``planes``
+    the (L, n, B) rows of the criterion's non-scalar levels, whose margins
+    are ``_margins_at`` them under ``cell_map``, ``A`` is at least every
+    off-diagonal margin of every level, and ``w`` holds the criterion's
+    weights, of positive sum; ``buf`` is a bool buffer of at least 2nB
+    values, for the candidate mask. Returns the mined column of each of the
+    2n rows.
     """
     _, n, B = N.shape
     mask = buf[: N.size].reshape(N.shape)
     flat, pos_flat = N.reshape(-1), pos.reshape(-1)
     anchors = np.arange(2 * n)
     own = anchors % n  # each row's anchor, within the block
-    starts, offsets = anchors * B, own * B  # each row's first cell in N and in margins
-    # each anchor row's largest criterion margin
-    A = np.full(n, layout[2].max(initial=-np.inf))
-    if len(margins):
-        np.maximum(A, margins.max(axis=(0, 2)), out=A)
-    margins = margins.reshape(len(margins), n * B)
+    starts, offsets = anchors * B, own * B  # each row's first cell in N and in planes
+    planes = planes.reshape(len(planes), n * B)
     # j*, the largest s_neg of each row, scored exactly, is a lower bound
     star = np.argmax(N, axis=2).reshape(-1)
-    lb = _criterion(flat[starts + star] - pos_flat, margins[:, offsets + star], layout, w)
+    at = _margins_at(planes, offsets + star, cell_map)
+    lb = _criterion(flat[starts + star] - pos_flat, at, layout, w)
     # a cell scores at most W * max(0, s_neg - s_pos + A); keep those that
     # may reach lb, less a slack that covers every rounding of the bound
     ratio = lb.reshape(2, n) / w.sum()
     slack = (2 * len(w) + 8) * np.finfo(np.float64).eps
-    floor = pos + (ratio - A) - slack * (np.abs(pos) + ratio + np.abs(A))
+    floor = pos + (ratio - A) - slack * (np.abs(pos) + ratio + abs(A))
     np.greater_equal(N, floor[:, :, None], out=mask)
     mask.reshape(-1)[starts + star] = True
     cand = np.flatnonzero(mask)
     row = cand // B
     col = cand - starts[row]
-    crit = _criterion(flat[cand] - pos_flat[row], margins[:, offsets[row] + col], layout, w)
+    at = _margins_at(planes, offsets[row] + col, cell_map)
+    crit = _criterion(flat[cand] - pos_flat[row], at, layout, w)
     # every row holds j*, so each has a segment; ties go to the smallest index
     segments = np.searchsorted(row, anchors)
     best = np.maximum.reduceat(crit, segments)
@@ -198,10 +218,11 @@ def triplet_terms(
     U and V are the B x D unit rows of the videos and the texts, so the
     similarity matrix is ``S = U @ V.T`` (rows = videos, cols = texts), of
     which only row blocks are formed; M is a sequence of K margin levels,
-    each a scalar or a row source with a ``rows(r0, r1, out)`` method that
-    writes rows ``r0:r1`` of its B x B margins, such as
-    ``margin.ExpertMargins`` (``objective._margin_levels`` states and checks
-    that contract); w holds their K weights, which must be nonnegative
+    each a scalar or a row source such as ``margin.ExpertMargins``: rows
+    ``r0:r1`` of its B x B products from ``products(r0, r1, out)``, its
+    margins ``g * -scale + offset`` and ``bound`` at least every margin off
+    the diagonal (``objective._margin_levels`` states and checks that
+    contract); w holds their K weights, which must be nonnegative
     (``ValueError`` otherwise, as for K = 0 or a w of another length): the
     pruned path's bound needs it, and every caller's weights, 1 and the
     slots' lambda * renorm and (1 - lambda) * renorm, are. Level hinges for
@@ -223,21 +244,25 @@ def triplet_terms(
     Memory is a few (R, B) planes: anchors are taken R = BLOCK_VALUES // B
     rows at a time. One (2, R, B) buffer holds both directions' blocks of
     S, each formed once with its positives on its own diagonal, and one
-    (L, R, B) buffer the margin rows of the L non-scalar levels, formed
-    once per block for both directions. Both minings mine through the
-    selectors of the module docstring: the pruned one adds a (2, R, B)
-    bool candidate mask, L + 2.25 planes in all, and the full scan adds
-    ``s_neg - s_pos`` and the criterion's K levels for both directions,
-    L + 2K + 4 planes. Mean mining adds three planes for its loss. Under
-    hardest mining the mined negatives and margins are gathered from the
-    block buffers, and the level totals and dS's entries come from the B
-    mined entries per direction only, so they do not depend on R, and the
-    entries are applied once the block buffers are freed; under mean mining
-    ``comp`` is summed block by block, in direction-then-block order, and
-    each block's weighted active cells are multiplied into ``dS``'s
-    products with the unit rows.
+    (L, R, B) buffer the product rows of the L non-scalar levels, formed
+    once per block for both directions. The full scan and mean mining map
+    each product plane in place (``g *= -scale``, then ``g += offset``, the
+    operations of ``ExpertMargins.rows``); pruned hardest mining keeps the
+    products and applies the same two operations at j*, the candidates and
+    the mined cells alone, so a margin has the same bits on either path.
+    Both minings mine through the selectors of the module docstring: the
+    pruned one adds a (2, R, B) bool candidate mask, L + 2.25 planes in
+    all, and the full scan adds ``s_neg - s_pos`` and the criterion's K
+    levels for both directions, L + 2K + 4 planes. Mean mining adds three
+    planes for its loss. Under hardest mining the mined negatives and
+    margins are gathered from the block buffers, and the level totals and
+    dS's entries come from the B mined entries per direction only, so they
+    do not depend on R, and the entries are applied once the block buffers
+    are freed; under mean mining ``comp`` is summed block by block, in
+    direction-then-block order, and each block's weighted active cells are
+    multiplied into ``dS``'s products with the unit rows.
     """
-    levels = [m if hasattr(m, "rows") else float(m) for m in M]
+    levels = [m if hasattr(m, "products") else float(m) for m in M]
     blocked = [k for k, m in enumerate(levels) if not isinstance(m, float)]
     w = np.ascontiguousarray(w, dtype=np.float64)
     if w.shape != (len(levels),):
@@ -251,11 +276,23 @@ def triplet_terms(
     rows = np.arange(B)
     scalars = [k for k, m in enumerate(levels) if isinstance(m, float)]
     layout = (blocked, scalars, np.array([levels[k] for k in scalars]))
+    sources = [levels[k] for k in blocked]
+    # each row source's map g -> g * -scale + offset, as (L, 1) columns
+    neg_scale = np.array([-float(m.scale) for m in sources]).reshape(-1, 1)
+    offset = np.array([float(m.offset) for m in sources]).reshape(-1, 1)
     # a criterion of weight 0 is 0 everywhere and gives no bound to prune by
-    if B >= PRUNE_MIN_B and w.sum() > 0.0:
-        select, scratch = _mine_pruned, np.empty(2 * R * B, dtype=bool)
+    pruned = B >= PRUNE_MIN_B and w.sum() > 0.0
+    if pruned:
+        scratch = np.empty(2 * R * B, dtype=bool)
+        # at least every criterion margin off the anchors' own cells
+        A = max([float(m.bound) for m in sources] + layout[2].tolist())
     else:
-        select, scratch = _mine_full, np.empty((K + 1, 2 * R * B))
+        scratch = np.empty((K + 1, 2 * R * B))
+    # the full scan and mean mining's loss read whole margin planes, mapped
+    # in place; pruned hardest mining keeps the products and maps only the
+    # cells it scores
+    whole = mean_mining or not pruned
+    cell_map = None if whole else (neg_scale, offset)
     # each direction's block of S: S[:, r0:r1].T = V[r0:r1] @ U.T for
     # direction video, S[r0:r1] = U[r0:r1] @ V.T for direction text
     factors = ((V, U), (U, V))
@@ -288,9 +325,12 @@ def triplet_terms(
     for r0 in range(0, B, R):
         r1 = min(r0 + R, B)
         n = r1 - r0
-        block = list(levels)
+        planes, block = margin_buf[:, :n], list(levels)
         for slot, k in enumerate(blocked):
-            block[k] = levels[k].rows(r0, r1, margin_buf[slot, :n])
+            block[k] = sources[slot].products(r0, r1, planes[slot])
+            if whole:
+                block[k] *= neg_scale[slot, 0]
+                block[k] += offset[slot, 0]
         # the anchors' own entries: (i - r0, i) for i in [r0, r1)
         diag = np.s_[r0 :: B + 1]
         N = sim_buf[: 2 * n * B].reshape(2, n, B)
@@ -298,12 +338,15 @@ def triplet_terms(
             np.matmul(X[r0:r1], Y.T, out=N[d])
         pos[:, r0:r1] = N.reshape(2, -1)[:, diag]
         N.reshape(2, -1)[:, diag] = -np.inf
-        found = select(N, pos[:, r0:r1], margin_buf[:, :n], layout, w, r0, scratch)
+        if pruned:
+            found = _mine_pruned(N, pos[:, r0:r1], planes, cell_map, A, layout, w, r0, scratch)
+        else:
+            found = _mine_full(N, pos[:, r0:r1], planes, layout, w, r0, scratch)
         mined[:, r0:r1] = found.reshape(2, n)
         if not mean_mining:
             cells = np.arange(0, 2 * n * B, B) + found
             negs[:, r0:r1] = N.reshape(-1)[cells].reshape(2, n)
-            at = margin_buf[:, :n].reshape(len(blocked), n * B)[:, cells % (n * B)]
+            at = _margins_at(planes.reshape(-1, n * B), cells % (n * B), cell_map)
             mined_margins[:, r0:r1, blocked] = at.T.reshape(2, n, -1)
             continue
         # the positives back in the anchors' own cells, for dS * S
@@ -346,7 +389,7 @@ def triplet_terms(
         dS = ProjectedGradient(dSV * scale, dSTU * scale, row_sums * scale, col_sums * scale)
     else:
         # free the block buffers and their views before the entries' temporaries
-        sim_buf = scratch = margin_buf = N = block = None
+        sim_buf = scratch = margin_buf = planes = N = block = None
         grads = []
         for d in (0, 1):
             # (K, B) in column-major order, the layout of a fancy-indexed

@@ -11,10 +11,13 @@ outputs may go negative by design.
 from Gram sums (D x D work) instead of a pass over a B x B distance matrix,
 and ``affine`` turns them into the map. ``U(beta)`` has the closed form
 ``(beta / z)^2`` with ``z`` the 95% standard normal quantile. The margins
-themselves are an ``ExpertMargins``: the unit rows and the map, from which
-``kernels.triplet_terms`` forms one block of anchor rows at a time, so a
-training step never holds an expert's B x B margins. ``dense()`` gives the
-whole matrix.
+themselves are an ``ExpertMargins``: the unit rows and the map. As a margin
+level (``objective._margin_levels``) it gives ``kernels.triplet_terms`` its
+product rows ``units[r0:r1] @ units.T``, one block of anchor rows at a time,
+the map ``g * -scale + offset`` and a closed-form ``bound`` on its
+off-diagonal margins, so a training step never holds an expert's B x B
+margins, and the pruned hardest mining maps only the cells it scores.
+``rows`` gives a block of mapped rows and ``dense()`` the whole matrix.
 """
 
 import math
@@ -57,7 +60,13 @@ def affine(mean: float, var: float, mu: float, beta: float) -> tuple[float, floa
 @dataclass(frozen=True, eq=False)
 class ExpertMargins:
     """An expert's B x B margins ``-scale * (units @ units.T) + offset``,
-    with ``mu`` on the diagonal, kept as their (B, D) unit rows and map."""
+    with ``mu`` on the diagonal, kept as their (B, D) unit rows and map.
+
+    A margin level of the loss: ``products`` writes rows of ``g = units @
+    units.T``, whose margins are ``g * -scale + offset``, and ``bound`` is at
+    least every off-diagonal margin. The diagonal is the anchors' own cells,
+    which no hinge reads.
+    """
 
     units: np.ndarray
     scale: float
@@ -69,19 +78,39 @@ class ExpertMargins:
         b = self.units.shape[0]
         return b, b
 
-    def rows(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
-        """Write margin rows ``r0:r1`` into the C-contiguous (r1 - r0, B) ``out``.
+    @property
+    def bound(self) -> float:
+        """``offset + scale * (1 + slack)``, at least every off-diagonal margin.
+
+        A product of two unit rows is at least -1 less rounding: the dot
+        product's sum and each row's normalisation round, together by less
+        than (2D + 8) ulps of 1. ``scale`` is nonnegative and rounding is
+        monotone, so no mapped product exceeds this bound. In the
+        ``VAR_FLOOR`` fallback and at beta = 0 the scale is 0 and the bound
+        is ``mu``.
+        """
+        slack = (2 * self.units.shape[1] + 8) * np.finfo(np.float64).eps
+        return self.offset + self.scale * (1.0 + slack)
+
+    def products(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+        """Write rows ``r0:r1`` of ``units @ units.T`` into the C-contiguous
+        (r1 - r0, B) ``out``.
 
         The product is formed as ``units[r0:r1] @ units.T``: for the whole
         matrix numpy takes its exactly symmetric self product, for a strict
         row block a general one.
         """
         U = self.units
-        np.matmul(U[r0:r1], U.T, out=out)
+        return np.matmul(U[r0:r1], U.T, out=out)
+
+    def rows(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+        """Write margin rows ``r0:r1`` into the C-contiguous (r1 - r0, B) ``out``:
+        the product rows, mapped, with ``mu`` on the diagonal."""
+        self.products(r0, r1, out)
         out *= -self.scale
         out += self.offset
         # the block's own diagonal: (i - r0, i) for i in [r0, r1)
-        out.reshape(-1)[r0 :: U.shape[0] + 1] = self.mu
+        out.reshape(-1)[r0 :: self.units.shape[0] + 1] = self.mu
         return out
 
     def dense(self) -> np.ndarray:

@@ -95,15 +95,26 @@ def _margin_levels(B, margins, alpha, lam):
     """Margin levels (the scalar alpha, then the experts' margins) with
     weights and slot index ranges.
 
-    A margin level is a float or a row source: an object whose ``shape`` is
-    (B, B) and whose ``rows(r0, r1, out)`` writes rows ``r0:r1`` of its
-    B x B margins into the C-contiguous (r1 - r0, B) float64 ``out`` and
-    returns ``out``. ``margin.ExpertMargins`` is the one the trainer builds;
-    any other object that keeps the contract reaches the loss the same way.
-    Every given margin is checked for its kind, for being a row source
-    (``TypeError`` naming the kind otherwise) and for its shape first; then
-    a slot whose weight is exactly 0 is left out, so its index range is
-    empty.
+    A margin level is a float or a row source. A row source's ``shape`` is
+    (B, B), and its B x B margins are its products under an elementwise
+    affine map, with a bound:
+
+    * ``products(r0, r1, out)`` writes rows ``r0:r1`` of its B x B products
+      ``g`` into the C-contiguous (r1 - r0, B) float64 ``out`` and returns
+      ``out``;
+    * ``scale`` and ``offset`` are floats, and the margin of a cell is
+      ``g * -scale + offset``, two roundings, whether the map is applied to
+      a whole block or to some of its cells;
+    * ``bound`` is a float at least every off-diagonal margin; a looser
+      bound only lets pruned mining score more cells.
+
+    ``margin.ExpertMargins`` is the one the trainer builds; any other object
+    that keeps the contract reaches the loss the same way, and one whose
+    margins are no affine map of a product gives its margin rows as the
+    products, ``scale`` -1 and ``offset`` 0. Every given margin is checked
+    for its kind, for being a row source (``TypeError`` naming the kind
+    otherwise) and for its shape first; then a slot whose weight is exactly
+    0 is left out, so its index range is empty.
     """
     unknown = sorted(set(margins) - set(EXPERT_KINDS))
     if unknown:
@@ -115,10 +126,13 @@ def _margin_levels(B, margins, alpha, lam):
             if kind not in margins:
                 continue
             m = margins[kind]
-            if not (callable(getattr(m, "rows", None)) and hasattr(m, "shape")):
+            if not (
+                callable(getattr(m, "products", None))
+                and all(hasattr(m, name) for name in ("shape", "scale", "offset", "bound"))
+            ):
                 raise TypeError(
-                    f"{kind} margins must be a row source with shape and "
-                    f"rows(r0, r1, out), got {type(m).__name__}"
+                    f"{kind} margins must be a row source with shape, "
+                    f"products(r0, r1, out), scale, offset and bound, got {type(m).__name__}"
                 )
             if m.shape != (B, B):
                 raise ShapeMismatchError(f"{slot} margin shape {m.shape} != ({B}, {B})")

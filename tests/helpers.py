@@ -99,8 +99,13 @@ def reference_margins(U, mu: float, beta: float) -> np.ndarray:
 
 
 class DenseMargins:
-    """A given B x B margin matrix as a margin level: a row source that
-    copies rows ``r0:r1`` of the matrix into ``out``."""
+    """A given B x B margin matrix as a margin level: a row source whose
+    products are rows ``r0:r1`` of the matrix, copied into ``out``, under the
+    identity map (``scale`` -1, ``offset`` 0), with the matrix's largest
+    entry as its bound."""
+
+    scale = -1.0
+    offset = 0.0
 
     def __init__(self, m):
         self.m = np.asarray(m, dtype=np.float64)
@@ -109,7 +114,11 @@ class DenseMargins:
     def shape(self) -> tuple:
         return self.m.shape
 
-    def rows(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+    @property
+    def bound(self) -> float:
+        return float(self.m.max())
+
+    def products(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
         np.copyto(out, self.m[r0:r1])
         return out
 
@@ -119,8 +128,9 @@ class DenseMargins:
 
 class Delegating:
     """A row source that is not a ``margin.ExpertMargins``: it forwards
-    ``shape`` and ``rows`` to the one it wraps and counts the ``rows`` calls,
-    as a study's own distance-to-margin map would reach the loss."""
+    ``shape``, ``products``, ``scale``, ``offset`` and ``bound`` to the one it
+    wraps and counts the ``products`` calls, as a study's own
+    distance-to-margin map would reach the loss."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -130,9 +140,21 @@ class Delegating:
     def shape(self) -> tuple:
         return self.inner.shape
 
-    def rows(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+    @property
+    def scale(self) -> float:
+        return self.inner.scale
+
+    @property
+    def offset(self) -> float:
+        return self.inner.offset
+
+    @property
+    def bound(self) -> float:
+        return self.inner.bound
+
+    def products(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
         self.calls += 1
-        return self.inner.rows(r0, r1, out)
+        return self.inner.products(r0, r1, out)
 
 
 def row_sources(levels) -> list:
