@@ -37,12 +37,12 @@ import numpy as np
 from .errors import ChecksumError, ConfigError, DuplicateIdError, ParseError
 from .experts import (
     StaticEmbeddingTable,
+    embeddings_head,
+    frames_head,
     load_frame_file,
     load_static_embeddings,
     parse_count,
     read_records,
-    embeddings_head,
-    frames_head,
     save_frame_file,
     save_static_embeddings,
 )

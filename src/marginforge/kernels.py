@@ -277,9 +277,6 @@ def triplet_terms(
     scalars = [k for k, m in enumerate(levels) if isinstance(m, float)]
     layout = (blocked, scalars, np.array([levels[k] for k in scalars]))
     sources = [levels[k] for k in blocked]
-    # each row source's map g -> g * -scale + offset, as (L, 1) columns
-    neg_scale = np.array([-float(m.scale) for m in sources]).reshape(-1, 1)
-    offset = np.array([float(m.offset) for m in sources]).reshape(-1, 1)
     # a criterion of weight 0 is 0 everywhere and gives no bound to prune by
     pruned = B >= PRUNE_MIN_B and w.sum() > 0.0
     if pruned:
@@ -290,9 +287,13 @@ def triplet_terms(
         scratch = np.empty((K + 1, 2 * R * B))
     # the full scan and mean mining's loss read whole margin planes, mapped
     # in place; pruned hardest mining keeps the products and maps only the
-    # cells it scores
+    # cells it scores, by the levels' maps g -> g * -scale + offset as (L, 1)
+    # columns
     whole = mean_mining or not pruned
-    cell_map = None if whole else (neg_scale, offset)
+    cell_map = None
+    if not whole:
+        maps = np.array([[-m.scale, m.offset] for m in sources]).reshape(-1, 2)
+        cell_map = (maps[:, :1], maps[:, 1:])
     # each direction's block of S: S[:, r0:r1].T = V[r0:r1] @ U.T for
     # direction video, S[r0:r1] = U[r0:r1] @ V.T for direction text
     factors = ((V, U), (U, V))
@@ -329,8 +330,8 @@ def triplet_terms(
         for slot, k in enumerate(blocked):
             block[k] = sources[slot].products(r0, r1, planes[slot])
             if whole:
-                block[k] *= neg_scale[slot, 0]
-                block[k] += offset[slot, 0]
+                block[k] *= -sources[slot].scale
+                block[k] += sources[slot].offset
         # the anchors' own entries: (i - r0, i) for i in [r0, r1)
         diag = np.s_[r0 :: B + 1]
         N = sim_buf[: 2 * n * B].reshape(2, n, B)

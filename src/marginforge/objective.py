@@ -96,8 +96,8 @@ def _margin_levels(B, margins, alpha, lam):
     weights and slot index ranges.
 
     A margin level is a float or a row source. A row source's ``shape`` is
-    (B, B), and its B x B margins are its products under an elementwise
-    affine map, with a bound:
+    (B, B), and its B x B margins, off the diagonal that no hinge reads, are
+    its products under an elementwise affine map, with a bound:
 
     * ``products(r0, r1, out)`` writes rows ``r0:r1`` of its B x B products
       ``g`` into the C-contiguous (r1 - r0, B) float64 ``out`` and returns
