@@ -17,7 +17,13 @@ from marginforge.data import (
     load_dataset,
     write_dataset,
 )
-from marginforge.errors import ChecksumError, ConfigError, DuplicateIdError, ParseError
+from marginforge.errors import (
+    ChecksumError,
+    ConfigError,
+    DuplicateIdError,
+    NonFiniteError,
+    ParseError,
+)
 from marginforge.experts import StaticEmbeddingTable
 from marginforge.mathcore import unit_rows
 from marginforge.model import ModelDims, init_params
@@ -410,6 +416,20 @@ class TestDatasetInvariants:
         ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=16))
         np.testing.assert_allclose(ds.pooled_video(), ds.frames.mean(axis=1), atol=0)
 
+    @pytest.mark.parametrize("source", ["generate", "load_dataset"])
+    def test_tables_hold_their_own_ids(self, tmp_path, source):
+        # equal lists, none the other: an edit of the dataset's ids leaves
+        # the tables' ids as they were, so the table-ids check can see it
+        ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=17))
+        if source == "load_dataset":
+            write_dataset(ds, tmp_path)
+            ds = load_dataset(tmp_path)
+        lists = [ds.ids, ds.sse_video.ids, ds.sse_text.ids]
+        assert lists[0] == lists[1] == lists[2]
+        assert len({id(ids) for ids in lists}) == 3
+        ds.ids[0] = "edited"
+        assert ds.sse_video.ids[0] == ds.sse_text.ids[0] == "it000000"
+
 
 ROW_FILES = ["frames.frm1", "sse_text.emb1", "text.emb1", "sse_video.emb1"]
 
@@ -539,7 +559,8 @@ UNWRITABLE_IDS = ["", "a b", "a\tb", "a\nb", " a", "a\u2028b", "#x", "a\ud800"]
 
 class TestWriteRefusals:
     """``write_dataset`` refuses ids and concepts that ``labels.txt`` cannot
-    hold exactly before it makes any file or directory."""
+    hold exactly, and row arrays that a row file cannot hold, before it
+    makes any file or directory."""
 
     def refused(self, tmp_path, ds, error, match):
         out = tmp_path / "out"
@@ -576,3 +597,23 @@ class TestWriteRefusals:
         ds.concepts = concepts.astype(float)
         write_dataset(ds, tmp_path)
         np.testing.assert_array_equal(load_dataset(tmp_path).concepts, concepts)
+
+    @pytest.mark.parametrize("name", ["frames", "text", "sse_video", "sse_text"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_leaves_no_file(self, tmp_path, name, value):
+        # the last row arrays, too: each was once checked only by its own
+        # writer, after the files before it were written
+        ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=1))
+        rows = getattr(ds, name)
+        rows = getattr(rows, "embeddings", rows)
+        rows[2].flat[-1] = value
+        filename = "frames.frm1" if name == "frames" else f"{name}.emb1"
+        self.refused(tmp_path, ds, NonFiniteError, f"{filename}: row 2 holds a non-finite value")
+
+    def test_each_row_array_is_checked_once(self, tmp_path, monkeypatch):
+        ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=1))
+        arrays = [ds.frames, ds.text, ds.sse_video.embeddings, ds.sse_text.embeddings]
+        checked, real = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x, *a, **k: checked.append(x) or real(x, *a, **k))
+        write_dataset(ds, tmp_path / "out")
+        assert [id(x) for x in checked] == [id(arr) for arr in arrays]

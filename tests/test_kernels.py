@@ -9,6 +9,7 @@ from marginforge import kernels
 from marginforge.margin import expert_margins
 from marginforge.mathcore import cosine_similarity, unit_rows
 from helpers import (
+    Delegating,
     DenseMargins,
     dense_cosine_backward,
     dense_gradient,
@@ -277,22 +278,26 @@ def assert_matches_oracle(result, S, levels, w, mean_mining=False):
     np.testing.assert_array_equal(result[3], bf_t)
 
 
-def boundary_instance(rng, b, scale):
+def boundary_instance(rng, b, scale, top=False):
     """S and three margin levels in which, in every anchor row of direction
     text, a second cell j sits on the pruning bound: its margins are the
     row's largest margin A at every level and S[i, j] + A equals S[i, j*] +
     m* to within a few ulps, where j* holds the row's largest S and the
-    margin m* at every level. Which of j and j* wins is decided by rounding."""
+    margin m* at every level. Which of j and j* wins is decided by rounding.
+    With ``top``, A is the largest margin of all levels and rows instead,
+    the bound of ``DenseMargins`` levels, so that j sits on the bound the
+    pruned path takes."""
     S = scale * rng.uniform(-1.0, 1.0, (b, b))
     np.fill_diagonal(S, 0.5 * scale)
     M = scale * rng.uniform(0.0, 0.2, (3, b, b))
+    largest = M.max()
     for i in range(b):
         others = [j for j in range(b) if j != i]
         star = others[int(np.argmax(S[i, others]))]
         j = int(rng.choice([k for k in others if k != star]))
         m_star = M[:, i, star].min()
         M[:, i, star] = m_star
-        M[:, i, j] = M[:, i].max()
+        M[:, i, j] = largest if top else M[:, i].max()
         S[i, j] = S[i, star] + m_star - M[0, i, j]
         for _ in range(int(rng.integers(-3, 4)) % 7):
             S[i, j] = np.nextafter(S[i, j], np.inf if rng.random() < 0.5 else -np.inf)
@@ -396,6 +401,61 @@ class TestPrunedMining:
             assert_same_mining(full, pruned)
             assert_matches_oracle(pruned, S, levels, w)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_cells_on_the_levels_bound(self, monkeypatch, scale):
+        # the pruned path bounds every row by the levels' bounds, here the
+        # largest margin of the batch, on which a cell of every row sits
+        rng = np.random.default_rng(955)
+        w = np.array([1.0, 0.3, 0.7])
+        for _ in range(10):
+            S, levels = boundary_instance(rng, 16, scale, top=True)
+            full, pruned = both_paths(monkeypatch, dense_rows(S), levels, w)
+            assert_same_mining(full, pruned)
+            assert_matches_oracle(pruned, S, levels, w)
+
+    @pytest.mark.parametrize("mean_mining", [False, True])
+    @pytest.mark.parametrize("b", [128, 200])
+    def test_expert_margins_levels(self, monkeypatch, mean_mining, b):
+        # the levels the trainer builds: the full scan maps their product
+        # planes, pruned hardest mining only the cells it scores, and both
+        # take the same bits; 200 anchors are two row blocks
+        rng = np.random.default_rng(990 + b)
+        U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
+        V = unit_rows(rng.standard_normal((b, 16)), "text")[0]
+        experts = [
+            expert_margins(unit_rows(rng.standard_normal((b, dim)), "expert")[0], 0.05, 0.04)
+            for dim in (16, 16, 24, 20)
+        ]
+        levels = [0.05, *experts]
+        w = np.array([1.0, 0.3, 0.3, 0.7, 0.7])
+        full, pruned = both_paths(monkeypatch, (U, V), levels, w, mean_mining)
+        assert_same_mining(full, pruned)
+        dense = [0.05, *(m.dense() for m in experts)]
+        assert_matches_oracle(pruned, kernels.pairwise_cosine(U, V), dense, w, mean_mining)
+
+    def test_hardest_mining_maps_no_whole_plane(self):
+        # a product plane still holds the products when the next block's
+        # are formed, and when the call returns, only under pruned hardest
+        # mining: mean mining and the full scan map every plane in place
+        rng = np.random.default_rng(995)
+        w = np.array([1.0, 0.6, 0.4])
+        for b in (kernels.PRUNE_MIN_B - 1, kernels.PRUNE_MIN_B, 300):
+            U = unit_rows(rng.standard_normal((b, 16)), "video")[0]
+            V = unit_rows(rng.standard_normal((b, 16)), "text")[0]
+            for mean_mining in (False, True):
+                experts = [
+                    expert_margins(unit_rows(rng.standard_normal((b, 8)), "e")[0], 0.05, 0.04)
+                    for _ in range(2)
+                ]
+                spies = [ProductsKept(m) for m in experts]
+                kernels.triplet_terms(U, V, [0.05, *spies], w, mean_mining)
+                blocks = -(-b // min(b, kernels.BLOCK_VALUES // b))
+                for spy in spies:
+                    spy.check()
+                    assert spy.calls == len(spy.kept) == blocks
+                    pruned_hardest = b >= kernels.PRUNE_MIN_B and not mean_mining
+                    assert spy.kept == [pruned_hardest] * blocks, (b, mean_mining)
+
     def test_large_values(self, monkeypatch):
         rng = np.random.default_rng(960)
         for b in (5, 40):
@@ -453,6 +513,28 @@ class TestPrunedMining:
         U, V, _, _ = unit_instance(rng, b=8, dim=16, levels=1)
         with pytest.raises(ValueError, match="^need at least one margin level$"):
             kernels.triplet_terms(U, V, [], np.array([]), mean_mining)
+
+
+class ProductsKept(Delegating):
+    """A ``Delegating`` row source that records, before each ``products``
+    call and at ``check()``, whether the rows it wrote last still hold the
+    products: whether no map was applied to them in place."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.kept, self.last = [], None
+
+    def products(self, r0, r1, out):
+        self.check()
+        super().products(r0, r1, out)
+        self.last = (out, out.copy())
+        return out
+
+    def check(self):
+        if self.last is not None:
+            out, written = self.last
+            self.kept.append(bool(np.array_equal(out, written)))
+            self.last = None
 
 
 class TestMarginRowSources:

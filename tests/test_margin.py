@@ -208,3 +208,60 @@ class TestExpertMargins:
             block = m.rows(r0, r1, np.empty((r1 - r0, b)))
             np.testing.assert_allclose(block, dense[r0:r1], rtol=0, atol=1e-16)
             np.testing.assert_array_equal(block[np.arange(r1 - r0), np.arange(r0, r1)], 0.05)
+
+
+class TestBound:
+    """``ExpertMargins.bound`` is at least every off-diagonal margin of
+    ``dense()``, which the pruned mining's candidate bound rests on."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 16, 300])
+    def test_antipodal_rows(self, dim):
+        # u and -u: g = -|u|^2, which the product rounds a few ulps below -1
+        # for most of these batches, where the margins are largest
+        rng = np.random.default_rng(80 + dim)
+        below = 0
+        for _ in range(10):
+            X = unit_rows(rng.standard_normal((20, dim)) * 10.0 ** rng.integers(-3, 4), "e")[0]
+            U = np.concatenate([X, -X])
+            m = expert_margins(U, 0.05, 0.04)
+            off = offdiag(m.dense())
+            assert off.max() <= m.bound
+            assert m.bound - off.max() <= 1e-13
+            below += (U @ U.T).min() < -1.0
+        # a one-value unit row is +-1, whose products are exact
+        assert below > 0 or dim == 1
+
+    def test_duplicated_rows(self):
+        rng = np.random.default_rng(90)
+        for b, dim in ((6, 2), (64, 16), (200, 24)):
+            U = random_rows(rng, b // 2, dim)
+            U = np.concatenate([U, U, -U[:1]])[rng.permutation(b + 1)]
+            m = expert_margins(U, 0.05, 0.04)
+            assert offdiag(m.dense()).max() <= m.bound
+
+    @pytest.mark.parametrize("mu", [0.05, -0.3])
+    def test_beta_zero_is_mu(self, mu):
+        m = expert_margins(random_rows(np.random.default_rng(91), 64, 16), mu, 0.0)
+        assert m.scale == 0.0 and m.bound == mu
+        assert np.all(offdiag(m.dense()) <= m.bound)
+
+    def test_constant_batch_is_mu(self):
+        # identical rows: an off-diagonal variance at or below VAR_FLOOR
+        U = np.repeat(random_rows(np.random.default_rng(92), 1, 16), 64, axis=0)
+        m = expert_margins(U, 0.05, 0.04)
+        assert (m.scale, m.offset) == affine(0.0, 0.0, 0.05, 0.04) == (0.0, 0.05)
+        assert m.bound == 0.05
+        assert np.all(offdiag(m.dense()) <= m.bound)
+
+    @pytest.mark.parametrize("b", [3, 64, 257])
+    def test_rows_are_the_mapped_products(self, b):
+        # the margin of a cell is its product under g * -scale + offset, two
+        # roundings, off the diagonal, for any block of rows
+        rng = np.random.default_rng(93 + b)
+        m = expert_margins(random_rows(rng, b, 16), 0.05, 0.04)
+        for r0, r1 in ((0, b), (1, b), (b // 3, b // 2 + 1)):
+            g = m.products(r0, r1, np.empty((r1 - r0, b)))
+            rows = m.rows(r0, r1, np.empty((r1 - r0, b)))
+            off = np.ones_like(g, dtype=bool)
+            off[np.arange(r1 - r0), np.arange(r0, r1)] = False
+            np.testing.assert_array_equal((g * -m.scale + m.offset)[off], rows[off])

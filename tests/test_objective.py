@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -371,6 +372,16 @@ class TestMarginLevelContract:
         margins[kind] = m if form == "array" else m.tolist()
         with pytest.raises(TypeError, match=rf"{kind} margins must be a row source"):
             _margin_levels(4, margins, 0.05, lam)
+
+    @pytest.mark.parametrize("missing", ["shape", "products", "scale", "offset", "bound"])
+    def test_row_source_missing_a_member_rejected(self, missing):
+        # products, map and bound are one contract: a level without any one
+        # of them would reach the loss with its margins half stated
+        m = DenseMargins(random_margins(np.random.default_rng(64), 4))
+        names = ["shape", "products", "scale", "offset", "bound"]
+        partial = SimpleNamespace(**{name: getattr(m, name) for name in names if name != missing})
+        with pytest.raises(TypeError, match="dse_video margins must be a row source"):
+            _margin_levels(4, {"dse_video": partial}, 0.05, 0.5)
 
 
 class TestFullLossGrad:
