@@ -56,12 +56,21 @@ def evaluate_bidirectional(S, ks=DEFAULT_KS) -> tuple[RetrievalReport, Retrieval
 
     # every query's rank at once: 1 + strictly better scores plus
     # ties at a smaller index, i.e. above the diagonal for a column query
-    # (text -> video) and below it for a row query (video -> text)
+    # (text -> video) and below it for a row query (video -> text). Index
+    # order is counted only in the columns and rows that hold a tie besides
+    # the positive itself, which real-valued scores seldom do.
     pos = np.diag(S)
+    index = np.arange(n)
     t2v_ranks = 1 + (S > pos[None, :]).sum(axis=0)
-    t2v_ranks += np.triu(S == pos[None, :], k=1).sum(axis=0)
+    ties = S == pos[None, :]
+    cols = np.flatnonzero(ties.sum(axis=0) > 1)
+    if cols.size:
+        t2v_ranks[cols] += (ties[:, cols] & (index[:, None] < cols)).sum(axis=0)
     v2t_ranks = 1 + (S > pos[:, None]).sum(axis=1)
-    v2t_ranks += np.tril(S == pos[:, None], k=-1).sum(axis=1)
+    ties = S == pos[:, None]
+    rows = np.flatnonzero(ties.sum(axis=1) > 1)
+    if rows.size:
+        v2t_ranks[rows] += (ties[rows] & (index < rows[:, None])).sum(axis=1)
 
     reports = []
     for direction, ranks in (("text_to_video", t2v_ranks), ("video_to_text", v2t_ranks)):

@@ -60,8 +60,12 @@ def row_norms(X: np.ndarray) -> tuple[np.ndarray, int | None]:
     The rule: a norm must be finite and at least ``ZERO_NORM_EPS``. Finite
     values whose squares overflow give an infinite norm, which breaks the
     rule; the overflow itself is not warned about.
+
+    For a real float64 stack this is the expression ``np.linalg.norm(X,
+    axis=1)`` evaluates, bit for bit, without its wrapper; a test holds the
+    two equal.
     """
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(X, axis=1)
+        norms = np.sqrt(np.add.reduce(X * X, axis=1))
     ok = np.isfinite(norms) & (norms >= ZERO_NORM_EPS)
     return norms, None if ok.all() else int(np.argmin(ok))

@@ -5,10 +5,18 @@ keeps the activations needed for an exact analytic backward pass, and ends
 by normalising each tower's outputs once, through ``mathcore.unit_rows``; the
 step's similarities, dynamic-expert distances and cosine backward all read
 those unit rows and norms.
+
+A model's parameters are one float64 vector, a ``ParamVector`` in the
+layout of ``param_layout``; the ``Tower`` fields are views into it. A step's
+gradients and Adam's two moments are vectors of the same layout, so the
+optimizer, the finite check and the checkpoint each make one pass over a
+whole vector.
 """
 
+import functools
 import math
 import os
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +41,64 @@ class ModelDims:
             raise ValueError(f"invalid tower dims {self}")
 
 
+_TOWER_FIELDS = ("w1", "b1", "w2", "b2")
+
+
+def param_layout(dims: ModelDims) -> tuple:
+    """``((name, shape), ...)`` of every parameter array, in payload order:
+    per tower, video then text, ``w1`` and ``b1``, then with a hidden layer
+    ``w2`` and ``b2``."""
+    h, j = dims.hidden, dims.joint
+    layout = []
+    for tower, d_in in (("video", dims.video_in), ("text", dims.text_in)):
+        shapes = [(d_in, j), (j,)] if h == 0 else [(d_in, h), (h,), (h, j), (j,)]
+        layout += [(f"{tower}.{name}", shape) for name, shape in zip(_TOWER_FIELDS, shapes)]
+    return tuple(layout)
+
+
+@functools.lru_cache(maxsize=16)
+def _spans(layout) -> tuple[int, tuple]:
+    """The number of values of ``layout`` and each array's ``(name, start, stop, shape)``."""
+    spans, offset = [], 0
+    for name, shape in layout:
+        spans.append((name, offset, offset + math.prod(shape), shape))
+        offset += math.prod(shape)
+    return offset, tuple(spans)
+
+
+class ParamVector(Mapping):
+    """One float64 vector, read as the named arrays of ``layout``.
+
+    ``flat`` holds the arrays of ``layout``, ``((name, shape), ...)``, one
+    after another, each in C order; ``vec[name]`` is that array, a view of
+    ``flat``, so writing either one writes both.
+    """
+
+    def __init__(self, layout, flat: np.ndarray):
+        size, spans = _spans(layout)
+        if flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
+            raise ShapeMismatchError(
+                f"a parameter vector needs {size} contiguous float64 values, "
+                f"got {flat.dtype} of shape {flat.shape}"
+            )
+        self.layout = layout
+        self.flat = flat
+        self._views = {name: flat[start:stop].reshape(shape) for name, start, stop, shape in spans}
+
+    @classmethod
+    def zeros(cls, layout) -> "ParamVector":
+        return cls(layout, np.zeros(_spans(layout)[0]))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
 @dataclass
 class Tower:
     w1: np.ndarray
@@ -41,22 +107,30 @@ class Tower:
     b2: np.ndarray | None = None
 
 
-@dataclass
+def _towers(vec: ParamVector) -> list[Tower]:
+    """The video and the text ``Tower`` of a vector in a model's layout, as views."""
+    arrays = list(vec.values())
+    half = len(arrays) // 2
+    return [Tower(*arrays[:half]), Tower(*arrays[half:])]
+
+
+@dataclass(eq=False)
 class TwoTowerModel:
+    """Two towers whose arrays are views of one parameter vector, ``params``."""
+
     dims: ModelDims
-    video: Tower
-    text: Tower
+    params: ParamVector
+    video: Tower = field(init=False)
+    text: Tower = field(init=False)
+
+    def __post_init__(self):
+        if self.params.layout != param_layout(self.dims):
+            raise ShapeMismatchError(f"parameter layout does not match the dims {self.dims}")
+        self.video, self.text = _towers(self.params)
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """All parameter arrays in the fixed serialization order."""
-        items = []
-        for tower_name, tower in (("video", self.video), ("text", self.text)):
-            items.append((f"{tower_name}.w1", tower.w1))
-            items.append((f"{tower_name}.b1", tower.b1))
-            if tower.w2 is not None:
-                items.append((f"{tower_name}.w2", tower.w2))
-                items.append((f"{tower_name}.b2", tower.b2))
-        return items
+        """All parameter arrays in the fixed serialization order, as views of ``params.flat``."""
+        return list(self.params.items())
 
 
 @dataclass
@@ -80,24 +154,14 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
-def _tower_shapes(dims: ModelDims) -> list[list[tuple[int, ...]]]:
-    """The shapes of each tower's ``Tower`` fields, video then text, in order:
-    ``(w1, b1)`` or ``(w1, b1, w2, b2)``."""
-    h, j = dims.hidden, dims.joint
-    return [
-        [(d_in, j), (j,)] if h == 0 else [(d_in, h), (h,), (h, j), (j,)]
-        for d_in in (dims.video_in, dims.text_in)
-    ]
-
-
 def init_params(dims: ModelDims, seed: int) -> TwoTowerModel:
     """Xavier-uniform weights, zero biases; bit-reproducible per seed."""
     rng = named_rng(seed, "init")
-    towers = (
-        Tower(*(_xavier(rng, *shape) if len(shape) == 2 else np.zeros(shape) for shape in tower))
-        for tower in _tower_shapes(dims)
-    )
-    return TwoTowerModel(dims, *towers)
+    params = ParamVector.zeros(param_layout(dims))
+    for arr in params.values():
+        if arr.ndim == 2:
+            arr[...] = _xavier(rng, *arr.shape)
+    return TwoTowerModel(dims, params)
 
 
 def _tower_forward(tower: Tower, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -125,22 +189,23 @@ def forward_batch(model: TwoTowerModel, pooled_video, text_feats) -> ForwardStat
     return ForwardState(pooled_video, text_feats, hv, ht, rv, rt, uv, ut, nv, nt)
 
 
-def _tower_backward(tower: Tower, x: np.ndarray, hidden, d_out: np.ndarray) -> dict:
+def _tower_backward(tower: Tower, x: np.ndarray, hidden, d_out: np.ndarray, out: Tower) -> None:
+    """Write the tower's parameter gradients into the arrays of ``out``."""
     if tower.w2 is None:
-        return {"w1": x.T @ d_out, "b1": d_out.sum(axis=0)}
-    dw2 = hidden.T @ d_out
-    db2 = d_out.sum(axis=0)
+        np.matmul(x.T, d_out, out=out.w1)
+        np.add.reduce(d_out, axis=0, out=out.b1)
+        return
+    np.matmul(hidden.T, d_out, out=out.w2)
+    np.add.reduce(d_out, axis=0, out=out.b2)
     d_hidden = (d_out @ tower.w2.T) * (1.0 - hidden * hidden)
-    return {
-        "w1": x.T @ d_hidden,
-        "b1": d_hidden.sum(axis=0),
-        "w2": dw2,
-        "b2": db2,
-    }
+    np.matmul(x.T, d_hidden, out=out.w1)
+    np.add.reduce(d_hidden, axis=0, out=out.b1)
 
 
-def backward(model: TwoTowerModel, state: ForwardState, grad_video_reprs, grad_text_reprs) -> dict:
-    """Exact chain-rule parameter gradients; keys match ``param_items`` names."""
+def backward(
+    model: TwoTowerModel, state: ForwardState, grad_video_reprs, grad_text_reprs
+) -> ParamVector:
+    """Exact chain-rule parameter gradients, one vector in the model's layout."""
     grad_video_reprs = np.asarray(grad_video_reprs, dtype=np.float64)
     grad_text_reprs = np.asarray(grad_text_reprs, dtype=np.float64)
     if grad_video_reprs.shape != state.video_reprs.shape:
@@ -151,13 +216,10 @@ def backward(model: TwoTowerModel, state: ForwardState, grad_video_reprs, grad_t
         raise ShapeMismatchError(
             f"text grad shape {grad_text_reprs.shape} != {state.text_reprs.shape}"
         )
-    grads = {}
-    for name, tower, x, hidden, d_out in (
-        ("video", model.video, state.pooled_video, state.video_hidden, grad_video_reprs),
-        ("text", model.text, state.text_feats, state.text_hidden, grad_text_reprs),
-    ):
-        for pname, arr in _tower_backward(tower, x, hidden, d_out).items():
-            grads[f"{name}.{pname}"] = arr
+    grads = ParamVector(model.params.layout, np.empty_like(model.params.flat))
+    video, text = _towers(grads)
+    _tower_backward(model.video, state.pooled_video, state.video_hidden, grad_video_reprs, video)
+    _tower_backward(model.text, state.text_feats, state.text_hidden, grad_text_reprs, text)
     return grads
 
 
@@ -170,10 +232,11 @@ def backward(model: TwoTowerModel, state: ForwardState, grad_video_reprs, grad_t
 #
 # A CKPT3 file is a container of ``experts.write_container`` and
 # ``experts.read_container``, the skeleton the dataset's row files share.
-# The payload holds every parameter array in param_items() order, each in C
-# order; a trainer checkpoint, the one with the ``adam`` fields, then adds
-# Adam ``m`` and ``v`` in the same order. An empty ``config_hash`` is no
-# token. CKPT1 and CKPT2 text files are rejected with a hint to retrain.
+# The payload is the model's parameter vector, ``params.flat``: every array
+# of ``param_layout`` in order, each in C order. A trainer checkpoint, the
+# one with the ``adam`` fields, then adds Adam's ``m`` vector and its ``v``
+# vector, in the same layout. An empty ``config_hash`` is no token. CKPT1
+# and CKPT2 text files are rejected with a hint to retrain.
 
 CKPT_TAG = "CKPT3"
 _RETRAIN_HINT = "CKPT1 and CKPT2 checkpoints are no longer read, retrain to write a CKPT3 file"
@@ -181,9 +244,11 @@ _RETRAIN_HINT = "CKPT1 and CKPT2 checkpoints are no longer read, retrain to writ
 
 @dataclass
 class AdamState:
-    t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Adam's step count and its two moments, vectors in the model's layout."""
+
+    t: int
+    m: ParamVector
+    v: ParamVector
 
 
 @dataclass
@@ -214,17 +279,14 @@ def replace_on_success(path):
         raise
 
 
-def _named_arrays(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
-    """Every array of ``ckpt`` in payload order, named as a reader's errors name it."""
-    items = ckpt.model.param_items()
+# the prefix a reader's error puts before an array's name, per payload vector
+_VECTOR_PREFIXES = ("", "m ", "v ")
+
+
+def _vectors(ckpt: Checkpoint) -> list[ParamVector]:
+    """The vectors of ``ckpt`` in payload order: the parameters, then Adam's ``m`` and ``v``."""
     adam = ckpt.opt_state
-    if adam is None:
-        return items
-    return items + [
-        (f"{key} {name}", moments[name])
-        for key, moments in (("m", adam.m), ("v", adam.v))
-        for name, _ in items
-    ]
+    return [ckpt.model.params] + ([] if adam is None else [adam.m, adam.v])
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -235,18 +297,26 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
     config_hash = ckpt.config_hash
     if not config_hash.isascii() or any(c.isspace() for c in config_hash):
         raise ValueError(f"config_hash {config_hash!r} must be ASCII without whitespace")
+    vectors = _vectors(ckpt)
+    if any(vec.layout != ckpt.model.params.layout for vec in vectors):
+        raise ShapeMismatchError("Adam's moments are not in the model's parameter layout")
     d = ckpt.model.dims
     head = f"{CKPT_TAG} {d.video_in} {d.text_in} {d.hidden} {d.joint}"
     tail = ""
     if ckpt.opt_state is not None:
         tail = f"adam {ckpt.epoch} {ckpt.seed} {ckpt.opt_state.t} {config_hash}".rstrip()
     with replace_on_success(path) as tmp:
-        write_container(tmp, head, [arr for _, arr in _named_arrays(ckpt)], tail)
+        write_container(tmp, head, [vec.flat for vec in vectors], tail)
 
 
 def read_checkpoint(path) -> Checkpoint:
     """Parse a CKPT3 file, checking its tag, header fields, digest, payload length
-    and finite values in that order."""
+    and finite values in that order.
+
+    The model's parameters and Adam's moments are views of the payload read,
+    one slice each; a non-finite value is a ``ParseError`` naming the first
+    array that holds one.
+    """
 
     def layout(fields):
         if len(fields) not in (5, 9, 10) or (len(fields) > 5 and fields[5] != "adam"):
@@ -263,25 +333,26 @@ def read_checkpoint(path) -> Checkpoint:
             adam = (epoch, seed, t, fields[9] if len(fields) == 10 else "")
         # the payload's length follows from the dims alone: the model's
         # values, then for a trainer file its Adam m and v
-        count = sum(math.prod(shape) for tower in _tower_shapes(dims) for shape in tower)
+        count = _spans(param_layout(dims))[0]
         return fields[4], count * (1 if adam is None else 3), (dims, adam)
 
     (dims, adam), flat = read_container(path, CKPT_TAG, _RETRAIN_HINT, layout)
-    model = TwoTowerModel(dims, *(Tower(*map(np.empty, tower)) for tower in _tower_shapes(dims)))
-    ckpt = Checkpoint(model)
-    if adam is not None:
-        epoch, seed, t, config_hash = adam
-        m = {name: np.empty_like(arr) for name, arr in model.param_items()}
-        v = {name: np.empty_like(arr) for name, arr in model.param_items()}
-        ckpt = Checkpoint(model, AdamState(t, m, v), epoch, seed, config_hash)
-    offset = 0
-    for name, arr in _named_arrays(ckpt):
-        values = flat[offset : offset + arr.size]
-        if not np.isfinite(values).all():
-            raise ParseError(f"{path}: {name} holds a non-finite value")
-        arr[...] = values.reshape(arr.shape)
-        offset += arr.size
-    return ckpt
+    params_layout = param_layout(dims)
+    n = _spans(params_layout)[0]
+    vectors = [ParamVector(params_layout, flat[i : i + n]) for i in range(0, flat.size, n)]
+    if not np.isfinite(flat).all():
+        name = next(
+            prefix + name
+            for prefix, vec in zip(_VECTOR_PREFIXES, vectors)
+            for name, arr in vec.items()
+            if not np.isfinite(arr).all()
+        )
+        raise ParseError(f"{path}: {name} holds a non-finite value")
+    model = TwoTowerModel(dims, vectors[0])
+    if adam is None:
+        return Checkpoint(model)
+    epoch, seed, t, config_hash = adam
+    return Checkpoint(model, AdamState(t, *vectors[1:]), epoch, seed, config_hash)
 
 
 def save_checkpoint(model: TwoTowerModel, path) -> None:

@@ -45,7 +45,7 @@ import numpy as np
 from . import kernels
 from .errors import EmptyInputError, LambdaOutOfRangeError, NonSquareError, ShapeMismatchError
 from .experts import EXPERT_KINDS
-from .model import ForwardState, TwoTowerModel, backward
+from .model import ForwardState, ParamVector, TwoTowerModel, backward
 
 MININGS = ("hardest", "mean")
 
@@ -185,7 +185,7 @@ def full_loss_grad(
     alpha: float,
     lam: float,
     mining: str = "hardest",
-) -> tuple[LossBreakdown, dict]:
+) -> tuple[LossBreakdown, ParamVector]:
     """Hard hinge plus lambda-blended DSE/SSE soft hinges, mined per anchor,
     with exact parameter gradients.
 

@@ -6,8 +6,14 @@ blending weight follows a three-phase schedule: zero before the start epoch,
 exponential interpolation between the two anchor values, then exactly 1.
 While the schedule gives a slot weight 0, its experts build no margins.
 
-A run's fixed inputs (the train split's rows, pooled video, text and static
-unit tables) are built once by ``train_inputs``; every epoch reads them.
+A run's fixed inputs are built once: the train split's rows, pooled video,
+text and static unit tables by ``train_inputs``, and the validation split's
+rows, pooled video and text by ``split_inputs``; every epoch reads them.
+
+The model's parameters, a step's gradients and Adam's two moments are each
+one ``model.ParamVector`` in the same layout. ``adam_step`` runs each of its
+elementwise operations once over the whole vector, and a step's finite check
+is one pass over the flat gradient.
 """
 
 import json
@@ -26,6 +32,7 @@ from .model import (
     AdamState,
     Checkpoint,
     ModelDims,
+    ParamVector,
     TwoTowerModel,
     forward_batch,
     init_params,
@@ -110,29 +117,30 @@ def lambda_schedule(epoch: int, cfg: TrainConfig) -> float:
 
 
 def new_adam_state(model: TwoTowerModel) -> AdamState:
-    state = AdamState()
-    for name, arr in model.param_items():
-        state.m[name] = np.zeros_like(arr)
-        state.v[name] = np.zeros_like(arr)
-    return state
+    layout = model.params.layout
+    return AdamState(0, ParamVector.zeros(layout), ParamVector.zeros(layout))
 
 
-def adam_step(param_items, grads: dict, state: AdamState, lr: float) -> AdamState:
-    """One bias-corrected Adam update, applied to the parameters in place."""
+def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: float) -> AdamState:
+    """One bias-corrected Adam update, applied to ``params`` in place.
+
+    ``params``, ``grads`` and the moments of ``state`` are vectors of one
+    layout (else ``ShapeMismatchError``). Each operation runs once over the
+    whole flat vector; every element gets the same IEEE operations, in the
+    same order, as in an update of its array alone.
+    """
+    layout = params.layout
+    if grads.layout != layout or state.m.layout != layout or state.v.layout != layout:
+        raise ShapeMismatchError("gradient or Adam moments are not in the parameters' layout")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for name, param in param_items:
-        g = grads[name]
-        if g.shape != param.shape:
-            raise ShapeMismatchError(f"{name}: grad shape {g.shape} != param {param.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return state
 
 
@@ -148,12 +156,28 @@ def epoch_batches(seed: int, n: int, batch_size: int, epoch: int) -> list[np.nda
 
 
 @dataclass(frozen=True)
-class TrainInputs:
+class SplitInputs:
+    """A split's fixed model inputs, row-aligned with its ids."""
+
+    rows: np.ndarray  # (n,) dataset rows of the split
+    pooled: np.ndarray  # (n, video_in) mean-pooled frames
+    text: np.ndarray  # (n, text_in) text features
+
+
+def split_inputs(dataset: Dataset, ids) -> SplitInputs:
+    """The rows, pooled video and text of the items ``ids``.
+
+    Only the split's frames are pooled: ``frames[rows].mean(axis=1)`` is
+    ``pooled_video()[rows]`` bit for bit, without pooling every item.
+    """
+    rows = dataset.rows(ids)
+    return SplitInputs(rows, dataset.frames[rows].mean(axis=1), dataset.text[rows])
+
+
+@dataclass(frozen=True)
+class TrainInputs(SplitInputs):
     """The training split's fixed inputs, row-aligned with ``dataset.train_ids``."""
 
-    rows: np.ndarray  # (n_train,) dataset rows of the train split
-    pooled: np.ndarray  # (n_train, video_in) mean-pooled frames
-    text: np.ndarray  # (n_train, text_in) text features
     sse_units: dict  # {SSE kind: (n_train, dim) unit rows}
 
 
@@ -164,13 +188,13 @@ def train_inputs(dataset: Dataset, kinds) -> TrainInputs:
     Nothing in it changes during a run, so ``run_training`` builds it once.
     A zero-norm static row raises ``ZeroNormError`` naming its table.
     """
-    rows = dataset.rows(dataset.train_ids)
+    split = split_inputs(dataset, dataset.train_ids)
     sse_units = {
-        kind: unit_rows(getattr(dataset, kind).embeddings[rows], kind)[0]
+        kind: unit_rows(getattr(dataset, kind).embeddings[split.rows], kind)[0]
         for kind in ("sse_video", "sse_text")
         if kind in kinds
     }
-    return TrainInputs(rows, dataset.frames[rows].mean(axis=1), dataset.text[rows], sse_units)
+    return TrainInputs(split.rows, split.pooled, split.text, sse_units)
 
 
 def expert_units(state, sse_units: dict, batch) -> dict:
@@ -195,13 +219,17 @@ def _batch_margins(cfg: TrainConfig, lam: float, state, sse_units: dict, batch) 
     }
 
 
-def _check_finite_step(breakdown: LossBreakdown, grads: dict) -> None:
-    """Refuse a step whose loss or gradient is not finite, before Adam sees it."""
+def _check_finite_step(breakdown: LossBreakdown, grads: ParamVector) -> None:
+    """Refuse a step whose loss or gradient is not finite, before Adam sees it.
+
+    The gradient is checked in one pass over its flat vector; only a failed
+    check looks for the first array that holds the bad value, to name it.
+    """
     if not np.isfinite(breakdown.total):
         raise NonFiniteError(f"loss is {breakdown.total}")
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"gradient {name} has a non-finite entry")
+    if not np.isfinite(grads.flat).all():
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise NonFiniteError(f"gradient {name} has a non-finite entry")
 
 
 def train_epoch(
@@ -232,7 +260,7 @@ def train_epoch(
             margins = _batch_margins(cfg, lam, state, inputs.sse_units, batch)
             breakdown, grads = full_loss_grad(model, state, margins, cfg.alpha, lam, mining)
             _check_finite_step(breakdown, grads)
-            adam_step(model.param_items(), grads, opt_state, cfg.learning_rate)
+            adam_step(model.params, grads, opt_state, cfg.learning_rate)
         sums += (breakdown.total, breakdown.hard_term, breakdown.dse_term, breakdown.sse_term)
 
     sums /= len(batches)
@@ -240,15 +268,16 @@ def train_epoch(
     return LossBreakdown(sums[0], sums[1], sums[2], sums[3], lam, empty, empty)
 
 
-def evaluate_split(model: TwoTowerModel, dataset: Dataset, ids, ks=DEFAULT_KS):
-    """Encode a split and run bidirectional retrieval over it.
-
-    Only the split's frames are pooled: ``frames[rows].mean(axis=1)`` is
-    ``pooled_video()[rows]`` bit for bit, without pooling every item.
-    """
-    rows = dataset.rows(ids)
-    state = forward_batch(model, dataset.frames[rows].mean(axis=1), dataset.text[rows])
+def evaluate_inputs(model: TwoTowerModel, inputs: SplitInputs, ks=DEFAULT_KS):
+    """Encode a split's inputs and run bidirectional retrieval over them."""
+    state = forward_batch(model, inputs.pooled, inputs.text)
     return evaluate_bidirectional(kernels.pairwise_cosine(state.video_units, state.text_units), ks)
+
+
+def evaluate_split(model: TwoTowerModel, dataset: Dataset, ids, ks=DEFAULT_KS):
+    """Build the inputs of the items ``ids`` and evaluate them: ``evaluate_inputs``
+    of ``split_inputs``."""
+    return evaluate_inputs(model, split_inputs(dataset, ids), ks)
 
 
 def save_trainer_checkpoint(ckpt: Checkpoint, prefix) -> None:
@@ -285,10 +314,10 @@ def run_training(
     file holding the model and the Adam state. Identical (dataset, config,
     seed) runs produce byte-identical outputs.
 
-    The fixed inputs (``train_inputs``) are built once, at epoch 1, and every
-    epoch reuses them; an error building them is reported as epoch 1's, and
-    a run of 0 epochs builds none. An error in an epoch's validation names
-    that epoch.
+    The fixed inputs (``train_inputs`` and the validation split's
+    ``split_inputs``) are built once, at epoch 1, and every epoch reuses
+    them; an error building them is reported as epoch 1's, and a run of 0
+    epochs builds none. An error in an epoch's validation names that epoch.
     """
     cfg.validate(len(dataset.train_ids))
     out = Path(out_dir)
@@ -304,9 +333,10 @@ def run_training(
             if epoch == 1:
                 with error_context("epoch 1"):
                     inputs = train_inputs(dataset, cfg.experts())
+                    val_inputs = split_inputs(dataset, dataset.val_ids)
             agg = train_epoch(model, inputs, cfg, epoch, opt_state)
             with error_context(f"epoch {epoch} validation"):
-                t2v, v2t, rsum = evaluate_split(model, dataset, dataset.val_ids)
+                t2v, v2t, rsum = evaluate_inputs(model, val_inputs)
             record = {
                 "epoch": epoch,
                 "lambda": agg.lambda_used,

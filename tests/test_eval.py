@@ -93,6 +93,36 @@ class TestEvaluateBidirectional:
         assert t2v.ranks.tolist() == [rank_of_positive(S[:, i], i) for i in range(n)]
         assert v2t.ranks.tolist() == [rank_of_positive(S[i, :], i) for i in range(n)]
 
+    @pytest.mark.parametrize("case", ["all-equal", "tie-below-diagonal", "tie-free-819"])
+    def test_tie_cases_match_both_references(self, case):
+        rng = np.random.default_rng(76)
+        if case == "all-equal":
+            # every query ties with every item: rank 1 + its index
+            S = np.full((7, 7), 0.25)
+        elif case == "tie-below-diagonal":
+            # column 1's only tie lies below the diagonal and row 2's only tie
+            # right of it, so neither counts; column 3's lies above it, and does
+            S = rng.standard_normal((6, 6))
+            S[4, 1] = S[1, 1]
+            S[2, 5] = S[2, 2]
+            S[0, 3] = S[3, 3]
+        else:
+            # ingest-eval's val split size; cosines of random unit rows
+            U, V = (rng.standard_normal((819, 16)) for _ in range(2))
+            U /= np.linalg.norm(U, axis=1)[:, None]
+            V /= np.linalg.norm(V, axis=1)[:, None]
+            S = U @ V.T
+            pos = np.diag(S)
+            assert (S == pos).sum(axis=0).max() == 1 == (S == pos[:, None]).sum(axis=1).max()
+        t2v, v2t, _ = evaluate_bidirectional(S)
+        n = S.shape[0]
+        assert t2v.ranks.tolist() == [rank_of_positive(S[:, i], i) for i in range(n)]
+        assert v2t.ranks.tolist() == [rank_of_positive(S[i, :], i) for i in range(n)]
+        assert t2v.ranks.tolist() == [rank_by_stable_sort(S[:, i].tolist(), i) for i in range(n)]
+        assert v2t.ranks.tolist() == [rank_by_stable_sort(S[i, :].tolist(), i) for i in range(n)]
+        if case == "all-equal":
+            assert t2v.ranks.tolist() == v2t.ranks.tolist() == list(range(1, n + 1))
+
     def test_transpose_swaps_directions(self):
         rng = np.random.default_rng(72)
         S = rng.standard_normal((5, 5))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from marginforge.errors import DimMismatchError, ZeroNormError
-from marginforge.mathcore import cosine_similarity, unit_rows
+from marginforge.mathcore import cosine_similarity, row_norms, unit_rows
 from helpers import finite_diff_grad
 
 
@@ -68,6 +68,30 @@ class TestUnitRows:
         X = np.array([[1.0, 0.0], bad_row, bad_row])
         with pytest.raises(ZeroNormError, match="^sse_text row 1 has non-finite or near-zero norm"):
             unit_rows(X, "sse_text")
+
+    # widths below, at and above numpy's 8-wide pairwise-sum unroll and block
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 16, 24, 129, 300])
+    def test_row_norms_are_linalg_norm_bit_for_bit(self, width):
+        # random, tiny (squares subnormal or zero), huge (squares near the
+        # top of the range) and overflowing rows, plus non-finite ones
+        rng = np.random.default_rng(90 + width)
+        X = np.concatenate(
+            [
+                rng.standard_normal((40, width)),
+                rng.standard_normal((10, width)) * 1e-160,
+                rng.standard_normal((10, width)) * 1e-300,
+                rng.standard_normal((10, width)) * 1e153,
+                rng.standard_normal((10, width)) * 1e155,
+                np.full((1, width), 1e200),
+                np.full((1, width), np.inf),
+                np.full((1, width), np.nan),
+                np.zeros((1, width)),
+            ]
+        )
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(X, axis=1)
+        norms, _ = row_norms(X)
+        assert norms.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(3,), (), (2, 2, 2)])
     def test_not_a_stack(self, shape):

@@ -14,17 +14,20 @@ from marginforge.model import (
     AdamState,
     Checkpoint,
     ModelDims,
+    ParamVector,
     Tower,
     TwoTowerModel,
     backward,
     forward_batch,
     init_params,
     load_checkpoint,
+    param_layout,
     read_checkpoint,
     replace_on_success,
     save_checkpoint,
     write_checkpoint,
 )
+from marginforge.trainer import new_adam_state
 from helpers import finite_diff_grad, flatten_grads, flatten_params, set_flat_params
 
 
@@ -259,8 +262,9 @@ def trainer_file(tmp_path, config_hash="abc"):
     """A CKPT3 trainer file. Its 162 payload floats are the 54 parameters
     (video.w1 24, video.b1 6, text.w1 18, text.b1 6), then m, then v."""
     model = init_params(ModelDims(4, 3, 0, 6), 17)
-    m = {name: arr / 3.0 for name, arr in model.param_items()}
-    v = {name: arr * arr for name, arr in model.param_items()}
+    flat = model.params.flat
+    m = ParamVector(model.params.layout, flat / 3.0)
+    v = ParamVector(model.params.layout, flat * flat)
     path = tmp_path / "trainer.ckpt"
     write_checkpoint(Checkpoint(model, AdamState(5, m, v), 4, 17, config_hash), path)
     return path
@@ -423,3 +427,90 @@ class TestFlatten:
         model = init_params(ModelDims(3, 4, 0, 5), 23)
         with pytest.raises(ShapeMismatchError):
             set_flat_params(model, np.zeros(flatten_params(model).size + 1))
+
+
+def assert_views_in_order(vec: ParamVector, layout, flat: np.ndarray) -> None:
+    """Each named array of ``vec`` is the next slice of ``flat``, in ``layout``'s order."""
+    assert vec.flat is flat
+    offset = 0
+    for (name, arr), (want_name, shape) in zip(vec.items(), layout, strict=True):
+        assert name == want_name and arr.shape == shape and arr.flags.c_contiguous
+        assert arr.ctypes.data == flat.ctypes.data + 8 * offset
+        offset += arr.size
+    assert offset == flat.size
+
+
+@pytest.mark.parametrize("hidden", [0, 5])
+class TestFlatLayout:
+    """Parameters, gradients and Adam moments are one vector each; the named
+    arrays are views of it in payload order."""
+
+    def test_param_items_are_views_of_the_parameter_vector(self, hidden):
+        dims = ModelDims(4, 3, hidden, 6)
+        model = init_params(dims, 2)
+        flat = model.params.flat
+        assert [name for name, _ in model.param_items()] == [n for n, _ in param_layout(dims)]
+        assert_views_in_order(model.params, param_layout(dims), flat)
+        for tower, prefix in ((model.video, "video"), (model.text, "text")):
+            for name in ("w1", "b1", "w2", "b2"):
+                arr = getattr(tower, name)
+                assert (arr is None) == (hidden == 0 and name in ("w2", "b2"))
+                if arr is not None:
+                    assert arr is model.params[f"{prefix}.{name}"]
+        flat[:] = np.arange(flat.size)
+        np.testing.assert_array_equal(flatten_params(model), np.arange(flat.size))
+
+    def test_gradients_are_one_vector_in_the_model_layout(self, hidden):
+        model = init_params(ModelDims(4, 3, hidden, 6), 3)
+        rng = np.random.default_rng(40 + hidden)
+        state = forward_batch(model, rng.standard_normal((5, 4)), rng.standard_normal((5, 3)))
+        grads = backward(model, state, rng.standard_normal((5, 6)), rng.standard_normal((5, 6)))
+        assert grads.layout is model.params.layout
+        assert_views_in_order(grads, model.params.layout, grads.flat)
+        assert not np.shares_memory(grads.flat, model.params.flat)
+
+    def test_adam_moments_are_views_of_their_vectors(self, hidden):
+        model = init_params(ModelDims(4, 3, hidden, 6), 4)
+        opt = new_adam_state(model)
+        for vec in (opt.m, opt.v):
+            assert_views_in_order(vec, model.params.layout, vec.flat)
+            np.testing.assert_array_equal(vec.flat, 0.0)
+        assert not np.shares_memory(opt.m.flat, opt.v.flat)
+
+    def test_a_read_checkpoint_is_views_of_its_payload(self, tmp_path, hidden):
+        model = init_params(ModelDims(4, 3, hidden, 6), 5)
+        flat = model.params.flat
+        opt = AdamState(
+            7,
+            ParamVector(model.params.layout, flat / 3.0),
+            ParamVector(model.params.layout, flat * flat),
+        )
+        path = tmp_path / "trainer.ckpt"
+        write_checkpoint(Checkpoint(model, opt, 2, 3), path)
+        _, payload = read_parts(path)
+        ckpt = read_checkpoint(path)
+        vectors = (ckpt.model.params, ckpt.opt_state.m, ckpt.opt_state.v)
+        n = flat.size
+        for i, vec in enumerate(vectors):
+            assert_views_in_order(vec, model.params.layout, vec.flat)
+            assert vec.flat.tobytes() == payload[8 * n * i : 8 * n * (i + 1)]
+        # one payload buffer, the three vectors one after another
+        starts = [vec.flat.ctypes.data for vec in vectors]
+        assert starts[1] - starts[0] == starts[2] - starts[1] == 8 * n
+        assert ckpt.model.video.w1 is ckpt.model.params["video.w1"]
+
+    def test_a_vector_of_the_wrong_size_or_layout_is_refused(self, tmp_path, hidden):
+        dims = ModelDims(4, 3, hidden, 6)
+        layout = param_layout(dims)
+        size = sum(int(np.prod(shape)) for _, shape in layout)
+        for flat in (np.zeros(size + 1), np.zeros(size, dtype=np.float32), np.zeros(2 * size)[::2]):
+            with pytest.raises(ShapeMismatchError):
+                ParamVector(layout, flat)
+        other = param_layout(ModelDims(4, 3, hidden, 7))
+        with pytest.raises(ShapeMismatchError):
+            TwoTowerModel(dims, ParamVector.zeros(other))
+        model = TwoTowerModel(dims, ParamVector.zeros(layout))
+        opt = AdamState(1, ParamVector.zeros(layout), ParamVector.zeros(other))
+        with pytest.raises(ShapeMismatchError):
+            write_checkpoint(Checkpoint(model, opt), tmp_path / "mixed.ckpt")
+        assert list(tmp_path.iterdir()) == []

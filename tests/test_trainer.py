@@ -9,7 +9,7 @@ import pytest
 
 from marginforge.data import SynthConfig, generate
 from marginforge.evaluation import evaluate_bidirectional
-from marginforge import trainer
+from marginforge import mathcore, trainer
 from marginforge.errors import (
     ConfigError,
     NonFiniteError,
@@ -19,7 +19,14 @@ from marginforge.errors import (
 )
 from marginforge.margin import expert_margins
 from marginforge.mathcore import unit_rows
-from marginforge.model import Checkpoint, ModelDims, forward_batch, init_params, save_checkpoint
+from marginforge.model import (
+    Checkpoint,
+    ModelDims,
+    ParamVector,
+    forward_batch,
+    init_params,
+    save_checkpoint,
+)
 from marginforge.objective import full_loss_grad
 from marginforge.seeding import named_rng
 from marginforge.trainer import (
@@ -69,25 +76,35 @@ class TestLambdaSchedule:
             lambda_schedule(0, self.cfg)
 
 
+def one_array_state(shape) -> AdamState:
+    """Fresh Adam state of a model whose one parameter array "p" has ``shape``."""
+    layout = (("p", shape),)
+    return AdamState(0, ParamVector.zeros(layout), ParamVector.zeros(layout))
+
+
+def adam_one(param, g, state, lr):
+    """``adam_step`` on the single array ``param`` with gradient ``g``; each
+    array is the flat vector of its own one-array layout."""
+    adam_step(
+        ParamVector((("p", param.shape),), param), ParamVector((("p", g.shape),), g), state, lr
+    )
+
+
 class TestAdam:
     def fresh(self, shape=(3,)):
-        param = np.ones(shape)
-        state = AdamState()
-        state.m["p"] = np.zeros(shape)
-        state.v["p"] = np.zeros(shape)
-        return param, state
+        return np.ones(shape), one_array_state(shape)
 
     def test_zero_gradient_no_move(self):
         param, state = self.fresh()
         before = param.copy()
         for _ in range(5):
-            adam_step([("p", param)], {"p": np.zeros(3)}, state, lr=0.1)
+            adam_one(param, np.zeros(3), state, lr=0.1)
         np.testing.assert_array_equal(param, before)
 
     def test_first_step_direction_and_size(self):
         param, state = self.fresh()
         g = np.array([3.0, -0.5, 1e-3])
-        adam_step([("p", param)], {"p": g}, state, lr=0.01)
+        adam_one(param, g, state, lr=0.01)
         step = param - np.ones(3)
         # bias-corrected first step is about -lr * sign(g)
         np.testing.assert_allclose(step, -0.01 * np.sign(g), rtol=1e-4)
@@ -95,19 +112,17 @@ class TestAdam:
     def test_quadratic_descent(self):
         # f(x) = x^2 from x=1, lr=0.1: f decreases monotonically for 3 steps
         x = np.array([1.0])
-        state = AdamState()
-        state.m["x"] = np.zeros(1)
-        state.v["x"] = np.zeros(1)
+        state = one_array_state((1,))
         values = [float(x[0] ** 2)]
         for _ in range(3):
-            adam_step([("x", x)], {"x": 2.0 * x}, state, lr=0.1)
+            adam_one(x, 2.0 * x, state, lr=0.1)
             values.append(float(x[0] ** 2))
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_shape_mismatch(self):
         param, state = self.fresh()
         with pytest.raises(ShapeMismatchError):
-            adam_step([("p", param)], {"p": np.zeros(4)}, state, lr=0.1)
+            adam_one(param, np.zeros(4), state, lr=0.1)
 
     def test_matches_reference_recurrence(self):
         rng = np.random.default_rng(80)
@@ -117,7 +132,7 @@ class TestAdam:
         v = np.zeros(4)
         for t in range(1, 6):
             g = rng.standard_normal(4)
-            adam_step([("p", param)], {"p": g}, state, lr=0.05)
+            adam_one(param, g, state, lr=0.05)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             ref -= 0.05 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
@@ -171,6 +186,73 @@ class TestEpochBatches:
 
     def test_singleton_batches_give_none(self):
         assert epoch_batches(3, 5, 1, 1) == []
+
+
+def per_array_adam(params: dict, grads: dict, m: dict, v: dict, t: int, lr: float) -> None:
+    """Adam's update written per array, as its own reference: updates the
+    dicts of arrays in place, with the optimizer's operations in its order."""
+    bc1 = 1.0 - 0.9**t
+    bc2 = 1.0 - 0.999**t
+    for name in params:
+        g = grads[name]
+        m[name] = m[name] * 0.9 + (1.0 - 0.9) * g
+        v[name] = v[name] * 0.999 + (1.0 - 0.999) * g * g
+        params[name] = params[name] - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+
+
+def vector_bytes(ckpt) -> bytes:
+    """The parameter vector, then Adam's m and v, as bytes."""
+    vectors = (ckpt.model.params, ckpt.opt_state.m, ckpt.opt_state.v)
+    return b"".join(vec.flat.tobytes() for vec in vectors)
+
+
+@pytest.mark.parametrize("hidden", [0, 5])
+class TestFlatAdam:
+    def test_flat_step_equals_the_per_array_reference_bit_for_bit(self, hidden):
+        model = small_model(small_dataset(), seed=2, hidden=hidden)
+        opt = new_adam_state(model)
+        names = list(model.params)
+        ref = {name: arr.copy() for name, arr in model.param_items()}
+        ref_m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        ref_v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        rng = np.random.default_rng(50 + hidden)
+        n = model.params.flat.size
+        mixed = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 150, n)
+        mixed[::7] = 0.0
+        mixed[3::7] = -0.0
+        one_zero = rng.standard_normal(n)
+        one_zero[: model.params[names[0]].size] = 0.0  # the first array's gradient is 0
+        tiny = 1e-12 * rng.standard_normal(n)
+        steps = [rng.standard_normal(n), np.zeros(n), mixed, one_zero, tiny]
+        for t, g in enumerate(steps, start=1):
+            grads = ParamVector(model.params.layout, g.copy())
+            adam_step(model.params, grads, opt, 1e-3)
+            per_array_adam(ref, {name: grads[name].copy() for name in names}, ref_m, ref_v, t, 1e-3)
+            assert opt.t == t
+            for got, want in ((model.params, ref), (opt.m, ref_m), (opt.v, ref_v)):
+                for name in names:
+                    assert got[name].tobytes() == want[name].tobytes(), (t, name)
+
+    def test_a_step_from_a_loaded_checkpoint_equals_one_in_memory(self, tmp_path, hidden):
+        # what train --resume relies on: the state read back steps on as
+        # the state that was written
+        ds = small_dataset()
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=12)
+        final, _ = run_training(ds, cfg, hidden, 8, tmp_path)
+        loaded = load_trainer_checkpoint(tmp_path / "checkpoint_final")
+        assert vector_bytes(loaded) == vector_bytes(final)
+        inputs = train_inputs(ds, cfg.experts())
+        batch = epoch_batches(cfg.seed, len(inputs.rows), cfg.batch_size, 3)[0]
+        steps = final.opt_state.t
+        for ckpt in (final, loaded):
+            state = forward_batch(ckpt.model, inputs.pooled[batch], inputs.text[batch])
+            _, grads = full_loss_grad(ckpt.model, state, {}, cfg.alpha, 0.0, "hardest")
+            adam_step(ckpt.model.params, grads, ckpt.opt_state, cfg.learning_rate)
+        assert loaded.opt_state.t == final.opt_state.t == steps + 1
+        assert vector_bytes(loaded) == vector_bytes(final)
+        losses = [train_epoch(c.model, inputs, cfg, 3, c.opt_state).total for c in (final, loaded)]
+        assert losses[0] == losses[1]
+        assert vector_bytes(loaded) == vector_bytes(final)
 
 
 class TestTrainEpoch:
@@ -244,7 +326,7 @@ class TestTrainEpoch:
                 _, grads = full_loss_grad(
                     replay, state, {}, cfg.alpha, 0.0, mining
                 )
-                adam_step(replay.param_items(), grads, replay_opt, cfg.learning_rate)
+                adam_step(replay.params, grads, replay_opt, cfg.learning_rate)
             replay_aggs.append(float(np.mean(batch_losses)))
 
         np.testing.assert_allclose(epoch_aggs, replay_aggs, atol=1e-9)
@@ -292,7 +374,13 @@ class TestTrainEpoch:
 
         snapshot = {}
         monkeypatch.setattr(trainer, "full_loss_grad", poisoned)
-        with pytest.raises(NonFiniteError, match="epoch 2 batch 1:"):
+        # the flat check finds the array's name after the fact; it must
+        # still name the poisoned one
+        message = {
+            "gradient": r"gradient text\.w1 has a non-finite entry$",
+            "loss": r"loss is inf$",
+        }[bad]
+        with pytest.raises(NonFiniteError, match=f"^epoch 2 batch 1: {message}"):
             train_epoch(model, inputs, cfg, 2, opt)
         np.testing.assert_array_equal(flatten_params(model), snapshot["params"])
         assert opt.t == snapshot["t"]
@@ -302,7 +390,8 @@ class TestTrainEpoch:
 
     def test_norms_taken_once_per_tower_per_step(self, monkeypatch):
         # two per step (forward_batch's two towers) and two per epoch (the
-        # train-split SSE tables); nothing else in the step takes a norm
+        # train-split SSE tables), all through mathcore.row_norms; nothing
+        # else in the step takes a norm
         ds = small_dataset()
         cfg = TrainConfig(batch_size=8, seed=9)
         model = small_model(ds, seed=cfg.seed)
@@ -310,17 +399,22 @@ class TestTrainEpoch:
         n_batches = sum(
             1 for start in range(0, n_train, cfg.batch_size) if n_train - start >= 2
         )
-        real = np.linalg.norm
-        calls = []
+        calls = {"row_norms": 0, "norm": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
+        def counted(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(np.linalg, "norm", counted)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(mathcore, "row_norms")
+        counted(np.linalg, "norm")
         train_epoch(model, train_inputs(ds, cfg.experts()), cfg, 2, new_adam_state(model))
         assert n_batches >= 2
-        assert len(calls) == 2 * n_batches + 2
+        assert calls == {"row_norms": 2 * n_batches + 2, "norm": 0}
 
     @pytest.mark.parametrize(
         "epoch, kinds",
@@ -376,7 +470,9 @@ class TestRunTraining:
 
     def test_fixed_inputs_built_once_per_run(self, tmp_path, monkeypatch):
         # the static tables' unit rows, one per SSE expert, are among the inputs
-        calls = {"train_inputs": 0, "unit_rows": 0}
+        # split_inputs builds the train split's rows inside train_inputs,
+        # and the validation split's once beside it
+        calls = {"train_inputs": 0, "split_inputs": 0, "unit_rows": 0}
 
         def counted(name):
             real = getattr(trainer, name)
@@ -391,9 +487,9 @@ class TestRunTraining:
             monkeypatch.setattr(trainer, name, counted(name))
         cfg = TrainConfig(epochs=3, batch_size=8, seed=13)
         run_training(small_dataset(), cfg, 0, 8, tmp_path / "three")
-        assert calls == {"train_inputs": 1, "unit_rows": 2}
+        assert calls == {"train_inputs": 1, "split_inputs": 2, "unit_rows": 2}
         run_training(small_dataset(), dataclasses.replace(cfg, epochs=0), 0, 8, tmp_path / "none")
-        assert calls == {"train_inputs": 1, "unit_rows": 2}
+        assert calls == {"train_inputs": 1, "split_inputs": 2, "unit_rows": 2}
 
     @pytest.mark.parametrize("table", ["sse_video", "sse_text"])
     def test_zero_norm_sse_row_names_epoch_and_table(self, tmp_path, table):
