@@ -19,13 +19,22 @@ SHA-256, then the raw float64 values. They hold no ids; row i is the item on
 record i of the LBL1 labels file, the one file that holds each id once, as
 ``<id> <concept>`` in dataset order. The two SPLIT1 files list each split's
 ids. The three line files and the manifest follow the line rule of
-``experts.read_records``. The manifest's header is ``MANIFEST2``; each
-record is ``<role> <filename> <sha256>``, each role exactly once under its
-canonical filename. ``load_dataset`` checks every digest before it parses any
-file. Directories written with an older format, a ``MANIFEST1`` header
-(FNV-1a digests) or text FRM1, FRM2, FRM3, EMB1 or EMB2 row files, are
-rejected; regenerate them with ``gen-data``. The filenames keep their
-``.frm1`` and ``.emb1`` suffixes.
+``experts.read_records``.
+
+The manifest's header is ``MANIFEST3``; each record is ``<role> <filename>
+<sha256>``, each role exactly once under its canonical filename. The digest
+follows one rule, ``record_digest``: a line file's is the SHA-256 of the
+whole file, and a row file's is the SHA-256 of its header line, which holds
+the payload's SHA-256 and so binds the whole file. ``load_dataset`` checks
+every record, reading only the header line of each row file, before it parses
+any file; ``experts.read_container`` then checks each payload against its
+header before it returns a value. So every byte of a dataset directory is
+bound by a digest checked on load, and each payload byte is hashed once on
+write and once on load. Directories written with an older format, a
+``MANIFEST1`` (FNV-1a digests) or ``MANIFEST2`` (whole-file digests of every
+file) header or text FRM1, FRM2, FRM3, EMB1 or EMB2 row files, are rejected;
+regenerate them with ``gen-data``. The filenames keep their ``.frm1`` and
+``.emb1`` suffixes.
 """
 
 import hashlib
@@ -54,7 +63,8 @@ VAL_FRACTION = 0.2
 _SSE_TEXT_NOISE_FACTOR = 0.5
 
 MANIFEST_NAME = "manifest.txt"
-MANIFEST_HEADER = "MANIFEST2"
+MANIFEST_HEADER = "MANIFEST3"
+_RETIRED_MANIFESTS = ("MANIFEST1", "MANIFEST2")
 
 _FILES = {
     "frames": "frames.frm1",
@@ -65,6 +75,9 @@ _FILES = {
     "split_train": "split_train.txt",
     "split_val": "split_val.txt",
 }
+
+# the roles whose files are containers of ``experts.write_container``
+ROW_ROLES = ("frames", "text", "sse_video", "sse_text")
 
 
 @dataclass
@@ -343,13 +356,34 @@ def _load_split(path) -> list[str]:
     return list(ids)
 
 
-def write_dataset(dataset: Dataset, out_dir) -> None:
-    """Write all data files, then a MANIFEST2 manifest with each file's SHA-256.
+def record_digest(role: str, path, header_line: bytes | None = None) -> str:
+    """The digest of the MANIFEST3 record of ``role``'s file at ``path``.
 
-    The ids and concepts (``_check_labels``) and then every row array (its
-    file's head, ``experts.frames_head`` or ``embeddings_head``) are checked
-    before the directory is made, so a refused dataset leaves no file or
-    directory behind.
+    For a row role (``ROW_ROLES``) it is the SHA-256 of the file's first
+    line, line end included: ``header_line`` if the caller has it, as
+    ``experts.write_container`` returns it, else the line read from the
+    file. That line holds the tag, the counts and the payload's SHA-256, so
+    it binds the whole file. For a line file it is the SHA-256 of the whole
+    file (``file_digest``).
+    """
+    if role not in ROW_ROLES:
+        return file_digest(path)
+    if header_line is None:
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+    return digest(header_line)
+
+
+def write_dataset(dataset: Dataset, out_dir) -> None:
+    """Write all data files, then a MANIFEST3 manifest with each file's
+    ``record_digest``.
+
+    A row file's record digest is taken from the header line its writer
+    returns, so no file is read back. The ids and concepts
+    (``_check_labels``) and then every row array (its file's head,
+    ``experts.frames_head`` or ``embeddings_head``) are checked before the
+    directory is made, so a refused dataset leaves no file or directory
+    behind.
     """
     _check_labels(dataset)
     out = Path(out_dir)
@@ -362,9 +396,11 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
     for name, rows in embeddings.items():
         heads[name] = embeddings_head(rows, out / _FILES[name])
     out.mkdir(parents=True, exist_ok=True)
-    save_frame_file(dataset.frames, out / _FILES["frames"], heads["frames"])
+    header_lines = {
+        "frames": save_frame_file(dataset.frames, out / _FILES["frames"], heads["frames"])
+    }
     for name, rows in embeddings.items():
-        save_static_embeddings(rows, out / _FILES[name], heads[name])
+        header_lines[name] = save_static_embeddings(rows, out / _FILES[name], heads[name])
     _write_labels(dataset, out / _FILES["labels"])
     _write_split(dataset.train_ids, out / _FILES["split_train"])
     _write_split(dataset.val_ids, out / _FILES["split_val"])
@@ -372,19 +408,21 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
     with open(out / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         fh.write(MANIFEST_HEADER + "\n")
         for role, filename in _FILES.items():
-            fh.write(f"{role} {filename} {file_digest(out / filename)}\n")
+            sha = record_digest(role, out / filename, header_lines.get(role))
+            fh.write(f"{role} {filename} {sha}\n")
 
 
 def _read_manifest(manifest: Path) -> dict[str, tuple[str, int]]:
-    """Role -> (digest, line number) from a MANIFEST2 file, every line checked.
+    """Role -> (digest, line number) from a MANIFEST3 file, every line checked.
 
-    Each role of ``_FILES`` must appear exactly once, under its canonical
-    filename, so a manifest can neither add files nor point outside the
-    dataset directory. Nothing is hashed here.
+    A ``MANIFEST1`` or ``MANIFEST2`` header is refused at its line with the
+    ``gen-data`` hint. Each role of ``_FILES`` must appear exactly once,
+    under its canonical filename, so a manifest can neither add files nor
+    point outside the dataset directory. Nothing is hashed here.
     """
     if not manifest.exists():
         raise ParseError(f"{manifest}: manifest not found")
-    _, records, _ = read_records(manifest, MANIFEST_HEADER, 0, retired=("MANIFEST1",))
+    _, records, _ = read_records(manifest, MANIFEST_HEADER, 0, retired=_RETIRED_MANIFESTS)
     entries: dict[str, tuple[str, int]] = {}
     for lineno, line in records:
         parts = line.split()
@@ -411,10 +449,14 @@ def _read_manifest(manifest: Path) -> dict[str, tuple[str, int]]:
 
 
 def load_dataset(data_dir) -> Dataset:
-    """Load a dataset directory after checking its MANIFEST2 manifest.
+    """Load a dataset directory after checking its MANIFEST3 manifest.
 
-    Every manifest line is validated first; then each file's SHA-256 must
-    match before any file is parsed. The ids, in order, are those of
+    Every manifest line is validated first; then each file's
+    ``record_digest`` must match its record before any file is parsed: the
+    whole of each line file is hashed, and only the header line of each row
+    file. Each row file's payload is hashed once, as it is read, and checked
+    against the digest in that header line before any of its values is used
+    (``experts.read_container``). The ids, in order, are those of
     ``labels.txt``, and each row file must hold one row per id.
     """
     root = Path(data_dir)
@@ -424,9 +466,10 @@ def load_dataset(data_dir) -> Dataset:
         target = root / filename
         if not target.exists():
             raise ParseError(f"{manifest}: listed file {filename} is missing", lineno)
-        actual = file_digest(target)
+        actual = record_digest(role, target)
         if actual != expected:
-            raise ChecksumError(f"{filename}: checksum {actual} != manifest {expected}")
+            what = "header line checksum" if role in ROW_ROLES else "checksum"
+            raise ChecksumError(f"{filename}: {what} {actual} != manifest {expected}")
 
     labels_path = root / _FILES["labels"]
     labels = _load_labels(labels_path)

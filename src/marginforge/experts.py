@@ -8,7 +8,7 @@ Either kind's unit rows become margins in ``margin.expert_margins``;
 
 Every file of the package has one of two skeletons, and both live here.
 ``read_records`` holds the line rule of the three line formats, LBL1, SPLIT1
-and MANIFEST2. ``write_container`` and ``read_container`` hold the binary
+and MANIFEST3. ``write_container`` and ``read_container`` hold the binary
 container of row files and checkpoints: one ASCII header line whose fields
 include the SHA-256 of the payload, then the payload, raw little-endian
 float64 values. Only marginforge writes and reads these files, so the values
@@ -60,13 +60,13 @@ class StaticEmbeddingTable:
 
 
 # ---------------------------------------------------------------------------
-# line formats: LBL1, SPLIT1, MANIFEST2
+# line formats: LBL1, SPLIT1, MANIFEST3
 # ---------------------------------------------------------------------------
 
 def read_records(path, tag: str, n_counts: int, retired=()):
     """Header counts and a record stream for every line format of the package.
 
-    The one rule shared by the three line formats, LBL1, SPLIT1 and MANIFEST2
+    The one rule shared by the three line formats, LBL1, SPLIT1 and MANIFEST3
     (row files and checkpoints are binary, ``read_container``):
 
     - blank lines, and lines whose first token starts with ``#``, are skipped
@@ -138,23 +138,29 @@ def parse_count(token: str, lineno, path) -> int:
 _FLOAT = np.dtype("<f8")
 
 
-def write_container(path, head: str, arrays, tail: str = "") -> None:
+def write_container(path, head: str, arrays, tail: str = "") -> bytes:
     """Write the header ``<head> <sha256> <tail>`` and a line end, then the
     payload: each of ``arrays`` as raw little-endian float64 in C order.
 
     ``<sha256>`` is the payload's digest, and an empty ``tail`` is no token.
     The payload is hashed from the arrays and written from them, so only an
     array that is not already C-ordered ``<f8`` is copied.
+
+    Returns the header line as written, line end included: the bytes a
+    MANIFEST3 record hashes to bind a row file (``data.record_digest``), so
+    the writer need not read the file back.
     """
     arrays = [np.ascontiguousarray(arr, dtype=_FLOAT) for arr in arrays]
     sha = hashlib.sha256()
     for arr in arrays:
         sha.update(arr)
     header = " ".join(filter(None, (head, sha.hexdigest(), tail)))
+    line = f"{header}\n".encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(f"{header}\n".encode("ascii"))
+        fh.write(line)
         for arr in arrays:
             fh.write(arr)
+    return line
 
 
 def read_container(path, tag: str, hint: str, layout):
@@ -226,11 +232,18 @@ def _read_rows(path, tag: str, n_counts: int, hint: str) -> np.ndarray:
     return values.reshape(shape)
 
 
-def _row_head(path, tag: str, rows: np.ndarray) -> str:
+def _row_head(path, tag: str, rows: np.ndarray, dims: tuple[str, ...]) -> str:
     """The head ``tag <N> <counts...>`` of a row file at ``path`` for
-    ``rows``, once they pass the check: rows the loaders would reject, rows
-    of no value (``ShapeMismatchError``) or a row holding a non-finite value
-    (``NonFiniteError``, naming its row), are refused."""
+    ``rows``, once they pass the check: rows the loaders would reject are
+    refused. Those are rows whose rank is not the length of ``dims``, the
+    names of their axes such as ``("N", "D")``, or that hold no value
+    (``ShapeMismatchError``), and a row holding a non-finite value
+    (``NonFiniteError``, naming its row)."""
+    if rows.ndim != len(dims):
+        raise ShapeMismatchError(
+            f"{path}: {tag} rows need {len(dims)} dimensions ({', '.join(dims)}), "
+            f"got shape {rows.shape}"
+        )
     if min(rows.shape[1:]) < 1:
         raise ShapeMismatchError(f"{path}: rows need at least one value, got shape {rows.shape}")
     finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
@@ -253,15 +266,15 @@ def load_static_embeddings(path) -> np.ndarray:
 
 def embeddings_head(rows: np.ndarray, path) -> str:
     """The checked EMB3 head of the (N, D) ``rows`` (``_row_head``)."""
-    n, dim = rows.shape
-    return _row_head(path, "EMB3", rows)
+    return _row_head(path, "EMB3", rows, ("N", "D"))
 
 
-def save_static_embeddings(rows: np.ndarray, path, head: str | None = None) -> None:
-    """Write the (N, D) ``rows`` as an EMB3 file; ``head`` is their
-    ``embeddings_head`` if the caller has checked them already, so that the
-    rows are checked once, before the file is opened."""
-    write_container(path, head or embeddings_head(rows, path), [rows])
+def save_static_embeddings(rows: np.ndarray, path, head: str | None = None) -> bytes:
+    """Write the (N, D) ``rows`` as an EMB3 file and return its header line
+    (``write_container``); ``head`` is their ``embeddings_head`` if the
+    caller has checked them already, so that the rows are checked once,
+    before the file is opened."""
+    return write_container(path, head or embeddings_head(rows, path), [rows])
 
 
 def load_frame_file(path) -> np.ndarray:
@@ -271,11 +284,11 @@ def load_frame_file(path) -> np.ndarray:
 
 def frames_head(frames: np.ndarray, path) -> str:
     """The checked FRM4 head of the (N, T, D) ``frames`` (``_row_head``)."""
-    n, t, dim = frames.shape
-    return _row_head(path, "FRM4", frames)
+    return _row_head(path, "FRM4", frames, ("N", "T", "D"))
 
 
-def save_frame_file(frames: np.ndarray, path, head: str | None = None) -> None:
+def save_frame_file(frames: np.ndarray, path, head: str | None = None) -> bytes:
     """Write the (N, T, D) ``frames`` as an FRM4 file, item by item,
-    frame-major; ``head`` is as for ``save_static_embeddings``."""
-    write_container(path, head or frames_head(frames, path), [frames])
+    frame-major, and return its header line; ``head`` is as for
+    ``save_static_embeddings``."""
+    return write_container(path, head or frames_head(frames, path), [frames])

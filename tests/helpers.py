@@ -2,7 +2,8 @@
 model's parameters and gradients, the scalar rank reference, a dataset's
 same-concept partners, the adaptive-margin reference, a given matrix as a
 margin level or as the loss's unit rows, the dense forms of ``dS`` and of
-the cosine backward, and a container file's header tokens and payload.
+the cosine backward, a container file's header tokens and payload, and a
+dataset manifest re-signed after a test edits its files.
 
 The kernels take unit rows U and V, not ``S``. A given B x B ``S`` reaches
 them as its identity form ``dense_rows(S) = (I, S.T)``: each cell of a block
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from marginforge import objective
+from marginforge.data import _FILES, MANIFEST_HEADER, MANIFEST_NAME, record_digest
 from marginforge.errors import IndexOutOfRangeError, ShapeMismatchError
 from marginforge.mathcore import as_vector
 
@@ -200,3 +202,13 @@ def read_parts(path) -> tuple[list[str], bytes]:
     """A container file's header tokens and its payload bytes."""
     line, _, payload = path.read_bytes().partition(b"\n")
     return line.decode("ascii").split(), payload
+
+
+def resign_manifest(data_dir) -> None:
+    """Rewrite the manifest of the dataset directory ``data_dir`` with every
+    file's record under the library's rule (``data.record_digest``), so that
+    a test's edit of a file reaches that file's parser, not the digest check."""
+    lines = [MANIFEST_HEADER]
+    for role, filename in _FILES.items():
+        lines.append(f"{role} {filename} {record_digest(role, data_dir / filename)}")
+    (data_dir / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")

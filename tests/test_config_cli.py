@@ -15,7 +15,14 @@ from marginforge.config import (
     parse_config,
     resolved_text,
 )
-from marginforge.data import MANIFEST_NAME, SynthConfig, digest, generate, write_dataset
+from marginforge.data import (
+    MANIFEST_HEADER,
+    MANIFEST_NAME,
+    SynthConfig,
+    digest,
+    generate,
+    write_dataset,
+)
 from marginforge.errors import ConfigError, ConfigTypeError, ParseError, UnknownKeyError
 from marginforge.trainer import TrainConfig
 
@@ -345,7 +352,7 @@ class TestEvalCommand:
         main(["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(run)])
         manifest = data_dir / MANIFEST_NAME
         manifest.write_text(
-            manifest.read_text(encoding="utf-8").replace("MANIFEST2", "MANIFEST1", 1),
+            manifest.read_text(encoding="utf-8").replace(MANIFEST_HEADER, "MANIFEST1", 1),
             encoding="utf-8",
         )
         capsys.readouterr()

@@ -1,13 +1,16 @@
+import hashlib
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from marginforge import kernels
+from marginforge import data, experts, kernels
 from marginforge.data import (
     DIGEST_CHUNK,
     MANIFEST_NAME,
+    ROW_ROLES,
     SynthConfig,
     _load_labels,
     _load_split,
@@ -15,6 +18,7 @@ from marginforge.data import (
     file_digest,
     generate,
     load_dataset,
+    record_digest,
     write_dataset,
 )
 from marginforge.errors import (
@@ -24,11 +28,14 @@ from marginforge.errors import (
     NonFiniteError,
     ParseError,
 )
-from marginforge.experts import StaticEmbeddingTable
+from marginforge.experts import StaticEmbeddingTable, load_frame_file
 from marginforge.mathcore import unit_rows
 from marginforge.model import ModelDims, init_params
 from marginforge.trainer import evaluate_split
-from helpers import ground_truth_equivalents, read_parts
+from helpers import ground_truth_equivalents, read_parts, resign_manifest
+
+
+ROW_FILES = ["frames.frm1", "sse_text.emb1", "text.emb1", "sse_video.emb1"]
 
 
 def dir_digest(path):
@@ -215,16 +222,11 @@ class TestRoundTrip:
         ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=17))
         write_dataset(ds, tmp_path)
         target = tmp_path / filename
-        old_digest = digest(target.read_bytes())
         lines = target.read_text(encoding="utf-8").splitlines()
         lines[0] = header.format(tag=tag, n=len(lines) - 1)
         target.write_text("\n".join(lines) + "\n", encoding="utf-8")
         # re-sign the manifest so the header, not the checksum, is what fails
-        manifest = tmp_path / MANIFEST_NAME
-        manifest.write_text(
-            manifest.read_text(encoding="utf-8").replace(old_digest, digest(target.read_bytes())),
-            encoding="utf-8",
-        )
+        resign_manifest(tmp_path)
         with pytest.raises(ParseError) as excinfo:
             load_dataset(tmp_path)
         assert excinfo.value.line == 1
@@ -265,16 +267,11 @@ class TestLabelAndSplitFiles:
     def test_repeated_split_id_rejected_at_its_line(self, tmp_path):
         write_dataset(generate(SynthConfig(n_items=8, n_concepts=8, seed=17)), tmp_path)
         target = tmp_path / "split_val.txt"
-        old_digest = digest(target.read_bytes())
         lines = target.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "SPLIT1 2"
         lines[2] = lines[1]  # repeat the first id, keep the declared count
         target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        manifest = tmp_path / MANIFEST_NAME
-        manifest.write_text(
-            manifest.read_text(encoding="utf-8").replace(old_digest, digest(target.read_bytes())),
-            encoding="utf-8",
-        )
+        resign_manifest(tmp_path)
         with pytest.raises(
             DuplicateIdError, match=rf"line 3: \S*split_val\.txt: duplicate id '{lines[1]}'"
         ):
@@ -283,16 +280,11 @@ class TestLabelAndSplitFiles:
     def test_splits_that_do_not_partition_name_their_files(self, tmp_path):
         write_dataset(generate(SynthConfig(n_items=8, n_concepts=8, seed=17)), tmp_path)
         target = tmp_path / "split_train.txt"
-        old_digest = digest(target.read_bytes())
         lines = target.read_text(encoding="utf-8").splitlines()
         val_id = (tmp_path / "split_val.txt").read_text(encoding="utf-8").splitlines()[1]
         lines[-1] = val_id  # a val id in the train split, count kept
         target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        manifest = tmp_path / MANIFEST_NAME
-        manifest.write_text(
-            manifest.read_text(encoding="utf-8").replace(old_digest, digest(target.read_bytes())),
-            encoding="utf-8",
-        )
+        resign_manifest(tmp_path)
         with pytest.raises(
             ParseError, match=r"split_train\.txt and \S*split_val\.txt: .*partition.*labels\.txt"
         ):
@@ -316,15 +308,27 @@ class TestManifest:
         assert excinfo.value.line == lineno
         return str(excinfo.value)
 
-    def test_manifest2_header_and_sha256_digests(self, tmp_path):
+    def test_manifest3_binds_row_files_by_header_line(self, tmp_path):
         lines = self.write(tmp_path, lambda lines: None)
-        assert lines[0] == "MANIFEST2" and len(lines) == 8
+        assert lines[0] == "MANIFEST3" and len(lines) == 8
+        row_roles = []
         for line in lines[1:]:
             role, filename, hexdigest = line.split()
-            assert hexdigest == digest((tmp_path / filename).read_bytes())
+            raw = (tmp_path / filename).read_bytes()
+            if role in ROW_ROLES:
+                row_roles.append(role)
+                assert hexdigest == digest(raw[: raw.index(b"\n") + 1]) != digest(raw)
+            else:
+                assert hexdigest == digest(raw)
+            assert hexdigest == record_digest(role, tmp_path / filename)
+        assert row_roles == ["frames", "text", "sse_video", "sse_text"]
 
     def test_manifest1_rejected_with_regenerate_hint(self, tmp_path):
         self.write(tmp_path, lambda lines: lines.__setitem__(0, "MANIFEST1"))
+        assert "gen-data" in self.rejected_at(tmp_path, 1)
+
+    def test_manifest2_rejected_with_regenerate_hint(self, tmp_path):
+        self.write(tmp_path, lambda lines: lines.__setitem__(0, "MANIFEST2"))
         assert "gen-data" in self.rejected_at(tmp_path, 1)
 
     def test_unknown_role_rejected(self, tmp_path):
@@ -365,6 +369,89 @@ class TestManifest:
 
         self.write(tmp_path, corrupt_then_repeat)
         self.rejected_at(tmp_path, 9)
+
+
+class TestRowFilesStayBound:
+    """A row file's manifest record covers its header line and the header's
+    digest its payload, so an edit of either fails typed, naming the file,
+    with the manifest left as written."""
+
+    def dataset_dir(self, tmp_path):
+        write_dataset(generate(SynthConfig(n_items=8, n_concepts=8, seed=20)), tmp_path)
+        return tmp_path
+
+    def test_swapped_frame_counts_fail_the_manifest_check(self, tmp_path):
+        # (8, 4, 24) frames read as (8, 24, 4): the same payload under its own
+        # digest, which the payload digest alone would accept
+        data_dir = self.dataset_dir(tmp_path)
+        target = data_dir / "frames.frm1"
+        parts, payload = read_parts(target)
+        assert parts[:4] == ["FRM4", "8", "4", "24"] and parts[4] == digest(payload)
+        swapped = " ".join(["FRM4", "8", "24", "4", parts[4]]).encode("ascii")
+        target.write_bytes(swapped + b"\n" + payload)
+        assert load_frame_file(target).shape == (8, 24, 4)
+        with pytest.raises(ChecksumError, match=r"^frames\.frm1: header line checksum"):
+            load_dataset(data_dir)
+
+    @pytest.mark.parametrize("filename", ROW_FILES)
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw[:-5] + bytes([raw[-5] ^ 0x10]) + raw[-4:],
+            lambda raw: raw[:-8],
+            lambda raw: raw + b"\x00",
+        ],
+        ids=["flipped-byte", "one-value-short", "appended-byte"],
+    )
+    def test_payload_edit_fails_naming_the_file(self, tmp_path, filename, edit):
+        data_dir = self.dataset_dir(tmp_path)
+        target = data_dir / filename
+        target.write_bytes(edit(target.read_bytes()))
+        with pytest.raises(ChecksumError, match="^" + re.escape(f"{target}: payload digest")):
+            load_dataset(data_dir)
+
+
+class TestHashingBudget:
+    """``write_dataset`` and ``load_dataset`` each hash every row-file payload
+    byte once, and beyond that only the row files' header lines and the three
+    line files."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        sizes = []
+
+        class Sha256:
+            def __init__(self, data=b""):
+                self.inner = hashlib.sha256()
+                self.update(data)
+
+            def update(self, data):
+                sizes.append(memoryview(data).nbytes)
+                self.inner.update(data)
+
+            def hexdigest(self):
+                return self.inner.hexdigest()
+
+        for module in (data, experts):
+            monkeypatch.setattr(module, "hashlib", SimpleNamespace(sha256=Sha256))
+        return sizes
+
+    def test_each_byte_hashed_once_per_write_and_once_per_load(self, tmp_path, hashed):
+        ds = generate(SynthConfig(n_items=16, n_concepts=12, duplicate_rate=0.5, seed=21))
+        write_dataset(ds, tmp_path)
+        written = sum(hashed)
+        hashed.clear()
+        load_dataset(tmp_path)
+        payloads = [ds.frames, ds.text, ds.sse_video.embeddings, ds.sse_text.embeddings]
+        header_lines = [read_parts(tmp_path / name)[0] for name in ROW_FILES]
+        line_files = ["labels.txt", "split_train.txt", "split_val.txt"]
+        budget = (
+            sum(rows.nbytes for rows in payloads)
+            + sum(len(" ".join(parts)) + 1 for parts in header_lines)
+            + sum((tmp_path / name).stat().st_size for name in line_files)
+        )
+        assert written == budget
+        assert sum(hashed) == budget
 
 
 class TestDatasetInvariants:
@@ -431,9 +518,6 @@ class TestDatasetInvariants:
         assert ds.sse_video.ids[0] == ds.sse_text.ids[0] == "it000000"
 
 
-ROW_FILES = ["frames.frm1", "sse_text.emb1", "text.emb1", "sse_video.emb1"]
-
-
 class TestLoadErrorsNameTheirFiles:
     """Every record and cross-file error of a dataset load says which file is wrong."""
 
@@ -446,14 +530,8 @@ class TestLoadErrorsNameTheirFiles:
 
     def write_signed(self, data_dir, filename, raw: bytes):
         """Replace one data file's bytes and re-sign the manifest."""
-        target = data_dir / filename
-        old_digest = digest(target.read_bytes())
-        target.write_bytes(raw)
-        manifest = data_dir / MANIFEST_NAME
-        manifest.write_text(
-            manifest.read_text(encoding="utf-8").replace(old_digest, digest(raw)),
-            encoding="utf-8",
-        )
+        (data_dir / filename).write_bytes(raw)
+        resign_manifest(data_dir)
 
     def dataset_dir(self, tmp_path):
         write_dataset(generate(SynthConfig(n_items=8, n_concepts=8, seed=19)), tmp_path)

@@ -370,6 +370,22 @@ class TestWriterRefusals:
         with pytest.raises(ShapeMismatchError, match="rows need at least one value"):
             self.write(tmp_path, save_frame_file, np.ones(shape))
 
+    @pytest.mark.parametrize(
+        "tag, shape, dims",
+        [
+            ("EMB3", (3,), "2 dimensions (N, D)"),
+            ("EMB3", (2, 3, 4), "2 dimensions (N, D)"),
+            ("FRM4", (2, 3), "3 dimensions (N, T, D)"),
+            ("FRM4", (2, 3, 4, 1), "3 dimensions (N, T, D)"),
+        ],
+    )
+    def test_rows_of_another_rank_name_the_path_and_rank(self, tmp_path, tag, shape, dims):
+        p = tmp_path / "rows.bin"
+        message = f"{p}: {tag} rows need {dims}, got shape {shape}"
+        with pytest.raises(ShapeMismatchError, match="^" + re.escape(message) + "$"):
+            SAVERS[tag][0](np.ones(shape), p)
+        assert not p.exists()
+
 
 def test_frame_writer_memory_stays_bounded(tmp_path):
     # the ingest-eval frames, 3 MiB: the payload is hashed and written from

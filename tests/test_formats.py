@@ -1,6 +1,6 @@
 """The two file skeletons of the package and the formats built on them.
 
-The line rule of the three line formats, LBL1, SPLIT1 and MANIFEST2
+The line rule of the three line formats, LBL1, SPLIT1 and MANIFEST3
 (``experts.read_records``): blank lines and ``#`` comments may stand
 anywhere, the header is the first other line, and a wrong header is reported
 at its own line. The binary container of CKPT3, FRM4 and EMB3
@@ -45,7 +45,7 @@ from marginforge.trainer import new_adam_state
 from helpers import read_parts
 
 
-def manifest2(path):
+def manifest3(path):
     return {role: hexdigest for role, (hexdigest, _) in _read_manifest(path).items()}
 
 
@@ -53,7 +53,7 @@ def manifest2(path):
 FORMATS = [
     ("LBL1", "labels.txt", _load_labels),
     ("SPLIT1", "split_val.txt", _load_split),
-    ("MANIFEST2", MANIFEST_NAME, manifest2),
+    ("MANIFEST3", MANIFEST_NAME, manifest3),
 ]
 
 
@@ -366,6 +366,16 @@ class TestContainerSkeleton:
         write_container(tmp_path / "x", "TAG", [np.ones(2)], "adam 1 2")
         parts, payload = read_parts(tmp_path / "x")
         assert parts == ["TAG", digest(payload), "adam", "1", "2"]
+
+    def test_returns_the_header_line_it_wrote(self, tmp_path):
+        line = write_container(tmp_path / "x", "TAG 2", [np.ones(2)], "end")
+        assert line == (tmp_path / "x").read_bytes().partition(b"\n")[0] + b"\n"
+
+    @pytest.mark.parametrize("save", [save_frame_file, save_static_embeddings])
+    def test_row_writers_return_the_header_line(self, tmp_path, save):
+        rows = np.ones((2, 3) if save is save_static_embeddings else (2, 3, 4))
+        line = save(rows, tmp_path / "x")
+        assert line == (tmp_path / "x").read_bytes().partition(b"\n")[0] + b"\n"
 
     def test_empty_tail_is_no_token(self, tmp_path):
         write_container(tmp_path / "x", "TAG 1", [np.ones(1)])

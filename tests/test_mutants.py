@@ -3,8 +3,10 @@
 
 A mutant is one single-byte substitution or one deletion of 1-7 bytes at a
 random offset, drawn from numpy's generator seeded with 0. Data-file mutants
-are re-signed in the manifest, so that their parser runs rather than the
-digest check; manifest mutants are not. A mutant of a binary container, a
+are re-signed in the manifest by the library's record rule
+(``helpers.resign_manifest``), so that their parser runs rather than the
+manifest check, and none fails that check; manifest mutants are not
+re-signed. A mutant of a binary container, a
 row file or a CKPT3 checkpoint, changes only the header line, whose payload
 digest guards the rest. A targeted case writes a NaN into each row file's
 payload under a correct digest.
@@ -27,10 +29,10 @@ from marginforge.data import (
     load_dataset,
     write_dataset,
 )
-from marginforge.errors import MarginForgeError, ParseError
+from marginforge.errors import ChecksumError, MarginForgeError, ParseError
 from marginforge.model import Checkpoint, ModelDims, init_params, read_checkpoint, write_checkpoint
 from marginforge.trainer import TrainConfig, new_adam_state
-from helpers import read_parts
+from helpers import read_parts, resign_manifest
 
 DATA = SynthConfig(
     n_items=12,
@@ -55,12 +57,14 @@ def mutate(rng, raw: bytes, end: int | None = None) -> bytes:
     return raw[:off] + raw[off + int(rng.integers(1, 8)) :]
 
 
-def loads_or_fails_typed(load, path, raw: bytes) -> None:
+def loads_or_fails_typed(load, path, raw: bytes) -> MarginForgeError | None:
+    """Write ``raw`` to ``path`` and run ``load``; the typed error it raised, if any."""
     path.write_bytes(raw)
     try:
         load()
-    except MarginForgeError:
-        pass
+    except MarginForgeError as exc:
+        return exc
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -70,27 +74,31 @@ def dataset_dir(tmp_path_factory):
     return root / "data"
 
 
-def manifest_text(digests: dict) -> bytes:
-    lines = ["MANIFEST2"] + [f"{role} {name} {digests[role]}" for role, name in _FILES.items()]
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
 @pytest.mark.parametrize("role", [*_FILES, "manifest"])
 def test_dataset_file_mutants_load_or_fail_typed(dataset_dir, role):
     work = dataset_dir.parent / f"work_{role}"
     shutil.copytree(dataset_dir, work)
     rng = np.random.default_rng([0, [*_FILES, "manifest"].index(role)])
-    digests = {r: digest((work / name).read_bytes()) for r, name in _FILES.items()}
     manifest = work / MANIFEST_NAME
-    assert manifest.read_bytes() == manifest_text(digests)
+    written = manifest.read_bytes()
+    resign_manifest(work)
+    assert manifest.read_bytes() == written
     target = manifest if role == "manifest" else work / _FILES[role]
     original = target.read_bytes()
     header_end = original.index(b"\n") + 1 if role in ROW_FILES else None
+
+    def resigned_load():
+        resign_manifest(work)
+        load_dataset(work)
+
     for _ in range(MUTANTS_PER_FILE):
         raw = mutate(rng, original, header_end)
-        if role != "manifest":
-            manifest.write_bytes(manifest_text({**digests, role: digest(raw)}))
-        loads_or_fails_typed(lambda: load_dataset(work), target, raw)
+        if role == "manifest":
+            loads_or_fails_typed(lambda: load_dataset(work), target, raw)
+        else:
+            # re-signed, a mutant gets past the manifest check to its parser
+            error = loads_or_fails_typed(resigned_load, target, raw)
+            assert not (isinstance(error, ChecksumError) and "!= manifest" in str(error))
 
 
 @pytest.mark.parametrize("role", ROW_FILES)
@@ -104,8 +112,7 @@ def test_non_finite_payload_value_fails_naming_its_file(dataset_dir, role):
     payload = values.tobytes()
     header = parts[:-1] + [digest(payload)]
     target.write_bytes(" ".join(header).encode("ascii") + b"\n" + payload)
-    digests = {r: digest((work / name).read_bytes()) for r, name in _FILES.items()}
-    (work / MANIFEST_NAME).write_bytes(manifest_text(digests))
+    resign_manifest(work)
     message = f"{target}: row {DATA.n_items - 1} holds a non-finite value"
     with pytest.raises(ParseError, match=re.escape(message)):
         load_dataset(work)
