@@ -64,7 +64,6 @@ _SSE_TEXT_NOISE_FACTOR = 0.5
 
 MANIFEST_NAME = "manifest.txt"
 MANIFEST_HEADER = "MANIFEST3"
-_RETIRED_MANIFESTS = ("MANIFEST1", "MANIFEST2")
 
 _FILES = {
     "frames": "frames.frm1",
@@ -422,7 +421,9 @@ def _read_manifest(manifest: Path) -> dict[str, tuple[str, int]]:
     """
     if not manifest.exists():
         raise ParseError(f"{manifest}: manifest not found")
-    _, records, _ = read_records(manifest, MANIFEST_HEADER, 0, retired=_RETIRED_MANIFESTS)
+    _, records, _ = read_records(
+        manifest, MANIFEST_HEADER, 0, retired=("MANIFEST1", "MANIFEST2")
+    )
     entries: dict[str, tuple[str, int]] = {}
     for lineno, line in records:
         parts = line.split()

@@ -421,13 +421,13 @@ class TestHashingBudget:
         sizes = []
 
         class Sha256:
-            def __init__(self, data=b""):
+            def __init__(self, initial=b""):
                 self.inner = hashlib.sha256()
-                self.update(data)
+                self.update(initial)
 
-            def update(self, data):
-                sizes.append(memoryview(data).nbytes)
-                self.inner.update(data)
+            def update(self, chunk):
+                sizes.append(memoryview(chunk).nbytes)
+                self.inner.update(chunk)
 
             def hexdigest(self):
                 return self.inner.hexdigest()

@@ -23,6 +23,7 @@ from marginforge.cli import main
 from marginforge.data import (
     _FILES,
     MANIFEST_NAME,
+    ROW_ROLES,
     SynthConfig,
     digest,
     generate,
@@ -46,7 +47,6 @@ DATA = SynthConfig(
 )
 # 800 dataset mutants (100 per file), 300 config and 300 CKPT3-header mutants
 MUTANTS_PER_FILE = 100
-ROW_FILES = ["frames", "text", "sse_video", "sse_text"]
 
 
 def mutate(rng, raw: bytes, end: int | None = None) -> bytes:
@@ -85,7 +85,7 @@ def test_dataset_file_mutants_load_or_fail_typed(dataset_dir, role):
     assert manifest.read_bytes() == written
     target = manifest if role == "manifest" else work / _FILES[role]
     original = target.read_bytes()
-    header_end = original.index(b"\n") + 1 if role in ROW_FILES else None
+    header_end = original.index(b"\n") + 1 if role in ROW_ROLES else None
 
     def resigned_load():
         resign_manifest(work)
@@ -101,7 +101,7 @@ def test_dataset_file_mutants_load_or_fail_typed(dataset_dir, role):
             assert not (isinstance(error, ChecksumError) and "!= manifest" in str(error))
 
 
-@pytest.mark.parametrize("role", ROW_FILES)
+@pytest.mark.parametrize("role", ROW_ROLES)
 def test_non_finite_payload_value_fails_naming_its_file(dataset_dir, role):
     work = dataset_dir.parent / f"nan_{role}"
     shutil.copytree(dataset_dir, work)
