@@ -12,18 +12,18 @@ imperfect external encoder).
 ``concepts`` and both static tables belongs to ``ids[i]``, and
 ``Dataset.rows`` maps ids to rows.
 
-On disk a dataset is a directory of four binary row files, three line files
+On disk a dataset is a directory of four binary row files, ``labels.txt``
 and ``manifest.txt``. The row files, FRM4 frames and three EMB3 tables, are
 containers of ``experts.write_container``: a header line with the payload's
 SHA-256, then the raw float64 values. They hold no ids; row i is the item on
-record i of the LBL1 labels file, the one file that holds each id once, as
-``<id> <concept>`` in dataset order. The two SPLIT1 files list each split's
-ids. The three line files and the manifest follow the line rule of
+record i of the LBL2 labels file, the one file that holds each id once, as
+``<id> <concept> <split>`` in dataset order, where ``<split>`` is ``train``
+or ``val``. The labels file and the manifest follow the line rule of
 ``experts.read_records``.
 
-The manifest's header is ``MANIFEST3``; each record is ``<role> <filename>
+The manifest's header is ``MANIFEST4``; each record is ``<role> <filename>
 <sha256>``, each role exactly once under its canonical filename. The digest
-follows one rule, ``record_digest``: a line file's is the SHA-256 of the
+follows one rule, ``record_digest``: the labels file's is the SHA-256 of the
 whole file, and a row file's is the SHA-256 of its header line, which holds
 the payload's SHA-256 and so binds the whole file. ``load_dataset`` checks
 every record, reading only the header line of each row file, before it parses
@@ -31,8 +31,9 @@ any file; ``experts.read_container`` then checks each payload against its
 header before it returns a value. So every byte of a dataset directory is
 bound by a digest checked on load, and each payload byte is hashed once on
 write and once on load. Directories written with an older format, a
-``MANIFEST1`` (FNV-1a digests) or ``MANIFEST2`` (whole-file digests of every
-file) header or text FRM1, FRM2, FRM3, EMB1 or EMB2 row files, are rejected;
+``MANIFEST1`` (FNV-1a digests), ``MANIFEST2`` (whole-file digests of every
+file) or ``MANIFEST3`` (split files beside the labels) header, an ``LBL1``
+labels file or text FRM1, FRM2, FRM3, EMB1 or EMB2 row files, are rejected;
 regenerate them with ``gen-data``. The filenames keep their ``.frm1`` and
 ``.emb1`` suffixes.
 """
@@ -63,16 +64,16 @@ VAL_FRACTION = 0.2
 _SSE_TEXT_NOISE_FACTOR = 0.5
 
 MANIFEST_NAME = "manifest.txt"
-MANIFEST_HEADER = "MANIFEST3"
+MANIFEST_HEADER = "MANIFEST4"
 
+# role -> canonical filename: the four row files and the labels file, one
+# manifest record each
 _FILES = {
     "frames": "frames.frm1",
     "text": "text.emb1",
     "sse_video": "sse_video.emb1",
     "sse_text": "sse_text.emb1",
     "labels": "labels.txt",
-    "split_train": "split_train.txt",
-    "split_val": "split_val.txt",
 }
 
 # the roles whose files are containers of ``experts.write_container``
@@ -118,7 +119,9 @@ def split_sizes(n_items: int) -> tuple[int, int]:
 @dataclass
 class Dataset:
     """Per-item arrays and static tables, row i of each for ``ids[i]``, and the
-    split; other shapes, table ids or splits are a ``ConfigError``."""
+    split: ``train_ids`` and ``val_ids`` partition ``ids``, each in dataset
+    order (``split_words``). Other shapes, table ids or splits are a
+    ``ConfigError``."""
 
     ids: list[str]
     concepts: np.ndarray  # (N,) int64 concept label per item
@@ -140,9 +143,7 @@ class Dataset:
         for name in ("sse_video", "sse_text"):
             if getattr(self, name).ids != self.ids:
                 raise ConfigError(f"{name} ids are not the dataset ids in order")
-        assigned = set(self.train_ids) | set(self.val_ids)
-        if assigned != set(self.ids) or len(self.train_ids) + len(self.val_ids) != len(self.ids):
-            raise ConfigError("train/val splits must partition the ids")
+        split_words(self.ids, self.train_ids, self.val_ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -156,6 +157,30 @@ class Dataset:
 
     def pooled_video(self) -> np.ndarray:
         return self.frames.mean(axis=1)
+
+
+def split_words(ids, train_ids, val_ids) -> list[str]:
+    """``"train"`` or ``"val"``, the split of each of ``ids``, in one pass;
+    ``train_ids`` and ``val_ids`` must partition ``ids``, each in the order
+    of ``ids``, else a ``ConfigError`` names the first id out of place."""
+    rule = "train/val splits must partition the ids in dataset order"
+    end = object()
+    train, val = iter(train_ids), iter(val_ids)
+    next_train, next_val = next(train, end), next(val, end)
+    words = []
+    for item_id in ids:
+        if item_id == next_train:
+            next_train = next(train, end)
+            words.append("train")
+        elif item_id == next_val:
+            next_val = next(val, end)
+            words.append("val")
+        else:
+            raise ConfigError(f"{rule}: id {item_id!r} is next in neither split")
+    for left in (next_train, next_val):
+        if left is not end:
+            raise ConfigError(f"{rule}: {left!r} is left in a split after the last id")
+    return words
 
 
 def _duplicate_count(cfg: SynthConfig) -> int:
@@ -256,32 +281,17 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# bytes per read of ``file_digest``: one buffer, reused, below glibc's
-# default mmap threshold
-DIGEST_CHUNK = 1 << 16
-
-
-def file_digest(path) -> str:
-    """``digest`` of a file's bytes, read in ``DIGEST_CHUNK`` pieces into one buffer."""
-    h = hashlib.sha256()
-    buf = bytearray(DIGEST_CHUNK)
-    view = memoryview(buf)
-    with open(path, "rb") as fh:
-        while n := fh.readinto(buf):
-            h.update(view[:n])
-    return h.hexdigest()
-
-
 # ``Dataset.concepts`` holds int64 labels
 _CONCEPT_MAX = np.iinfo(np.int64).max
 
 
-def _check_labels(dataset: Dataset) -> None:
-    """Refuse the ids and concepts that ``_load_labels`` would reject or read
-    back otherwise: an id that is empty, holds whitespace, has no UTF-8 form
-    or starts with ``#`` (``ConfigError``), a repeated id
-    (``DuplicateIdError``), and a concept that is negative, not an integer or
-    beyond int64 (``ConfigError``, naming its id)."""
+def _check_labels(dataset: Dataset) -> list[str]:
+    """Refuse the ids, concepts and splits that ``_load_labels`` would reject
+    or read back otherwise: an id that is empty, holds whitespace, has no
+    UTF-8 form or starts with ``#`` (``ConfigError``), a repeated id
+    (``DuplicateIdError``), a concept that is negative, not an integer or
+    beyond int64 (``ConfigError``, naming its id), and splits that
+    ``split_words`` refuses. Returns each id's split word."""
     seen = set()
     for item_id, concept in zip(dataset.ids, np.asarray(dataset.concepts).tolist()):
         try:
@@ -306,67 +316,53 @@ def _check_labels(dataset: Dataset) -> None:
                 f"id {item_id!r}: concept {concept!r} cannot be written: "
                 f"a concept is an integer in [0, {_CONCEPT_MAX}]"
             )
+    return split_words(dataset.ids, dataset.train_ids, dataset.val_ids)
 
 
-def _write_labels(dataset: Dataset, path) -> None:
+def _write_labels(dataset: Dataset, words: list[str], path) -> None:
+    """Write each id, its concept and its split word from ``words``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"LBL1 {len(dataset)}\n")
-        for item_id, concept in zip(dataset.ids, dataset.concepts):
-            fh.write(f"{item_id} {int(concept)}\n")
+        fh.write(f"LBL2 {len(dataset)}\n")
+        for item_id, concept, word in zip(dataset.ids, dataset.concepts, words):
+            fh.write(f"{item_id} {int(concept)} {word}\n")
 
 
-def _load_labels(path) -> dict[str, int]:
-    (n,), records, _ = read_records(path, "LBL1", 1)
+def _load_labels(path) -> tuple[list[str], list[int], list[str], list[str]]:
+    """The ids, concepts, train ids and val ids of an LBL2 file, each in file
+    order; an ``LBL1`` header is refused with the ``gen-data`` hint."""
+    (n,), records = read_records(path, "LBL2", 1, retired=("LBL1",))
     labels: dict[str, int] = {}
+    splits: dict[str, list[str]] = {"train": [], "val": []}
     for lineno, line in records:
         tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(f"{path}: expected '<id> <concept>'", lineno)
-        item_id, concept = tokens
+        if len(tokens) != 3:
+            raise ParseError(f"{path}: expected '<id> <concept> <split>'", lineno)
+        item_id, concept, split = tokens
         if item_id in labels:
             raise DuplicateIdError(f"line {lineno}: {path}: duplicate id {item_id!r}")
         labels[item_id] = parse_count(concept, lineno, path)
         if labels[item_id] > _CONCEPT_MAX:
             raise ParseError(f"{path}: concept {concept} exceeds the int64 range", lineno)
+        if split not in splits:
+            raise ParseError(f"{path}: split {split!r} is neither 'train' nor 'val'", lineno)
+        splits[split].append(item_id)
     if len(labels) != n:
         raise ParseError(f"{path}: header declares {n} labels, found {len(labels)}")
-    return labels
-
-
-def _write_split(ids, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"SPLIT1 {len(ids)}\n")
-        for item_id in ids:
-            fh.write(item_id + "\n")
-
-
-def _load_split(path) -> list[str]:
-    (n,), records, _ = read_records(path, "SPLIT1", 1)
-    ids: dict[str, None] = {}  # insertion-ordered set
-    for lineno, line in records:
-        tokens = line.split()
-        if len(tokens) != 1:
-            raise ParseError(f"{path}: expected one id, got {len(tokens)} tokens", lineno)
-        if tokens[0] in ids:
-            raise DuplicateIdError(f"line {lineno}: {path}: duplicate id {tokens[0]!r}")
-        ids[tokens[0]] = None
-    if len(ids) != n:
-        raise ParseError(f"{path}: header declares {n} ids, found {len(ids)}")
-    return list(ids)
+    return list(labels), list(labels.values()), splits["train"], splits["val"]
 
 
 def record_digest(role: str, path, header_line: bytes | None = None) -> str:
-    """The digest of the MANIFEST3 record of ``role``'s file at ``path``.
+    """The digest of the MANIFEST4 record of ``role``'s file at ``path``.
 
     For a row role (``ROW_ROLES``) it is the SHA-256 of the file's first
     line, line end included: ``header_line`` if the caller has it, as
     ``experts.write_container`` returns it, else the line read from the
     file. That line holds the tag, the counts and the payload's SHA-256, so
-    it binds the whole file. For a line file it is the SHA-256 of the whole
-    file (``file_digest``).
+    it binds the whole file. For the labels file it is the SHA-256 of the
+    whole file.
     """
     if role not in ROW_ROLES:
-        return file_digest(path)
+        return digest(Path(path).read_bytes())
     if header_line is None:
         with open(path, "rb") as fh:
             header_line = fh.readline()
@@ -374,17 +370,17 @@ def record_digest(role: str, path, header_line: bytes | None = None) -> str:
 
 
 def write_dataset(dataset: Dataset, out_dir) -> None:
-    """Write all data files, then a MANIFEST3 manifest with each file's
+    """Write all data files, then a MANIFEST4 manifest with each file's
     ``record_digest``.
 
     A row file's record digest is taken from the header line its writer
-    returns, so no file is read back. The ids and concepts
+    returns, so no file is read back. The ids, concepts and splits
     (``_check_labels``) and then every row array (its file's head,
     ``experts.frames_head`` or ``embeddings_head``) are checked before the
     directory is made, so a refused dataset leaves no file or directory
     behind.
     """
-    _check_labels(dataset)
+    words = _check_labels(dataset)
     out = Path(out_dir)
     embeddings = {
         "text": dataset.text,
@@ -400,9 +396,7 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
     }
     for name, rows in embeddings.items():
         header_lines[name] = save_static_embeddings(rows, out / _FILES[name], heads[name])
-    _write_labels(dataset, out / _FILES["labels"])
-    _write_split(dataset.train_ids, out / _FILES["split_train"])
-    _write_split(dataset.val_ids, out / _FILES["split_val"])
+    _write_labels(dataset, words, out / _FILES["labels"])
 
     with open(out / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         fh.write(MANIFEST_HEADER + "\n")
@@ -412,17 +406,17 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
 
 
 def _read_manifest(manifest: Path) -> dict[str, tuple[str, int]]:
-    """Role -> (digest, line number) from a MANIFEST3 file, every line checked.
+    """Role -> (digest, line number) from a MANIFEST4 file, every line checked.
 
-    A ``MANIFEST1`` or ``MANIFEST2`` header is refused at its line with the
-    ``gen-data`` hint. Each role of ``_FILES`` must appear exactly once,
+    A ``MANIFEST1``, ``MANIFEST2`` or ``MANIFEST3`` header is refused at its
+    line with the ``gen-data`` hint. Each role of ``_FILES`` must appear exactly once,
     under its canonical filename, so a manifest can neither add files nor
     point outside the dataset directory. Nothing is hashed here.
     """
     if not manifest.exists():
         raise ParseError(f"{manifest}: manifest not found")
-    _, records, _ = read_records(
-        manifest, MANIFEST_HEADER, 0, retired=("MANIFEST1", "MANIFEST2")
+    _, records = read_records(
+        manifest, MANIFEST_HEADER, 0, retired=("MANIFEST1", "MANIFEST2", "MANIFEST3")
     )
     entries: dict[str, tuple[str, int]] = {}
     for lineno, line in records:
@@ -450,15 +444,14 @@ def _read_manifest(manifest: Path) -> dict[str, tuple[str, int]]:
 
 
 def load_dataset(data_dir) -> Dataset:
-    """Load a dataset directory after checking its MANIFEST3 manifest.
+    """Load a dataset directory after checking its MANIFEST4 manifest.
 
     Every manifest line is validated first; then each file's
     ``record_digest`` must match its record before any file is parsed: the
-    whole of each line file is hashed, and only the header line of each row
-    file. Each row file's payload is hashed once, as it is read, and checked
+    whole labels file is hashed, and only the header line of each row file. Each row file's payload is hashed once, as it is read, and checked
     against the digest in that header line before any of its values is used
-    (``experts.read_container``). The ids, in order, are those of
-    ``labels.txt``, and each row file must hold one row per id.
+    (``experts.read_container``). The ids, in order, and the splits are
+    those of ``labels.txt``, and each row file must hold one row per id.
     """
     root = Path(data_dir)
     manifest = root / MANIFEST_NAME
@@ -473,8 +466,7 @@ def load_dataset(data_dir) -> Dataset:
             raise ChecksumError(f"{filename}: {what} {actual} != manifest {expected}")
 
     labels_path = root / _FILES["labels"]
-    labels = _load_labels(labels_path)
-    ids = list(labels)
+    ids, concepts, train_ids, val_ids = _load_labels(labels_path)
     rows = {}
     for name, load in (
         ("frames", load_frame_file),
@@ -489,18 +481,13 @@ def load_dataset(data_dir) -> Dataset:
                 f"{path}: holds {len(rows[name])} rows, but {labels_path} holds {len(ids)} ids"
             )
 
-    train_path, val_path = root / _FILES["split_train"], root / _FILES["split_val"]
-    train_ids, val_ids = _load_split(train_path), _load_split(val_path)
-    try:
-        return Dataset(
-            ids=ids,
-            concepts=np.array(list(labels.values()), dtype=np.int64),
-            frames=rows["frames"],
-            text=rows["text"],
-            sse_video=StaticEmbeddingTable(list(ids), rows["sse_video"]),
-            sse_text=StaticEmbeddingTable(list(ids), rows["sse_text"]),
-            train_ids=train_ids,
-            val_ids=val_ids,
-        )
-    except ConfigError as exc:
-        raise ParseError(f"{train_path} and {val_path}: {exc} of {labels_path}") from None
+    return Dataset(
+        ids=ids,
+        concepts=np.array(concepts, dtype=np.int64),
+        frames=rows["frames"],
+        text=rows["text"],
+        sse_video=StaticEmbeddingTable(list(ids), rows["sse_video"]),
+        sse_text=StaticEmbeddingTable(list(ids), rows["sse_text"]),
+        train_ids=train_ids,
+        val_ids=val_ids,
+    )

@@ -7,8 +7,8 @@ Either kind's unit rows become margins in ``margin.expert_margins``;
 ``EXPERT_KINDS`` names the four experts.
 
 Every file of the package has one of two skeletons, and both live here.
-``read_records`` holds the line rule of the three line formats, LBL1, SPLIT1
-and MANIFEST3. ``write_container`` and ``read_container`` hold the binary
+``read_records`` holds the line rule of the two line formats, LBL2 and
+MANIFEST4. ``write_container`` and ``read_container`` hold the binary
 container of row files and checkpoints: one ASCII header line whose fields
 include the SHA-256 of the payload, then the payload, raw little-endian
 float64 values. Only marginforge writes and reads these files, so the values
@@ -60,14 +60,14 @@ class StaticEmbeddingTable:
 
 
 # ---------------------------------------------------------------------------
-# line formats: LBL1, SPLIT1, MANIFEST3
+# line formats: LBL2, MANIFEST4
 # ---------------------------------------------------------------------------
 
 def read_records(path, tag: str, n_counts: int, retired=()):
     """Header counts and a record stream for every line format of the package.
 
-    The one rule shared by the three line formats, LBL1, SPLIT1 and MANIFEST3
-    (row files and checkpoints are binary, ``read_container``):
+    The one rule shared by the two line formats, LBL2 and MANIFEST4 (row
+    files and checkpoints are binary, ``read_container``):
 
     - blank lines, and lines whose first token starts with ``#``, are skipped
       everywhere, before the header as well as between records;
@@ -77,11 +77,10 @@ def read_records(path, tag: str, n_counts: int, retired=()):
       tag, an older version of the format, says to regenerate the dataset;
     - every later line is a record.
 
-    Returns ``(counts, records, header_line)``: the header's counts as a list
-    of ints, an iterator of ``(line_number, line)``, one per record, read
-    lazily from the open file, and the header's line number. A record's
-    ``line`` is its text as read, line end included; a loader takes its
-    tokens with ``line.split()``.
+    Returns ``(counts, records)``: the header's counts as a list of ints and
+    an iterator of ``(line_number, line)``, one per record, read lazily from
+    the open file. A record's ``line`` is its text as read, line end
+    included; a loader takes its tokens with ``line.split()``.
     """
     records = _content_lines(path)
     lineno, line = next(records, (None, None))
@@ -94,7 +93,7 @@ def read_records(path, tag: str, n_counts: int, retired=()):
         expected = " ".join([tag] + ["<N>"] * n_counts)
         raise ParseError(f"{path}: expected '{expected}' header, got {' '.join(tokens)!r}", lineno)
     counts = [parse_count(token, lineno, path) for token in tokens[1:]]
-    return counts, records, lineno
+    return counts, records
 
 
 def _content_lines(path):
@@ -119,7 +118,7 @@ def _content_lines(path):
 
 
 def parse_count(token: str, lineno, path) -> int:
-    """Non-negative decimal integer: every header count and LBL1 concept.
+    """Non-negative decimal integer: every header count and LBL2 concept.
 
     Only ASCII digits are accepted, so ``+2``, ``-0``, ``1_0`` and ``1.5``
     are rejected although ``int()`` takes the first three.
@@ -147,7 +146,7 @@ def write_container(path, head: str, arrays, tail: str = "") -> bytes:
     array that is not already C-ordered ``<f8`` is copied.
 
     Returns the header line as written, line end included: the bytes a
-    MANIFEST3 record hashes to bind a row file (``data.record_digest``), so
+    MANIFEST4 record hashes to bind a row file (``data.record_digest``), so
     the writer need not read the file back.
     """
     arrays = [np.ascontiguousarray(arr, dtype=_FLOAT) for arr in arrays]

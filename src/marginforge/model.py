@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimMismatchError, ParseError, ShapeMismatchError
+from .errors import DimMismatchError, NonFiniteError, ParseError, ShapeMismatchError
 from .experts import parse_count, read_container, write_container
 from .mathcore import unit_rows
 from .seeding import named_rng
@@ -289,10 +289,23 @@ def _vectors(ckpt: Checkpoint) -> list[ParamVector]:
     return [ckpt.model.params] + ([] if adam is None else [adam.m, adam.v])
 
 
+def _non_finite_array(vectors) -> str | None:
+    """The name of the first array of ``vectors``, in payload order, that
+    holds a non-finite value, with its vector's prefix (``m text.b1``)."""
+    for prefix, vec in zip(_VECTOR_PREFIXES, vectors):
+        if not np.isfinite(vec.flat).all():
+            return prefix + next(name for name, arr in vec.items() if not np.isfinite(arr).all())
+    return None
+
+
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write ``ckpt`` as one CKPT3 file, swapped in by a single ``os.replace``.
 
-    An interrupted write leaves any old file at ``path`` intact.
+    What ``read_checkpoint`` would reject is refused before the temp file is
+    opened: a non-finite value (``NonFiniteError``, naming its array), and a
+    ``config_hash``, or for a trainer file an epoch, seed or Adam step, that
+    its header field cannot hold (``ValueError``). An interrupted or refused
+    write leaves any old file at ``path`` intact.
     """
     config_hash = ckpt.config_hash
     if not config_hash.isascii() or any(c.isspace() for c in config_hash):
@@ -300,10 +313,16 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
     vectors = _vectors(ckpt)
     if any(vec.layout != ckpt.model.params.layout for vec in vectors):
         raise ShapeMismatchError("Adam's moments are not in the model's parameter layout")
+    if (name := _non_finite_array(vectors)) is not None:
+        raise NonFiniteError(f"{path}: {name} holds a non-finite value")
     d = ckpt.model.dims
     head = f"{CKPT_TAG} {d.video_in} {d.text_in} {d.hidden} {d.joint}"
     tail = ""
     if ckpt.opt_state is not None:
+        counts = (ckpt.epoch, ckpt.seed, ckpt.opt_state.t)
+        # the reader's rule for a count (``experts.parse_count``)
+        if not all(str(n).isascii() and str(n).isdigit() for n in counts):
+            raise ValueError(f"epoch, seed and Adam t {counts} must be non-negative integers")
         tail = f"adam {ckpt.epoch} {ckpt.seed} {ckpt.opt_state.t} {config_hash}".rstrip()
     with replace_on_success(path) as tmp:
         write_container(tmp, head, [vec.flat for vec in vectors], tail)
@@ -340,13 +359,7 @@ def read_checkpoint(path) -> Checkpoint:
     params_layout = param_layout(dims)
     n = _spans(params_layout)[0]
     vectors = [ParamVector(params_layout, flat[i : i + n]) for i in range(0, flat.size, n)]
-    if not np.isfinite(flat).all():
-        name = next(
-            prefix + name
-            for prefix, vec in zip(_VECTOR_PREFIXES, vectors)
-            for name, arr in vec.items()
-            if not np.isfinite(arr).all()
-        )
+    if (name := _non_finite_array(vectors)) is not None:
         raise ParseError(f"{path}: {name} holds a non-finite value")
     model = TwoTowerModel(dims, vectors[0])
     if adam is None:

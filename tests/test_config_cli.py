@@ -214,6 +214,17 @@ class TestGenDataCommand:
         assert h1 == h2
         assert (tmp_path / "d1/resolved_config.cfg").exists()
 
+    def test_out_dir_holds_the_manifest_files_and_no_other(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMOKE_CFG)
+        out = tmp_path / "d1"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+        records = (out / MANIFEST_NAME).read_text(encoding="utf-8").splitlines()[1:]
+        listed = [line.split()[1] for line in records]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            listed + [MANIFEST_NAME, "resolved_config.cfg"]
+        )
+        assert len(listed) == 5
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_cfg(tmp_path, SMOKE_CFG)
         main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d1")])

@@ -8,17 +8,15 @@ import pytest
 
 from marginforge import data, experts, kernels
 from marginforge.data import (
-    DIGEST_CHUNK,
     MANIFEST_NAME,
     ROW_ROLES,
     SynthConfig,
     _load_labels,
-    _load_split,
     digest,
-    file_digest,
     generate,
     load_dataset,
     record_digest,
+    split_words,
     write_dataset,
 )
 from marginforge.errors import (
@@ -47,14 +45,6 @@ class TestDigest:
         # FIPS 180-2 SHA-256 test vectors
         assert digest(b"") == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         assert digest(b"abc") == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-
-    @pytest.mark.parametrize(
-        "size", [0, 3, DIGEST_CHUNK - 1, DIGEST_CHUNK, DIGEST_CHUNK + 1, 3 * DIGEST_CHUNK + 7]
-    )
-    def test_file_digest_is_the_digest_of_the_bytes(self, tmp_path, size):
-        path = tmp_path / "data.bin"
-        path.write_bytes(np.random.default_rng(size).bytes(size))
-        assert file_digest(path) == digest(path.read_bytes())
 
 
 class TestGenerate:
@@ -179,6 +169,34 @@ class TestRoundTrip:
             assert table.embeddings.tobytes() == getattr(ds, name).embeddings.tobytes()
         assert (loaded.train_ids, loaded.val_ids) == (ds.train_ids, ds.val_ids)
 
+    # generate's val rows are scattered among its train rows; a dataset may
+    # also put them first, last or alternate them
+    @pytest.mark.parametrize(
+        "val_rows",
+        [slice(0, 3), slice(7, 10), slice(0, None, 2)],
+        ids=["val-first", "val-last", "interleaved"],
+    )
+    def test_splits_of_any_order_round_trip(self, tmp_path, val_rows):
+        ds = generate(SynthConfig(n_items=10, n_concepts=10, seed=24))
+        val = set(ds.ids[val_rows])
+        ds = replace(
+            ds,
+            train_ids=[i for i in ds.ids if i not in val],
+            val_ids=[i for i in ds.ids if i in val],
+        )
+        write_dataset(ds, tmp_path)
+        loaded = load_dataset(tmp_path)
+        assert (loaded.train_ids, loaded.val_ids) == (ds.train_ids, ds.val_ids)
+
+    def test_labels_file_holds_each_id_once_with_its_split(self, tmp_path):
+        ds = generate(SynthConfig(n_items=10, n_concepts=8, duplicate_rate=0.4, seed=25))
+        write_dataset(ds, tmp_path)
+        lines = (tmp_path / "labels.txt").read_text(encoding="utf-8").splitlines()
+        val = set(ds.val_ids)
+        assert lines == ["LBL2 10"] + [
+            f"{i} {c} {'val' if i in val else 'train'}" for i, c in zip(ds.ids, ds.concepts)
+        ]
+
     def test_row_files_hold_raw_values_and_no_ids(self, tmp_path):
         ds = generate(SynthConfig(n_items=10, n_concepts=8, duplicate_rate=0.4))
         write_dataset(ds, tmp_path)
@@ -213,17 +231,16 @@ class TestRoundTrip:
         with pytest.raises(ParseError):
             load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("filename, tag", [("labels.txt", "LBL1"), ("split_train.txt", "SPLIT1")])
     @pytest.mark.parametrize(
         "header",
         ["{tag} x", "{tag} two", "{tag} 1.5", "{tag} {n} extra", "{tag} +{n}", "{tag} 1_0", "{tag} -0"],
     )
-    def test_malformed_count_header_rejected(self, tmp_path, filename, tag, header):
+    def test_malformed_count_header_rejected(self, tmp_path, header):
         ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=17))
         write_dataset(ds, tmp_path)
-        target = tmp_path / filename
+        target = tmp_path / "labels.txt"
         lines = target.read_text(encoding="utf-8").splitlines()
-        lines[0] = header.format(tag=tag, n=len(lines) - 1)
+        lines[0] = header.format(tag="LBL2", n=len(lines) - 1)
         target.write_text("\n".join(lines) + "\n", encoding="utf-8")
         # re-sign the manifest so the header, not the checksum, is what fails
         resign_manifest(tmp_path)
@@ -232,63 +249,67 @@ class TestRoundTrip:
         assert excinfo.value.line == 1
 
 
-class TestLabelAndSplitFiles:
+class TestLabelsFile:
     def write(self, tmp_path, text):
-        p = tmp_path / "f.txt"
+        p = tmp_path / "labels.txt"
         p.write_text(text, encoding="utf-8")
         return p
 
+    def test_loads_ids_concepts_and_splits_in_file_order(self, tmp_path):
+        p = self.write(tmp_path, "LBL2 4\nd 3 val\nb 0 train\nc 3 val\na 1 train\n")
+        assert _load_labels(p) == (["d", "b", "c", "a"], [3, 0, 3, 1], ["b", "a"], ["d", "c"])
+
     def test_repeated_label_id_rejected(self, tmp_path):
-        p = self.write(tmp_path, "LBL1 2\na 1\na 2\nb 3\n")
-        with pytest.raises(DuplicateIdError, match=r"line 3: \S*f\.txt: duplicate id 'a'"):
+        p = self.write(tmp_path, "LBL2 2\na 1 train\na 2 val\nb 3 train\n")
+        with pytest.raises(DuplicateIdError, match=r"line 3: \S*labels\.txt: duplicate id 'a'"):
             _load_labels(p)
 
     @pytest.mark.parametrize("token", ["+2", "1_0", "-0", "1.5"])
     def test_bad_concept_label_rejected(self, tmp_path, token):
-        p = self.write(tmp_path, f"LBL1 2\na 1\nb {token}\n")
+        p = self.write(tmp_path, f"LBL2 2\na 1 train\nb {token} val\n")
         with pytest.raises(ParseError) as excinfo:
             _load_labels(p)
         assert excinfo.value.line == 3
 
     def test_concept_beyond_int64_rejected_at_its_line(self, tmp_path):
         largest = np.iinfo(np.int64).max
-        assert _load_labels(self.write(tmp_path, f"LBL1 1\na {largest}\n")) == {"a": largest}
-        p = self.write(tmp_path, f"LBL1 2\na 1\nb {largest + 1}\n")
+        p = self.write(tmp_path, f"LBL2 1\na {largest} val\n")
+        assert _load_labels(p) == (["a"], [largest], [], ["a"])
+        p = self.write(tmp_path, f"LBL2 2\na 1 train\nb {largest + 1} val\n")
         with pytest.raises(ParseError, match="int64") as excinfo:
             _load_labels(p)
         assert excinfo.value.line == 3
 
-    def test_split_line_takes_one_id(self, tmp_path):
-        p = self.write(tmp_path, "SPLIT1 2\na\nb c\n")
-        with pytest.raises(ParseError) as excinfo:
-            _load_split(p)
-        assert excinfo.value.line == 3
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("b 2 Train", "split 'Train' is neither 'train' nor 'val'"),
+            ("b 2 test", "split 'test' is neither 'train' nor 'val'"),
+            ("b 2 val2", "split 'val2' is neither 'train' nor 'val'"),
+            ("b 2 ", "expected '<id> <concept> <split>'"),
+            ("b val", "expected '<id> <concept> <split>'"),
+            ("b 2 val val", "expected '<id> <concept> <split>'"),
+        ],
+        ids=["Train", "test", "val2", "empty", "two-tokens", "four-tokens"],
+    )
+    def test_bad_record_rejected_at_its_line(self, tmp_path, record, message):
+        p = self.write(tmp_path, f"LBL2 2\na 1 train\n{record}\n")
+        with pytest.raises(ParseError, match=f"^line 3: {re.escape(f'{p}: {message}')}$"):
+            _load_labels(p)
 
-    def test_repeated_split_id_rejected_at_its_line(self, tmp_path):
-        write_dataset(generate(SynthConfig(n_items=8, n_concepts=8, seed=17)), tmp_path)
-        target = tmp_path / "split_val.txt"
+    def test_edited_split_word_moves_the_item(self, tmp_path):
+        # the split is a field of the item's one record: no other file to disagree
+        ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=17))
+        write_dataset(ds, tmp_path)
+        target = tmp_path / "labels.txt"
         lines = target.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "SPLIT1 2"
-        lines[2] = lines[1]  # repeat the first id, keep the declared count
+        row = ds.rows(ds.val_ids[:1])[0]
+        lines[1 + row] = lines[1 + row].replace(" val", " train")
         target.write_text("\n".join(lines) + "\n", encoding="utf-8")
         resign_manifest(tmp_path)
-        with pytest.raises(
-            DuplicateIdError, match=rf"line 3: \S*split_val\.txt: duplicate id '{lines[1]}'"
-        ):
-            load_dataset(tmp_path)
-
-    def test_splits_that_do_not_partition_name_their_files(self, tmp_path):
-        write_dataset(generate(SynthConfig(n_items=8, n_concepts=8, seed=17)), tmp_path)
-        target = tmp_path / "split_train.txt"
-        lines = target.read_text(encoding="utf-8").splitlines()
-        val_id = (tmp_path / "split_val.txt").read_text(encoding="utf-8").splitlines()[1]
-        lines[-1] = val_id  # a val id in the train split, count kept
-        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        resign_manifest(tmp_path)
-        with pytest.raises(
-            ParseError, match=r"split_train\.txt and \S*split_val\.txt: .*partition.*labels\.txt"
-        ):
-            load_dataset(tmp_path)
+        loaded = load_dataset(tmp_path)
+        assert loaded.val_ids == ds.val_ids[1:]
+        assert loaded.train_ids == [i for i in ds.ids if i not in loaded.val_ids]
 
 
 class TestManifest:
@@ -308,9 +329,9 @@ class TestManifest:
         assert excinfo.value.line == lineno
         return str(excinfo.value)
 
-    def test_manifest3_binds_row_files_by_header_line(self, tmp_path):
+    def test_manifest4_binds_row_files_by_header_line(self, tmp_path):
         lines = self.write(tmp_path, lambda lines: None)
-        assert lines[0] == "MANIFEST3" and len(lines) == 8
+        assert lines[0] == "MANIFEST4" and len(lines) == 6
         row_roles = []
         for line in lines[1:]:
             role, filename, hexdigest = line.split()
@@ -338,7 +359,7 @@ class TestManifest:
     def test_repeated_role_rejected(self, tmp_path):
         # the repeat names the right file with a valid digest: only the repeat is wrong
         self.write(tmp_path, lambda lines: lines.append(lines[5]))
-        self.rejected_at(tmp_path, 9)
+        self.rejected_at(tmp_path, 7)
 
     def test_path_outside_the_directory_rejected(self, tmp_path):
         data = tmp_path / "data"
@@ -358,7 +379,7 @@ class TestManifest:
 
     def test_missing_role_rejected(self, tmp_path):
         self.write(tmp_path, lambda lines: lines.pop())
-        with pytest.raises(ParseError, match="split_val"):
+        with pytest.raises(ParseError, match="missing roles \\['labels'\\]"):
             load_dataset(tmp_path)
 
     def test_lines_checked_before_any_hashing(self, tmp_path):
@@ -368,7 +389,7 @@ class TestManifest:
             lines.append(lines[1])
 
         self.write(tmp_path, corrupt_then_repeat)
-        self.rejected_at(tmp_path, 9)
+        self.rejected_at(tmp_path, 7)
 
 
 class TestRowFilesStayBound:
@@ -413,8 +434,8 @@ class TestRowFilesStayBound:
 
 class TestHashingBudget:
     """``write_dataset`` and ``load_dataset`` each hash every row-file payload
-    byte once, and beyond that only the row files' header lines and the three
-    line files."""
+    byte once, and beyond that only the row files' header lines and the
+    labels file."""
 
     @pytest.fixture
     def hashed(self, monkeypatch):
@@ -444,11 +465,10 @@ class TestHashingBudget:
         load_dataset(tmp_path)
         payloads = [ds.frames, ds.text, ds.sse_video.embeddings, ds.sse_text.embeddings]
         header_lines = [read_parts(tmp_path / name)[0] for name in ROW_FILES]
-        line_files = ["labels.txt", "split_train.txt", "split_val.txt"]
         budget = (
             sum(rows.nbytes for rows in payloads)
             + sum(len(" ".join(parts)) + 1 for parts in header_lines)
-            + sum((tmp_path / name).stat().st_size for name in line_files)
+            + (tmp_path / "labels.txt").stat().st_size
         )
         assert written == budget
         assert sum(hashed) == budget
@@ -490,6 +510,33 @@ class TestDatasetInvariants:
         ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=15))
         with pytest.raises(ConfigError):
             replace(ds, train_ids=ds.train_ids + ds.val_ids[:1])
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda tr, va: (tr[1::-1] + tr[2:], va), "train 0"),
+            (lambda tr, va: (tr, va[::-1]), "val 0"),
+            (lambda tr, va: (tr + va[:1], va), "val 0"),
+            (lambda tr, va: (tr, va + tr[:1]), "train 0"),
+            (lambda tr, va: (tr[1:], va), "train 0"),
+            (lambda tr, va: (tr, va + ["nope"]), "nope"),
+        ],
+        ids=["train-out-of-order", "val-out-of-order", "in-both", "in-both-last",
+             "missing", "unknown"],
+    )
+    def test_splits_must_partition_the_ids_in_dataset_order(self, edit, named):
+        ds = generate(SynthConfig(n_items=10, n_concepts=10, seed=15))
+        train_ids, val_ids = edit(ds.train_ids, ds.val_ids)
+        ids = {"train 0": ds.train_ids[0], "val 0": ds.val_ids[0], "nope": "nope"}
+        with pytest.raises(ConfigError, match="partition the ids in dataset order.*" + ids[named]):
+            replace(ds, train_ids=train_ids, val_ids=val_ids)
+
+    def test_split_words_name_each_ids_split(self):
+        ds = generate(SynthConfig(n_items=10, n_concepts=10, seed=15))
+        words = split_words(ds.ids, ds.train_ids, ds.val_ids)
+        assert [i for i, w in zip(ds.ids, words) if w == "train"] == ds.train_ids
+        assert [i for i, w in zip(ds.ids, words) if w == "val"] == ds.val_ids
+        assert len(words) == len(ds.ids)
 
     def test_unknown_id_is_named(self):
         ds = generate(SynthConfig(n_items=6, n_concepts=6))
@@ -538,16 +585,11 @@ class TestLoadErrorsNameTheirFiles:
         return tmp_path
 
     def test_bad_label_line_names_the_file(self, tmp_path):
-        p = tmp_path / "labels.txt"
-        p.write_text("LBL1 2\na 1\nb\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r"line 3: \S*labels\.txt: expected '<id> <concept>'"):
-            _load_labels(p)
-
-    def test_bad_split_line_names_the_file(self, tmp_path):
-        p = tmp_path / "split.txt"
-        p.write_text("SPLIT1 2\na\nb c\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r"line 3: \S*split\.txt: expected one id"):
-            _load_split(p)
+        data_dir = self.dataset_dir(tmp_path)
+        self.edit_signed(data_dir, "labels.txt", lambda lines: lines.__setitem__(2, "b 1"))
+        message = r"^line 3: \S*labels\.txt: expected '<id> <concept> <split>'$"
+        with pytest.raises(ParseError, match=message):
+            load_dataset(data_dir)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -610,24 +652,14 @@ class TestLoadErrorsNameTheirFiles:
         data_dir = self.dataset_dir(tmp_path)
 
         def add_ghost(lines):
-            lines[0] = "LBL1 9"
-            lines.append("ghost 3")
+            lines[0] = "LBL2 9"
+            lines.append("ghost 3 train")
 
         self.edit_signed(data_dir, "labels.txt", add_ghost)
         with pytest.raises(ParseError) as excinfo:
             load_dataset(data_dir)
         message = str(excinfo.value)
         assert "labels.txt holds 9 ids" in message and "frames.frm1: holds 8 rows" in message
-
-    def test_renamed_label_names_the_split_and_label_files(self, tmp_path):
-        # the ids are the labels file's, so a renamed one is missing from the splits
-        data_dir = self.dataset_dir(tmp_path)
-        self.edit_signed(data_dir, "labels.txt", lambda lines: lines.__setitem__(1, "zz 0"))
-        with pytest.raises(ParseError) as excinfo:
-            load_dataset(data_dir)
-        message = str(excinfo.value)
-        assert "split_train.txt" in message and "split_val.txt" in message
-        assert "partition" in message and "labels.txt" in message
 
 
 # ids that ``_load_labels`` would read as another id, another record or a

@@ -1,10 +1,10 @@
 """The two file skeletons of the package and the formats built on them.
 
-The line rule of the three line formats, LBL1, SPLIT1 and MANIFEST3
+The line rule of the two line formats, LBL2 and MANIFEST4
 (``experts.read_records``): blank lines and ``#`` comments may stand
-anywhere, the header is the first other line, and a wrong header is reported
-at its own line. The binary container of CKPT3, FRM4 and EMB3
-(``experts.read_container``): one ASCII header line with the payload's
+anywhere, the header is the first other line, and a wrong header, or the
+tag of a retired version, is reported at its own line. The binary container
+of CKPT3, FRM4 and EMB3 (``experts.read_container``): one ASCII header line with the payload's
 SHA-256, then raw little-endian float64 values, checked in one order
 whatever the format.
 """
@@ -19,7 +19,6 @@ from marginforge.data import (
     MANIFEST_NAME,
     SynthConfig,
     _load_labels,
-    _load_split,
     _read_manifest,
     digest,
     generate,
@@ -45,16 +44,18 @@ from marginforge.trainer import new_adam_state
 from helpers import read_parts
 
 
-def manifest3(path):
+def manifest4(path):
     return {role: hexdigest for role, (hexdigest, _) in _read_manifest(path).items()}
 
 
 # tag, file written by write_dataset, loader as plain data
 FORMATS = [
-    ("LBL1", "labels.txt", _load_labels),
-    ("SPLIT1", "split_val.txt", _load_split),
-    ("MANIFEST3", MANIFEST_NAME, manifest3),
+    ("LBL2", "labels.txt", _load_labels),
+    ("MANIFEST4", MANIFEST_NAME, manifest4),
 ]
+
+# tag: the tags of its retired versions
+RETIRED = {"LBL2": ["LBL1"], "MANIFEST4": ["MANIFEST1", "MANIFEST2", "MANIFEST3"]}
 
 
 @pytest.fixture
@@ -101,6 +102,18 @@ class TestSharedLineRule:
         assert excinfo.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "tag, filename, load, old",
+    [(tag, filename, load, old) for tag, filename, load in FORMATS for old in RETIRED[tag]],
+    ids=[old for tag, _, _ in FORMATS for old in RETIRED[tag]],
+)
+def test_retired_line_tag_gets_the_gen_data_hint_at_line_1(written, tag, filename, load, old):
+    path = written / filename
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([lines[0].replace(tag, old, 1), *lines[1:]]) + "\n", encoding="utf-8")
+    hint = f"{old} files are no longer read, regenerate the dataset with gen-data to write {tag}"
+    with pytest.raises(ParseError, match="^" + re.escape(f"line 1: {path}: {hint}") + "$"):
+        load(path)
 
 
 def write_trainer_checkpoint(path):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from marginforge.data import digest
 from marginforge.errors import (
     ChecksumError,
     DimMismatchError,
+    NonFiniteError,
     ParseError,
     ShapeMismatchError,
 )
@@ -413,6 +415,43 @@ class TestCkpt2AdamSection:
                 tmp.write_text("new", encoding="utf-8")
         assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
         assert path.read_text(encoding="utf-8") == "old"
+
+
+class TestWriterRefusals:
+    """``write_checkpoint`` refuses what ``read_checkpoint`` would reject
+    before it opens the temp file, so a file already at the path stays as it
+    was, byte for byte."""
+
+    def refused(self, tmp_path, ckpt, error, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(ModelDims(4, 3, 0, 6), 3), path)
+        before = path.read_bytes()
+        with pytest.raises(error, match=message.format(path=re.escape(str(path)))):
+            write_checkpoint(ckpt, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["text.b1", "m text.b1", "v video.w1"])
+    def test_non_finite_value_named_as_the_reader_names_it(self, tmp_path, name, value):
+        model = init_params(ModelDims(4, 3, 0, 6), 17)
+        adam = new_adam_state(model)
+        *vector, array = name.split()
+        {"": model.params, "m": adam.m, "v": adam.v}["".join(vector)][array].flat[-1] = value
+        ckpt = Checkpoint(model) if not vector else Checkpoint(model, adam, 1, 2, "h")
+        self.refused(tmp_path, ckpt, NonFiniteError, f"^{{path}}: {name} holds a non-finite value$")
+
+    @pytest.mark.parametrize(
+        "epoch, seed, t",
+        [(-1, 0, 1), (0, -3, 1), (1.5, 0, 1), (0, 0, -2), (True, 0, 1)],
+        ids=["epoch-negative", "seed-negative", "epoch-fraction", "t-negative", "epoch-bool"],
+    )
+    def test_header_field_the_reader_rejects(self, tmp_path, epoch, seed, t):
+        model = init_params(ModelDims(4, 3, 0, 6), 17)
+        adam = new_adam_state(model)
+        adam.t = t
+        ckpt = Checkpoint(model, adam, epoch, seed, "h")
+        self.refused(tmp_path, ckpt, ValueError, "must be non-negative integers")
 
 
 class TestFlatten:

@@ -45,7 +45,7 @@ DATA = SynthConfig(
     frames_per_video=2,
     seed=1,
 )
-# 800 dataset mutants (100 per file), 300 config and 300 CKPT3-header mutants
+# 600 dataset mutants (100 per file), 300 config and 300 CKPT3-header mutants
 MUTANTS_PER_FILE = 100
 
 
