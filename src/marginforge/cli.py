@@ -19,9 +19,9 @@ from . import kernels
 from .data import generate, load_dataset, split_sizes, write_dataset
 from .errors import ConfigError, IndexOutOfRangeError, MarginForgeError, error_context
 from .evaluation import write_metrics_csv
-from .experts import EXPERT_KINDS
 from .margin import expert_margins
 from .model import forward_batch, load_checkpoint
+from .objective import EXPERT_KINDS
 from .trainer import epoch_batches, evaluate_split, expert_units, run_training, train_inputs
 
 

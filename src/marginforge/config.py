@@ -141,9 +141,12 @@ def parse_config(path) -> RunConfig:
 
 
 def require(value, key: str):
-    """Fetch a value that a command cannot default."""
+    """Fetch a value that a command cannot default; an empty string is refused
+    too, since ``Path("")`` is the working directory."""
     if value is None:
         raise MissingKeyError(f"config key {key!r} (or the matching CLI flag) is required")
+    if value == "":
+        raise MissingKeyError(f"config key {key!r} is empty")
     return value
 
 

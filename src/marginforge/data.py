@@ -9,8 +9,10 @@ text features under independent extra noise for text (a deliberately
 imperfect external encoder).
 
 ``Dataset`` is the one owner of row order: row i of ``frames``, ``text``,
-``concepts`` and both static tables belongs to ``ids[i]``, and
-``Dataset.rows`` maps ids to rows.
+``concepts``, ``split`` and both static tables belongs to ``ids[i]``, and
+``Dataset.rows`` maps ids to rows. ``split[i]`` is the item's split word,
+``train`` or ``val``, as on its labels record; ``train_ids`` and
+``val_ids`` are derived from it, each in dataset order.
 
 On disk a dataset is a directory of four binary row files, ``labels.txt``
 and ``manifest.txt``. The row files, FRM4 frames and three EMB3 tables, are
@@ -39,6 +41,7 @@ regenerate them with ``gen-data``. The filenames keep their ``.frm1`` and
 """
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,10 +121,10 @@ def split_sizes(n_items: int) -> tuple[int, int]:
 
 @dataclass
 class Dataset:
-    """Per-item arrays and static tables, row i of each for ``ids[i]``, and the
-    split: ``train_ids`` and ``val_ids`` partition ``ids``, each in dataset
-    order (``split_words``). Other shapes, table ids or splits are a
-    ``ConfigError``."""
+    """Per-item arrays and static tables, row i of each for ``ids[i]``, and
+    each item's split: ``split[i]`` is ``"train"`` or ``"val"``. ``train_ids``
+    and ``val_ids`` are derived from it, each in dataset order. Other shapes,
+    table ids or split words are a ``ConfigError``."""
 
     ids: list[str]
     concepts: np.ndarray  # (N,) int64 concept label per item
@@ -129,21 +132,22 @@ class Dataset:
     text: np.ndarray  # (N, text_dim)
     sse_video: StaticEmbeddingTable
     sse_text: StaticEmbeddingTable
-    train_ids: list[str]
-    val_ids: list[str]
+    split: list[str]
     index: dict = field(init=False, repr=False)
+    train_ids: list[str] = field(init=False, repr=False)
+    val_ids: list[str] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.index = {item_id: i for i, item_id in enumerate(self.ids)}
         if len(self.index) != len(self.ids):
             raise ConfigError("dataset ids are not unique")
-        for name in ("concepts", "frames", "text"):
+        for name in ("concepts", "frames", "text", "split"):
             if (n := len(getattr(self, name))) != len(self.ids):
                 raise ConfigError(f"{name} has {n} rows for {len(self.ids)} ids")
         for name in ("sse_video", "sse_text"):
             if getattr(self, name).ids != self.ids:
                 raise ConfigError(f"{name} ids are not the dataset ids in order")
-        split_words(self.ids, self.train_ids, self.val_ids)
+        self.train_ids, self.val_ids = _split_ids(self.ids, self.split)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -159,28 +163,16 @@ class Dataset:
         return self.frames.mean(axis=1)
 
 
-def split_words(ids, train_ids, val_ids) -> list[str]:
-    """``"train"`` or ``"val"``, the split of each of ``ids``, in one pass;
-    ``train_ids`` and ``val_ids`` must partition ``ids``, each in the order
-    of ``ids``, else a ``ConfigError`` names the first id out of place."""
-    rule = "train/val splits must partition the ids in dataset order"
-    end = object()
-    train, val = iter(train_ids), iter(val_ids)
-    next_train, next_val = next(train, end), next(val, end)
-    words = []
-    for item_id in ids:
-        if item_id == next_train:
-            next_train = next(train, end)
-            words.append("train")
-        elif item_id == next_val:
-            next_val = next(val, end)
-            words.append("val")
-        else:
-            raise ConfigError(f"{rule}: id {item_id!r} is next in neither split")
-    for left in (next_train, next_val):
-        if left is not end:
-            raise ConfigError(f"{rule}: {left!r} is left in a split after the last id")
-    return words
+def _split_ids(ids, split) -> tuple[list[str], list[str]]:
+    """The train ids and the val ids by the words of ``split``, each in the
+    order of ``ids``; a word other than ``train`` or ``val`` is a
+    ``ConfigError`` naming its id."""
+    splits = {"train": [], "val": []}
+    for item_id, word in zip(ids, split):
+        if word not in splits:
+            raise ConfigError(f"id {item_id!r}: split {word!r} is neither 'train' nor 'val'")
+        splits[word].append(item_id)
+    return splits["train"], splits["val"]
 
 
 def _duplicate_count(cfg: SynthConfig) -> int:
@@ -253,10 +245,10 @@ def generate(cfg: SynthConfig) -> Dataset:
     sse_text_vecs = signal_text + _SSE_TEXT_NOISE_FACTOR * cfg.noise_text * eps_sse
     sse_video_vecs = frames.mean(axis=1)
 
-    split_perm = named_rng(cfg.seed, "data_split").permutation(n)
+    split = ["train"] * n
     _, n_val = split_sizes(n)
-    val_rows = sorted(split_perm[:n_val].tolist())
-    train_rows = sorted(split_perm[n_val:].tolist())
+    for row in named_rng(cfg.seed, "data_split").permutation(n)[:n_val]:
+        split[row] = "val"
 
     return Dataset(
         ids=ids,
@@ -267,8 +259,7 @@ def generate(cfg: SynthConfig) -> Dataset:
         # edits no other
         sse_video=StaticEmbeddingTable(list(ids), sse_video_vecs),
         sse_text=StaticEmbeddingTable(list(ids), sse_text_vecs),
-        train_ids=[ids[i] for i in train_rows],
-        val_ids=[ids[i] for i in val_rows],
+        split=split,
     )
 
 
@@ -285,13 +276,14 @@ def digest(data: bytes) -> str:
 _CONCEPT_MAX = np.iinfo(np.int64).max
 
 
-def _check_labels(dataset: Dataset) -> list[str]:
-    """Refuse the ids, concepts and splits that ``_load_labels`` would reject
-    or read back otherwise: an id that is empty, holds whitespace, has no
-    UTF-8 form or starts with ``#`` (``ConfigError``), a repeated id
+def _check_labels(dataset: Dataset) -> None:
+    """Refuse the ids, concepts and split words that ``_load_labels`` would
+    reject or read back otherwise: an id that is empty, holds whitespace,
+    has no UTF-8 form or starts with ``#`` (``ConfigError``), a repeated id
     (``DuplicateIdError``), a concept that is negative, not an integer or
-    beyond int64 (``ConfigError``, naming its id), and splits that
-    ``split_words`` refuses. Returns each id's split word."""
+    beyond int64 (``ConfigError``, naming its id), and a split word other
+    than ``train`` or ``val`` (``_split_ids``), as a caller may edit a
+    dataset after ``Dataset`` has checked it."""
     seen = set()
     for item_id, concept in zip(dataset.ids, np.asarray(dataset.concepts).tolist()):
         try:
@@ -316,39 +308,39 @@ def _check_labels(dataset: Dataset) -> list[str]:
                 f"id {item_id!r}: concept {concept!r} cannot be written: "
                 f"a concept is an integer in [0, {_CONCEPT_MAX}]"
             )
-    return split_words(dataset.ids, dataset.train_ids, dataset.val_ids)
+    _split_ids(dataset.ids, dataset.split)
 
 
-def _write_labels(dataset: Dataset, words: list[str], path) -> None:
-    """Write each id, its concept and its split word from ``words``."""
+def _write_labels(dataset: Dataset, path) -> None:
+    """Write each id, its concept and its split word."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"LBL2 {len(dataset)}\n")
-        for item_id, concept, word in zip(dataset.ids, dataset.concepts, words):
+        for item_id, concept, word in zip(dataset.ids, dataset.concepts, dataset.split):
             fh.write(f"{item_id} {int(concept)} {word}\n")
 
 
-def _load_labels(path) -> tuple[list[str], list[int], list[str], list[str]]:
-    """The ids, concepts, train ids and val ids of an LBL2 file, each in file
-    order; an ``LBL1`` header is refused with the ``gen-data`` hint."""
+def _load_labels(path) -> tuple[list[str], list[int], list[str]]:
+    """The ids, concepts and split words of an LBL2 file, each in file order;
+    an ``LBL1`` header is refused with the ``gen-data`` hint."""
     (n,), records = read_records(path, "LBL2", 1, retired=("LBL1",))
     labels: dict[str, int] = {}
-    splits: dict[str, list[str]] = {"train": [], "val": []}
+    split: list[str] = []
     for lineno, line in records:
         tokens = line.split()
         if len(tokens) != 3:
             raise ParseError(f"{path}: expected '<id> <concept> <split>'", lineno)
-        item_id, concept, split = tokens
+        item_id, concept, word = tokens
         if item_id in labels:
             raise DuplicateIdError(f"line {lineno}: {path}: duplicate id {item_id!r}")
         labels[item_id] = parse_count(concept, lineno, path)
         if labels[item_id] > _CONCEPT_MAX:
             raise ParseError(f"{path}: concept {concept} exceeds the int64 range", lineno)
-        if split not in splits:
-            raise ParseError(f"{path}: split {split!r} is neither 'train' nor 'val'", lineno)
-        splits[split].append(item_id)
+        if word not in ("train", "val"):
+            raise ParseError(f"{path}: split {word!r} is neither 'train' nor 'val'", lineno)
+        split.append(sys.intern(word))  # one str per word, not one per record
     if len(labels) != n:
         raise ParseError(f"{path}: header declares {n} labels, found {len(labels)}")
-    return list(labels), list(labels.values()), splits["train"], splits["val"]
+    return list(labels), list(labels.values()), split
 
 
 def record_digest(role: str, path, header_line: bytes | None = None) -> str:
@@ -374,13 +366,13 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
     ``record_digest``.
 
     A row file's record digest is taken from the header line its writer
-    returns, so no file is read back. The ids, concepts and splits
-    (``_check_labels``) and then every row array (its file's head,
+    returns, so no file is read back. The ids, concepts and split
+    words (``_check_labels``) and then every row array (its file's head,
     ``experts.frames_head`` or ``embeddings_head``) are checked before the
     directory is made, so a refused dataset leaves no file or directory
     behind.
     """
-    words = _check_labels(dataset)
+    _check_labels(dataset)
     out = Path(out_dir)
     embeddings = {
         "text": dataset.text,
@@ -396,7 +388,7 @@ def write_dataset(dataset: Dataset, out_dir) -> None:
     }
     for name, rows in embeddings.items():
         header_lines[name] = save_static_embeddings(rows, out / _FILES[name], heads[name])
-    _write_labels(dataset, words, out / _FILES["labels"])
+    _write_labels(dataset, out / _FILES["labels"])
 
     with open(out / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         fh.write(MANIFEST_HEADER + "\n")
@@ -448,10 +440,11 @@ def load_dataset(data_dir) -> Dataset:
 
     Every manifest line is validated first; then each file's
     ``record_digest`` must match its record before any file is parsed: the
-    whole labels file is hashed, and only the header line of each row file. Each row file's payload is hashed once, as it is read, and checked
+    whole labels file is hashed, and only the header line of each row file.
+    Each row file's payload is hashed once, as it is read, and checked
     against the digest in that header line before any of its values is used
-    (``experts.read_container``). The ids, in order, and the splits are
-    those of ``labels.txt``, and each row file must hold one row per id.
+    (``experts.read_container``). The ids, in order, and their split words
+    are those of ``labels.txt``, and each row file must hold one row per id.
     """
     root = Path(data_dir)
     manifest = root / MANIFEST_NAME
@@ -466,7 +459,7 @@ def load_dataset(data_dir) -> Dataset:
             raise ChecksumError(f"{filename}: {what} {actual} != manifest {expected}")
 
     labels_path = root / _FILES["labels"]
-    ids, concepts, train_ids, val_ids = _load_labels(labels_path)
+    ids, concepts, split = _load_labels(labels_path)
     rows = {}
     for name, load in (
         ("frames", load_frame_file),
@@ -488,6 +481,5 @@ def load_dataset(data_dir) -> Dataset:
         text=rows["text"],
         sse_video=StaticEmbeddingTable(list(ids), rows["sse_video"]),
         sse_text=StaticEmbeddingTable(list(ids), rows["sse_text"]),
-        train_ids=train_ids,
-        val_ids=val_ids,
+        split=split,
     )

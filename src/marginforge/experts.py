@@ -3,8 +3,7 @@
 Dynamic experts read the live encoder outputs of a batch; static experts read
 frozen, externally produced embeddings, one row per item in ``Dataset.ids``
 order, held in a ``StaticEmbeddingTable`` and loaded from EMB3 files.
-Either kind's unit rows become margins in ``margin.expert_margins``;
-``EXPERT_KINDS`` names the four experts.
+Either kind's unit rows become margins in ``margin.expert_margins``.
 
 Every file of the package has one of two skeletons, and both live here.
 ``read_records`` holds the line rule of the two line formats, LBL2 and
@@ -39,9 +38,6 @@ from .errors import (
     ZeroNormError,
 )
 from .mathcore import row_norms
-
-EXPERT_KINDS = ("dse_text", "dse_video", "sse_text", "sse_video")
-
 
 @dataclass(frozen=True)
 class StaticEmbeddingTable:

@@ -44,7 +44,6 @@ import numpy as np
 
 from . import kernels
 from .errors import EmptyInputError, LambdaOutOfRangeError, NonSquareError, ShapeMismatchError
-from .experts import EXPERT_KINDS
 from .model import ForwardState, ParamVector, TwoTowerModel, backward
 
 MININGS = ("hardest", "mean")
@@ -71,6 +70,7 @@ class LossBreakdown:
 
 
 SLOT_EXPERTS = {"dse": ("dse_video", "dse_text"), "sse": ("sse_video", "sse_text")}
+EXPERT_KINDS = tuple(kind for members in SLOT_EXPERTS.values() for kind in members)
 
 
 def slot_weights(lam: float) -> dict:

@@ -26,7 +26,6 @@ from . import kernels
 from .data import Dataset
 from .errors import ConfigError, NonFiniteError, ParseError, ShapeMismatchError, error_context
 from .evaluation import DEFAULT_KS, evaluate_bidirectional
-from .experts import EXPERT_KINDS
 from .margin import expert_margins
 from .model import (
     AdamState,
@@ -40,7 +39,7 @@ from .model import (
     write_checkpoint,
 )
 from .mathcore import unit_rows
-from .objective import LossBreakdown, full_loss_grad, weighted_experts
+from .objective import EXPERT_KINDS, SLOT_EXPERTS, LossBreakdown, full_loss_grad, weighted_experts
 from .seeding import named_rng
 
 ADAM_BETA1 = 0.9
@@ -191,7 +190,7 @@ def train_inputs(dataset: Dataset, kinds) -> TrainInputs:
     split = split_inputs(dataset, dataset.train_ids)
     sse_units = {
         kind: unit_rows(getattr(dataset, kind).embeddings[split.rows], kind)[0]
-        for kind in ("sse_video", "sse_text")
+        for kind in SLOT_EXPERTS["sse"]
         if kind in kinds
     }
     return TrainInputs(split.rows, split.pooled, split.text, sse_units)

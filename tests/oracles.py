@@ -29,7 +29,7 @@ def combined_term(S, margin_mats, weights, i, j, direction):
     return total
 
 
-def brute_force_full_loss(S, margin_mats, weights, mining, hard_only=False):
+def brute_force_full_loss(S, margin_mats, weights, mining):
     """Exhaustive enumeration of the mined objective.
 
     margin_mats[0] must be the constant hard-margin matrix with weight 1.
@@ -44,10 +44,7 @@ def brute_force_full_loss(S, margin_mats, weights, mining, hard_only=False):
         for direction, mined in (("v", mined_v), ("t", mined_t)):
             negatives = [j for j in range(b) if j != i]
             if mining == "hardest":
-                if hard_only:
-                    crit = [combined_term(S, margin_mats[:1], weights[:1], i, j, direction) for j in negatives]
-                else:
-                    crit = [combined_term(S, margin_mats, weights, i, j, direction) for j in negatives]
+                crit = [combined_term(S, margin_mats, weights, i, j, direction) for j in negatives]
                 best = negatives[int(np.argmax(crit))]
                 mined[i] = best
                 chosen = [best]
@@ -55,10 +52,7 @@ def brute_force_full_loss(S, margin_mats, weights, mining, hard_only=False):
             else:
                 chosen = negatives
                 scale = 1.0 / len(negatives)
-                if hard_only:
-                    crit = [combined_term(S, margin_mats[:1], weights[:1], i, j, direction) for j in negatives]
-                else:
-                    crit = [combined_term(S, margin_mats, weights, i, j, direction) for j in negatives]
+                crit = [combined_term(S, margin_mats, weights, i, j, direction) for j in negatives]
                 mined[i] = negatives[int(np.argmax(crit))]
             for j in chosen:
                 s_neg = S[j, i] if direction == "v" else S[i, j]

@@ -298,6 +298,15 @@ class TestTrainCommand:
         cfg_path, _, tmp_path = smoke_env
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
 
+    def test_empty_data_dir_is_error(self, smoke_env, capsys, monkeypatch):
+        # an empty path is the working directory, here a valid dataset
+        _, data_dir, tmp_path = smoke_env
+        cfg_path = write_cfg(tmp_path, SMOKE_CFG + "paths.data_dir =\n", name="empty.cfg")
+        monkeypatch.chdir(data_dir)
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: config key 'paths.data_dir' is empty\n"
+        assert not (tmp_path / "x").exists()
+
     def test_corrupt_dataset_nonzero_exit(self, smoke_env, capsys):
         cfg_path, data_dir, tmp_path = smoke_env
         target = data_dir / "text.emb1"
@@ -345,6 +354,29 @@ class TestEvalCommand:
         assert lines[1].startswith("text_to_video,")
         assert lines[2].startswith("video_to_text,")
         assert lines[3].startswith("rsum,")
+
+    @pytest.mark.parametrize("split", ["val", "train"])
+    def test_split_flag_evaluates_that_split(self, smoke_env, split):
+        from marginforge.data import load_dataset
+        from marginforge.evaluation import metrics_csv_text
+        from marginforge.model import load_checkpoint
+        from marginforge.trainer import evaluate_split
+
+        cfg_path, data_dir, tmp_path = smoke_env
+        ds = load_dataset(data_dir)
+        n_val = len(ds.val_ids)
+        assert ds.rows(ds.val_ids).tolist() != list(range(len(ds) - n_val, len(ds)))
+        run = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(run)])
+        ckpt = run / "checkpoint_final.ckpt"
+        out = tmp_path / "eval"
+        args = ["--data", str(data_dir), "--ckpt", str(ckpt), "--split", split, "--out", str(out)]
+        assert main(["eval", "--config", str(cfg_path), *args]) == 0
+        ids = {"val": ds.val_ids, "train": ds.train_ids}
+        expected = {s: metrics_csv_text(*evaluate_split(load_checkpoint(ckpt), ds, ids[s]))
+                    for s in ids}
+        assert expected["val"] != expected["train"]
+        assert (out / "metrics.csv").read_text(encoding="utf-8") == expected[split]
 
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
@@ -484,7 +516,7 @@ class TestInspectMarginsCommand:
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["i", "j", "expert", "distance", "margin", "same_concept"])
-        kinds = ("dse_text", "dse_video", "sse_text", "sse_video") if expert == "all" else (expert,)
+        kinds = ("dse_video", "dse_text", "sse_video", "sse_text") if expert == "all" else (expert,)
         for kind in kinds:
             dist = 1.0 - units[kind] @ units[kind].T
             margins = expert_margins(units[kind], 0.05, 0.04).dense()

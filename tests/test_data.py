@@ -16,7 +16,6 @@ from marginforge.data import (
     generate,
     load_dataset,
     record_digest,
-    split_words,
     write_dataset,
 )
 from marginforge.errors import (
@@ -179,11 +178,8 @@ class TestRoundTrip:
     def test_splits_of_any_order_round_trip(self, tmp_path, val_rows):
         ds = generate(SynthConfig(n_items=10, n_concepts=10, seed=24))
         val = set(ds.ids[val_rows])
-        ds = replace(
-            ds,
-            train_ids=[i for i in ds.ids if i not in val],
-            val_ids=[i for i in ds.ids if i in val],
-        )
+        ds = replace(ds, split=["val" if i in val else "train" for i in ds.ids])
+        assert ds.val_ids == [i for i in ds.ids if i in val]
         write_dataset(ds, tmp_path)
         loaded = load_dataset(tmp_path)
         assert (loaded.train_ids, loaded.val_ids) == (ds.train_ids, ds.val_ids)
@@ -257,7 +253,8 @@ class TestLabelsFile:
 
     def test_loads_ids_concepts_and_splits_in_file_order(self, tmp_path):
         p = self.write(tmp_path, "LBL2 4\nd 3 val\nb 0 train\nc 3 val\na 1 train\n")
-        assert _load_labels(p) == (["d", "b", "c", "a"], [3, 0, 3, 1], ["b", "a"], ["d", "c"])
+        split = ["val", "train", "val", "train"]
+        assert _load_labels(p) == (["d", "b", "c", "a"], [3, 0, 3, 1], split)
 
     def test_repeated_label_id_rejected(self, tmp_path):
         p = self.write(tmp_path, "LBL2 2\na 1 train\na 2 val\nb 3 train\n")
@@ -274,7 +271,7 @@ class TestLabelsFile:
     def test_concept_beyond_int64_rejected_at_its_line(self, tmp_path):
         largest = np.iinfo(np.int64).max
         p = self.write(tmp_path, f"LBL2 1\na {largest} val\n")
-        assert _load_labels(p) == (["a"], [largest], [], ["a"])
+        assert _load_labels(p) == (["a"], [largest], ["val"])
         p = self.write(tmp_path, f"LBL2 2\na 1 train\nb {largest + 1} val\n")
         with pytest.raises(ParseError, match="int64") as excinfo:
             _load_labels(p)
@@ -493,11 +490,11 @@ class TestDatasetInvariants:
         with pytest.raises(ConfigError, match=f"^{table} ids are not the dataset ids in order$"):
             replace(ds, **{table: short})
 
-    @pytest.mark.parametrize("name", ["concepts", "frames", "text"])
+    @pytest.mark.parametrize("name", ["concepts", "frames", "text", "split"])
     @pytest.mark.parametrize("n_rows", [5, 7])
     def test_array_of_other_row_count_rejected(self, name, n_rows):
         ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=14))
-        rows = np.resize(getattr(ds, name), (n_rows, *getattr(ds, name).shape[1:]))
+        rows = np.resize(getattr(ds, name), (n_rows, *np.shape(getattr(ds, name))[1:]))
         with pytest.raises(ConfigError, match=f"^{name} has {n_rows} rows for 6 ids$"):
             replace(ds, **{name: rows})
 
@@ -506,37 +503,21 @@ class TestDatasetInvariants:
         with pytest.raises(ConfigError):
             replace(ds, ids=[ds.ids[0]] * len(ds.ids))
 
-    def test_bad_split_rejected(self):
+    @pytest.mark.parametrize("word", ["Train", "test", "", None])
+    def test_bad_split_word_names_its_id(self, word):
         ds = generate(SynthConfig(n_items=6, n_concepts=6, seed=15))
-        with pytest.raises(ConfigError):
-            replace(ds, train_ids=ds.train_ids + ds.val_ids[:1])
+        split = ds.split[:4] + [word] + ds.split[5:]
+        message = f"id 'it000004': split {word!r} is neither 'train' nor 'val'"
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            replace(ds, split=split)
 
-    @pytest.mark.parametrize(
-        "edit, named",
-        [
-            (lambda tr, va: (tr[1::-1] + tr[2:], va), "train 0"),
-            (lambda tr, va: (tr, va[::-1]), "val 0"),
-            (lambda tr, va: (tr + va[:1], va), "val 0"),
-            (lambda tr, va: (tr, va + tr[:1]), "train 0"),
-            (lambda tr, va: (tr[1:], va), "train 0"),
-            (lambda tr, va: (tr, va + ["nope"]), "nope"),
-        ],
-        ids=["train-out-of-order", "val-out-of-order", "in-both", "in-both-last",
-             "missing", "unknown"],
-    )
-    def test_splits_must_partition_the_ids_in_dataset_order(self, edit, named):
+    def test_split_ids_are_derived_in_dataset_order(self):
+        # the split words are the one statement; each id list follows them in row order
         ds = generate(SynthConfig(n_items=10, n_concepts=10, seed=15))
-        train_ids, val_ids = edit(ds.train_ids, ds.val_ids)
-        ids = {"train 0": ds.train_ids[0], "val 0": ds.val_ids[0], "nope": "nope"}
-        with pytest.raises(ConfigError, match="partition the ids in dataset order.*" + ids[named]):
-            replace(ds, train_ids=train_ids, val_ids=val_ids)
-
-    def test_split_words_name_each_ids_split(self):
-        ds = generate(SynthConfig(n_items=10, n_concepts=10, seed=15))
-        words = split_words(ds.ids, ds.train_ids, ds.val_ids)
-        assert [i for i, w in zip(ds.ids, words) if w == "train"] == ds.train_ids
-        assert [i for i, w in zip(ds.ids, words) if w == "val"] == ds.val_ids
-        assert len(words) == len(ds.ids)
+        ds = replace(ds, split=["val", "train"] * 5)
+        assert ds.train_ids == ds.ids[1::2] and ds.val_ids == ds.ids[0::2]
+        with pytest.raises(ValueError, match="init=False"):
+            replace(ds, train_ids=ds.ids)
 
     def test_unknown_id_is_named(self):
         ds = generate(SynthConfig(n_items=6, n_concepts=6))
@@ -668,8 +649,8 @@ UNWRITABLE_IDS = ["", "a b", "a\tb", "a\nb", " a", "a\u2028b", "#x", "a\ud800"]
 
 
 class TestWriteRefusals:
-    """``write_dataset`` refuses ids and concepts that ``labels.txt`` cannot
-    hold exactly, and row arrays that a row file cannot hold, before it
+    """``write_dataset`` refuses ids, concepts and split words that
+    ``labels.txt`` cannot hold exactly, and row arrays that a row file cannot hold, before it
     makes any file or directory."""
 
     def refused(self, tmp_path, ds, error, match):
@@ -689,6 +670,12 @@ class TestWriteRefusals:
         ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=1))
         ds.ids[5] = ds.ids[2]
         self.refused(tmp_path, ds, DuplicateIdError, f"duplicate id '{ds.ids[2]}'")
+
+    def test_unwritable_split_word_names_its_id(self, tmp_path):
+        # ``Dataset`` refuses other words; a caller can still edit them after
+        ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=1))
+        ds.split[6] = "test"
+        self.refused(tmp_path, ds, ConfigError, f"^id '{ds.ids[6]}': split 'test' is neither")
 
     @pytest.mark.parametrize(
         "concept, dtype",
