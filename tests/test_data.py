@@ -39,6 +39,42 @@ def dir_digest(path):
     return {p.name: digest(p.read_bytes()) for p in sorted(path.iterdir())}
 
 
+# the dims and noise of the test_c6 recipe (BENCH_DATA in test_acceptance.py)
+C6_DIMS = dict(
+    duplicate_rate=0.5,
+    latent_dim=2,
+    video_dim=24,
+    text_dim=20,
+    frames_per_video=4,
+    noise_video=0.2,
+    noise_text=0.2,
+)
+
+# SHA-256 of manifest.txt of ``write_dataset(generate(cfg))``: the manifest
+# binds labels.txt and every row file, so one digest pins every generated
+# byte. The recipes are test_c6's and perfbench's bigbatch and ingest-eval
+# set-ups, and the defaults. Like CKPT3_GOLDEN in test_formats.py these move
+# only if numpy changes the streams of its ``Generator``.
+GENERATE_GOLDEN = {
+    "c6": (
+        SynthConfig(n_items=512, n_concepts=320, seed=5, **C6_DIMS),
+        "e8e97f82b6595d2328ed86a6b21edac12f1dd025e5cdf943ab6e7e5c447ff137",
+    ),
+    "bigbatch": (
+        SynthConfig(n_items=2560, n_concepts=1600, seed=17, **C6_DIMS),
+        "8d46c03bc4b5e24fa078b3473359e0444be822186fb9da96eac2dbaaa48f577e",
+    ),
+    "ingest-eval": (
+        SynthConfig(n_items=4096, n_concepts=2560, seed=37, **C6_DIMS),
+        "e816d6cf9b50a3f0bec34128d1a207606cd97c7a2a3a07e72f7a5a2881a67c7f",
+    ),
+    "defaults": (
+        SynthConfig(),
+        "4fa93632abe7e4b1586c9916dfa0aeace72a3fb76189a2ba69708403b61b0e7e",
+    ),
+}
+
+
 class TestDigest:
     def test_known_vectors(self):
         # FIPS 180-2 SHA-256 test vectors
@@ -59,6 +95,12 @@ class TestGenerate:
         write_dataset(generate(base), tmp_path / "a")
         write_dataset(generate(other), tmp_path / "b")
         assert dir_digest(tmp_path / "a") != dir_digest(tmp_path / "b")
+
+    @pytest.mark.parametrize("recipe", list(GENERATE_GOLDEN))
+    def test_bytes_match_the_golden_digest(self, tmp_path, recipe):
+        cfg, expected = GENERATE_GOLDEN[recipe]
+        write_dataset(generate(cfg), tmp_path)
+        assert digest((tmp_path / MANIFEST_NAME).read_bytes()) == expected
 
     def test_rho_one_pairs_everyone(self):
         ds = generate(SynthConfig(n_items=12, n_concepts=6, duplicate_rate=1.0, seed=1))
