@@ -211,7 +211,14 @@ def _plan_concept_sizes(cfg: SynthConfig) -> list[int]:
 
 def generate(cfg: SynthConfig) -> Dataset:
     """Deterministic synthetic dataset with planted semantic duplicates, split
-    by ``split_sizes``; ``cfg.validate()`` runs first."""
+    by ``split_sizes``; ``cfg.validate()`` runs first.
+
+    Each draw comes from its own ``named_rng`` stream. The stream names, the
+    order of the draws within a stream and their shapes are what makes a
+    seed give the same bytes in every version: change none of them. Frames,
+    text and the static text table are formed in place in the arrays their
+    noise streams return, each rounding as ``signal + noise * eps`` does.
+    """
     cfg.validate()
     sizes = _plan_concept_sizes(cfg)
 
@@ -223,26 +230,26 @@ def generate(cfg: SynthConfig) -> Dataset:
     map_video = rng_maps.standard_normal((cfg.video_dim, m)) / np.sqrt(m)
     map_text = rng_maps.standard_normal((cfg.text_dim, m)) / np.sqrt(m)
 
+    # the permuted items, in runs of ``sizes``, take concepts 0, 1, ...
     concepts = np.empty(n, dtype=np.int64)
     perm = named_rng(cfg.seed, "data_assign").permutation(n)
-    cursor = 0
-    for concept, size in enumerate(sizes):
-        for item in perm[cursor : cursor + size]:
-            concepts[item] = concept
-        cursor += size
+    concepts[perm] = np.repeat(np.arange(len(sizes)), sizes)
 
-    signal_video = latents[concepts] @ map_video.T  # (N, video_dim)
-    signal_text = latents[concepts] @ map_text.T  # (N, text_dim)
+    item_latents = latents[concepts]
+    signal_video = item_latents @ map_video.T  # (N, video_dim)
+    signal_text = item_latents @ map_text.T  # (N, text_dim)
 
-    eps_video = named_rng(cfg.seed, "data_video_noise").standard_normal((n, t, cfg.video_dim))
-    eps_text = named_rng(cfg.seed, "data_text_noise").standard_normal((n, cfg.text_dim))
-    eps_sse = named_rng(cfg.seed, "data_sse_noise").standard_normal((n, cfg.text_dim))
-
-    frames = signal_video[:, None, :] + cfg.noise_video * eps_video
-    text = signal_text + cfg.noise_text * eps_text
+    frames = named_rng(cfg.seed, "data_video_noise").standard_normal((n, t, cfg.video_dim))
+    frames *= cfg.noise_video
+    frames += signal_video[:, None, :]
+    text = named_rng(cfg.seed, "data_text_noise").standard_normal((n, cfg.text_dim))
+    text *= cfg.noise_text
+    text += signal_text
     # the static text expert is an independent, imperfect view of the clean
     # semantics (an external encoder), not a degraded copy of the raw features
-    sse_text_vecs = signal_text + _SSE_TEXT_NOISE_FACTOR * cfg.noise_text * eps_sse
+    sse_text_vecs = named_rng(cfg.seed, "data_sse_noise").standard_normal((n, cfg.text_dim))
+    sse_text_vecs *= _SSE_TEXT_NOISE_FACTOR * cfg.noise_text
+    sse_text_vecs += signal_text
     sse_video_vecs = frames.mean(axis=1)
 
     split = ["train"] * n
@@ -312,11 +319,11 @@ def _check_labels(dataset: Dataset) -> None:
 
 
 def _write_labels(dataset: Dataset, path) -> None:
-    """Write each id, its concept and its split word."""
+    """Write each id, its concept and its split word, in one write."""
+    records = zip(dataset.ids, np.asarray(dataset.concepts).tolist(), dataset.split)
+    body = "".join(f"{item_id} {int(concept)} {word}\n" for item_id, concept, word in records)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"LBL2 {len(dataset)}\n")
-        for item_id, concept, word in zip(dataset.ids, dataset.concepts, dataset.split):
-            fh.write(f"{item_id} {int(concept)} {word}\n")
+        fh.write(f"LBL2 {len(dataset)}\n{body}")
 
 
 def _load_labels(path) -> tuple[list[str], list[int], list[str]]:

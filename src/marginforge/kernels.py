@@ -75,6 +75,8 @@ BLOCK_VALUES = 1 << 15
 # 1.12 of the full scan's time at B=96, 0.79 and 0.88 at B=128, and 0.63
 # and 0.73 at B=192; the crossover was not measured on mean-mining calls
 PRUNE_MIN_B = 128
+# float64 machine epsilon, looked up once rather than per block
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def pairwise_cosine(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -188,7 +190,7 @@ def _mine_pruned(N, pos, planes, cell_map, A, layout, w, r0, buf):
     # a cell scores at most W * max(0, s_neg - s_pos + A); keep those that
     # may reach lb, less a slack that covers every rounding of the bound
     ratio = lb.reshape(2, n) / w.sum()
-    slack = (2 * len(w) + 8) * np.finfo(np.float64).eps
+    slack = (2 * len(w) + 8) * _EPS
     floor = pos + (ratio - A) - slack * (np.abs(pos) + ratio + abs(A))
     np.greater_equal(N, floor[:, :, None], out=mask)
     mask.reshape(-1)[starts + star] = True

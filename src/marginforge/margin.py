@@ -33,6 +33,8 @@ CONFIDENCE = 0.90
 VAR_FLOOR = 1e-12
 # z with Phi(z) - Phi(-z) = CONFIDENCE
 _Z = NormalDist().inv_cdf(0.5 + CONFIDENCE / 2)
+# float64 machine epsilon, looked up once rather than per ``bound``
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def beta_to_variance(beta: float) -> float:
@@ -89,7 +91,7 @@ class ExpertMargins:
         ``VAR_FLOOR`` fallback and at beta = 0 the scale is 0 and the bound
         is ``mu``.
         """
-        slack = (2 * self.units.shape[1] + 8) * np.finfo(np.float64).eps
+        slack = (2 * self.units.shape[1] + 8) * _EPS
         return self.offset + self.scale * (1.0 + slack)
 
     def products(self, r0: int, r1: int, out: np.ndarray) -> np.ndarray:

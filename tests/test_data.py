@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -101,6 +102,18 @@ class TestGenerate:
         cfg, expected = GENERATE_GOLDEN[recipe]
         write_dataset(generate(cfg), tmp_path)
         assert digest((tmp_path / MANIFEST_NAME).read_bytes()) == expected
+
+    def test_peak_memory_is_about_two_frame_arrays(self):
+        # frames, text and sse_text are formed in the arrays their noise
+        # draws return; a copy beside each draw peaks at 4x the frames
+        cfg = GENERATE_GOLDEN["bigbatch"][0]
+        tracemalloc.start()
+        try:
+            ds = generate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * ds.frames.nbytes
 
     def test_rho_one_pairs_everyone(self):
         ds = generate(SynthConfig(n_items=12, n_concepts=6, duplicate_rate=1.0, seed=1))
