@@ -320,7 +320,10 @@ def _check_labels(dataset: Dataset) -> None:
 
 def _write_labels(dataset: Dataset, path) -> None:
     """Write each id, its concept and its split word, in one write."""
-    records = zip(dataset.ids, np.asarray(dataset.concepts).tolist(), dataset.split)
+    concepts = dataset.concepts
+    if isinstance(concepts, np.ndarray):
+        concepts = concepts.tolist()  # Python numbers: int() takes them fastest
+    records = zip(dataset.ids, concepts, dataset.split)
     body = "".join(f"{item_id} {int(concept)} {word}\n" for item_id, concept, word in records)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"LBL2 {len(dataset)}\n{body}")

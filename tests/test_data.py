@@ -750,6 +750,13 @@ class TestWriteRefusals:
         write_dataset(ds, tmp_path)
         np.testing.assert_array_equal(load_dataset(tmp_path).concepts, concepts)
 
+    def test_list_concepts_are_written_exactly(self, tmp_path):
+        # a list mixing ints and floats must not pass through a float64 array
+        ds = generate(SynthConfig(n_items=8, n_concepts=8, seed=1))
+        ds.concepts = [2**62 + 1, 3.0] + ds.concepts[2:].tolist()
+        write_dataset(ds, tmp_path)
+        assert load_dataset(tmp_path).concepts[:2].tolist() == [2**62 + 1, 3]
+
     @pytest.mark.parametrize("name", ["frames", "text", "sse_video", "sse_text"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_leaves_no_file(self, tmp_path, name, value):
