@@ -1,6 +1,8 @@
 """Hot numeric kernels of a training step, one float64 numpy path each.
 
-* ``pairwise_cosine``     - B x B cosine similarity between two row stacks
+* ``pairwise_cosine``     - B x B cosine similarity between two row stacks;
+  ``cli inspect-margins`` and the tests call it, while training and
+  evaluation form ``S`` only in row blocks
 * ``triplet_terms``       - per-level hinge totals, negative mining and dL/dS
 * ``cosine_backward``     - chain dL/dS back to the two representation stacks
 * ``ProjectedGradient``   - dL/dS held as its products with the unit rows
@@ -66,8 +68,9 @@ __all__ = [
     "cosine_backward",
 ]
 
-# values per row block of ``triplet_terms``' (R, B) planes: 256 KiB each,
-# small enough that a block's passes stay in L2
+# values per row block of ``triplet_terms``' (R, B) planes and of
+# ``evaluation``'s (R, n) score blocks: 256 KiB each, small enough that a
+# block's passes stay in L2
 BLOCK_VALUES = 1 << 15
 # smallest B at which both minings mine through the pruned selector:
 # per hardest-mining call on a training run's inputs (2-core x86_64, 1 BLAS

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .data import Dataset
 from .errors import ConfigError, NonFiniteError, ParseError, ShapeMismatchError, error_context
 from .evaluation import DEFAULT_KS, evaluate_bidirectional
@@ -270,7 +269,7 @@ def train_epoch(
 def evaluate_inputs(model: TwoTowerModel, inputs: SplitInputs, ks=DEFAULT_KS):
     """Encode a split's inputs and run bidirectional retrieval over them."""
     state = forward_batch(model, inputs.pooled, inputs.text)
-    return evaluate_bidirectional(kernels.pairwise_cosine(state.video_units, state.text_units), ks)
+    return evaluate_bidirectional(state.video_units, state.text_units, ks)
 
 
 def evaluate_split(model: TwoTowerModel, dataset: Dataset, ids, ks=DEFAULT_KS):

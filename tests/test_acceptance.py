@@ -31,6 +31,7 @@ from marginforge.trainer import (
     train_inputs,
 )
 from helpers import (
+    dense_rows,
     finite_diff_grad,
     flatten_grads,
     flatten_params,
@@ -334,7 +335,10 @@ def test_c10_adaptive_margin_beats_its_beta_zero_twin(tmp_path):
     )
 
 
-def test_c7_metric_oracle_agreement():
+@pytest.mark.parametrize("block_values", [16, 36, 64])
+def test_c7_metric_oracle_agreement(monkeypatch, block_values):
+    # R = block_values // n rows per evaluation block: ragged blocks of 1-8 rows
+    monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
     rng = np.random.default_rng(7)
     for trial in range(1000):
         n = int(rng.integers(1, 9))
@@ -344,7 +348,7 @@ def test_c7_metric_oracle_agreement():
         assert rank_of_positive(scores, pos) == rank_by_stable_sort(list(scores), pos)
         if n >= 2:
             S = rng.integers(0, 5, size=(n, n)) / 4.0
-            t2v, v2t, _ = evaluate_bidirectional(S, ks=(1, 5))
+            t2v, v2t, _ = evaluate_bidirectional(*dense_rows(S), ks=(1, 5))
             expected_t2v = [rank_by_stable_sort(list(S[:, i]), i) for i in range(n)]
             expected_v2t = [rank_by_stable_sort(list(S[i, :]), i) for i in range(n)]
             assert t2v.ranks.tolist() == expected_t2v

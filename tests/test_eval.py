@@ -1,14 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from marginforge.errors import EmptyInputError, IndexOutOfRangeError, NonSquareError
+from marginforge import kernels
+from marginforge.errors import (
+    DimMismatchError,
+    EmptyInputError,
+    IndexOutOfRangeError,
+    NonSquareError,
+)
 from marginforge.evaluation import (
     evaluate_bidirectional,
     median_rank,
     metrics_csv_text,
     recall_at_k,
 )
-from helpers import rank_of_positive
+from marginforge.mathcore import unit_rows
+from helpers import dense_rows, rank_of_positive
 from oracles import rank_by_stable_sort
 
 
@@ -67,34 +76,46 @@ class TestMedianRank:
         assert median_rank([7]) == 7.0
 
 
+# rows per block of ``evaluate_bidirectional``: R = block_values // n, at
+# least one, so n = 2-17 meets 1-8 rows per block, ragged last blocks and
+# ties on both sides of a block edge
+BLOCK_VALUES = [16, 36, 64]
+
+
 class TestEvaluateBidirectional:
     def test_dominant_diagonal(self):
         S = np.full((4, 4), 0.1) + 0.8 * np.eye(4)
-        t2v, v2t, rsum = evaluate_bidirectional(S, ks=(1, 5, 10))
+        t2v, v2t, rsum = evaluate_bidirectional(*dense_rows(S), ks=(1, 5, 10))
         assert t2v.r_at[1] == 100.0 and v2t.r_at[1] == 100.0
         assert rsum == 100.0 * 3 * 2
 
-    def test_matches_sort_oracle(self):
+    @pytest.mark.parametrize("block_values", BLOCK_VALUES)
+    def test_matches_sort_oracle(self, monkeypatch, block_values):
+        monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
         rng = np.random.default_rng(71)
         for _ in range(50):
             n = int(rng.integers(2, 9))
             S = rng.integers(0, 5, size=(n, n)) / 4.0
-            t2v, v2t, _ = evaluate_bidirectional(S, ks=(1, 2))
+            t2v, v2t, _ = evaluate_bidirectional(*dense_rows(S), ks=(1, 2))
             for i in range(n):
                 assert t2v.ranks[i] == rank_by_stable_sort(list(S[:, i]), i)
                 assert v2t.ranks[i] == rank_by_stable_sort(list(S[i, :]), i)
 
+    @pytest.mark.parametrize("block_values", BLOCK_VALUES)
     @pytest.mark.parametrize("n", [1, 2, 5, 102])
-    def test_matches_scalar_rank_on_ties(self, n):
+    def test_matches_scalar_rank_on_ties(self, monkeypatch, n, block_values):
+        monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
         # one decimal leaves few distinct scores, so most queries meet ties
         rng = np.random.default_rng(75 + n)
         S = np.round(rng.uniform(-1, 1, size=(n, n)), 1)
-        t2v, v2t, _ = evaluate_bidirectional(S)
+        t2v, v2t, _ = evaluate_bidirectional(*dense_rows(S))
         assert t2v.ranks.tolist() == [rank_of_positive(S[:, i], i) for i in range(n)]
         assert v2t.ranks.tolist() == [rank_of_positive(S[i, :], i) for i in range(n)]
 
+    @pytest.mark.parametrize("block_values", BLOCK_VALUES)
     @pytest.mark.parametrize("case", ["all-equal", "tie-below-diagonal", "tie-free-819"])
-    def test_tie_cases_match_both_references(self, case):
+    def test_tie_cases_match_both_references(self, monkeypatch, case, block_values):
+        monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
         rng = np.random.default_rng(76)
         if case == "all-equal":
             # every query ties with every item: rank 1 + its index
@@ -114,7 +135,7 @@ class TestEvaluateBidirectional:
             S = U @ V.T
             pos = np.diag(S)
             assert (S == pos).sum(axis=0).max() == 1 == (S == pos[:, None]).sum(axis=1).max()
-        t2v, v2t, _ = evaluate_bidirectional(S)
+        t2v, v2t, _ = evaluate_bidirectional(*dense_rows(S))
         n = S.shape[0]
         assert t2v.ranks.tolist() == [rank_of_positive(S[:, i], i) for i in range(n)]
         assert v2t.ranks.tolist() == [rank_of_positive(S[i, :], i) for i in range(n)]
@@ -126,8 +147,8 @@ class TestEvaluateBidirectional:
     def test_transpose_swaps_directions(self):
         rng = np.random.default_rng(72)
         S = rng.standard_normal((5, 5))
-        t2v_a, v2t_a, rsum_a = evaluate_bidirectional(S)
-        t2v_b, v2t_b, rsum_b = evaluate_bidirectional(S.T)
+        t2v_a, v2t_a, rsum_a = evaluate_bidirectional(*dense_rows(S))
+        t2v_b, v2t_b, rsum_b = evaluate_bidirectional(*dense_rows(S.T))
         np.testing.assert_array_equal(t2v_a.ranks, v2t_b.ranks)
         np.testing.assert_array_equal(v2t_a.ranks, t2v_b.ranks)
         assert rsum_a == rsum_b
@@ -135,8 +156,8 @@ class TestEvaluateBidirectional:
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(73)
         S = rng.uniform(-1, 1, size=(6, 6))
-        a = evaluate_bidirectional(S)
-        b = evaluate_bidirectional(np.exp(3.0 * S))
+        a = evaluate_bidirectional(*dense_rows(S))
+        b = evaluate_bidirectional(*dense_rows(np.exp(3.0 * S)))
         np.testing.assert_array_equal(a[0].ranks, b[0].ranks)
         np.testing.assert_array_equal(a[1].ranks, b[1].ranks)
         assert a[2] == b[2]
@@ -144,7 +165,7 @@ class TestEvaluateBidirectional:
     def test_r_at_k_monotone_and_saturating(self):
         rng = np.random.default_rng(74)
         S = rng.standard_normal((7, 7))
-        t2v, v2t, _ = evaluate_bidirectional(S, ks=(1, 3, 7))
+        t2v, v2t, _ = evaluate_bidirectional(*dense_rows(S), ks=(1, 3, 7))
         for rep in (t2v, v2t):
             vals = [rep.r_at[k] for k in sorted(rep.r_at)]
             assert vals == sorted(vals)
@@ -152,13 +173,51 @@ class TestEvaluateBidirectional:
 
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareError):
-            evaluate_bidirectional(np.zeros((3, 4)))
+            evaluate_bidirectional(*dense_rows(np.zeros((3, 4))))
+
+    @pytest.mark.parametrize("block_values", BLOCK_VALUES)
+    def test_ragged_blocks_match_sort_oracle(self, monkeypatch, block_values):
+        # every n from 2 to 17, so 1-8 rows per block and a ragged last block,
+        # with quantised scores that tie across block edges
+        monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(77)
+        for n in range(2, 18):
+            S = rng.integers(0, 3, size=(n, n)) / 2.0
+            t2v, v2t, _ = evaluate_bidirectional(*dense_rows(S))
+            assert t2v.ranks.tolist() == [rank_by_stable_sort(S[:, i].tolist(), i) for i in range(n)]
+            assert v2t.ranks.tolist() == [rank_by_stable_sort(S[i, :].tolist(), i) for i in range(n)]
+
+    def test_row_counts_differ(self):
+        with pytest.raises(NonSquareError, match=r"\(3, 5\).*\(4, 5\)"):
+            evaluate_bidirectional(np.ones((3, 5)), np.ones((4, 5)))
+
+    def test_row_dims_differ(self):
+        with pytest.raises(DimMismatchError):
+            evaluate_bidirectional(np.ones((4, 5)), np.ones((4, 6)))
+
+    def test_no_items(self):
+        # raised before the block size BLOCK_VALUES // n is taken
+        with pytest.raises(EmptyInputError):
+            evaluate_bidirectional(np.ones((0, 5)), np.ones((0, 5)))
+
+    def test_peak_memory_is_row_blocks(self):
+        # train split of ingest-eval's 4096 items: a dense S alone is 82 MiB
+        rng = np.random.default_rng(78)
+        n = 3277
+        U, V = (unit_rows(rng.standard_normal((n, 16)), what)[0] for what in ("U", "V"))
+        tracemalloc.start()
+        try:
+            evaluate_bidirectional(U, V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestMetricsCsv:
     def test_format(self):
         S = np.full((4, 4), 0.1) + 0.8 * np.eye(4)
-        t2v, v2t, rsum = evaluate_bidirectional(S, ks=(1, 5, 10))
+        t2v, v2t, rsum = evaluate_bidirectional(*dense_rows(S), ks=(1, 5, 10))
         text = metrics_csv_text(t2v, v2t, rsum)
         lines = text.strip().split("\n")
         assert lines[0] == "direction,R1,R5,R10,MdR"

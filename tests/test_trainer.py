@@ -42,7 +42,7 @@ from marginforge.trainer import (
     train_epoch,
     train_inputs,
 )
-from helpers import Delegating, flatten_params
+from helpers import Delegating, dense_rows, flatten_params
 
 
 class TestLambdaSchedule:
@@ -717,7 +717,7 @@ class TestSplitPooling:
         state = forward_batch(model, ds.pooled_video()[rows], ds.text[rows])
         t2v, v2t, rsum = trainer.evaluate_split(model, ds, ds.val_ids)
         want_t2v, want_v2t, want_rsum = evaluate_bidirectional(
-            state.video_units @ state.text_units.T
+            *dense_rows(state.video_units @ state.text_units.T)
         )
         assert rsum == want_rsum
         for got, want in ((t2v, want_t2v), (v2t, want_v2t)):
