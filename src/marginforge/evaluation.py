@@ -15,7 +15,7 @@ last bit; only scores within rounding of each other can rank differently.
 
 Ties: the rank of query i's positive is 1 + #{j : s_ij > s_ii} +
 #{j < i : s_ij = s_ii}; an item tied with the positive outranks it only
-when its index is smaller, so results are platform-reproducible and mildly
+when its index is smaller, so ranks are deterministic and mildly
 pessimistic for the positive. ``_ranks`` states the rule for both
 directions.
 """

@@ -5,14 +5,15 @@ margin level or as the loss's unit rows, the dense forms of ``dS`` and of
 the cosine backward, a container file's header tokens and payload, and a
 dataset manifest re-signed after a test edits its files.
 
-The kernels take unit rows U and V, not ``S``. A given B x B ``S`` reaches
-them as its identity form ``dense_rows(S) = (I, S.T)``: each cell of a block
-``I[r0:r1] @ S`` or ``S.T[r0:r1] @ I`` is ``1.0 * S[i, j]`` plus exact
-zeros, so the kernels read ``S`` bit for bit wherever it is finite, for any
-blocking of the products, and the gradient they return holds the B x B
-``dS`` itself (``dense_gradient``). With D = B the form's products cost
-O(B^3) against O(B^2 D) for unit rows, so a test whose ``S`` comes from
-unit rows passes those rows instead.
+The kernels and ``evaluate_bidirectional`` take unit rows U and V, not
+``S``. A given B x B ``S`` reaches them as its identity form
+``dense_rows(S) = (I, S.T)``: each cell of a block ``I[r0:r1] @ S`` or
+``S.T[r0:r1] @ I`` is ``1.0 * S[i, j]`` plus exact zeros, so both read
+``S`` bit for bit wherever it is finite, for any blocking of the products,
+and the gradient the kernels return holds the B x B ``dS`` itself
+(``dense_gradient``). With D = B the form's products cost O(B^3) against
+O(B^2 D) for unit rows, so a test whose ``S`` comes from unit rows passes
+those rows instead.
 """
 
 import numpy as np

@@ -337,7 +337,7 @@ def test_c10_adaptive_margin_beats_its_beta_zero_twin(tmp_path):
 
 @pytest.mark.parametrize("block_values", [16, 36, 64])
 def test_c7_metric_oracle_agreement(monkeypatch, block_values):
-    # R = block_values // n rows per evaluation block: ragged blocks of 1-8 rows
+    # R = block_values // n rows per evaluation block: ragged blocks of 2-8 rows
     monkeypatch.setattr(kernels, "BLOCK_VALUES", block_values)
     rng = np.random.default_rng(7)
     for trial in range(1000):

@@ -200,7 +200,7 @@ class TestEvaluateBidirectional:
         with pytest.raises(EmptyInputError):
             evaluate_bidirectional(np.ones((0, 5)), np.ones((0, 5)))
 
-    def test_peak_memory_is_row_blocks(self):
+    def test_peak_memory_is_score_blocks(self):
         # train split of ingest-eval's 4096 items: a dense S alone is 82 MiB
         rng = np.random.default_rng(78)
         n = 3277
